@@ -7,28 +7,29 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"tipsy/internal/core"
 	"tipsy/internal/features"
+	"tipsy/internal/monitor"
+	"tipsy/internal/serve"
 )
 
 // smallServer builds a cheap one-day server, bypassing the shared
 // singleton so tests can mutate serving state freely.
 func smallServer(t *testing.T, seed int64) *server {
 	t.Helper()
-	s := newServer(seed, 1)
-	s.advanceDays(1)
-	s.retrain()
-	if s.model == nil {
+	s := buildServer(seed, 1)
+	if !s.gen.Load().Trained() {
 		t.Fatal("bootstrap did not produce a model")
 	}
 	return s
 }
 
 func TestHealthzDegradedWhenUntrained(t *testing.T) {
-	s := newServer(31, 1) // no bootstrap: nothing trained
+	s := newServer(31, 1, monitor.DefaultConfig()) // no bootstrap: nothing trained
 	rr := get(t, s, "/healthz")
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("untrained server healthz = %d, want 503", rr.Code)
@@ -49,7 +50,7 @@ func TestHealthzDegradedWhenStale(t *testing.T) {
 		t.Fatalf("fresh model healthz = %d, want 200", rr.Code)
 	}
 	// Telemetry advances two days with no retrain: past the bound.
-	s.advanceDays(2)
+	s.advanceDays(2, nil)
 	rr := get(t, s, "/healthz")
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("stale model healthz = %d, want 503", rr.Code)
@@ -60,7 +61,7 @@ func TestHealthzDegradedWhenStale(t *testing.T) {
 		t.Errorf("stale body: %v", body)
 	}
 	// A retrain restores health.
-	s.retrain()
+	s.retrain(nil)
 	if rr := get(t, s, "/healthz"); rr.Code != http.StatusOK {
 		t.Errorf("healthz after retrain = %d, want 200", rr.Code)
 	}
@@ -104,7 +105,7 @@ func TestPredictLadderFallsBackToGeo(t *testing.T) {
 func TestPredictServesWithNoModelAtAll(t *testing.T) {
 	// Degraded-mode serving: before any training, the API still
 	// answers via GeoNearest instead of refusing.
-	s := newServer(34, 1)
+	s := newServer(34, 1, monitor.DefaultConfig())
 	f := features.FlowFeatures{AS: 7, Prefix: 0x0a000100, Loc: 2, Region: 1, Type: 1}
 	preds, rung := s.predict(core.Query{Flow: f, K: 3})
 	if rung != "geo" || len(preds) == 0 {
@@ -122,22 +123,23 @@ func TestCheckpointRecoveryOnRestart(t *testing.T) {
 
 	// A "restarted" process over the same WAN recovers the models
 	// without retraining.
-	b := newServer(35, 1)
+	b := newServer(35, 1, monitor.DefaultConfig())
 	b.checkpointPath = path
 	if err := b.recoverCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !b.recovered || b.model == nil {
+	ga, gb := a.gen.Load(), b.gen.Load()
+	if !gb.Recovered() || !gb.Trained() {
 		t.Fatal("recovery did not install a serving model")
 	}
-	if b.trainedAt != a.trainedAt || b.simulated != a.trainedAt {
+	if gb.TrainedAt() != ga.TrainedAt() || b.simHour() != ga.TrainedAt() {
 		t.Errorf("recovered clock: trainedAt=%d simulated=%d, want both %d",
-			b.trainedAt, b.simulated, a.trainedAt)
+			gb.TrainedAt(), b.simHour(), ga.TrainedAt())
 	}
 	// Recovered predictions are identical to the originals.
 	for i := 0; i < len(a.records) && i < 50; i += 10 {
 		q := core.Query{Flow: a.records[i].Flow, K: 3}
-		pa, pb := a.model.Predict(q), b.model.Predict(q)
+		pa, pb := ga.Ensemble().Predict(q), gb.Ensemble().Predict(q)
 		if !reflect.DeepEqual(pa, pb) {
 			t.Fatalf("record %d: predictions diverge after recovery:\n a %+v\n b %+v", i, pa, pb)
 		}
@@ -164,12 +166,12 @@ func TestRecoverRejectsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b := newServer(36, 1)
+	b := newServer(36, 1, monitor.DefaultConfig())
 	b.checkpointPath = path
 	if err := b.recoverCheckpoint(); err == nil {
 		t.Fatal("truncated checkpoint recovered successfully")
 	}
-	if b.model != nil || b.recovered {
+	if gb := b.gen.Load(); gb.Trained() || gb.Recovered() {
 		t.Error("failed recovery must leave the server cold")
 	}
 }
@@ -199,7 +201,46 @@ func TestRunGracefulShutdownCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no usable checkpoint after shutdown: %v", err)
 	}
-	if ck.TrainedAt != s.trainedAt || len(ck.Models) != 3 {
+	if ck.TrainedAt != s.gen.Load().TrainedAt() || len(ck.Models) != 3 {
 		t.Errorf("checkpoint contents: trainedAt=%d models=%d", ck.TrainedAt, len(ck.Models))
+	}
+}
+
+// TestPredictDuringRetrain serves requests while the cycle loop
+// ingests, retrains and swaps the generation underneath them: under
+// -race this is the check that a handler shares nothing mutable with
+// the swap, and every request must still get its one answer per flow.
+func TestPredictDuringRetrain(t *testing.T) {
+	s := smallServer(t, 38)
+	body := samplePredictBody(t, s)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rr := postTraced(s, "/v1/predict", body, nil)
+				var resp serve.Response
+				if err := json.Unmarshal(rr.Body.Bytes(), &resp); rr.Code != http.StatusOK || err != nil || len(resp.Results) != 1 {
+					t.Errorf("predict during retrain: status %d, err %v, body %s", rr.Code, err, rr.Body)
+					return
+				}
+			}
+		}()
+	}
+	before := s.gen.Load()
+	for i := 0; i < 3; i++ {
+		s.cycle(1, true)
+	}
+	close(stop)
+	wg.Wait()
+	if after := s.gen.Load(); after == before || after.TrainedAt() != before.TrainedAt()+3*24 {
+		t.Errorf("generation not swapped: trained at %d, before %d", after.TrainedAt(), before.TrainedAt())
 	}
 }

@@ -52,14 +52,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	rpprof "runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"tipsy/internal/bgp"
-	"tipsy/internal/bundle"
 	"tipsy/internal/core"
 	"tipsy/internal/dataset"
 	"tipsy/internal/features"
@@ -68,6 +67,7 @@ import (
 	"tipsy/internal/netsim"
 	"tipsy/internal/obsv"
 	"tipsy/internal/pipeline"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -82,28 +82,43 @@ type fallbackCounters struct {
 	None       uint64 `json:"none"`
 }
 
-// serverMetrics are tipsyd's registry-backed metrics: one counter per
-// fallback-ladder rung and one latency histogram per rung attempt.
-// Prediction-path stage timings (feature-encode → predict) are
-// published per request through an obsv.Trace.
+// serverMetrics are tipsyd's registry-backed metrics: per ladder rung,
+// a counter of the flows it answered and a latency histogram of its
+// attempts; per /v1/predict request, the duration of its two stages
+// (feature encode, predict) and their total.
 type serverMetrics struct {
-	ensemble, historical, geo, none       *obsv.Counter
-	rungEnsemble, rungHistorical, rungGeo *obsv.Histogram
-	requests                              *obsv.Counter
-	bundles                               *obsv.Counter
+	answered                     [serve.None + 1]*obsv.Counter
+	rungNs                       [serve.None]*obsv.Histogram
+	requests                     *obsv.Counter
+	encodeNs, predictNs, totalNs *obsv.Histogram
+	bundles                      *obsv.Counter
 }
 
 func newServerMetrics(reg *obsv.Registry) serverMetrics {
-	return serverMetrics{
-		ensemble:       reg.Counter("tipsyd_fallback_ensemble_total"),
-		historical:     reg.Counter("tipsyd_fallback_historical_total"),
-		geo:            reg.Counter("tipsyd_fallback_geo_total"),
-		none:           reg.Counter("tipsyd_fallback_none_total"),
-		rungEnsemble:   reg.Histogram("tipsyd_rung_ensemble_ns"),
-		rungHistorical: reg.Histogram("tipsyd_rung_historical_ns"),
-		rungGeo:        reg.Histogram("tipsyd_rung_geo_ns"),
-		requests:       reg.Counter("tipsyd_predict_requests_total"),
-		bundles:        reg.Counter("tipsyd_bundles_written_total"),
+	m := serverMetrics{
+		requests:  reg.Counter("tipsyd_predict_requests_total"),
+		encodeNs:  reg.Histogram("tipsyd_predict_feature_encode_ns"),
+		predictNs: reg.Histogram("tipsyd_predict_predict_ns"),
+		totalNs:   reg.Histogram("tipsyd_predict_total_ns"),
+		bundles:   reg.Counter("tipsyd_bundles_written_total"),
+	}
+	for r := serve.Ensemble; r <= serve.None; r++ {
+		m.answered[r] = reg.Counter("tipsyd_fallback_" + r.String() + "_total")
+	}
+	for r := serve.Ensemble; r < serve.None; r++ {
+		m.rungNs[r] = reg.Histogram("tipsyd_rung_" + r.String() + "_ns")
+	}
+	return m
+}
+
+// observe books one client-facing ladder walk: the answering rung's
+// counter and every attempted rung's latency.
+func (m *serverMetrics) observe(a serve.Answer) {
+	m.answered[a.Rung].Inc()
+	for r, tried := range a.Tried {
+		if tried {
+			m.rungNs[r].Observe(a.Ns[r])
+		}
 	}
 }
 
@@ -113,7 +128,7 @@ type server struct {
 	trainDays int
 
 	// reg is the daemon-wide metrics registry: the pipeline counters,
-	// the fallback ladder, and the prediction-path trace histograms
+	// the fallback ladder, and the prediction-path stage histograms
 	// all land here, and /metrics exports it.
 	reg *obsv.Registry
 	met serverMetrics
@@ -138,9 +153,10 @@ type server struct {
 	// hours behind the telemetry. 0 disables the staleness check.
 	staleAfter wan.Hour
 
-	// clock is the nanosecond wall clock behind every span timestamp
-	// and the per-rung ladder timings; tests swap it for a counter so
-	// span dumps golden. It must be safe for concurrent use.
+	// clock is the nanosecond wall clock behind every span timestamp,
+	// the per-rung ladder timings and the request stage timings; tests
+	// swap it for a counter so span dumps golden. It must be safe for
+	// concurrent use.
 	clock func() int64
 	// tracer + flight are the span-tracing subsystem: spans land in
 	// the flight-recorder ring, which /debug/trace and diagnostic
@@ -165,27 +181,16 @@ type server struct {
 	//tipsy:guardedby bundleMu
 	bundleSeq uint64
 
+	// gen is the serving model generation. Retraining and checkpoint
+	// recovery swap it whole; a request loads it once, so all of its
+	// answers come from one generation.
+	gen atomic.Pointer[serve.Models]
+
 	mu sync.RWMutex
-	//tipsy:guardedby mu
-	model core.Predictor // rung 1: the trained ensemble
-	//tipsy:guardedby mu
-	histA *core.Historical // rung 2: coarse source-AS model
-	//tipsy:guardedby mu
-	geoFall *core.GeoNearest // rung 3: training-free geographic guess
-	//tipsy:guardedby mu
-	hAP *core.Historical // retained for checkpointing
-	//tipsy:guardedby mu
-	hAL *core.Historical
 	//tipsy:guardedby mu
 	records []features.Record
 	//tipsy:guardedby mu
 	simulated wan.Hour
-	//tipsy:guardedby mu
-	trainedAt wan.Hour
-	//tipsy:guardedby mu
-	tuples int
-	//tipsy:guardedby mu
-	recovered bool // serving models recovered from a checkpoint
 }
 
 // defaultTraceSpans sizes the flight-recorder ring; logRingBytes
@@ -219,7 +224,7 @@ func main() {
 	ring := obsv.NewLogRing(logRingBytes)
 	slog.SetDefault(newLogger(io.MultiWriter(os.Stderr, ring), *logLevel, *logJSON))
 
-	s := newServer(*seed, *trainDays)
+	s := newServer(*seed, *trainDays, monitor.DefaultConfig())
 	s.logRing = ring
 	s.checkpointPath = *checkpoint
 	s.staleAfter = wan.Hour(*staleAfter)
@@ -233,11 +238,8 @@ func main() {
 	if s.checkpointPath != "" {
 		switch err := s.recoverCheckpoint(); {
 		case err == nil:
-			s.mu.RLock()
-			trainedAt := s.trainedAt
-			s.mu.RUnlock()
 			s.logCkpt.Info("recovered checkpoint",
-				"path", s.checkpointPath, "trained_at_hour", trainedAt)
+				"path", s.checkpointPath, "trained_at_hour", s.gen.Load().TrainedAt())
 		case os.IsNotExist(err):
 			s.logCkpt.Info("no checkpoint; starting cold", "path", s.checkpointPath)
 		default:
@@ -246,19 +248,13 @@ func main() {
 		}
 	}
 
-	s.mu.RLock()
-	recovered := s.recovered
-	s.mu.RUnlock()
-	if recovered {
+	if s.gen.Load().Recovered() {
 		// The recovered models serve immediately; the retrain loop
 		// refills the sliding window as simulated days pass.
 		s.logMain.Info("serving from recovered checkpoint; skipping bootstrap")
 	} else {
 		s.logMain.Info("bootstrapping", "sim_days", *trainDays)
-		root := s.tracer.StartRoot("cycle")
-		s.advanceDaysTraced(*trainDays, root)
-		s.retrainTraced(root)
-		root.End()
+		s.cycle(*trainDays, true)
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -305,29 +301,10 @@ func run(ctx context.Context, s *server, listen string, dayEvery time.Duration) 
 		for {
 			select {
 			case <-ticker.C:
-				// Each tick is one ingest/retrain cycle under a root
-				// span, so the flight recorder links the day's ingest,
-				// drain, truth join, and retrain together.
-				root := s.tracer.StartRoot("cycle")
-				s.advanceDaysTraced(1, root)
 				days++
-				// Sustained drift or a post-withdrawal collapse pulls
-				// the retrain forward: a stale model is the one thing a
-				// retrain is guaranteed to fix.
-				forced := s.mon.AlarmFiring(monitor.AlarmDrift) ||
-					s.mon.AlarmFiring(monitor.AlarmPostWithdrawal)
-				if days < s.retrainEvery && !forced {
-					root.End()
-					continue
+				if s.cycle(1, days >= s.retrainEvery) {
+					days = 0
 				}
-				if forced && days < s.retrainEvery {
-					s.logTrain.Warn("quality alarm forcing early retrain",
-						"days_since_retrain", days, "retrain_every", s.retrainEvery)
-					root.Event("forced_retrain")
-				}
-				s.retrainTraced(root)
-				root.End()
-				days = 0
 			case <-stop:
 				return
 			}
@@ -368,14 +345,10 @@ func run(ctx context.Context, s *server, listen string, dayEvery time.Duration) 
 
 // newServer constructs the simulated WAN and an empty (untrained)
 // server around it. Until the first retrain, queries are answered by
-// the GeoNearest fallback and /healthz reports degraded.
-func newServer(seed int64, trainDays int) *server {
-	return newServerCfg(seed, trainDays, monitor.DefaultConfig())
-}
-
-// newServerCfg is newServer with an explicit monitor configuration,
-// so tests can tighten the quality-window geometry.
-func newServerCfg(seed int64, trainDays int, mcfg monitor.Config) *server {
+// the GeoNearest fallback and /healthz reports degraded. mcfg is the
+// quality monitor's configuration; its LinkMeta and OnAlarm are
+// filled in here.
+func newServer(seed int64, trainDays int, mcfg monitor.Config) *server {
 	metros := geo.World()
 	g := topology.Generate(topology.TestGenConfig(seed), metros)
 	w := traffic.Generate(traffic.TestConfig(seed+10), g, metros)
@@ -401,12 +374,12 @@ func newServerCfg(seed int64, trainDays int, mcfg monitor.Config) *server {
 		logHTTP:      logger.With("component", "http"),
 		logCkpt:      logger.With("component", "checkpoint"),
 		logBundle:    logger.With("component", "bundle"),
-		geoFall:      core.NewGeoNearest(sim, metros),
 		clock:        realClock,
 		rtb:          obsv.NewRuntimeBridge(reg),
 		logRing:      obsv.NewLogRing(logRingBytes),
 		seed:         seed,
 	}
+	s.gen.Store(serve.Untrained(sim, metros))
 	// The alarm hook must be wired before the monitor exists so no
 	// transition into firing can be missed.
 	mcfg.OnAlarm = s.onAlarm
@@ -468,15 +441,6 @@ func linkMeta(sim *netsim.Sim) func(wan.LinkID) (geo.MetroID, string) {
 		}
 		return l.Metro, kind
 	}
-}
-
-// buildServer constructs the simulated WAN, bootstraps trainDays of
-// telemetry, and trains the first serving model.
-func buildServer(seed int64, trainDays int) *server {
-	s := newServer(seed, trainDays)
-	s.advanceDays(trainDays)
-	s.retrain()
-	return s
 }
 
 // mux routes the API. /metrics always serves the registry's text
@@ -542,24 +506,38 @@ func (s *server) handler() http.Handler {
 	})
 }
 
+// cycle is one ingest/retrain cycle under a root span, so the flight
+// recorder links the day's ingest, drain, truth join, and retrain
+// together: it simulates n more days, then retrains if a retrain is
+// due or a quality alarm forces one, and reports whether it did.
+func (s *server) cycle(n int, due bool) bool {
+	root := s.tracer.StartRoot("cycle")
+	defer root.End()
+	s.advanceDays(n, root)
+	if !due {
+		// Sustained drift or a post-withdrawal collapse pulls the
+		// retrain forward: a stale model is the one thing a retrain is
+		// guaranteed to fix.
+		if !s.mon.AlarmFiring(monitor.AlarmDrift) && !s.mon.AlarmFiring(monitor.AlarmPostWithdrawal) {
+			return false
+		}
+		s.logTrain.Warn("quality alarm forcing early retrain", "retrain_every", s.retrainEvery)
+		root.Event("forced_retrain")
+	}
+	s.retrain(root)
+	return true
+}
+
 // advanceDays simulates n more days of traffic into the record store.
 // The drained records double as ground truth: the aggregator streams
 // them to the monitor, which joins them against outstanding
 // predictions before the simulated clock advances past their hours.
-func (s *server) advanceDays(n int) {
-	s.advanceDaysTraced(n, nil)
-}
-
-// advanceDaysTraced is advanceDays under a parent span: "ingest"
-// covers the simulated run (the aggregator's own aggregate_batch /
-// drain / truth_join spans parent under the same trace), and
-// "truth_close" covers the monitor sealing the drained hours. A nil
-// parent (untraced callers, tests) runs the cycle with zero tracing
-// overhead.
-func (s *server) advanceDaysTraced(n int, parent *obsv.Span) {
-	s.mu.Lock()
-	from := s.simulated
-	s.mu.Unlock()
+// Under parent, "ingest" covers the simulated run (the aggregator's
+// own aggregate_batch / drain / truth_join spans parent under the same
+// trace) and "truth_close" the monitor sealing the drained hours; a
+// nil parent records nothing.
+func (s *server) advanceDays(n int, parent *obsv.Span) {
+	from := s.simHour()
 	to := from + wan.Hour(n*24)
 	agg := pipeline.NewAggregatorOn(s.reg, s.sim.GeoIP(), s.sim.DstMetadata)
 	agg.SetTruthSink(s.mon)
@@ -582,17 +560,20 @@ func (s *server) advanceDaysTraced(n int, parent *obsv.Span) {
 	s.mu.Unlock()
 }
 
-// retrain rebuilds the serving ensemble from the sliding window —
-// the paper's daily retraining cadence — and checkpoints it.
-func (s *server) retrain() {
-	s.retrainTraced(nil)
+// simHour is the hour the simulation has reached.
+func (s *server) simHour() wan.Hour {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.simulated
 }
 
-// retrainTraced is retrain under a parent span: "retrain" wraps the
-// whole rebuild, "train" the model fitting, "shadow_predict" the
-// monitor's graded sample, and the checkpoint outcome lands as a span
-// event (success) or error status (failure).
-func (s *server) retrainTraced(parent *obsv.Span) {
+// retrain rebuilds the serving generation from the sliding window —
+// the paper's daily retraining cadence — swaps it in, and checkpoints
+// it. Under parent, "retrain" wraps the whole rebuild, "train" the
+// model fitting, "shadow_predict" the monitor's graded sample, and the
+// checkpoint outcome lands as a span event (success) or error status
+// (failure).
+func (s *server) retrain(parent *obsv.Span) {
 	s.mu.RLock()
 	recs := s.records
 	now := s.simulated
@@ -602,21 +583,10 @@ func (s *server) retrainTraced(parent *obsv.Span) {
 	}
 	rsp := s.tracer.StartChild(parent, "retrain")
 	tsp := s.tracer.StartChild(rsp, "train")
-	hA := core.TrainHistorical(features.SetA, recs, core.DefaultHistOpts())
-	hAP := core.TrainHistorical(features.SetAP, recs, core.DefaultHistOpts())
-	hAL := core.TrainHistorical(features.SetAL, recs, core.DefaultHistOpts())
-	geoModel := core.NewGeoCompletion(hAL, s.sim, s.metros)
-	model := core.NewEnsemble(hAP, geoModel, hA)
-	s.mu.Lock()
-	s.model = model
-	s.histA = hA
-	s.hAP, s.hAL = hAP, hAL
-	s.trainedAt = now
-	s.tuples = hAP.NumTuples() + hAL.NumTuples() + hA.NumTuples()
-	s.recovered = false
-	tuples := s.tuples
-	s.mu.Unlock()
+	gen := serve.Train(recs, now, s.sim, s.metros)
+	s.gen.Store(gen)
 	tsp.SetInt("records", int64(len(recs)))
+	tuples := gen.Tuples()
 	tsp.SetInt("tuples", int64(tuples))
 	tsp.End()
 	// The freshly trained model defines the new quality baseline (and
@@ -624,7 +594,7 @@ func (s *server) retrainTraced(parent *obsv.Span) {
 	// are what next day's telemetry will be joined against.
 	s.mon.FreezeBaseline(now)
 	ssp := s.tracer.StartChild(rsp, "shadow_predict")
-	s.shadowPredict(now, recs, ssp)
+	s.shadowPredict(gen, now, recs, ssp)
 	ssp.End()
 	s.logTrain.Info("retrained",
 		"hour", now, "records", len(recs), "tuples", tuples)
@@ -645,21 +615,41 @@ const shadowSampleCap = 256
 // window's flows as served predictions, so the monitor has joinable
 // predictions even when no external client is querying. The sample
 // keeps the first sighting of each distinct flow in record order, so
-// same-seed runs grade the same flows.
-func (s *server) shadowPredict(now wan.Hour, recs []features.Record, parent *obsv.Span) {
-	seen := make(map[features.FlowFeatures]bool, shadowSampleCap)
-	for _, rec := range recs {
-		if seen[rec.Flow] {
-			continue
-		}
-		seen[rec.Flow] = true
+// same-seed runs grade the same flows. These walks grade the model and
+// no client asked for them, so they stay out of the serving metrics.
+func (s *server) shadowPredict(gen *serve.Models, now wan.Hour, recs []features.Record, parent *obsv.Span) {
+	for _, rec := range firstSightings(recs, shadowSampleCap) {
 		psp := s.tracer.StartChild(parent, "predict")
-		preds, rung := s.ladder(core.Query{Flow: rec.Flow, K: 3}, false, psp)
-		psp.SetStr("rung", rung)
+		a := gen.Walk(core.Query{Flow: rec.Flow, K: serve.DefaultK}, s.clock)
+		markDemotions(psp, a)
+		psp.SetStr("rung", a.Rung.String())
 		psp.End()
-		s.mon.RecordPrediction(now, rec.Flow, rung, preds)
-		if len(seen) >= shadowSampleCap {
-			return
+		s.mon.RecordPrediction(now, rec.Flow, a.Rung.String(), a.Preds)
+	}
+}
+
+// firstSightings returns the first record of each of the first n
+// distinct flows in recs, in record order.
+func firstSightings(recs []features.Record, n int) []features.Record {
+	out := make([]features.Record, 0, n)
+	seen := make(map[features.FlowFeatures]bool, n)
+	for i := 0; i < len(recs) && len(out) < n; i++ {
+		if !seen[recs[i].Flow] {
+			seen[recs[i].Flow] = true
+			out = append(out, recs[i])
+		}
+	}
+	return out
+}
+
+var demoteEvents = [serve.None]string{"demote_ensemble", "demote_historical", "demote_geo"}
+
+// markDemotions files a demote_* event on sp for every rung that ran
+// and produced nothing — the span-level record of a degraded answer.
+func markDemotions(sp *obsv.Span, a serve.Answer) {
+	for r := serve.Ensemble; r < a.Rung; r++ {
+		if a.Tried[r] {
+			sp.Event(demoteEvents[r])
 		}
 	}
 }
@@ -667,23 +657,17 @@ func (s *server) shadowPredict(now wan.Hour, recs []features.Record, parent *obs
 // saveCheckpoint atomically persists the trained models. A no-op when
 // checkpointing is disabled or nothing is trained yet.
 func (s *server) saveCheckpoint() error {
-	s.mu.RLock()
-	path := s.checkpointPath
-	ck := core.Checkpoint{TrainedAt: s.trainedAt}
-	if s.hAP != nil {
-		ck.Models = []*core.Historical{s.hAP, s.hAL, s.histA}
-	}
-	s.mu.RUnlock()
-	if path == "" || len(ck.Models) == 0 {
+	ck := s.gen.Load().Checkpoint()
+	if s.checkpointPath == "" || len(ck.Models) == 0 {
 		return nil
 	}
-	return ck.SaveFile(path)
+	return ck.SaveFile(s.checkpointPath)
 }
 
-// recoverCheckpoint restores the serving models from the checkpoint
-// file, rebuilding the ensemble around them, and resumes the
-// simulation clock at the checkpointed hour. The recovered model
-// serves immediately; the next retrain replaces it.
+// recoverCheckpoint restores the serving generation from the
+// checkpoint file and resumes the simulation clock at the
+// checkpointed hour. The recovered generation serves immediately; the
+// next retrain replaces it.
 func (s *server) recoverCheckpoint() error {
 	sp := s.tracer.StartRoot("checkpoint_recover")
 	defer sp.End()
@@ -692,138 +676,55 @@ func (s *server) recoverCheckpoint() error {
 		sp.Error("checkpoint load failed")
 		return err
 	}
-	var hA, hAP, hAL *core.Historical
-	for _, m := range ck.Models {
-		switch m.Set() {
-		case features.SetA:
-			hA = m
-		case features.SetAP:
-			hAP = m
-		case features.SetAL:
-			hAL = m
-		}
-	}
-	if hA == nil || hAP == nil || hAL == nil {
+	gen, err := serve.FromCheckpoint(ck, s.sim, s.metros)
+	if err != nil {
 		sp.Error("checkpoint incomplete")
-		return fmt.Errorf("checkpoint incomplete: %d models", len(ck.Models))
+		return err
 	}
-	model := core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, s.sim, s.metros), hA)
+	s.gen.Store(gen)
 	s.mu.Lock()
-	s.model = model
-	s.histA = hA
-	s.hAP, s.hAL = hAP, hAL
-	s.trainedAt = ck.TrainedAt
 	if s.simulated < ck.TrainedAt {
 		s.simulated = ck.TrainedAt
 	}
-	s.tuples = hAP.NumTuples() + hAL.NumTuples() + hA.NumTuples()
-	s.recovered = true
 	s.mu.Unlock()
 	return nil
-}
-
-// predict walks the degraded-mode ladder: the trained ensemble, then
-// the coarse Hist_A model, then the training-free geographic guess.
-// It reports which rung answered; the per-rung counters feed /healthz
-// and /metrics, and each attempted rung's latency lands in its
-// tipsyd_rung_*_ns histogram.
-func (s *server) predict(q core.Query) ([]core.Prediction, string) {
-	return s.ladder(q, true, nil)
-}
-
-// ladder is the fallback walk itself. count=false skips the serving
-// counters and latency histograms: monitor shadow samples grade model
-// quality and must not skew the client-facing serving metrics. A
-// non-nil sp collects a demote_* event for every rung that had a model
-// but produced nothing — the span-level record of a degraded answer.
-func (s *server) ladder(q core.Query, count bool, sp *obsv.Span) ([]core.Prediction, string) {
-	s.mu.RLock()
-	model, histA, geoFall := s.model, s.histA, s.geoFall
-	s.mu.RUnlock()
-	if model != nil {
-		start := s.clock()
-		preds := model.Predict(q)
-		if count {
-			s.met.rungEnsemble.Observe(s.clock() - start)
-		}
-		if len(preds) > 0 {
-			if count {
-				s.met.ensemble.Inc()
-			}
-			return preds, "ensemble"
-		}
-		sp.Event("demote_ensemble")
-	}
-	if histA != nil {
-		start := s.clock()
-		preds := histA.Predict(q)
-		if count {
-			s.met.rungHistorical.Observe(s.clock() - start)
-		}
-		if len(preds) > 0 {
-			if count {
-				s.met.historical.Inc()
-			}
-			return preds, "historical"
-		}
-		sp.Event("demote_historical")
-	}
-	if geoFall != nil {
-		start := s.clock()
-		preds := geoFall.Predict(q)
-		if count {
-			s.met.rungGeo.Observe(s.clock() - start)
-		}
-		if len(preds) > 0 {
-			if count {
-				s.met.geo.Inc()
-			}
-			return preds, "geo"
-		}
-		sp.Event("demote_geo")
-	}
-	if count {
-		s.met.none.Inc()
-	}
-	return nil, "none"
 }
 
 // fallbackSnapshot reads the ladder counters for /healthz.
 func (s *server) fallbackSnapshot() fallbackCounters {
 	return fallbackCounters{
-		Ensemble:   s.met.ensemble.Value(),
-		Historical: s.met.historical.Value(),
-		Geo:        s.met.geo.Value(),
-		None:       s.met.none.Value(),
+		Ensemble:   s.met.answered[serve.Ensemble].Value(),
+		Historical: s.met.answered[serve.Historical].Value(),
+		Geo:        s.met.answered[serve.Geo].Value(),
+		None:       s.met.answered[serve.None].Value(),
 	}
 }
 
-// degradedLocked reports whether serving is degraded (no trained
-// ensemble, or a model staler than the configured bound) and why.
-// Callers hold s.mu.
-func (s *server) degradedLocked() (bool, string) {
-	if s.model == nil {
+// degraded reports whether serving from gen at simulated hour now is
+// degraded (no trained ensemble, or a model staler than the
+// configured bound) and why.
+func (s *server) degraded(gen *serve.Models, now wan.Hour) (bool, string) {
+	if !gen.Trained() {
 		return true, "no trained model; serving from fallback"
 	}
-	if s.staleAfter > 0 && s.simulated-s.trainedAt > s.staleAfter {
-		return true, fmt.Sprintf("model stale: trained at hour %d, telemetry at hour %d", s.trainedAt, s.simulated)
+	if s.staleAfter > 0 && now-gen.TrainedAt() > s.staleAfter {
+		return true, fmt.Sprintf("model stale: trained at hour %d, telemetry at hour %d", gen.TrainedAt(), now)
 	}
 	return false, ""
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	degraded, reason := s.degradedLocked()
+	gen, now := s.gen.Load(), s.simHour()
+	degraded, reason := s.degraded(gen, now)
 	body := map[string]any{
 		"status":           "ok",
-		"simulated_hour":   s.simulated,
-		"model_trained_at": s.trainedAt,
-		"model_age_hours":  s.simulated - s.trainedAt,
-		"model_ready":      s.model != nil,
-		"recovered":        s.recovered,
+		"simulated_hour":   now,
+		"model_trained_at": gen.TrainedAt(),
+		"model_age_hours":  now - gen.TrainedAt(),
+		"model_ready":      gen.Trained(),
+		"recovered":        gen.Recovered(),
 		"fallbacks":        s.fallbackSnapshot(),
 	}
-	s.mu.RUnlock()
 	// The monitor's verdict annotates health: a model that is fresh
 	// but predicting badly is degraded too.
 	qDegraded, qReason := s.mon.Degraded()
@@ -834,17 +735,13 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			degraded, reason = true, "prediction quality: "+qReason
 		}
 	}
+	status := http.StatusOK
 	if degraded {
 		body["status"] = "degraded"
 		body["reason"] = reason
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		if err := json.NewEncoder(w).Encode(body); err != nil {
-			s.logHTTP.Error("write response", "err", err)
-		}
-		return
+		status = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, body)
+	s.writeJSONStatus(w, status, body)
 }
 
 // handleQuality serves the monitor's full quality report: windowed
@@ -854,18 +751,17 @@ func (s *server) handleQuality(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleModel(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.model == nil {
+	gen := s.gen.Load()
+	if !gen.Trained() {
 		http.Error(w, "model not ready", http.StatusServiceUnavailable)
 		return
 	}
 	s.writeJSON(w, map[string]any{
-		"name":       s.model.Name(),
-		"tuples":     s.tuples,
-		"trained_at": s.trainedAt,
+		"name":       gen.Ensemble().Name(),
+		"tuples":     gen.Tuples(),
+		"trained_at": gen.TrainedAt(),
 		"train_days": s.trainDays,
-		"recovered":  s.recovered,
+		"recovered":  gen.Recovered(),
 	})
 }
 
@@ -892,164 +788,73 @@ func (s *server) handleSample(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	recs := s.records
 	s.mu.RUnlock()
-	type sample struct {
-		SrcAddr string  `json:"src_addr"`
-		SrcAS   uint32  `json:"src_as"`
-		Region  uint16  `json:"region"`
-		Service uint8   `json:"service"`
-		Bytes   float64 `json:"bytes"`
-	}
-	var out []sample
-	seen := map[features.FlowFeatures]bool{}
-	for _, rec := range recs {
-		if seen[rec.Flow] {
-			continue
-		}
-		seen[rec.Flow] = true
-		out = append(out, sample{
-			SrcAddr: fmt.Sprintf("%d.%d.%d.%d", byte(rec.Flow.Prefix>>24),
-				byte(rec.Flow.Prefix>>16), byte(rec.Flow.Prefix>>8), 7),
-			SrcAS: uint32(rec.Flow.AS), Region: uint16(rec.Flow.Region),
+	var out []serve.Flow
+	for _, rec := range firstSightings(recs, 5) {
+		out = append(out, serve.Flow{
+			SrcAddr: bgp.FormatIP(rec.Flow.Prefix | 7),
+			SrcAS:   uint32(rec.Flow.AS), Region: uint16(rec.Flow.Region),
 			Service: uint8(rec.Flow.Type), Bytes: rec.Bytes,
 		})
-		if len(out) >= 5 {
-			break
-		}
 	}
 	s.writeJSON(w, out)
 }
 
-// predictRequest mirrors how the CMS queries TIPSY (§4): a set of
-// flows (tuples and bytes) plus the links about to be withdrawn.
-type predictRequest struct {
-	Flows []struct {
-		SrcAddr string  `json:"src_addr"`
-		SrcAS   uint32  `json:"src_as"`
-		Region  uint16  `json:"region"`
-		Service uint8   `json:"service"`
-		Bytes   float64 `json:"bytes"`
-	} `json:"flows"`
-	ExcludeLinks []wan.LinkID `json:"exclude_links"`
-	K            int          `json:"k"`
-}
-
-type predictResponse struct {
-	Results []struct {
-		Flow int `json:"flow"`
-		// Model names the ladder rung that answered this flow:
-		// "ensemble", "historical", "geo", or "none".
-		Model string `json:"model"`
-		Links []struct {
-			Link  wan.LinkID `json:"link"`
-			Frac  float64    `json:"frac"`
-			Bytes float64    `json:"bytes"`
-		} `json:"links"`
-	} `json:"results"`
-	// Shifted aggregates predicted bytes per target link across all
-	// queried flows — the number the CMS compares against capacity.
-	Shifted map[wan.LinkID]float64 `json:"shifted"`
-}
-
 // handlePredict serves the per-request prediction path — the
 // latency-sensitive endpoint, so its closure is allocation-budgeted.
+// The request's two stages are timed off s.clock into the stage
+// histograms and recorded as spans under the request span handler()
+// started.
 //
 //tipsy:hotpath
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
+	var req serve.Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.K <= 0 {
-		req.K = 3
-	}
 	s.met.requests.Inc()
-	// Trace the request's stages two ways: the stage tracer feeds the
-	// per-stage latency histograms /metrics exports, and real spans —
-	// parented under the request span handler() started — land in the
-	// flight recorder. Both run off s.clock so fake-clock tests golden.
-	tr := obsv.NewTraceClock(s.clock)
+	gen, now := s.gen.Load(), s.simHour()
 	rsp := obsv.SpanFromContext(r.Context())
+	start := s.clock()
 	fsp := s.tracer.StartChild(rsp, "feature_encode")
-	excluded := make(map[wan.LinkID]bool, len(req.ExcludeLinks))
-	for _, l := range req.ExcludeLinks {
-		excluded[l] = true
+	flows, err := req.Encode(s.sim.GeoIP())
+	if err != nil {
+		fsp.Error("bad address")
+		fsp.End()
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	flows := make([]features.FlowFeatures, len(req.Flows))
-	for i, f := range req.Flows {
-		addr, err := parseIPv4(f.SrcAddr)
-		if err != nil {
-			fsp.Error("bad address")
-			fsp.End()
-			http.Error(w, fmt.Sprintf("flow %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		prefix := bgp.Slash24(addr)
-		flows[i] = features.FlowFeatures{
-			AS: bgp.ASN(f.SrcAS), Prefix: prefix, Loc: s.sim.GeoIP().Lookup(prefix),
-			Region: wan.Region(f.Region), Type: wan.ServiceType(f.Service),
-		}
-	}
-	fsp.SetInt("flows", int64(len(req.Flows)))
+	fsp.SetInt("flows", int64(len(flows)))
 	fsp.End()
-	tr.Mark("feature_encode")
-	s.mu.RLock()
-	now := s.simulated
-	s.mu.RUnlock()
-	resp := predictResponse{Shifted: make(map[wan.LinkID]float64)}
+	encoded := s.clock()
 	psp := s.tracer.StartChild(rsp, "predict")
-	for i, f := range req.Flows {
-		preds, rung := s.ladder(core.Query{
-			Flow: flows[i], K: req.K,
-			Exclude: func(l wan.LinkID) bool { return excluded[l] },
-		}, true, psp)
-		// Feed the quality monitor — but only unconstrained queries:
-		// what-if queries that exclude links are answered against a
-		// counterfactual topology and would skew the joined accuracy.
-		if len(req.ExcludeLinks) == 0 {
-			s.mon.RecordPrediction(now, flows[i], rung, preds)
+	// Only unconstrained queries feed the quality monitor: a what-if
+	// that excludes links is answered against a counterfactual
+	// topology and would skew the joined accuracy.
+	graded := len(req.ExcludeLinks) == 0
+	resp := gen.Respond(&req, flows, s.clock, func(i int, a serve.Answer) {
+		s.met.observe(a)
+		markDemotions(psp, a)
+		if graded {
+			s.mon.RecordPrediction(now, flows[i], a.Rung.String(), a.Preds)
 		}
-		var result struct {
-			Flow  int    `json:"flow"`
-			Model string `json:"model"`
-			Links []struct {
-				Link  wan.LinkID `json:"link"`
-				Frac  float64    `json:"frac"`
-				Bytes float64    `json:"bytes"`
-			} `json:"links"`
-		}
-		result.Flow = i
-		result.Model = rung
-		for _, p := range preds {
-			result.Links = append(result.Links, struct {
-				Link  wan.LinkID `json:"link"`
-				Frac  float64    `json:"frac"`
-				Bytes float64    `json:"bytes"`
-			}{p.Link, p.Frac, p.Frac * f.Bytes})
-			resp.Shifted[p.Link] += p.Frac * f.Bytes
-		}
-		resp.Results = append(resp.Results, result)
-	}
-	psp.SetInt("flows", int64(len(req.Flows)))
+	})
+	psp.SetInt("flows", int64(len(flows)))
 	psp.End()
-	tr.Mark("predict")
-	tr.Publish(s.reg, "tipsyd_predict")
+	done := s.clock()
+	s.met.encodeNs.Observe(encoded - start)
+	s.met.predictNs.Observe(done - encoded)
+	s.met.totalNs.Observe(done - start)
 	s.writeJSON(w, resp)
 }
 
-func parseIPv4(s string) (uint32, error) {
-	var a, b, c, d int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("bad IPv4 address %q", s)
-	}
-	if a|b|c|d < 0 || a > 255 || b > 255 || c > 255 || d > 255 {
-		return 0, fmt.Errorf("bad IPv4 address %q", s)
-	}
-	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d), nil
+func (s *server) writeJSON(w http.ResponseWriter, v any) {
+	s.writeJSONStatus(w, http.StatusOK, v)
 }
 
-func (s *server) writeJSON(w http.ResponseWriter, v any) {
+func (s *server) writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.logHTTP.Error("write response", "err", err)
 	}
@@ -1061,163 +866,4 @@ func (s *server) writeJSON(w http.ResponseWriter, v any) {
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.rtb.Sample()
 	s.reg.Handler().ServeHTTP(w, r)
-}
-
-// handleTrace dumps the flight recorder. ?trace=<32 hex digits>
-// filters to one trace; ?format=chrome emits Chrome trace_event JSON
-// loadable in about:tracing / Perfetto.
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
-		http.Error(w, "tracing disabled", http.StatusNotFound)
-		return
-	}
-	var recs []obsv.SpanRecord
-	if q := r.URL.Query().Get("trace"); q != "" {
-		id, ok := obsv.ParseTraceID(q)
-		if !ok {
-			http.Error(w, "bad trace id", http.StatusBadRequest)
-			return
-		}
-		recs = s.flight.TraceSpans(id)
-	} else {
-		recs = s.flight.Snapshot()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	var err error
-	if r.URL.Query().Get("format") == "chrome" {
-		err = obsv.WriteSpanTraceEvents(w, recs)
-	} else {
-		err = obsv.WriteSpansJSON(w, recs)
-	}
-	if err != nil {
-		s.logHTTP.Error("write trace dump", "err", err)
-	}
-}
-
-// handleBundle writes a diagnostic bundle on demand, verifies it the
-// way an operator's tooling would, and returns its path and manifest.
-func (s *server) handleBundle(w http.ResponseWriter, r *http.Request) {
-	dir, err := s.writeBundle("manual")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	man, err := bundle.Verify(dir)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bundle failed verification: %v", err), http.StatusInternalServerError)
-		return
-	}
-	s.writeJSON(w, map[string]any{"dir": dir, "manifest": man})
-}
-
-// onAlarm is the monitor's alarm hook: every transition into firing
-// snapshots a diagnostic bundle, so the spans, metrics, and logs that
-// led up to the incident are preserved even if the operator only
-// looks hours later.
-func (s *server) onAlarm(st monitor.AlarmStatus) {
-	if s.bundleDir == "" {
-		s.logBundle.Warn("alarm fired but bundles disabled", "alarm", st.Name)
-		return
-	}
-	if _, err := s.writeBundle("alarm-" + st.Name); err != nil {
-		s.logBundle.Error("bundle write failed", "alarm", st.Name, "err", err)
-	}
-}
-
-// writeBundle snapshots the daemon's diagnostic state into a new
-// bundle directory under s.bundleDir and returns its path. Writes are
-// serialized: concurrent alarms and manual requests queue rather than
-// interleave, and bundleSeq keeps names unique even under a frozen
-// fake clock.
-func (s *server) writeBundle(reason string) (string, error) {
-	if s.bundleDir == "" {
-		return "", errors.New("bundle directory disabled")
-	}
-	s.bundleMu.Lock()
-	defer s.bundleMu.Unlock()
-	s.bundleSeq++
-	now := s.clock()
-	// Snapshot the flight recorder and quality report once, up front,
-	// so every section of the bundle describes the same instant.
-	spans := s.flight.Snapshot()
-	quality := s.mon.Quality()
-	build := s.buildManifest()
-	writeIndented := func(v any) func(io.Writer) error {
-		return func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(v)
-		}
-	}
-	sections := []bundle.Section{
-		{Name: "metrics.prom", Write: func(w io.Writer) error {
-			s.rtb.Sample()
-			s.reg.WriteText(w)
-			return nil
-		}},
-		{Name: "quality.json", Write: writeIndented(quality)},
-		{Name: "spans.json", Write: func(w io.Writer) error {
-			return obsv.WriteSpansJSON(w, spans)
-		}},
-		{Name: "trace_events.json", Write: func(w io.Writer) error {
-			return obsv.WriteSpanTraceEvents(w, spans)
-		}},
-		{Name: "log_tail.txt", Write: func(w io.Writer) error {
-			_, err := w.Write(s.logRing.Tail())
-			return err
-		}},
-		{Name: "heap.pprof", Write: func(w io.Writer) error {
-			return rpprof.Lookup("heap").WriteTo(w, 0)
-		}},
-		{Name: "goroutine.pprof", Write: func(w io.Writer) error {
-			return rpprof.Lookup("goroutine").WriteTo(w, 0)
-		}},
-		{Name: "build.json", Write: writeIndented(build)},
-	}
-	name := fmt.Sprintf("bundle-%d-%04d-%s", now, s.bundleSeq, sanitizeReason(reason))
-	dir, err := bundle.Write(s.bundleDir, name, reason, now, build, sections)
-	if err != nil {
-		return "", err
-	}
-	s.met.bundles.Inc()
-	s.logBundle.Info("diagnostic bundle written", "dir", dir, "reason", reason)
-	return dir, nil
-}
-
-// buildManifest collects the build/config identity embedded in every
-// bundle (build.json and the manifest's build map) — enough to answer
-// "what exactly was running" from the bundle alone.
-func (s *server) buildManifest() map[string]string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return map[string]string{
-		"go_version":      runtime.Version(),
-		"goos":            runtime.GOOS,
-		"goarch":          runtime.GOARCH,
-		"version":         buildVersion(),
-		"seed":            strconv.FormatInt(s.seed, 10),
-		"train_days":      strconv.Itoa(s.trainDays),
-		"simulated_hour":  strconv.FormatInt(int64(s.simulated), 10),
-		"trained_at_hour": strconv.FormatInt(int64(s.trainedAt), 10),
-		"checkpoint":      s.checkpointPath,
-	}
-}
-
-// sanitizeReason makes an alarm name safe as a path component:
-// lowercase alphanumerics, dash, and underscore, capped at 40 bytes.
-func sanitizeReason(reason string) string {
-	b := []byte(reason)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '-', c == '_':
-		case c >= 'A' && c <= 'Z':
-			b[i] = c + 'a' - 'A'
-		default:
-			b[i] = '_'
-		}
-	}
-	if len(b) > 40 {
-		b = b[:40]
-	}
-	return string(b)
 }

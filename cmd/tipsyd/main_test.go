@@ -5,8 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+
+	"tipsy/internal/core"
+	"tipsy/internal/monitor"
+	"tipsy/internal/serve"
 )
 
 var (
@@ -21,6 +26,23 @@ func testServer(t *testing.T) *server {
 		t.Fatal("server build failed")
 	}
 	return srv
+}
+
+// buildServer constructs the simulated WAN, bootstraps trainDays of
+// telemetry, and trains the first serving model.
+func buildServer(seed int64, trainDays int) *server {
+	s := newServer(seed, trainDays, monitor.DefaultConfig())
+	s.advanceDays(trainDays, nil)
+	s.retrain(nil)
+	return s
+}
+
+// predict answers q the way a client's flow is answered: one ladder
+// walk, booked in the serving metrics.
+func (s *server) predict(q core.Query) ([]core.Prediction, string) {
+	a := s.gen.Load().Walk(q, s.clock)
+	s.met.observe(a)
+	return a.Preds, a.Rung.String()
 }
 
 func get(t *testing.T, s *server, path string) *httptest.ResponseRecorder {
@@ -105,7 +127,7 @@ func TestPredictEndToEnd(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body)
 	}
-	var resp predictResponse
+	var resp serve.Response
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +152,7 @@ func TestPredictEndToEnd(t *testing.T) {
 	req = httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(reqBody))
 	rr = httptest.NewRecorder()
 	s.mux().ServeHTTP(rr, req)
-	resp = predictResponse{} // Unmarshal merges into maps; start clean.
+	resp = serve.Response{} // Unmarshal merges into maps; start clean.
 	json.Unmarshal(rr.Body.Bytes(), &resp)
 	for _, l := range resp.Results[0].Links {
 		if l.Link == top {
@@ -150,24 +172,29 @@ func TestPredictRejectsBadInput(t *testing.T) {
 	if rr.Code != http.StatusBadRequest {
 		t.Errorf("bad JSON: status %d", rr.Code)
 	}
-	body, _ := json.Marshal(map[string]any{
-		"flows": []map[string]any{{"src_addr": "not-an-ip", "src_as": 1}},
-	})
-	req = httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
-	rr = httptest.NewRecorder()
-	s.mux().ServeHTTP(rr, req)
-	if rr.Code != http.StatusBadRequest {
-		t.Errorf("bad address: status %d", rr.Code)
+	// Every address must be a dotted quad and nothing more.
+	for _, addr := range []string{
+		"not-an-ip", "1.2.3.4garbage", "1.2.3.4.5", " 1.2.3.4", "+1.2.3.4", "010.1.1.1",
+	} {
+		body, _ := json.Marshal(map[string]any{
+			"flows": []map[string]any{{"src_addr": "11.0.3.7", "src_as": 1}, {"src_addr": addr, "src_as": 1}},
+		})
+		req = httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
+		rr = httptest.NewRecorder()
+		s.mux().ServeHTTP(rr, req)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "flow 1:") {
+			t.Errorf("address %q: status %d, body %q; want 400 naming flow 1", addr, rr.Code, rr.Body)
+		}
 	}
 }
 
 func TestRetrainAdvancesModel(t *testing.T) {
 	s := testServer(t)
-	before := s.trainedAt
-	s.advanceDays(1)
-	s.retrain()
-	if s.trainedAt != before+24 {
-		t.Errorf("trainedAt %d -> %d, want +24", before, s.trainedAt)
+	before := s.gen.Load().TrainedAt()
+	s.advanceDays(1, nil)
+	s.retrain(nil)
+	if after := s.gen.Load().TrainedAt(); after != before+24 {
+		t.Errorf("trainedAt %d -> %d, want +24", before, after)
 	}
 	// The sliding window keeps only trainDays of records.
 	if len(s.records) == 0 {
@@ -177,17 +204,6 @@ func TestRetrainAdvancesModel(t *testing.T) {
 	for _, r := range s.records {
 		if r.Hour < cutoff {
 			t.Fatalf("record at hour %d survived the %d cutoff", r.Hour, cutoff)
-		}
-	}
-}
-
-func TestParseIPv4(t *testing.T) {
-	if v, err := parseIPv4("11.0.3.7"); err != nil || v != 0x0b000307 {
-		t.Errorf("parseIPv4 = %x, %v", v, err)
-	}
-	for _, bad := range []string{"", "1.2.3", "1.2.3.999", "a.b.c.d"} {
-		if _, err := parseIPv4(bad); err == nil {
-			t.Errorf("%q should not parse", bad)
 		}
 	}
 }

@@ -13,16 +13,9 @@ import (
 	"tipsy/internal/core"
 	"tipsy/internal/features"
 	"tipsy/internal/monitor"
-	"tipsy/internal/wan"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
-
-func simHour(s *server) wan.Hour {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.simulated
-}
 
 // withdrawTopPredicted withdraws each workload flow's anycast prefix
 // from the model's top two predicted links — the congestion
@@ -37,8 +30,7 @@ func withdrawTopPredicted(s *server) {
 			Loc:    s.sim.GeoIP().Lookup(f.SrcPrefix),
 			Region: f.DstRegion, Type: f.DstType,
 		}
-		preds, _ := s.ladder(core.Query{Flow: ff, K: 3}, false, nil)
-		for j, p := range preds {
+		for j, p := range s.gen.Load().Walk(core.Query{Flow: ff, K: 3}, s.clock).Preds {
 			if j >= 2 {
 				break // leave each flow an ingress path
 			}
@@ -59,13 +51,13 @@ func runQualityScenario(t *testing.T, seed int64, check func(stage string, s *se
 	mcfg.MinGroups = 10
 	mcfg.FireAfter = 2
 	mcfg.ClearAfter = 2
-	s := newServerCfg(seed, 4, mcfg)
-	s.advanceDays(4)
-	s.retrain()
+	s := newServer(seed, 4, mcfg)
+	s.advanceDays(4, nil)
+	s.retrain(nil)
 
 	// A healthy day of joins establishes the baseline at retrain.
-	s.advanceDays(1)
-	s.retrain()
+	s.advanceDays(1, nil)
+	s.retrain(nil)
 	if check != nil {
 		check("healthy", s)
 	}
@@ -73,8 +65,8 @@ func runQualityScenario(t *testing.T, seed int64, check func(stage string, s *se
 	// The withdrawal lands mid-interval: the serving model goes stale
 	// against the shifted traffic for a full day.
 	withdrawTopPredicted(s)
-	s.mon.NoteWithdrawal(simHour(s))
-	s.advanceDays(1)
+	s.mon.NoteWithdrawal(s.simHour())
+	s.advanceDays(1, nil)
 	if check != nil {
 		check("collapsed", s)
 	}
@@ -85,8 +77,8 @@ func runQualityScenario(t *testing.T, seed int64, check func(stage string, s *se
 	for _, wd := range s.sim.Withdrawals() {
 		s.sim.Announce(wd.Link, wd.Prefix)
 	}
-	s.retrain()
-	s.advanceDays(1)
+	s.retrain(nil)
+	s.advanceDays(1, nil)
 	if check != nil {
 		check("recovered", s)
 	}

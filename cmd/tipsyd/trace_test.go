@@ -127,8 +127,8 @@ func TestCycleTraceEndToEnd(t *testing.T) {
 	s, _ := traceTestServer(t, 1, 8192)
 
 	root := s.tracer.StartRoot("cycle")
-	s.advanceDaysTraced(1, root)
-	s.retrainTraced(root)
+	s.advanceDays(1, root)
+	s.retrain(root)
 	root.End()
 
 	spans := s.flight.TraceSpans(root.Context().Trace)
@@ -232,22 +232,22 @@ func TestBundleAlarmRoundTrip(t *testing.T) {
 	mcfg.MinGroups = 10
 	mcfg.FireAfter = 2
 	mcfg.ClearAfter = 2
-	s := newServerCfg(17, 4, mcfg)
+	s := newServer(17, 4, mcfg)
 	s.bundleDir = t.TempDir()
 	s.initTrace(1, 2048)
-	s.advanceDays(4)
-	s.retrain()
-	s.advanceDays(1)
-	s.retrain()
+	s.advanceDays(4, nil)
+	s.retrain(nil)
+	s.advanceDays(1, nil)
+	s.retrain(nil)
 
 	// Withdraw the top predicted links under a stale model: the
 	// collapse the paper documents, and the alarm trigger. The day
 	// runs under a cycle root the way the daemon's ticker loop traces
 	// it, so the bundle's span dump captures the incident.
 	withdrawTopPredicted(s)
-	s.mon.NoteWithdrawal(simHour(s))
+	s.mon.NoteWithdrawal(s.simHour())
 	root := s.tracer.StartRoot("cycle")
-	s.advanceDaysTraced(1, root)
+	s.advanceDays(1, root)
 	root.End()
 
 	entries, err := os.ReadDir(s.bundleDir)

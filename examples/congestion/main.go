@@ -15,11 +15,10 @@ import (
 	"fmt"
 
 	"tipsy/internal/cms"
-	"tipsy/internal/core"
-	"tipsy/internal/features"
 	"tipsy/internal/geo"
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -69,11 +68,7 @@ func runIncident(blind bool) incidentStats {
 	// Train TIPSY on the days before the incident.
 	agg := pipeline.NewAggregator(sim.GeoIP(), sim.DstMetadata)
 	sim.Run(netsim.RunOptions{From: 0, To: trainHours, Sink: agg})
-	train := agg.Records()
-	hA := core.TrainHistorical(features.SetA, train, core.DefaultHistOpts())
-	hAP := core.TrainHistorical(features.SetAP, train, core.DefaultHistOpts())
-	hAL := core.TrainHistorical(features.SetAL, train, core.DefaultHistOpts())
-	model := core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, sim, metros), hA)
+	model := serve.Train(agg.Records(), trainHours, sim, metros).Ensemble()
 
 	// The incident, staged as in §2 of the paper: a transit peer's
 	// link surges past threshold while the peer's other links — the

@@ -13,6 +13,7 @@ import (
 	"tipsy/internal/geo"
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -43,12 +44,11 @@ func run(seed int64, w io.Writer) error {
 	records := agg.Records()
 	fmt.Fprintf(w, "collected %d hourly flow aggregates\n", len(records))
 
-	// 3. Train the standard ensemble: most specific model first.
-	hA := core.TrainHistorical(features.SetA, records, core.DefaultHistOpts())
-	hAP := core.TrainHistorical(features.SetAP, records, core.DefaultHistOpts())
-	hAL := core.TrainHistorical(features.SetAL, records, core.DefaultHistOpts())
-	model := core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, sim, metros), hA)
-	fmt.Fprintf(w, "trained %s (%d AP tuples)\n", model.Name(), hAP.NumTuples())
+	// 3. Train the serving models and take their ensemble: most
+	// specific model first.
+	models := serve.Train(records, 4*24, sim, metros)
+	model := models.Ensemble()
+	fmt.Fprintf(w, "trained %s (%d tuples)\n", model.Name(), models.Tuples())
 
 	// 4. Predict for the biggest flow whose source AS has alternate
 	// peering links (so the what-if below has somewhere to go).

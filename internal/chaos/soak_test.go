@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"tipsy/internal/bmp"
-	"tipsy/internal/core"
 	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/geo"
 	"tipsy/internal/ipfix"
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -43,9 +43,7 @@ func soakRun(t *testing.T, seed int64, fault Config, trainTo, evalTo wan.Hour) s
 	agg := pipeline.NewAggregator(sim.GeoIP(), sim.DstMetadata)
 	ipfixLink := NewLink(fault.ForKey(1), func(m []byte) {
 		// Malformed messages are quarantined by the collector, not fatal.
-		_ = col.HandleMessage(m, func(_ uint32, rec ipfix.FlowRecord) {
-			agg.Record(wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress), &rec)
-		})
+		_ = col.HandleMessageBatch(m, func(_ uint32, recs []ipfix.FlowRecord) { agg.RecordBatch(recs) })
 	})
 	exp := ipfix.NewExporter(ipfixLink.Writer(), 1)
 
@@ -94,12 +92,9 @@ func soakRun(t *testing.T, seed int64, fault Config, trainTo, evalTo wan.Hour) s
 	if len(train) == 0 || len(evalRecs) == 0 {
 		t.Fatalf("soak produced %d train / %d eval records", len(train), len(evalRecs))
 	}
-	// The daemon's serving ensemble: Hist_AP, geo-completed Hist_AL,
-	// Hist_A — trained only on what survived the chaos transport.
-	hA := core.TrainHistorical(features.SetA, train, core.DefaultHistOpts())
-	hAP := core.TrainHistorical(features.SetAP, train, core.DefaultHistOpts())
-	hAL := core.TrainHistorical(features.SetAL, train, core.DefaultHistOpts())
-	model := core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, sim, metros), hA)
+	// The daemon's serving ensemble, trained only on what survived the
+	// chaos transport.
+	model := serve.Train(train, trainTo, sim, metros).Ensemble()
 	acc := eval.Accuracy(model, evalRecs, eval.Options{Ks: []int{1, 3}})
 	return soakResult{
 		link:    ipfixLink.Stats(),

@@ -2,19 +2,15 @@ package ipfix
 
 import "testing"
 
-// BenchmarkIPFIXDecode measures the steady-state per-message decode
-// cost on a 64-record data set with the template already learned —
-// the shape HandleMessage sees once a stream is warmed up. It is the
-// dynamic counterpart of the tipsylint hotpath tier's static budget
-// for Decode: the static tier counts sites, this pins what they cost.
+// BenchmarkIPFIXDecode measures the reference decoder's steady-state
+// per-message cost on a 64-record data set with the template already
+// learned — the yardstick BenchmarkDecodeInto is read against.
 //
 // Baseline (2026-08-08, linux/amd64, go1.22 toolchain era):
 //
 //	BenchmarkIPFIXDecode   ~1930 ns/op   4728 B/op   14 allocs/op
 //
-// i.e. ~74 B and ~0.22 allocs per flow record. The planned zero-alloc
-// refactor should drive allocs/op toward the slice headers alone;
-// regressions show up here and in the budget ratchet.
+// i.e. ~74 B and ~0.22 allocs per flow record.
 func BenchmarkIPFIXDecode(b *testing.B) {
 	msg := benchMessage()
 	templates := map[uint16]Template{}

@@ -166,53 +166,22 @@ func (c *Collector) domain(id uint32) *domainState {
 	return d
 }
 
-// HandleMessage decodes one framed message and invokes fn for each
-// flow record in it. A malformed message is quarantined: the error is
-// returned for observability, but the collector remains consistent
-// and the next message is processed normally.
-//
-//tipsy:hotpath
-func (c *Collector) HandleMessage(buf []byte, fn func(domain uint32, rec FlowRecord)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.handleLocked(buf)
-	if err != nil {
-		return err
-	}
-	for i := range c.batch {
-		fn(id, c.batch[i])
-	}
-	return nil
-}
-
-// HandleMessageBatch is HandleMessage with a batched hand-off: fn is
-// invoked at most once, with every flow record the message produced
-// (direct and replayed). The slice is owned by the collector and only
-// valid for the duration of the callback.
+// HandleMessageBatch decodes one framed message and invokes fn at most
+// once, with every flow record the message produced (direct and
+// replayed). The slice is owned by the collector and only valid for
+// the duration of the callback. A malformed message is quarantined:
+// the error is returned for observability, but the collector remains
+// consistent and the next message is processed normally.
 //
 //tipsy:hotpath
 func (c *Collector) HandleMessageBatch(buf []byte, fn func(domain uint32, recs []FlowRecord)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, err := c.handleLocked(buf)
-	if err != nil {
-		return err
-	}
-	if len(c.batch) > 0 {
-		fn(id, c.batch)
-	}
-	return nil
-}
-
-// handleLocked decodes one framed message into the pooled Message and
-// collects its flow records into c.batch. Callers hold c.mu and emit
-// c.batch on a nil error.
-func (c *Collector) handleLocked(buf []byte) (uint32, error) {
 	c.batch = c.batch[:0]
 	if len(buf) < msgHeaderLen {
 		c.m.quarantined.Inc()
 		c.mark("ipfix_quarantine")
-		return 0, ErrShortMessage
+		return ErrShortMessage
 	}
 	// Peek the domain to select the template table.
 	id := binary.BigEndian.Uint32(buf[12:16])
@@ -222,7 +191,7 @@ func (c *Collector) handleLocked(buf []byte) (uint32, error) {
 		PutMessage(msg)
 		c.m.quarantined.Inc()
 		c.mark("ipfix_quarantine")
-		return 0, err
+		return err
 	}
 	c.accountSequence(d, msg)
 	c.m.messages.Inc()
@@ -246,7 +215,10 @@ func (c *Collector) handleLocked(buf []byte) (uint32, error) {
 	if hadTemplates {
 		c.replayPending(d)
 	}
-	return id, nil
+	if len(c.batch) > 0 {
+		fn(id, c.batch)
+	}
+	return nil
 }
 
 // accountSequence updates loss/reorder accounting for one decoded
@@ -420,29 +392,16 @@ func (c *Collector) replayPending(d *domainState) {
 	d.pending = d.pending[:w]
 }
 
-// ReadStream consumes a stream of back-to-back framed messages from r
-// until EOF, invoking fn per record. It is used when collectors are
-// attached to routers over TCP. Per-message decode failures are
-// quarantined and the stream continues — only a framing failure,
-// after which message boundaries are unrecoverable, aborts.
-func (c *Collector) ReadStream(r io.Reader, fn func(domain uint32, rec FlowRecord)) error {
-	return c.readStream(r, func(buf []byte) { _ = c.HandleMessage(buf, fn) })
-}
-
-// ReadStreamBatch is ReadStream with the batched hand-off: fn is
-// invoked once per message that produced records, with the whole
-// record batch. The slice is only valid during the callback.
+// ReadStreamBatch consumes a stream of back-to-back framed messages
+// from r until EOF, invoking fn once per message that produced
+// records, with the whole record batch; the slice is only valid during
+// the callback. It is used when collectors are attached to routers
+// over TCP. Per-message decode failures are quarantined (counted
+// inside HandleMessageBatch) and the stream continues — only a framing
+// failure, after which message boundaries are unrecoverable, aborts.
 func (c *Collector) ReadStreamBatch(r io.Reader, fn func(domain uint32, recs []FlowRecord)) error {
-	return c.readStream(r, func(buf []byte) { _ = c.HandleMessageBatch(buf, fn) })
-}
-
-// readStream frames messages out of r into a buffer reused across
-// messages (handle must not retain it) and feeds each to handle.
-// Quarantined messages are counted inside HandleMessage; the stream
-// itself is still framed, so reading continues.
-func (c *Collector) readStream(r io.Reader, handle func(buf []byte)) error {
 	var hdr [4]byte
-	var msg []byte
+	var msg []byte // reused across messages
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -462,7 +421,7 @@ func (c *Collector) readStream(r io.Reader, handle func(buf []byte)) error {
 		if _, err := io.ReadFull(r, msg[4:]); err != nil {
 			return err
 		}
-		handle(msg)
+		_ = c.HandleMessageBatch(msg, fn)
 	}
 }
 

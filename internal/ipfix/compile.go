@@ -7,17 +7,17 @@ import (
 	"sync"
 )
 
-// This file is the template-compiled decode path. The classic Decode
-// re-interprets template field specifiers record by record; here the
-// interpretation happens once, at template registration: each template
-// compiles to a flat (offset, length, destination) op table, and the
-// per-record work collapses to a handful of bounds-checked loads. The
+// This file is the template-compiled decode path. The reference
+// decoder (reference_test.go, the tests' oracle) re-interprets template
+// field specifiers record by record; here the interpretation happens
+// once, at template registration: each template compiles to a flat
+// (offset, length, destination) op table, and the per-record work
+// collapses to a handful of bounds-checked loads. The
 // DecodeInto entry point appends into caller-owned message buffers so
 // steady-state decode (data-only messages, templates already learned)
 // performs zero heap allocations per record.
 
-// errZeroLenTemplate mirrors Decode's zero-length-template failure
-// without the fmt.Errorf interface boxing on the hot path.
+// errZeroLenTemplate is a fixed error so the hot path boxes nothing.
 var errZeroLenTemplate = errors.New("ipfix: zero-length template")
 
 // fieldKind selects the FlowRecord field a template field feeds.
@@ -181,47 +181,6 @@ func (ct *CompiledTemplate) DecodeFlow(data []byte, r *FlowRecord) bool {
 	return true
 }
 
-// decodeFlowReference is the pre-compilation reference decoder: it
-// re-interprets the template's field specifiers with a per-field
-// switch on every record — exactly the work compileTemplate hoists to
-// registration time. It is retained as the oracle for the
-// differential harness and the fuzz cross-check; the compiled path
-// must match it bit for bit on every input.
-func decodeFlowReference(t Template, data []byte, r *FlowRecord) bool {
-	rl := t.RecordLen()
-	if rl == 0 || len(data) < rl {
-		return false
-	}
-	*r = FlowRecord{}
-	off := 0
-	for _, f := range t.Fields {
-		n := int(f.Length)
-		val := data[off : off+n]
-		if f.Enterprise == 0 {
-			switch f.ID {
-			case IESourceIPv4Address:
-				r.SrcAddr = uint32(beTail(val))
-			case IEDestinationIPv4:
-				r.DstAddr = uint32(beTail(val))
-			case IEOctetDeltaCount:
-				r.Octets = beTail(val)
-			case IEPacketDeltaCount:
-				r.Packets = beTail(val)
-			case IEIngressInterface:
-				r.Ingress = uint32(beTail(val))
-			case IEBgpSourceAsNumber:
-				r.SrcAS = uint32(beTail(val))
-			case IEFlowStartSeconds:
-				r.StartSecs = uint32(beTail(val))
-			case IEFlowEndSeconds:
-				r.EndSecs = uint32(beTail(val))
-			}
-		}
-		off += n
-	}
-	return true
-}
-
 // TemplateTable holds the compiled templates of one observation
 // domain. Not safe for concurrent use; the collector serializes
 // access under its own lock.
@@ -273,8 +232,9 @@ func PutMessage(m *Message) {
 // arrays; record Data and Unknown bodies alias buf and are only valid
 // until the caller reuses it. Templates carried by the message are
 // compiled into tt. A nil tt decodes one-shot, learning templates for
-// the duration of the message only. The error contract matches
-// Decode.
+// the duration of the message only. It fails with ErrShortMessage on
+// truncated or misframed input, ErrBadVersion on a foreign version,
+// and on a data set whose template describes zero bytes.
 //
 //tipsy:hotpath
 func DecodeInto(msg *Message, buf []byte, tt *TemplateTable) error {
@@ -351,9 +311,9 @@ func DecodeInto(msg *Message, buf []byte, tt *TemplateTable) error {
 
 // registerSet parses one (options) template set body, compiles and
 // registers each template, and appends the parsed templates to dst.
-// The wire grammar matches parseTemplates / parseOptionsTemplates
-// exactly, including the quirk that options-template parsing does not
-// consume enterprise numbers. Parsing is two-pass — validate and
+// The wire grammar matches the reference decoder's exactly, including
+// the quirk that options-template parsing does not consume enterprise
+// numbers. Parsing is two-pass — validate and
 // count, then fill — so a malformed set registers nothing and the
 // steady-state path stays free of per-field allocation.
 func (tt *TemplateTable) registerSet(dst []Template, body []byte, options bool) ([]Template, error) {

@@ -237,10 +237,11 @@ func TestDifferentialDecodeFuzzCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialCollectorBatch holds the two collector entry points
-// to identical output: the same stream through HandleMessage and
-// HandleMessageBatch must produce the same records in the same order
-// and the same counter decomposition.
+// TestDifferentialCollectorBatch holds the collector to the reference
+// decoder: the same stream through HandleMessageBatch and through
+// Decode + UnmarshalFlowRecord must produce the same records in the
+// same order, and the collector's counters must account for exactly
+// those.
 func TestDifferentialCollectorBatch(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewExporter(&buf, 9)
@@ -263,21 +264,32 @@ func TestDifferentialCollectorBatch(t *testing.T) {
 		domain uint32
 		rec    FlowRecord
 	}
-	var single, batched []emitted
-	cs, cb := NewCollector(), NewCollector()
-	for off := 0; off < len(stream); {
+	var reference, batched []emitted
+	templates := map[uint16]Template{}
+	col := NewCollector()
+	messages := 0
+	for off := 0; off < len(stream); messages++ {
 		n := WireLen(stream[off:])
 		if n <= 0 || off+n > len(stream) {
 			t.Fatalf("bad frame at %d", off)
 		}
 		msg := stream[off : off+n]
 		off += n
-		if err := cs.HandleMessage(msg, func(domain uint32, rec FlowRecord) {
-			single = append(single, emitted{domain, rec})
-		}); err != nil {
+		ref, err := Decode(msg, templates)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cb.HandleMessageBatch(msg, func(domain uint32, recs []FlowRecord) {
+		for _, dr := range ref.Records {
+			if dr.TemplateID != FlowTemplateID {
+				continue
+			}
+			rec, err := UnmarshalFlowRecord(dr.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reference = append(reference, emitted{ref.Header.DomainID, rec})
+		}
+		if err := col.HandleMessageBatch(msg, func(domain uint32, recs []FlowRecord) {
 			for _, rec := range recs {
 				batched = append(batched, emitted{domain, rec})
 			}
@@ -285,13 +297,14 @@ func TestDifferentialCollectorBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(single) == 0 {
-		t.Fatal("no records decoded")
+	if len(reference) != 257 {
+		t.Fatalf("reference decoded %d records, exported 257", len(reference))
 	}
-	if !reflect.DeepEqual(single, batched) {
-		t.Fatalf("HandleMessage and HandleMessageBatch diverged: %d vs %d records", len(single), len(batched))
+	if !reflect.DeepEqual(reference, batched) {
+		t.Fatalf("reference decoder and HandleMessageBatch diverged: %d vs %d records", len(reference), len(batched))
 	}
-	if cs.Stats() != cb.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", cs.Stats(), cb.Stats())
+	want := CollectorStats{Messages: uint64(messages), Records: uint64(len(reference))}
+	if got := col.Stats(); got != want {
+		t.Fatalf("collector stats %+v, want %+v", got, want)
 	}
 }

@@ -1,9 +1,6 @@
 package ipfix
 
-import (
-	"encoding/binary"
-	"errors"
-)
+import "encoding/binary"
 
 // FlowTemplateID is the template ID of the TIPSY flow record schema.
 const FlowTemplateID = 256
@@ -57,27 +54,4 @@ func (r *FlowRecord) Marshal() []byte {
 	out = binary.BigEndian.AppendUint32(out, r.SrcAS)
 	out = binary.BigEndian.AppendUint32(out, r.StartSecs)
 	return binary.BigEndian.AppendUint32(out, r.EndSecs)
-}
-
-// errBadFlowRecordLen keeps length failures off the allocation path:
-// the collector hits this once per quarantined record, and an
-// fmt.Errorf here would box two ints per call.
-var errBadFlowRecordLen = errors.New("ipfix: flow record has wrong length")
-
-// UnmarshalFlowRecord decodes a data record produced with
-// FlowTemplate.
-func UnmarshalFlowRecord(data []byte) (FlowRecord, error) {
-	if len(data) != flowRecordLen {
-		return FlowRecord{}, errBadFlowRecordLen
-	}
-	return FlowRecord{
-		SrcAddr:   binary.BigEndian.Uint32(data[0:4]),
-		DstAddr:   binary.BigEndian.Uint32(data[4:8]),
-		Octets:    binary.BigEndian.Uint64(data[8:16]),
-		Packets:   binary.BigEndian.Uint64(data[16:24]),
-		Ingress:   binary.BigEndian.Uint32(data[24:28]),
-		SrcAS:     binary.BigEndian.Uint32(data[28:32]),
-		StartSecs: binary.BigEndian.Uint32(data[32:36]),
-		EndSecs:   binary.BigEndian.Uint32(data[36:40]),
-	}, nil
 }

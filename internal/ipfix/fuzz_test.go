@@ -105,7 +105,7 @@ func FuzzIPFIXDecode(f *testing.F) {
 		// Full collector path: template learning, sequence accounting,
 		// pending-set buffering. Must never panic; errors quarantine.
 		c := NewCollector()
-		_ = c.HandleMessage(data, func(domain uint32, rec FlowRecord) {})
+		_ = c.HandleMessageBatch(data, func(domain uint32, recs []FlowRecord) {})
 		c.Stats() // counter decomposition stays readable
 	})
 }

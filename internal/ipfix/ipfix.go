@@ -9,7 +9,6 @@ package ipfix
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // Version is the IPFIX protocol version number (RFC 7011 §3.1).
@@ -162,155 +161,6 @@ func marshalDataSet(templateID uint16, records [][]byte) []byte {
 		set = append(set, r...)
 	}
 	return set
-}
-
-// Decode parses one IPFIX message. templates resolves previously seen
-// template IDs for this observation domain and is updated with any
-// templates carried in the message (RFC 7011 §8 template management).
-//
-// Decode is the reference slow path: it allocates a fresh Message and
-// re-walks template metadata per set. The collector's hot path uses
-// DecodeInto with a compiled TemplateTable instead; the differential
-// harness in differential_test.go holds the two bit-for-bit equal.
-func Decode(buf []byte, templates map[uint16]Template) (*Message, error) {
-	if templates == nil {
-		// A caller with no template state (one-shot decode) still
-		// learns templates for the duration of this message, so data
-		// sets following their template in the same message decode.
-		templates = make(map[uint16]Template)
-	}
-	if len(buf) < msgHeaderLen {
-		return nil, ErrShortMessage
-	}
-	if binary.BigEndian.Uint16(buf[0:2]) != Version {
-		return nil, ErrBadVersion
-	}
-	msg := &Message{Header: MessageHeader{
-		Length:     binary.BigEndian.Uint16(buf[2:4]),
-		ExportTime: binary.BigEndian.Uint32(buf[4:8]),
-		Sequence:   binary.BigEndian.Uint32(buf[8:12]),
-		DomainID:   binary.BigEndian.Uint32(buf[12:16]),
-	}}
-	if int(msg.Header.Length) > len(buf) || msg.Header.Length < msgHeaderLen {
-		return nil, ErrShortMessage
-	}
-	rest := buf[msgHeaderLen:msg.Header.Length]
-	for len(rest) > 0 {
-		if len(rest) < setHeaderLen {
-			return nil, ErrShortMessage
-		}
-		setID := binary.BigEndian.Uint16(rest[0:2])
-		setLen := int(binary.BigEndian.Uint16(rest[2:4]))
-		if setLen < setHeaderLen || setLen > len(rest) {
-			return nil, ErrShortMessage
-		}
-		body := rest[setHeaderLen:setLen]
-		switch {
-		case setID == SetIDTemplate:
-			ts, err := parseTemplates(body)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range ts {
-				templates[t.ID] = t
-				msg.Templates = append(msg.Templates, t)
-			}
-		case setID == SetIDOptionsTemplate:
-			ts, err := parseOptionsTemplates(body)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range ts {
-				templates[t.ID] = t
-				msg.Templates = append(msg.Templates, t)
-			}
-		case setID >= MinDataSetID:
-			t, ok := templates[setID]
-			if !ok {
-				msg.Unknown = append(msg.Unknown, RawSet{SetID: setID, Body: body})
-				break
-			}
-			rl := t.RecordLen()
-			if rl == 0 {
-				return nil, fmt.Errorf("ipfix: zero-length template %d", setID)
-			}
-			for len(body) >= rl {
-				msg.Records = append(msg.Records, DataRecord{
-					TemplateID: setID,
-					Data:       body[:rl],
-				})
-				body = body[rl:]
-			}
-			// Remaining bytes shorter than a record are padding
-			// (RFC 7011 §3.3.1).
-		default:
-			// Reserved sets are skipped.
-		}
-		rest = rest[setLen:]
-	}
-	return msg, nil
-}
-
-func parseTemplates(body []byte) ([]Template, error) {
-	var out []Template
-	for len(body) > 0 {
-		if len(body) < 4 {
-			return nil, ErrShortMessage
-		}
-		t := Template{ID: binary.BigEndian.Uint16(body[0:2])}
-		count := int(binary.BigEndian.Uint16(body[2:4]))
-		body = body[4:]
-		for i := 0; i < count; i++ {
-			if len(body) < 4 {
-				return nil, ErrShortMessage
-			}
-			f := FieldSpec{
-				ID:     binary.BigEndian.Uint16(body[0:2]) & 0x7fff,
-				Length: binary.BigEndian.Uint16(body[2:4]),
-			}
-			enterprise := body[0]&0x80 != 0
-			body = body[4:]
-			if enterprise {
-				if len(body) < 4 {
-					return nil, ErrShortMessage
-				}
-				f.Enterprise = binary.BigEndian.Uint32(body[0:4])
-				body = body[4:]
-			}
-			t.Fields = append(t.Fields, f)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// parseOptionsTemplates decodes an options template set body
-// (RFC 7011 §3.4.2.2): template ID, total field count, scope field
-// count, then the field specifiers. Scope and non-scope fields decode
-// identically for fixed-length records, so the distinction is not
-// retained.
-func parseOptionsTemplates(body []byte) ([]Template, error) {
-	var out []Template
-	for len(body) > 0 {
-		if len(body) < 6 {
-			return nil, ErrShortMessage
-		}
-		t := Template{ID: binary.BigEndian.Uint16(body[0:2])}
-		count := int(binary.BigEndian.Uint16(body[2:4]))
-		body = body[6:] // skip the scope field count
-		for i := 0; i < count; i++ {
-			if len(body) < 4 {
-				return nil, ErrShortMessage
-			}
-			t.Fields = append(t.Fields, FieldSpec{
-				ID:     binary.BigEndian.Uint16(body[0:2]) & 0x7fff,
-				Length: binary.BigEndian.Uint16(body[2:4]),
-			})
-			body = body[4:]
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // WireLen reports the framed length of the next IPFIX message in buf,

@@ -75,11 +75,11 @@ func TestExporterCollectorRoundTrip(t *testing.T) {
 
 	col := NewCollector()
 	var got []FlowRecord
-	err := col.ReadStream(&buf, func(domain uint32, rec FlowRecord) {
+	err := col.ReadStreamBatch(&buf, func(domain uint32, recs []FlowRecord) {
 		if domain != 42 {
 			t.Errorf("domain = %d, want 42", domain)
 		}
-		got = append(got, rec)
+		got = append(got, recs...)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestCollectorDetectsLoss(t *testing.T) {
 		if i == 1 {
 			continue
 		}
-		if err := col.HandleMessage(m, func(uint32, FlowRecord) { n++ }); err != nil {
+		if err := col.HandleMessageBatch(m, func(_ uint32, recs []FlowRecord) { n += len(recs) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,8 +168,8 @@ func TestCollectorBuffersDataBeforeTemplate(t *testing.T) {
 	})
 	col := NewCollector()
 	var got []FlowRecord
-	fn := func(_ uint32, r FlowRecord) { got = append(got, r) }
-	if err := col.HandleMessage(data, fn); err != nil {
+	fn := func(_ uint32, recs []FlowRecord) { got = append(got, recs...) }
+	if err := col.HandleMessageBatch(data, fn); err != nil {
 		t.Fatalf("data before template should not be fatal: %v", err)
 	}
 	if len(got) != 0 || col.PendingSets(5) != 1 {
@@ -179,7 +179,7 @@ func TestCollectorBuffersDataBeforeTemplate(t *testing.T) {
 	tmplMsg := marshalMessage(0, 1, 5, [][]byte{
 		marshalTemplateSet([]Template{FlowTemplate()}),
 	})
-	if err := col.HandleMessage(tmplMsg, fn); err != nil {
+	if err := col.HandleMessageBatch(tmplMsg, fn); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != *rec {
@@ -216,7 +216,7 @@ func TestCollectorReorderIsNotLoss(t *testing.T) {
 		order = append(order, i)
 	}
 	for _, i := range order {
-		if err := col.HandleMessage(msgs[i], func(uint32, FlowRecord) { n++ }); err != nil {
+		if err := col.HandleMessageBatch(msgs[i], func(_ uint32, recs []FlowRecord) { n += len(recs) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,16 +247,16 @@ func TestCollectorDuplicateDoesNotRefill(t *testing.T) {
 		t.Skip("need at least 3 messages")
 	}
 	col := NewCollector()
-	fn := func(uint32, FlowRecord) {}
+	fn := func(uint32, []FlowRecord) {}
 	// Drop message 1 (a real gap), then duplicate message 2: the
 	// duplicate must not be credited against the dropped records.
-	col.HandleMessage(msgs[0], fn)
-	col.HandleMessage(msgs[2], fn)
+	col.HandleMessageBatch(msgs[0], fn)
+	col.HandleMessageBatch(msgs[2], fn)
 	lostAfterGap := col.Stats().Lost
 	if lostAfterGap == 0 {
 		t.Fatal("gap not detected")
 	}
-	col.HandleMessage(msgs[2], fn)
+	col.HandleMessageBatch(msgs[2], fn)
 	st := col.Stats()
 	if st.Lost != lostAfterGap {
 		t.Errorf("duplicate changed lost from %d to %d", lostAfterGap, st.Lost)
@@ -271,7 +271,7 @@ func TestCollectorSequenceWraparound(t *testing.T) {
 	// catastrophic loss at the wrap point.
 	near := ^uint32(0) - 3 // 4294967292
 	col := NewCollector()
-	fn := func(uint32, FlowRecord) {}
+	fn := func(uint32, []FlowRecord) {}
 	recs := [][]byte{sampleRecord(0).Marshal(), sampleRecord(1).Marshal()}
 	tmpl := marshalTemplateSet([]Template{FlowTemplate()})
 	// seq near wrap with 2 records, then the continuation past 0.
@@ -282,7 +282,7 @@ func TestCollectorSequenceWraparound(t *testing.T) {
 		t.Fatal("test arithmetic wrong")
 	}
 	for _, m := range [][]byte{m1, m2, m3} {
-		if err := col.HandleMessage(m, fn); err != nil {
+		if err := col.HandleMessageBatch(m, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,19 +301,19 @@ func TestCollectorQuarantinesMalformed(t *testing.T) {
 	exp.Flush(0)
 	col := NewCollector()
 	n := 0
-	fn := func(uint32, FlowRecord) { n++ }
+	fn := func(_ uint32, recs []FlowRecord) { n += len(recs) }
 	// A hopelessly short message and one with a corrupted version
 	// field are quarantined; a good message then processes normally.
-	if err := col.HandleMessage([]byte{1, 2, 3}, fn); err == nil {
+	if err := col.HandleMessageBatch([]byte{1, 2, 3}, fn); err == nil {
 		t.Error("short message should return an error")
 	}
 	good := buf.Bytes()
 	bad := append([]byte(nil), good...)
 	bad[0] = 0xFF
-	if err := col.HandleMessage(bad, fn); err == nil {
+	if err := col.HandleMessageBatch(bad, fn); err == nil {
 		t.Error("bad version should return an error")
 	}
-	if err := col.HandleMessage(good, fn); err != nil {
+	if err := col.HandleMessageBatch(good, fn); err != nil {
 		t.Fatal(err)
 	}
 	st := col.Stats()
@@ -346,7 +346,7 @@ func TestReadStreamSurvivesQuarantinedMessage(t *testing.T) {
 
 	col := NewCollector()
 	n := 0
-	if err := col.ReadStream(&stream, func(uint32, FlowRecord) { n++ }); err != nil {
+	if err := col.ReadStreamBatch(&stream, func(_ uint32, recs []FlowRecord) { n += len(recs) }); err != nil {
 		t.Fatalf("stream aborted on a quarantinable message: %v", err)
 	}
 	if n != 2 {
@@ -359,11 +359,11 @@ func TestReadStreamSurvivesQuarantinedMessage(t *testing.T) {
 
 func TestCollectorPendingBufferBounded(t *testing.T) {
 	col := NewCollector()
-	fn := func(uint32, FlowRecord) {}
+	fn := func(uint32, []FlowRecord) {}
 	rec := sampleRecord(0).Marshal()
 	for i := 0; i < maxPendingSets+10; i++ {
 		msg := marshalMessage(0, uint32(i), 7, [][]byte{marshalDataSet(FlowTemplateID, [][]byte{rec})})
-		col.HandleMessage(msg, fn)
+		col.HandleMessageBatch(msg, fn)
 	}
 	if got := col.PendingSets(7); got != maxPendingSets {
 		t.Errorf("pending = %d, want capped at %d", got, maxPendingSets)
@@ -413,7 +413,7 @@ func TestTemplatePeriodicResend(t *testing.T) {
 	col := NewCollector()
 	recovered := 0
 	for _, m := range msgs[1:] {
-		if err := col.HandleMessage(m, func(uint32, FlowRecord) { recovered++ }); err == nil && recovered > 0 {
+		if err := col.HandleMessageBatch(m, func(_ uint32, recs []FlowRecord) { recovered += len(recs) }); err == nil && recovered > 0 {
 			break
 		}
 	}

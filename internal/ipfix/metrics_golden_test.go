@@ -61,18 +61,18 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatalf("got %d frames, want 4", len(frames))
 	}
 
-	sink := func(domain uint32, rec FlowRecord) {}
+	sink := func(domain uint32, recs []FlowRecord) {}
 	// Deliver 0, skip 1 (a sequence gap opens), deliver 2 and 3, then
 	// deliver 1 late: reordered, and the gap refills.
 	for _, i := range []int{0, 2, 3, 1} {
-		if err := c.HandleMessage(frames[i], sink); err != nil {
+		if err := c.HandleMessageBatch(frames[i], sink); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
 	// One corrupted message: quarantined, nothing else moves.
 	bad := append([]byte(nil), frames[0]...)
 	bad[0], bad[1] = 0xff, 0xfe
-	if err := c.HandleMessage(bad, sink); err == nil {
+	if err := c.HandleMessageBatch(bad, sink); err == nil {
 		t.Fatal("corrupted message accepted")
 	}
 

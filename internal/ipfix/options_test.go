@@ -17,7 +17,7 @@ func TestAnnounceSamplingRoundTrip(t *testing.T) {
 
 	col := NewCollector()
 	n := 0
-	if err := col.ReadStream(&buf, func(domain uint32, rec FlowRecord) { n++ }); err != nil {
+	if err := col.ReadStreamBatch(&buf, func(_ uint32, recs []FlowRecord) { n += len(recs) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := col.SamplingInterval(77); got != 4096 {

@@ -26,7 +26,7 @@ func exportStream(t *testing.T, domain uint32, n int) [][]byte {
 	return msgs
 }
 
-// TestCollectorConcurrentDomainsMatchSerial hammers HandleMessage from
+// TestCollectorConcurrentDomainsMatchSerial hammers HandleMessageBatch from
 // one goroutine per observation domain — the deployment shape of a
 // collector fronting many edge routers — and requires per-domain
 // record counts and the global counters to match a serial run over the
@@ -43,7 +43,7 @@ func TestCollectorConcurrentDomainsMatchSerial(t *testing.T) {
 	serialCounts := make([]int, domains)
 	for d, msgs := range streams {
 		for _, m := range msgs {
-			if err := serial.HandleMessage(m, func(uint32, FlowRecord) { serialCounts[d]++ }); err != nil {
+			if err := serial.HandleMessageBatch(m, func(_ uint32, recs []FlowRecord) { serialCounts[d] += len(recs) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -60,7 +60,7 @@ func TestCollectorConcurrentDomainsMatchSerial(t *testing.T) {
 			for _, m := range streams[d] {
 				// Per-domain message order is preserved, as a TCP
 				// transport would; only cross-domain order interleaves.
-				if err := conc.HandleMessage(m, func(uint32, FlowRecord) { concCounts[d]++ }); err != nil {
+				if err := conc.HandleMessageBatch(m, func(_ uint32, recs []FlowRecord) { concCounts[d] += len(recs) }); err != nil {
 					errs <- err
 					return
 				}

@@ -16,13 +16,13 @@ func TestCollectorMarksQuarantineOnTrace(t *testing.T) {
 	root := tr.StartRoot("ingest")
 	col.SetTrace(tr, root.Context())
 
-	fn := func(uint32, FlowRecord) {}
-	if err := col.HandleMessage([]byte{1, 2, 3}, fn); err == nil {
+	fn := func(uint32, []FlowRecord) {}
+	if err := col.HandleMessageBatch([]byte{1, 2, 3}, fn); err == nil {
 		t.Fatal("short datagram accepted")
 	}
 	garbage := make([]byte, 64)
 	garbage[1] = 0xff // bogus version
-	if err := col.HandleMessage(garbage, fn); err == nil {
+	if err := col.HandleMessageBatch(garbage, fn); err == nil {
 		t.Fatal("garbage datagram accepted")
 	}
 	root.End()
@@ -52,7 +52,7 @@ func TestCollectorUntracedQuarantineIsSilent(t *testing.T) {
 
 	col := NewCollector()
 	col.SetTrace(tr, obsv.SpanContext{}) // zero context: no live cycle
-	if err := col.HandleMessage([]byte{1, 2, 3}, func(uint32, FlowRecord) {}); err == nil {
+	if err := col.HandleMessageBatch([]byte{1, 2, 3}, func(uint32, []FlowRecord) {}); err == nil {
 		t.Fatal("short datagram accepted")
 	}
 	if n := rec.Len(); n != 0 {

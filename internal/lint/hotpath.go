@@ -117,7 +117,7 @@ func hotRoots(prog *Program) []string {
 	var roots []string
 	for _, id := range prog.Graph.Order {
 		n := prog.Graph.Nodes[id]
-		if n.Decl.Doc == nil {
+		if n.Decl.Doc == nil || inTestFile(n) {
 			continue
 		}
 		for _, c := range n.Decl.Doc.List {
@@ -134,7 +134,9 @@ func hotRoots(prog *Program) []string {
 // over the call graph, mapping each to the first root (in sorted
 // order) that reaches it. Interface call sites contribute every
 // in-module implementer, so dynamic dispatch on the hot path keeps
-// all its targets hot.
+// all its targets hot — except functions declared in _test.go files:
+// a test's fake that happens to implement a hot interface is not
+// shipped code, and budgeting it would ratchet the test suite.
 func hotClosure(prog *Program, roots []string) map[string]string {
 	via := map[string]string{}
 	for _, root := range roots {
@@ -148,7 +150,7 @@ func hotClosure(prog *Program, roots []string) map[string]string {
 			queue = queue[1:]
 			for _, site := range prog.Graph.Nodes[id].Sites {
 				for _, callee := range site.Callees {
-					if _, seen := via[callee.ID]; !seen {
+					if _, seen := via[callee.ID]; !seen && !inTestFile(callee) {
 						via[callee.ID] = root
 						queue = append(queue, callee.ID)
 					}
@@ -158,6 +160,8 @@ func hotClosure(prog *Program, roots []string) map[string]string {
 	}
 	return via
 }
+
+func inTestFile(n *FuncNode) bool { return n.Pkg.IsTestFile(n.Decl.Pos()) }
 
 // allocScanner walks one hot function body (function literals
 // included) tracking whether each expression executes inside a loop.

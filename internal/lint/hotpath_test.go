@@ -2,6 +2,8 @@ package lint
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,6 +212,51 @@ func pump(s sink, xs []int) { s.drain(xs) }
 	}
 	if len(hf.Sites) != 1 || hf.Sites[0].Category != CatAppendLoop {
 		t.Errorf("implementer sites = %+v", hf.Sites)
+	}
+}
+
+// TestHotClosureSkipsTestFiles: a fake declared in a _test.go file that
+// implements a hot interface is not budgeted, and neither is a root
+// annotated there.
+func TestHotClosureSkipsTestFiles(t *testing.T) {
+	l := loader(t)
+	parse := func(name, src string) *ast.File {
+		f, err := parser.ParseFile(l.Fset, name, src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	p := l.check([]*ast.File{
+		parse("hot.go", `package p
+
+type sink interface{ drain([]int) }
+
+//tipsy:hotpath
+func pump(s sink, xs []int) { s.drain(xs) }
+`),
+		parse("fake_test.go", `package p
+
+type fake struct{}
+
+func (fake) drain(xs []int) {
+	var out []int
+	for _, x := range xs {
+		out = append(out, x)
+	}
+	_ = out
+}
+
+//tipsy:hotpath
+func testOnlyRoot(xs []int) { fake{}.drain(xs) }
+`),
+	}, ".", ".")
+	rep := AnalyzeHotpaths(NewProgram([]*Package{p}))
+	if len(rep.Roots) != 1 || rep.Roots[0] != "tipsy.pump" {
+		t.Errorf("roots = %v, want only tipsy.pump", rep.Roots)
+	}
+	if len(rep.Order) != 1 || rep.Order[0] != "tipsy.pump" {
+		t.Errorf("hot closure = %v, want only tipsy.pump", rep.Order)
 	}
 }
 

@@ -139,7 +139,7 @@ func RulesWithBudget(budgetPath string) []Rule {
 		{
 			Name:      "metrics",
 			Doc:       "flag bare integer counter fields in instrumented packages; counters belong on the obsv registry",
-			Dirs:      []string{"internal/ipfix", "internal/bmp", "internal/pipeline", "cmd/tipsyd"},
+			Dirs:      []string{"internal/ipfix", "internal/bmp", "internal/pipeline", "internal/serve", "cmd/tipsyd"},
 			SkipTests: true,
 			Check:     checkMetrics,
 		},
@@ -149,7 +149,7 @@ func RulesWithBudget(budgetPath string) []Rule {
 			Dirs: []string{
 				"cmd/tipsyd", "cmd/tipsybench",
 				"internal/monitor", "internal/obsv", "internal/pipeline",
-				"internal/chaos",
+				"internal/chaos", "internal/serve",
 			},
 			SkipTests: true,
 			Check:     checkSlog,
@@ -159,6 +159,7 @@ func RulesWithBudget(budgetPath string) []Rule {
 			Doc:  "forbid direct time.Now/time.Since in clock-injected packages; timestamps come through the injected clock, and //tipsy:clocksource marks the sanctioned wall-clock entry points",
 			Dirs: []string{
 				"cmd/tipsyd", "internal/obsv", "internal/monitor", "internal/pipeline",
+				"internal/serve",
 			},
 			SkipTests: true,
 			Check:     checkWalltime,

@@ -35,7 +35,7 @@ func checkWalltime(p *Package, report ReportFunc) {
 
 // isClockSource reports whether the function's doc comment carries the
 // //tipsy:clocksource directive. The directive covers the whole body,
-// including closures built inside it (NewTrace's default clock).
+// including closures built inside it.
 func isClockSource(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false

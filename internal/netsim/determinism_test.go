@@ -93,9 +93,7 @@ func chaosRun(t *testing.T, seed int64, to wan.Hour) chaosRunResult {
 	agg := pipeline.NewAggregator(s.GeoIP(), s.DstMetadata)
 	ipfixLink := chaos.NewLink(fault.ForKey(1), func(m []byte) {
 		// Quarantinable messages are counted by the collector, not fatal.
-		_ = col.HandleMessage(m, func(_ uint32, rec ipfix.FlowRecord) {
-			agg.Record(wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress), &rec)
-		})
+		_ = col.HandleMessageBatch(m, func(_ uint32, recs []ipfix.FlowRecord) { agg.RecordBatch(recs) })
 	})
 	exp := ipfix.NewExporter(ipfixLink.Writer(), 1)
 

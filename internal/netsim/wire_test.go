@@ -36,11 +36,11 @@ func TestWirePathEquivalence(t *testing.T) {
 
 	col := ipfix.NewCollector()
 	var decoded []ipfix.FlowRecord
-	if err := col.ReadStream(&stream, func(domain uint32, rec ipfix.FlowRecord) {
+	if err := col.ReadStreamBatch(&stream, func(domain uint32, recs []ipfix.FlowRecord) {
 		if domain != 9 {
 			t.Fatalf("domain %d", domain)
 		}
-		decoded = append(decoded, rec)
+		decoded = append(decoded, recs...)
 	}); err != nil {
 		t.Fatal(err)
 	}

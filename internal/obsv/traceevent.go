@@ -18,53 +18,6 @@ type traceEvent struct {
 	Dur  float64 `json:"dur"` // microseconds
 }
 
-// WriteTraceEvents renders the traces as a Chrome trace_event JSON
-// array for Perfetto / chrome://tracing. Each trace becomes one
-// thread lane (tid 1, 2, ...); its spans are contiguous complete
-// events, offset so every trace starts relative to the earliest start
-// among them — concurrent request traces line up on a shared
-// timeline. Traces with no completed spans are skipped.
-func WriteTraceEvents(w io.Writer, traces ...*Trace) error {
-	var events []traceEvent
-	var base int64
-	haveBase := false
-	for _, t := range traces {
-		if len(t.spans) == 0 {
-			continue
-		}
-		if !haveBase || t.start < base {
-			base = t.start
-			haveBase = true
-		}
-	}
-	tid := 0
-	for _, t := range traces {
-		if len(t.spans) == 0 {
-			continue
-		}
-		tid++
-		offset := t.start - base
-		for _, s := range t.spans {
-			events = append(events, traceEvent{
-				Name: s.Stage,
-				Cat:  "tipsy",
-				Ph:   "X",
-				PID:  1,
-				TID:  tid,
-				Ts:   float64(offset) / 1e3,
-				Dur:  float64(s.Ns) / 1e3,
-			})
-			offset += s.Ns
-		}
-	}
-	if events == nil {
-		events = []traceEvent{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(events)
-}
-
 // WriteSpanTraceEvents renders flight-recorder span records as a
 // Chrome trace_event JSON array: each trace becomes one thread lane
 // (tid assigned in first-appearance order of the records, which are

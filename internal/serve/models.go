@@ -1,0 +1,169 @@
+// Package serve is TIPSY's serving path (§4.4 of the paper), kept
+// free of HTTP so it can be tested and benchmarked as plain
+// functions. It owns the one decision every server of predictions
+// must share: how three Historical fits become the serving ensemble,
+// in which order the rungs fall back, and what the rungs are called.
+//
+// A Models value is one immutable model generation. A daemon holds
+// the current one in an atomic.Pointer, swaps it whole on retrain or
+// checkpoint recovery, and loads it once per request, so every answer
+// inside one request comes from one generation.
+package serve
+
+import (
+	"fmt"
+
+	"tipsy/internal/core"
+	"tipsy/internal/features"
+	"tipsy/internal/geo"
+	"tipsy/internal/wan"
+)
+
+// Rung identifies a step of the fallback ladder, in walk order.
+type Rung uint8
+
+const (
+	// Ensemble is the trained Hist_AP / Hist_AL+G / Hist_A ensemble.
+	Ensemble Rung = iota
+	// Historical is the coarse source-AS model Hist_A.
+	Historical
+	// Geo is the training-free geographic guess.
+	Geo
+	// None means no rung produced a prediction.
+	None
+)
+
+var rungNames = [...]string{"ensemble", "historical", "geo", "none"}
+
+// String is the rung's name on the wire, in metric names and in
+// monitor slices.
+func (r Rung) String() string { return rungNames[r] }
+
+// Models is one immutable model generation.
+type Models struct {
+	// hAP, hAL and hA are retained for checkpointing; nil before the
+	// first training.
+	hAP, hAL, hA *core.Historical
+	// rungs holds the ladder in walk order; a nil rung is skipped.
+	rungs     [None]core.Predictor
+	trainedAt wan.Hour
+	recovered bool
+}
+
+// Untrained is the generation a daemon serves before its first
+// training: only the geographic rung answers.
+func Untrained(dir wan.Directory, metros *geo.DB) *Models {
+	return &Models{rungs: [None]core.Predictor{Geo: core.NewGeoNearest(dir, metros)}}
+}
+
+// Train fits the serving models on recs, the sliding window that ends
+// at hour at — the paper's daily retraining.
+func Train(recs []features.Record, at wan.Hour, dir wan.Directory, metros *geo.DB) *Models {
+	opts := core.DefaultHistOpts()
+	return assemble(
+		core.TrainHistorical(features.SetAP, recs, opts),
+		core.TrainHistorical(features.SetAL, recs, opts),
+		core.TrainHistorical(features.SetA, recs, opts),
+		at, dir, metros)
+}
+
+// assemble builds the ladder around three trained models: most
+// specific model first inside the ensemble, then ever coarser rungs.
+func assemble(hAP, hAL, hA *core.Historical, at wan.Hour, dir wan.Directory, metros *geo.DB) *Models {
+	return &Models{
+		hAP: hAP, hAL: hAL, hA: hA,
+		rungs: [None]core.Predictor{
+			Ensemble:   core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, dir, metros), hA),
+			Historical: hA,
+			Geo:        core.NewGeoNearest(dir, metros),
+		},
+		trainedAt: at,
+	}
+}
+
+// FromCheckpoint rebuilds the generation a checkpoint was taken from.
+// It fails if the checkpoint lacks any of the three models.
+func FromCheckpoint(ck *core.Checkpoint, dir wan.Directory, metros *geo.DB) (*Models, error) {
+	var hAP, hAL, hA *core.Historical
+	for _, h := range ck.Models {
+		switch h.Set() {
+		case features.SetAP:
+			hAP = h
+		case features.SetAL:
+			hAL = h
+		case features.SetA:
+			hA = h
+		}
+	}
+	if hAP == nil || hAL == nil || hA == nil {
+		return nil, fmt.Errorf("checkpoint incomplete: %d models", len(ck.Models))
+	}
+	m := assemble(hAP, hAL, hA, ck.TrainedAt, dir, metros)
+	m.recovered = true
+	return m, nil
+}
+
+// Checkpoint is the generation's restartable state. An untrained
+// generation has no models to save.
+func (m *Models) Checkpoint() core.Checkpoint {
+	ck := core.Checkpoint{TrainedAt: m.trainedAt}
+	if m.Trained() {
+		ck.Models = []*core.Historical{m.hAP, m.hAL, m.hA}
+	}
+	return ck
+}
+
+// Trained reports whether a trained ensemble is serving.
+func (m *Models) Trained() bool { return m.hAP != nil }
+
+// Recovered reports whether the models came from a checkpoint rather
+// than from training in this process.
+func (m *Models) Recovered() bool { return m.recovered }
+
+// TrainedAt is the hour the training window ended at.
+func (m *Models) TrainedAt() wan.Hour { return m.trainedAt }
+
+// Tuples is the number of distinct tuples across the trained models.
+func (m *Models) Tuples() int {
+	if !m.Trained() {
+		return 0
+	}
+	return m.hAP.NumTuples() + m.hAL.NumTuples() + m.hA.NumTuples()
+}
+
+// Ensemble is the first rung as a plain predictor, for callers that
+// evaluate or plan with the trained model and want no fallback. It is
+// nil before training.
+func (m *Models) Ensemble() core.Predictor { return m.rungs[Ensemble] }
+
+// Answer is the outcome of one ladder walk.
+type Answer struct {
+	Preds []core.Prediction
+	// Rung is the rung that answered, or None.
+	Rung Rung
+	// Tried marks the rungs that ran — every present rung up to the
+	// answering one — and Ns how long each took.
+	Tried [None]bool
+	Ns    [None]int64
+}
+
+// Walk asks each rung in order until one returns predictions, timing
+// every attempt on clock. It records nothing: a caller that counts
+// rungs or latencies does so from the Answer.
+func (m *Models) Walk(q core.Query, clock func() int64) Answer {
+	a := Answer{Rung: None}
+	for r, model := range m.rungs {
+		if model == nil {
+			continue
+		}
+		start := clock()
+		preds := model.Predict(q)
+		a.Ns[r] = clock() - start
+		a.Tried[r] = true
+		if len(preds) > 0 {
+			a.Preds, a.Rung = preds, Rung(r)
+			break
+		}
+	}
+	return a
+}

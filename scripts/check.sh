@@ -7,7 +7,8 @@
 # hygiene, metrics, hot-path allocation budget),
 # the allocation-budget ratchet gate (regenerating the budget must
 # reproduce the committed .tipsy-allocbudget.json byte for byte), the
-# test suite under the race detector with a total-coverage floor, a
+# test suite under the race detector with a total-coverage floor, the
+# nested bench module's vet and smoke test, a
 # 15s fuzz pass per protocol decoder, the diagnostic-bundle round
 # trip (alarm fires -> bundle written -> CRC-verified), the tipsybench
 # quick cycle, and the chaos soak. Everything is stdlib Go; no network access is
@@ -89,6 +90,11 @@ awk -v t="$total" -v f="$coverage_floor" 'BEGIN { exit !(t >= f) }' || {
     echo "coverage ${total}% is below the ${coverage_floor}% floor" >&2
     exit 1
 }
+
+# bench/ is its own module (root ./... skips it) but imports this
+# one's packages, so a refactor here can break it silently.
+echo "==> bench module: go vet + go test"
+(cd bench && go vet ./... && go test -count=1 ./...)
 
 echo "==> fuzz quick pass (15s per decoder)"
 go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
