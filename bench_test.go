@@ -9,6 +9,8 @@
 package tipsy
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,6 +20,7 @@ import (
 	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/ipfix"
+	"tipsy/internal/pipeline"
 	"tipsy/internal/risk"
 	"tipsy/internal/wan"
 )
@@ -294,6 +297,80 @@ func BenchmarkTable11PredictNB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nb.Predict(core.Query{Flow: flows[i%len(flows)], K: 3})
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Daily retrain scans (the retrain_day layers of bench/)
+// ---------------------------------------------------------------------------
+
+var (
+	retrainOnce sync.Once
+	retrainE    *eval.Env
+)
+
+// retrainEnv is eval's default env cut to the window bench/'s
+// retrain_day workload uses (same seeds: 10,000 flows, 8 training
+// days, 2 testing days), so these benchmarks reproduce its core.train,
+// pipeline.encode and eval.accuracy layers.
+func retrainEnv(b *testing.B) *eval.Env {
+	retrainOnce.Do(func() {
+		cfg := eval.DefaultEnvConfig(1)
+		cfg.TrainDays, cfg.TestDays = 8, 2
+		cfg.TrafficCfg.NFlows = 10000
+		cfg.SimCfg.HorizonHours = wan.Hour((cfg.TrainDays + cfg.TestDays) * 24)
+		cfg.SimCfg.OutagesPerLinkYear = 10
+		retrainE = eval.Build(cfg)
+	})
+	return retrainE
+}
+
+// BenchmarkTrainHistorical fits the three serving models, once on the
+// records as the aggregator drains them and once on the same records
+// shuffled — what a caller that does not keep the drain order pays.
+func BenchmarkTrainHistorical(b *testing.B) {
+	train := retrainEnv(b).Train
+	shuffled := slices.Clone(train)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, c := range []struct {
+		name string
+		recs []features.Record
+	}{{"drain-order", train}, {"shuffled", shuffled}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			tuples := 0
+			for i := 0; i < b.N; i++ {
+				tuples = 0
+				for _, set := range []features.Set{features.SetA, features.SetAP, features.SetAL} {
+					tuples += core.TrainHistorical(set, c.recs, core.DefaultHistOpts()).NumTuples()
+				}
+			}
+			b.ReportMetric(float64(tuples), "tuples")
+		})
+	}
+}
+
+func BenchmarkEncode(b *testing.B) {
+	train := retrainEnv(b).Train
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		rows = len(pipeline.Encode(train).Rows)
+	}
+	b.ReportMetric(float64(rows), "rows")
+}
+
+func BenchmarkBuildGroups(b *testing.B) {
+	test := retrainEnv(b).Test
+	b.ReportAllocs()
+	b.ResetTimer()
+	groups := 0
+	for i := 0; i < b.N; i++ {
+		groups = len(eval.BuildGroups(test, eval.Options{}))
+	}
+	b.ReportMetric(float64(groups), "groups")
 }
 
 // ---------------------------------------------------------------------------

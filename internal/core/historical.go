@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
@@ -27,55 +28,89 @@ func DefaultHistOpts() HistOpts { return HistOpts{MaxLinksPerTuple: 16} }
 // no transfer learning between tuples: a link never seen for a tuple
 // is never predicted for it.
 type Historical struct {
-	set   features.Set
-	table map[features.Tuple][]Prediction // sorted by Frac descending
+	set features.Set
+	// table holds each tuple's links by Frac descending, then Link. A
+	// trained model's lists are cut from one backing array with their
+	// capacity clipped, so none can grow into its neighbour.
+	table map[features.Tuple][]Prediction
+}
+
+// slotKey names one accumulator of the fit.
+type slotKey struct {
+	tuple features.Tuple
+	link  wan.LinkID
+}
+
+// histSlot accumulates the bytes of one (tuple, link) pair.
+type histSlot struct {
+	slotKey
+	bytes float64
 }
 
 // TrainHistorical builds a Historical model over the given feature
-// set in one pass: group bytes by (tuple, link), rank links per tuple
+// set in one pass: sum bytes per (tuple, link), rank links per tuple
 // by byte volume, keep the top MaxLinksPerTuple. Training samples are
 // weighted by traffic volume, which makes large flows dominate their
 // aggregate, suppresses stray packets, and yields per-link byte
 // fractions directly.
+//
+// Records in drain order (features.Record.Compare) train fastest: a
+// record whose flow and link also occur in the preceding hour adds to
+// that record's slot without hashing anything. The model does not
+// depend on the order beyond float summation: each slot sums its
+// records in slice order, each tuple's total its slots in rank order.
 func TrainHistorical(set features.Set, recs []features.Record, opts HistOpts) *Historical {
 	if opts.MaxLinksPerTuple <= 0 {
 		opts.MaxLinksPerTuple = DefaultHistOpts().MaxLinksPerTuple
 	}
-	counts := make(map[features.Tuple]map[wan.LinkID]float64)
+	index := make(map[slotKey]int32)
+	var slots []histSlot
+	// prev and cur hold the slot of every record of the preceding and
+	// the current run, -1 for a record that carries no bytes.
+	var prev, cur []int32
+	runs := features.NewRunCursor(recs)
 	for i := range recs {
 		r := &recs[i]
-		if r.Bytes <= 0 {
-			continue
+		j := runs.Match(i)
+		if runs.Start == i {
+			prev, cur = cur, prev[:0]
 		}
-		t := set.Project(r.Flow)
-		m := counts[t]
-		if m == nil {
-			m = make(map[wan.LinkID]float64, 4)
-			counts[t] = m
-		}
-		m[r.Link] += r.Bytes
-	}
-	h := &Historical{set: set, table: make(map[features.Tuple][]Prediction, len(counts))}
-	for t, m := range counts {
-		var total float64
-		preds := make([]Prediction, 0, len(m))
-		for l, b := range m {
-			total += b
-			preds = append(preds, Prediction{Link: l, Frac: b})
-		}
-		sort.Slice(preds, func(i, j int) bool {
-			if preds[i].Frac != preds[j].Frac {
-				return preds[i].Frac > preds[j].Frac
+		at := int32(-1)
+		if r.Bytes > 0 {
+			if j >= 0 {
+				at = prev[j-runs.Prev]
 			}
-			return preds[i].Link < preds[j].Link
-		})
-		if len(preds) > opts.MaxLinksPerTuple {
-			preds = preds[:opts.MaxLinksPerTuple]
+			if at < 0 {
+				k := slotKey{set.Project(r.Flow), r.Link}
+				var ok bool
+				if at, ok = index[k]; !ok {
+					at = int32(len(slots))
+					index[k] = at
+					slots = append(slots, histSlot{slotKey: k})
+				}
+			}
+			slots[at].bytes += r.Bytes
 		}
-		for i := range preds {
-			preds[i].Frac /= total
+		cur = append(cur, at)
+	}
+	// Any order of the tuples brings a tuple's slots together; the flow
+	// order is the one at hand.
+	slices.SortFunc(slots, func(a, b histSlot) int {
+		return cmp.Or(features.FlowFeatures(a.tuple).Compare(features.FlowFeatures(b.tuple)),
+			cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.link, b.link))
+	})
+	h := &Historical{set: set, table: make(map[features.Tuple][]Prediction)}
+	flat := make([]Prediction, 0, len(slots))
+	for lo, hi := 0, 0; lo < len(slots); lo = hi {
+		var total float64
+		for hi = lo; hi < len(slots) && slots[hi].tuple == slots[lo].tuple; hi++ {
+			total += slots[hi].bytes
 		}
-		h.table[t] = preds
+		first := len(flat)
+		for _, s := range slots[lo:min(hi, lo+opts.MaxLinksPerTuple)] {
+			flat = append(flat, Prediction{Link: s.link, Frac: s.bytes / total})
+		}
+		h.table[slots[lo].tuple] = flat[first:len(flat):len(flat)]
 	}
 	return h
 }

@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"slices"
 	"sort"
 
 	"tipsy/internal/core"
@@ -43,12 +44,15 @@ type Options struct {
 }
 
 // BuildGroups buckets records into evaluation units under the given
-// options, in deterministic order.
+// options, ordered by flow (features.FlowFeatures.Compare).
 func BuildGroups(recs []features.Record, opts Options) []Group {
-	byFlow := make(map[features.FlowFeatures]*Group)
-	var order []features.FlowFeatures
-	hourSeen := make(map[features.FlowFeatures]map[wan.Hour]bool)
-	for _, r := range recs {
+	index := make(map[features.FlowFeatures]int32)
+	out := []Group{}
+	// at is the previous record's group: a flow's links within one
+	// hour are adjacent in drain order.
+	at := int32(-1)
+	for i := range recs {
+		r := &recs[i]
 		if opts.Select != nil && !opts.Select(r.Flow, r.Hour) {
 			continue
 		}
@@ -56,30 +60,31 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 		if opts.GroupBy != nil {
 			key = opts.GroupBy(r.Flow)
 		}
-		g := byFlow[key]
-		if g == nil {
-			g = &Group{Flow: key, Hour: r.Hour, Links: make(map[wan.LinkID]float64, 2)}
-			byFlow[key] = g
-			hourSeen[key] = make(map[wan.Hour]bool, 8)
-			order = append(order, key)
+		if at < 0 || out[at].Flow != key {
+			var ok bool
+			if at, ok = index[key]; !ok {
+				at = int32(len(out))
+				index[key] = at
+				out = append(out, Group{Flow: key, Hour: r.Hour, Links: make(map[wan.LinkID]float64, 2)})
+			}
 		}
+		g := &out[at]
 		g.Links[r.Link] += r.Bytes
 		g.Total += r.Bytes
 		if r.Hour < g.Hour {
 			g.Hour = r.Hour
 		}
-		hourSeen[key][r.Hour] = true
-	}
-	sort.Slice(order, func(i, j int) bool { return lessFlow(order[i], order[j]) })
-	out := make([]Group, len(order))
-	for i, key := range order {
-		g := byFlow[key]
-		for h := range hourSeen[key] {
-			g.hours = append(g.hours, h)
+		// hours stays sorted and distinct; in drain order the hour
+		// only ever grows, so the insert is for other callers.
+		if n := len(g.hours); n == 0 || r.Hour > g.hours[n-1] {
+			g.hours = append(g.hours, r.Hour)
+		} else if r.Hour < g.hours[n-1] {
+			if pos, seen := slices.BinarySearch(g.hours, r.Hour); !seen {
+				g.hours = slices.Insert(g.hours, pos, r.Hour)
+			}
 		}
-		sort.Slice(g.hours, func(a, b int) bool { return g.hours[a] < g.hours[b] })
-		out[i] = *g
 	}
+	slices.SortFunc(out, func(a, b Group) int { return a.Flow.Compare(b.Flow) })
 	return out
 }
 
@@ -108,29 +113,13 @@ func GroupByFlowHour(recs []features.Record) []Group {
 		if a.hour != b.hour {
 			return a.hour < b.hour
 		}
-		return lessFlow(a.flow, b.flow)
+		return a.flow.Compare(b.flow) < 0
 	})
 	out := make([]Group, len(order))
 	for i, k := range order {
 		out[i] = *byKey[k]
 	}
 	return out
-}
-
-func lessFlow(a, b features.FlowFeatures) bool {
-	if a.AS != b.AS {
-		return a.AS < b.AS
-	}
-	if a.Prefix != b.Prefix {
-		return a.Prefix < b.Prefix
-	}
-	if a.Loc != b.Loc {
-		return a.Loc < b.Loc
-	}
-	if a.Region != b.Region {
-		return a.Region < b.Region
-	}
-	return a.Type < b.Type
 }
 
 // Accuracy computes the paper's §5.1.2 metric over aggregated test

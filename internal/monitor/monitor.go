@@ -19,7 +19,7 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"tipsy/internal/core"
@@ -313,7 +313,7 @@ func (m *Monitor) closeHour(h wan.Hour) {
 	for f := range groups {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return lessFlow(flows[i], flows[j]) })
+	slices.SortFunc(flows, features.FlowFeatures.Compare)
 	for _, f := range flows {
 		g := groups[f]
 		c := cell{
@@ -487,22 +487,6 @@ func dominantLink(links map[wan.LinkID]float64) wan.LinkID {
 		}
 	}
 	return best
-}
-
-func lessFlow(a, b features.FlowFeatures) bool {
-	if a.AS != b.AS {
-		return a.AS < b.AS
-	}
-	if a.Prefix != b.Prefix {
-		return a.Prefix < b.Prefix
-	}
-	if a.Loc != b.Loc {
-		return a.Loc < b.Loc
-	}
-	if a.Region != b.Region {
-		return a.Region < b.Region
-	}
-	return a.Type < b.Type
 }
 
 func permille(v float64) int64 {

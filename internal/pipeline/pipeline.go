@@ -8,6 +8,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -372,7 +373,7 @@ func (a *Aggregator) Records() []features.Record {
 	// Fast path: when every feature tuple packs into two uint64 sort
 	// keys (region needs 8 bits; locations and types always fit), the
 	// per-hour sort compares integers instead of walking struct
-	// fields. Key order is exactly cmpRecord's field order, so both
+	// fields. Key order is exactly Record.Compare's field order, so both
 	// paths emit identical output.
 	canPack := true
 	for i := range feats {
@@ -401,9 +402,9 @@ func (a *Aggregator) Records() []features.Record {
 			}
 			slices.SortFunc(packed, func(a, b packedRec) int {
 				if a.k1 != b.k1 {
-					return cmpU64(a.k1, b.k1)
+					return cmp.Compare(a.k1, b.k1)
 				}
-				return cmpU64(a.k2, b.k2)
+				return cmp.Compare(a.k2, b.k2)
 			})
 			for _, p := range packed {
 				out = append(out, features.Record{
@@ -433,7 +434,7 @@ func (a *Aggregator) Records() []features.Record {
 				})
 			}
 		}
-		slices.SortFunc(out[start:], cmpRecord)
+		slices.SortFunc(out[start:], features.Record.Compare)
 	}
 	a.truthMu.Lock()
 	truth := a.truth
@@ -458,39 +459,6 @@ type packedRec struct {
 	bytes  float64
 }
 
-// cmpRecord is the drain's total order: hour, feature tuple, link.
-// Aggregate keys are unique, so the order admits no ties and the
-// sorted output is fully deterministic.
-func cmpRecord(a, b features.Record) int {
-	switch {
-	case a.Hour != b.Hour:
-		return cmpU64(uint64(a.Hour), uint64(b.Hour))
-	case a.Flow.AS != b.Flow.AS:
-		return cmpU64(uint64(a.Flow.AS), uint64(b.Flow.AS))
-	case a.Flow.Prefix != b.Flow.Prefix:
-		return cmpU64(uint64(a.Flow.Prefix), uint64(b.Flow.Prefix))
-	case a.Flow.Loc != b.Flow.Loc:
-		return cmpU64(uint64(a.Flow.Loc), uint64(b.Flow.Loc))
-	case a.Flow.Region != b.Flow.Region:
-		return cmpU64(uint64(a.Flow.Region), uint64(b.Flow.Region))
-	case a.Flow.Type != b.Flow.Type:
-		return cmpU64(uint64(a.Flow.Type), uint64(b.Flow.Type))
-	default:
-		return cmpU64(uint64(a.Link), uint64(b.Link))
-	}
-}
-
-func cmpU64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Stats reports how many raw records were ingested, how many were
 // dropped for missing metadata, and how many aggregates are pending.
 func (a *Aggregator) Stats() (raw, dropped, pending int) {
@@ -513,10 +481,21 @@ type EncodedRow struct {
 	Bytes                         float64
 }
 
-// Encode dictionary-encodes the records.
+// Encode dictionary-encodes the records. A record whose flow and link
+// also occur in the preceding hour (most records of a drained window)
+// takes its five codes from that row; the rest go through the
+// dictionaries, which therefore see every value in the same first
+// order as if all did.
 func Encode(recs []features.Record) *Encoded {
 	e := &Encoded{Rows: make([]EncodedRow, len(recs))}
-	for i, r := range recs {
+	runs := features.NewRunCursor(recs)
+	for i := range recs {
+		r := &recs[i]
+		if j := runs.Match(i); j >= 0 {
+			e.Rows[i] = e.Rows[j]
+			e.Rows[i].Hour, e.Rows[i].Bytes = r.Hour, r.Bytes
+			continue
+		}
 		e.Rows[i] = EncodedRow{
 			Hour:   r.Hour,
 			AS:     e.AS.Code(uint64(r.Flow.AS)),

@@ -1,0 +1,68 @@
+package pipeline
+
+import (
+	"reflect"
+	"testing"
+
+	"tipsy/internal/features"
+	"tipsy/internal/features/recordtest"
+	"tipsy/internal/geo"
+	"tipsy/internal/ipfix"
+	"tipsy/internal/wan"
+)
+
+// encodeReference is the loop Encode replaced, kept as its oracle:
+// every record goes through all five dictionaries.
+func encodeReference(recs []features.Record) *Encoded {
+	e := &Encoded{Rows: make([]EncodedRow, len(recs))}
+	for i, r := range recs {
+		e.Rows[i] = EncodedRow{
+			Hour:   r.Hour,
+			AS:     e.AS.Code(uint64(r.Flow.AS)),
+			Prefix: e.Prefix.Code(uint64(r.Flow.Prefix)),
+			Loc:    e.Loc.Code(uint64(r.Flow.Loc)),
+			Region: e.Region.Code(uint64(r.Flow.Region)),
+			Type:   e.Type.Code(uint64(r.Flow.Type)),
+			Link:   r.Link,
+			Bytes:  r.Bytes,
+		}
+	}
+	return e
+}
+
+func TestDifferentialEncode(t *testing.T) {
+	for _, c := range recordtest.Cases(4) {
+		if !reflect.DeepEqual(Encode(c.Recs), encodeReference(c.Recs)) {
+			t.Errorf("%s: Encode differs from the reference encoder", c.Name)
+		}
+	}
+}
+
+// TestRecordsStrictlyIncreasing pins the invariant the record scans
+// lean on for speed: a drain is strictly increasing under
+// features.Record.Compare, so every hour is one sorted run without
+// duplicate (flow, link) keys. Region 300 does not fit the drain's
+// packed sort keys and takes the comparison sort.
+func TestRecordsStrictlyIncreasing(t *testing.T) {
+	for _, region := range []wan.Region{1, 300} {
+		a := NewAggregator(geo.NewGeoIP(geo.World(), 0, 1), staticMeta(region, 1))
+		for i := 0; i < 5000; i++ {
+			rec := ipfix.FlowRecord{
+				SrcAddr: 0x0b000000 + uint32(i*7919%97)*256,
+				DstAddr: 40<<24 + uint32(i%3),
+				Octets:  uint64(i + 1),
+				SrcAS:   uint32(100 + i%5),
+			}
+			a.Record(wan.Hour(i*31%9), wan.LinkID(1+i%6), &rec)
+		}
+		recs := a.Records()
+		if len(recs) < 1000 {
+			t.Fatalf("region %d: only %d records drained", region, len(recs))
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i-1].Compare(recs[i]) >= 0 {
+				t.Fatalf("region %d: records %d and %d are not strictly increasing: %+v, %+v", region, i-1, i, recs[i-1], recs[i])
+			}
+		}
+	}
+}

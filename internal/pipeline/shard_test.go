@@ -74,7 +74,7 @@ func TestAggregatorShardedDrainMatchesSingleMap(t *testing.T) {
 	for k, b := range ref {
 		want = append(want, features.Record{Hour: k.h, Flow: k.f, Link: k.l, Bytes: b})
 	}
-	slices.SortFunc(want, cmpRecord)
+	slices.SortFunc(want, features.Record.Compare)
 
 	got := agg.Records()
 	if len(got) == 0 {

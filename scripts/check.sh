@@ -103,6 +103,9 @@ go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
 echo "==> differential decode (compiled path vs reference)"
 go test -run 'TestDifferentialDecode|TestDifferentialDecodeFuzzCorpus|TestDifferentialCollectorBatch' \
     -count=1 ./internal/ipfix
+echo "==> differential record scans (drain-order fit, encoder, grouping vs reference)"
+go test -run 'TestDifferentialTrainHistorical|TestDifferentialEncode|TestDifferentialBuildGroups' \
+    -count=1 ./internal/core ./internal/pipeline ./internal/eval
 
 echo "==> diagnostic bundle round trip (alarm -> bundle -> CRC verify)"
 go test -run 'TestBundleAlarmRoundTrip|TestBundleEndpoint' -count=1 ./cmd/tipsyd
