@@ -188,38 +188,6 @@ func sortedKeys[V any](a, b map[string]V) []string {
 	return keys
 }
 
-// checkIngestFloor gates ingest throughput: unlike the warn-only
-// timing bands, a drop of the ingest stage's items_per_sec below
-// floor × prior is an error. The ingest path is the component this
-// repo optimizes hardest; a >10% regression (floor 0.9) is a real
-// change, not scheduler noise, even on shared CI hardware when both
-// reports come from the same run environment.
-func checkIngestFloor(prior, cur *Report, floor float64) error {
-	find := func(r *Report) (StageResult, bool) {
-		for _, s := range r.Stages {
-			if s.Name == "ingest" {
-				return s, true
-			}
-		}
-		return StageResult{}, false
-	}
-	p, pok := find(prior)
-	c, cok := find(cur)
-	if !pok || !cok {
-		return fmt.Errorf("ingest-floor: ingest stage missing (prior %v, current %v)", pok, cok)
-	}
-	if p.ItemsPerSec <= 0 {
-		return fmt.Errorf("ingest-floor: prior report has no ingest throughput")
-	}
-	if c.ItemsPerSec < floor*p.ItemsPerSec {
-		return fmt.Errorf("ingest-floor: ingest throughput regressed: %.0f -> %.0f items/s (floor %.0f%% of prior = %.0f)",
-			p.ItemsPerSec, c.ItemsPerSec, 100*floor, floor*p.ItemsPerSec)
-	}
-	fmt.Fprintf(os.Stdout, "compare: ingest throughput %.0f items/s >= floor %.0f (%.0f%% of prior %.0f)\n",
-		c.ItemsPerSec, floor*p.ItemsPerSec, 100*floor, p.ItemsPerSec)
-	return nil
-}
-
 // loadReport reads a prior BENCH_*.json.
 func loadReport(path string) (*Report, error) {
 	buf, err := os.ReadFile(path)

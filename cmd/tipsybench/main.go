@@ -274,7 +274,6 @@ func main() {
 		full      = flag.Bool("full", false, "paper-scale environment (slow)")
 		out       = flag.String("out", "", "output path (default BENCH_<date>.json)")
 		compare   = flag.String("compare", "", "prior BENCH_*.json to diff against: deterministic mismatch fails, timing drift warns")
-		ingestFlr = flag.Float64("ingest-floor", 0, "with -compare: fail if the ingest stage's items_per_sec drops below this fraction of the prior report's (e.g. 0.9)")
 		timingTol = flag.Float64("timing-tol", 0.25, "relative wall-time drift tolerated by -compare before warning")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the cycle to this file")
 		memprof   = flag.String("memprofile", "", "write an allocation profile of the cycle to this file")
@@ -362,14 +361,5 @@ func main() {
 		}
 		fmt.Fprintf(os.Stdout, "compare: deterministic fields match %s (%d timing warning(s))\n",
 			*compare, len(res.Warnings))
-		if *ingestFlr > 0 {
-			if err := checkIngestFloor(prior, rep, *ingestFlr); err != nil {
-				fmt.Fprintln(os.Stderr, "tipsybench:", err)
-				os.Exit(1)
-			}
-		}
-	} else if *ingestFlr > 0 {
-		fmt.Fprintln(os.Stderr, "tipsybench: -ingest-floor requires -compare")
-		os.Exit(1)
 	}
 }

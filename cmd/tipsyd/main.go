@@ -800,12 +800,10 @@ func (s *server) handleSample(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePredict serves the per-request prediction path — the
-// latency-sensitive endpoint, so its closure is allocation-budgeted.
-// The request's two stages are timed off s.clock into the stage
-// histograms and recorded as spans under the request span handler()
-// started.
-//
-//tipsy:hotpath
+// latency-sensitive endpoint, so TestPredictHandlerAllocs pins its
+// allocations per what-if. The request's two stages are timed off
+// s.clock into the stage histograms and recorded as spans under the
+// request span handler() started.
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req serve.Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

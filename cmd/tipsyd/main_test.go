@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"tipsy/internal/alloctest"
+	"tipsy/internal/bgp"
 	"tipsy/internal/core"
 	"tipsy/internal/monitor"
 	"tipsy/internal/serve"
@@ -161,6 +164,54 @@ func TestPredictEndToEnd(t *testing.T) {
 	}
 	if _, ok := resp.Shifted[top]; ok {
 		t.Error("excluded link in shifted aggregate")
+	}
+}
+
+// predictHandlerAllocs is what one 256-flow, 2-excluded-link, k=3
+// what-if allocates from httptest.NewRequest through s.handler() to
+// the written body: tracing, net/http, both encoding/json directions,
+// Request.Encode and Models.Respond (serve.TestWhatIfAllocs splits
+// those two). The pin is exact, so it also moves with the Go release;
+// a lower number is committed by editing it.
+const predictHandlerAllocs = 1147
+
+func TestPredictHandlerAllocs(t *testing.T) {
+	alloctest.SkipPooledUnderRace(t)
+	s := testServer(t)
+	s.mu.RLock()
+	recs := s.records
+	s.mu.RUnlock()
+	req := serve.Request{K: 3}
+	gen := s.gen.Load()
+	for _, rec := range firstSightings(recs, 256) {
+		req.Flows = append(req.Flows, serve.Flow{
+			SrcAddr: bgp.FormatIP(rec.Flow.Prefix | 7), SrcAS: uint32(rec.Flow.AS),
+			Region: uint16(rec.Flow.Region), Service: uint8(rec.Flow.Type), Bytes: 1e9,
+		})
+		// Withdraw the first two links that are some flow's best.
+		top := gen.Walk(core.Query{Flow: rec.Flow, K: 1}, s.clock).Preds
+		if len(req.ExcludeLinks) < 2 && len(top) == 1 && !slices.Contains(req.ExcludeLinks, top[0].Link) {
+			req.ExcludeLinks = append(req.ExcludeLinks, top[0].Link)
+		}
+	}
+	if len(req.Flows) != 256 || len(req.ExcludeLinks) != 2 {
+		t.Fatalf("fixture gives %d flows and %d links to exclude, want 256 and 2", len(req.Flows), len(req.ExcludeLinks))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.handler()
+	post := func() {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+	}
+	post() // fill the span and encoder pools
+	if allocs := testing.AllocsPerRun(10, post); allocs != predictHandlerAllocs {
+		t.Fatalf("/v1/predict allocates %v times per 256-flow what-if, want %d", allocs, predictHandlerAllocs)
 	}
 }
 

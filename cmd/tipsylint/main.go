@@ -1,14 +1,12 @@
 // Command tipsylint is the repository's static-analysis gate. It
 // walks the given packages and enforces the project conventions that
 // go vet cannot: seeded-simulation determinism, mutex hygiene,
-// wire-encoder error handling, goroutine lifecycle discipline,
-// registry-backed metrics hygiene, and the hot-path allocation
-// budget.
+// wire-encoder error handling, goroutine lifecycle discipline, and
+// registry-backed metrics hygiene.
 //
 // Usage:
 //
 //	tipsylint [-json|-sarif] [-suppressions] [-stats] [-rules determinism,locks,...] ./...
-//	tipsylint -update-budget [-budget file] ./...
 //
 // Exit status is 0 when clean, 1 when findings were reported, and 2
 // on usage, load, or typecheck errors. Individual findings are
@@ -19,21 +17,14 @@
 //
 // -suppressions inventories those directives instead of linting and
 // exits non-zero if any directive lacks a reason.
-//
-// -update-budget regenerates the hot-path allocation ratchet
-// (.tipsy-allocbudget.json at the module root, or -budget's path)
-// from the tree as analyzed, printing each entry that changed. The
-// hotpath rule fails when a count grows beyond the committed file;
-// shrinking a count requires committing the regenerated file, which
-// is how allocation wins are locked in.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"tipsy/internal/lint"
@@ -43,22 +34,45 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options is one parsed command line.
+type options struct {
+	jsonOut      bool
+	sarifOut     bool
+	suppressions bool
+	stats        bool
+	rules        []lint.Rule
+	patterns     []string
+}
+
+// run is the command: parse the arguments, load the packages, report.
 func run(args []string, stdout, stderr io.Writer) int {
+	opts, ok := parseArgs(args, stderr)
+	if !ok {
+		return 2
+	}
+	pkgs, err := load(opts.patterns)
+	if err != nil {
+		fmt.Fprintln(stderr, "tipsylint:", err)
+		return 2
+	}
+	return report(opts, pkgs, stdout, stderr)
+}
+
+// parseArgs reads the flags and package patterns; on a usage error it
+// has already written the message and reports false.
+func parseArgs(args []string, stderr io.Writer) (options, bool) {
+	var opts options
 	fs := flag.NewFlagSet("tipsylint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	suppressions := fs.Bool("suppressions", false,
+	fs.BoolVar(&opts.jsonOut, "json", false, "emit findings as JSON")
+	fs.BoolVar(&opts.sarifOut, "sarif", false, "emit findings as SARIF 2.1.0")
+	fs.BoolVar(&opts.suppressions, "suppressions", false,
 		"list //lint:ignore directives instead of linting; exit 1 on any reasonless directive")
 	ruleList := fs.String("rules", "", "comma-separated rule subset (default: all)")
-	stats := fs.Bool("stats", false,
+	fs.BoolVar(&opts.stats, "stats", false,
 		"print per-rule wall time to stderr after the run")
-	budgetPath := fs.String("budget", "",
-		"hot-path allocation budget file (default: <module root>/"+lint.BudgetFilename+")")
-	updateBudget := fs.Bool("update-budget", false,
-		"rewrite the allocation budget file to match the tree instead of linting")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: tipsylint [-json|-sarif] [-suppressions] [-stats] [-rules list] [-update-budget] packages...")
+		fmt.Fprintln(stderr, "usage: tipsylint [-json|-sarif] [-suppressions] [-stats] [-rules list] packages...")
 		fs.PrintDefaults()
 		fmt.Fprintln(stderr, "\nrules:")
 		for _, r := range lint.Rules() {
@@ -66,64 +80,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return opts, false
 	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
+	opts.patterns = fs.Args()
+	if len(opts.patterns) == 0 {
 		fs.Usage()
-		return 2
+		return opts, false
 	}
-
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(stderr, "tipsylint:", err)
-		return 2
-	}
-	loader, err := lint.NewLoader(wd)
-	if err != nil {
-		fmt.Fprintln(stderr, "tipsylint:", err)
-		return 2
-	}
-	if *budgetPath == "" {
-		*budgetPath = filepath.Join(loader.ModuleRoot, lint.BudgetFilename)
-	}
-
-	rules := lint.RulesWithBudget(*budgetPath)
-	hotpathSelected := true
+	opts.rules = lint.Rules()
 	if *ruleList != "" {
 		byName := map[string]lint.Rule{}
-		for _, r := range rules {
+		for _, r := range opts.rules {
 			byName[r.Name] = r
 		}
-		rules = rules[:0]
-		hotpathSelected = false
+		opts.rules = opts.rules[:0]
 		for _, name := range strings.Split(*ruleList, ",") {
 			r, ok := byName[strings.TrimSpace(name)]
 			if !ok {
 				fmt.Fprintf(stderr, "tipsylint: unknown rule %q\n", name)
-				return 2
+				return opts, false
 			}
-			if r.Name == "hotpath" {
-				hotpathSelected = true
-			}
-			rules = append(rules, r)
+			opts.rules = append(opts.rules, r)
 		}
 	}
+	return opts, true
+}
 
+// load parses and type-checks the packages the patterns name, inside
+// the module that holds the working directory.
+func load(patterns []string) ([]*lint.Package, error) {
+	wd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	loader, err := lint.NewLoader(wd)
+	if err != nil {
+		return nil, err
+	}
 	dirs, err := lint.ExpandPatterns(loader.ModuleRoot, patterns)
 	if err != nil {
-		fmt.Fprintln(stderr, "tipsylint:", err)
-		return 2
+		return nil, err
 	}
 	pkgs, err := loader.LoadDirs(dirs, 0)
 	if err != nil {
-		fmt.Fprintln(stderr, "tipsylint:", err)
-		return 2
+		return nil, err
 	}
 	if len(pkgs) == 0 {
-		fmt.Fprintln(stderr, "tipsylint: no packages matched")
-		return 2
+		return nil, errors.New("no packages matched")
 	}
+	return pkgs, nil
+}
+
+// report lints pkgs, or inventories their suppressions, writes the
+// result and returns the exit status. It does not write to pkgs, so
+// one loaded set can be reported on any number of times.
+func report(opts options, pkgs []*lint.Package, stdout, stderr io.Writer) int {
 	// Typecheck failures are load errors, not findings: the analyzers
 	// run on what did check, but the exit status must say the tree
 	// could not be fully analyzed.
@@ -135,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *suppressions {
+	if opts.suppressions {
 		if bad := lint.WriteSuppressions(stdout, lint.CollectSuppressions(pkgs)); bad {
 			return 1
 		}
@@ -145,28 +156,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *updateBudget {
-		rep := lint.AnalyzeHotpaths(lint.NewProgram(pkgs))
-		if old, err := lint.LoadBudget(*budgetPath); err == nil {
-			for _, d := range lint.DiffBudget(old, rep, nil) {
-				fmt.Fprintf(stdout, "budget %s: %s %s %d -> %d\n",
-					d.Kind, d.ID, d.Category, d.Budgeted, d.Observed)
-			}
-		}
-		nb := lint.BudgetFromReport(rep)
-		if err := os.WriteFile(*budgetPath, nb.Marshal(), 0o644); err != nil {
-			fmt.Fprintln(stderr, "tipsylint:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "wrote %s (%d budgeted function(s))\n", *budgetPath, len(nb.Budgets))
-		if badLoad {
-			return 2
-		}
-		return 0
-	}
-
-	diags, ruleStats := lint.RunStats(pkgs, rules)
-	if *stats {
+	diags, ruleStats := lint.RunStats(pkgs, opts.rules)
+	if opts.stats {
 		// Stats go to stderr so -json/-sarif payloads on stdout stay
 		// machine-parseable.
 		fmt.Fprintln(stderr, "rule timings:")
@@ -175,25 +166,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 				float64(s.Elapsed.Microseconds())/1000)
 		}
 	}
-	if hotpathSelected {
-		// Budget drift with no source anchor (stale or shrunk entries)
-		// is reported against the budget file itself.
-		budgetDiags, err := lint.BudgetDiagnostics(pkgs, *budgetPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tipsylint:", err)
-			return 2
-		}
-		diags = append(diags, budgetDiags...)
-		lint.SortDiagnostics(diags)
-	}
 	switch {
-	case *jsonOut:
+	case opts.jsonOut:
 		if err := lint.WriteJSON(stdout, diags); err != nil {
 			fmt.Fprintln(stderr, "tipsylint:", err)
 			return 2
 		}
-	case *sarifOut:
-		if err := lint.WriteSARIF(stdout, diags, rules); err != nil {
+	case opts.sarifOut:
+		if err := lint.WriteSARIF(stdout, diags, opts.rules); err != nil {
 			fmt.Fprintln(stderr, "tipsylint:", err)
 			return 2
 		}

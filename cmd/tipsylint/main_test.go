@@ -1,21 +1,44 @@
 package main
 
 import (
-	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"tipsy/internal/lint"
 )
 
-// TestRepoIsLintClean lints the entire repository through the real
-// CLI entry point — the same invocation scripts/check.sh gates on —
-// and requires a clean exit. If this fails, a change somewhere in the
-// tree violated a project convention; run `go run ./cmd/tipsylint
-// ./...` for the findings.
+// module is the whole repository, loaded and type-checked once for
+// every test that lints it.
+var module = sync.OnceValues(func() ([]*lint.Package, error) {
+	return load([]string{"./..."})
+})
+
+// runModule is run(flags..., "./...") on the shared load.
+func runModule(t *testing.T, stdout, stderr io.Writer, flags ...string) int {
+	t.Helper()
+	opts, ok := parseArgs(append(flags, "./..."), stderr)
+	if !ok {
+		return 2
+	}
+	pkgs, err := module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report(opts, pkgs, stdout, stderr)
+}
+
+// TestRepoIsLintClean lints the entire repository with the CLI's own
+// argument parsing and report step — the invocation scripts/check.sh
+// gates on — and requires a clean exit. If this fails, a change
+// somewhere in the tree violated a project convention; run `go run
+// ./cmd/tipsylint ./...` for the findings.
 func TestRepoIsLintClean(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"./..."}, &out, &errOut); code != 0 {
+	if code := runModule(t, &out, &errOut); code != 0 {
 		t.Fatalf("tipsylint exited %d:\n%s%s", code, out.String(), errOut.String())
 	}
 }
@@ -26,7 +49,7 @@ func TestRepoIsLintClean(t *testing.T) {
 // this count is the place where adding it is a reviewed decision.
 func TestRepoHasZeroSuppressions(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-suppressions", "./..."}, &out, &errOut); code != 0 {
+	if code := runModule(t, &out, &errOut, "-suppressions"); code != 0 {
 		t.Fatalf("tipsylint -suppressions exited %d:\n%s%s", code, out.String(), errOut.String())
 	}
 	if got := strings.TrimSpace(out.String()); got != "" {
@@ -98,39 +121,6 @@ func TestLoadErrorsExitTwo(t *testing.T) {
 			t.Errorf("exit %d, want 2\n%s", code, errOut.String())
 		}
 	})
-}
-
-// TestHotpathBudgetMatchesTree is the ratchet's anchor: regenerating
-// the budget from the tree must reproduce the committed
-// .tipsy-allocbudget.json byte for byte (so `-update-budget` produces
-// no diff), and a second regeneration must be idempotent.
-func TestHotpathBudgetMatchesTree(t *testing.T) {
-	committed, err := os.ReadFile(filepath.Join("..", "..", ".tipsy-allocbudget.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := filepath.Join(t.TempDir(), "budget.json")
-	var out, errOut strings.Builder
-	if code := run([]string{"-rules", "hotpath", "-budget", tmp, "-update-budget", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("-update-budget exited %d:\n%s%s", code, out.String(), errOut.String())
-	}
-	first, err := os.ReadFile(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, committed) {
-		t.Errorf("committed budget is out of date with the tree; run `go run ./cmd/tipsylint -rules hotpath -update-budget ./...` and commit the result\n%s", out.String())
-	}
-	if code := run([]string{"-rules", "hotpath", "-budget", tmp, "-update-budget", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("second -update-budget exited %d:\n%s", code, errOut.String())
-	}
-	second, err := os.ReadFile(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Error("-update-budget is not idempotent: second run changed the file")
-	}
 }
 
 // TestUsageErrors pins the exit-2 paths.

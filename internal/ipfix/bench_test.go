@@ -1,6 +1,11 @@
 package ipfix
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+
+	"tipsy/internal/alloctest"
+)
 
 // BenchmarkIPFIXDecode measures the reference decoder's steady-state
 // per-message cost on a 64-record data set with the template already
@@ -90,5 +95,35 @@ func TestDecodeIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if len(msg.Records) != 64 {
 		t.Fatalf("decoded %d records, want 64", len(msg.Records))
+	}
+}
+
+// handleMessageBatchAllocs is what HandleMessageBatch allocates per
+// warmed 64-record message. The pin is exact; a lower number is
+// committed by editing it.
+const handleMessageBatchAllocs = 0
+
+// TestHandleMessageBatchAllocs pins the collector's whole per-message
+// path — pooled Message, compiled decode, sequence accounting, the
+// batch hand-off — on in-order messages from one domain.
+func TestHandleMessageBatchAllocs(t *testing.T) {
+	alloctest.SkipPooledUnderRace(t)
+	buf := benchMessage()
+	col := NewCollector()
+	var seq uint32
+	got := 0
+	handle := func() {
+		binary.BigEndian.PutUint32(buf[8:12], seq)
+		seq += 64
+		if err := col.HandleMessageBatch(buf, func(_ uint32, recs []FlowRecord) { got = len(recs) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle() // learn the template, grow the batch
+	if allocs := testing.AllocsPerRun(100, handle); allocs != handleMessageBatchAllocs {
+		t.Fatalf("HandleMessageBatch allocates %v times per 64-record message, want %d", allocs, handleMessageBatchAllocs)
+	}
+	if st := col.Stats(); got != 64 || st.Lost != 0 || st.Reordered != 0 {
+		t.Fatalf("last batch had %d records, %d lost, %d reordered; want 64, 0, 0", got, st.Lost, st.Reordered)
 	}
 }

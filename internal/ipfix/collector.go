@@ -172,8 +172,6 @@ func (c *Collector) domain(id uint32) *domainState {
 // the duration of the callback. A malformed message is quarantined:
 // the error is returned for observability, but the collector remains
 // consistent and the next message is processed normally.
-//
-//tipsy:hotpath
 func (c *Collector) HandleMessageBatch(buf []byte, fn func(domain uint32, recs []FlowRecord)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

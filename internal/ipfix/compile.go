@@ -235,8 +235,6 @@ func PutMessage(m *Message) {
 // the duration of the message only. It fails with ErrShortMessage on
 // truncated or misframed input, ErrBadVersion on a foreign version,
 // and on a data set whose template describes zero bytes.
-//
-//tipsy:hotpath
 func DecodeInto(msg *Message, buf []byte, tt *TemplateTable) error {
 	msg.Templates = msg.Templates[:0]
 	msg.Records = msg.Records[:0]

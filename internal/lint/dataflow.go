@@ -35,9 +35,8 @@ const (
 	// is the iteration order of the map range at Site.
 	TagMapOrdered
 	// TagAlloc: value is (or carries) the function literal created at
-	// Site. The hotpath tier's escape pass follows these tags to the
-	// points where a closure leaves its creating function and must be
-	// heap-allocated.
+	// Site. The escape pass (escape.go) follows these tags to the
+	// points where a closure leaves its creating function.
 	TagAlloc
 )
 

@@ -6,10 +6,9 @@ import (
 )
 
 // checkDeterminism enforces the seeded-substrate contract: simulation
-// code may not consult the wall clock or the process-global RNG, and
-// every *rand.Rand it builds must be seeded from an explicit value,
-// not from time or OS entropy. Violations are exactly the calls that
-// make two runs with the same seed diverge.
+// code may not consult the wall clock or the process-global RNG.
+// Where the seed of a *rand.Rand it builds comes from is seedflow's
+// question.
 func checkDeterminism(p *Package, report ReportFunc) {
 	// rand.New/NewSource/NewZipf take or build explicit sources and
 	// are the sanctioned construction path; everything else exported
@@ -28,42 +27,10 @@ func checkDeterminism(p *Package, report ReportFunc) {
 				report(call.Pos(), "time.Now in seeded code; inject a clock or derive timestamps from the simulated hour")
 			case (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name]:
 				report(call.Pos(), "global math/rand.%s; draw from an injected seeded *rand.Rand instead", name)
-			case pkg == "math/rand" && (name == "New" || name == "NewSource"):
-				if bad := nondetSeed(p, call); bad != "" {
-					report(call.Pos(), "rand.%s seeded from %s; seed from configuration so runs replay byte-for-byte", name, bad)
-				}
 			}
 			return true
 		})
 	}
-}
-
-// nondetSeed reports the first nondeterministic source feeding a
-// rand.New/rand.NewSource argument (time.Now, crypto/rand, or the
-// process identity), or "" if the seed expression is clean.
-func nondetSeed(p *Package, call *ast.CallExpr) string {
-	var bad string
-	for _, arg := range call.Args {
-		ast.Inspect(arg, func(n ast.Node) bool {
-			if bad != "" {
-				return false
-			}
-			inner, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch pkg, name := calleePkgFunc(p, inner); {
-			case pkg == "time" && name == "Now":
-				bad = "time.Now"
-			case pkg == "crypto/rand":
-				bad = "crypto/rand." + name
-			case pkg == "os" && (name == "Getpid" || name == "Getppid"):
-				bad = "os." + name
-			}
-			return true
-		})
-	}
-	return bad
 }
 
 // calleePkgFunc resolves a call to a package-level function,

@@ -5,17 +5,19 @@ import (
 	"go/token"
 )
 
-// This file is the hotpath tier's closure-escape pass. A function
-// literal whose value stays inside its creating function — an
-// immediately-invoked literal, or one held in a local and only ever
-// called — can live on the stack. One whose value LEAVES the function
-// forces a heap allocation for the closure object and every captured
-// variable: returned, stored into a field, slice, map, or pointer
-// target, sent on a channel, passed to another function, deferred, or
-// launched as a goroutine. The pass reuses the deep tier's provenance
-// engine: every literal gets a TagAlloc identity tag at creation
-// (funcLitTagger hook) and the tag is followed through locals,
-// assignments, and wrapper calls to the escape points.
+// This file is the closure-escape pass. guardedby uses it to tell a
+// literal that runs inside its creator's critical section from one
+// that may run once the locks held at its creation are gone. A
+// function literal whose value stays inside its creating function —
+// an immediately-invoked literal, or one held in a local and only
+// ever called — runs where it is called. One whose value LEAVES the
+// function runs wherever its new holder calls it: returned, stored
+// into a field, slice, map, or pointer target, sent on a channel,
+// passed to another function, deferred, or launched as a goroutine.
+// The pass reuses the deep tier's provenance engine: every literal
+// gets a TagAlloc identity tag at creation (funcLitTagger hook) and
+// the tag is followed through locals, assignments, and wrapper calls
+// to the escape points.
 
 // escapeHooks instantiates the provenance engine for closure
 // tracking. Calls pass tags through: a closure returned by a helper,

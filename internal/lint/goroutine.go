@@ -6,102 +6,21 @@ import (
 	"go/types"
 )
 
-// checkGoroutine reviews every `go func` literal in non-test code.
-// Two findings: a body that reads an enclosing loop's variables
-// instead of taking them as arguments (scheduling-order dependent and
-// a classic pre-1.22 footgun), and a body with no cancellation or
-// completion path at all — no context, no channel, no WaitGroup —
-// which a long-running daemon can neither stop nor await.
+// checkGoroutine reviews every `go func` literal in non-test code and
+// flags a body with no cancellation or completion path at all — no
+// context, no channel, no WaitGroup — which a long-running daemon can
+// neither stop nor await.
 func checkGoroutine(p *Package, report ReportFunc) {
 	for _, f := range p.Files {
-		var loopVars []types.Object
-		var walk func(n ast.Node)
-		walk = func(n ast.Node) {
-			switch n := n.(type) {
-			case nil:
-				return
-			case *ast.ForStmt:
-				mark := len(loopVars)
-				if init, ok := n.Init.(*ast.AssignStmt); ok {
-					for _, lhs := range init.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							if obj := p.Info.Defs[id]; obj != nil {
-								loopVars = append(loopVars, obj)
-							}
-						}
-					}
-				}
-				walkChildren(n, walk)
-				loopVars = loopVars[:mark]
-				return
-			case *ast.RangeStmt:
-				mark := len(loopVars)
-				for _, e := range []ast.Expr{n.Key, n.Value} {
-					if id, ok := e.(*ast.Ident); ok {
-						if obj := p.Info.Defs[id]; obj != nil {
-							loopVars = append(loopVars, obj)
-						}
-					}
-				}
-				walkChildren(n, walk)
-				loopVars = loopVars[:mark]
-				return
-			case *ast.GoStmt:
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					if captured := capturedLoopVar(p, lit, loopVars); captured != "" {
-						report(n.Pos(), "goroutine captures loop variable %s; pass it as an argument to the func literal", captured)
-					}
-					if !hasCancellationPath(p, lit) {
-						report(n.Pos(), "goroutine has no cancellation or completion path; thread a context.Context, stop channel, or WaitGroup through it")
-					}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && !hasCancellationPath(p, lit) {
+					report(g.Pos(), "goroutine has no cancellation or completion path; thread a context.Context, stop channel, or WaitGroup through it")
 				}
 			}
-			walkChildren(n, walk)
-		}
-		walk(f)
+			return true
+		})
 	}
-}
-
-// walkChildren visits n's immediate children with walk.
-func walkChildren(n ast.Node, walk func(ast.Node)) {
-	ast.Inspect(n, func(child ast.Node) bool {
-		if child == n {
-			return true
-		}
-		walk(child)
-		return false // walk recurses itself
-	})
-}
-
-// capturedLoopVar returns the name of an enclosing loop variable the
-// literal's body references directly (arguments to the call are
-// evaluated in the loop and are fine).
-func capturedLoopVar(p *Package, lit *ast.FuncLit, loopVars []types.Object) string {
-	if len(loopVars) == 0 {
-		return ""
-	}
-	var captured string
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if captured != "" {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := p.Info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		for _, lv := range loopVars {
-			if obj == lv {
-				captured = id.Name
-				return false
-			}
-		}
-		return true
-	})
-	return captured
 }
 
 // hasCancellationPath reports whether the goroutine body touches any

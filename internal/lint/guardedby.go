@@ -496,7 +496,7 @@ type gbWalk struct {
 	// syncLits are function literals passed to callees known to
 	// invoke them synchronously (sort.Slice comparators and the
 	// like): they run inside the caller's critical section, so the
-	// hotpath-style "passed = escaped" verdict does not apply.
+	// escape pass's "passed = escaped" verdict does not apply.
 	syncLits map[*ast.FuncLit]bool
 	lits     []gbLitWork
 }

@@ -96,16 +96,10 @@ func (prog *Program) pkgOf(pos token.Position) *Package {
 type ReportFunc func(pos token.Pos, format string, args ...any)
 
 // Rules returns the full analyzer set with the repository's package
-// scoping and the default budget file (the module root's
-// .tipsy-allocbudget.json).
-func Rules() []Rule { return RulesWithBudget("") }
-
-// RulesWithBudget is Rules with the hotpath tier's allocation-budget
-// file overridden; "" means the default. simDirs are the
-// seeded-simulation packages where wall-clock and ambient randomness
-// are banned; wireDirs are the protocol encoder packages where
-// dropped write errors are banned.
-func RulesWithBudget(budgetPath string) []Rule {
+// scoping. simDirs are the seeded-simulation packages where
+// wall-clock and ambient randomness are banned; wireDirs are the
+// protocol encoder packages where dropped write errors are banned.
+func Rules() []Rule {
 	simDirs := []string{
 		"internal/netsim", "internal/topology", "internal/traffic",
 		"internal/core", "internal/wan",
@@ -121,7 +115,7 @@ func RulesWithBudget(budgetPath string) []Rule {
 		},
 		{
 			Name:  "locks",
-			Doc:   "flag copied mutexes and lock/unlock paths that can leak a held lock",
+			Doc:   "flag lock/unlock paths that can leak a held lock",
 			Check: checkLocks,
 		},
 		{
@@ -132,7 +126,7 @@ func RulesWithBudget(budgetPath string) []Rule {
 		},
 		{
 			Name:      "goroutine",
-			Doc:       "flag goroutines with captured loop variables or no cancellation path",
+			Doc:       "flag goroutines with no cancellation path",
 			SkipTests: true,
 			Check:     checkGoroutine,
 		},
@@ -189,14 +183,6 @@ func RulesWithBudget(budgetPath string) []Rule {
 			Dirs:            simDirs,
 			TestsEverywhere: true,
 			DeepCheck:       checkSeedFlow,
-		},
-		{
-			Name:      "hotpath",
-			Doc:       "budget allocation sites in the //tipsy:hotpath call-graph closure; counts ratchet down via .tipsy-allocbudget.json",
-			SkipTests: true,
-			DeepCheck: func(prog *Program, scope []*Package, report ReportFunc) {
-				checkHotpath(prog, report, budgetPath)
-			},
 		},
 	}
 }
@@ -273,7 +259,7 @@ func RunStats(pkgs []*Package, rules []Rule) ([]Diagnostic, []RuleStat) {
 		}
 	}
 	diags = append(diags, runDeep(pkgs, rules, elapsed)...)
-	SortDiagnostics(diags)
+	sortDiagnostics(diags)
 	var stats []RuleStat
 	for _, r := range rules {
 		if d, ok := elapsed[r.Name]; ok {
@@ -286,10 +272,9 @@ func RunStats(pkgs []*Package, rules []Rule) ([]Diagnostic, []RuleStat) {
 	return diags, stats
 }
 
-// SortDiagnostics orders findings by position then rule — the order
-// Run returns and the CLI prints. Exported so callers appending
-// synthetic diagnostics (the budget drift report) can restore it.
-func SortDiagnostics(diags []Diagnostic) {
+// sortDiagnostics orders findings by position then rule — the order
+// Run returns and the CLI prints.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

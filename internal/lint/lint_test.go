@@ -123,11 +123,6 @@ func f() int64 { return time.Now().Unix() }
 `, "time.Now"},
 		{"locks", `package p
 import "sync"
-type T struct{ mu sync.RWMutex }
-func (t T) Get() int { return 0 }
-`, "value receiver"},
-		{"locks", `package p
-import "sync"
 var mu sync.Mutex
 func f(ok bool) int {
 	mu.Lock()
@@ -149,15 +144,6 @@ func f(w io.Writer, s string) error { return binary.Write(w, binary.BigEndian, s
 		{"goroutine", `package p
 func f() { go func() { for {} }() }
 `, "no cancellation"},
-		{"goroutine", `package p
-import "sync"
-func f(xs []int, wg *sync.WaitGroup) {
-	for _, x := range xs {
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = x }()
-	}
-}
-`, "captures loop variable x"},
 		{"metrics", `package p
 type collector struct{ recordCount uint64 }
 func (c *collector) inc() { c.recordCount++ }
@@ -196,28 +182,6 @@ func f() *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 `, "seeded from time.Now"},
-		{"hotpath", `package p
-//tipsy:hotpath
-func f(xs []int) []int {
-	var out []int
-	for _, x := range xs {
-		out = append(out, x)
-	}
-	return out
-}
-`, "append inside a loop"},
-		{"hotpath", `package p
-import "fmt"
-//tipsy:hotpath
-func f(n int) string { return fmt.Sprintf("%d", n) }
-`, "boxes into an interface parameter"},
-		{"hotpath", `package p
-//tipsy:hotpath
-func f(sink chan func()) {
-	n := 0
-	sink <- func() { n++ }
-}
-`, "closure escapes"},
 		{"guardedby", `package p
 import "sync"
 type T struct{ mu sync.Mutex; n int }

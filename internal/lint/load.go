@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -171,8 +172,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// goFilePaths lists the Go source files of dir in directory order
-// (stable: os.ReadDir sorts by name).
+// goFilePaths lists the Go source files of dir that the default build
+// context compiles, in directory order (stable: os.ReadDir sorts by
+// name).
 func goFilePaths(dir string, withTests bool) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -185,6 +187,13 @@ func goFilePaths(dir string, withTests bool) ([]string, error) {
 			continue
 		}
 		if !withTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// One file of a build-tagged pair, as the default build sees
+		// the package (no race tag); both would not type-check.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		paths = append(paths, filepath.Join(dir, name))

@@ -6,22 +6,12 @@ import (
 	"go/types"
 )
 
-// checkLocks enforces two mutex conventions. First, a method on a
-// struct that contains a sync.Mutex/RWMutex must use a pointer
-// receiver — a value receiver silently copies the lock, so the method
-// synchronises against a private copy nobody else sees. Second, a
-// Lock()/RLock() must be released on every return path: either by an
-// immediate defer, or by an explicit Unlock textually preceding each
-// later return.
+// checkLocks enforces that a Lock()/RLock() is released on every
+// return path: either by an immediate defer, or by an explicit Unlock
+// textually preceding each later return. (A lock copied through a
+// value receiver is go vet's copylocks finding.)
 func checkLocks(p *Package, report ReportFunc) {
 	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkValueReceiver(p, fd, report)
-		}
 		// Each function body, literal or declared, is its own
 		// lock-discipline scope.
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -36,59 +26,6 @@ func checkLocks(p *Package, report ReportFunc) {
 			return true
 		})
 	}
-}
-
-func checkValueReceiver(p *Package, fd *ast.FuncDecl, report ReportFunc) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return
-	}
-	tv, ok := p.Info.Types[fd.Recv.List[0].Type]
-	if !ok {
-		return
-	}
-	if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-		return
-	}
-	if field := mutexField(tv.Type, map[types.Type]bool{}); field != "" {
-		report(fd.Pos(), "method %s has a value receiver but %s contains a mutex (%s); use a pointer receiver so the lock is shared",
-			fd.Name.Name, types.TypeString(tv.Type, types.RelativeTo(p.Types)), field)
-	}
-}
-
-// mutexField returns the path of the first sync.Mutex/RWMutex found
-// in t's struct fields (following nested and embedded value structs),
-// or "".
-func mutexField(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if isSyncMutex(f.Type()) {
-			return f.Name()
-		}
-		if inner := mutexField(f.Type(), seen); inner != "" {
-			return f.Name() + "." + inner
-		}
-	}
-	return ""
-}
-
-func isSyncMutex(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 // lockEvent is one mutex-related statement inside a function body.

@@ -33,7 +33,7 @@ func TestReadmeRuleTableInSync(t *testing.T) {
 			doc:  strings.TrimSpace(cells[3]),
 		})
 	}
-	rules := RulesWithBudget("")
+	rules := Rules()
 	if len(rows) != len(rules) {
 		var got, want []string
 		for _, r := range rows {

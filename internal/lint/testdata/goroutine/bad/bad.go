@@ -1,19 +1,6 @@
-// Package fixture violates the goroutine conventions: a loop-variable
-// capture and a background loop nothing can stop.
+// Package fixture violates the goroutine convention: a background
+// loop nothing can stop.
 package fixture
-
-import "sync"
-
-// FanOut captures the loop variable instead of passing it.
-func FanOut(items []int, wg *sync.WaitGroup) {
-	for i := range items {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			process(items[i])
-		}()
-	}
-}
 
 // Background spins a goroutine with no context, channel, or
 // WaitGroup — it can never be stopped or awaited.

@@ -1,6 +1,5 @@
-// Package fixture violates the lock-hygiene conventions: a value
-// receiver copying its mutex, an early return that leaks the lock,
-// and a lock that is never released.
+// Package fixture violates the lock-hygiene conventions: an early
+// return that leaks the lock, and a lock that is never released.
 package fixture
 
 import "sync"
@@ -9,13 +8,6 @@ import "sync"
 type Counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-// Value has a value receiver, so it locks a copy of mu.
-func (c Counter) Value() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }
 
 // Lookup leaks the read lock on the early return.

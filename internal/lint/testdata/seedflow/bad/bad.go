@@ -57,3 +57,8 @@ func Closure() func() *rand.Rand {
 		return rand.New(rand.NewSource(seed))
 	}
 }
+
+// Direct seeds from the clock with no laundering at all.
+func Direct() *rand.Rand {
+	return rand.New(rand.NewSource(time.Now().UnixNano()))
+}

@@ -18,9 +18,10 @@ import (
 //     byte-identical span dumps (goldenable).
 //   - Zero-alloc off switch. A nil *Tracer, an unsampled root, or a
 //     nil *Span make every method a nil-check-and-return. Sampled
-//     spans are pooled. The tracing calls sit inside functions under
-//     the //tipsy:hotpath allocation budget, so nothing in this file
-//     may box, convert strings, or allocate in a loop.
+//     spans are pooled. The tracing calls sit inside functions whose
+//     allocations per call are pinned with testing.AllocsPerRun
+//     (ipfix, pipeline, serve, tipsyd), so nothing in this file may
+//     box, convert strings, or allocate in a loop.
 
 // TraceID identifies one end-to-end trace (a request, an ingest
 // cycle). The zero value means "no trace".

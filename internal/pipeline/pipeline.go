@@ -182,8 +182,6 @@ func NewAggregatorOn(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata) *Aggre
 // Records whose destination has no metadata are dropped and counted —
 // the paper's pipeline likewise only processes flows destined to
 // known cloud services.
-//
-//tipsy:hotpath
 func (a *Aggregator) Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
 	a.m.raw.Inc()
 	prefix := bgp.Slash24(rec.SrcAddr)
@@ -214,8 +212,6 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // Within a shard, records apply in batch order, so per-key float
 // accumulation order — and therefore the drained output — is
 // bit-identical to feeding the same stream through Record.
-//
-//tipsy:hotpath
 func (a *Aggregator) RecordBatch(recs []ipfix.FlowRecord) {
 	if len(recs) == 0 {
 		return

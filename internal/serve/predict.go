@@ -94,8 +94,6 @@ func parseIPv4(s string) (uint32, error) {
 // request's exclusions and k. observe, if non-nil, sees every flow's
 // Answer as it is made; that is where a server counts rungs and feeds
 // its quality monitor.
-//
-//tipsy:hotpath
 func (m *Models) Respond(req *Request, flows []features.FlowFeatures, clock func() int64, observe func(i int, a Answer)) *Response {
 	q := core.Query{K: req.K}
 	if q.K <= 0 {

@@ -355,3 +355,42 @@ func TestEncodeNamesTheBadFlow(t *testing.T) {
 		t.Errorf("Encode error = %v, want one naming flow 2", err)
 	}
 }
+
+// What the fixture's 256-flow what-if (255 known flows and one from a
+// novel AS, one excluded link, k=3) allocates on generation A. The
+// pins are exact and cover everything the compiled program does,
+// core.Predictor implementations included; a lower number is
+// committed by editing it.
+const (
+	encodeAllocs  = 1   // Request.Encode: the []FlowFeatures
+	respondAllocs = 578 // Models.Respond, of which
+	walkAllocs    = 306 // are made inside its Models.Walk calls
+)
+
+func TestWhatIfAllocs(t *testing.T) {
+	f := testFixture(t)
+	req, flows := f.whatIf(t, 255)
+	geoip := f.sim.GeoIP()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := req.Encode(geoip); err != nil {
+			t.Fatal(err)
+		}
+	}); got != encodeAllocs {
+		t.Errorf("Request.Encode allocates %v times per %d-flow request, want %d", got, len(flows), encodeAllocs)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		f.genA.Respond(req, flows, noClock, nil)
+	}); got != respondAllocs {
+		t.Errorf("Models.Respond allocates %v times per %d-flow what-if, want %d", got, len(flows), respondAllocs)
+	}
+	excluded := req.ExcludeLinks[0]
+	q := core.Query{K: req.K, Exclude: func(l wan.LinkID) bool { return l == excluded }}
+	if got := testing.AllocsPerRun(20, func() {
+		for i := range flows {
+			q.Flow = flows[i]
+			f.genA.Walk(q, noClock)
+		}
+	}); got != walkAllocs {
+		t.Errorf("Models.Walk allocates %v times over the %d flows, want %d", got, len(flows), walkAllocs)
+	}
+}
