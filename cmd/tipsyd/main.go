@@ -38,6 +38,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -799,20 +800,69 @@ func (s *server) handleSample(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, out)
 }
 
+// The two bounds on what /v1/predict buffers per request.
+const (
+	// maxPredictBody is the longest body read; a longer one is
+	// answered 413. A flow takes some 80 bytes, so this is a what-if
+	// over twelve thousand flows.
+	maxPredictBody = 1 << 20
+	// maxPooledBuf is the largest buffer that goes back to the pool:
+	// room for the body and the answer of some 1,500 flows. A request
+	// that grew its buffers past it leaves them to the collector, so
+	// one huge request does not pin its memory for good.
+	maxPooledBuf = 256 << 10
+)
+
+// predictBuf is the memory one /v1/predict request borrows: the body
+// as read and the answer as encoded.
+type predictBuf struct {
+	in  bytes.Buffer
+	out []byte
+}
+
+var predictBufs = sync.Pool{New: func() any { return new(predictBuf) }}
+
+func (b *predictBuf) release() {
+	if b.in.Cap() <= maxPooledBuf && cap(b.out) <= maxPooledBuf {
+		predictBufs.Put(b)
+	}
+}
+
 // handlePredict serves the per-request prediction path — the
 // latency-sensitive endpoint, so TestPredictHandlerAllocs pins its
-// allocations per what-if. The request's two stages are timed off
-// s.clock into the stage histograms and recorded as spans under the
-// request span handler() started.
+// allocations per what-if. Both directions of JSON go through
+// internal/serve's codec and pooled buffers, never encoding/json, and
+// the answer leaves in one Write under a Content-Length. Four spans
+// under the one handler() started account for the request: json_decode
+// (reading the body included), feature_encode, predict and json_encode
+// (the write included); the middle two are also timed off s.clock into
+// the stage histograms.
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	rsp := obsv.SpanFromContext(r.Context())
+	buf := predictBufs.Get().(*predictBuf)
+	defer buf.release()
+	dsp := s.tracer.StartChild(rsp, "json_decode")
+	buf.in.Reset()
+	_, err := buf.in.ReadFrom(http.MaxBytesReader(w, r.Body, maxPredictBody))
+	dsp.SetInt("bytes", int64(buf.in.Len()))
 	var req serve.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err == nil {
+		err = serve.DecodeRequest(buf.in.Bytes(), &req)
+	}
+	if err != nil {
+		dsp.Error("bad request")
+		dsp.End()
+		status := http.StatusBadRequest
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
+	dsp.End()
 	s.met.requests.Inc()
 	gen, now := s.gen.Load(), s.simHour()
-	rsp := obsv.SpanFromContext(r.Context())
 	start := s.clock()
 	fsp := s.tracer.StartChild(rsp, "feature_encode")
 	flows, err := req.Encode(s.sim.GeoIP())
@@ -843,17 +893,45 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.met.encodeNs.Observe(encoded - start)
 	s.met.predictNs.Observe(done - encoded)
 	s.met.totalNs.Observe(done - start)
-	s.writeJSON(w, resp)
+	esp := s.tracer.StartChild(rsp, "json_encode")
+	defer esp.End()
+	if buf.out, err = resp.AppendJSON(buf.out[:0]); err != nil {
+		esp.Error("unencodable answer")
+		s.unencodable(w, err)
+		return
+	}
+	esp.SetInt("bytes", int64(len(buf.out)))
+	s.writeBody(w, http.StatusOK, buf.out)
 }
 
 func (s *server) writeJSON(w http.ResponseWriter, v any) {
 	s.writeJSONStatus(w, http.StatusOK, v)
 }
 
+// writeJSONStatus encodes before it writes the status line, so that a
+// value JSON cannot carry is a 500 with a message, not status and an
+// empty body.
 func (s *server) writeJSONStatus(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		s.unencodable(w, err)
+		return
+	}
+	s.writeBody(w, status, body.Bytes())
+}
+
+func (s *server) unencodable(w http.ResponseWriter, err error) {
+	s.logHTTP.Error("encode response", "err", err)
+	http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+}
+
+// writeBody sends an encoded JSON body in one Write, its length
+// announced, so net/http frames nothing in chunks.
+func (s *server) writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.logHTTP.Error("write response", "err", err)
 	}
 }

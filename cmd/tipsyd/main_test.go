@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +25,7 @@ var (
 	srv     *server
 )
 
-func testServer(t *testing.T) *server {
+func testServer(t testing.TB) *server {
 	t.Helper()
 	srvOnce.Do(func() { srv = buildServer(3, 4) })
 	if srv == nil {
@@ -169,15 +172,17 @@ func TestPredictEndToEnd(t *testing.T) {
 
 // predictHandlerAllocs is what one 256-flow, 2-excluded-link, k=3
 // what-if allocates from httptest.NewRequest through s.handler() to
-// the written body: tracing, net/http, both encoding/json directions,
-// Request.Encode and Models.Respond (serve.TestWhatIfAllocs splits
-// those two). The pin is exact, so it also moves with the Go release;
-// a lower number is committed by editing it.
-const predictHandlerAllocs = 1147
+// the written body: tracing, net/http, the codec in both directions,
+// Request.Encode and Models.Respond (serve.TestWhatIfAllocs and
+// TestCodecAllocs split those). The pin is exact, so it also moves
+// with the Go release; a lower number is committed by editing it.
+const predictHandlerAllocs = 321
 
-func TestPredictHandlerAllocs(t *testing.T) {
-	alloctest.SkipPooledUnderRace(t)
-	s := testServer(t)
+// whatIfBody is that what-if, encoded: the first 256 distinct flows of
+// the training window, withdrawing the first two links that are some
+// flow's best.
+func whatIfBody(t testing.TB, s *server) []byte {
+	t.Helper()
 	s.mu.RLock()
 	recs := s.records
 	s.mu.RUnlock()
@@ -188,7 +193,6 @@ func TestPredictHandlerAllocs(t *testing.T) {
 			SrcAddr: bgp.FormatIP(rec.Flow.Prefix | 7), SrcAS: uint32(rec.Flow.AS),
 			Region: uint16(rec.Flow.Region), Service: uint8(rec.Flow.Type), Bytes: 1e9,
 		})
-		// Withdraw the first two links that are some flow's best.
 		top := gen.Walk(core.Query{Flow: rec.Flow, K: 1}, s.clock).Preds
 		if len(req.ExcludeLinks) < 2 && len(top) == 1 && !slices.Contains(req.ExcludeLinks, top[0].Link) {
 			req.ExcludeLinks = append(req.ExcludeLinks, top[0].Link)
@@ -201,27 +205,98 @@ func TestPredictHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.handler()
-	post := func() {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
-		if rr.Code != http.StatusOK {
+	return body
+}
+
+// post sends body to /v1/predict through the whole handler chain.
+func post(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+	return rr
+}
+
+func TestPredictHandlerAllocs(t *testing.T) {
+	alloctest.SkipPooledUnderRace(t)
+	s := testServer(t)
+	body, h := whatIfBody(t, s), s.handler()
+	what := func() {
+		if rr := post(h, body); rr.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rr.Code, rr.Body)
 		}
 	}
-	post() // fill the span and encoder pools
-	if allocs := testing.AllocsPerRun(10, post); allocs != predictHandlerAllocs {
+	what() // fill the span and buffer pools
+	if allocs := testing.AllocsPerRun(10, what); allocs != predictHandlerAllocs {
 		t.Fatalf("/v1/predict allocates %v times per 256-flow what-if, want %d", allocs, predictHandlerAllocs)
 	}
 }
 
+func BenchmarkPredictHandler(b *testing.B) {
+	s := testServer(b)
+	body, h := whatIfBody(b, s), s.handler()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rr := post(h, body); rr.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+	}
+}
+
+// TestPredictAnswerIsEncodingJSONs: the bytes /v1/predict writes are
+// the bytes encoding/json writes for the same Response, sent whole
+// under a Content-Length.
+func TestPredictAnswerIsEncodingJSONs(t *testing.T) {
+	s := testServer(t)
+	for name, body := range map[string][]byte{
+		"what-if": whatIfBody(t, s), "no flows": []byte(`{}`), "null": []byte(`null`),
+		"novel flow": []byte(`{"flows":[{"src_addr":"1.2.3.4","src_as":4200000001,"bytes":0.1}],"exclude_links":null}`),
+	} {
+		rr := post(s.handler(), body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rr.Code, rr.Body)
+		}
+		var resp serve.Response
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rr.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%s: answer is not what encoding/json writes:\n got %s\nwant %s", name, rr.Body, &want)
+		}
+		if got := rr.Header().Get("Content-Length"); got != strconv.Itoa(want.Len()) || rr.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: Content-Length %q for %d bytes, Content-Type %q", name, got, want.Len(), rr.Header().Get("Content-Type"))
+		}
+	}
+}
+
+// requestsCounted is tipsyd_predict_requests_total: the bodies that
+// decoded.
+func requestsCounted(s *server) uint64 { return s.met.requests.Value() }
+
 func TestPredictRejectsBadInput(t *testing.T) {
 	s := testServer(t)
-	req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader([]byte("{not json")))
-	rr := httptest.NewRecorder()
-	s.mux().ServeHTTP(rr, req)
-	if rr.Code != http.StatusBadRequest {
-		t.Errorf("bad JSON: status %d", rr.Code)
+	before := requestsCounted(s)
+	// What the decoder refuses never counts as a request: malformed
+	// JSON, and every kind of body DESIGN.md §12 lists as refused where
+	// encoding/json's Decoder used to let it through.
+	for _, body := range []string{
+		"{not json", "", `{"k":"3"}`, `{"flows":[{"src_as":4294967296}]}`,
+		`{"k":3} trailing`, `{"k":3}{"k":4}`,
+		"{\"flows\":[{\"src_addr\":\"1.2.3.\xff\"}]}",
+		`{"k":3,"k":3}`, `{"flows":[],"Flows":[]}`, `{"\u006b":3}`, `{"flowſ":[]}`,
+		`{"x":` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `}`,
+	} {
+		rr := post(s.handler(), []byte(body))
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "bad request JSON at byte") {
+			t.Errorf("body %q: status %d, %q; want 400 saying where", body, rr.Code, rr.Body)
+		}
+	}
+	if after := requestsCounted(s); after != before {
+		t.Errorf("%d refused bodies counted as requests", after-before)
 	}
 	// Every address must be a dotted quad and nothing more.
 	for _, addr := range []string{
@@ -230,12 +305,77 @@ func TestPredictRejectsBadInput(t *testing.T) {
 		body, _ := json.Marshal(map[string]any{
 			"flows": []map[string]any{{"src_addr": "11.0.3.7", "src_as": 1}, {"src_addr": addr, "src_as": 1}},
 		})
-		req = httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
-		rr = httptest.NewRecorder()
-		s.mux().ServeHTTP(rr, req)
+		rr := post(s.handler(), body)
 		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "flow 1:") {
 			t.Errorf("address %q: status %d, body %q; want 400 naming flow 1", addr, rr.Code, rr.Body)
 		}
+	}
+}
+
+// TestPredictBodyBounds: a body over maxPredictBody is a 413 that
+// counts as no request, one just under it is read, and buffers a
+// request grew past maxPooledBuf do not go back to the pool.
+func TestPredictBodyBounds(t *testing.T) {
+	s := testServer(t)
+	before := requestsCounted(s)
+	padded := func(n int) []byte { // n bytes, all but a few under a key that names no field
+		return []byte(`{"pad":"` + strings.Repeat("x", n-len(`{"pad":"","k":1}`)) + `","k":1}`)
+	}
+	if rr := post(s.handler(), padded(maxPredictBody+1)); rr.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of %d bytes: status %d, want 413", maxPredictBody+1, rr.Code)
+	}
+	if after := requestsCounted(s); after != before {
+		t.Errorf("the refused body counted as %d requests", after-before)
+	}
+	if rr := post(s.handler(), padded(maxPredictBody)); rr.Code != http.StatusOK {
+		t.Errorf("body of %d bytes: status %d: %.100s", maxPredictBody, rr.Code, rr.Body)
+	}
+	if after := requestsCounted(s); after != before+1 {
+		t.Errorf("the body at the bound counted as %d requests", after-before)
+	}
+
+	big := new(predictBuf)
+	big.in.Grow(maxPooledBuf + 1)
+	big.release()
+	tall := &predictBuf{out: make([]byte, 0, maxPooledBuf+1)}
+	tall.release()
+	for i := 0; i < 8; i++ { // whatever the pool hands out now, it is neither of them
+		if b := predictBufs.Get().(*predictBuf); b == big || b == tall {
+			t.Fatalf("a buffer of %d and %d bytes went back to the pool", b.in.Cap(), cap(b.out))
+		}
+	}
+}
+
+// TestPredictUnencodableAnswer: two flows of 1.7e308 bytes each shift
+// +Inf bytes onto their link, which JSON cannot carry. The client gets
+// a 500 that says so, not a 200 with an empty body, and the log a
+// line.
+func TestPredictUnencodableAnswer(t *testing.T) {
+	s := testServer(t)
+	var logged bytes.Buffer
+	defer func(l *slog.Logger) { s.logHTTP = l }(s.logHTTP)
+	s.logHTTP = slog.New(slog.NewTextHandler(&logged, nil))
+	var sample []serve.Flow
+	if err := json.Unmarshal(get(t, s, "/v1/sample").Body.Bytes(), &sample); err != nil || len(sample) == 0 {
+		t.Fatalf("sample endpoint: %v", err)
+	}
+	sample[0].Bytes = 1.7e308
+	body, err := json.Marshal(serve.Request{Flows: []serve.Flow{sample[0], sample[0], sample[0], sample[0]}, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := post(s.handler(), body)
+	if rr.Code != http.StatusInternalServerError || !strings.Contains(rr.Body.String(), "infinity") {
+		t.Errorf("status %d, body %q; want 500 naming the infinity", rr.Code, rr.Body)
+	}
+	if !strings.Contains(logged.String(), "encode response") {
+		t.Errorf("no log line for the unencodable answer: %q", &logged)
+	}
+	// The other endpoints encode before the status line too.
+	rr = httptest.NewRecorder()
+	s.writeJSONStatus(rr, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if rr.Code != http.StatusInternalServerError || rr.Body.Len() == 0 {
+		t.Errorf("writeJSONStatus of +Inf: status %d, body %q; want 500 with a message", rr.Code, rr.Body)
 	}
 }
 

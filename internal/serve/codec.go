@@ -1,0 +1,491 @@
+package serve
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"tipsy/internal/wan"
+)
+
+// The wire codec of /v1/predict: DecodeRequest reads exactly Request
+// and Flow, Response.AppendJSON writes exactly Response. The struct
+// tags in predict.go stay the documented wire shape, and encoding/json
+// driven by them is the oracle the tests hold both to: whatever
+// DecodeRequest accepts, json.Unmarshal decodes to the same Request,
+// and AppendJSON's bytes are json.Encoder's. Where encoding/json reads
+// an input in a way no client means (a repeated key merges into the
+// earlier value, "flowſ" names the flows field) the decoder refuses
+// it; DESIGN.md §12 lists what it refuses.
+
+const (
+	// maxSkipDepth bounds how deep the value of a key that names no
+	// field may nest.
+	maxSkipDepth = 32
+	// flowBytesGuess sizes the flow slice from the bytes left in the
+	// body. A flow as clients write it takes 80 bytes or more, so for
+	// them the guess is an upper bound; append covers everyone else.
+	flowBytesGuess = 64
+)
+
+var (
+	requestKeys = []string{"flows", "exclude_links", "k"}
+	flowKeys    = []string{"src_addr", "src_as", "region", "service", "bytes"}
+)
+
+// decoder is a cursor over one request body.
+type decoder struct {
+	// s is the body and a final NUL. No JSON token holds a NUL, so no
+	// match runs past it and the cursor needs no bounds checks. A
+	// src_addr without escapes is a substring of s.
+	s   string
+	pos int
+	// err is the first error. Setting it moves the cursor to the NUL,
+	// where every loop below stops.
+	err error
+}
+
+// DecodeRequest parses body — one JSON object or null, and nothing
+// after it — into *req, overwriting it; after an error *req is
+// unspecified. It allocates a copy of body and the two slices.
+func DecodeRequest(body []byte, req *Request) error {
+	*req = Request{}
+	d := decoder{s: string(body) + "\x00"}
+	d.object(requestKeys, maxSkipDepth, func(i int) {
+		switch i {
+		case 0:
+			req.Flows = array(&d, (len(d.s)-d.pos)/flowBytesGuess, d.flow)
+		case 1:
+			req.ExcludeLinks = array(&d, 0, func(l *wan.LinkID) { *l = wan.LinkID(d.unsigned(32)) })
+		case 2:
+			req.K = int(d.signed())
+		}
+	})
+	if d.peek(); d.pos != len(d.s)-1 {
+		d.fail("data after the request object")
+	}
+	return d.err
+}
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("bad request JSON at byte %d: %s", d.pos, what)
+	}
+	d.pos = len(d.s) - 1
+}
+
+func (d *decoder) check(err error) {
+	if err != nil {
+		d.fail(err.Error())
+	}
+}
+
+// peek skips white space and returns the byte after it, unconsumed.
+func (d *decoder) peek() byte {
+	for {
+		switch c := d.s[d.pos]; c {
+		case ' ', '\t', '\r', '\n':
+			d.pos++
+		default:
+			return c
+		}
+	}
+}
+
+// expect consumes lit, which must come next after white space.
+func (d *decoder) expect(lit string) {
+	if c := d.peek(); c != lit[0] || len(lit) > 1 && !strings.HasPrefix(d.s[d.pos:], lit) {
+		d.fail("want " + lit)
+		return
+	}
+	d.pos += len(lit)
+}
+
+// null consumes a null if that is the next value. As in
+// encoding/json, a null leaves any field at its zero value.
+func (d *decoder) null() bool {
+	if d.peek() != 'n' {
+		return false
+	}
+	d.expect("null")
+	return true
+}
+
+// accept consumes the byte under the cursor if it is one of set.
+func (d *decoder) accept(set string) bool {
+	if strings.IndexByte(set, d.s[d.pos]) < 0 {
+		return false
+	}
+	d.pos++
+	return true
+}
+
+// list reads the object or array that open begins and end ends,
+// calling member with the cursor on each of its members.
+func (d *decoder) list(open string, end byte, member func()) {
+	d.expect(open)
+	if d.peek() == end {
+		d.pos++
+		return
+	}
+	for d.err == nil {
+		member()
+		if d.peek() == end {
+			d.pos++
+			return
+		}
+		d.expect(",")
+	}
+}
+
+func (d *decoder) flow(f *Flow) {
+	d.object(flowKeys, maxSkipDepth, func(i int) {
+		switch i {
+		case 0:
+			f.SrcAddr = d.str()
+		case 1:
+			f.SrcAS = uint32(d.unsigned(32))
+		case 2:
+			f.Region = uint16(d.unsigned(16))
+		case 3:
+			f.Service = uint8(d.unsigned(8))
+		case 4:
+			f.Bytes = d.float()
+		}
+	})
+}
+
+// object reads an object: the value of a key that is, but for case,
+// names[i] by member(i), any other value by skip(depth).
+// encoding/json matches keys after unescaping them and folding case
+// by Unicode's rules; a key of unescaped ASCII needs neither, and
+// every other key is refused, as is the second appearance of a name.
+func (d *decoder) object(names []string, depth int, member func(i int)) {
+	if d.null() {
+		return
+	}
+	var seen uint
+	d.list("{", '}', func() {
+		d.expect(`"`)
+		end := d.pos
+		for ; d.s[end] != '"'; end++ {
+			if c := d.s[end]; c < ' ' || c == '\\' || c >= utf8.RuneSelf {
+				d.fail("object keys must be unescaped ASCII")
+				return
+			}
+		}
+		key := d.s[d.pos:end]
+		d.pos = end + 1
+		d.expect(":")
+		for i, name := range names {
+			if key == name || len(key) == len(name) && strings.EqualFold(key, name) {
+				if seen&(1<<i) != 0 {
+					d.fail("duplicate key " + key)
+				}
+				seen |= 1 << i
+				member(i)
+				return
+			}
+		}
+		d.skip(depth)
+	})
+}
+
+// array reads an array, each element by elem. As in encoding/json
+// null stays nil, [] is empty but not nil, and a null element is the
+// zero T.
+func array[T any](d *decoder, guess int, elem func(into *T)) []T {
+	if d.null() {
+		return nil
+	}
+	out := make([]T, 0, guess)
+	d.list("[", ']', func() {
+		var zero T
+		out = append(out, zero)
+		elem(&out[len(out)-1])
+	})
+	return out
+}
+
+// skip steps over one value of any type — the value of a key that
+// names no field — holding it to the JSON grammar as encoding/json's
+// scanner does.
+func (d *decoder) skip(depth int) {
+	switch c := d.peek(); {
+	case depth == 0:
+		d.fail("unknown field nests deeper than " + strconv.Itoa(maxSkipDepth))
+	case c == '"':
+		d.str()
+	case c == 't':
+		d.expect("true")
+	case c == 'f':
+		d.expect("false")
+	case c == '{':
+		d.object(nil, depth-1, nil)
+	case c == '[':
+		array(d, 0, func(*struct{}) { d.skip(depth - 1) })
+	default: // a number, or null
+		d.number(false)
+	}
+}
+
+// digits consumes a run of digits and reports whether there was one.
+func (d *decoder) digits() bool {
+	start := d.pos
+	for end := start; ; end++ {
+		if c := d.s[end]; c < '0' || c > '9' {
+			d.pos = end
+			return end > start
+		}
+	}
+}
+
+// number scans one JSON number and returns its text, "0" for null
+// and after an error. With integer set a fraction or an exponent is
+// an error: encoding/json fits neither 1.0 nor 1e2 into an integer.
+func (d *decoder) number(integer bool) string {
+	if d.null() {
+		return "0"
+	}
+	start := d.pos
+	d.accept("-")
+	if !d.accept("0") && !d.digits() {
+		d.fail("want a number")
+	}
+	whole := d.pos
+	if d.accept(".") && !d.digits() {
+		d.fail("want a digit after the decimal point")
+	}
+	if d.accept("eE") {
+		if d.accept("+-"); !d.digits() {
+			d.fail("want a digit in the exponent")
+		}
+	}
+	if integer && d.pos != whole {
+		d.fail("want an integer")
+	}
+	if d.err != nil {
+		return "0"
+	}
+	return d.s[start:d.pos]
+}
+
+// unsigned reads an integer that must fit bits bits.
+func (d *decoder) unsigned(bits int) uint64 {
+	n, err := strconv.ParseUint(d.number(true), 10, bits)
+	d.check(err)
+	return n
+}
+
+func (d *decoder) signed() int64 {
+	n, err := strconv.ParseInt(d.number(true), 10, strconv.IntSize)
+	d.check(err)
+	return n
+}
+
+func (d *decoder) float() float64 {
+	f, err := strconv.ParseFloat(d.number(false), 64)
+	d.check(err)
+	return f
+}
+
+// str reads a string. One without escapes is returned as a substring
+// of the body. Invalid UTF-8, which encoding/json would quietly
+// replace with U+FFFD, is an error.
+func (d *decoder) str() string {
+	if d.null() {
+		return ""
+	}
+	d.expect(`"`)
+	var buf []byte // the unescaped string so far, once there is an escape
+	for i := d.pos; ; {
+		switch c := d.s[i]; {
+		case c == '"':
+			run := d.s[d.pos:i]
+			d.pos = i + 1
+			if buf == nil {
+				return run
+			}
+			return string(append(buf, run...))
+		case c == '\\':
+			buf = append(buf, d.s[d.pos:i]...)
+			d.pos = i
+			buf = utf8.AppendRune(buf, d.escape())
+			i = d.pos
+		case c < ' ':
+			d.pos = i
+			d.fail("control character or end of body in a string")
+			return ""
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, n := utf8.DecodeRuneInString(d.s[i:])
+			if r == utf8.RuneError && n == 1 {
+				d.pos = i
+				d.fail("invalid UTF-8 in a string")
+				return ""
+			}
+			i += n
+		}
+	}
+}
+
+// escape consumes the backslash escape under the cursor and returns
+// its rune. As in encoding/json, a \u surrogate half that its other
+// half does not follow reads as U+FFFD.
+func (d *decoder) escape() rune {
+	esc := d.s[d.pos:]
+	if i := strings.IndexByte(`"\/bfnrt`, esc[1]); i >= 0 {
+		d.pos += 2
+		return rune("\"\\/\b\f\n\r\t"[i])
+	}
+	r, ok := hex4(esc)
+	if !ok {
+		d.fail("bad escape")
+		return 0
+	}
+	d.pos += 6
+	if low, ok := hex4(esc[6:]); ok && utf16.DecodeRune(r, low) != utf8.RuneError {
+		d.pos += 6
+		return utf16.DecodeRune(r, low)
+	}
+	if utf16.IsSurrogate(r) {
+		return utf8.RuneError
+	}
+	return r
+}
+
+// hex4 reads the \u escape s starts with.
+func hex4(s string) (rune, bool) {
+	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(s[2:6], 16, 16)
+	return rune(n), err == nil
+}
+
+// AppendJSON appends resp to dst, byte for byte what
+// json.NewEncoder(w).Encode(resp) writes, final newline included: nil
+// slices and a nil map as null, shifted's keys in string order,
+// encoding/json's float format and its string escapes. Like
+// encoding/json it refuses NaN and the infinities.
+func (resp *Response) AppendJSON(dst []byte) ([]byte, error) {
+	b, finite := append(dst, `{"results":`...), true
+	if resp.Results == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range resp.Results {
+			res := &resp.Results[i]
+			b = strconv.AppendInt(append(comma(b, i), `{"flow":`...), int64(res.Flow), 10)
+			b = appendString(append(b, `,"model":`...), res.Model)
+			b = append(b, `,"links":`...)
+			if res.Links == nil {
+				b = append(b, "null}"...)
+				continue
+			}
+			b = append(b, '[')
+			for j, l := range res.Links {
+				b = strconv.AppendUint(append(comma(b, j), `{"link":`...), uint64(l.Link), 10)
+				b = appendFloat(append(b, `,"frac":`...), l.Frac, &finite)
+				b = appendFloat(append(b, `,"bytes":`...), l.Bytes, &finite)
+				b = append(b, '}')
+			}
+			b = append(b, "]}"...)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"shifted":`...)
+	if resp.Shifted == nil {
+		b = append(b, "null"...)
+	} else {
+		// encoding/json sorts map keys as strings, "10" before "9".
+		// Integers sort alike for: the link padded with zeros on the
+		// right to ten digits, then its digit count in the low bits.
+		keys := make([]uint64, 0, len(resp.Shifted))
+		for l := range resp.Shifted {
+			padded, digits := uint64(l), uint64(1)
+			for p := uint64(10); p <= uint64(l); p *= 10 {
+				digits++
+			}
+			for i := digits; i < 10; i++ {
+				padded *= 10
+			}
+			keys = append(keys, padded<<4|digits)
+		}
+		slices.Sort(keys)
+		b = append(b, '{')
+		for i, k := range keys {
+			l := k >> 4
+			for digits := k & 15; digits < 10; digits++ {
+				l /= 10
+			}
+			b = append(strconv.AppendUint(append(comma(b, i), '"'), l, 10), `":`...)
+			b = appendFloat(b, resp.Shifted[wan.LinkID(l)], &finite)
+		}
+		b = append(b, '}')
+	}
+	if !finite {
+		return dst, errors.New("response holds a NaN or an infinity, which JSON cannot carry")
+	}
+	return append(b, "}\n"...), nil
+}
+
+// comma separates the i-th element of a list from the one before it.
+func comma(b []byte, i int) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	return b
+}
+
+// appendFloat is encoding/json's float64 format: the shortest decimal
+// that round-trips, with an exponent only below 1e-6 and from 1e21.
+func appendFloat(b []byte, f float64, finite *bool) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		*finite = false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 is written e-9
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString is encoding/json's string format under its default
+// HTML escaping: <, >, &, U+2028 and U+2029 as \u escapes, and each
+// byte of invalid UTF-8 as an escaped U+FFFD.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		plain := c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' &&
+			c != 0x2028 && c != 0x2029 && !(c == utf8.RuneError && size == 1)
+		if !plain {
+			b = append(b, s[start:i]...)
+			if j := strings.IndexByte("\"\\\b\f\n\r\t", s[i]); j >= 0 {
+				b = append(b, '\\', `"\bfnrt`[j])
+			} else {
+				b = append(b, '\\', 'u', hex[c>>12], hex[c>>8&0xF], hex[c>>4&0xF], hex[c&0xF])
+			}
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(b, s[start:]...), '"')
+}

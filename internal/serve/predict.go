@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 
 	"tipsy/internal/bgp"
@@ -100,16 +101,23 @@ func (m *Models) Respond(req *Request, flows []features.FlowFeatures, clock func
 		q.K = DefaultK
 	}
 	if len(req.ExcludeLinks) > 0 {
-		excluded := make(map[wan.LinkID]bool, len(req.ExcludeLinks))
-		for _, l := range req.ExcludeLinks {
-			excluded[l] = true
+		// A sorted copy, not a map: req is shared with concurrent
+		// readers and stays as the client sent it.
+		excluded := slices.Clone(req.ExcludeLinks)
+		slices.Sort(excluded)
+		q.Exclude = func(l wan.LinkID) bool {
+			_, found := slices.BinarySearch(excluded, l)
+			return found
 		}
-		q.Exclude = func(l wan.LinkID) bool { return excluded[l] }
 	}
 	resp := &Response{Shifted: make(map[wan.LinkID]float64)}
 	if len(flows) > 0 { // an empty request keeps answering "results":null
 		resp.Results = make([]Result, len(flows))
 	}
+	// Every flow's links are cut, capacity-clipped, from one array,
+	// sized for the usual k: a client may ask for any k, and append
+	// grows the array for the flows that have that many links.
+	links := make([]LinkShare, 0, len(flows)*min(q.K, DefaultK))
 	for i := range flows {
 		q.Flow = flows[i]
 		a := m.Walk(q, clock)
@@ -118,13 +126,13 @@ func (m *Models) Respond(req *Request, flows []features.FlowFeatures, clock func
 		}
 		res := &resp.Results[i]
 		res.Flow, res.Model = i, a.Rung.String()
-		if len(a.Preds) > 0 { // likewise "links":null for an unanswered flow
-			res.Links = make([]LinkShare, len(a.Preds))
-		}
-		bytes := req.Flows[i].Bytes
-		for j, p := range a.Preds {
-			res.Links[j] = LinkShare{p.Link, p.Frac, p.Frac * bytes}
+		bytes, start := req.Flows[i].Bytes, len(links)
+		for _, p := range a.Preds {
+			links = append(links, LinkShare{p.Link, p.Frac, p.Frac * bytes})
 			resp.Shifted[p.Link] += p.Frac * bytes
+		}
+		if len(a.Preds) > 0 { // an unanswered flow keeps "links":null
+			res.Links = links[start:len(links):len(links)]
 		}
 	}
 	return resp

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -35,7 +35,7 @@ var (
 	fix     fixture
 )
 
-func testFixture(t *testing.T) *fixture {
+func testFixture(t testing.TB) *fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		const seed = 5
@@ -67,7 +67,7 @@ func noClock() int64 { return 0 }
 
 // whatIf builds a request over n of the fixture's flows, plus one flow
 // from an AS no model has seen, excluding the first flow's top link.
-func (f *fixture) whatIf(t *testing.T, n int) (*Request, []features.FlowFeatures) {
+func (f *fixture) whatIf(t testing.TB, n int) (*Request, []features.FlowFeatures) {
 	t.Helper()
 	req := &Request{K: 3}
 	step := max(len(f.recs)/n, 1)
@@ -312,22 +312,29 @@ func TestRespondIgnoresObserver(t *testing.T) {
 // null, and k defaults to 3.
 func TestResponseWireShape(t *testing.T) {
 	f := testFixture(t)
-	got, err := json.Marshal(f.genA.Respond(&Request{}, nil, noClock, nil))
-	if err != nil || string(got) != `{"results":null,"shifted":{}}` {
+	got, err := f.genA.Respond(&Request{}, nil, noClock, nil).AppendJSON(nil)
+	if err != nil || string(got) != `{"results":null,"shifted":{}}`+"\n" {
 		t.Errorf("empty request encodes as %s (%v)", got, err)
 	}
 	var none Models // no rung at all
-	req := &Request{Flows: []Flow{{SrcAddr: "1.2.3.4"}}}
+	var req Request
+	if err := DecodeRequest([]byte(`{"flows":[{"src_addr":"1.2.3.4"}]}`), &req); err != nil {
+		t.Fatal(err)
+	}
 	flows, err := req.Encode(f.sim.GeoIP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = json.Marshal(none.Respond(req, flows, noClock, nil))
-	if err != nil || string(got) != `{"results":[{"flow":0,"model":"none","links":null}],"shifted":{}}` {
+	got, err = none.Respond(&req, flows, noClock, nil).AppendJSON(nil)
+	if err != nil || string(got) != `{"results":[{"flow":0,"model":"none","links":null}],"shifted":{}}`+"\n" {
 		t.Errorf("unanswerable flow encodes as %s (%v)", got, err)
 	}
 	if res := f.genA.Respond(&Request{Flows: req.Flows}, flows, noClock, nil).Results[0]; len(res.Links) != DefaultK {
 		t.Errorf("request without k got %d links, want %d", len(res.Links), DefaultK)
+	}
+	// Any k a client can write is answered with the links there are.
+	if res := f.genA.Respond(&Request{Flows: req.Flows, K: math.MaxInt}, flows, noClock, nil).Results[0]; len(res.Links) <= DefaultK {
+		t.Errorf("request for every link got %d", len(res.Links))
 	}
 }
 
@@ -357,13 +364,14 @@ func TestEncodeNamesTheBadFlow(t *testing.T) {
 }
 
 // What the fixture's 256-flow what-if (255 known flows and one from a
-// novel AS, one excluded link, k=3) allocates on generation A. The
+// novel AS, one excluded link, k=3) allocates on generation A;
+// TestCodecAllocs pins its trip over the wire. The
 // pins are exact and cover everything the compiled program does,
 // core.Predictor implementations included; a lower number is
 // committed by editing it.
 const (
 	encodeAllocs  = 1   // Request.Encode: the []FlowFeatures
-	respondAllocs = 578 // Models.Respond, of which
+	respondAllocs = 322 // Models.Respond, of which
 	walkAllocs    = 306 // are made inside its Models.Walk calls
 )
 

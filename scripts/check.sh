@@ -8,7 +8,8 @@
 # detector with a total-coverage floor, the exact allocation pins once
 # without the race detector (the pooled ones skip under it), the
 # nested bench module's vet and smoke test, a 15s fuzz pass per
-# protocol decoder, the differential oracles, the diagnostic-bundle
+# protocol decoder and for the /v1/predict request decoder against its
+# encoding/json oracle, the differential oracles, the diagnostic-bundle
 # round trip (alarm fires -> bundle written -> CRC-verified), the
 # tipsybench quick cycle, and the chaos soak. Everything is stdlib Go;
 # no network access is needed.
@@ -76,6 +77,7 @@ echo "==> bench module: go vet + go test"
 echo "==> fuzz quick pass (15s per decoder)"
 go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
 go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
+go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
 
 echo "==> differential decode (compiled path vs reference)"
 go test -run 'TestDifferentialDecode|TestDifferentialDecodeFuzzCorpus|TestDifferentialCollectorBatch' \
