@@ -390,6 +390,16 @@ func (c *Collector) replayPending(d *domainState) {
 	d.pending = d.pending[:w]
 }
 
+// streamBufLen is ReadStreamBatch's read buffer: two maximal messages
+// (the length field is 16 bits), so after an incomplete message has
+// moved to the front there is always room to read a whole one, and a
+// read off a busy socket brings in ~100 typical messages.
+const streamBufLen = 128 << 10
+
+// maxEmptyReads is how many consecutive (0, nil) reads ReadStreamBatch
+// takes from a reader before giving up with io.ErrNoProgress.
+const maxEmptyReads = 100
+
 // ReadStreamBatch consumes a stream of back-to-back framed messages
 // from r until EOF, invoking fn once per message that produced
 // records, with the whole record batch; the slice is only valid during
@@ -397,29 +407,45 @@ func (c *Collector) replayPending(d *domainState) {
 // over TCP. Per-message decode failures are quarantined (counted
 // inside HandleMessageBatch) and the stream continues — only a framing
 // failure, after which message boundaries are unrecoverable, aborts.
+// EOF between messages ends the stream cleanly; EOF inside one is
+// io.ErrUnexpectedEOF.
+//
+// Reads go into one buffer: every complete message in it is handled in
+// place, the incomplete tail moves to the front, and the next read
+// fills the rest.
 func (c *Collector) ReadStreamBatch(r io.Reader, fn func(domain uint32, recs []FlowRecord)) error {
-	var hdr [4]byte
-	var msg []byte // reused across messages
+	buf := make([]byte, streamBufLen)
+	have, empty := 0, 0 // buf[:have] is unhandled; empty counts (0, nil) reads in a row
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
+		n, err := r.Read(buf[have:])
+		have += n
+		off := 0
+		for have-off >= 4 {
+			total := WireLen(buf[off:have])
+			if total < msgHeaderLen {
+				return fmt.Errorf("%w: stream framing lost", ErrShortMessage)
 			}
+			if have-off < total {
+				break
+			}
+			_ = c.HandleMessageBatch(buf[off:off+total], fn) // a failure is quarantined and counted there
+			off += total
+		}
+		have = copy(buf, buf[off:have])
+		switch {
+		case err == io.EOF && have == 0:
+			return nil
+		case err == io.EOF:
+			return io.ErrUnexpectedEOF
+		case err != nil:
 			return err
+		case n > 0:
+			empty = 0
+		default:
+			if empty++; empty == maxEmptyReads {
+				return io.ErrNoProgress
+			}
 		}
-		total := WireLen(hdr[:])
-		if total < msgHeaderLen {
-			return fmt.Errorf("%w: stream framing lost", ErrShortMessage)
-		}
-		if cap(msg) < total {
-			msg = make([]byte, total)
-		}
-		msg = msg[:total]
-		copy(msg, hdr[:])
-		if _, err := io.ReadFull(r, msg[4:]); err != nil {
-			return err
-		}
-		_ = c.HandleMessageBatch(msg, fn)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // exportStream renders n sampled records for one observation domain
 // into the framed messages its exporter would emit.
-func exportStream(t *testing.T, domain uint32, n int) [][]byte {
+func exportStream(t testing.TB, domain uint32, n int) [][]byte {
 	t.Helper()
 	var msgs [][]byte
 	w := writerFunc(func(p []byte) (int, error) {

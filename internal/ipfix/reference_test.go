@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // This file is the reference decoder: the straightforward
@@ -218,4 +219,33 @@ func decodeFlowReference(t Template, data []byte, r *FlowRecord) bool {
 		off += n
 	}
 	return true
+}
+
+// readStreamReference is the stream reader ReadStreamBatch replaced,
+// kept as its oracle: two io.ReadFull calls per message, the length
+// prefix and then the rest, straight off the reader.
+func readStreamReference(c *Collector, r io.Reader, fn func(domain uint32, recs []FlowRecord)) error {
+	var hdr [4]byte
+	var msg []byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		total := WireLen(hdr[:])
+		if total < msgHeaderLen {
+			return fmt.Errorf("%w: stream framing lost", ErrShortMessage)
+		}
+		if cap(msg) < total {
+			msg = make([]byte, total)
+		}
+		msg = msg[:total]
+		copy(msg, hdr[:])
+		if _, err := io.ReadFull(r, msg[4:]); err != nil {
+			return err
+		}
+		_ = c.HandleMessageBatch(msg, fn)
+	}
 }

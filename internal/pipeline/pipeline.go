@@ -9,6 +9,7 @@ package pipeline
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,76 +38,70 @@ type TruthSink interface {
 }
 
 // The aggregator is sharded by source prefix: each shard owns its own
-// lock, its own slice of the hourly counter maps, and its own slice of
-// the metadata join cache, so concurrent ingest only contends when two
-// records hash to the same shard. Eight shards keeps per-(shard, hour)
-// maps small enough to stay cache-resident at simulator scale while
-// covering typical collector fan-in; the drain re-establishes one
-// global deterministic order, so shard count never leaks into output.
-const (
-	aggShardBits = 3
-	aggShards    = 1 << aggShardBits
-)
+// lock, its own slot table and its own hourly counter rows, so
+// concurrent ingest only contends when two records hash to the same
+// shard. Eight shards covers typical collector fan-in; the drain ranks
+// (flow, link) pairs globally, so shard count never leaks into output.
+const aggShardBits = 3
 
-// shardOf places a source /24 prefix on a shard. Fibonacci hashing
-// spreads the sequential prefixes simulators generate.
-func shardOf(prefix uint32) uint32 {
-	return (prefix * 0x9E3779B1) >> (32 - aggShardBits)
+// slotKey is everything a record's counter slot depends on: the join
+// inputs (source /24, destination address, source AS) and the ingress
+// link. Flow records repeat these combinations constantly, so one
+// lookup on it stands for the metadata and Geo-IP joins and the
+// interning of their result.
+type slotKey struct {
+	prefix, dst, as uint32
+	link            wan.LinkID
 }
 
-// joinKey identifies one distinct metadata join: everything the
-// joined FlowFeatures depends on. Flow records repeat (src, dst, AS)
-// combinations constantly, so caching the join skips the Geo-IP and
-// metadata lookups on the hot path.
-type joinKey struct {
-	prefix uint32
-	dst    uint32
-	as     uint32
+// pair is what a slot counts: a flow aggregate on a link.
+type pair struct {
+	flow features.FlowFeatures
+	link wan.LinkID
 }
 
-// aggShard is one lock's worth of aggregator state. Feature tuples
-// are interned per shard: join results resolve to a small feature ID,
-// and the hourly counters are keyed by the packed (feature ID, link)
-// uint64 — integer-keyed map operations are several times cheaper
-// than hashing the full feature struct per record. Interning
-// deduplicates by feature value, so two joins that land on the same
-// feature tuple (different destination addresses with the same
-// region and service) share one ID and therefore one accumulator,
-// exactly as a struct-keyed map would.
+// hourRow is one shard's counters for one hour: a sum per slot and a
+// presence bit per slot. Presence is the bit, not a non-zero sum, so a
+// zero-octet record still yields an aggregate.
+type hourRow struct {
+	hour    wan.Hour
+	sum     []float64
+	present []uint64
+}
+
+// grow extends the row to n slots, rounded up to whole presence words.
+// append sizes a new row exactly and doubles one that keeps finding
+// new slots, so an hour of a warmed-up shard allocates once.
+func (r *hourRow) grow(n int) {
+	n = (n + 63) &^ 63
+	r.sum = append(r.sum, make([]float64, n-len(r.sum))...)
+	r.present = append(r.present, make([]uint64, n/64-len(r.present))...)
+}
+
+// aggShard is one lock's worth of aggregator state. Pairs are interned
+// per shard to dense slots, and an hour's counters are a row indexed by
+// slot. Interning deduplicates by value, so two joins that land on the
+// same feature tuple (different destination addresses with the same
+// region and service) share one slot and therefore one accumulator,
+// exactly as a struct-keyed map would. Slots live as long as the
+// aggregator; rows leave with the drain.
 type aggShard struct {
 	mu sync.Mutex
 	//tipsy:guardedby mu
-	join map[joinKey]int32 // -1: destination has no metadata, drop
-	// feats maps feature ID back to the tuple; featIndex dedupes
-	// tuples on join misses. feats entries are immutable once
-	// appended, so a slice header captured under the lock stays
-	// valid after release.
+	slots map[slotKey]int32 // -1: destination has no metadata, drop
+	// pairs maps a slot back to what it counts; pairIndex dedupes on
+	// slots misses. Entries of pairs are immutable once appended, so a
+	// slice header captured under the lock stays valid after release.
 	//tipsy:guardedby mu
-	feats []features.FlowFeatures
+	pairs []pair
 	//tipsy:guardedby mu
-	featIndex map[features.FlowFeatures]int32
+	pairIndex map[pair]int32
 	//tipsy:guardedby mu
-	hours map[wan.Hour]map[uint64]float64
-	// curHour/cur cache the last hour's counter map: records arrive
-	// in long same-hour runs, so the hours lookup almost always skips.
+	hours map[wan.Hour]*hourRow
+	// cur caches the last hour's row: records arrive in long same-hour
+	// runs, so the hours lookup almost always skips.
 	//tipsy:guardedby mu
-	curHour wan.Hour
-	//tipsy:guardedby mu
-	cur map[uint64]float64
-	// lastKey/lastID memoize the most recent join: batches arrive
-	// flow-sorted, so consecutive records usually share the join key.
-	//tipsy:guardedby mu
-	lastKey joinKey
-	//tipsy:guardedby mu
-	lastID int32
-	//tipsy:guardedby mu
-	lastValid bool
-}
-
-// counterKey packs an interned feature ID and a link into the hourly
-// counter map key.
-func counterKey(id int32, link wan.LinkID) uint64 {
-	return uint64(uint32(id))<<32 | uint64(uint32(link))
+	cur *hourRow
 }
 
 // aggregatorMetrics are the aggregator's registry-backed counters:
@@ -137,9 +132,12 @@ type Aggregator struct {
 	geoip *geo.GeoIP
 	meta  Metadata
 
-	shards [aggShards]aggShard
+	shards     []aggShard
+	shardShift uint32
 	// keys counts distinct aggregates across all shards — the drain
-	// capacity hint and the pending gauge's source of truth.
+	// capacity hint and the pending gauge's source of truth. Ingest
+	// publishes to it once per shard visit, before releasing the shard
+	// lock.
 	keys atomic.Int64
 	m    aggregatorMetrics
 
@@ -166,16 +164,32 @@ func NewAggregator(geoip *geo.GeoIP, meta Metadata) *Aggregator {
 // NewAggregatorOn builds an aggregator whose counters live in reg
 // under the pipeline_ prefix.
 func NewAggregatorOn(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata) *Aggregator {
+	return newAggregator(reg, geoip, meta, aggShardBits)
+}
+
+// newAggregator is NewAggregatorOn with 1<<shardBits shards; tests
+// sweep the shard count through it.
+func newAggregator(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata, shardBits uint32) *Aggregator {
 	a := &Aggregator{
 		geoip: geoip, meta: meta,
-		m: newAggregatorMetrics(reg),
+		shards:     make([]aggShard, 1<<shardBits),
+		shardShift: 32 - shardBits,
+		m:          newAggregatorMetrics(reg),
 	}
 	for i := range a.shards {
-		a.shards[i].join = make(map[joinKey]int32)
-		a.shards[i].featIndex = make(map[features.FlowFeatures]int32)
-		a.shards[i].hours = make(map[wan.Hour]map[uint64]float64)
+		s := &a.shards[i]
+		s.slots = make(map[slotKey]int32)
+		s.pairIndex = make(map[pair]int32)
+		s.hours = make(map[wan.Hour]*hourRow)
 	}
 	return a
+}
+
+// shardOf places a source /24 prefix on a shard. Fibonacci hashing
+// spreads the sequential prefixes simulators generate. (The uint64
+// shift makes a one-shard aggregator's shift of 32 yield 0.)
+func (a *Aggregator) shardOf(prefix uint32) uint32 {
+	return uint32(uint64(prefix*0x9E3779B1) >> a.shardShift)
 }
 
 // Record ingests one sampled flow record observed during hour h.
@@ -185,124 +199,126 @@ func NewAggregatorOn(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata) *Aggre
 func (a *Aggregator) Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
 	a.m.raw.Inc()
 	prefix := bgp.Slash24(rec.SrcAddr)
-	s := &a.shards[shardOf(prefix)]
+	s := &a.shards[a.shardOf(prefix)]
 	s.mu.Lock()
-	a.applyLocked(s, h, link, prefix, rec)
+	a.publish(a.applyLocked(s, h, link, prefix, rec))
 	s.mu.Unlock()
 }
 
-// batchScratch is RecordBatch's pooled per-call work area: record
-// indices grouped by destination shard.
-type batchScratch struct {
-	idx [aggShards][]int32
+// publish adds newly created aggregates to the pending count. Callers
+// hold the lock of the shard that created them, so a drain, which holds
+// every shard lock, never takes an aggregate it does not count.
+func (a *Aggregator) publish(fresh int64) {
+	if fresh != 0 {
+		a.m.pending.Set(a.keys.Add(fresh))
+	}
 }
 
-func (s *batchScratch) assign(sh uint32, i int32) {
-	s.idx[sh] = append(s.idx[sh], i)
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+// scratchPool holds RecordBatch's per-call work area: record indices
+// grouped by destination shard.
+var scratchPool = sync.Pool{New: func() any { return new([][]int32) }}
 
 // RecordBatch ingests a batch of flow records, deriving the hour from
 // each record's start timestamp and the link from its ingress
 // interface (the collector fills both from the wire). Records are
-// grouped by shard first so each shard lock is taken at most once per
-// batch — with ~64-record IPFIX messages that amortizes lock traffic
-// roughly an order of magnitude versus per-record Record calls.
-// Within a shard, records apply in batch order, so per-key float
-// accumulation order — and therefore the drained output — is
-// bit-identical to feeding the same stream through Record.
+// grouped by shard first so each shard lock is taken, and the pending
+// count published, at most once per batch — with ~64-record IPFIX
+// messages that amortizes both roughly an order of magnitude versus
+// per-record Record calls. Within a shard, records apply in batch
+// order, so per-key float accumulation order — and therefore the
+// drained output — is bit-identical to feeding the same stream
+// through Record.
 func (a *Aggregator) RecordBatch(recs []ipfix.FlowRecord) {
 	if len(recs) == 0 {
 		return
 	}
 	sp := a.tracer.StartFrom(a.traceCtx, "aggregate_batch")
 	a.m.raw.Add(uint64(len(recs)))
-	sc := scratchPool.Get().(*batchScratch)
-	for i := range recs {
-		sc.assign(shardOf(bgp.Slash24(recs[i].SrcAddr)), int32(i))
+	sc := scratchPool.Get().(*[][]int32)
+	if len(*sc) < len(a.shards) {
+		*sc = append(*sc, make([][]int32, len(a.shards)-len(*sc))...)
 	}
-	for si := range sc.idx {
-		idx := sc.idx[si]
+	byShard := *sc
+	for i := range recs {
+		sh := a.shardOf(bgp.Slash24(recs[i].SrcAddr))
+		byShard[sh] = append(byShard[sh], int32(i))
+	}
+	for si := range a.shards {
+		idx := byShard[si]
 		if len(idx) == 0 {
 			continue
 		}
 		s := &a.shards[si]
+		var fresh int64
 		s.mu.Lock()
 		for _, i := range idx {
 			rec := &recs[i]
-			a.applyLocked(s, wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress),
+			fresh += a.applyLocked(s, wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress),
 				bgp.Slash24(rec.SrcAddr), rec)
 		}
+		a.publish(fresh)
 		s.mu.Unlock()
-		sc.idx[si] = idx[:0]
+		byShard[si] = idx[:0]
 	}
 	scratchPool.Put(sc)
 	sp.SetInt("records", int64(len(recs)))
 	sp.End()
 }
 
-// applyLocked joins and accumulates one record into shard s. The
-// caller holds s.mu and has already counted the record as raw.
-func (a *Aggregator) applyLocked(s *aggShard, h wan.Hour, link wan.LinkID, prefix uint32, rec *ipfix.FlowRecord) {
-	jk := joinKey{prefix: prefix, dst: rec.DstAddr, as: rec.SrcAS}
-	var id int32
-	if s.lastValid && jk == s.lastKey {
-		id = s.lastID
-	} else {
-		var seen bool
-		id, seen = s.join[jk]
-		if !seen {
-			id = a.joinMiss(s, jk, prefix, rec)
-		}
-		s.lastKey, s.lastID, s.lastValid = jk, id, true
+// applyLocked joins and accumulates one record into shard s and
+// reports how many aggregates that created (0 or 1). The caller holds
+// s.mu and has already counted the record as raw.
+func (a *Aggregator) applyLocked(s *aggShard, h wan.Hour, link wan.LinkID, prefix uint32, rec *ipfix.FlowRecord) int64 {
+	k := slotKey{prefix: prefix, dst: rec.DstAddr, as: rec.SrcAS, link: link}
+	slot, seen := s.slots[k]
+	if !seen {
+		slot = a.slotMiss(s, k)
 	}
-	if id < 0 {
+	if slot < 0 {
 		a.m.dropped.Inc()
-		return
+		return 0
 	}
-	m := s.cur
-	if m == nil || s.curHour != h {
-		m = s.hours[h]
-		if m == nil {
-			m = make(map[uint64]float64)
-			s.hours[h] = m
+	row := s.cur
+	if row == nil || row.hour != h {
+		if row = s.hours[h]; row == nil {
+			row = &hourRow{hour: h}
+			s.hours[h] = row
 		}
-		s.curHour = h
-		s.cur = m
+		s.cur = row
 	}
-	k := counterKey(id, link)
-	before := len(m)
-	m[k] += float64(rec.Octets)
-	if len(m) != before {
-		a.m.pending.Set(a.keys.Add(1))
+	if int(slot) >= len(row.sum) {
+		row.grow(len(s.pairs))
 	}
+	row.sum[slot] += float64(rec.Octets)
+	w := &row.present[slot>>6]
+	fresh := int64(^*w >> (slot & 63) & 1)
+	*w |= 1 << (slot & 63)
+	return fresh
 }
 
-// joinMiss performs the metadata and Geo-IP joins for a key not yet
-// cached, interns the resulting feature tuple, and records the
-// mapping. Returns the feature ID, or -1 when the destination has no
-// metadata.
-func (a *Aggregator) joinMiss(s *aggShard, jk joinKey, prefix uint32, rec *ipfix.FlowRecord) int32 {
-	region, svc, ok := a.meta(rec.DstAddr)
-	id := int32(-1)
+// slotMiss performs the metadata and Geo-IP joins for a key not yet
+// cached, interns the resulting pair, and records the mapping. Returns
+// the slot, or -1 when the destination has no metadata.
+func (a *Aggregator) slotMiss(s *aggShard, k slotKey) int32 {
+	region, svc, ok := a.meta(k.dst)
+	slot := int32(-1)
 	if ok {
-		f := features.FlowFeatures{
-			AS:     bgp.ASN(rec.SrcAS),
-			Prefix: prefix,
-			Loc:    a.geoip.Lookup(prefix),
+		p := pair{link: k.link, flow: features.FlowFeatures{
+			AS:     bgp.ASN(k.as),
+			Prefix: k.prefix,
+			Loc:    a.geoip.Lookup(k.prefix),
 			Region: region,
 			Type:   svc,
-		}
+		}}
 		var have bool
-		if id, have = s.featIndex[f]; !have {
-			id = int32(len(s.feats))
-			s.feats = append(s.feats, f)
-			s.featIndex[f] = id
+		if slot, have = s.pairIndex[p]; !have {
+			slot = int32(len(s.pairs))
+			s.pairs = append(s.pairs, p)
+			s.pairIndex[p] = slot
 		}
 	}
-	s.join[jk] = id
-	return id
+	s.slots[k] = slot
+	return slot
 }
 
 // SetTruthSink registers a sink that receives every drained record as
@@ -321,117 +337,108 @@ func (a *Aggregator) SetTrace(t *obsv.Tracer, sc obsv.SpanContext) {
 	a.traceCtx = sc
 }
 
+// drainedShard is what the drain takes from one shard under its lock:
+// the hour rows (the shard starts over with none) and the slot table
+// as it stood.
+type drainedShard struct {
+	hours map[wan.Hour]*hourRow
+	pairs []pair
+	base  int // index of the shard's slot 0 in the drain's rank table
+}
+
+// rankedPair is a pair with the rank-table index of its slot.
+type rankedPair struct {
+	pair
+	at int32
+}
+
 // Records drains the aggregator, returning the hourly feature records
 // in deterministic order (hour, then feature tuple, then link). All
 // shard locks are held together — in shard order, so lock acquisition
-// is totally ordered — while the counter maps are swapped out, making
-// the drain an atomic snapshot; the merged sort then erases any trace
-// of the sharding, so output order is byte-identical to a single-map
-// aggregator's. When a truth sink is registered, the drained records
-// are also streamed to it in the same order.
+// is totally ordered — while the hour rows are swapped out, making the
+// drain an atomic snapshot.
+//
+// Hours of one window carry mostly the same (flow, link) pairs, so the
+// drain orders pairs, not records: the slots of all shards are sorted
+// once by flow then link (a pair lives on exactly one shard, so there
+// are no ties and no trace of the sharding), each gets its rank, and an
+// hour is emitted by scattering its present slots into a rank-indexed
+// bitset and value array and sweeping the bitset. The output is
+// byte-identical to a single-map aggregator's sorted by
+// features.Record.Compare. When a truth sink is registered, the
+// drained records are also streamed to it in the same order.
 //
 //tipsy:guardedby-skip every shard lock is taken in a loop before any shard is touched; the must-hold dataflow cannot see this quantified all-shards critical section
 func (a *Aggregator) Records() []features.Record {
 	sp := a.tracer.StartFrom(a.traceCtx, "drain")
-	var hours [aggShards]map[wan.Hour]map[uint64]float64
-	var feats [aggShards][]features.FlowFeatures
+	drained := make([]drainedShard, len(a.shards))
 	for i := range a.shards {
 		a.shards[i].mu.Lock()
 	}
+	nslots, nrows := 0, 0
 	for i := range a.shards {
 		s := &a.shards[i]
-		hours[i] = s.hours
-		feats[i] = s.feats
-		s.hours = make(map[wan.Hour]map[uint64]float64)
+		drained[i] = drainedShard{hours: s.hours, pairs: s.pairs, base: nslots}
+		nslots += len(s.pairs)
+		nrows += len(s.hours)
+		s.hours = make(map[wan.Hour]*hourRow)
 		s.cur = nil
-		s.curHour = 0
 	}
 	total := a.keys.Swap(0)
 	a.m.pending.Set(0)
 	for i := range a.shards {
 		a.shards[i].mu.Unlock()
 	}
-	// Sort hour by hour: the hour is the leading sort key and
-	// aggregate keys are unique, so concatenating per-hour sorted
-	// segments is byte-identical to one global sort while the n·log n
-	// term pays only for the (much smaller) per-hour record counts.
-	var hs []wan.Hour
-	seenHour := make(map[wan.Hour]bool)
-	for i := range hours {
-		for h := range hours[i] {
-			if !seenHour[h] {
-				seenHour[h] = true
-				hs = append(hs, h)
-			}
+
+	order := make([]rankedPair, 0, nslots)
+	hs := make([]wan.Hour, 0, nrows)
+	for i := range drained {
+		d := &drained[i]
+		for slot, p := range d.pairs {
+			order = append(order, rankedPair{p, int32(d.base + slot)})
 		}
+		for h := range d.hours {
+			hs = append(hs, h)
+		}
+	}
+	slices.SortFunc(order, func(p, q rankedPair) int {
+		return cmp.Or(p.flow.Compare(q.flow), cmp.Compare(p.link, q.link))
+	})
+	rank := make([]int32, nslots)
+	for r := range order {
+		rank[order[r].at] = int32(r)
 	}
 	slices.Sort(hs)
-	// Fast path: when every feature tuple packs into two uint64 sort
-	// keys (region needs 8 bits; locations and types always fit), the
-	// per-hour sort compares integers instead of walking struct
-	// fields. Key order is exactly Record.Compare's field order, so both
-	// paths emit identical output.
-	canPack := true
-	for i := range feats {
-		for j := range feats[i] {
-			if feats[i][j].Region > 0xFF {
-				canPack = false
-			}
-		}
-	}
+	hs = slices.Compact(hs)
+
+	mark := make([]uint64, (nslots+63)/64) // the ranks present in the hour being emitted
+	vals := make([]float64, nslots)        // their sums, by rank
 	out := make([]features.Record, 0, total)
-	var packed []packedRec
 	for _, h := range hs {
-		if canPack {
-			packed = packed[:0]
-			for i := range hours {
-				ff := feats[i]
-				for k, b := range hours[i][h] {
-					f := &ff[k>>32]
-					packed = append(packed, packedRec{
-						k1: uint64(f.AS)<<32 | uint64(f.Prefix),
-						k2: uint64(f.Loc)<<48 | uint64(f.Region)<<40 |
-							uint64(f.Type)<<32 | uint64(uint32(k)),
-						bytes: b,
-					})
+		for i := range drained {
+			d := &drained[i]
+			row := d.hours[h]
+			if row == nil {
+				continue
+			}
+			for w, word := range row.present {
+				for ; word != 0; word &= word - 1 {
+					slot := w<<6 + bits.TrailingZeros64(word)
+					r := rank[d.base+slot]
+					mark[r>>6] |= 1 << (r & 63)
+					vals[r] = row.sum[slot]
 				}
 			}
-			slices.SortFunc(packed, func(a, b packedRec) int {
-				if a.k1 != b.k1 {
-					return cmp.Compare(a.k1, b.k1)
-				}
-				return cmp.Compare(a.k2, b.k2)
-			})
-			for _, p := range packed {
-				out = append(out, features.Record{
-					Hour: h,
-					Flow: features.FlowFeatures{
-						AS:     bgp.ASN(p.k1 >> 32),
-						Prefix: uint32(p.k1),
-						Loc:    geo.MetroID(p.k2 >> 48),
-						Region: wan.Region(p.k2 >> 40 & 0xFF),
-						Type:   wan.ServiceType(p.k2 >> 32 & 0xFF),
-					},
-					Link:  wan.LinkID(uint32(p.k2)),
-					Bytes: p.bytes,
-				})
-			}
-			continue
 		}
-		start := len(out)
-		for i := range hours {
-			ff := feats[i]
-			for k, b := range hours[i][h] {
-				out = append(out, features.Record{
-					Hour:  h,
-					Flow:  ff[k>>32],
-					Link:  wan.LinkID(uint32(k)),
-					Bytes: b,
-				})
+		for w, word := range mark {
+			for ; word != 0; word &= word - 1 {
+				r := w<<6 + bits.TrailingZeros64(word)
+				out = append(out, features.Record{Hour: h, Flow: order[r].flow, Link: order[r].link, Bytes: vals[r]})
 			}
+			mark[w] = 0
 		}
-		slices.SortFunc(out[start:], features.Record.Compare)
 	}
+
 	a.truthMu.Lock()
 	truth := a.truth
 	a.truthMu.Unlock()
@@ -446,13 +453,6 @@ func (a *Aggregator) Records() []features.Record {
 	sp.SetInt("records", int64(len(out)))
 	sp.End()
 	return out
-}
-
-// packedRec is one drained aggregate with its feature tuple and link
-// packed into two integer sort keys (see Records).
-type packedRec struct {
-	k1, k2 uint64
-	bytes  float64
 }
 
 // Stats reports how many raw records were ingested, how many were

@@ -109,6 +109,37 @@ func TestAggregationIsVolumePreserving(t *testing.T) {
 	}
 }
 
+// TestSimulatedWindowsMatchSingleMap drains one reused aggregator
+// after each of two consecutive simulated windows, on three seeds, and
+// holds every drain and the truth stream to the single-map reference.
+// The second window meets warm slot tables and fresh rows.
+func TestSimulatedWindowsMatchSingleMap(t *testing.T) {
+	metros := geo.World()
+	for _, seed := range []int64{20, 21, 22} {
+		g := topology.Generate(topology.TestGenConfig(seed), metros)
+		w := traffic.Generate(traffic.TestConfig(seed), g, metros)
+		s := netsim.New(netsim.DefaultConfig(seed), g, metros, w)
+		agg, ref := NewAggregator(s.GeoIP(), s.DstMetadata), newSingleMap(s.GeoIP(), s.DstMetadata)
+		var truth truthCapture
+		agg.SetTruthSink(&truth)
+		for _, from := range []wan.Hour{0, 6} {
+			s.Run(netsim.RunOptions{From: from, To: from + 6, Sink: netsim.MultiSink(agg, ref)})
+			truth.recs = nil
+			want, got := ref.Records(), agg.Records()
+			if len(got) == 0 {
+				t.Fatalf("seed %d, hours %d-%d: no aggregates", seed, from, from+6)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("seed %d, hours %d-%d: drain differs from the single-map reference (%d vs %d aggregates)",
+					seed, from, from+6, len(got), len(want))
+			}
+			if !reflect.DeepEqual(truth.recs, got) {
+				t.Errorf("seed %d, hours %d-%d: truth sink saw %d records, the drain returned %d", seed, from, from+6, len(truth.recs), len(got))
+			}
+		}
+	}
+}
+
 func TestAggregatorDeterministicOrder(t *testing.T) {
 	build := func() []features.Record {
 		g := geo.NewGeoIP(geo.World(), 0, 1)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"tipsy/internal/geo"
 	"tipsy/internal/ipfix"
 	"tipsy/internal/wan"
 )
@@ -13,11 +12,7 @@ import (
 // raceAggregator builds an aggregator whose geoip knows the /24s the
 // synthetic workload below uses.
 func raceAggregator() *Aggregator {
-	g := geo.NewGeoIP(geo.World(), 0, 1)
-	for i := uint32(0); i < 16; i++ {
-		g.Register(0x0b000000+i<<8, geo.MetroID(1+i%5))
-	}
-	return NewAggregator(g, staticMeta(2, 1))
+	return NewAggregator(raceGeoIP(), staticMeta(2, 1))
 }
 
 // raceRecord derives the i-th record of a deterministic workload that

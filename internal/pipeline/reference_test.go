@@ -41,8 +41,8 @@ func TestDifferentialEncode(t *testing.T) {
 // TestRecordsStrictlyIncreasing pins the invariant the record scans
 // lean on for speed: a drain is strictly increasing under
 // features.Record.Compare, so every hour is one sorted run without
-// duplicate (flow, link) keys. Region 300 does not fit the drain's
-// packed sort keys and takes the comparison sort.
+// duplicate (flow, link) keys. Region 300 needs more than eight bits;
+// the drain ranks pairs with FlowFeatures.Compare, which has room.
 func TestRecordsStrictlyIncreasing(t *testing.T) {
 	for _, region := range []wan.Region{1, 300} {
 		a := NewAggregator(geo.NewGeoIP(geo.World(), 0, 1), staticMeta(region, 1))

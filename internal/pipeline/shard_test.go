@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"tipsy/internal/features"
 	"tipsy/internal/geo"
 	"tipsy/internal/ipfix"
+	"tipsy/internal/obsv"
 	"tipsy/internal/wan"
 )
 
@@ -23,60 +25,79 @@ func raceBatchRecord(i int) ipfix.FlowRecord {
 	return rec
 }
 
+// singleMap is the reference aggregation the sharded, slot-counting
+// aggregator is held to: one map keyed by the whole (hour, flow, link)
+// aggregate, no shards, no interning, one comparison sort per drain.
+type singleMap struct {
+	g    *geo.GeoIP
+	meta Metadata
+	sums map[singleMapKey]float64
+}
+
+type singleMapKey struct {
+	h wan.Hour
+	f features.FlowFeatures
+	l wan.LinkID
+}
+
+func newSingleMap(g *geo.GeoIP, meta Metadata) *singleMap {
+	return &singleMap{g: g, meta: meta, sums: make(map[singleMapKey]float64)}
+}
+
+func (m *singleMap) Record(h wan.Hour, l wan.LinkID, rec *ipfix.FlowRecord) {
+	region, svc, ok := m.meta(rec.DstAddr)
+	if !ok {
+		return
+	}
+	prefix := bgp.Slash24(rec.SrcAddr)
+	f := features.FlowFeatures{
+		AS:     bgp.ASN(rec.SrcAS),
+		Prefix: prefix,
+		Loc:    m.g.Lookup(prefix),
+		Region: region,
+		Type:   svc,
+	}
+	// Per-key accumulation order equals stream order on both sides (a
+	// key lives on exactly one shard), so the float sums are
+	// bit-identical, not merely close.
+	m.sums[singleMapKey{h, f, l}] += float64(rec.Octets)
+}
+
+func (m *singleMap) Records() []features.Record {
+	out := make([]features.Record, 0, len(m.sums))
+	for k, b := range m.sums {
+		out = append(out, features.Record{Hour: k.h, Flow: k.f, Link: k.l, Bytes: b})
+	}
+	slices.SortFunc(out, features.Record.Compare)
+	clear(m.sums)
+	return out
+}
+
+// raceGeoIP is the Geo-IP database raceAggregator joins against.
+func raceGeoIP() *geo.GeoIP {
+	g := geo.NewGeoIP(geo.World(), 0, 1)
+	for i := uint32(0); i < 16; i++ {
+		g.Register(0x0b000000+i<<8, geo.MetroID(1+i%5))
+	}
+	return g
+}
+
 // TestAggregatorShardedDrainMatchesSingleMap locks the sharded drain
-// to the seed's single-map semantics: a straight-line reference
-// aggregation — one map, no shards, no interning, no packed sort keys
-// — must produce byte-identical output, and a registered TruthSink
-// must observe exactly that output in that order.
+// to the seed's single-map semantics: the straight-line reference
+// aggregation must produce byte-identical output, and a registered
+// TruthSink must observe exactly that output in that order.
 func TestAggregatorShardedDrainMatchesSingleMap(t *testing.T) {
 	const n = 5000
 	agg := raceAggregator()
 	var truth truthCapture
 	agg.SetTruthSink(&truth)
-
-	// Reference state: the geoip/meta construction mirrors
-	// raceAggregator exactly.
-	g := geo.NewGeoIP(geo.World(), 0, 1)
-	for i := uint32(0); i < 16; i++ {
-		g.Register(0x0b000000+i<<8, geo.MetroID(1+i%5))
-	}
-	meta := staticMeta(2, 1)
-	type aggKey struct {
-		h wan.Hour
-		f features.FlowFeatures
-		l wan.LinkID
-	}
-	ref := make(map[aggKey]float64)
-
+	ref := newSingleMap(raceGeoIP(), staticMeta(2, 1))
 	for i := 0; i < n; i++ {
 		h, l, rec := raceRecord(i)
 		agg.Record(h, l, &rec)
-
-		region, svc, ok := meta(rec.DstAddr)
-		if !ok {
-			continue
-		}
-		prefix := bgp.Slash24(rec.SrcAddr)
-		f := features.FlowFeatures{
-			AS:     bgp.ASN(rec.SrcAS),
-			Prefix: prefix,
-			Loc:    g.Lookup(prefix),
-			Region: region,
-			Type:   svc,
-		}
-		// Per-key accumulation order equals stream order on both
-		// sides (a key lives on exactly one shard), so the float sums
-		// are bit-identical, not merely close.
-		ref[aggKey{h, f, l}] += float64(rec.Octets)
+		ref.Record(h, l, &rec)
 	}
-
-	want := make([]features.Record, 0, len(ref))
-	for k, b := range ref {
-		want = append(want, features.Record{Hour: k.h, Flow: k.f, Link: k.l, Bytes: b})
-	}
-	slices.SortFunc(want, features.Record.Compare)
-
-	got := agg.Records()
+	want, got := ref.Records(), agg.Records()
 	if len(got) == 0 {
 		t.Fatal("workload produced no aggregates")
 	}
@@ -85,6 +106,117 @@ func TestAggregatorShardedDrainMatchesSingleMap(t *testing.T) {
 	}
 	if !reflect.DeepEqual(truth.recs, got) {
 		t.Fatalf("truth sink saw %d records, drain returned %d — order or content diverged", len(truth.recs), len(got))
+	}
+}
+
+// TestAggregatorEdgeCasesMatchSingleMap feeds the single-map reference
+// and the aggregator the inputs a slot-dense layout could get wrong.
+// Every case is fed and drained three times, the same hours twice and
+// then shifted by a day: slots persist across drains, rows (and the
+// shard's memory of its current row) must not.
+func TestAggregatorEdgeCasesMatchSingleMap(t *testing.T) {
+	type obs struct {
+		h   wan.Hour
+		l   wan.LinkID
+		rec ipfix.FlowRecord
+	}
+	flow := func(prefix, octets int) ipfix.FlowRecord {
+		return ipfix.FlowRecord{SrcAddr: 0x0b000000 + uint32(prefix)<<8, DstAddr: 40 << 24, Octets: uint64(octets), SrcAS: 64500}
+	}
+	var thousands []obs
+	for i := 0; i < 6000; i++ {
+		thousands = append(thousands, obs{3, wan.LinkID(1 + i%3), flow(i%2000, 10+i)})
+	}
+	thousands = append(thousands, obs{4, 2, flow(1234, 77)}) // an hour that touches one slot
+	cases := []struct {
+		name   string
+		stream []obs
+	}{
+		{"zero octets", []obs{{1, 1, flow(1, 0)}, {1, 2, flow(1, 5)}, {2, 1, flow(1, 0)}, {2, 1, flow(1, 0)}}},
+		{"interleaved hours on one shard", []obs{
+			{7, 1, flow(1, 10)}, {8, 1, flow(1, 20)}, {7, 1, flow(1, 30)},
+			{8, 2, flow(1, 40)}, {7, 2, flow(1, 50)}, {6, 1, flow(1, 60)}, {8, 1, flow(1, 70)},
+		}},
+		{"one slot of thousands", thousands},
+		{"unknown destination among known", []obs{
+			{1, 1, flow(1, 10)},
+			{1, 1, ipfix.FlowRecord{SrcAddr: 0x0b000100, DstAddr: 10 << 24, Octets: 99, SrcAS: 64500}},
+			{1, 1, flow(1, 1)},
+		}},
+	}
+	for _, c := range cases {
+		g := geo.NewGeoIP(geo.World(), 0, 1)
+		agg, ref := NewAggregator(g, staticMeta(2, 1)), newSingleMap(g, staticMeta(2, 1))
+		for drain, shift := range []wan.Hour{0, 0, 24} {
+			for _, o := range c.stream {
+				agg.Record(o.h+shift, o.l, &o.rec)
+				ref.Record(o.h+shift, o.l, &o.rec)
+			}
+			want := ref.Records()
+			_, _, pending := agg.Stats()
+			got := agg.Records()
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s, drain %d: %d aggregates, reference has %d:\n got %+v\nwant %+v",
+					c.name, drain, len(got), len(want), head(got), head(want))
+			}
+			if pending != len(want) {
+				t.Errorf("%s, drain %d: Stats reported %d pending, the drain held %d", c.name, drain, pending, len(want))
+			}
+		}
+		if got := agg.Records(); len(got) != 0 {
+			t.Errorf("%s: a drain with nothing fed returned %d aggregates", c.name, len(got))
+		}
+	}
+}
+
+func head(recs []features.Record) []features.Record { return recs[:min(len(recs), 8)] }
+
+// TestDrainIndependentOfShardsAndProcs is the determinism sweep: the
+// same stream, fed from four goroutines, drains to the same bytes at
+// 1, 2, 8 and 64 shards and at GOMAXPROCS 1, 2 and 8. Octet counts are
+// small integers, so sums are exact in any accumulation order.
+func TestDrainIndependentOfShardsAndProcs(t *testing.T) {
+	const n, workers = 8000, 4
+	ref := newSingleMap(raceGeoIP(), staticMeta(2, 1))
+	for i := 0; i < n; i++ {
+		h, l, rec := raceRecord(i)
+		ref.Record(h, l, &rec)
+	}
+	want := ref.Records()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, shardBits := range []uint32{0, 1, 3, 6} {
+			agg := newAggregator(obsv.NewRegistry(), raceGeoIP(), staticMeta(2, 1), shardBits)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					batch := make([]ipfix.FlowRecord, 0, 64)
+					for i := w; i < n; i += workers {
+						if w == 0 {
+							h, l, rec := raceRecord(i)
+							agg.Record(h, l, &rec)
+							continue
+						}
+						if batch = append(batch, raceBatchRecord(i)); len(batch) == cap(batch) {
+							agg.RecordBatch(batch)
+							batch = batch[:0]
+						}
+					}
+					agg.RecordBatch(batch)
+				}(w)
+			}
+			wg.Wait()
+			if _, _, pending := agg.Stats(); pending != len(want) {
+				t.Errorf("GOMAXPROCS %d, %d shards: %d pending with no batch in flight, want %d", procs, 1<<shardBits, pending, len(want))
+			}
+			if got := agg.Records(); !reflect.DeepEqual(want, got) {
+				t.Errorf("GOMAXPROCS %d, %d shards: drain differs from the single-map reference (%d vs %d aggregates)",
+					procs, 1<<shardBits, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -8,7 +8,8 @@
 # detector with a total-coverage floor, the exact allocation pins once
 # without the race detector (the pooled ones skip under it), the
 # nested bench module's vet and smoke test, a 15s fuzz pass per
-# protocol decoder and for the /v1/predict request decoder against its
+# protocol decoder, for the IPFIX stream reader against its two-ReadFull
+# oracle and for the /v1/predict request decoder against its
 # encoding/json oracle, the differential oracles, the diagnostic-bundle
 # round trip (alarm fires -> bundle written -> CRC-verified), the
 # tipsybench quick cycle, and the chaos soak. Everything is stdlib Go;
@@ -74,8 +75,9 @@ awk -v t="$total" -v f="$coverage_floor" 'BEGIN { exit !(t >= f) }' || {
 echo "==> bench module: go vet + go test"
 (cd bench && go vet ./... && go test -count=1 ./...)
 
-echo "==> fuzz quick pass (15s per decoder)"
+echo "==> fuzz quick pass (15s per target)"
 go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
+go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
 go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
 go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
 
