@@ -214,6 +214,7 @@ func (c *Collector) HandleMessageBatch(buf []byte, fn func(domain uint32, recs [
 		c.replayPending(d)
 	}
 	if len(c.batch) > 0 {
+		c.m.records.Add(uint64(len(c.batch)))
 		fn(id, c.batch)
 	}
 	return nil
@@ -313,7 +314,9 @@ func (c *Collector) refillGaps(d *domainState, seq, n uint32) {
 // processOne dispatches one data record: sampling options records
 // update the domain's announced interval, flow records decode through
 // the compiled template straight into c.batch, and records whose
-// template cannot describe a flow record are quarantined.
+// template cannot describe a flow record are quarantined. The records
+// counter is not touched here: HandleMessageBatch adds the batch's
+// length once per message.
 func (c *Collector) processOne(d *domainState, tid uint16, data []byte, ct *CompiledTemplate) {
 	if tid == SamplingTemplateID && len(data) == 4 {
 		d.sampling = binary.BigEndian.Uint32(data[0:4])
@@ -333,9 +336,7 @@ func (c *Collector) processOne(d *domainState, tid uint16, data []byte, ct *Comp
 		c.batch = c.batch[:n]
 		c.m.quarantined.Inc()
 		c.mark("ipfix_quarantine")
-		return
 	}
-	c.m.records.Inc()
 }
 
 // bufferPending parks a data set whose template has not arrived,

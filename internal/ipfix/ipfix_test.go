@@ -325,6 +325,74 @@ func TestCollectorQuarantinesMalformed(t *testing.T) {
 	}
 }
 
+// TestCollectorRecordsCountedPerMessage holds CollectorStats.Records,
+// which the collector adds once per message, to the records each
+// message hands its callback: after every message of every case the
+// counter equals what the callbacks have received, and the quarantine
+// counter what that message quarantined.
+func TestCollectorRecordsCountedPerMessage(t *testing.T) {
+	recs := func(from, n int) [][]byte {
+		var out [][]byte
+		for i := from; i < from+n; i++ {
+			out = append(out, sampleRecord(uint32(i)).Marshal())
+		}
+		return out
+	}
+	flow := marshalTemplateSet([]Template{FlowTemplate()})
+	zeroLen := marshalTemplateSet([]Template{{ID: 300}}) // describes zero bytes: its sets are quarantined on replay
+	reduced := FlowTemplate()
+	reduced.Fields = reduced.Fields[:len(reduced.Fields)-1] // 36 bytes, not a flow record
+	var short [][]byte
+	for _, r := range recs(0, 3) {
+		short = append(short, r[:36])
+	}
+	sampling := [][]byte{marshalOptionsTemplateSet(samplingTemplate()), marshalDataSet(SamplingTemplateID, [][]byte{{0, 0, 16, 0}})}
+	type msg struct {
+		sets                 [][]byte // nil: a three-byte malformed message
+		records, quarantined uint64   // what this message hands over and quarantines
+	}
+	cases := []struct {
+		name string
+		msgs []msg
+	}{
+		{"direct records", []msg{{[][]byte{flow, marshalDataSet(FlowTemplateID, recs(0, 3))}, 3, 0}}},
+		{"replayed pending set", []msg{
+			{[][]byte{marshalDataSet(FlowTemplateID, recs(0, 2))}, 0, 0},
+			{[][]byte{flow, marshalDataSet(FlowTemplateID, recs(2, 3))}, 5, 0},
+		}},
+		{"direct, replayed and quarantined in one message", []msg{
+			{[][]byte{marshalDataSet(FlowTemplateID, recs(0, 2)), marshalDataSet(300, [][]byte{{1, 2, 3, 4}})}, 0, 0},
+			{[][]byte{flow, zeroLen, marshalDataSet(FlowTemplateID, recs(2, 3))}, 5, 1},
+			{[][]byte{marshalDataSet(FlowTemplateID, recs(5, 1))}, 1, 0},
+		}},
+		{"records of a reduced-size flow template", []msg{{[][]byte{marshalTemplateSet([]Template{reduced}), marshalDataSet(FlowTemplateID, short)}, 0, 3}}},
+		{"sampling options record among records", []msg{{append(sampling, flow, marshalDataSet(FlowTemplateID, recs(0, 4))), 4, 0}}},
+		{"malformed message between good ones", []msg{
+			{[][]byte{flow, marshalDataSet(FlowTemplateID, recs(0, 2))}, 2, 0},
+			{nil, 0, 1},
+			{[][]byte{marshalDataSet(FlowTemplateID, recs(2, 2))}, 2, 0},
+		}},
+	}
+	for _, c := range cases {
+		col := NewCollector()
+		var handed, records, quarantined uint64
+		fn := func(_ uint32, recs []FlowRecord) { handed += uint64(len(recs)) }
+		for i, m := range c.msgs {
+			buf := []byte{1, 2, 3}
+			if m.sets != nil {
+				buf = marshalMessage(0, 0, 5, m.sets)
+			}
+			_ = col.HandleMessageBatch(buf, fn) // a malformed message's error is the quarantine counted below
+			records += m.records
+			quarantined += m.quarantined
+			if st := col.Stats(); st.Records != records || handed != records || st.Quarantined != quarantined {
+				t.Errorf("%s, after message %d: Records %d, handed to the callback %d, Quarantined %d; want %d, %d, %d",
+					c.name, i, st.Records, handed, st.Quarantined, records, records, quarantined)
+			}
+		}
+	}
+}
+
 func TestReadStreamSurvivesQuarantinedMessage(t *testing.T) {
 	// A stream with one undecodable (but correctly framed) message in
 	// the middle keeps going; only framing loss aborts.

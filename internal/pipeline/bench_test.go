@@ -30,9 +30,9 @@ func BenchmarkAggregatorRecord(b *testing.B) {
 
 // BenchmarkAggregatorRecordBatch measures batch ingest of a 64-record
 // IPFIX-message-sized batch — the collector's hand-off unit. Compared
-// with 64 Record calls, the shard locks are taken once per shard per
-// batch and the pending count is published once per shard visit, so
-// per-record cost should land under BenchmarkAggregatorRecord's.
+// with 64 Record calls, the lock is taken and the pending count
+// published once per batch, so per-record cost should land under
+// BenchmarkAggregatorRecord's.
 func BenchmarkAggregatorRecordBatch(b *testing.B) {
 	a, recs := warmedBatch()
 	b.ReportAllocs()
@@ -151,10 +151,10 @@ func BenchmarkAggregatorDrain(b *testing.B) {
 }
 
 // drainAllocs is what Records allocates on a warmed aggregator holding
-// a window of any number of hours: its work arrays, the output and one
-// fresh hours map per shard. The pin is exact; a lower number is
+// a window of any number of hours: its five work arrays, the output
+// and the fresh hours map. The pin is exact; a lower number is
 // committed by editing it.
-const drainAllocs = 15
+const drainAllocs = 7
 
 // TestDrainAllocs pins the drain's allocation count and shows it does
 // not grow with the hours drained: ordering happens once per drain,

@@ -9,10 +9,10 @@ package pipeline
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"tipsy/internal/bgp"
 	"tipsy/internal/features"
@@ -37,21 +37,16 @@ type TruthSink interface {
 	ObserveTruth(rec features.Record)
 }
 
-// The aggregator is sharded by source prefix: each shard owns its own
-// lock, its own slot table and its own hourly counter rows, so
-// concurrent ingest only contends when two records hash to the same
-// shard. Eight shards covers typical collector fan-in; the drain ranks
-// (flow, link) pairs globally, so shard count never leaks into output.
-const aggShardBits = 3
-
-// slotKey is everything a record's counter slot depends on: the join
-// inputs (source /24, destination address, source AS) and the ingress
-// link. Flow records repeat these combinations constantly, so one
-// lookup on it stands for the metadata and Geo-IP joins and the
+// slotKey is everything a record's counter slot depends on, in two
+// words: the source /24 and destination address, then the source AS
+// and ingress link. Flow records repeat these combinations constantly,
+// so one lookup on it stands for the metadata and Geo-IP joins and the
 // interning of their result.
-type slotKey struct {
-	prefix, dst, as uint32
-	link            wan.LinkID
+type slotKey struct{ addrs, asLink uint64 }
+
+// keyOf packs a record's join inputs and link into its slot key.
+func keyOf(prefix, dst, as uint32, link wan.LinkID) slotKey {
+	return slotKey{addrs: uint64(prefix)<<32 | uint64(dst), asLink: uint64(as)<<32 | uint64(link)}
 }
 
 // pair is what a slot counts: a flow aggregate on a link.
@@ -60,8 +55,8 @@ type pair struct {
 	link wan.LinkID
 }
 
-// hourRow is one shard's counters for one hour: a sum per slot and a
-// presence bit per slot. Presence is the bit, not a non-zero sum, so a
+// hourRow is the counters for one hour: a sum per slot and a presence
+// bit per slot. Presence is the bit, not a non-zero sum, so a
 // zero-octet record still yields an aggregate.
 type hourRow struct {
 	hour    wan.Hour
@@ -71,37 +66,82 @@ type hourRow struct {
 
 // grow extends the row to n slots, rounded up to whole presence words.
 // append sizes a new row exactly and doubles one that keeps finding
-// new slots, so an hour of a warmed-up shard allocates once.
+// new slots, so an hour of a warmed-up aggregator allocates once.
 func (r *hourRow) grow(n int) {
 	n = (n + 63) &^ 63
 	r.sum = append(r.sum, make([]float64, n-len(r.sum))...)
 	r.present = append(r.present, make([]uint64, n/64-len(r.present))...)
 }
 
-// aggShard is one lock's worth of aggregator state. Pairs are interned
-// per shard to dense slots, and an hour's counters are a row indexed by
-// slot. Interning deduplicates by value, so two joins that land on the
-// same feature tuple (different destination addresses with the same
-// region and service) share one slot and therefore one accumulator,
-// exactly as a struct-keyed map would. Slots live as long as the
-// aggregator; rows leave with the drain.
-type aggShard struct {
-	mu sync.Mutex
-	//tipsy:guardedby mu
-	slots map[slotKey]int32 // -1: destination has no metadata, drop
-	// pairs maps a slot back to what it counts; pairIndex dedupes on
-	// slots misses. Entries of pairs are immutable once appended, so a
-	// slice header captured under the lock stays valid after release.
-	//tipsy:guardedby mu
-	pairs []pair
-	//tipsy:guardedby mu
-	pairIndex map[pair]int32
-	//tipsy:guardedby mu
-	hours map[wan.Hour]*hourRow
-	// cur caches the last hour's row: records arrive in long same-hour
-	// runs, so the hours lookup almost always skips.
-	//tipsy:guardedby mu
-	cur *hourRow
+// slotIndex maps slot keys to slots. It is an open-addressing table
+// with linear probing, kept at most half full (an insert that takes it
+// past half doubles it), so a probe run is short and a miss ends at
+// the first empty cell. A key's home cell comes from one seeded
+// multiply-fold: both key words mixed with the seed, multiplied to 128
+// bits, the halves xored; a golden-ratio multiply then carries the
+// bits a key set varies in up to the top ones the index reads.
+//
+// The seed is drawn once per index and is not a knob. Keys come off the
+// wire, so under a fixed hash one crafted set of sources would build
+// the same long probe runs at every start, and a key word equal to the
+// seed zeroes the product outright; under a seed the sender cannot
+// know, either is a guess. Nothing observable depends on it: slots are
+// numbered in first-seen order, not by cell, so the drain is the same
+// under every seed, and a configurable seed would only let a caller
+// choose the one value such a set was built against.
+type slotIndex struct {
+	seed  uint64
+	shift uint // 64 - log2(len(cells))
+	n     int  // keys held
+	cells []indexCell
+}
+
+// indexCell is one cell: a key and its slot (-1: the destination has
+// no metadata, drop).
+type indexCell struct {
+	key  slotKey
+	slot int32
+	used bool
+}
+
+// indexMinBits sizes a fresh index: 1,024 cells, 24 KiB.
+const indexMinBits = 10
+
+func newSlotIndex(seed uint64) slotIndex {
+	return slotIndex{seed: seed, shift: 64 - indexMinBits, cells: make([]indexCell, 1<<indexMinBits)}
+}
+
+// home is the cell k's probe run starts at.
+func (x *slotIndex) home(k slotKey) int {
+	hi, lo := bits.Mul64(k.addrs^x.seed, k.asLink^x.seed^0x9e3779b97f4a7c15)
+	return int((hi ^ lo) * 0x9e3779b97f4a7c15 >> x.shift)
+}
+
+// lookup returns the cell holding k or, when k is absent, the empty
+// cell an insert of k fills.
+func (x *slotIndex) lookup(k slotKey) *indexCell {
+	mask := len(x.cells) - 1
+	for i := x.home(k); ; i = (i + 1) & mask {
+		if c := &x.cells[i]; !c.used || c.key == k {
+			return c
+		}
+	}
+}
+
+// insert fills c, the empty cell lookup returned for k, and doubles
+// the table once more than half of it is used.
+func (x *slotIndex) insert(c *indexCell, k slotKey, slot int32) {
+	*c = indexCell{key: k, slot: slot, used: true}
+	if x.n++; 2*x.n <= len(x.cells) {
+		return
+	}
+	old := x.cells
+	x.cells, x.shift = make([]indexCell, 2*len(old)), x.shift-1
+	for i := range old {
+		if old[i].used {
+			*x.lookup(old[i].key) = old[i]
+		}
+	}
 }
 
 // aggregatorMetrics are the aggregator's registry-backed counters:
@@ -123,23 +163,42 @@ func newAggregatorMetrics(reg *obsv.Registry) aggregatorMetrics {
 
 // Aggregator consumes IPFIX flow records and produces hourly
 // aggregated feature records. It implements netsim.RecordSink and
-// netsim.BatchSink. Safe for concurrent use; ingest is sharded by
-// source prefix so concurrent callers rarely share a lock.
+// netsim.BatchSink. Safe for concurrent use: one mutex guards the
+// table, and a batch takes it once.
 //
 // The Geo-IP database and Metadata func are treated as immutable
 // mappings for the aggregator's lifetime — join results are cached.
 type Aggregator struct {
 	geoip *geo.GeoIP
 	meta  Metadata
+	m     aggregatorMetrics
 
-	shards     []aggShard
-	shardShift uint32
-	// keys counts distinct aggregates across all shards — the drain
-	// capacity hint and the pending gauge's source of truth. Ingest
-	// publishes to it once per shard visit, before releasing the shard
-	// lock.
-	keys atomic.Int64
-	m    aggregatorMetrics
+	// Pairs are interned to dense slots, and an hour's counters are a
+	// row indexed by slot. Interning deduplicates by value, so two joins
+	// that land on the same feature tuple (different destination
+	// addresses with the same region and service) share one slot and
+	// therefore one accumulator, exactly as a struct-keyed map would.
+	// Slots live as long as the aggregator; rows leave with the drain.
+	mu sync.Mutex
+	//tipsy:guardedby mu
+	index slotIndex
+	// pairs maps a slot back to what it counts; pairIndex dedupes on
+	// index misses. Entries of pairs are immutable once appended, so a
+	// slice header captured under the lock stays valid after release.
+	//tipsy:guardedby mu
+	pairs []pair
+	//tipsy:guardedby mu
+	pairIndex map[pair]int32
+	//tipsy:guardedby mu
+	hours map[wan.Hour]*hourRow
+	// cur caches the last hour's row: records arrive in long same-hour
+	// runs, so the hours lookup almost always skips.
+	//tipsy:guardedby mu
+	cur *hourRow
+	// keys counts the aggregates pending drain — the drain's capacity
+	// hint and the pending gauge's source of truth.
+	//tipsy:guardedby mu
+	keys int
 
 	truthMu sync.Mutex
 	//tipsy:guardedby truthMu
@@ -164,32 +223,13 @@ func NewAggregator(geoip *geo.GeoIP, meta Metadata) *Aggregator {
 // NewAggregatorOn builds an aggregator whose counters live in reg
 // under the pipeline_ prefix.
 func NewAggregatorOn(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata) *Aggregator {
-	return newAggregator(reg, geoip, meta, aggShardBits)
-}
-
-// newAggregator is NewAggregatorOn with 1<<shardBits shards; tests
-// sweep the shard count through it.
-func newAggregator(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata, shardBits uint32) *Aggregator {
-	a := &Aggregator{
+	return &Aggregator{
 		geoip: geoip, meta: meta,
-		shards:     make([]aggShard, 1<<shardBits),
-		shardShift: 32 - shardBits,
-		m:          newAggregatorMetrics(reg),
+		m:         newAggregatorMetrics(reg),
+		index:     newSlotIndex(maphash.Bytes(maphash.MakeSeed(), nil)),
+		pairIndex: make(map[pair]int32),
+		hours:     make(map[wan.Hour]*hourRow),
 	}
-	for i := range a.shards {
-		s := &a.shards[i]
-		s.slots = make(map[slotKey]int32)
-		s.pairIndex = make(map[pair]int32)
-		s.hours = make(map[wan.Hour]*hourRow)
-	}
-	return a
-}
-
-// shardOf places a source /24 prefix on a shard. Fibonacci hashing
-// spreads the sequential prefixes simulators generate. (The uint64
-// shift makes a one-shard aggregator's shift of 32 yield 0.)
-func (a *Aggregator) shardOf(prefix uint32) uint32 {
-	return uint32(uint64(prefix*0x9E3779B1) >> a.shardShift)
 }
 
 // Record ingests one sampled flow record observed during hour h.
@@ -198,126 +238,102 @@ func (a *Aggregator) shardOf(prefix uint32) uint32 {
 // known cloud services.
 func (a *Aggregator) Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
 	a.m.raw.Inc()
-	prefix := bgp.Slash24(rec.SrcAddr)
-	s := &a.shards[a.shardOf(prefix)]
-	s.mu.Lock()
-	a.publish(a.applyLocked(s, h, link, prefix, rec))
-	s.mu.Unlock()
+	a.mu.Lock()
+	a.publishLocked(a.applyLocked(h, link, rec))
+	a.mu.Unlock()
 }
 
-// publish adds newly created aggregates to the pending count. Callers
-// hold the lock of the shard that created them, so a drain, which holds
-// every shard lock, never takes an aggregate it does not count.
-func (a *Aggregator) publish(fresh int64) {
+// publishLocked adds newly created aggregates to the pending count.
+// Callers hold mu, so a drain never takes an aggregate it does not
+// count.
+func (a *Aggregator) publishLocked(fresh int) {
 	if fresh != 0 {
-		a.m.pending.Set(a.keys.Add(fresh))
+		a.keys += fresh
+		a.m.pending.Set(int64(a.keys))
 	}
 }
 
-// scratchPool holds RecordBatch's per-call work area: record indices
-// grouped by destination shard.
-var scratchPool = sync.Pool{New: func() any { return new([][]int32) }}
-
 // RecordBatch ingests a batch of flow records, deriving the hour from
 // each record's start timestamp and the link from its ingress
-// interface (the collector fills both from the wire). Records are
-// grouped by shard first so each shard lock is taken, and the pending
-// count published, at most once per batch — with ~64-record IPFIX
-// messages that amortizes both roughly an order of magnitude versus
-// per-record Record calls. Within a shard, records apply in batch
-// order, so per-key float accumulation order — and therefore the
-// drained output — is bit-identical to feeding the same stream
-// through Record.
+// interface (the collector fills both from the wire). The lock is
+// taken, and the pending count published, once per batch — with
+// ~64-record IPFIX messages that amortizes both over the message.
+// Records apply in batch order, so per-key float accumulation order —
+// and therefore the drained output — is bit-identical to feeding the
+// same stream through Record.
 func (a *Aggregator) RecordBatch(recs []ipfix.FlowRecord) {
 	if len(recs) == 0 {
 		return
 	}
 	sp := a.tracer.StartFrom(a.traceCtx, "aggregate_batch")
 	a.m.raw.Add(uint64(len(recs)))
-	sc := scratchPool.Get().(*[][]int32)
-	if len(*sc) < len(a.shards) {
-		*sc = append(*sc, make([][]int32, len(a.shards)-len(*sc))...)
-	}
-	byShard := *sc
+	fresh := 0
+	a.mu.Lock()
 	for i := range recs {
-		sh := a.shardOf(bgp.Slash24(recs[i].SrcAddr))
-		byShard[sh] = append(byShard[sh], int32(i))
+		rec := &recs[i]
+		fresh += a.applyLocked(wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress), rec)
 	}
-	for si := range a.shards {
-		idx := byShard[si]
-		if len(idx) == 0 {
-			continue
-		}
-		s := &a.shards[si]
-		var fresh int64
-		s.mu.Lock()
-		for _, i := range idx {
-			rec := &recs[i]
-			fresh += a.applyLocked(s, wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress),
-				bgp.Slash24(rec.SrcAddr), rec)
-		}
-		a.publish(fresh)
-		s.mu.Unlock()
-		byShard[si] = idx[:0]
-	}
-	scratchPool.Put(sc)
+	a.publishLocked(fresh)
+	a.mu.Unlock()
 	sp.SetInt("records", int64(len(recs)))
 	sp.End()
 }
 
-// applyLocked joins and accumulates one record into shard s and
-// reports how many aggregates that created (0 or 1). The caller holds
-// s.mu and has already counted the record as raw.
-func (a *Aggregator) applyLocked(s *aggShard, h wan.Hour, link wan.LinkID, prefix uint32, rec *ipfix.FlowRecord) int64 {
-	k := slotKey{prefix: prefix, dst: rec.DstAddr, as: rec.SrcAS, link: link}
-	slot, seen := s.slots[k]
-	if !seen {
-		slot = a.slotMiss(s, k)
+// applyLocked joins and accumulates one record and reports how many
+// aggregates that created (0 or 1). The caller holds mu and has already
+// counted the record as raw.
+func (a *Aggregator) applyLocked(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) int {
+	prefix := bgp.Slash24(rec.SrcAddr)
+	k := keyOf(prefix, rec.DstAddr, rec.SrcAS, link)
+	c := a.index.lookup(k)
+	slot := c.slot
+	if !c.used {
+		slot = a.slotMiss(prefix, link, rec)
+		a.index.insert(c, k, slot)
 	}
 	if slot < 0 {
 		a.m.dropped.Inc()
 		return 0
 	}
-	row := s.cur
+	row := a.cur
 	if row == nil || row.hour != h {
-		if row = s.hours[h]; row == nil {
+		if row = a.hours[h]; row == nil {
 			row = &hourRow{hour: h}
-			s.hours[h] = row
+			a.hours[h] = row
 		}
-		s.cur = row
+		a.cur = row
 	}
 	if int(slot) >= len(row.sum) {
-		row.grow(len(s.pairs))
+		row.grow(len(a.pairs))
 	}
 	row.sum[slot] += float64(rec.Octets)
 	w := &row.present[slot>>6]
-	fresh := int64(^*w >> (slot & 63) & 1)
+	fresh := int(^*w >> (slot & 63) & 1)
 	*w |= 1 << (slot & 63)
 	return fresh
 }
 
-// slotMiss performs the metadata and Geo-IP joins for a key not yet
-// cached, interns the resulting pair, and records the mapping. Returns
-// the slot, or -1 when the destination has no metadata.
-func (a *Aggregator) slotMiss(s *aggShard, k slotKey) int32 {
-	region, svc, ok := a.meta(k.dst)
-	slot := int32(-1)
-	if ok {
-		p := pair{link: k.link, flow: features.FlowFeatures{
-			AS:     bgp.ASN(k.as),
-			Prefix: k.prefix,
-			Loc:    a.geoip.Lookup(k.prefix),
-			Region: region,
-			Type:   svc,
-		}}
-		var have bool
-		if slot, have = s.pairIndex[p]; !have {
-			slot = int32(len(s.pairs))
-			s.pairs = append(s.pairs, p)
-			s.pairIndex[p] = slot
-		}
+// slotMiss performs the metadata and Geo-IP joins for a key the index
+// does not hold and interns the resulting pair. Returns the slot, or
+// -1 when the destination has no metadata.
+func (a *Aggregator) slotMiss(prefix uint32, link wan.LinkID, rec *ipfix.FlowRecord) int32 {
+	region, svc, ok := a.meta(rec.DstAddr)
+	if !ok {
+		return -1
 	}
-	s.slots[k] = slot
+	p := pair{link: link, flow: features.FlowFeatures{
+		AS:     bgp.ASN(rec.SrcAS),
+		Prefix: prefix,
+		Loc:    a.geoip.Lookup(prefix),
+		Region: region,
+		Type:   svc,
+	}}
+	slot, have := a.pairIndex[p]
+	if !have {
+		slot = int32(len(a.pairs))
+		a.pairs = append(a.pairs, p)
+		a.pairIndex[p] = slot
+	}
 	return slot
 }
 
@@ -337,103 +353,66 @@ func (a *Aggregator) SetTrace(t *obsv.Tracer, sc obsv.SpanContext) {
 	a.traceCtx = sc
 }
 
-// drainedShard is what the drain takes from one shard under its lock:
-// the hour rows (the shard starts over with none) and the slot table
-// as it stood.
-type drainedShard struct {
-	hours map[wan.Hour]*hourRow
-	pairs []pair
-	base  int // index of the shard's slot 0 in the drain's rank table
-}
-
-// rankedPair is a pair with the rank-table index of its slot.
+// rankedPair is a pair with its slot.
 type rankedPair struct {
 	pair
-	at int32
+	slot int32
 }
 
 // Records drains the aggregator, returning the hourly feature records
-// in deterministic order (hour, then feature tuple, then link). All
-// shard locks are held together — in shard order, so lock acquisition
-// is totally ordered — while the hour rows are swapped out, making the
-// drain an atomic snapshot.
+// in deterministic order (hour, then feature tuple, then link). The
+// hour rows are swapped out under the lock, so the drain is an atomic
+// snapshot, and everything after runs without it.
 //
 // Hours of one window carry mostly the same (flow, link) pairs, so the
-// drain orders pairs, not records: the slots of all shards are sorted
-// once by flow then link (a pair lives on exactly one shard, so there
-// are no ties and no trace of the sharding), each gets its rank, and an
-// hour is emitted by scattering its present slots into a rank-indexed
-// bitset and value array and sweeping the bitset. The output is
-// byte-identical to a single-map aggregator's sorted by
-// features.Record.Compare. When a truth sink is registered, the
-// drained records are also streamed to it in the same order.
-//
-//tipsy:guardedby-skip every shard lock is taken in a loop before any shard is touched; the must-hold dataflow cannot see this quantified all-shards critical section
+// drain orders pairs, not records: the slots are sorted once by flow
+// then link (pairs are interned by value, so there are no ties), each
+// gets its rank, and an hour is emitted by scattering its present
+// slots into a rank-indexed bitset and value array and sweeping the
+// bitset. The output is byte-identical to a single-map aggregator's
+// sorted by features.Record.Compare. When a truth sink is registered,
+// the drained records are also streamed to it in the same order.
 func (a *Aggregator) Records() []features.Record {
 	sp := a.tracer.StartFrom(a.traceCtx, "drain")
-	drained := make([]drainedShard, len(a.shards))
-	for i := range a.shards {
-		a.shards[i].mu.Lock()
-	}
-	nslots, nrows := 0, 0
-	for i := range a.shards {
-		s := &a.shards[i]
-		drained[i] = drainedShard{hours: s.hours, pairs: s.pairs, base: nslots}
-		nslots += len(s.pairs)
-		nrows += len(s.hours)
-		s.hours = make(map[wan.Hour]*hourRow)
-		s.cur = nil
-	}
-	total := a.keys.Swap(0)
+	a.mu.Lock()
+	hours, pairs, total := a.hours, a.pairs, a.keys
+	a.hours, a.cur, a.keys = make(map[wan.Hour]*hourRow), nil, 0
 	a.m.pending.Set(0)
-	for i := range a.shards {
-		a.shards[i].mu.Unlock()
-	}
+	a.mu.Unlock()
 
-	order := make([]rankedPair, 0, nslots)
-	hs := make([]wan.Hour, 0, nrows)
-	for i := range drained {
-		d := &drained[i]
-		for slot, p := range d.pairs {
-			order = append(order, rankedPair{p, int32(d.base + slot)})
-		}
-		for h := range d.hours {
-			hs = append(hs, h)
-		}
+	order := make([]rankedPair, len(pairs))
+	for slot, p := range pairs {
+		order[slot] = rankedPair{p, int32(slot)}
 	}
 	slices.SortFunc(order, func(p, q rankedPair) int {
 		return cmp.Or(p.flow.Compare(q.flow), cmp.Compare(p.link, q.link))
 	})
-	rank := make([]int32, nslots)
+	rank := make([]int32, len(pairs))
 	for r := range order {
-		rank[order[r].at] = int32(r)
+		rank[order[r].slot] = int32(r)
 	}
-	slices.Sort(hs)
-	hs = slices.Compact(hs)
+	rows := make([]*hourRow, 0, len(hours))
+	for _, row := range hours {
+		rows = append(rows, row)
+	}
+	slices.SortFunc(rows, func(p, q *hourRow) int { return cmp.Compare(p.hour, q.hour) })
 
-	mark := make([]uint64, (nslots+63)/64) // the ranks present in the hour being emitted
-	vals := make([]float64, nslots)        // their sums, by rank
+	mark := make([]uint64, (len(pairs)+63)/64) // the ranks present in the hour being emitted
+	vals := make([]float64, len(pairs))        // their sums, by rank
 	out := make([]features.Record, 0, total)
-	for _, h := range hs {
-		for i := range drained {
-			d := &drained[i]
-			row := d.hours[h]
-			if row == nil {
-				continue
-			}
-			for w, word := range row.present {
-				for ; word != 0; word &= word - 1 {
-					slot := w<<6 + bits.TrailingZeros64(word)
-					r := rank[d.base+slot]
-					mark[r>>6] |= 1 << (r & 63)
-					vals[r] = row.sum[slot]
-				}
+	for _, row := range rows {
+		for w, word := range row.present {
+			for ; word != 0; word &= word - 1 {
+				slot := w<<6 + bits.TrailingZeros64(word)
+				r := rank[slot]
+				mark[r>>6] |= 1 << (r & 63)
+				vals[r] = row.sum[slot]
 			}
 		}
 		for w, word := range mark {
 			for ; word != 0; word &= word - 1 {
 				r := w<<6 + bits.TrailingZeros64(word)
-				out = append(out, features.Record{Hour: h, Flow: order[r].flow, Link: order[r].link, Bytes: vals[r]})
+				out = append(out, features.Record{Hour: row.hour, Flow: order[r].flow, Link: order[r].link, Bytes: vals[r]})
 			}
 			mark[w] = 0
 		}
@@ -458,7 +437,10 @@ func (a *Aggregator) Records() []features.Record {
 // Stats reports how many raw records were ingested, how many were
 // dropped for missing metadata, and how many aggregates are pending.
 func (a *Aggregator) Stats() (raw, dropped, pending int) {
-	return int(a.m.raw.Value()), int(a.m.dropped.Value()), int(a.keys.Load())
+	a.mu.Lock()
+	pending = a.keys
+	a.mu.Unlock()
+	return int(a.m.raw.Value()), int(a.m.dropped.Value()), pending
 }
 
 // Encoded compresses feature records with ordinal dictionaries — the

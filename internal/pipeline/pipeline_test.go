@@ -74,9 +74,13 @@ func TestAggregatorDrainResets(t *testing.T) {
 	}
 }
 
+// TestAggregationIsVolumePreserving: §4.2, aggregation merely sums
+// bytes — nothing the models need is lost, only record count shrinks.
+// Octets are integers and every sum here stays below 2⁵³, where float64
+// addition is exact, so conservation is asserted with ==: every raw
+// record is dropped or reaches a slot, and the octets of the records
+// that reached one are exactly the drained bytes.
 func TestAggregationIsVolumePreserving(t *testing.T) {
-	// §4.2: aggregation merely sums bytes — nothing the models need
-	// is lost, only record count shrinks.
 	metros := geo.World()
 	g := topology.Generate(topology.TestGenConfig(20), metros)
 	w := traffic.Generate(traffic.TestConfig(20), g, metros)
@@ -85,27 +89,37 @@ func TestAggregationIsVolumePreserving(t *testing.T) {
 	s := netsim.New(cfg, g, metros, w)
 
 	agg := NewAggregator(s.GeoIP(), s.DstMetadata)
-	var rawBytes float64
-	raw := 0
+	var sent, kept int
+	var keptOctets uint64
 	s.Run(netsim.RunOptions{From: 0, To: 4, Sink: netsim.RecordSinkFunc(
 		func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
-			raw++
-			rawBytes += float64(rec.Octets)
+			sent++
+			if _, _, ok := s.DstMetadata(rec.DstAddr); ok {
+				kept++
+				keptOctets += rec.Octets
+			}
 			agg.Record(h, link, rec)
 		})})
+	raw, dropped, _ := agg.Stats()
 	recs := agg.Records()
 	if len(recs) == 0 {
 		t.Fatal("no aggregates")
 	}
-	if len(recs) > raw {
-		t.Errorf("aggregation grew the data: %d -> %d", raw, len(recs))
+	if len(recs) > sent {
+		t.Errorf("aggregation grew the data: %d -> %d", sent, len(recs))
+	}
+	if raw != sent || raw != dropped+kept {
+		t.Errorf("raw %d, dropped %d: want raw = %d sent = dropped + %d that reached a slot", raw, dropped, sent, kept)
+	}
+	if keptOctets >= 1<<53 {
+		t.Fatalf("%d octets: the window is too large for exact float64 sums", keptOctets)
 	}
 	var aggBytes float64
 	for _, r := range recs {
 		aggBytes += r.Bytes
 	}
-	if diff := (aggBytes - rawBytes) / rawBytes; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("aggregation changed total volume: %.0f vs %.0f", aggBytes, rawBytes)
+	if aggBytes != float64(keptOctets) {
+		t.Errorf("aggregation changed total volume: drained %.0f bytes, the kept records carried %d", aggBytes, keptOctets)
 	}
 }
 

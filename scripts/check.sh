@@ -9,8 +9,9 @@
 # without the race detector (the pooled ones skip under it), the
 # nested bench module's vet and smoke test, a 15s fuzz pass per
 # protocol decoder, for the IPFIX stream reader against its two-ReadFull
-# oracle and for the /v1/predict request decoder against its
-# encoding/json oracle, the differential oracles, the diagnostic-bundle
+# oracle, for the /v1/predict request decoder against its
+# encoding/json oracle and for the aggregator against its single-map
+# oracle, the differential oracles, the diagnostic-bundle
 # round trip (alarm fires -> bundle written -> CRC-verified), the
 # tipsybench quick cycle, and the chaos soak. Everything is stdlib Go;
 # no network access is needed.
@@ -80,6 +81,7 @@ go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
 go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
 go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
 go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
+go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
 
 echo "==> differential decode (compiled path vs reference)"
 go test -run 'TestDifferentialDecode|TestDifferentialDecodeFuzzCorpus|TestDifferentialCollectorBatch' \
