@@ -176,7 +176,7 @@ func TestPredictEndToEnd(t *testing.T) {
 // Request.Encode and Models.Respond (serve.TestWhatIfAllocs and
 // TestCodecAllocs split those). The pin is exact, so it also moves
 // with the Go release; a lower number is committed by editing it.
-const predictHandlerAllocs = 321
+const predictHandlerAllocs = 318
 
 // whatIfBody is that what-if, encoded: the first 256 distinct flows of
 // the training window, withdrawing the first two links that are some

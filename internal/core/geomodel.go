@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tipsy/internal/geo"
 	"tipsy/internal/wan"
@@ -65,17 +66,15 @@ func (g *GeoCompletion) Predict(q Query) []Prediction {
 		return topK(raw, q.K)
 	}
 
-	have := make(map[wan.LinkID]bool, len(raw))
-	for _, p := range raw {
-		have[p.Link] = true
-	}
 	type cand struct {
 		id wan.LinkID
 		d  float64
 	}
 	var cands []cand
 	for _, id := range g.links.LinksOfAS(anchorLink.PeerAS) {
-		if id == anchorLink.ID || have[id] || q.excluded(id) {
+		// raw holds at most MaxLinksPerTuple links: scan it.
+		if id == anchorLink.ID || q.excluded(id) ||
+			slices.ContainsFunc(raw, func(p Prediction) bool { return p.Link == id }) {
 			continue
 		}
 		l, ok := g.links.Link(id)
@@ -84,11 +83,13 @@ func (g *GeoCompletion) Predict(q Query) []Prediction {
 		}
 		cands = append(cands, cand{id, g.metros.Distance(anchorLink.Metro, l.Metro)})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	// Every candidate is kept, not just a head: topK normalises over
+	// the whole decaying tail, so truncating it would move fractions.
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 
 	// Surviving trained links keep their relative ranking — the

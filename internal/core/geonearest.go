@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"tipsy/internal/geo"
 	"tipsy/internal/wan"
 )
@@ -28,18 +26,48 @@ func NewGeoNearest(links wan.Directory, metros *geo.DB) *GeoNearest {
 // Name implements Predictor.
 func (g *GeoNearest) Name() string { return "GeoNearest" }
 
+// geoNearestMax bounds the ranking GeoNearest returns: only its head
+// means anything, and keeping it short even for unrestricted queries
+// keeps the fractions non-degenerate.
+const geoNearestMax = 16
+
+// geoCand is one link GeoNearest ranks.
+type geoCand struct {
+	id      wan.LinkID
+	foreign bool // not a link of the flow's own AS
+	d       float64
+}
+
+// before is the ranking key: own-AS links first, then distance, then
+// ID. IDs are unique, so the order is strict and total.
+func (c geoCand) before(o geoCand) bool {
+	if c.foreign != o.foreign {
+		return !c.foreign
+	}
+	if c.d != o.d {
+		return c.d < o.d
+	}
+	return c.id < o.id
+}
+
 // Predict implements Predictor. Candidates are every non-excluded
 // link, ordered by (not direct-peer, distance, ID) — the source AS's
 // own interconnects first, then anyone else's nearby ones, mirroring
 // the hot-potato intuition that traffic enters close to where it
 // originates. Fractions decay geometrically down the ranking.
+//
+// The rung runs only for flows the trained models cannot answer, but
+// it scans the whole WAN for each: it keeps the best K (at most
+// geoNearestMax) in a fixed array by insertion instead of sorting
+// every link, so its only allocation is the answer. The key is a
+// strict total order, so the head is the one a full sort would give.
 func (g *GeoNearest) Predict(q Query) []Prediction {
-	type cand struct {
-		id      wan.LinkID
-		foreign bool // not a link of the flow's own AS
-		d       float64
+	max := q.K
+	if max <= 0 || max > geoNearestMax {
+		max = geoNearestMax
 	}
-	var cands []cand
+	var top [geoNearestMax]geoCand
+	n := 0
 	for _, id := range g.links.Links() {
 		if q.excluded(id) {
 			continue
@@ -48,36 +76,30 @@ func (g *GeoNearest) Predict(q Query) []Prediction {
 		if !ok {
 			continue
 		}
-		cands = append(cands, cand{
-			id:      id,
-			foreign: l.PeerAS != q.Flow.AS,
-			d:       g.metros.Distance(q.Flow.Loc, l.Metro),
-		})
+		c := geoCand{id: id, foreign: l.PeerAS != q.Flow.AS}
+		if n == max && c.foreign && !top[n-1].foreign {
+			continue // cannot displace an own-AS link; skip the distance
+		}
+		c.d = g.metros.Distance(q.Flow.Loc, l.Metro)
+		if n == max {
+			if !c.before(top[n-1]) {
+				continue
+			}
+			n--
+		}
+		i := n
+		for ; i > 0 && c.before(top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = c
+		n++
 	}
-	if len(cands) == 0 {
+	if n == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].foreign != cands[j].foreign {
-			return !cands[i].foreign
-		}
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].id < cands[j].id
-	})
-	// Only the head of the ranking means anything; keep it short even
-	// for unrestricted queries so fractions stay non-degenerate.
-	max := q.K
-	if max <= 0 || max > 16 {
-		max = 16
-	}
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	preds := make([]Prediction, len(cands))
+	preds := make([]Prediction, n)
 	w := 1.0
-	for i, c := range cands {
+	for i, c := range top[:n] {
 		preds[i] = Prediction{Link: c.id, Frac: w}
 		w *= 0.5
 	}

@@ -99,7 +99,8 @@ type Sim struct {
 	geoip  *geo.GeoIP
 	w      *traffic.Workload
 
-	links     []wan.Link // index = LinkID-1
+	links     []wan.Link   // index = LinkID-1
+	linkIDs   []wan.LinkID // 1..len(links), what Links hands out
 	linksByAS map[bgp.ASN][]wan.LinkID
 	dist      map[bgp.ASN]int
 	localExit map[bgp.ASN]bool
@@ -247,6 +248,7 @@ func (s *Sim) buildLinks(rng *rand.Rand) {
 					Capacity: wan.GbpsToBps(caps[rng.Intn(len(caps))]),
 					Exchange: exchange,
 				})
+				s.linkIDs = append(s.linkIDs, id)
 				s.linksByAS[e.Neighbor] = append(s.linksByAS[e.Neighbor], id)
 			}
 		}
@@ -280,14 +282,8 @@ func (s *Sim) Link(id wan.LinkID) (wan.Link, bool) {
 // LinksOfAS implements wan.Directory.
 func (s *Sim) LinksOfAS(as bgp.ASN) []wan.LinkID { return s.linksByAS[as] }
 
-// Links implements wan.Directory.
-func (s *Sim) Links() []wan.LinkID {
-	out := make([]wan.LinkID, len(s.links))
-	for i := range s.links {
-		out[i] = wan.LinkID(i + 1)
-	}
-	return out
-}
+// Links implements wan.Directory. The slice is the simulator's own.
+func (s *Sim) Links() []wan.LinkID { return s.linkIDs }
 
 // NumLinks reports the number of peering links on the WAN.
 func (s *Sim) NumLinks() int { return len(s.links) }

@@ -371,8 +371,8 @@ func TestEncodeNamesTheBadFlow(t *testing.T) {
 // committed by editing it.
 const (
 	encodeAllocs  = 1   // Request.Encode: the []FlowFeatures
-	respondAllocs = 322 // Models.Respond, of which
-	walkAllocs    = 306 // are made inside its Models.Walk calls
+	respondAllocs = 302 // Models.Respond, of which
+	walkAllocs    = 286 // are made inside its Models.Walk calls
 )
 
 func TestWhatIfAllocs(t *testing.T) {

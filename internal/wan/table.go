@@ -11,6 +11,7 @@ import (
 // to files or sent between processes.
 type Table struct {
 	links []Link
+	ids   []LinkID // the IDs of links, what Links hands out
 	byAS  map[bgp.ASN][]LinkID
 }
 
@@ -23,6 +24,7 @@ func NewTable(links []Link) *Table {
 	}
 	sort.Slice(t.links, func(i, j int) bool { return t.links[i].ID < t.links[j].ID })
 	for _, l := range t.links {
+		t.ids = append(t.ids, l.ID)
 		t.byAS[l.PeerAS] = append(t.byAS[l.PeerAS], l.ID)
 	}
 	return t
@@ -41,13 +43,7 @@ func (t *Table) Link(id LinkID) (Link, bool) {
 func (t *Table) LinksOfAS(as bgp.ASN) []LinkID { return t.byAS[as] }
 
 // Links implements Directory.
-func (t *Table) Links() []LinkID {
-	out := make([]LinkID, len(t.links))
-	for i, l := range t.links {
-		out[i] = l.ID
-	}
-	return out
-}
+func (t *Table) Links() []LinkID { return t.ids }
 
 // All returns the underlying links in ID order. Callers must not
 // modify the returned slice.

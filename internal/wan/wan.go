@@ -101,5 +101,8 @@ type Directory interface {
 	// AS, in ascending ID order.
 	LinksOfAS(as bgp.ASN) []LinkID
 	// Links returns all link IDs in ascending order.
+	//
+	// Both slices are the implementation's own, shared by every
+	// caller: callers must not modify them.
 	Links() []LinkID
 }

@@ -10,8 +10,9 @@
 # nested bench module's vet and smoke test, a 15s fuzz pass per
 # protocol decoder, for the IPFIX stream reader against its two-ReadFull
 # oracle, for the /v1/predict request decoder against its
-# encoding/json oracle and for the aggregator against its single-map
-# oracle, the differential oracles, the diagnostic-bundle
+# encoding/json oracle, for the aggregator against its single-map
+# oracle and for the geo fallback rung against its full-sort oracle,
+# the differential oracles, the diagnostic-bundle
 # round trip (alarm fires -> bundle written -> CRC-verified), the
 # tipsybench quick cycle, and the chaos soak. Everything is stdlib Go;
 # no network access is needed.
@@ -81,6 +82,7 @@ go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
 go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
 go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
 go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
+go test -fuzz=FuzzGeoNearest -fuzztime=15s -run '^$' ./internal/core
 go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
 
 echo "==> differential decode (compiled path vs reference)"
