@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	tipsylint [-json|-sarif] [-suppressions] [-stats] [-rules determinism,locks,...] ./...
+//	tipsylint [-suppressions] [-stats] [-rules determinism,locks,...] ./...
 //
 // Exit status is 0 when clean, 1 when findings were reported, and 2
 // on usage, load, or typecheck errors. Individual findings are
@@ -36,8 +36,6 @@ func main() {
 
 // options is one parsed command line.
 type options struct {
-	jsonOut      bool
-	sarifOut     bool
 	suppressions bool
 	stats        bool
 	rules        []lint.Rule
@@ -64,15 +62,13 @@ func parseArgs(args []string, stderr io.Writer) (options, bool) {
 	var opts options
 	fs := flag.NewFlagSet("tipsylint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.BoolVar(&opts.jsonOut, "json", false, "emit findings as JSON")
-	fs.BoolVar(&opts.sarifOut, "sarif", false, "emit findings as SARIF 2.1.0")
 	fs.BoolVar(&opts.suppressions, "suppressions", false,
 		"list //lint:ignore directives instead of linting; exit 1 on any reasonless directive")
 	ruleList := fs.String("rules", "", "comma-separated rule subset (default: all)")
 	fs.BoolVar(&opts.stats, "stats", false,
 		"print per-rule wall time to stderr after the run")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: tipsylint [-json|-sarif] [-suppressions] [-stats] [-rules list] packages...")
+		fmt.Fprintln(stderr, "usage: tipsylint [-suppressions] [-stats] [-rules list] packages...")
 		fs.PrintDefaults()
 		fmt.Fprintln(stderr, "\nrules:")
 		for _, r := range lint.Rules() {
@@ -158,28 +154,14 @@ func report(opts options, pkgs []*lint.Package, stdout, stderr io.Writer) int {
 
 	diags, ruleStats := lint.RunStats(pkgs, opts.rules)
 	if opts.stats {
-		// Stats go to stderr so -json/-sarif payloads on stdout stay
-		// machine-parseable.
+		// Stats go to stderr so stdout holds findings only.
 		fmt.Fprintln(stderr, "rule timings:")
 		for _, s := range ruleStats {
 			fmt.Fprintf(stderr, "  %-14s %10.2fms\n", s.Name,
 				float64(s.Elapsed.Microseconds())/1000)
 		}
 	}
-	switch {
-	case opts.jsonOut:
-		if err := lint.WriteJSON(stdout, diags); err != nil {
-			fmt.Fprintln(stderr, "tipsylint:", err)
-			return 2
-		}
-	case opts.sarifOut:
-		if err := lint.WriteSARIF(stdout, diags, opts.rules); err != nil {
-			fmt.Fprintln(stderr, "tipsylint:", err)
-			return 2
-		}
-	default:
-		lint.WriteText(stdout, diags)
-	}
+	lint.WriteText(stdout, diags)
 	if badLoad {
 		return 2
 	}

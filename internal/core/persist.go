@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
@@ -33,6 +34,7 @@ const (
 	checkpointMagic  = "TIPSYCK1"
 	frameHeaderLen   = 8 + 8 + 4
 	maxSnapshotBytes = 1 << 32 // sanity cap against garbage length fields
+	frameReadChunk   = 1 << 20 // payload bytes read per allocation step
 )
 
 // BundleManifestMagic frames diagnostic-bundle manifests (see
@@ -85,9 +87,17 @@ func readFrame(r io.Reader, magic string) ([]byte, error) {
 	if n > maxSnapshotBytes {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptSnapshot, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptSnapshot, err)
+	// Allocate what arrives, not what the header claims: a damaged
+	// length field costs at most one chunk before the short read shows.
+	// A payload of one chunk or less keeps its single allocation.
+	payload := make([]byte, 0, min(n, frameReadChunk))
+	for uint64(len(payload)) < n {
+		start := len(payload)
+		chunk := int(min(n-uint64(start), frameReadChunk))
+		payload = slices.Grow(payload, chunk)[:start+chunk]
+		if _, err := io.ReadFull(r, payload[start:]); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptSnapshot, err)
+		}
 	}
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[16:20]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptSnapshot)

@@ -188,7 +188,7 @@ func TestGeoIPOneLocationPerPrefix(t *testing.T) {
 // TestGeoIPConcurrentRegisterLookup exercises the entries map from
 // concurrent writers and readers, including a rebuild via
 // NewGeoIPFromEntries (whose copy loop once wrote the map without the
-// lock): the guardedby lint pins the discipline statically, this pins
+// lock): the locks lint pins the discipline statically, this pins
 // it under the race detector.
 func TestGeoIPConcurrentRegisterLookup(t *testing.T) {
 	db := World()

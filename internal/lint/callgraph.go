@@ -35,12 +35,6 @@ type CallSite struct {
 	// number for an interface call (every in-module implementer).
 	// Empty for calls that leave the module or cannot be resolved.
 	Callees []*FuncNode
-	// External names an out-of-module target ("sort.Strings",
-	// "(*encoding/json.Encoder).Encode") when the call leaves the
-	// module; "" otherwise.
-	External string
-	// Interface marks a call dispatched through an interface method.
-	Interface bool
 	// SameRecv marks a method call whose receiver expression is the
 	// enclosing method's own receiver identifier — the case where a
 	// non-reentrant lock deadlocks for sure.
@@ -86,13 +80,6 @@ func recvTypeName(t types.Type) string {
 		return recvTypeName(types.Unalias(t))
 	}
 	return ""
-}
-
-// externalName renders an out-of-module callee for sink
-// classification: "pkgpath.Func" for package functions,
-// "pkgpath.Type.Method" for methods.
-func externalName(fn *types.Func) string {
-	return FuncID(fn)
 }
 
 // buildCallGraph indexes every declared function in pkgs and resolves
@@ -202,18 +189,12 @@ func resolveCall(g *CallGraph, p *Package, call *ast.CallExpr, recvName string, 
 		if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
 			// Interface dispatch: every in-module type whose method
 			// set implements the interface is a possible target.
-			site.Interface = true
 			site.Callees = implementers(iface, fn.Name(), byMethodName)
-			if len(site.Callees) == 0 {
-				site.External = externalName(fn)
-			}
 			return site
 		}
 	}
 	if target, ok := g.Nodes[FuncID(fn)]; ok {
 		site.Callees = []*FuncNode{target}
-	} else {
-		site.External = externalName(fn)
 	}
 	return site
 }
@@ -243,27 +224,6 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-// CalleeNames is a debugging helper: the sorted in-module callee IDs
-// of fn, one hop out.
-func (g *CallGraph) CalleeNames(id string) []string {
-	n := g.Nodes[id]
-	if n == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	for _, s := range n.Sites {
-		for _, c := range s.Callees {
-			seen[c.ID] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // posLess orders positions for deterministic reporting.

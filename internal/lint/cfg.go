@@ -149,11 +149,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.edge(head, body)
 		if s.Cond != nil {
 			b.edge(head, after) // condition can be false on entry
-		} else {
-			// for{}: only break leaves; still edge to after so the
-			// dataflow terminates on the conservative side.
-			b.edge(head, after)
 		}
+		// for{}: only break leaves, through its own edge to after.
 		b.pushLoop(s, after, head)
 		b.cur = body
 		b.stmtList(s.Body.List)
@@ -218,7 +215,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 				b.edge(b.cur, after)
 			}
 		}
-		if !hasDefault || len(clauses) == 0 {
+		// A switch may match no case; a select waits for one.
+		if _, isSelect := s.(*ast.SelectStmt); !hasDefault && !isSelect {
 			b.edge(head, after)
 		}
 		b.popLoop()

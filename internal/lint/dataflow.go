@@ -4,18 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file is the deep tier's forward value-provenance engine. It
 // runs a union-merge dataflow over the CFG of one function body,
 // tracking for every local variable a set of provenance tags: which
-// parameter it derives from, whether a nondeterministic source
-// (wall clock, entropy, process identity) feeds it, and whether it
-// was drawn from — or aggregated in the order of — a map iteration.
-// The maporder and seedflow rules instantiate the engine with hooks
-// that classify calls; interprocedural precision comes from function
-// summaries computed on demand over the call graph.
+// parameter it derives from, and which function or composite literal
+// created it. The escape pass and the locks rule's constructor
+// exemption instantiate the engine with hooks that classify calls.
 
 // TagKind classifies one provenance tag.
 type TagKind int
@@ -24,29 +20,19 @@ const (
 	// TagParam: value derives from the function's parameter Index
 	// (receiver is index -1).
 	TagParam TagKind = iota
-	// TagNondet: value transitively derives from a nondeterministic
-	// source; Detail names it ("time.Now", "os.Getpid", ...).
-	TagNondet
-	// TagMapKey / TagMapVal: value is the key/value drawn by the map
-	// range statement at Site.
-	TagMapKey
-	TagMapVal
-	// TagMapOrdered: an aggregate (slice, string) whose element order
-	// is the iteration order of the map range at Site.
-	TagMapOrdered
-	// TagAlloc: value is (or carries) the function literal created at
-	// Site. The escape pass (escape.go) follows these tags to the
-	// points where a closure leaves its creating function.
+	// TagAlloc: value is (or carries) the literal created at Site. The
+	// escape pass (escape.go) follows function literals' tags to the
+	// points where a closure leaves its creating function; the locks
+	// rule tags fresh guarded structs.
 	TagAlloc
 )
 
 // Tag is one provenance fact. Tags are comparable and used as set
 // keys.
 type Tag struct {
-	Kind   TagKind
-	Index  int       // TagParam
-	Site   token.Pos // TagMap*: position of the originating range
-	Detail string    // TagNondet
+	Kind  TagKind
+	Index int       // TagParam
+	Site  token.Pos // TagAlloc: position of the literal
 }
 
 // tagSet is a small immutable-by-convention set of tags. The nil set
@@ -60,30 +46,6 @@ func (s tagSet) has(k TagKind) bool {
 		}
 	}
 	return false
-}
-
-func (s tagSet) pick(k TagKind) (Tag, bool) {
-	var out []Tag
-	for t := range s {
-		if t.Kind == k {
-			out = append(out, t)
-		}
-	}
-	if len(out) == 0 {
-		return Tag{}, false
-	}
-	// Deterministic choice when several tags of one kind are present.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		if a.Index != b.Index {
-			return a.Index < b.Index
-		}
-		return a.Detail < b.Detail
-	})
-	return out[0], true
 }
 
 func union(sets ...tagSet) tagSet {
@@ -146,13 +108,8 @@ type provHooks interface {
 	// arguments. A nil slice means "all results clean".
 	EvalCall(call *ast.CallExpr, recv tagSet, args []tagSet) []tagSet
 	// RangeTags returns the tags bound to the key and value variables
-	// of rs. xTags is the provenance of the ranged operand; isMap
-	// reports whether the operand's type is a map.
-	RangeTags(rs *ast.RangeStmt, xTags tagSet, isMap bool) (key, val tagSet)
-	// CleanseArgs returns argument expressions whose map-order tags
-	// the call removes — sort.Slice(keys, ...) makes keys
-	// deterministic again. Nil when the call cleanses nothing.
-	CleanseArgs(call *ast.CallExpr) []ast.Expr
+	// of rs. xTags is the provenance of the ranged operand.
+	RangeTags(rs *ast.RangeStmt, xTags tagSet) (key, val tagSet)
 }
 
 // funcLitTagger is an optional provHooks extension: hooks implementing
@@ -169,7 +126,7 @@ type funcLitTagger interface {
 // contribute — the hook is asserting the literal's identity, and a
 // tagged value stored inside a fresh struct says nothing about the
 // struct itself. A nil result falls through to the element union. The
-// guardedby tier uses it to tag freshly allocated guarded structs, so
+// locks rule uses it to tag freshly allocated guarded structs, so
 // field stores in constructor bodies are recognizable as
 // pre-publication initialization.
 type compositeLitTagger interface {
@@ -303,11 +260,7 @@ func (pv *provenance) apply(s ast.Stmt, e env) {
 			}
 		}
 	case *ast.RangeStmt:
-		isMap := false
-		if tv, ok := pv.pkg.Info.Types[s.X]; ok {
-			_, isMap = tv.Type.Underlying().(*types.Map)
-		}
-		keyTags, valTags := pv.hooks.RangeTags(s, pv.eval(s.X, e), isMap)
+		keyTags, valTags := pv.hooks.RangeTags(s, pv.eval(s.X, e))
 		bind := func(expr ast.Expr, tags tagSet) {
 			id, ok := expr.(*ast.Ident)
 			if !ok {
@@ -348,37 +301,10 @@ func (pv *provenance) apply(s ast.Stmt, e env) {
 			pv.apply(s.Init, e)
 		}
 		pv.apply(s.Assign, e)
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			pv.cleanse(call, e)
-		}
-	case *ast.IncDecStmt, *ast.SendStmt,
+	case *ast.ExprStmt, *ast.IncDecStmt, *ast.SendStmt,
 		*ast.DeferStmt, *ast.GoStmt, *ast.ReturnStmt:
 		// No local rebinding. (Pointer-mediated mutation through
 		// calls is out of model.)
-	}
-}
-
-// cleanse removes map-order tags from the variables a sorting call
-// fixes up.
-func (pv *provenance) cleanse(call *ast.CallExpr, e env) {
-	for _, argExpr := range pv.hooks.CleanseArgs(call) {
-		obj := pv.lvalueObj(argExpr)
-		if obj == nil {
-			continue
-		}
-		var kept tagSet
-		for t := range e[obj] {
-			switch t.Kind {
-			case TagMapKey, TagMapVal, TagMapOrdered:
-				continue
-			}
-			if kept == nil {
-				kept = tagSet{}
-			}
-			kept[t] = struct{}{}
-		}
-		e[obj] = kept
 	}
 }
 
@@ -440,9 +366,9 @@ func (pv *provenance) assignTo(lhs ast.Expr, tags tagSet, tok token.Token, e env
 		}
 	case *ast.IndexExpr:
 		// s[i] = v: a weak update — the container accumulates the
-		// element's provenance, aggregation tags included.
+		// element's provenance.
 		if obj := pv.lvalueObj(lhs.X); obj != nil {
-			e[obj] = union(e[obj], aggregated(tags))
+			e[obj] = union(e[obj], tags)
 		}
 	}
 }
@@ -469,24 +395,6 @@ func (pv *provenance) lvalueObj(x ast.Expr) types.Object {
 		return pv.fieldObj(x)
 	}
 	return nil
-}
-
-// aggregated converts element-level map-iteration tags into the
-// aggregate-order tag: appending a map key to a slice makes the slice
-// map-ordered.
-func aggregated(tags tagSet) tagSet {
-	var out tagSet
-	for t := range tags {
-		switch t.Kind {
-		case TagMapKey, TagMapVal:
-			t = Tag{Kind: TagMapOrdered, Site: t.Site}
-		}
-		if out == nil {
-			out = tagSet{}
-		}
-		out[t] = struct{}{}
-	}
-	return out
 }
 
 // eval computes the provenance of one expression.
@@ -578,15 +486,6 @@ func (pv *provenance) evalCallResults(call *ast.CallExpr, e env, want int) []tag
 	if id, ok := fun.(*ast.Ident); ok {
 		if b, ok := pv.pkg.Info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
-			case "append":
-				// append(s, elems...): the result carries the slice's
-				// tags plus the elements' tags lifted to aggregate
-				// order.
-				parts := []tagSet{pv.eval(call.Args[0], e)}
-				for _, a := range call.Args[1:] {
-					parts = append(parts, aggregated(pv.eval(a, e)))
-				}
-				return pad(union(parts...))
 			case "len", "cap", "make", "new", "clear", "delete", "panic", "print", "println":
 				return pad(nil)
 			default:

@@ -5,7 +5,7 @@ import (
 	"go/token"
 )
 
-// This file is the closure-escape pass. guardedby uses it to tell a
+// This file is the closure-escape pass. The locks rule uses it to tell a
 // literal that runs inside its creator's critical section from one
 // that may run once the locks held at its creation are gone. A
 // function literal whose value stays inside its creating function —
@@ -28,12 +28,10 @@ func (escapeHooks) EvalCall(call *ast.CallExpr, recv tagSet, args []tagSet) []ta
 	return []tagSet{union(append(args, recv)...)}
 }
 
-func (escapeHooks) RangeTags(rs *ast.RangeStmt, xTags tagSet, isMap bool) (key, val tagSet) {
+func (escapeHooks) RangeTags(rs *ast.RangeStmt, xTags tagSet) (key, val tagSet) {
 	// Ranging over a container of closures yields the closures.
 	return nil, xTags
 }
-
-func (escapeHooks) CleanseArgs(call *ast.CallExpr) []ast.Expr { return nil }
 
 func (escapeHooks) FuncLitTags(lit *ast.FuncLit) tagSet {
 	return singleton(Tag{Kind: TagAlloc, Site: lit.Pos()})

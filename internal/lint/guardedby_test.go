@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// runGuardedBy runs the guardedby rule alone over one in-memory file.
+// runGuardedBy runs the locks rule alone over one in-memory file.
 func runGuardedBy(t *testing.T, name, src string) []Diagnostic {
 	t.Helper()
 	p, err := loader(t).LoadSource(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run([]*Package{p}, []Rule{descope(ruleByName(t, "guardedby"))})
+	return Run([]*Package{p}, []Rule{descope(ruleByName(t, "locks"))})
 }
 
 func messages(diags []Diagnostic) []string {
@@ -313,6 +313,85 @@ func Sum(ts []*T) int {
 }
 `)
 	wantOne(t, diags, "needs a reason")
+}
+
+// TestLockLeaksFollowControlFlow pins the leak check's must-hold
+// reading on the shapes a source-order scan gets wrong in one
+// direction or the other: releases inside an endless loop or a
+// select, a deferred unlock spanning an unlock/relock, a lock taken
+// and released under the same condition, and a closure running
+// inside its creator's critical section. Lock state is must-hold, so
+// a lock released on one branch only is not held after the join and
+// is not reported; a return inside a loop that skips the release is.
+func TestLockLeaksFollowControlFlow(t *testing.T) {
+	wantNone(t, runGuardedBy(t, "leak_clean.go", `package p
+import "sync"
+type T struct {
+	mu sync.Mutex
+	n  int
+}
+func (t *T) Loop(ch chan int) {
+	t.mu.Lock()
+	for {
+		if <-ch == 0 {
+			t.mu.Unlock()
+			return
+		}
+	}
+}
+func (t *T) Wait(a, b chan int) int {
+	t.mu.Lock()
+	select {
+	case v := <-a:
+		t.mu.Unlock()
+		return v
+	case v := <-b:
+		t.mu.Unlock()
+		return v
+	}
+}
+func (t *T) Relock(slow func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.mu.Unlock()
+	slow()
+	t.mu.Lock()
+}
+func (t *T) Maybe(ok bool) {
+	if ok {
+		t.mu.Lock()
+	}
+	if ok {
+		t.mu.Unlock()
+	}
+}
+func (t *T) Inline() {
+	t.mu.Lock()
+	func() { t.n++ }()
+	t.mu.Unlock()
+}
+func (t *T) OneBranch(ok bool) {
+	t.mu.Lock()
+	if ok {
+		t.mu.Unlock()
+	}
+}
+`))
+
+	wantOne(t, runGuardedBy(t, "leak_loop.go", `package p
+import "sync"
+type T struct{ mu sync.RWMutex }
+func (t *T) Find(xs []int) int {
+	t.mu.RLock()
+	for _, x := range xs {
+		if x > 0 {
+			return x
+		}
+	}
+	t.mu.RUnlock()
+	return 0
+}
+`), "t.mu.RLock() can reach the return at line 8 still held; release with defer t.mu.RUnlock()")
 }
 
 // TestGuardedByInferenceThreshold pins the majority rule: three

@@ -5,7 +5,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
@@ -51,30 +50,22 @@ type Rule struct {
 }
 
 // Program is the whole-module view handed to deep rules: every loaded
-// package, the intra-module call graph, and memoized dataflow
-// summaries. All packages must come from one Loader (they share its
-// FileSet). A Program is built per Run call and is not written to
-// after construction except through its private memo caches, which
-// are only touched by the sequential deep-rule pass.
+// package and the intra-module call graph. All packages must come
+// from one Loader (they share its FileSet). A Program is built per Run
+// call and is not written to after construction.
 type Program struct {
 	Pkgs   []*Package
 	Fset   *token.FileSet
 	Graph  *CallGraph
 	byFile map[string]*Package
-
-	// Memoized per-function summaries, filled lazily by the rules.
-	seedSums map[string]*seedSummary
-	sinkSums map[string]*sinkSummary
 }
 
 // NewProgram indexes pkgs for deep analysis.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:     pkgs,
-		Graph:    buildCallGraph(pkgs),
-		byFile:   map[string]*Package{},
-		seedSums: map[string]*seedSummary{},
-		sinkSums: map[string]*sinkSummary{},
+		Pkgs:   pkgs,
+		Graph:  buildCallGraph(pkgs),
+		byFile: map[string]*Package{},
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
@@ -108,19 +99,20 @@ func Rules() []Rule {
 	return []Rule{
 		{
 			Name:            "determinism",
-			Doc:             "forbid wall-clock time and ambient randomness in simulation code and in tests",
+			Doc:             "forbid wall-clock time, ambient randomness, entropy, and process identity in simulation code and in tests",
 			Dirs:            simDirs,
 			TestsEverywhere: true,
 			Check:           checkDeterminism,
 		},
 		{
-			Name:  "locks",
-			Doc:   "flag lock/unlock paths that can leak a held lock",
-			Check: checkLocks,
+			Name:      "locks",
+			Doc:       "run a must-hold lock dataflow over each function's CFG and flag locks held at a return, lock-order cycles, self-deadlocks, and accesses to a field without its guarding mutex (a //tipsy:guardedby pin or a 3/4 majority of locked accesses), writes under RLock, and escaping-closure accesses",
+			SkipTests: true,
+			DeepCheck: checkLocks,
 		},
 		{
 			Name:  "wire",
-			Doc:   "flag dropped encoder errors and non-fixed-size binary.Write arguments",
+			Doc:   "flag dropped encoder write errors",
 			Dirs:  wireDirs,
 			Check: checkWire,
 		},
@@ -157,32 +149,6 @@ func Rules() []Rule {
 			},
 			SkipTests: true,
 			Check:     checkWalltime,
-		},
-		{
-			Name:      "maporder",
-			Doc:       "flag map iterations whose order can reach a slice, writer, encoder, or return value unsorted in deterministic-scope packages",
-			Dirs:      simDirs,
-			SkipTests: true,
-			DeepCheck: checkMapOrder,
-		},
-		{
-			Name:      "deadlock",
-			Doc:       "flag lock-order cycles across mutex-bearing types and self-deadlocking method calls",
-			SkipTests: true,
-			DeepCheck: checkDeadlock,
-		},
-		{
-			Name:      "guardedby",
-			Doc:       "infer which mutex guards each struct field from the majority of CFG-proven locked accesses (or a //tipsy:guardedby pin) and flag the unguarded minority, RLock-writes, and escaping-closure accesses",
-			SkipTests: true,
-			DeepCheck: checkGuardedBy,
-		},
-		{
-			Name:            "seedflow",
-			Doc:             "require rand seeds to trace to a config field or parameter, never wall clock, entropy, or process identity — even through helpers",
-			Dirs:            simDirs,
-			TestsEverywhere: true,
-			DeepCheck:       checkSeedFlow,
 		},
 	}
 }
@@ -398,22 +364,4 @@ func WriteText(w io.Writer, diags []Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d.String())
 	}
-}
-
-// WriteJSON prints the findings as a JSON array.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	type jsonDiag struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		Rule    string `json:"rule"`
-		Message string `json:"message"`
-	}
-	out := make([]jsonDiag, len(diags))
-	for i, d := range diags {
-		out[i] = jsonDiag{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -32,7 +32,7 @@ func TestConcurrentFullTierIsDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = format(Run(pkgs, Rules()))
+			out[i] = format(l.ModuleRoot, Run(pkgs, Rules()))
 		}(i)
 	}
 	wg.Wait()

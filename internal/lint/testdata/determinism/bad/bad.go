@@ -1,9 +1,12 @@
 // Package fixture violates every determinism convention: wall-clock
-// reads, the process-global RNG, and a time-seeded generator.
+// reads, the process-global RNG, a time-seeded generator, a seed from
+// the process identity, and crypto/rand.
 package fixture
 
 import (
+	crand "crypto/rand"
 	"math/rand"
+	"os"
 	"time"
 )
 
@@ -22,4 +25,15 @@ func NewRNG() *rand.Rand {
 // Shuffle uses the global Shuffle.
 func Shuffle(xs []int) {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+}
+
+// PidRNG seeds from the process identity: every same-seed test in one
+// process agrees, and no two runs replay.
+func PidRNG() *rand.Rand {
+	return rand.New(rand.NewSource(int64(os.Getpid())))
+}
+
+// Entropy fills b from the operating system's entropy source.
+func Entropy(b []byte) {
+	crand.Read(b)
 }

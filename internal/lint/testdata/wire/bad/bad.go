@@ -1,5 +1,5 @@
 // Package fixture violates the wire-encoder conventions: dropped
-// write errors and non-fixed-size binary.Write arguments.
+// write errors.
 package fixture
 
 import (
@@ -13,12 +13,6 @@ type Header struct {
 	Length  uint16
 }
 
-// Message mixes in a slice, so binary.Write rejects it at runtime.
-type Message struct {
-	Header Header
-	Body   []byte
-}
-
 // EncodeHeader drops the binary.Write error outright.
 func EncodeHeader(w io.Writer, h Header) {
 	binary.Write(w, binary.BigEndian, h)
@@ -27,16 +21,6 @@ func EncodeHeader(w io.Writer, h Header) {
 // EncodeBlank discards the error into the blank identifier.
 func EncodeBlank(w io.Writer, h Header) {
 	_ = binary.Write(w, binary.BigEndian, h)
-}
-
-// EncodeCount passes a bare int, which has no fixed wire size.
-func EncodeCount(w io.Writer, n int) error {
-	return binary.Write(w, binary.BigEndian, n)
-}
-
-// EncodeMessage passes a struct with a slice field.
-func EncodeMessage(w io.Writer, m Message) error {
-	return binary.Write(w, binary.BigEndian, m)
 }
 
 // Flush drops the short-write information from the io.Writer.

@@ -8,10 +8,7 @@ import (
 // checkWire guards the protocol encoders. A dropped error from
 // binary.Write/binary.Read or an io.Writer means a short or failed
 // write silently corrupts the byte stream — for IPFIX/BMP/BGP that is
-// a malformed PDU the peer may not even detect. A non-fixed-size
-// argument to binary.Write (int, string, a struct with a slice) does
-// not fail at compile time; it returns an error at runtime, on every
-// call.
+// a malformed PDU the peer may not even detect.
 func checkWire(p *Package, report ReportFunc) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -26,8 +23,6 @@ func checkWire(p *Package, report ReportFunc) {
 						checkDroppedWrite(p, call, report)
 					}
 				}
-			case *ast.CallExpr:
-				checkBinaryWriteArg(p, n, report)
 			}
 			return true
 		})
@@ -104,60 +99,4 @@ func isPointerTo(t types.Type, pkg, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkg && obj.Name() == name
-}
-
-// checkBinaryWriteArg verifies the data argument of binary.Write is a
-// fixed-size value, a slice of fixed-size values, or a pointer to
-// one — the contract encoding/binary only enforces at runtime.
-func checkBinaryWriteArg(p *Package, call *ast.CallExpr, report ReportFunc) {
-	pkg, name := calleePkgFunc(p, call)
-	if pkg != "encoding/binary" || name != "Write" || len(call.Args) != 3 {
-		return
-	}
-	tv, ok := p.Info.Types[call.Args[2]]
-	if !ok {
-		return
-	}
-	t := tv.Type
-	if _, isIface := t.Underlying().(*types.Interface); isIface {
-		return // dynamic type unknown; runtime's problem
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Pointer:
-		t = u.Elem()
-	case *types.Slice:
-		t = u.Elem()
-	}
-	if !fixedSize(t) {
-		report(call.Args[2].Pos(), "binary.Write data argument has non-fixed-size type %s; it will error at runtime — use a sized type (e.g. uint32) or an explicit encoder",
-			types.TypeString(tv.Type, types.RelativeTo(p.Types)))
-	}
-}
-
-// fixedSize mirrors encoding/binary's notion of fixed-size data:
-// sized booleans/numerics, and arrays/structs composed of them. No
-// cycle guard is needed: a type can only recurse through pointers,
-// slices, or maps, and those are all non-fixed.
-func fixedSize(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		switch u.Kind() {
-		case types.Bool,
-			types.Int8, types.Int16, types.Int32, types.Int64,
-			types.Uint8, types.Uint16, types.Uint32, types.Uint64,
-			types.Float32, types.Float64, types.Complex64, types.Complex128:
-			return true
-		}
-		return false
-	case *types.Array:
-		return fixedSize(u.Elem())
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if !fixedSize(u.Field(i).Type()) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"tipsy/internal/bgp"
@@ -16,22 +17,25 @@ func testGraph(t *testing.T) *Graph {
 	return g
 }
 
+// TestGenerateDeterministic requires a seed to rebuild the graph
+// exactly: the same ASes in the same order, each AS whole (metros,
+// islands, weight), and every edge whole, interconnection metros
+// included.
 func TestGenerateDeterministic(t *testing.T) {
 	m := geo.World()
 	a := Generate(TestGenConfig(42), m)
 	b := Generate(TestGenConfig(42), m)
-	if a.Len() != b.Len() {
-		t.Fatal("same seed produced different AS counts")
+	if !reflect.DeepEqual(a.ASNs(), b.ASNs()) {
+		t.Fatal("same seed produced different AS lists")
 	}
 	for _, asn := range a.ASNs() {
-		ea, eb := a.Edges(asn), b.Edges(asn)
-		if len(ea) != len(eb) {
-			t.Fatalf("%v: edge count differs between runs", asn)
+		asA, _ := a.AS(asn)
+		asB, _ := b.AS(asn)
+		if !reflect.DeepEqual(asA, asB) {
+			t.Fatalf("%v differs between runs:\n%+v\n%+v", asn, asA, asB)
 		}
-		for i := range ea {
-			if ea[i].Neighbor != eb[i].Neighbor || ea[i].Rel != eb[i].Rel {
-				t.Fatalf("%v: edge %d differs between runs", asn, i)
-			}
+		if ea, eb := a.Edges(asn), b.Edges(asn); !reflect.DeepEqual(ea, eb) {
+			t.Fatalf("%v: edges differ between runs:\n%+v\n%+v", asn, ea, eb)
 		}
 	}
 	c := Generate(TestGenConfig(43), m)

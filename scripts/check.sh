@@ -2,20 +2,20 @@
 # check.sh — the repository's full verify gate.
 #
 # Runs, in order: formatting, go vet, build, tipsylint (the project's
-# own static-analysis suite: determinism, lock hygiene, lock-guard
-# inference / static race lint, wire-encoder safety, goroutine
-# hygiene, metrics; one invocation), the test suite under the race
-# detector with a total-coverage floor, the exact allocation pins once
-# without the race detector (the pooled ones skip under it), the
-# nested bench module's vet and smoke test, a 15s fuzz pass per
-# protocol decoder, for the IPFIX stream reader against its two-ReadFull
-# oracle, for the /v1/predict request decoder against its
+# own static-analysis suite: determinism, one lock analysis covering
+# leaks, lock order and guarded fields, wire-encoder errors, goroutine
+# hygiene, metrics, slog, walltime; one invocation), the test suite
+# under the race detector with a total-coverage floor, the exact
+# allocation pins once without the race detector (the pooled ones skip
+# under it), the nested bench module's vet and smoke test, a 15s fuzz
+# pass per protocol decoder, for the IPFIX stream reader against its
+# two-ReadFull oracle, for the /v1/predict request decoder against its
 # encoding/json oracle, for the aggregator against its single-map
-# oracle and for the geo fallback rung against its full-sort oracle,
-# the differential oracles, the diagnostic-bundle
-# round trip (alarm fires -> bundle written -> CRC-verified), the
-# tipsybench quick cycle, and the chaos soak. Everything is stdlib Go;
-# no network access is needed.
+# oracle, for the geo fallback rung against its full-sort oracle and
+# for the model/checkpoint frame reader, the differential oracles, the
+# diagnostic-bundle round trip (alarm fires -> bundle written ->
+# CRC-verified), the tipsybench quick cycle, and the chaos soak.
+# Everything is stdlib Go; no network access is needed.
 #
 # Usage: scripts/check.sh [-short]
 #   -short  skip the race detector (plain `go test`), for quick loops
@@ -83,6 +83,7 @@ go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
 go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
 go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
 go test -fuzz=FuzzGeoNearest -fuzztime=15s -run '^$' ./internal/core
+go test -fuzz=FuzzReadFramed -fuzztime=15s -run '^$' ./internal/core
 go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
 
 echo "==> differential decode (compiled path vs reference)"
