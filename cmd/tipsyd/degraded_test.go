@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,28 +154,68 @@ func TestCheckpointRecoveryOnRestart(t *testing.T) {
 	}
 }
 
+// v1Checkpoint and v1Model are the checkpoint layout of snapshot
+// version 1, which gob-encoded each model's table map.
+type v1Checkpoint struct {
+	Version   int
+	TrainedAt int32
+	Models    []v1Model
+}
+
+type v1Model struct {
+	Version int
+	Set     features.Set
+	Table   map[features.Tuple][]core.Prediction
+}
+
 func TestRecoverRejectsCorruptCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.ck")
 	a := smallServer(t, 36)
-	a.checkpointPath = path
+	a.checkpointPath = filepath.Join(t.TempDir(), "model.ck")
 	if err := a.saveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(a.checkpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate: the shape a crash would leave without atomic rename.
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+	// Version 1: the file of a build before the columnar layout.
+	old := v1Checkpoint{Version: 1, TrainedAt: 24, Models: []v1Model{{
+		Version: 1, Set: features.SetA,
+		Table: map[features.Tuple][]core.Prediction{{AS: 7}: {{Link: 1, Frac: 1}}},
+	}}}
+	var payload, v1 bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(old); err != nil {
 		t.Fatal(err)
 	}
-	b := newServer(36, 1, monitor.DefaultConfig())
-	b.checkpointPath = path
-	if err := b.recoverCheckpoint(); err == nil {
-		t.Fatal("truncated checkpoint recovered successfully")
+	if err := core.WriteFramed(&v1, "TIPSYCK1", payload.Bytes()); err != nil {
+		t.Fatal(err)
 	}
-	if gb := b.gen.Load(); gb.Trained() || gb.Recovered() {
-		t.Error("failed recovery must leave the server cold")
+
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string // in the error
+	}{
+		// The shape a crash would leave without atomic rename.
+		{"truncated", raw[:len(raw)/2], "corrupt"},
+		{"version 1", v1.Bytes(), "unsupported checkpoint version 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "model.ck")
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b := newServer(36, 1, monitor.DefaultConfig())
+			b.checkpointPath = path
+			err := b.recoverCheckpoint()
+			// main starts cold on any error but a missing file.
+			if err == nil || os.IsNotExist(err) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("recover: %v, want an error containing %q", err, c.want)
+			}
+			if gb := b.gen.Load(); gb.Trained() || gb.Recovered() {
+				t.Error("failed recovery must leave the server cold")
+			}
+		})
 	}
 }
 

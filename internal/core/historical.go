@@ -96,8 +96,7 @@ func TrainHistorical(set features.Set, recs []features.Record, opts HistOpts) *H
 	// Any order of the tuples brings a tuple's slots together; the flow
 	// order is the one at hand.
 	slices.SortFunc(slots, func(a, b histSlot) int {
-		return cmp.Or(features.FlowFeatures(a.tuple).Compare(features.FlowFeatures(b.tuple)),
-			cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.link, b.link))
+		return cmp.Or(a.tuple.Compare(b.tuple), cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.link, b.link))
 	})
 	h := &Historical{set: set, table: make(map[features.Tuple][]Prediction)}
 	flat := make([]Prediction, 0, len(slots))

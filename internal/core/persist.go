@@ -129,24 +129,76 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// histSnapshot is the serialized form of a Historical model.
+// histSnapshot is the serialized form of a Historical model: the
+// tuples in ascending order, the end offset of each tuple's links, and
+// all the links in one flat array. Columns, not the table map, because
+// gob writes a map in iteration order and the bytes must be a function
+// of the model.
 type histSnapshot struct {
 	Version int
 	Set     features.Set
-	Table   map[features.Tuple][]Prediction
+	Tuples  []features.Tuple
+	Ends    []int32
+	Preds   []Prediction
 }
 
-const snapshotVersion = 1
+const snapshotVersion = 2
+
+// versionError reports a snapshot written in a layout this build does
+// not read.
+type versionError struct {
+	kind string
+	got  int
+}
+
+func (e versionError) Error() string {
+	return fmt.Sprintf("core: unsupported %s version %d (this build reads version %d)", e.kind, e.got, snapshotVersion)
+}
 
 func (h *Historical) snapshot() histSnapshot {
-	return histSnapshot{Version: snapshotVersion, Set: h.set, Table: h.table}
+	tuples := make([]features.Tuple, 0, len(h.table))
+	for t := range h.table {
+		tuples = append(tuples, t)
+	}
+	slices.SortFunc(tuples, features.Tuple.Compare)
+	snap := histSnapshot{Version: snapshotVersion, Set: h.set, Tuples: tuples,
+		Ends: make([]int32, len(tuples)), Preds: make([]Prediction, 0, h.NumEntries())}
+	for i, t := range tuples {
+		snap.Preds = append(snap.Preds, h.table[t]...)
+		snap.Ends[i] = int32(len(snap.Preds))
+	}
+	return snap
 }
 
+// restoreHistorical cuts each tuple's links from the flat array with
+// their capacity clipped, the layout TrainHistorical builds.
 func restoreHistorical(snap histSnapshot) (*Historical, error) {
 	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("core: unsupported model version %d", snap.Version)
+		return nil, versionError{"model", snap.Version}
 	}
-	return &Historical{set: snap.Set, table: snap.Table}, nil
+	if len(snap.Ends) != len(snap.Tuples) {
+		return nil, fmt.Errorf("core: %w: %d tuples but %d ends", ErrCorruptSnapshot, len(snap.Tuples), len(snap.Ends))
+	}
+	for i, p := range snap.Preds {
+		if !(p.Frac >= 0 && p.Frac <= 1) {
+			return nil, fmt.Errorf("core: %w: link %d has fraction %v", ErrCorruptSnapshot, i, p.Frac)
+		}
+	}
+	h := &Historical{set: snap.Set, table: make(map[features.Tuple][]Prediction, len(snap.Tuples))}
+	var start int32
+	for i, t := range snap.Tuples {
+		if i > 0 && snap.Tuples[i-1].Compare(t) >= 0 {
+			return nil, fmt.Errorf("core: %w: tuple %d is out of order or repeated", ErrCorruptSnapshot, i)
+		}
+		end := snap.Ends[i]
+		if end < start || int(end) > len(snap.Preds) {
+			return nil, fmt.Errorf("core: %w: tuple %d ends at %d, after %d, of %d links",
+				ErrCorruptSnapshot, i, end, start, len(snap.Preds))
+		}
+		h.table[t] = snap.Preds[start:end:end]
+		start = end
+	}
+	return h, nil
 }
 
 // Save writes the model to w in a self-describing binary form, so a
@@ -239,7 +291,7 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: load checkpoint: %w: %v", ErrCorruptSnapshot, err)
 	}
 	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("core: unsupported checkpoint version %d", snap.Version)
+		return nil, versionError{"checkpoint", snap.Version}
 	}
 	c := &Checkpoint{TrainedAt: wan.Hour(snap.TrainedAt)}
 	for _, ms := range snap.Models {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tipsy/internal/features"
@@ -151,6 +154,154 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Errorf("model %d predictions diverge after checkpoint round trip", i)
 		}
 	}
+}
+
+// manyTupleCheckpoint holds three models over 64 flows: enough tuples
+// that a save which followed map iteration order would show it.
+func manyTupleCheckpoint() *Checkpoint {
+	var recs []features.Record
+	for i := range 64 {
+		f := flow(uint32(64496+i%8), 0x0b000000|uint32(i)<<8, uint16(i%5), uint16(i%3), uint8(i%2))
+		recs = append(recs, rec(f, wan.LinkID(i%7), float64(100+i)), rec(f, wan.LinkID(i%7+1), 50))
+	}
+	ck := &Checkpoint{TrainedAt: 96}
+	for _, set := range []features.Set{features.SetAP, features.SetAL, features.SetA} {
+		ck.Models = append(ck.Models, TrainHistorical(set, recs, DefaultHistOpts()))
+	}
+	return ck
+}
+
+func saveCheckpoint(t testing.TB, ck *Checkpoint) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ck.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCheckpointBytesAreAFunctionOfTheModel: one model saves to one
+// byte string, and a loaded checkpoint saves back to the bytes it was
+// loaded from.
+func TestCheckpointBytesAreAFunctionOfTheModel(t *testing.T) {
+	ck := manyTupleCheckpoint()
+	first := saveCheckpoint(t, ck)
+	if again := saveCheckpoint(t, ck); !bytes.Equal(first, again) {
+		t.Fatalf("two saves of one checkpoint differ (%d and %d bytes)", len(first), len(again))
+	}
+	back, err := LoadCheckpoint(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, ck) {
+		t.Fatal("loaded checkpoint differs from the saved one")
+	}
+	if resaved := saveCheckpoint(t, back); !bytes.Equal(first, resaved) {
+		t.Fatal("save -> load -> save changed the bytes")
+	}
+}
+
+// frameCheckpoint frames a hand-built snapshot the way Save does.
+func frameCheckpoint(t *testing.T, snap checkpointSnapshot) []byte {
+	t.Helper()
+	var payload, out bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&out, checkpointMagic, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+func TestLoadCheckpointRejectsBadColumns(t *testing.T) {
+	a, b := features.Tuple{AS: 1}, features.Tuple{AS: 2}
+	preds := []Prediction{{Link: 1, Frac: 1}, {Link: 2, Frac: 0.5}, {Link: 3, Frac: 0.5}}
+	for _, c := range []struct {
+		name   string
+		tuples []features.Tuple
+		ends   []int32
+		preds  []Prediction
+	}{
+		{"unsorted tuples", []features.Tuple{b, a}, []int32{1, 3}, preds},
+		{"repeated tuple", []features.Tuple{a, a}, []int32{1, 3}, preds},
+		{"fewer ends than tuples", []features.Tuple{a, b}, []int32{1}, preds},
+		{"more ends than tuples", []features.Tuple{a}, []int32{1, 3}, preds},
+		{"decreasing ends", []features.Tuple{a, b}, []int32{3, 1}, preds},
+		{"end past the links", []features.Tuple{a, b}, []int32{1, 4}, preds},
+		{"negative end", []features.Tuple{a, b}, []int32{-1, 3}, preds},
+		{"fraction above one", []features.Tuple{a}, []int32{1}, []Prediction{{Link: 1, Frac: 1.5}}},
+		{"NaN fraction", []features.Tuple{a}, []int32{1}, []Prediction{{Link: 1, Frac: math.NaN()}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			raw := frameCheckpoint(t, checkpointSnapshot{Version: snapshotVersion, Models: []histSnapshot{{
+				Version: snapshotVersion, Set: features.SetA, Tuples: c.tuples, Ends: c.ends, Preds: c.preds,
+			}}})
+			if _, err := LoadCheckpoint(bytes.NewReader(raw)); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+			}
+		})
+	}
+	// The same columns in order load.
+	raw := frameCheckpoint(t, checkpointSnapshot{Version: snapshotVersion, Models: []histSnapshot{{
+		Version: snapshotVersion, Set: features.SetA, Tuples: []features.Tuple{a, b}, Ends: []int32{1, 3}, Preds: preds,
+	}}})
+	if _, err := LoadCheckpoint(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzLoadCheckpoint holds the checkpoint loader to its contract on
+// arbitrary input: it fails only as a bad or corrupt snapshot or an
+// unsupported version, never panics, allocates in proportion to the
+// bytes it was given, and whatever it accepts saves to bytes that load
+// back equal.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f1 := flow(64496, 0x0b000100, 3, 9, 1)
+	recs := []features.Record{rec(f1, 1, 700), rec(f1, 2, 300), rec(flow(174, 0x0b000200, 5, 9, 2), 9, 50)}
+	full := saveCheckpoint(f, &Checkpoint{TrainedAt: 96, Models: []*Historical{
+		TrainHistorical(features.SetAP, recs, DefaultHistOpts()),
+		TrainHistorical(features.SetA, recs, DefaultHistOpts()),
+	}})
+	payload := full[frameHeaderLen:]
+	f.Add(full)
+	for _, cut := range []int{0, 1, len(payload) / 3, len(payload) / 2, len(payload) - 1, len(payload)} {
+		f.Add(payload[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The input is tried as a whole file and as the payload of an
+		// intact frame, which is how a mutation reaches the decoder past
+		// the checksum.
+		var framed bytes.Buffer
+		if err := writeFrame(&framed, checkpointMagic, data); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range [][]byte{data, framed.Bytes()} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ck, err := LoadCheckpoint(bytes.NewReader(in))
+			runtime.ReadMemStats(&after)
+			// gob caps what one claimed slice length allocates before its
+			// elements arrive at 10 MiB, and the loader sizes nothing from
+			// a count it has not decoded.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<20+64*len(in)); got > limit {
+				t.Fatalf("loading %d bytes allocated %d, limit %d", len(in), got, limit)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrCorruptSnapshot) && !errors.As(err, new(versionError)) {
+					t.Fatalf("unexpected error class: %v", err)
+				}
+				continue
+			}
+			back, err := LoadCheckpoint(bytes.NewReader(saveCheckpoint(t, ck)))
+			if err != nil {
+				t.Fatalf("re-saved checkpoint does not load: %v", err)
+			}
+			if !reflect.DeepEqual(back, ck) {
+				t.Fatalf("re-saved checkpoint loads as\n%+v\nnot\n%+v", back, ck)
+			}
+		}
+	})
 }
 
 func TestLoadCheckpointRejectsModelSnapshot(t *testing.T) {

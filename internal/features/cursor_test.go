@@ -42,8 +42,9 @@ func TestCompareIsFieldByField(t *testing.T) {
 	}
 	fn := func(x, y [7]uint8) bool {
 		a, b := rec(x), rec(y)
-		return a.Compare(b) == compareFields(a, b) && a.Flow.Compare(b.Flow) == compareFields(
-			features.Record{Flow: a.Flow}, features.Record{Flow: b.Flow})
+		flows := compareFields(features.Record{Flow: a.Flow}, features.Record{Flow: b.Flow})
+		return a.Compare(b) == compareFields(a, b) && a.Flow.Compare(b.Flow) == flows &&
+			features.Tuple(a.Flow).Compare(features.Tuple(b.Flow)) == flows
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)

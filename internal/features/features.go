@@ -151,6 +151,10 @@ func (s Set) Project(f FlowFeatures) Tuple {
 	return t
 }
 
+// Compare orders tuples as FlowFeatures.Compare orders flows: AS,
+// prefix, location, region, type.
+func (t Tuple) Compare(u Tuple) int { return FlowFeatures(t).Compare(FlowFeatures(u)) }
+
 // String renders the tuple compactly for operator-facing output.
 func (t Tuple) String() string {
 	out := fmt.Sprintf("%v", t.AS)

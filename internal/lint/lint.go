@@ -133,7 +133,7 @@ func Rules() []Rule {
 			Name: "slog",
 			Doc:  "flag legacy log package calls and bare fmt printing in instrumented packages; they log through log/slog",
 			Dirs: []string{
-				"cmd/tipsyd", "cmd/tipsybench",
+				"cmd/tipsyd",
 				"internal/monitor", "internal/obsv", "internal/pipeline",
 				"internal/chaos", "internal/serve",
 			},

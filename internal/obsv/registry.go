@@ -241,10 +241,9 @@ func (r *Registry) checkFreeLocked(name, kind string) {
 // SetInfo registers a build-info-style metric: a constant-1 gauge
 // whose payload is its label string (e.g. `version="v3",seed="17"`),
 // the Prometheus idiom for exposing versions on /metrics. Infos
-// appear only in the text exposition — Snapshot and Scalars exclude
-// them, so label churn (toolchain upgrades) never shows up in
-// tipsybench's deterministic metric comparison. Re-setting an info
-// replaces its labels.
+// appear only in the text exposition — Snapshot excludes them, so
+// label churn (toolchain upgrades) never shows up in a comparison of
+// two seeded runs' snapshots. Re-setting an info replaces its labels.
 func (r *Registry) SetInfo(name, labels string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -294,19 +293,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Scalars flattens the snapshot's counters and gauges into one map —
-// the deterministic fields tipsybench records per run.
-func (s Snapshot) Scalars() map[string]int64 {
-	out := make(map[string]int64, len(s.Counters)+len(s.Gauges))
-	for _, c := range s.Counters {
-		out[c.Name] = c.Value
-	}
-	for _, g := range s.Gauges {
-		out[g.Name] = g.Value
-	}
-	return out
 }
 
 // WriteText writes the Prometheus-style text exposition of the whole

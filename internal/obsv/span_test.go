@@ -210,6 +210,29 @@ func TestSampledSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkSpanLifecycle times one span — start, one int attribute,
+// end — against a recording tracer on the wall clock and against a nil
+// one. The disabled number is what every instrumented hot path pays
+// when tracing is off: a few nil checks.
+func BenchmarkSpanLifecycle(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		tr   *Tracer
+	}{
+		{"sampled", NewTracer(NewRecorder(1024), TracerOptions{})},
+		{"disabled", nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sp := c.tr.StartRoot("bench")
+				sp.SetInt("i", int64(i))
+				sp.End()
+			}
+		})
+	}
+}
+
 func TestRecorderEvictionAtCapacityBoundary(t *testing.T) {
 	rec := NewRecorder(recShardCount) // exactly one slot per shard
 	if rec.Cap() != recShardCount {

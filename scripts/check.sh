@@ -11,10 +11,10 @@
 # pass per protocol decoder, for the IPFIX stream reader against its
 # two-ReadFull oracle, for the /v1/predict request decoder against its
 # encoding/json oracle, for the aggregator against its single-map
-# oracle, for the geo fallback rung against its full-sort oracle and
-# for the model/checkpoint frame reader, the differential oracles, the
-# diagnostic-bundle round trip (alarm fires -> bundle written ->
-# CRC-verified), the tipsybench quick cycle, and the chaos soak.
+# oracle, for the geo fallback rung against its full-sort oracle, for
+# the model/checkpoint frame reader and for the checkpoint loader, the
+# differential oracles, the diagnostic-bundle round trip (alarm fires
+# -> bundle written -> CRC-verified), and the chaos soak.
 # Everything is stdlib Go; no network access is needed.
 #
 # Usage: scripts/check.sh [-short]
@@ -84,6 +84,7 @@ go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
 go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
 go test -fuzz=FuzzGeoNearest -fuzztime=15s -run '^$' ./internal/core
 go test -fuzz=FuzzReadFramed -fuzztime=15s -run '^$' ./internal/core
+go test -fuzz=FuzzLoadCheckpoint -fuzztime=15s -run '^$' ./internal/core
 go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
 
 echo "==> differential decode (compiled path vs reference)"
@@ -95,11 +96,6 @@ go test -run 'TestDifferentialTrainHistorical|TestDifferentialEncode|TestDiffere
 
 echo "==> diagnostic bundle round trip (alarm -> bundle -> CRC verify)"
 go test -run 'TestBundleAlarmRoundTrip|TestBundleEndpoint' -count=1 ./cmd/tipsyd
-
-echo "==> tipsybench -quick"
-benchout=$(mktemp -d)
-go run ./cmd/tipsybench -quick -out "$benchout/bench.json"
-rm -rf "$benchout"
 
 echo "==> chaos soak smoke"
 go test -run TestChaosSoak -short -count=1 ./internal/chaos
