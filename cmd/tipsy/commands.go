@@ -14,6 +14,7 @@ import (
 	"tipsy/internal/geo"
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -188,6 +189,11 @@ func cmdPredict(args []string) error {
 	geoComplete := fs.Bool("geo", false, "apply geographic-distance completion (+G)")
 	fs.Parse(args)
 
+	// A malformed -src fails before any file is read.
+	srcAddr, err := serve.ParseIPv4(*src)
+	if err != nil {
+		return err
+	}
 	b, err := loadBundle(*in)
 	if err != nil {
 		return err
@@ -198,10 +204,6 @@ func cmdPredict(args []string) error {
 	}
 	defer mf.Close()
 	hist, err := core.LoadHistorical(mf)
-	if err != nil {
-		return err
-	}
-	srcAddr, err := parseIPv4(*src)
 	if err != nil {
 		return err
 	}
@@ -251,22 +253,6 @@ func cmdPredict(args []string) error {
 			i+1, p.Link, router, peer, p.Frac*100, p.Frac**bytes)
 	}
 	return nil
-}
-
-func parseIPv4(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bad IPv4 address %q", s)
-	}
-	var out uint32
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return 0, fmt.Errorf("bad IPv4 address %q", s)
-		}
-		out = out<<8 | uint32(v)
-	}
-	return out, nil
 }
 
 func cmdEval(args []string) error {

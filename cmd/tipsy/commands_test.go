@@ -9,24 +9,24 @@ import (
 	"tipsy/internal/features"
 )
 
+// TestParseIPv4: `tipsy predict -src` takes the server's strict
+// dotted-quad parser, so the CLI refuses every address the server
+// refuses. A well-formed -src gets past parsing to the missing bundle.
 func TestParseIPv4(t *testing.T) {
-	cases := []struct {
-		in   string
-		want uint32
-		ok   bool
-	}{
-		{"11.0.3.7", 0x0b000307, true},
-		{"0.0.0.0", 0, true},
-		{"255.255.255.255", 0xffffffff, true},
-		{"256.1.1.1", 0, false},
-		{"1.2.3", 0, false},
-		{"", 0, false},
-		{"a.b.c.d", 0, false},
+	missing := filepath.Join(t.TempDir(), "missing")
+	predict := func(src string) error {
+		return cmdPredict([]string{"-i", missing, "-model", missing, "-src", src})
 	}
-	for _, c := range cases {
-		got, err := parseIPv4(c.in)
-		if (err == nil) != c.ok || (c.ok && got != c.want) {
-			t.Errorf("parseIPv4(%q) = %x, %v", c.in, got, err)
+	for _, good := range []string{"11.0.3.7", "0.0.0.0", "255.255.255.255"} {
+		if err := predict(good); err == nil || strings.Contains(err.Error(), "bad IPv4") {
+			t.Errorf("-src %q: got %v, want the missing-bundle error", good, err)
+		}
+	}
+	for _, bad := range []string{
+		"", "1.2.3", "256.1.1.1", "a.b.c.d", "010.1.1.1", "+1.2.3.4", "1.2.3.04",
+	} {
+		if err := predict(bad); err == nil || !strings.Contains(err.Error(), "bad IPv4") {
+			t.Errorf("-src %q: got %v, want a bad-address error", bad, err)
 		}
 	}
 }

@@ -23,10 +23,6 @@ import (
 // filters to one trace; ?format=chrome emits Chrome trace_event JSON
 // loadable in about:tracing / Perfetto.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
-		http.Error(w, "tracing disabled", http.StatusNotFound)
-		return
-	}
 	var recs []obsv.SpanRecord
 	if q := r.URL.Query().Get("trace"); q != "" {
 		id, ok := obsv.ParseTraceID(q)

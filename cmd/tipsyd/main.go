@@ -85,8 +85,8 @@ type fallbackCounters struct {
 
 // serverMetrics are tipsyd's registry-backed metrics: per ladder rung,
 // a counter of the flows it answered and a latency histogram of its
-// attempts; per /v1/predict request, the duration of its two stages
-// (feature encode, predict) and their total.
+// attempts; per /v1/predict request, the durations of its
+// feature_encode and predict spans and their sum.
 type serverMetrics struct {
 	answered                     [serve.None + 1]*obsv.Counter
 	rungNs                       [serve.None]*obsv.Histogram
@@ -154,14 +154,14 @@ type server struct {
 	// hours behind the telemetry. 0 disables the staleness check.
 	staleAfter wan.Hour
 
-	// clock is the nanosecond wall clock behind every span timestamp,
-	// the per-rung ladder timings and the request stage timings; tests
-	// swap it for a counter so span dumps golden. It must be safe for
-	// concurrent use.
+	// clock is the nanosecond wall clock behind every span timestamp
+	// (and so the request stage timings) and the per-rung ladder
+	// timings; tests swap it for a counter so span dumps golden. It
+	// must be safe for concurrent use.
 	clock func() int64
-	// tracer + flight are the span-tracing subsystem: spans land in
-	// the flight-recorder ring, which /debug/trace and diagnostic
-	// bundles dump. A nil tracer disables tracing entirely.
+	// tracer + flight are the span-tracing subsystem: every span lands
+	// in the flight-recorder ring, which /debug/trace and diagnostic
+	// bundles dump.
 	tracer *obsv.Tracer
 	flight *obsv.Recorder
 	// rtb samples runtime/metrics (GC pauses, heap, goroutines) into
@@ -213,7 +213,6 @@ func main() {
 		pprofFlag    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, or error")
 		logJSON      = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		traceSample  = flag.Uint64("trace-sample", 1, "record every Nth trace (1 = all, 0 disables tracing)")
 		traceSpans   = flag.Int("trace-spans", defaultTraceSpans, "flight-recorder capacity in spans")
 		bundleDir    = flag.String("bundle-dir", filepath.Join(os.TempDir(), "tipsy-bundles"),
 			"directory for diagnostic bundles (empty disables)")
@@ -231,7 +230,7 @@ func main() {
 	s.staleAfter = wan.Hour(*staleAfter)
 	s.pprofEnabled = *pprofFlag
 	s.bundleDir = *bundleDir
-	s.initTrace(*traceSample, *traceSpans)
+	s.initTrace(*traceSpans)
 	if *retrainEvery > 0 {
 		s.retrainEvery = *retrainEvery
 	}
@@ -380,6 +379,7 @@ func newServer(seed int64, trainDays int, mcfg monitor.Config) *server {
 		logRing:      obsv.NewLogRing(logRingBytes),
 		seed:         seed,
 	}
+	s.initTrace(defaultTraceSpans)
 	s.gen.Store(serve.Untrained(sim, metros))
 	// The alarm hook must be wired before the monitor exists so no
 	// transition into firing can be missed.
@@ -412,20 +412,12 @@ func buildInfoLabels(seed int64) string {
 		runtime.Version(), strconv.FormatInt(seed, 10), buildVersion())
 }
 
-// initTrace wires the span-tracing subsystem: a flight recorder of
-// capacity spans and a tracer recording every sampleEvery-th root
-// trace. sampleEvery 0 disables tracing entirely (the nil-tracer
-// fast path).
-func (s *server) initTrace(sampleEvery uint64, capacity int) {
-	if sampleEvery == 0 {
-		s.tracer, s.flight = nil, nil
-		return
-	}
+// initTrace wires a fresh span-tracing subsystem: a flight recorder of
+// capacity spans and a tracer recording every span into it, timed by
+// whatever s.clock is when a span reads it.
+func (s *server) initTrace(capacity int) {
 	s.flight = obsv.NewRecorder(capacity)
-	s.tracer = obsv.NewTracer(s.flight, obsv.TracerOptions{
-		Clock:       func() int64 { return s.clock() },
-		SampleEvery: sampleEvery,
-	})
+	s.tracer = obsv.NewTracer(s.flight, func() int64 { return s.clock() })
 }
 
 // linkMeta resolves a link to its metro and peer-AS kind — the
@@ -444,10 +436,28 @@ func linkMeta(sim *netsim.Sim) func(wan.LinkID) (geo.MetroID, string) {
 	}
 }
 
-// mux routes the API. /metrics always serves the registry's text
-// exposition; the pprof handlers are mounted only when -pprof is set,
-// keeping the profiling surface off production listeners by default.
-func (s *server) mux() *http.ServeMux {
+// statusWriter captures the response status code so the request span
+// can record it (and mark 5xx responses as errors).
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// handler routes the API behind W3C traceparent propagation, so every
+// request runs under its request span: an inbound traceparent header
+// parents it (StartRemote marks where the trace entered this process),
+// the response echoes the current context so callers can stitch traces
+// across hops, and the finished request span — method, path, status —
+// lands in the flight recorder. /metrics always serves the registry's
+// text exposition; the pprof handlers are mounted only when -pprof is
+// set, keeping the profiling surface off production listeners by
+// default.
+func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /v1/model", s.handleModel)
@@ -465,29 +475,6 @@ func (s *server) mux() *http.ServeMux {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
-}
-
-// statusWriter captures the response status code so the request span
-// can record it (and mark 5xx responses as errors).
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// handler wraps the mux with W3C traceparent propagation: an inbound
-// traceparent header parents the request's spans (StartRemote marks
-// where the trace entered this process), the response echoes the
-// current context so callers can stitch traces across hops, and the
-// finished request span — method, path, status — lands in the flight
-// recorder.
-func (s *server) handler() http.Handler {
-	mux := s.mux()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var sp *obsv.Span
 		if sc, ok := obsv.ExtractTraceparent(r.Header); ok {
@@ -835,8 +822,9 @@ func (b *predictBuf) release() {
 // the answer leaves in one Write under a Content-Length. Four spans
 // under the one handler() started account for the request: json_decode
 // (reading the body included), feature_encode, predict and json_encode
-// (the write included); the middle two are also timed off s.clock into
-// the stage histograms.
+// (the write included). The stage histograms take the middle two
+// spans' durations and their sum, so /metrics and /debug/trace hold
+// the same nanoseconds.
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	rsp := obsv.SpanFromContext(r.Context())
 	buf := predictBufs.Get().(*predictBuf)
@@ -863,7 +851,6 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	dsp.End()
 	s.met.requests.Inc()
 	gen, now := s.gen.Load(), s.simHour()
-	start := s.clock()
 	fsp := s.tracer.StartChild(rsp, "feature_encode")
 	flows, err := req.Encode(s.sim.GeoIP())
 	if err != nil {
@@ -873,8 +860,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fsp.SetInt("flows", int64(len(flows)))
-	fsp.End()
-	encoded := s.clock()
+	encodeNs := fsp.End()
 	psp := s.tracer.StartChild(rsp, "predict")
 	// Only unconstrained queries feed the quality monitor: a what-if
 	// that excludes links is answered against a counterfactual
@@ -888,11 +874,10 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	psp.SetInt("flows", int64(len(flows)))
-	psp.End()
-	done := s.clock()
-	s.met.encodeNs.Observe(encoded - start)
-	s.met.predictNs.Observe(done - encoded)
-	s.met.totalNs.Observe(done - start)
+	predictNs := psp.End()
+	s.met.encodeNs.Observe(encodeNs)
+	s.met.predictNs.Observe(predictNs)
+	s.met.totalNs.Observe(encodeNs + predictNs)
 	esp := s.tracer.StartChild(rsp, "json_encode")
 	defer esp.End()
 	if buf.out, err = resp.AppendJSON(buf.out[:0]); err != nil {

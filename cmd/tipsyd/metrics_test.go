@@ -1,16 +1,14 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"testing"
 
 	"tipsy/internal/core"
 	"tipsy/internal/features"
+	"tipsy/internal/obsv"
 )
 
 // metricValue extracts one scalar metric from /metrics text output.
@@ -67,31 +65,80 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestPredictPublishesTrace proves a /v1/predict request feeds the
-// prediction-path stage histograms.
-func TestPredictPublishesTrace(t *testing.T) {
-	s := smallServer(t, 42)
-	reqBody, _ := json.Marshal(map[string]any{
-		"flows": []map[string]any{{
-			"src_addr": "11.0.3.7", "src_as": 7, "region": 1, "service": 1, "bytes": 1e6,
-		}},
-		"k": 3,
-	})
-	req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(reqBody))
-	rr := httptest.NewRecorder()
-	s.mux().ServeHTTP(rr, req)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("predict status %d: %s", rr.Code, rr.Body)
-	}
-	body := get(t, s, "/metrics").Body.String()
-	for _, name := range []string{
-		"tipsyd_predict_requests_total",
-		"tipsyd_predict_feature_encode_ns_count",
-		"tipsyd_predict_predict_ns_count",
-		"tipsyd_predict_total_ns_count",
+// TestStageHistogramsAreSpanDurations: the stage histograms /metrics
+// serves hold exactly the nanoseconds of the feature_encode and
+// predict spans under the /v1/predict request spans, and total is
+// their sum, so /metrics and /debug/trace cannot disagree. A caller's
+// unsampled traceparent is recorded and counted like any request; a
+// request refused for a bad address observes nothing.
+func TestStageHistogramsAreSpanDurations(t *testing.T) {
+	s, _ := traceTestServer(t, 4096)
+	known := samplePredictBody(t, s)
+	unsampled := http.Header{}
+	unsampled.Set(obsv.TraceparentHeader, "00-0123456789abcdeffedcba9876543210-1a2b3c4d5e6f7081-00")
+	for i, c := range []struct {
+		body []byte
+		hdr  http.Header
+		code int
+	}{
+		{known, nil, http.StatusOK},
+		{whatIfBody(t, s), nil, http.StatusOK},
+		{known, unsampled, http.StatusOK},
+		{[]byte(`{"flows":[{"src_addr":"010.1.1.1","src_as":1}]}`), nil, http.StatusBadRequest},
+		{[]byte(`{"flows":[{"src_addr":"1.2.3.4","src_as":4200000001,"bytes":1}]}`), nil, http.StatusOK},
 	} {
-		if v := metricValue(t, body, name); v != 1 {
-			t.Errorf("%s = %d, want 1", name, v)
+		if rr := postTraced(s, "/v1/predict", c.body, c.hdr); rr.Code != c.code {
+			t.Fatalf("request %d: status %d, want %d: %s", i, rr.Code, c.code, rr.Body)
+		}
+	}
+
+	recs := s.flight.Snapshot()
+	answered := map[obsv.SpanID]bool{}
+	remote := 0
+	for _, r := range recs {
+		if r.Name != "/v1/predict" {
+			continue
+		}
+		for _, a := range r.Attrs[:r.NAttrs] {
+			if a.Key == "status" && a.Int == http.StatusOK {
+				answered[r.ID] = true
+				if r.Remote {
+					remote++
+				}
+			}
+		}
+	}
+	if len(answered) != 4 || remote != 1 {
+		t.Fatalf("%d answered request spans, %d of them remote; want 4 and 1", len(answered), remote)
+	}
+	var encode, predict int64
+	for _, r := range recs {
+		if !answered[r.Parent] {
+			continue
+		}
+		switch r.Name {
+		case "feature_encode":
+			encode += r.End - r.Start
+		case "predict":
+			predict += r.End - r.Start
+		}
+	}
+	if encode <= 0 || predict <= 0 {
+		t.Fatalf("span durations encode %d predict %d, want both positive", encode, predict)
+	}
+
+	body := get(t, s, "/metrics").Body.String()
+	for name, want := range map[string]int64{
+		"tipsyd_predict_requests_total":          5,
+		"tipsyd_predict_feature_encode_ns_count": 4,
+		"tipsyd_predict_predict_ns_count":        4,
+		"tipsyd_predict_total_ns_count":          4,
+		"tipsyd_predict_feature_encode_ns_sum":   encode,
+		"tipsyd_predict_predict_ns_sum":          predict,
+		"tipsyd_predict_total_ns_sum":            encode + predict,
+	} {
+		if got := metricValue(t, body, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

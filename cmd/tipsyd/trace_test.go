@@ -17,16 +17,17 @@ import (
 	"tipsy/internal/obsv"
 )
 
-// traceTestServer builds a trained server with tracing on and the
+// traceTestServer builds a trained server with a fresh tracer and the
 // span clock replaced by a deterministic counter. The swap happens
-// after bootstrap so training's clock reads don't shift the counter:
-// the first traced request always sees tick 1, span ID 1.
-func traceTestServer(t *testing.T, sampleEvery uint64, capacity int) (*server, *atomic.Int64) {
+// after bootstrap so training's clock reads and spans don't shift the
+// counter or the span IDs: the first traced request always sees tick
+// 1, span ID 1.
+func traceTestServer(t *testing.T, capacity int) (*server, *atomic.Int64) {
 	t.Helper()
 	s := buildServer(3, 4)
 	var tick atomic.Int64
 	s.clock = func() int64 { return tick.Add(1) }
-	s.initTrace(sampleEvery, capacity)
+	s.initTrace(capacity)
 	return s, &tick
 }
 
@@ -53,8 +54,8 @@ func samplePredictBody(t *testing.T, s *server) []byte {
 	return body
 }
 
-// postTraced sends a request through the full handler chain (span
-// middleware included), unlike get's bare mux.
+// postTraced sends a request with headers through the full handler
+// chain.
 func postTraced(s *server, path string, body []byte, hdr http.Header) *httptest.ResponseRecorder {
 	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	for k, vs := range hdr {
@@ -85,7 +86,7 @@ func traceIDFromTraceparent(t *testing.T, tp string) obsv.TraceID {
 // feature_encode, and predict children — IDs, timestamps, attributes
 // — are a pure function of the seed.
 func TestPredictTraceGolden(t *testing.T) {
-	s, _ := traceTestServer(t, 1, 256)
+	s, _ := traceTestServer(t, 256)
 	body := samplePredictBody(t, s)
 
 	rr := postTraced(s, "/v1/predict", body, nil)
@@ -124,7 +125,7 @@ func TestPredictTraceGolden(t *testing.T) {
 // aggregation, drain, truth join, window close, training, shadow
 // predictions — lands in the flight recorder linked by one trace ID.
 func TestCycleTraceEndToEnd(t *testing.T) {
-	s, _ := traceTestServer(t, 1, 8192)
+	s, _ := traceTestServer(t, 8192)
 
 	root := s.tracer.StartRoot("cycle")
 	s.advanceDays(1, root)
@@ -174,7 +175,7 @@ func TestCycleTraceEndToEnd(t *testing.T) {
 // request span (marked remote), and the response echoes the same
 // trace so callers can stitch across hops.
 func TestTraceparentPropagation(t *testing.T) {
-	s, _ := traceTestServer(t, 1, 256)
+	s, _ := traceTestServer(t, 256)
 	body := samplePredictBody(t, s)
 
 	hdr := http.Header{}
@@ -210,14 +211,15 @@ func TestTraceparentPropagation(t *testing.T) {
 		t.Errorf("request span parent %x, want inbound span id", req.Parent)
 	}
 
-	// An unsampled inbound context must not record anything new.
-	before := s.flight.Len()
+	// An unsampled inbound context is recorded under the inbound trace
+	// all the same: the request span and its four stage spans.
+	before := len(spans)
 	hdr.Set(obsv.TraceparentHeader, "00-0123456789abcdeffedcba9876543210-1a2b3c4d5e6f7081-00")
 	if rr := postTraced(s, "/v1/predict", body, hdr); rr.Code != http.StatusOK {
 		t.Fatalf("unsampled predict status %d", rr.Code)
 	}
-	if after := s.flight.Len(); after != before {
-		t.Errorf("unsampled request recorded %d spans", after-before)
+	if got := len(s.flight.TraceSpans(wantTrace)) - before; got != 5 {
+		t.Errorf("unsampled request recorded %d spans under the inbound trace, want 5", got)
 	}
 }
 
@@ -234,7 +236,7 @@ func TestBundleAlarmRoundTrip(t *testing.T) {
 	mcfg.ClearAfter = 2
 	s := newServer(17, 4, mcfg)
 	s.bundleDir = t.TempDir()
-	s.initTrace(1, 2048)
+	s.initTrace(2048)
 	s.advanceDays(4, nil)
 	s.retrain(nil)
 	s.advanceDays(1, nil)
@@ -304,7 +306,7 @@ func TestBundleAlarmRoundTrip(t *testing.T) {
 // on demand; with bundles disabled it reports failure rather than
 // pretending.
 func TestBundleEndpoint(t *testing.T) {
-	s, _ := traceTestServer(t, 1, 256)
+	s, _ := traceTestServer(t, 256)
 	s.bundleDir = t.TempDir()
 
 	rr := get(t, s, "/debug/bundle")
@@ -328,17 +330,5 @@ func TestBundleEndpoint(t *testing.T) {
 	s.bundleDir = ""
 	if rr := get(t, s, "/debug/bundle"); rr.Code != http.StatusInternalServerError {
 		t.Errorf("disabled bundles returned %d, want 500", rr.Code)
-	}
-}
-
-// TestTraceEndpointDisabled: with tracing off the flight recorder
-// endpoint 404s instead of serving an empty dump.
-func TestTraceEndpointDisabled(t *testing.T) {
-	s := testServer(t)
-	if s.flight != nil {
-		t.Skip("shared server has tracing enabled")
-	}
-	if rr := get(t, s, "/debug/trace"); rr.Code != http.StatusNotFound {
-		t.Errorf("trace endpoint with tracing off: %d, want 404", rr.Code)
 	}
 }

@@ -40,7 +40,7 @@ type Manifest struct {
 	Version   int               `json:"version"`
 	Reason    string            `json:"reason"`
 	CreatedNs int64             `json:"created_ns"`
-	Build     map[string]string `json:"build,omitempty"`
+	Build     map[string]string `json:"build"`
 	Entries   []Entry           `json:"entries"`
 }
 

@@ -1,12 +1,17 @@
 package bundle
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"tipsy/internal/core"
 )
 
 func textSection(name, body string) Section {
@@ -16,7 +21,7 @@ func textSection(name, body string) Section {
 	}}
 }
 
-func writeTestBundle(t *testing.T, parent string) string {
+func writeTestBundle(t testing.TB, parent string) string {
 	t.Helper()
 	dir, err := Write(parent, "bundle-1-0001-test", "test", 42,
 		map[string]string{"seed": "17", "go_version": "go1.22"},
@@ -160,4 +165,73 @@ func TestWriteFailingSectionAborts(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("failed bundle left debris: %v", entries)
 	}
+}
+
+// FuzzReadManifest feeds arbitrary bytes to ReadManifest twice: as the
+// MANIFEST.tipsy file itself and as the payload of an intact TIPSYBN1
+// frame. It may only fail with a framing, JSON or version error, never
+// panic, and a manifest it accepts must re-marshal and re-frame, the
+// way Write does it, to bytes that read back to the same manifest.
+func FuzzReadManifest(f *testing.F) {
+	dir := writeTestBundle(f, f.TempDir())
+	valid, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := core.ReadFramed(bytes.NewReader(valid), core.BundleManifestMagic)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(payload)
+	f.Add([]byte{})
+	f.Add([]byte(`{"version":2,"entries":null}`))
+	f.Add([]byte(`{"version":1,"build":{},"entries":[]}`))
+	f.Add([]byte(`{"version":1,"entries":[{"name":"x","size":-1,"crc32":4294967296}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var framed bytes.Buffer
+		if err := core.WriteFramed(&framed, core.BundleManifestMagic, data); err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range [][]byte{data, framed.Bytes()} {
+			man, ok := readManifestBytes(t, dir, file)
+			if !ok {
+				continue
+			}
+			out, err := json.MarshalIndent(man, "", "  ")
+			if err != nil {
+				t.Fatalf("accepted manifest %+v does not marshal: %v", man, err)
+			}
+			var again bytes.Buffer
+			if err := core.WriteFramed(&again, core.BundleManifestMagic, out); err != nil {
+				t.Fatal(err)
+			}
+			back, ok := readManifestBytes(t, dir, again.Bytes())
+			if !ok || !reflect.DeepEqual(back, man) {
+				t.Fatalf("re-framed manifest reads back as %+v (ok %v), want %+v", back, ok, man)
+			}
+		}
+	})
+}
+
+// readManifestBytes writes file as dir's manifest and reads it back,
+// failing t on any error other than a framing, JSON or version error.
+func readManifestBytes(t *testing.T, dir string, file []byte) (Manifest, bool) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := ReadManifest(dir)
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	switch {
+	case err == nil:
+		return man, true
+	case errors.Is(err, core.ErrBadSnapshot), errors.Is(err, core.ErrCorruptSnapshot),
+		errors.As(err, &syntax), errors.As(err, &typ),
+		strings.Contains(err.Error(), "unsupported manifest version"):
+		return Manifest{}, false
+	}
+	t.Fatalf("unexpected error class: %v", err)
+	return Manifest{}, false
 }

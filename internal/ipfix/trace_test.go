@@ -10,7 +10,7 @@ import (
 func TestCollectorMarksQuarantineOnTrace(t *testing.T) {
 	var tick atomic.Int64
 	rec := obsv.NewRecorder(64)
-	tr := obsv.NewTracer(rec, obsv.TracerOptions{Clock: func() int64 { return tick.Add(1) }})
+	tr := obsv.NewTracer(rec, func() int64 { return tick.Add(1) })
 
 	col := NewCollector()
 	root := tr.StartRoot("ingest")
@@ -48,7 +48,7 @@ func TestCollectorMarksQuarantineOnTrace(t *testing.T) {
 
 func TestCollectorUntracedQuarantineIsSilent(t *testing.T) {
 	rec := obsv.NewRecorder(64)
-	tr := obsv.NewTracer(rec, obsv.TracerOptions{})
+	tr := obsv.NewTracer(rec, nil)
 
 	col := NewCollector()
 	col.SetTrace(tr, obsv.SpanContext{}) // zero context: no live cycle

@@ -6,11 +6,12 @@ type spanCtxKeyType struct{}
 
 // spanCtxKey is a pointer, not a struct value: ctx.Value takes an
 // interface, and a pointer-shaped key keeps the lookup boxing-free on
-// hot request paths (handlePredict sits under an allocation budget).
+// hot request paths (tipsyd's TestPredictHandlerAllocs pins what
+// handlePredict allocates).
 var spanCtxKey = &spanCtxKeyType{}
 
 // ContextWithSpan returns ctx carrying s. A nil span returns ctx
-// unchanged, so unsampled requests add no context layer.
+// unchanged, so code running without a tracer adds no context layer.
 func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	if s == nil {
 		return ctx

@@ -9,9 +9,10 @@ import (
 //
 //	traceparent: 00-<32 hex trace id>-<16 hex span id>-<2 hex flags>
 //
-// Flag bit 0 is "sampled". We emit version 00 and accept any
-// non-reserved version with the version-00 field layout; uppercase
-// hex and zero trace/span IDs are invalid per the spec.
+// Flag bit 0 is "sampled". We emit version 00 with the flag set, since
+// a tracer records every span, and accept any non-reserved version
+// with the version-00 field layout; uppercase hex and zero trace/span
+// IDs are invalid per the spec.
 
 // TraceparentHeader is the HTTP header carrying the span context.
 const TraceparentHeader = "traceparent"
@@ -20,15 +21,13 @@ const traceparentLen = 55 // "00-" + 32 + "-" + 16 + "-" + 2
 
 // Traceparent renders the context in wire form.
 func (sc SpanContext) Traceparent() string {
-	flags := 0
-	if sc.Sampled {
-		flags = 1
-	}
-	return fmt.Sprintf("00-%s-%s-%02x", sc.Trace.String(), sc.Span.String(), flags)
+	return fmt.Sprintf("00-%s-%s-01", sc.Trace.String(), sc.Span.String())
 }
 
 // ParseTraceparent parses a traceparent value. ok is false for
 // malformed input, the reserved version ff, or zero trace/span IDs.
+// The flags must be hex but do not decide recording: the caller's
+// sampled bit is ignored.
 func ParseTraceparent(s string) (sc SpanContext, ok bool) {
 	if len(s) != traceparentLen || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return SpanContext{}, false
@@ -40,7 +39,7 @@ func ParseTraceparent(s string) (sc SpanContext, ok bool) {
 	hi, ok1 := parseHex(s[3:19])
 	lo, ok2 := parseHex(s[19:35])
 	span, ok3 := parseHex(s[36:52])
-	flags, ok4 := parseHex(s[53:55])
+	_, ok4 := parseHex(s[53:55])
 	if !ok1 || !ok2 || !ok3 || !ok4 {
 		return SpanContext{}, false
 	}
@@ -48,7 +47,7 @@ func ParseTraceparent(s string) (sc SpanContext, ok bool) {
 	if trace.IsZero() || span == 0 {
 		return SpanContext{}, false
 	}
-	return SpanContext{Trace: trace, Span: SpanID(span), Sampled: flags&1 != 0}, true
+	return SpanContext{Trace: trace, Span: SpanID(span)}, true
 }
 
 // ParseTraceID parses a bare 32-hex-digit trace ID (the /debug/trace

@@ -230,11 +230,8 @@ func (r *Registry) checkFreeLocked(name, kind string) {
 	if _, ok := r.histograms[name]; ok {
 		panic(fmt.Sprintf("obsv: %q already registered as a histogram, requested as %s", name, kind))
 	}
-	// Concatenation, not Sprintf: this function sits in the hot-path
-	// closure (via Registry.Histogram) and Sprintf args would grow the
-	// allocation budget's boxing count.
 	if _, ok := r.infos[name]; ok {
-		panic("obsv: " + name + " already registered as an info, requested as " + kind)
+		panic(fmt.Sprintf("obsv: %q already registered as an info, requested as %s", name, kind))
 	}
 }
 

@@ -16,10 +16,10 @@ import (
 //   - Determinism. IDs come from an injectable clock plus a
 //     per-process sequence, so a seeded run with a fake clock produces
 //     byte-identical span dumps (goldenable).
-//   - Zero-alloc off switch. A nil *Tracer, an unsampled root, or a
-//     nil *Span make every method a nil-check-and-return. Sampled
-//     spans are pooled. The tracing calls sit inside functions whose
-//     allocations per call are pinned with testing.AllocsPerRun
+//   - Zero-alloc off switch. A nil *Tracer or a nil *Span makes every
+//     method a nil-check-and-return. A non-nil tracer records every
+//     span; spans are pooled. The tracing calls sit inside functions
+//     whose allocations per call are pinned with testing.AllocsPerRun
 //     (ipfix, pipeline, serve, tipsyd), so nothing in this file may
 //     box, convert strings, or allocate in a loop.
 
@@ -63,11 +63,10 @@ func hex64(v uint64, dst []byte) {
 
 // SpanContext is the propagatable slice of a span: enough to parent a
 // child in another goroutine, subsystem, or process. The zero value
-// (or Sampled=false) parents nothing — StartFrom on it returns nil.
+// parents nothing — StartFrom on it returns nil.
 type SpanContext struct {
-	Trace   TraceID
-	Span    SpanID
-	Sampled bool
+	Trace TraceID
+	Span  SpanID
 }
 
 // SpanStatus is the terminal status of a span.
@@ -130,33 +129,20 @@ type SpanRecord struct {
 
 // Span is a live span. A nil *Span is the universal "not recording"
 // value — every method nil-checks, so call sites never branch on
-// sampling themselves.
+// whether tracing is on.
 type Span struct {
 	t   *Tracer
 	rec SpanRecord
-}
-
-// TracerOptions configures NewTracer.
-type TracerOptions struct {
-	// Clock supplies nanosecond timestamps for every span start, end,
-	// and event. Nil means the wall clock; tests and tipsyd inject
-	// their own so dumps are deterministic.
-	Clock func() int64
-	// SampleEvery records every Nth root trace (children follow their
-	// root's decision). 0 and 1 both mean "record every trace".
-	SampleEvery uint64
 }
 
 // Tracer mints spans and hands finished records to a Recorder. A nil
 // *Tracer is fully disabled: every Start* returns nil at the cost of
 // one comparison, with zero allocations.
 type Tracer struct {
-	clock       func() int64
-	sampleEvery uint64
-	rec         *Recorder
-	seq         atomic.Uint64 // span ID sequence, process-wide per tracer
-	roots       atomic.Uint64 // root counter driving the sampling decision
-	pool        sync.Pool     // *Span, so sampled spans recycle instead of allocating
+	clock func() int64
+	rec   *Recorder
+	seq   atomic.Uint64 // span ID sequence, process-wide per tracer
+	pool  sync.Pool     // *Span, so spans recycle instead of allocating
 }
 
 // wallNanos is the default span clock.
@@ -164,42 +150,30 @@ type Tracer struct {
 //tipsy:clocksource
 func wallNanos() int64 { return time.Now().UnixNano() }
 
-// NewTracer builds a tracer recording into rec (which may be nil:
-// spans then run their lifecycle but records go nowhere — mainly
-// useful in benchmarks).
-func NewTracer(rec *Recorder, opts TracerOptions) *Tracer {
-	clock := opts.Clock
+// NewTracer builds a tracer recording every span into rec (which may
+// be nil: spans then run their lifecycle but records go nowhere —
+// mainly useful in benchmarks). clock supplies nanosecond timestamps
+// for every span start, end, and event; nil means the wall clock, and
+// tests and tipsyd inject their own so dumps are deterministic.
+func NewTracer(rec *Recorder, clock func() int64) *Tracer {
 	if clock == nil {
 		clock = wallNanos
 	}
-	every := opts.SampleEvery
-	if every == 0 {
-		every = 1
-	}
-	t := &Tracer{clock: clock, sampleEvery: every, rec: rec}
+	t := &Tracer{clock: clock, rec: rec}
 	t.pool.New = func() any { return new(Span) }
 	return t
 }
 
-// Enabled reports whether the tracer records anything at all.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// StartRoot begins a new trace, applying the sampling policy: the
-// first root is always sampled, then every sampleEvery-th after it.
-// Unsampled roots return nil, which children inherit for free.
+// StartRoot begins a new trace.
 func (t *Tracer) StartRoot(name string) *Span {
 	if t == nil {
-		return nil
-	}
-	n := t.roots.Add(1)
-	if (n-1)%t.sampleEvery != 0 {
 		return nil
 	}
 	return t.start(name, TraceID{}, 0, false)
 }
 
 // StartChild begins a span under parent. A nil parent yields a nil
-// span — an unsampled trace stays unsampled all the way down.
+// span — an untraced caller stays untraced all the way down.
 func (t *Tracer) StartChild(parent *Span, name string) *Span {
 	if t == nil || parent == nil {
 		return nil
@@ -209,10 +183,10 @@ func (t *Tracer) StartChild(parent *Span, name string) *Span {
 
 // StartFrom begins a span under a propagated context — how subsystems
 // that only hold a SpanContext (the aggregator, the collector) attach
-// their work to the caller's trace. Zero or unsampled contexts yield
-// nil; StartFrom never invents a new root.
+// their work to the caller's trace. A zero context yields nil;
+// StartFrom never invents a new root.
 func (t *Tracer) StartFrom(sc SpanContext, name string) *Span {
-	if t == nil || !sc.Sampled || sc.Trace.IsZero() {
+	if t == nil || sc.Trace.IsZero() {
 		return nil
 	}
 	return t.start(name, sc.Trace, sc.Span, false)
@@ -220,9 +194,11 @@ func (t *Tracer) StartFrom(sc SpanContext, name string) *Span {
 
 // StartRemote is StartFrom for contexts that crossed a process
 // boundary (extracted from a traceparent header): the span is marked
-// Remote so dumps show where the trace entered this process.
+// Remote so dumps show where the trace entered this process. The
+// caller's sampled flag does not decide recording: a tracer records
+// every span, so durations read off spans count every request.
 func (t *Tracer) StartRemote(sc SpanContext, name string) *Span {
-	if t == nil || !sc.Sampled || sc.Trace.IsZero() {
+	if t == nil || sc.Trace.IsZero() {
 		return nil
 	}
 	return t.start(name, sc.Trace, sc.Span, true)
@@ -244,13 +220,12 @@ func (t *Tracer) start(name string, trace TraceID, parent SpanID, remote bool) *
 }
 
 // Context returns the span's propagatable context; nil spans return
-// the zero (unsampled) context, so propagation composes without
-// branches.
+// the zero context, so propagation composes without branches.
 func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{Trace: s.rec.Trace, Span: s.rec.ID, Sampled: true}
+	return SpanContext{Trace: s.rec.Trace, Span: s.rec.ID}
 }
 
 // SetInt attaches an integer attribute. Past maxSpanAttrs the
@@ -303,14 +278,18 @@ func (s *Span) Error(note string) {
 }
 
 // End stamps the end time, hands the record to the flight recorder,
-// and recycles the span. The span must not be used after End.
-func (s *Span) End() {
+// recycles the span, and returns its duration in clock nanoseconds —
+// 0 for a nil span — so a caller can time a stage off its span. The
+// span must not be used after End.
+func (s *Span) End() int64 {
 	if s == nil {
-		return
+		return 0
 	}
 	t := s.t
 	s.rec.End = t.clock()
+	d := s.rec.End - s.rec.Start
 	t.rec.add(&s.rec)
 	s.t = nil
 	t.pool.Put(s)
+	return d
 }

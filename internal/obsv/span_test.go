@@ -15,21 +15,21 @@ type counterClock struct{ n atomic.Int64 }
 
 func (c *counterClock) read() int64 { return c.n.Add(1) }
 
-func newTestTracer(capacity int, every uint64) (*Tracer, *Recorder, *counterClock) {
+func newTestTracer(capacity int) (*Tracer, *Recorder, *counterClock) {
 	clk := &counterClock{}
 	rec := NewRecorder(capacity)
-	return NewTracer(rec, TracerOptions{Clock: clk.read, SampleEvery: every}), rec, clk
+	return NewTracer(rec, clk.read), rec, clk
 }
 
 func TestSpanLifecycleDeterministic(t *testing.T) {
-	tr, rec, _ := newTestTracer(64, 1)
+	tr, rec, _ := newTestTracer(64)
 	root := tr.StartRoot("cycle")
 	root.SetInt("day", 3)
 	child := tr.StartChild(root, "ingest")
 	child.Event("checkpoint_write")
 	child.SetStr("rung", "ensemble")
-	child.End()
-	root.End()
+	childNs := child.End()
+	rootNs := root.End()
 
 	recs := rec.Snapshot()
 	if len(recs) != 2 {
@@ -62,10 +62,14 @@ func TestSpanLifecycleDeterministic(t *testing.T) {
 	if r0.End <= r0.Start || r1.End <= r1.Start {
 		t.Errorf("non-positive durations: root %d..%d child %d..%d", r0.Start, r0.End, r1.Start, r1.End)
 	}
+	// End returns the duration it recorded.
+	if rootNs != r0.End-r0.Start || childNs != r1.End-r1.Start {
+		t.Errorf("End returned root %d child %d; records say %d and %d", rootNs, childNs, r0.End-r0.Start, r1.End-r1.Start)
+	}
 }
 
 func TestSpanStatusError(t *testing.T) {
-	tr, rec, _ := newTestTracer(8, 1)
+	tr, rec, _ := newTestTracer(8)
 	sp := tr.StartRoot("retrain")
 	sp.Error("checkpoint write failed")
 	sp.End()
@@ -75,47 +79,15 @@ func TestSpanStatusError(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	tr, rec, _ := newTestTracer(64, 3)
-	var sampled int
-	for i := 0; i < 9; i++ {
-		sp := tr.StartRoot("r")
-		if sp != nil {
-			sampled++
-			// Children and propagated contexts inherit the decision.
-			if tr.StartChild(sp, "c") == nil {
-				t.Fatal("child of sampled root is nil")
-			}
-		} else if tr.StartChild(sp, "c") != nil {
-			t.Fatal("child of unsampled root is sampled")
-		}
-		sp.End()
-	}
-	if sampled != 3 {
-		t.Fatalf("sampled %d of 9 roots, want 3 (every 3rd, first always)", sampled)
-	}
-	// 3 roots + 3 children ended... children of sampled roots were not
-	// ended above; only roots recorded plus the children leak — End the
-	// count check on roots alone via names.
-	for _, r := range rec.Snapshot() {
-		if r.Name == "r" && r.End == 0 {
-			t.Errorf("unfinished root recorded: %+v", r)
-		}
-	}
-}
-
 func TestStartFromNeverInventsRoot(t *testing.T) {
-	tr, _, _ := newTestTracer(8, 1)
+	tr, _, _ := newTestTracer(8)
 	if sp := tr.StartFrom(SpanContext{}, "x"); sp != nil {
 		t.Fatal("StartFrom(zero) made a span")
 	}
-	if sp := tr.StartFrom(SpanContext{Trace: TraceID{Hi: 1, Lo: 2}, Span: 3}, "x"); sp != nil {
-		t.Fatal("StartFrom(unsampled) made a span")
-	}
-	sc := SpanContext{Trace: TraceID{Hi: 1, Lo: 2}, Span: 3, Sampled: true}
+	sc := SpanContext{Trace: TraceID{Hi: 1, Lo: 2}, Span: 3}
 	sp := tr.StartFrom(sc, "x")
 	if sp == nil {
-		t.Fatal("StartFrom(sampled) returned nil")
+		t.Fatal("StartFrom(nonzero) returned nil")
 	}
 	if got := sp.Context().Trace; got != sc.Trace {
 		t.Fatalf("trace %v, want %v", got, sc.Trace)
@@ -127,9 +99,6 @@ func TestStartFromNeverInventsRoot(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer enabled")
-	}
 	sp := tr.StartRoot("x")
 	if sp != nil {
 		t.Fatal("nil tracer made a span")
@@ -139,8 +108,10 @@ func TestNilSafety(t *testing.T) {
 	sp.SetStr("k", "v")
 	sp.Event("e")
 	sp.Error("boom")
-	sp.End()
-	if sc := sp.Context(); sc.Sampled || !sc.Trace.IsZero() {
+	if d := sp.End(); d != 0 {
+		t.Fatalf("nil span End = %d, want 0", d)
+	}
+	if sc := sp.Context(); sc != (SpanContext{}) {
 		t.Fatalf("nil span context %+v not zero", sc)
 	}
 	if tr.StartChild(nil, "c") != nil || tr.StartFrom(SpanContext{}, "f") != nil {
@@ -149,7 +120,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestAttrEventOverflowDrops(t *testing.T) {
-	tr, rec, _ := newTestTracer(8, 1)
+	tr, rec, _ := newTestTracer(8)
 	sp := tr.StartRoot("overflow")
 	for i := 0; i < maxSpanAttrs+2; i++ {
 		sp.SetInt("k", int64(i))
@@ -167,9 +138,9 @@ func TestAttrEventOverflowDrops(t *testing.T) {
 	}
 }
 
-// TestUnsampledPathZeroAlloc pins the PR's core performance contract:
-// with tracing disabled (nil tracer) or a root unsampled, the whole
-// span API costs zero allocations.
+// TestUnsampledPathZeroAlloc pins the off switch's performance
+// contract: with tracing disabled (nil tracer), the whole span API
+// costs zero allocations.
 func TestUnsampledPathZeroAlloc(t *testing.T) {
 	var off *Tracer
 	if n := testing.AllocsPerRun(200, func() {
@@ -182,22 +153,12 @@ func TestUnsampledPathZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled tracer: %v allocs/op, want 0", n)
 	}
-
-	tr, _, _ := newTestTracer(8, 1<<30) // sample ~never after the first
-	tr.StartRoot("prime").End()
-	if n := testing.AllocsPerRun(200, func() {
-		sp := tr.StartRoot("x")
-		sp.SetStr("k", "v")
-		sp.End()
-	}); n != 0 {
-		t.Fatalf("unsampled root: %v allocs/op, want 0", n)
-	}
 }
 
 // TestSampledSteadyStateZeroAlloc proves the pool works: after warmup
-// the sampled path recycles spans instead of allocating.
+// the recording path recycles spans instead of allocating.
 func TestSampledSteadyStateZeroAlloc(t *testing.T) {
-	tr, _, _ := newTestTracer(64, 1)
+	tr, _, _ := newTestTracer(64)
 	for i := 0; i < 100; i++ {
 		tr.StartRoot("warm").End()
 	}
@@ -206,7 +167,7 @@ func TestSampledSteadyStateZeroAlloc(t *testing.T) {
 		sp.SetInt("k", 1)
 		sp.End()
 	}); n != 0 {
-		t.Fatalf("sampled steady state: %v allocs/op, want 0", n)
+		t.Fatalf("recording steady state: %v allocs/op, want 0", n)
 	}
 }
 
@@ -219,7 +180,7 @@ func BenchmarkSpanLifecycle(b *testing.B) {
 		name string
 		tr   *Tracer
 	}{
-		{"sampled", NewTracer(NewRecorder(1024), TracerOptions{})},
+		{"sampled", NewTracer(NewRecorder(1024), nil)},
 		{"disabled", nil},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -274,7 +235,7 @@ func TestRecorderMinimumCapacity(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	tr, rec, _ := newTestTracer(128, 1)
+	tr, rec, _ := newTestTracer(128)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -304,7 +265,7 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 func TestTraceSpansFilters(t *testing.T) {
-	tr, rec, _ := newTestTracer(64, 1)
+	tr, rec, _ := newTestTracer(64)
 	a := tr.StartRoot("a")
 	ac := tr.StartChild(a, "a_child")
 	b := tr.StartRoot("b")
@@ -332,7 +293,7 @@ func TestTraceSpansFilters(t *testing.T) {
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	sc := SpanContext{Trace: TraceID{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}, Span: 0x1a2b3c4d5e6f7081, Sampled: true}
+	sc := SpanContext{Trace: TraceID{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}, Span: 0x1a2b3c4d5e6f7081}
 	wire := sc.Traceparent()
 	want := "00-0123456789abcdeffedcba9876543210-1a2b3c4d5e6f7081-01"
 	if wire != want {
@@ -342,10 +303,11 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if !ok || back != sc {
 		t.Fatalf("round trip: %+v ok=%v", back, ok)
 	}
-	unsampled := SpanContext{Trace: sc.Trace, Span: sc.Span}
-	back, ok = ParseTraceparent(unsampled.Traceparent())
-	if !ok || back.Sampled {
-		t.Fatalf("unsampled round trip: %+v ok=%v", back, ok)
+	// An unsampled caller's context parses to the same context: the
+	// flag does not decide recording.
+	back, ok = ParseTraceparent(want[:len(want)-2] + "00")
+	if !ok || back != sc {
+		t.Fatalf("unsampled parse: %+v ok=%v", back, ok)
 	}
 }
 
@@ -361,6 +323,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-0123456789abcdeffedcba9876543210-0000000000000000-01", // zero span
 		strings.Replace(valid, "-", "_", 1),                       // wrong separator
 		strings.Replace(valid, "a", "g", 1),                       // non-hex digit
+		valid[:53] + "0g",                                         // non-hex flags
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {
@@ -387,7 +350,7 @@ func TestInjectExtractHeader(t *testing.T) {
 	if len(h) != 0 {
 		t.Fatal("zero context wrote a header")
 	}
-	sc := SpanContext{Trace: TraceID{Hi: 1, Lo: 2}, Span: 3, Sampled: true}
+	sc := SpanContext{Trace: TraceID{Hi: 1, Lo: 2}, Span: 3}
 	InjectTraceparent(h, sc)
 	got, ok := ExtractTraceparent(h)
 	if !ok || got != sc {
@@ -399,7 +362,7 @@ func TestInjectExtractHeader(t *testing.T) {
 // two-span trace: deterministic clock, deterministic IDs, byte-stable
 // output.
 func TestSpanDumpGolden(t *testing.T) {
-	tr, rec, _ := newTestTracer(16, 1)
+	tr, rec, _ := newTestTracer(16)
 	root := tr.StartRoot("predict")
 	root.SetInt("flows", 2)
 	child := tr.StartChild(root, "feature_encode")

@@ -25,7 +25,7 @@ func spansByName(recs []obsv.SpanRecord) map[string][]obsv.SpanRecord {
 func TestAggregatorSpansAttachToTrace(t *testing.T) {
 	var tick atomic.Int64
 	rec := obsv.NewRecorder(64)
-	tr := obsv.NewTracer(rec, obsv.TracerOptions{Clock: func() int64 { return tick.Add(1) }})
+	tr := obsv.NewTracer(rec, func() int64 { return tick.Add(1) })
 
 	g := geo.NewGeoIP(geo.World(), 0, 1)
 	a := NewAggregator(g, staticMeta(1, 1))
@@ -73,7 +73,7 @@ func TestAggregatorSpansAttachToTrace(t *testing.T) {
 
 func TestAggregatorUntracedEmitsNoSpans(t *testing.T) {
 	rec := obsv.NewRecorder(64)
-	tr := obsv.NewTracer(rec, obsv.TracerOptions{})
+	tr := obsv.NewTracer(rec, nil)
 
 	g := geo.NewGeoIP(geo.World(), 0, 1)
 	a := NewAggregator(g, staticMeta(1, 1))

@@ -66,7 +66,7 @@ func (req *Request) Encode(geoip *geo.GeoIP) ([]features.FlowFeatures, error) {
 	flows := make([]features.FlowFeatures, len(req.Flows))
 	for i := range req.Flows {
 		f := &req.Flows[i]
-		addr, err := parseIPv4(f.SrcAddr)
+		addr, err := ParseIPv4(f.SrcAddr)
 		if err != nil {
 			return nil, fmt.Errorf("flow %d: %w", i, err)
 		}
@@ -79,9 +79,10 @@ func (req *Request) Encode(geoip *geo.GeoIP) ([]features.FlowFeatures, error) {
 	return flows, nil
 }
 
-// parseIPv4 parses a dotted-quad address, rejecting anything else:
+// ParseIPv4 parses a dotted-quad address, rejecting anything else:
 // trailing bytes, a fifth octet, padding, signs, leading zeros, IPv6.
-func parseIPv4(s string) (uint32, error) {
+// The server and the CLI both take source addresses through it.
+func ParseIPv4(s string) (uint32, error) {
 	a, err := netip.ParseAddr(s)
 	if err != nil || !a.Is4() {
 		return 0, errors.New("bad IPv4 address " + strconv.Quote(s))

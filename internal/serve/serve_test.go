@@ -339,15 +339,19 @@ func TestResponseWireShape(t *testing.T) {
 }
 
 func TestParseIPv4(t *testing.T) {
-	if v, err := parseIPv4("11.0.3.7"); err != nil || v != 0x0b000307 {
-		t.Errorf("parseIPv4 = %x, %v", v, err)
+	for in, want := range map[string]uint32{
+		"11.0.3.7": 0x0b000307, "0.0.0.0": 0, "255.255.255.255": 0xffffffff,
+	} {
+		if v, err := ParseIPv4(in); err != nil || v != want {
+			t.Errorf("ParseIPv4(%q) = %x, %v; want %x", in, v, err, want)
+		}
 	}
 	for _, bad := range []string{
-		"", "1.2.3", "1.2.3.999", "a.b.c.d",
-		"1.2.3.4garbage", "1.2.3.4.5", " 1.2.3.4", "+1.2.3.4", "010.1.1.1",
+		"", "1.2.3", "1.2.3.999", "256.1.1.1", "a.b.c.d",
+		"1.2.3.4garbage", "1.2.3.4.5", " 1.2.3.4", "+1.2.3.4", "010.1.1.1", "1.2.3.04",
 		"::ffff:1.2.3.4", "1.2.3.4%eth0",
 	} {
-		if _, err := parseIPv4(bad); err == nil {
+		if _, err := ParseIPv4(bad); err == nil {
 			t.Errorf("%q should not parse", bad)
 		}
 	}

@@ -12,13 +12,15 @@
 # two-ReadFull oracle, for the /v1/predict request decoder against its
 # encoding/json oracle, for the aggregator against its single-map
 # oracle, for the geo fallback rung against its full-sort oracle, for
-# the model/checkpoint frame reader and for the checkpoint loader, the
-# differential oracles, the diagnostic-bundle round trip (alarm fires
-# -> bundle written -> CRC-verified), and the chaos soak.
+# the model/checkpoint frame reader, for the checkpoint loader and for
+# the diagnostic-bundle manifest reader, and the chaos soak. The
+# differential oracles and the bundle round trip are tests, so
+# `go test ./...` runs them; it also replays every fuzz seed corpus.
 # Everything is stdlib Go; no network access is needed.
 #
 # Usage: scripts/check.sh [-short]
-#   -short  skip the race detector (plain `go test`), for quick loops
+#   -short  skip the race detector (plain `go test`) and the fuzz
+#           passes, for quick loops
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,25 +79,18 @@ awk -v t="$total" -v f="$coverage_floor" 'BEGIN { exit !(t >= f) }' || {
 echo "==> bench module: go vet + go test"
 (cd bench && go vet ./... && go test -count=1 ./...)
 
-echo "==> fuzz quick pass (15s per target)"
-go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
-go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
-go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
-go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
-go test -fuzz=FuzzGeoNearest -fuzztime=15s -run '^$' ./internal/core
-go test -fuzz=FuzzReadFramed -fuzztime=15s -run '^$' ./internal/core
-go test -fuzz=FuzzLoadCheckpoint -fuzztime=15s -run '^$' ./internal/core
-go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
-
-echo "==> differential decode (compiled path vs reference)"
-go test -run 'TestDifferentialDecode|TestDifferentialDecodeFuzzCorpus|TestDifferentialCollectorBatch' \
-    -count=1 ./internal/ipfix
-echo "==> differential record scans (drain-order fit, encoder, grouping vs reference)"
-go test -run 'TestDifferentialTrainHistorical|TestDifferentialEncode|TestDifferentialBuildGroups' \
-    -count=1 ./internal/core ./internal/pipeline ./internal/eval
-
-echo "==> diagnostic bundle round trip (alarm -> bundle -> CRC verify)"
-go test -run 'TestBundleAlarmRoundTrip|TestBundleEndpoint' -count=1 ./cmd/tipsyd
+if [[ $short -eq 0 ]]; then
+    echo "==> fuzz quick pass (15s per target)"
+    go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
+    go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
+    go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
+    go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
+    go test -fuzz=FuzzGeoNearest -fuzztime=15s -run '^$' ./internal/core
+    go test -fuzz=FuzzReadFramed -fuzztime=15s -run '^$' ./internal/core
+    go test -fuzz=FuzzLoadCheckpoint -fuzztime=15s -run '^$' ./internal/core
+    go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
+    go test -fuzz=FuzzReadManifest -fuzztime=15s -run '^$' ./internal/bundle
+fi
 
 echo "==> chaos soak smoke"
 go test -run TestChaosSoak -short -count=1 ./internal/chaos
