@@ -10,6 +10,7 @@ package tipsy
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -351,15 +352,21 @@ func BenchmarkTrainHistorical(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode encodes the training window; B/row is what Encode
+// allocates per encoded row, against a features.Record's 32 bytes.
 func BenchmarkEncode(b *testing.B) {
 	train := retrainEnv(b).Train
 	b.ReportAllocs()
 	b.ResetTimer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	rows := 0
 	for i := 0; i < b.N; i++ {
 		rows = len(pipeline.Encode(train).Rows)
 	}
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(rows), "rows")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*max(rows, 1)), "B/row")
 }
 
 func BenchmarkBuildGroups(b *testing.B) {

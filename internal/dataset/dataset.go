@@ -15,12 +15,19 @@ import (
 )
 
 // Window returns the records with From <= Hour < To, preserving
-// order.
+// order. It counts them first, so the result is one allocation of
+// exactly their length.
 func Window(recs []features.Record, from, to wan.Hour) []features.Record {
-	out := make([]features.Record, 0, len(recs)/4)
-	for _, r := range recs {
-		if r.Hour >= from && r.Hour < to {
-			out = append(out, r)
+	n := 0
+	for i := range recs {
+		if h := recs[i].Hour; h >= from && h < to {
+			n++
+		}
+	}
+	out := make([]features.Record, 0, n)
+	for i := range recs {
+		if h := recs[i].Hour; h >= from && h < to {
+			out = append(out, recs[i])
 		}
 	}
 	return out

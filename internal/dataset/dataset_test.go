@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"testing"
 
 	"tipsy/internal/bgp"
@@ -24,6 +25,58 @@ func TestWindow(t *testing.T) {
 	}
 	if len(Window(recs, 10, 5)) != 0 {
 		t.Error("inverted window should be empty")
+	}
+}
+
+// windowReference is the loop Window replaced, kept as its oracle: a
+// quarter-length guess grown by append.
+func windowReference(recs []features.Record, from, to wan.Hour) []features.Record {
+	out := make([]features.Record, 0, len(recs)/4)
+	for _, r := range recs {
+		if r.Hour >= from && r.Hour < to {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// drainedDays is three days in drain order: per hour, 500 flows over
+// 20 ASes, each on one to three links.
+func drainedDays() []features.Record {
+	var recs []features.Record
+	for h := wan.Hour(0); h < 72; h++ {
+		for f := uint32(0); f < 500; f++ {
+			for l := wan.LinkID(0); l <= wan.LinkID(f%3); l++ {
+				recs = append(recs, features.Record{Hour: h,
+					Flow: features.FlowFeatures{AS: bgp.ASN(64500 + f/25), Prefix: 0x0b000000 + f<<8, Region: 1, Type: 1},
+					Link: 1 + l*7 + wan.LinkID(f%5), Bytes: float64(f+1) * float64(h+1)})
+			}
+		}
+	}
+	return recs
+}
+
+// TestWindowAllocs pins Window at one allocation of exactly the
+// window's length on a multi-day drained window, and holds its output
+// to the append loop it replaced.
+func TestWindowAllocs(t *testing.T) {
+	recs := drainedDays()
+	for _, w := range []struct{ from, to wan.Hour }{{0, 72}, {0, 48}, {48, 72}, {30, 31}, {-5, 200}} {
+		var got []features.Record
+		if allocs := testing.AllocsPerRun(10, func() { got = Window(recs, w.from, w.to) }); allocs != 1 {
+			t.Errorf("[%d, %d): Window allocates %v times, want 1", w.from, w.to, allocs)
+		}
+		if len(got) == 0 || cap(got) != len(got) {
+			t.Errorf("[%d, %d): %d records in capacity %d, want a non-empty exact fit", w.from, w.to, len(got), cap(got))
+		}
+		if want := windowReference(recs, w.from, w.to); !slices.Equal(got, want) {
+			t.Errorf("[%d, %d): Window returned %d records, the append loop %d", w.from, w.to, len(got), len(want))
+		}
+	}
+	for _, w := range []struct{ from, to wan.Hour }{{72, 96}, {10, 5}} {
+		if got := Window(recs, w.from, w.to); len(got) != 0 {
+			t.Errorf("[%d, %d): want no records, got %d", w.from, w.to, len(got))
+		}
 	}
 }
 

@@ -1,19 +1,9 @@
 package netsim
 
 import (
-	"tipsy/internal/ipfix"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
 )
-
-// MultiSink fans records out to several sinks in order.
-func MultiSink(sinks ...RecordSink) RecordSink {
-	return RecordSinkFunc(func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
-		for _, s := range sinks {
-			s.Record(h, link, rec)
-		}
-	})
-}
 
 // FlowsVia returns the IDs of workload flows whose resolution at hour
 // h includes the given link, with the byte share each sends there.

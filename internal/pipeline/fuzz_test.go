@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"tipsy/internal/bgp"
+	"tipsy/internal/features"
 	"tipsy/internal/geo"
 	"tipsy/internal/ipfix"
 	"tipsy/internal/wan"
@@ -107,6 +109,58 @@ func FuzzAggregator(f *testing.F) {
 			if drained != float64(keptOctets) {
 				t.Fatalf("drain %d: drained %.0f bytes, the records that reached a slot carried %d", drain, drained, keptOctets)
 			}
+		}
+	})
+}
+
+// fuzzFeatureRecord decodes four bytes into a feature record drawn from
+// small alphabets, so flows, pairs and dictionary values recur: 8
+// hours (two of them negative), 4 ASes, 8 /24s, 4 locations, 2
+// regions, 2 types, 16 links, and bytes in quarters from −8192 to
+// 8191.75, zero included.
+func fuzzFeatureRecord(b []byte) features.Record {
+	return features.Record{
+		Hour: wan.Hour(b[0]&7) - 2,
+		Flow: features.FlowFeatures{
+			AS:     64500 + bgp.ASN(b[0]>>3&3),
+			Prefix: 0x0b000000 | uint32(b[0]>>5)<<8,
+			Loc:    geo.MetroID(1 + b[1]&3),
+			Region: wan.Region(1 + b[1]>>2&1),
+			Type:   wan.ServiceType(b[1] >> 3 & 1),
+		},
+		Link:  wan.LinkID(b[1] >> 4),
+		Bytes: float64(int16(uint16(b[2])|uint16(b[3])<<8)) / 4,
+	}
+}
+
+// FuzzEncode is the encoder's differential fuzz target. The input is a
+// header byte, then up to 1,024 four-byte records in any order, with
+// duplicate keys and zero or negative bytes; an odd header sorts them
+// stably into drain order first (duplicates kept), so the run cursor
+// finds twins. Encode must equal encodeReference, dictionaries and
+// pair table included, and Decode must give the records back.
+func FuzzEncode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0x03, 0x21, 0, 4, 0x04, 0x21, 0, 4, 0x03, 0x21, 0, 0, 0x0b, 0x31, 0xff, 0xff})
+	f.Add([]byte{0, 0xe7, 0xff, 1, 0x80, 0x00, 0x00, 0, 0, 0xe7, 0xff, 2, 0x80, 0x01, 0x10, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var recs []features.Record
+		for b := data[1:min(len(data), 1+4*1024)]; len(b) >= 4; b = b[4:] {
+			recs = append(recs, fuzzFeatureRecord(b))
+		}
+		if data[0]&1 == 1 {
+			slices.SortStableFunc(recs, features.Record.Compare)
+		}
+		enc := Encode(recs)
+		if want := encodeReference(recs); !reflect.DeepEqual(enc, want) {
+			t.Fatalf("%d records: Encode made %d pairs, the reference %d, or their rows or dictionaries differ",
+				len(recs), len(enc.Pairs), len(want.Pairs))
+		}
+		if back := enc.Decode(); !slices.Equal(back, recs) {
+			t.Fatalf("Decode returned %d records, want the %d encoded:\n got %+v\nwant %+v", len(back), len(recs), head(back), head(recs))
 		}
 	})
 }

@@ -444,71 +444,93 @@ func (a *Aggregator) Stats() (raw, dropped, pending int) {
 }
 
 // Encoded compresses feature records with ordinal dictionaries — the
-// §4.2 compression step. It exists to quantify the size reduction
-// (EncodedSize) and to exercise the dictionary path end to end.
+// §4.2 compression step. A window repeats each (flow, link) pair in
+// every hour it carries bytes, so the pair is stored once: Pairs holds
+// each distinct pair's five dictionary codes and its link in
+// first-seen order, and a row is the hour, the pair's index and the
+// bytes — 16 bytes against a features.Record's 32. On the medium env's
+// 1,553,179-record training window (14,533 pairs), Encode allocates
+// 18.3 bytes per row, pair table, dictionaries and maps included (root
+// BenchmarkEncode's B/row), 57 % of the window it encodes.
 type Encoded struct {
 	AS, Prefix, Loc, Region, Type features.Dict
+	Pairs                         []EncodedPair
 	Rows                          []EncodedRow
 }
 
-// EncodedRow is one dictionary-encoded aggregate.
-type EncodedRow struct {
-	Hour                          wan.Hour
+// EncodedPair is one distinct (flow, link) pair: the dictionary codes
+// of its five features, and its link.
+type EncodedPair struct {
 	AS, Prefix, Loc, Region, Type uint32
 	Link                          wan.LinkID
-	Bytes                         float64
+}
+
+// EncodedRow is one dictionary-encoded aggregate: Bytes of pair
+// Pairs[Pair] during Hour.
+type EncodedRow struct {
+	Hour  wan.Hour
+	Pair  uint32
+	Bytes float64
 }
 
 // Encode dictionary-encodes the records. A record whose flow and link
 // also occur in the preceding hour (most records of a drained window)
-// takes its five codes from that row; the rest go through the
-// dictionaries, which therefore see every value in the same first
-// order as if all did.
+// takes its pair from that row; the rest look their pair up by value,
+// and only a pair not seen before goes through the dictionaries, which
+// therefore see every value in the same first order as if all records
+// did.
 func Encode(recs []features.Record) *Encoded {
 	e := &Encoded{Rows: make([]EncodedRow, len(recs))}
+	index := make(map[pair]uint32)
 	runs := features.NewRunCursor(recs)
 	for i := range recs {
 		r := &recs[i]
+		e.Rows[i] = EncodedRow{Hour: r.Hour, Bytes: r.Bytes}
 		if j := runs.Match(i); j >= 0 {
-			e.Rows[i] = e.Rows[j]
-			e.Rows[i].Hour, e.Rows[i].Bytes = r.Hour, r.Bytes
+			e.Rows[i].Pair = e.Rows[j].Pair
 			continue
 		}
-		e.Rows[i] = EncodedRow{
-			Hour:   r.Hour,
-			AS:     e.AS.Code(uint64(r.Flow.AS)),
-			Prefix: e.Prefix.Code(uint64(r.Flow.Prefix)),
-			Loc:    e.Loc.Code(uint64(r.Flow.Loc)),
-			Region: e.Region.Code(uint64(r.Flow.Region)),
-			Type:   e.Type.Code(uint64(r.Flow.Type)),
-			Link:   r.Link,
-			Bytes:  r.Bytes,
+		k := pair{r.Flow, r.Link}
+		p, ok := index[k]
+		if !ok {
+			p = uint32(len(e.Pairs))
+			index[k] = p
+			e.Pairs = append(e.Pairs, EncodedPair{
+				AS:     e.AS.Code(uint64(r.Flow.AS)),
+				Prefix: e.Prefix.Code(uint64(r.Flow.Prefix)),
+				Loc:    e.Loc.Code(uint64(r.Flow.Loc)),
+				Region: e.Region.Code(uint64(r.Flow.Region)),
+				Type:   e.Type.Code(uint64(r.Flow.Type)),
+				Link:   r.Link,
+			})
 		}
+		e.Rows[i].Pair = p
 	}
 	return e
 }
 
-// Decode reverses Encode.
+// Decode reverses Encode. Each pair is decoded once, and every row
+// copies its pair's flow and link.
 func (e *Encoded) Decode() []features.Record {
+	pairs := make([]pair, len(e.Pairs))
+	for i, p := range e.Pairs {
+		as, _ := e.AS.Value(p.AS)
+		prefix, _ := e.Prefix.Value(p.Prefix)
+		loc, _ := e.Loc.Value(p.Loc)
+		region, _ := e.Region.Value(p.Region)
+		typ, _ := e.Type.Value(p.Type)
+		pairs[i] = pair{link: p.Link, flow: features.FlowFeatures{
+			AS:     bgp.ASN(as),
+			Prefix: uint32(prefix),
+			Loc:    geo.MetroID(loc),
+			Region: wan.Region(region),
+			Type:   wan.ServiceType(typ),
+		}}
+	}
 	out := make([]features.Record, len(e.Rows))
 	for i, row := range e.Rows {
-		as, _ := e.AS.Value(row.AS)
-		prefix, _ := e.Prefix.Value(row.Prefix)
-		loc, _ := e.Loc.Value(row.Loc)
-		region, _ := e.Region.Value(row.Region)
-		typ, _ := e.Type.Value(row.Type)
-		out[i] = features.Record{
-			Hour: row.Hour,
-			Flow: features.FlowFeatures{
-				AS:     bgp.ASN(as),
-				Prefix: uint32(prefix),
-				Loc:    geo.MetroID(loc),
-				Region: wan.Region(region),
-				Type:   wan.ServiceType(typ),
-			},
-			Link:  row.Link,
-			Bytes: row.Bytes,
-		}
+		p := &pairs[row.Pair]
+		out[i] = features.Record{Hour: row.Hour, Flow: p.flow, Link: p.link, Bytes: row.Bytes}
 	}
 	return out
 }

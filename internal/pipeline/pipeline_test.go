@@ -137,7 +137,11 @@ func TestSimulatedWindowsMatchSingleMap(t *testing.T) {
 		var truth truthCapture
 		agg.SetTruthSink(&truth)
 		for _, from := range []wan.Hour{0, 6} {
-			s.Run(netsim.RunOptions{From: from, To: from + 6, Sink: netsim.MultiSink(agg, ref)})
+			s.Run(netsim.RunOptions{From: from, To: from + 6, Sink: netsim.RecordSinkFunc(
+				func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
+					agg.Record(h, link, rec)
+					ref.Record(h, link, rec)
+				})})
 			truth.recs = nil
 			want, got := ref.Records(), agg.Records()
 			if len(got) == 0 {

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"tipsy/internal/features"
 	"tipsy/internal/features/recordtest"
@@ -11,30 +13,53 @@ import (
 	"tipsy/internal/wan"
 )
 
-// encodeReference is the loop Encode replaced, kept as its oracle:
-// every record goes through all five dictionaries.
+// encodeReference is Encode the slow way, kept as its oracle: no run
+// cursor, every record goes through all five dictionaries, and its
+// codes and link find the pair in one map.
 func encodeReference(recs []features.Record) *Encoded {
 	e := &Encoded{Rows: make([]EncodedRow, len(recs))}
+	index := make(map[EncodedPair]uint32)
 	for i, r := range recs {
-		e.Rows[i] = EncodedRow{
-			Hour:   r.Hour,
+		k := EncodedPair{
 			AS:     e.AS.Code(uint64(r.Flow.AS)),
 			Prefix: e.Prefix.Code(uint64(r.Flow.Prefix)),
 			Loc:    e.Loc.Code(uint64(r.Flow.Loc)),
 			Region: e.Region.Code(uint64(r.Flow.Region)),
 			Type:   e.Type.Code(uint64(r.Flow.Type)),
 			Link:   r.Link,
-			Bytes:  r.Bytes,
 		}
+		p, ok := index[k]
+		if !ok {
+			p = uint32(len(e.Pairs))
+			index[k] = p
+			e.Pairs = append(e.Pairs, k)
+		}
+		e.Rows[i] = EncodedRow{Hour: r.Hour, Pair: p, Bytes: r.Bytes}
 	}
 	return e
 }
 
 func TestDifferentialEncode(t *testing.T) {
 	for _, c := range recordtest.Cases(4) {
-		if !reflect.DeepEqual(Encode(c.Recs), encodeReference(c.Recs)) {
+		enc := Encode(c.Recs)
+		if !reflect.DeepEqual(enc, encodeReference(c.Recs)) {
 			t.Errorf("%s: Encode differs from the reference encoder", c.Name)
 		}
+		if back := enc.Decode(); !slices.Equal(back, c.Recs) {
+			t.Errorf("%s: Decode returned %d records, want the %d encoded", c.Name, len(back), len(c.Recs))
+		}
+	}
+}
+
+// TestEncodedRowSize pins the encoding's layout: a row is the hour and
+// the pair index in one 8-byte word plus the bytes, half a
+// features.Record, and a pair is six 4-byte words.
+func TestEncodedRowSize(t *testing.T) {
+	if n := unsafe.Sizeof(EncodedRow{}); n != 16 {
+		t.Errorf("EncodedRow is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(EncodedPair{}); n != 24 {
+		t.Errorf("EncodedPair is %d bytes, want 24", n)
 	}
 }
 

@@ -96,6 +96,8 @@ func reproduce(t *testing.T, cfg eval.EnvConfig) *reproduction {
 // IPFIX wire, to the values its report recorded in August 2026: the
 // shape of the environment, the record counts at every hand-off, and
 // the served ensemble's byte-weighted accuracy, all compared with ==.
+// The training window's §4.2 encoding must decode back to it; its pair
+// count and dictionary sizes are pinned from their first run.
 func TestReproduction(t *testing.T) {
 	r := reproduce(t, eval.SmallEnvConfig(1))
 
@@ -117,6 +119,14 @@ func TestReproduction(t *testing.T) {
 	}
 	if len(r.train) != 348_174 || len(r.test) != 131_238 {
 		t.Errorf("windows: %d train, %d test records; want 348174, 131238", len(r.train), len(r.test))
+	}
+	enc := pipeline.Encode(r.train)
+	if !reflect.DeepEqual(enc.Decode(), r.train) {
+		t.Error("the encoded training window does not decode to itself")
+	}
+	if got, want := [6]int{len(enc.Pairs), enc.AS.Len(), enc.Prefix.Len(), enc.Loc.Len(), enc.Region.Len(), enc.Type.Len()},
+		[6]int{3072, 120, 829, 64, 45, 6}; got != want {
+		t.Errorf("encoding: pairs and AS, prefix, location, region, type dictionaries %v; want %v", got, want)
 	}
 	acc := eval.Accuracy(r.models.Ensemble(), r.test, eval.Options{Ks: []int{1, 3}})
 	if acc[1] != 0.7730017342917006 || acc[3] != 0.8948565250626218 {

@@ -11,7 +11,8 @@
 # pass per protocol decoder, for the IPFIX stream reader against its
 # two-ReadFull oracle, for the /v1/predict request decoder against its
 # encoding/json oracle, for the aggregator against its single-map
-# oracle, for the geo fallback rung against its full-sort oracle, for
+# oracle, for the §4.2 encoder against its cursorless oracle, for the
+# geo fallback rung against its full-sort oracle, for
 # the model/checkpoint frame reader, for the checkpoint loader and for
 # the diagnostic-bundle manifest reader, and the chaos soak. The
 # differential oracles and the bundle round trip are tests, so
@@ -63,7 +64,7 @@ else
     # drops items there by design); run every pin once without it.
     echo "==> allocation pins (without the race detector)"
     go test -count=1 -run 'Allocs$|ZeroAlloc$' \
-        ./internal/ipfix ./internal/pipeline ./internal/serve ./cmd/tipsyd
+        ./internal/ipfix ./internal/pipeline ./internal/dataset ./internal/serve ./cmd/tipsyd
 fi
 
 echo "==> coverage floor (>= ${coverage_floor}%)"
@@ -89,6 +90,7 @@ if [[ $short -eq 0 ]]; then
     go test -fuzz=FuzzReadFramed -fuzztime=15s -run '^$' ./internal/core
     go test -fuzz=FuzzLoadCheckpoint -fuzztime=15s -run '^$' ./internal/core
     go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
+    go test -fuzz=FuzzEncode -fuzztime=15s -run '^$' ./internal/pipeline
     go test -fuzz=FuzzReadManifest -fuzztime=15s -run '^$' ./internal/bundle
 fi
 
