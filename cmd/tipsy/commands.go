@@ -162,12 +162,7 @@ func cmdTrain(args []string) error {
 		return fmt.Errorf("no records in window [%d, %d)", *fromHour, *toHour)
 	}
 	h := core.TrainHistorical(set, recs, core.DefaultHistOpts())
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := h.Save(f); err != nil {
+	if err := h.SaveFile(*out); err != nil {
 		return err
 	}
 	fmt.Printf("trained %s on %d records: %d tuples, %d entries -> %s\n",
@@ -198,12 +193,7 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	mf, err := os.Open(*modelPath)
-	if err != nil {
-		return err
-	}
-	defer mf.Close()
-	hist, err := core.LoadHistorical(mf)
+	hist, err := core.LoadHistoricalFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -265,47 +255,23 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The test window ends at the bundle's last hour: outage inference
+	// allocates per hour of it.
+	var end wan.Hour
+	for _, r := range b.Records {
+		if r.Hour >= end {
+			end = r.Hour + 1
+		}
+	}
 	split := wan.Hour(*trainDays * 24)
-	train := dataset.Window(b.Records, 0, split)
-	test := dataset.Window(b.Records, split, 1<<30)
-	if len(train) == 0 || len(test) == 0 {
+	e := &eval.Env{Dir: wan.NewTable(b.Links), Metros: geo.World(), TestTo: end}
+	e.SplitAt(b.Records, split)
+	if len(e.Train) == 0 || len(e.Test) == 0 {
 		return fmt.Errorf("split at hour %d leaves an empty window (train=%d test=%d records)",
-			split, len(train), len(test))
-	}
-	table := wan.NewTable(b.Links)
-	metros := geo.World()
-	hA := core.TrainHistorical(features.SetA, train, core.DefaultHistOpts())
-	hAP := core.TrainHistorical(features.SetAP, train, core.DefaultHistOpts())
-	hAL := core.TrainHistorical(features.SetAL, train, core.DefaultHistOpts())
-	models := []core.Predictor{
-		hA, hAP, hAL,
-		core.NewGeoCompletion(hAL, table, metros),
-		core.NewEnsemble(hAP, hAL, hA),
-		core.NewEnsemble(hAL, hAP, hA),
-	}
-	var rows []eval.AccuracyRow
-	for _, set := range []features.Set{features.SetA, features.SetAP, features.SetAL} {
-		o := core.NewOracle(set, test)
-		acc := eval.Accuracy(o, test, eval.Options{Ks: eval.StandardKs, GroupBy: eval.GroupBySet(set)})
-		rows = append(rows, eval.AccuracyRow{Model: o.Name(), Oracle: true,
-			Top1: acc[1] * 100, Top2: acc[2] * 100, Top3: acc[3] * 100})
-		for _, m := range models {
-			if h, ok := m.(*core.Historical); ok && h.Set() == set {
-				acc := eval.Accuracy(m, test, eval.Options{Ks: eval.StandardKs})
-				rows = append(rows, eval.AccuracyRow{Model: m.Name(),
-					Top1: acc[1] * 100, Top2: acc[2] * 100, Top3: acc[3] * 100})
-			}
-		}
-	}
-	for _, m := range models {
-		if _, ok := m.(*core.Historical); !ok {
-			acc := eval.Accuracy(m, test, eval.Options{Ks: eval.StandardKs})
-			rows = append(rows, eval.AccuracyRow{Model: m.Name(),
-				Top1: acc[1] * 100, Top2: acc[2] * 100, Top3: acc[3] * 100})
-		}
+			split, len(e.Train), len(e.Test))
 	}
 	fmt.Print(eval.FormatAccuracyTable(
-		fmt.Sprintf("Overall prediction accuracy (%d train days, %d test records)", *trainDays, len(test)),
-		rows))
+		fmt.Sprintf("Overall prediction accuracy (%d train days, %d test records)", *trainDays, len(e.Test)),
+		eval.Table4(e)))
 	return nil
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"tipsy/internal/core"
 	"tipsy/internal/features"
 )
 
@@ -46,9 +48,9 @@ func TestParseSet(t *testing.T) {
 }
 
 // TestCLIWorkflow exercises the whole command surface end to end on a
-// tiny simulation: simulate -> info -> train -> eval -> suspicious ->
-// depeer. Output goes to files in a temp dir; the commands run in
-// process.
+// tiny simulation: simulate -> info -> train -> predict -> eval ->
+// suspicious -> depeer. Output goes to files in a temp dir; the
+// commands run in process.
 func TestCLIWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -66,8 +68,29 @@ func TestCLIWorkflow(t *testing.T) {
 	if err := cmdInfo([]string{"-i", bundle}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	if err := cmdTrain([]string{"-i", bundle, "-set", "AP", "-to-hour", "96", "-o", model}); err != nil {
-		t.Fatalf("train: %v", err)
+	// Training twice onto one path leaves one model that loads and no
+	// temporary file beside it.
+	for i := 0; i < 2; i++ {
+		if err := cmdTrain([]string{"-i", bundle, "-set", "AP", "-to-hour", "96", "-o", model}); err != nil {
+			t.Fatalf("train: %v", err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"m.tipsy", "t.tipsy"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("after two trainings the directory holds %q, want %q", names, want)
+	}
+	if _, err := core.LoadHistoricalFile(model); err != nil {
+		t.Errorf("trained model does not load: %v", err)
+	}
+	if err := cmdPredict([]string{"-i", bundle, "-model", model, "-src", "11.0.3.7"}); err != nil {
+		t.Fatalf("predict: %v", err)
 	}
 	if err := cmdEval([]string{"-i", bundle, "-train-days", "4"}); err != nil {
 		t.Fatalf("eval: %v", err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 )
 
 // Session is a minimal BGP speaker over a byte stream: OPEN exchange,
@@ -200,18 +199,6 @@ func (s *Session) Recv() (any, error) {
 		return n, nil
 	}
 	return msg, nil
-}
-
-// RunKeepalives sends heartbeats every interval until the session
-// closes; run it in its own goroutine.
-func (s *Session) RunKeepalives(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for range t.C {
-		if s.SendKeepalive() != nil {
-			return
-		}
-	}
 }
 
 // Close tears the session down.

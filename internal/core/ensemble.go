@@ -48,6 +48,3 @@ func (e *Ensemble) Predict(q Query) []Prediction {
 	}
 	return nil
 }
-
-// Components returns the composed models in fallback order.
-func (e *Ensemble) Components() []Predictor { return e.models }

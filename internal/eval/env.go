@@ -7,6 +7,7 @@ import (
 	"tipsy/internal/geo"
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -57,11 +58,15 @@ func SmallEnvConfig(seed int64) EnvConfig {
 }
 
 // Env is a fully built experiment environment: the simulated WAN,
-// aggregated telemetry, train/test windows, inferred outages, and the
-// per-flow top training links.
+// aggregated telemetry, train/test windows, inferred outages, the
+// per-flow top training links, and the model generation a daemon
+// would serve after training on the window.
 type Env struct {
-	Cfg      EnvConfig
-	Sim      *netsim.Sim
+	Cfg EnvConfig
+	Sim *netsim.Sim
+	// Dir is the link directory the models rank links in; Build
+	// sets it to the simulator.
+	Dir      wan.Directory
 	Metros   *geo.DB
 	Graph    *topology.Graph
 	Workload *traffic.Workload
@@ -72,11 +77,19 @@ type Env struct {
 
 	TrainOut, TestOut *dataset.OutageIndex
 	TopTrain          map[features.FlowFeatures]wan.LinkID
+	// Served is serve.Train's generation over Train; every Historical
+	// model the tables score is one of its fits.
+	Served *serve.Models
 }
 
 // Build generates the topology and workload, simulates the full
 // horizon, aggregates the telemetry through the pipeline, and
 // prepares the train/test split exactly as §5.1.1 describes.
+//
+// The aggregator is fed by the simulator's sink, not over the IPFIX
+// wire. That cannot change a table: the root package's
+// TestReproduction requires the wire's drain to be reflect.DeepEqual
+// to the direct drain of the same environment.
 func Build(cfg EnvConfig) *Env {
 	metros := geo.World()
 	g := topology.Generate(cfg.TopoCfg, metros)
@@ -84,7 +97,7 @@ func Build(cfg EnvConfig) *Env {
 	sim := netsim.New(cfg.SimCfg, g, metros, w)
 
 	env := &Env{
-		Cfg: cfg, Sim: sim, Metros: metros, Graph: g, Workload: w,
+		Cfg: cfg, Sim: sim, Dir: sim, Metros: metros, Graph: g, Workload: w,
 		TrainFrom: 0,
 		TrainTo:   wan.Hour(cfg.TrainDays * 24),
 		TestFrom:  wan.Hour(cfg.TrainDays * 24),
@@ -98,9 +111,10 @@ func Build(cfg EnvConfig) *Env {
 }
 
 // SplitAt (re)derives the train/test state from aggregated records
-// with the boundary at hour split. It is exposed so the appendix
-// experiments (varying training-window lengths, sliding windows) can
-// re-slice one simulated horizon many times without re-simulating.
+// with the boundary at hour split, and fits the served generation on
+// the new training window. It is exposed so the appendix experiments
+// (varying training-window lengths, sliding windows) can re-slice one
+// simulated horizon many times without re-simulating.
 func (e *Env) SplitAt(all []features.Record, split wan.Hour) {
 	e.TrainTo, e.TestFrom = split, split
 	e.Train = dataset.Window(all, e.TrainFrom, e.TrainTo)
@@ -109,6 +123,7 @@ func (e *Env) SplitAt(all []features.Record, split wan.Hour) {
 	e.TrainOut = dataset.NewOutageIndex(dataset.InferOutages(e.Train, e.TrainFrom, e.TrainTo, opts))
 	e.TestOut = dataset.NewOutageIndex(dataset.InferOutages(e.Test, e.TestFrom, e.TestTo, opts))
 	e.TopTrain = dataset.TopLinks(e.Train)
+	e.Served = serve.Train(e.Train, e.TrainTo, e.Dir, e.Metros)
 }
 
 // Records re-aggregates by running the simulator over [from, to);
@@ -121,24 +136,29 @@ func (e *Env) Records(from, to wan.Hour) []features.Record {
 	return agg.Records()
 }
 
-// Hist trains a Historical model for the feature set on the training
-// window.
-func (e *Env) Hist(set features.Set) *core.Historical {
-	return core.TrainHistorical(set, e.Train, core.DefaultHistOpts())
-}
+// Hist is the served generation's Historical model for the feature
+// set; every call returns the same fit.
+func (e *Env) Hist(set features.Set) *core.Historical { return e.Served.Hist(set) }
 
-// StandardModels trains the Table 2 model set on the training window:
-// Hist_A, Hist_AP, Hist_AL, Hist_AL+G, Hist_AP/AL/A, Hist_AL/AP/A.
+// StandardModels is the Table 2 model set over the served
+// generation's fits — Hist_A, Hist_AP, Hist_AL, Hist_AL+G,
+// Hist_AP/AL/A, Hist_AL/AP/A — followed by the generation itself,
+// fallback rungs included, as the "served" row.
 func (e *Env) StandardModels() []core.Predictor {
-	hA := e.Hist(features.SetA)
-	hAP := e.Hist(features.SetAP)
-	hAL := e.Hist(features.SetAL)
+	hA, hAP, hAL := e.Hist(features.SetA), e.Hist(features.SetAP), e.Hist(features.SetAL)
 	return []core.Predictor{
 		hA, hAP, hAL,
-		core.NewGeoCompletion(hAL, e.Sim, e.Metros),
+		core.NewGeoCompletion(hAL, e.Dir, e.Metros),
 		core.NewEnsemble(hAP, hAL, hA),
-		core.NewEnsemble(hAL, hAP, hA),
+		ensembleALAPA(e.Served),
+		e.Served,
 	}
+}
+
+// ensembleALAPA is Hist_AL/AP/A over a generation's fits, the model
+// of Table 2's last row and of Figures 9–11.
+func ensembleALAPA(g *serve.Models) core.Predictor {
+	return core.NewEnsemble(g.Hist(features.SetAL), g.Hist(features.SetAP), g.Hist(features.SetA))
 }
 
 // Oracle builds the restricted oracle for a feature set from the

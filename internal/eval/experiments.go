@@ -7,6 +7,7 @@ import (
 	"tipsy/internal/core"
 	"tipsy/internal/dataset"
 	"tipsy/internal/features"
+	"tipsy/internal/serve"
 	"tipsy/internal/wan"
 )
 
@@ -202,8 +203,8 @@ type Fig2Point struct {
 }
 
 // Fig2 reproduces "CDF of Bytes by distance of source AS" over the
-// given records, using the valley-free AS distances the BMP-derived
-// topology yields.
+// given records, using the valley-free AS distances of the generated
+// AS graph.
 func Fig2(e *Env, recs []features.Record) []Fig2Point {
 	dist := e.Graph.DistancesToCloud()
 	byDist := make(map[int]float64)
@@ -379,7 +380,7 @@ func Fig9(e *Env, lengths []int, nPeriods, testDays int) []Fig9Point {
 			if len(train) == 0 || len(test) == 0 {
 				continue
 			}
-			m := trainEnsembleALAPA(train)
+			m := ensembleALAPA(serve.Train(train, testFrom, e.Dir, e.Metros))
 			acc := Accuracy(m, test, Options{Ks: []int{3}})[3] * 100
 			pt.MeanTop3 += acc
 			if acc < pt.MinTop3 {
@@ -398,13 +399,6 @@ func Fig9(e *Env, lengths []int, nPeriods, testDays int) []Fig9Point {
 	return out
 }
 
-func trainEnsembleALAPA(train []features.Record) core.Predictor {
-	hA := core.TrainHistorical(features.SetA, train, core.DefaultHistOpts())
-	hAP := core.TrainHistorical(features.SetAP, train, core.DefaultHistOpts())
-	hAL := core.TrainHistorical(features.SetAL, train, core.DefaultHistOpts())
-	return core.NewEnsemble(hAL, hAP, hA)
-}
-
 // Fig10Point is one point of Figure 10: accuracy on the nth day after
 // the training window closed.
 type Fig10Point struct {
@@ -418,7 +412,7 @@ type Fig10Point struct {
 func Fig10(e *Env, days int) []Fig10Point {
 	all := e.Records(0, e.TrainTo+wan.Hour(days*24))
 	train := dataset.Window(all, e.TrainFrom, e.TrainTo)
-	m := trainEnsembleALAPA(train)
+	m := ensembleALAPA(serve.Train(train, e.TrainTo, e.Dir, e.Metros))
 	out := make([]Fig10Point, 0, days)
 	for d := 0; d < days; d++ {
 		from := e.TrainTo + wan.Hour(d*24)
@@ -464,11 +458,11 @@ func Fig11(e *Env, windows int) []Fig11Stats {
 		if len(train) == 0 || len(test) == 0 {
 			continue
 		}
-		sub := &Env{Cfg: e.Cfg, Sim: e.Sim, Metros: e.Metros, Graph: e.Graph, Workload: e.Workload,
+		sub := &Env{Cfg: e.Cfg, Sim: e.Sim, Dir: e.Dir, Metros: e.Metros, Graph: e.Graph, Workload: e.Workload,
 			TrainFrom: trainFrom, TestTo: testTo}
 		subAll := append(append([]features.Record(nil), train...), test...)
 		sub.SplitAt(subAll, testFrom)
-		m := trainEnsembleALAPA(train)
+		m := ensembleALAPA(sub.Served)
 		samples["overall"] = append(samples["overall"],
 			Accuracy(m, sub.Test, Options{Ks: []int{3}})[3]*100)
 		for _, cls := range []struct {

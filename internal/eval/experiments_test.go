@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
+	"tipsy/internal/core"
 	"tipsy/internal/features"
 )
 
@@ -151,6 +153,61 @@ func TestTable4Shape(t *testing.T) {
 	if byName["Hist_AP"].Top3 < 70 {
 		t.Errorf("Hist_AP top-3 = %.2f, implausibly low", byName["Hist_AP"].Top3)
 	}
+}
+
+// TestTable4Pinned pins every row of seed 1's small-environment Table
+// 4 with ==, so a change to how the models are fitted or assembled
+// cannot move a number unnoticed. The rows above "served" were taken
+// while eval still fitted its own models, before it read them off the
+// served generation.
+func TestTable4Pinned(t *testing.T) {
+	want := []AccuracyRow{
+		{Model: "Oracle_A", Top1: 68.29566049241703, Top2: 86.35901559826556, Top3: 91.8349682967853, Oracle: true},
+		{Model: "Hist_A", Top1: 54.85641324677848, Top2: 65.00812470620298, Top3: 66.71081969733616},
+		{Model: "Oracle_AP", Top1: 85.08288874032293, Top2: 98.5386032595724, Top3: 99.87534583766, Oracle: true},
+		{Model: "Hist_AP", Top1: 77.30017342917006, Top2: 88.77637978649481, Top3: 89.48565250626218},
+		{Model: "Oracle_AL", Top1: 83.00129694761398, Top2: 97.79046273860786, Top3: 99.60543063831264, Oracle: true},
+		{Model: "Hist_AL", Top1: 73.9647897221882, Top2: 85.29673385626259, Top3: 86.12587197456432},
+		{Model: "Hist_AL+G", Top1: 73.9647897221882, Top2: 85.29673385626259, Top3: 86.12587197456432},
+		{Model: "Hist_AP/AL/A", Top1: 77.30017342917006, Top2: 88.77637978649481, Top3: 89.48565250626218},
+		{Model: "Hist_AL/AP/A", Top1: 73.9647897221882, Top2: 85.29673385626259, Top3: 86.12587197456432},
+		{Model: "served", Top1: 77.30017342917006, Top2: 88.77637978649481, Top3: 89.48565250626218},
+	}
+	got := Table4(sharedEnv(t))
+	if len(got) != len(want) {
+		t.Fatalf("Table 4 has %d rows, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestHistIsTheServedFit: Env.Hist hands out the served generation's
+// fit, one pointer per set, and that fit is the one TrainHistorical
+// makes of the training window, byte for byte.
+func TestHistIsTheServedFit(t *testing.T) {
+	e := sharedEnv(t)
+	for _, set := range []features.Set{features.SetA, features.SetAP, features.SetAL} {
+		h := e.Hist(set)
+		if h == nil || h != e.Hist(set) || h.Set() != set {
+			t.Fatalf("%v: Hist returned %p then %p", set, h, e.Hist(set))
+		}
+		if got, want := checkpointBytes(t, h), checkpointBytes(t, core.TrainHistorical(set, e.Train, core.DefaultHistOpts())); !bytes.Equal(got, want) {
+			t.Errorf("%v: the served fit's checkpoint differs from a fresh fit's", set)
+		}
+	}
+}
+
+func checkpointBytes(t *testing.T, h *core.Historical) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	ck := core.Checkpoint{Models: []*core.Historical{h}}
+	if err := ck.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestOutageTablesShape(t *testing.T) {

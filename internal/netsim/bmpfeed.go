@@ -98,26 +98,3 @@ func (s *Sim) EmitBMPHour(h wan.Hour, send BMPSender) {
 		}
 	}
 }
-
-// EmitWithdrawal sends the Route Monitoring message corresponding to
-// a prefix withdrawal (or re-announcement when announce is true) on a
-// link, mirroring what the CMS's injected BGP messages look like to a
-// BMP station.
-func (s *Sim) EmitWithdrawal(link wan.LinkID, prefix bgp.Prefix, announce bool, h wan.Hour, send BMPSender) {
-	l, ok := s.Link(link)
-	if !ok {
-		return
-	}
-	upd := &bgp.Update{}
-	if announce {
-		upd.NLRI = []bgp.Prefix{prefix}
-		upd.Attrs = bgp.PathAttrs{
-			Origin:  bgp.OriginIGP,
-			ASPath:  []bgp.ASN{s.g.Cloud()},
-			NextHop: bgp.V4(198, 19, byte(l.ID>>8), byte(l.ID)),
-		}
-	} else {
-		upd.Withdrawn = []bgp.Prefix{prefix}
-	}
-	send(uint32(l.ID), (&bmp.RouteMonitoring{Peer: s.peerHeader(l, h), Update: upd}).Marshal())
-}

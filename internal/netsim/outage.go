@@ -21,8 +21,7 @@ func (o Outage) Duration() wan.Hour { return o.End - o.Start }
 // OutageSchedule is a precomputed set of link outages over the
 // simulation horizon. Outages on a link never overlap.
 type OutageSchedule struct {
-	byLink  [][]Outage // index = LinkID-1, sorted by start
-	horizon wan.Hour
+	byLink [][]Outage // index = LinkID-1, sorted by start
 }
 
 // GenOutages draws a Poisson outage process per link. ratePerYear is
@@ -31,7 +30,7 @@ type OutageSchedule struct {
 // the 1–24h band the evaluation uses, with a small tail of multi-day
 // events (decommissionings, disasters) that the evaluation excludes.
 func GenOutages(nLinks int, horizon wan.Hour, ratePerYear float64, seed int64) *OutageSchedule {
-	sched := &OutageSchedule{byLink: make([][]Outage, nLinks), horizon: horizon}
+	sched := &OutageSchedule{byLink: make([][]Outage, nLinks)}
 	if ratePerYear <= 0 {
 		return sched
 	}
@@ -131,6 +130,3 @@ func (o *OutageSchedule) All() []Outage {
 	})
 	return out
 }
-
-// Horizon returns the schedule's horizon in hours.
-func (o *OutageSchedule) Horizon() wan.Hour { return o.horizon }

@@ -136,6 +136,32 @@ func (m *Models) Tuples() int {
 // nil before training.
 func (m *Models) Ensemble() core.Predictor { return m.rungs[Ensemble] }
 
+// Hist is the generation's fit for a feature set, nil before training
+// or for a set the ladder does not use.
+func (m *Models) Hist(set features.Set) *core.Historical {
+	switch set {
+	case features.SetAP:
+		return m.hAP
+	case features.SetAL:
+		return m.hAL
+	case features.SetA:
+		return m.hA
+	}
+	return nil
+}
+
+// Name is the whole ladder's name in accuracy tables.
+func (m *Models) Name() string { return "served" }
+
+// Predict is the whole ladder as one core.Predictor: the answer a
+// client of the daemon gets, fallback rungs included.
+func (m *Models) Predict(q core.Query) []core.Prediction {
+	return m.Walk(q, noClock).Preds
+}
+
+// noClock is the clock of a walk whose timings nobody reads.
+func noClock() int64 { return 0 }
+
 // Answer is the outcome of one ladder walk.
 type Answer struct {
 	Preds []core.Prediction

@@ -62,9 +62,6 @@ func testFixture(t testing.TB) *fixture {
 	return &fix
 }
 
-// noClock is a clock for tests that do not look at timings.
-func noClock() int64 { return 0 }
-
 // whatIf builds a request over n of the fixture's flows, plus one flow
 // from an AS no model has seen, excluding the first flow's top link.
 func (f *fixture) whatIf(t testing.TB, n int) (*Request, []features.FlowFeatures) {

@@ -95,7 +95,8 @@ func reproduce(t *testing.T, cfg eval.EnvConfig) *reproduction {
 // TestReproduction pins seed 1 of the small environment, run over the
 // IPFIX wire, to the values its report recorded in August 2026: the
 // shape of the environment, the record counts at every hand-off, and
-// the served ensemble's byte-weighted accuracy, all compared with ==.
+// the served ensemble's byte-weighted accuracy, all compared with ==;
+// the served ladder's accuracy is pinned from its first run.
 // The training window's §4.2 encoding must decode back to it; its pair
 // count and dictionary sizes are pinned from their first run.
 func TestReproduction(t *testing.T) {
@@ -131,6 +132,11 @@ func TestReproduction(t *testing.T) {
 	acc := eval.Accuracy(r.models.Ensemble(), r.test, eval.Options{Ks: []int{1, 3}})
 	if acc[1] != 0.7730017342917006 || acc[3] != 0.8948565250626218 {
 		t.Errorf("ensemble accuracy: top-1 %v, top-3 %v; want 0.7730017342917006, 0.8948565250626218",
+			acc[1], acc[3])
+	}
+	acc = eval.Accuracy(r.models, r.test, eval.Options{Ks: []int{1, 3}})
+	if acc[1] != 0.7730017342917006 || acc[3] != 0.8948565250626218 {
+		t.Errorf("served accuracy: top-1 %v, top-3 %v; want 0.7730017342917006, 0.8948565250626218",
 			acc[1], acc[3])
 	}
 }
