@@ -12,9 +12,8 @@ import (
 
 // TestServingMetricsConserveFlows: what tipsyd's registry says it
 // served adds up to what its clients were sent. Requests land on
-// every rung that can answer a trained generation (ensemble, geo and
-// none; the historical rung is the ensemble's last component, so it
-// is tried but never answers), plus a refused body and a bad address.
+// every rung (ensemble, geo and none), plus a refused body and a bad
+// address.
 // Afterwards:
 //   - the fallback counters sum to the flows answered in 200s,
 //   - each rung's latency histogram counts the flows that tried it,
@@ -104,9 +103,6 @@ func TestServingMetricsConserveFlows(t *testing.T) {
 	}
 	if fallbacks != answered {
 		t.Errorf("fallback counters sum to %d, want the %d flows answered", fallbacks, answered)
-	}
-	if got := counters["tipsyd_fallback_historical_total"]; got != 0 {
-		t.Errorf("historical rung answered %d flows behind an ensemble that ends in the same model", got)
 	}
 	if got := counters["tipsyd_predict_requests_total"]; got != decoded {
 		t.Errorf("tipsyd_predict_requests_total = %d, want the %d bodies that decoded", got, decoded)

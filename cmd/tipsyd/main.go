@@ -77,10 +77,9 @@ import (
 // fallbackCounters is the JSON snapshot of the degraded-mode ladder
 // counters /healthz reports; the live counts are registry metrics.
 type fallbackCounters struct {
-	Ensemble   uint64 `json:"ensemble"`
-	Historical uint64 `json:"historical"`
-	Geo        uint64 `json:"geo"`
-	None       uint64 `json:"none"`
+	Ensemble uint64 `json:"ensemble"`
+	Geo      uint64 `json:"geo"`
+	None     uint64 `json:"none"`
 }
 
 // serverMetrics are tipsyd's registry-backed metrics: per ladder rung,
@@ -391,8 +390,6 @@ func newServer(seed int64, trainDays int, mcfg monitor.Config) *server {
 
 // realClock is the production span clock; tests swap server.clock for
 // a counter so span dumps golden.
-//
-//tipsy:clocksource
 func realClock() int64 { return time.Now().UnixNano() }
 
 // buildVersion reports the module version stamped into the binary, or
@@ -630,7 +627,7 @@ func firstSightings(recs []features.Record, n int) []features.Record {
 	return out
 }
 
-var demoteEvents = [serve.None]string{"demote_ensemble", "demote_historical", "demote_geo"}
+var demoteEvents = [serve.None]string{"demote_ensemble", "demote_geo"}
 
 // markDemotions files a demote_* event on sp for every rung that ran
 // and produced nothing — the span-level record of a degraded answer.
@@ -681,10 +678,9 @@ func (s *server) recoverCheckpoint() error {
 // fallbackSnapshot reads the ladder counters for /healthz.
 func (s *server) fallbackSnapshot() fallbackCounters {
 	return fallbackCounters{
-		Ensemble:   s.met.answered[serve.Ensemble].Value(),
-		Historical: s.met.answered[serve.Historical].Value(),
-		Geo:        s.met.answered[serve.Geo].Value(),
-		None:       s.met.answered[serve.None].Value(),
+		Ensemble: s.met.answered[serve.Ensemble].Value(),
+		Geo:      s.met.answered[serve.Geo].Value(),
+		None:     s.met.answered[serve.None].Value(),
 	}
 }
 

@@ -57,8 +57,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("tipsyd_fallback_geo_total = %d, want 1", v)
 	}
 	// The rung histograms recorded the attempts: the geo answer first
-	// fell through the ensemble and historical rungs.
-	for _, name := range []string{"tipsyd_rung_ensemble_ns_count", "tipsyd_rung_historical_ns_count", "tipsyd_rung_geo_ns_count"} {
+	// fell through the ensemble rung.
+	for _, name := range []string{"tipsyd_rung_ensemble_ns_count", "tipsyd_rung_geo_ns_count"} {
 		if v := metricValue(t, body, name); v < 1 {
 			t.Errorf("%s = %d, want >= 1", name, v)
 		}

@@ -5,10 +5,10 @@ import (
 )
 
 // This file builds a per-function control-flow graph of basic blocks
-// straight from the AST. The deep-tier dataflow pass (dataflow.go)
-// iterates transfer functions over it to a fixpoint; precision is
-// deliberately modest — enough to know which assignments can reach a
-// use — because the rules built on top only need value provenance,
+// straight from the AST. The locks rule's must-hold dataflow
+// (locks.go) iterates its transfer function over it to a fixpoint;
+// precision is deliberately modest — enough to know which locks every
+// path into a statement holds — because that is all the rule asks,
 // not full SSA.
 
 // Block is one basic block: a maximal run of straight-line statements
@@ -355,4 +355,46 @@ func (c *CFG) RPO() []*Block {
 		}
 	}
 	return out
+}
+
+// inspectShallow walks the parts of s the CFG evaluates AT s —
+// everything except nested statement bodies, which live in their own
+// blocks. Function literals are pruned too (separate scopes), but f
+// sees the literal node itself so callers can schedule a closure
+// analysis.
+func inspectShallow(s ast.Stmt, f func(ast.Node) bool) {
+	walk := func(n ast.Node) {
+		if n == nil {
+			return
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			if _, ok := n.(*ast.FuncLit); ok {
+				return f(n) && false // show the literal, skip its body
+			}
+			return f(n)
+		})
+	}
+	switch s := s.(type) {
+	case *ast.IfStmt:
+		walk(s.Init)
+		walk(s.Cond)
+	case *ast.ForStmt:
+		walk(s.Init)
+		walk(s.Cond)
+		walk(s.Post)
+	case *ast.RangeStmt:
+		walk(s.X)
+	case *ast.SwitchStmt:
+		walk(s.Init)
+		walk(s.Tag)
+	case *ast.TypeSwitchStmt:
+		walk(s.Init)
+		walk(s.Assign)
+	case *ast.SelectStmt:
+		// Clause bodies are their own blocks.
+	case *ast.LabeledStmt:
+		inspectShallow(s.Stmt, f)
+	default:
+		walk(s)
+	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // This file is the closure-escape pass. The locks rule uses it to tell a
@@ -14,28 +15,10 @@ import (
 // function runs wherever its new holder calls it: returned, stored
 // into a field, slice, map, or pointer target, sent on a channel,
 // passed to another function, deferred, or launched as a goroutine.
-// The pass reuses the deep tier's provenance engine: every literal
-// gets a TagAlloc identity tag at creation (funcLitTagger hook) and
-// the tag is followed through locals, assignments, and wrapper calls
-// to the escape points.
-
-// escapeHooks instantiates the provenance engine for closure
-// tracking. Calls pass tags through: a closure returned by a helper,
-// or wrapped and returned, keeps its identity.
-type escapeHooks struct{}
-
-func (escapeHooks) EvalCall(call *ast.CallExpr, recv tagSet, args []tagSet) []tagSet {
-	return []tagSet{union(append(args, recv)...)}
-}
-
-func (escapeHooks) RangeTags(rs *ast.RangeStmt, xTags tagSet) (key, val tagSet) {
-	// Ranging over a container of closures yields the closures.
-	return nil, xTags
-}
-
-func (escapeHooks) FuncLitTags(lit *ast.FuncLit) tagSet {
-	return singleton(Tag{Kind: TagAlloc, Site: lit.Pos()})
-}
+// The pass is flow-insensitive: each local is bound, to a fixpoint, to
+// every literal its right-hand sides anywhere in the body mention, and
+// a literal escapes when it, or a local bound to it, reaches one of
+// those points.
 
 // escapingClosures reports, for every function literal in fd's body
 // (nested literals included), whether its value escapes the function
@@ -45,81 +28,106 @@ func escapingClosures(pkg *Package, fd *ast.FuncDecl) map[token.Pos]bool {
 	if fd.Body == nil {
 		return out
 	}
-	scanEscapes(pkg, analyzeFunc(pkg, fd, escapeHooks{}), out)
-	return out
-}
-
-// scanEscapes replays one analyzed body and marks every TagAlloc tag
-// that reaches an escape point. Nested literals are analyzed with the
-// environment captured where they appear, so a closure leaked from
-// inside another closure is still caught.
-func scanEscapes(pkg *Package, pv *provenance, out map[token.Pos]bool) {
-	mark := func(tags tagSet) {
-		for t := range tags {
-			if t.Kind == TagAlloc {
-				out[t.Site] = true
+	type binding struct {
+		obj types.Object
+		rhs []ast.Expr
+	}
+	var binds []binding
+	var sinks []ast.Expr
+	// assign files lhs = rhs: a local is bound to what its rhs carries;
+	// any other target (field, element, pointer, package variable) is a
+	// store that makes the value reachable beyond the frame.
+	assign := func(lhs, rhs []ast.Expr) {
+		for i, l := range lhs {
+			r := rhs
+			if len(lhs) == len(rhs) {
+				r = rhs[i : i+1]
+			}
+			id, ok := ast.Unparen(l).(*ast.Ident)
+			if !ok {
+				sinks = append(sinks, r...)
+			} else if obj := pkg.Info.ObjectOf(id); obj != nil && obj.Parent() == pkg.Types.Scope() {
+				sinks = append(sinks, r...)
+			} else if obj != nil {
+				binds = append(binds, binding{obj, r})
 			}
 		}
 	}
-	type litWork struct {
-		lit *ast.FuncLit
-		e   env
-	}
-	var lits []litWork
-	pv.visit(func(s ast.Stmt, e env) {
-		switch s := s.(type) {
-		case *ast.ReturnStmt:
-			for _, res := range s.Results {
-				mark(pv.eval(res, e))
-			}
-		case *ast.SendStmt:
-			mark(pv.eval(s.Value, e))
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
 		case *ast.AssignStmt:
-			// A store through a field, element, or pointer target makes
-			// the value reachable beyond the frame.
-			for i, lhs := range s.Lhs {
-				if i >= len(s.Rhs) {
-					break
-				}
-				switch ast.Unparen(lhs).(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					mark(pv.eval(s.Rhs[i], e))
-				}
+			assign(n.Lhs, n.Rhs)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, name := range n.Names {
+				lhs[i] = name
 			}
-		case *ast.DeferStmt:
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				out[lit.Pos()] = true
-			} else {
-				mark(pv.eval(s.Call.Fun, e))
+			assign(lhs, n.Values)
+		case *ast.RangeStmt:
+			// Ranging over a container of closures yields the closures.
+			if n.Value != nil {
+				assign([]ast.Expr{n.Value}, []ast.Expr{n.X})
 			}
+		case *ast.ReturnStmt:
+			sinks = append(sinks, n.Results...)
+		case *ast.SendStmt:
+			sinks = append(sinks, n.Value)
 		case *ast.GoStmt:
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				out[lit.Pos()] = true
-			} else {
-				mark(pv.eval(s.Call.Fun, e))
+			sinks = append(sinks, n.Call.Fun)
+		case *ast.DeferStmt:
+			sinks = append(sinks, n.Call.Fun)
+		case *ast.CallExpr:
+			// Passing a closure as an argument hands the value to the
+			// callee; a conversion does not.
+			if tv, ok := pkg.Info.Types[ast.Unparen(n.Fun)]; !ok || !tv.IsType() {
+				sinks = append(sinks, n.Args...)
 			}
 		}
-		inspectShallow(s, func(n ast.Node) bool {
+		return true
+	})
+
+	// mentions calls f for every literal x evaluates to or carries: the
+	// literals written in it and those bound to the locals it names. A
+	// call's result carries its arguments, not the function it calls.
+	bound := map[types.Object]map[token.Pos]bool{}
+	var mentions func(x ast.Expr, f func(token.Pos))
+	mentions = func(x ast.Expr, f func(token.Pos)) {
+		ast.Inspect(x, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case nil:
-				return true
 			case *ast.FuncLit:
-				lits = append(lits, litWork{n, e.clone()})
+				f(n.Pos())
 				return false
+			case *ast.Ident:
+				for lit := range bound[pkg.Info.Uses[n]] {
+					f(lit)
+				}
 			case *ast.CallExpr:
-				// Passing a closure as an argument hands the value to
-				// the callee; invoking a closure directly does not.
-				if tv, ok := pkg.Info.Types[ast.Unparen(n.Fun)]; ok && tv.IsType() {
-					return true // conversion, not a call
-				}
 				for _, a := range n.Args {
-					mark(pv.eval(a, e))
+					mentions(a, f)
 				}
+				return false
 			}
 			return true
 		})
-	})
-	for _, w := range lits {
-		scanEscapes(pkg, analyzeFuncLit(pkg, w.lit, w.e, escapeHooks{}), out)
 	}
+	for changed := true; changed; {
+		changed = false
+		for _, b := range binds {
+			for _, r := range b.rhs {
+				mentions(r, func(lit token.Pos) {
+					if bound[b.obj] == nil {
+						bound[b.obj] = map[token.Pos]bool{}
+					}
+					if !bound[b.obj][lit] {
+						bound[b.obj][lit] = true
+						changed = true
+					}
+				})
+			}
+		}
+	}
+	for _, s := range sinks {
+		mentions(s, func(lit token.Pos) { out[lit] = true })
+	}
+	return out
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // TestEscapeAnalysis pins the closure classifier on both sides:
-// escaping (returned, stored, passed, via helper) and non-escaping
-// (immediately invoked, called locally).
+// escaping (returned, stored, passed, via helper, launched through a
+// copy, ranged out of a slice) and non-escaping (immediately invoked,
+// called locally).
 func TestEscapeAnalysis(t *testing.T) {
 	p, err := loader(t).LoadSource("escape.go", `package p
 
@@ -32,6 +33,19 @@ func tight(xs []int) int {
 	}
 	return acc
 }
+
+func relaunch() {
+	c := func() {} // escapes: copied to d, which is launched
+	d := c
+	go d()
+}
+
+func ranged() {
+	fs := []func(){func() {}, func() {}} // both escape: ranged out and launched
+	for _, f := range fs {
+		go f()
+	}
+}
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +62,12 @@ func tight(xs []int) int {
 	}
 	if got := escaping["leaky"]; got != 2 {
 		t.Errorf("leaky: %d escaping closures, want 2", got)
+	}
+	if got := escaping["relaunch"]; got != 1 {
+		t.Errorf("relaunch: %d escaping closures, want 1", got)
+	}
+	if got := escaping["ranged"]; got != 2 {
+		t.Errorf("ranged: %d escaping closures, want 2", got)
 	}
 	if got := escaping["tight"]; got != 0 {
 		t.Errorf("tight: local-only closure reported escaping")

@@ -228,8 +228,10 @@ func (t *T) IncLocked() { t.n++ }
 }
 
 // TestGuardedByExemptions covers the accesses the rule must not
-// flag: constructor bodies, zero-value locals, sync/atomic fields and
-// atomic calls on &t.f, and reasoned //tipsy:nolock fields.
+// flag: constructor bodies (a store through an element of a fresh
+// local's array too), zero-value locals, sync/atomic fields and atomic
+// calls on &t.f, and reasoned //tipsy:nolock fields. A fresh local
+// that one branch rebinds to a parameter is no longer a constructor's.
 func TestGuardedByExemptions(t *testing.T) {
 	wantNone(t, runGuardedBy(t, "gb_exempt.go", `package p
 import (
@@ -262,7 +264,33 @@ func (t *T) Touch() {
 	atomic.AddUint64(&t.raw, 1)
 }
 func (t *T) Name() string { return t.name }
+type Box struct{ ts [2]T }
+func NewBox() *Box {
+	b := &Box{}
+	for i := range b.ts {
+		b.ts[i].n = 5
+	}
+	return b
+}
 `))
+
+	wantOne(t, runGuardedBy(t, "gb_exempt_rebound.go", `package p
+import "sync"
+type T struct {
+	mu sync.Mutex
+	//tipsy:guardedby mu
+	n int
+}
+func (t *T) Inc() { t.mu.Lock(); defer t.mu.Unlock(); t.n++ }
+func Pick(old *T, reuse bool) *T {
+	t := &T{}
+	if reuse {
+		t = old
+	}
+	t.n = 4
+	return t
+}
+`), "unguarded write to tipsy.T.n")
 }
 
 // TestGuardedBySkipDirective pins the function-level escape hatch: a

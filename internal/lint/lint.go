@@ -26,8 +26,8 @@ func (d Diagnostic) String() string {
 
 // Rule is one analyzer family. A rule is either syntactic (Check:
 // a per-package AST walk) or deep (DeepCheck: runs once over the
-// whole loaded module with the call graph and dataflow substrate
-// available); exactly one of the two is set.
+// whole loaded module with the call graph available); exactly one of
+// the two is set.
 type Rule struct {
 	Name string
 	Doc  string
@@ -139,16 +139,6 @@ func Rules() []Rule {
 			},
 			SkipTests: true,
 			Check:     checkSlog,
-		},
-		{
-			Name: "walltime",
-			Doc:  "forbid direct time.Now/time.Since in clock-injected packages; timestamps come through the injected clock, and //tipsy:clocksource marks the sanctioned wall-clock entry points",
-			Dirs: []string{
-				"cmd/tipsyd", "internal/obsv", "internal/monitor", "internal/pipeline",
-				"internal/serve",
-			},
-			SkipTests: true,
-			Check:     checkWalltime,
 		},
 	}
 }

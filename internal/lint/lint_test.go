@@ -217,10 +217,6 @@ func (c *collector) inc() { c.recordCount++ }
 import "log"
 func f() { log.Printf("hello") }
 `, "legacy log.Printf"},
-		{"walltime", `package p
-import "time"
-func f() int64 { return time.Now().UnixNano() }
-`, "time.Now in clock-injected code"},
 		{"locks", `package p
 import "sync"
 type T struct{ mu sync.Mutex; n int }

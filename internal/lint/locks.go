@@ -48,9 +48,10 @@ import (
 //     the lock is released — escape.go decides which literals leave);
 //   - exempts sync/atomic-typed fields, `&s.f` arguments to
 //     sync/atomic calls, self-synchronized field types (sync.*,
-//     channels), and constructor bodies — accesses through a value the
-//     function itself allocated, recognized by the provenance engine's
-//     TagAlloc tags, are pre-publication initialization;
+//     channels), and constructor bodies — accesses rooted at a local
+//     that only ever holds storage the function itself allocated (a
+//     guarded composite literal, its address, or a zero `var x T`)
+//     are pre-publication initialization;
 //   - closes over the call graph: an unexported method whose every
 //     in-module call site holds the guard on the same receiver counts
 //     as locked at entry, so private fooLocked() helpers do not
@@ -514,49 +515,25 @@ func (st *gbState) collectStruct(p *Package, ts *ast.TypeSpec, stru *ast.StructT
 	st.types[id] = gt
 }
 
-// gbHooks instantiates the provenance engine for constructor
-// detection: a composite literal of a guarded type carries a TagAlloc
-// identity, and nothing else taints — call results are unknown.
-type gbHooks struct {
-	pkg   *Package
-	types map[string]*gbType
-}
-
-func (gbHooks) EvalCall(call *ast.CallExpr, recv tagSet, args []tagSet) []tagSet {
-	return nil
-}
-
-func (gbHooks) RangeTags(rs *ast.RangeStmt, xTags tagSet) (key, val tagSet) {
-	return nil, nil
-}
-
-func (h gbHooks) CompositeLitTags(lit *ast.CompositeLit) tagSet {
-	if t := h.pkg.Info.TypeOf(lit); t != nil && h.containsGuarded(t, 0) {
-		return singleton(Tag{Kind: TagAlloc, Site: lit.Pos()})
-	}
-	return nil
-}
-
 // containsGuarded reports whether t is a guarded struct or embeds one
 // by value (struct field, array element) — fresh storage for the
 // outer value is fresh storage for the guarded struct inside it.
-// Pointers stop the walk: a fresh wrapper can point at shared state.
-func (h gbHooks) containsGuarded(t types.Type, depth int) bool {
-	if depth > 4 {
+func (st *gbState) containsGuarded(t types.Type, depth int) bool {
+	if t == nil || depth > 4 {
 		return false
 	}
-	if h.types[namedTypeID(t)] != nil {
+	if st.types[namedTypeID(t)] != nil {
 		return true
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			if h.containsGuarded(u.Field(i).Type(), depth+1) {
+			if st.containsGuarded(u.Field(i).Type(), depth+1) {
 				return true
 			}
 		}
 	case *types.Array:
-		return h.containsGuarded(u.Elem(), depth+1)
+		return st.containsGuarded(u.Elem(), depth+1)
 	}
 	return false
 }
@@ -590,41 +567,73 @@ func (st *gbState) mentionsGuarded(n *FuncNode) bool {
 	return found
 }
 
-// zeroLocals collects local variables declared `var x T` (zero value,
-// guarded struct value type) anywhere in the body: like composite
-// literals, they are fresh unshared storage.
-func (st *gbState) zeroLocals(p *Package, body *ast.BlockStmt) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	ast.Inspect(body, func(node ast.Node) bool {
-		ds, ok := node.(*ast.DeclStmt)
-		if !ok {
-			return true
-		}
-		gd, ok := ds.Decl.(*ast.GenDecl)
-		if !ok {
-			return true
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || len(vs.Values) != 0 {
-				continue
+// freshLocals collects the locals of fd that only ever hold storage
+// fd itself allocated. A local is fresh when every binding of it
+// anywhere in the body, closures included, is a composite literal
+// containing a guarded struct, that literal's address, or the zero
+// value of `var x T` with T guarded. Parameters, results, range
+// variables and multi-value bindings are never fresh.
+func (st *gbState) freshLocals(p *Package, fd *ast.FuncDecl) map[types.Object]bool {
+	fresh := map[types.Object]bool{}
+	bind := func(lhs ast.Expr, allocated bool) {
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+			if obj := p.Info.ObjectOf(id); obj != nil {
+				prev, seen := fresh[obj]
+				fresh[obj] = allocated && (prev || !seen)
 			}
-			for _, name := range vs.Names {
-				obj := p.Info.Defs[name]
-				if obj == nil {
-					continue
-				}
-				if _, isPtr := obj.Type().(*types.Pointer); isPtr {
-					continue
-				}
-				if st.types[namedTypeID(obj.Type())] != nil {
-					out[obj] = true
+		}
+	}
+	allocates := func(x ast.Expr) bool {
+		if u, ok := ast.Unparen(x).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			x = u.X
+		}
+		lit, ok := ast.Unparen(x).(*ast.CompositeLit)
+		return ok && st.containsGuarded(p.Info.TypeOf(lit), 0)
+	}
+	ast.Inspect(fd, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Field:
+			for _, name := range n.Names {
+				bind(name, false)
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				bind(lhs, len(n.Lhs) == len(n.Rhs) && allocates(n.Rhs[i]))
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				if len(n.Values) == 0 {
+					bind(name, st.containsGuarded(p.Info.TypeOf(name), 0))
+				} else {
+					bind(name, len(n.Values) == len(n.Names) && allocates(n.Values[i]))
 				}
 			}
+		case *ast.RangeStmt:
+			bind(n.Key, false)
+			bind(n.Value, false)
 		}
 		return true
 	})
-	return out
+	return fresh
+}
+
+// rootObj returns the variable at the root of x's selector, index and
+// dereference chain — r in r.shards[i].buf — or nil.
+func rootObj(p *Package, x ast.Expr) types.Object {
+	for {
+		switch e := ast.Unparen(x).(type) {
+		case *ast.SelectorExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.Ident:
+			return p.Info.ObjectOf(e)
+		default:
+			return nil
+		}
+	}
 }
 
 // gbWalk carries the per-function scan state.
@@ -637,13 +646,12 @@ type gbWalk struct {
 	// the interprocedural entry-lock fixpoint reasons about.
 	bindings map[types.Object]string
 	esc      map[token.Pos]bool
-	zeros    map[types.Object]bool
+	fresh    map[types.Object]bool
 	recvName string
 	sites    map[*ast.CallExpr]*CallSite
 	leaked   map[token.Pos]bool // Lock calls already reported as leaking
 
 	// Per-scope (reset for each closure body):
-	pv      *provenance
 	inEsc   bool
 	handled map[*ast.SelectorExpr]bool
 	atomics map[ast.Expr]bool // &x.f args of sync/atomic calls
@@ -656,13 +664,12 @@ type gbWalk struct {
 }
 
 type gbLitWork struct {
-	lit      *ast.FuncLit
-	captured env
-	locks    lockState
-	inEsc    bool
+	lit   *ast.FuncLit
+	locks lockState
+	inEsc bool
 }
 
-// scanFunc analyzes one declared function: provenance for the
+// scanFunc analyzes one declared function: fresh locals for the
 // constructor exemption, escape analysis for its closures, and the
 // lock-state walk that records accesses and call observations.
 func (st *gbState) scanFunc(n *FuncNode) {
@@ -679,14 +686,13 @@ func (st *gbState) scanFunc(n *FuncNode) {
 	if !st.mentionsGuarded(n) {
 		return
 	}
-	hooks := gbHooks{pkg: n.Pkg, types: st.types}
 	w := &gbWalk{
 		st:       st,
 		pkg:      n.Pkg,
 		fnID:     n.ID,
 		bindings: st.guardedBindings(n),
-		zeros:    st.zeroLocals(n.Pkg, n.Decl.Body),
-		esc:      map[token.Pos]bool{},
+		fresh:    st.freshLocals(n.Pkg, n.Decl),
+		esc:      escapingClosures(n.Pkg, n.Decl),
 		recvName: receiverIdent(n.Decl),
 		sites:    map[*ast.CallExpr]*CallSite{},
 		leaked:   map[token.Pos]bool{},
@@ -694,23 +700,10 @@ func (st *gbState) scanFunc(n *FuncNode) {
 	for _, s := range n.Sites {
 		w.sites[s.Call] = s
 	}
-	hasLit := false
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if _, ok := node.(*ast.FuncLit); ok {
-			hasLit = true
-			return false
-		}
-		return true
-	})
-	if hasLit {
-		w.esc = escapingClosures(n.Pkg, n.Decl)
-	}
-	w.pv = analyzeFunc(n.Pkg, n.Decl, hooks)
 	w.scanScope(n.Decl.Body, lockState{}, false)
 	for len(w.lits) > 0 {
 		work := w.lits[0]
 		w.lits = w.lits[1:]
-		w.pv = analyzeFuncLit(n.Pkg, work.lit, work.captured, hooks)
 		w.scanScope(work.lit.Body, work.locks, work.inEsc)
 	}
 }
@@ -792,10 +785,8 @@ func (w *gbWalk) scanScope(body *ast.BlockStmt, entry lockState, inEsc bool) {
 		}
 	}
 
-	// Replay: provenance env per statement, then record with the lock
-	// state immediately before each statement.
-	envAt := map[ast.Stmt]env{}
-	w.pv.visit(func(s ast.Stmt, e env) { envAt[s] = e.clone() })
+	// Replay: record each statement with the lock state immediately
+	// before it.
 	for _, b := range cfg.Blocks {
 		e := in[b.Index]
 		if e == nil {
@@ -803,7 +794,7 @@ func (w *gbWalk) scanScope(body *ast.BlockStmt, entry lockState, inEsc bool) {
 		}
 		cur := cloneLocks(e)
 		for _, s := range b.Stmts {
-			w.record(s, cur, envAt[s])
+			w.record(s, cur)
 			w.transfer(s, cur, true)
 		}
 		// Control leaves the body after a return or at its end; a
@@ -912,47 +903,47 @@ func (w *gbWalk) leaks(st, entry lockState, last ast.Stmt) {
 // record walks the parts of s evaluated at s (headers only for
 // control statements — bodies live in their own blocks), classifying
 // field accesses as reads or writes.
-func (w *gbWalk) record(s ast.Stmt, st lockState, e env) {
+func (w *gbWalk) record(s ast.Stmt, st lockState) {
 	switch s := s.(type) {
 	case nil:
 	case *ast.AssignStmt:
 		for _, lhs := range s.Lhs {
-			w.recordWrite(lhs, st, e)
+			w.recordWrite(lhs, st)
 		}
 		for _, rhs := range s.Rhs {
-			w.recordExpr(rhs, st, e)
+			w.recordExpr(rhs, st)
 		}
 	case *ast.IncDecStmt:
-		w.recordWrite(s.X, st, e)
+		w.recordWrite(s.X, st)
 	case *ast.IfStmt:
-		w.record(s.Init, st, e)
-		w.recordExpr(s.Cond, st, e)
+		w.record(s.Init, st)
+		w.recordExpr(s.Cond, st)
 	case *ast.ForStmt:
-		w.record(s.Init, st, e)
-		w.recordExpr(s.Cond, st, e)
-		w.record(s.Post, st, e)
+		w.record(s.Init, st)
+		w.recordExpr(s.Cond, st)
+		w.record(s.Post, st)
 	case *ast.RangeStmt:
-		w.recordExpr(s.X, st, e)
+		w.recordExpr(s.X, st)
 	case *ast.SwitchStmt:
-		w.record(s.Init, st, e)
-		w.recordExpr(s.Tag, st, e)
+		w.record(s.Init, st)
+		w.recordExpr(s.Tag, st)
 	case *ast.TypeSwitchStmt:
-		w.record(s.Init, st, e)
-		w.record(s.Assign, st, e)
+		w.record(s.Init, st)
+		w.record(s.Assign, st)
 	case *ast.LabeledStmt:
-		w.record(s.Stmt, st, e)
+		w.record(s.Stmt, st)
 	case *ast.DeferStmt:
-		w.recordExpr(s.Call, st, e)
+		w.recordExpr(s.Call, st)
 	case *ast.GoStmt:
-		w.recordExpr(s.Call, st, e)
+		w.recordExpr(s.Call, st)
 	case *ast.ExprStmt:
-		w.recordExpr(s.X, st, e)
+		w.recordExpr(s.X, st)
 	case *ast.SendStmt:
-		w.recordExpr(s.Chan, st, e)
-		w.recordExpr(s.Value, st, e)
+		w.recordExpr(s.Chan, st)
+		w.recordExpr(s.Value, st)
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			w.recordExpr(r, st, e)
+			w.recordExpr(r, st)
 		}
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
@@ -962,7 +953,7 @@ func (w *gbWalk) record(s ast.Stmt, st lockState, e env) {
 		for _, spec := range gd.Specs {
 			if vs, ok := spec.(*ast.ValueSpec); ok {
 				for _, v := range vs.Values {
-					w.recordExpr(v, st, e)
+					w.recordExpr(v, st)
 				}
 			}
 		}
@@ -972,27 +963,27 @@ func (w *gbWalk) record(s ast.Stmt, st lockState, e env) {
 // recordWrite classifies the left side of an assignment: a stored
 // field is a write, an indexed field (s.m[k] = v) mutates the
 // container, a write through a dereferenced pointer reads the field.
-func (w *gbWalk) recordWrite(lhs ast.Expr, st lockState, e env) {
+func (w *gbWalk) recordWrite(lhs ast.Expr, st lockState) {
 	switch l := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
-		w.recordAccess(l, true, st, e)
+		w.recordAccess(l, true, st)
 		w.handled[l] = true
-		w.recordExpr(l.X, st, e)
+		w.recordExpr(l.X, st)
 	case *ast.IndexExpr:
 		if sel, ok := ast.Unparen(l.X).(*ast.SelectorExpr); ok {
-			w.recordAccess(sel, true, st, e)
+			w.recordAccess(sel, true, st)
 			w.handled[sel] = true
-			w.recordExpr(sel.X, st, e)
+			w.recordExpr(sel.X, st)
 		} else {
-			w.recordExpr(l.X, st, e)
+			w.recordExpr(l.X, st)
 		}
-		w.recordExpr(l.Index, st, e)
+		w.recordExpr(l.Index, st)
 	case *ast.StarExpr:
-		w.recordExpr(l.X, st, e)
+		w.recordExpr(l.X, st)
 	case *ast.Ident:
 		// Local rebinding: not a field access.
 	default:
-		w.recordExpr(lhs, st, e)
+		w.recordExpr(lhs, st)
 	}
 }
 
@@ -1000,14 +991,14 @@ func (w *gbWalk) recordWrite(lhs ast.Expr, st lockState, e env) {
 // literals are queued for their own scope walk; &x.f arguments to
 // sync/atomic calls are exempt; a bare &x.f elsewhere counts as a
 // write (the address can be stored and mutated later).
-func (w *gbWalk) recordExpr(x ast.Expr, st lockState, e env) {
+func (w *gbWalk) recordExpr(x ast.Expr, st lockState) {
 	if x == nil {
 		return
 	}
 	ast.Inspect(x, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.queueLit(n, st, e)
+			w.queueLit(n, st)
 			return false
 		case *ast.CallExpr:
 			if gbSyncCallee(w.pkg, n) {
@@ -1017,19 +1008,19 @@ func (w *gbWalk) recordExpr(x ast.Expr, st lockState, e env) {
 					}
 				}
 			}
-			w.noteCall(n, st, e)
+			w.noteCall(n, st)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
 					if !w.atomics[n] {
-						w.recordAccess(sel, true, st, e)
+						w.recordAccess(sel, true, st)
 					}
 					w.handled[sel] = true
 				}
 			}
 		case *ast.SelectorExpr:
 			if !w.handled[n] {
-				w.recordAccess(n, false, st, e)
+				w.recordAccess(n, false, st)
 			}
 		}
 		return true
@@ -1039,20 +1030,20 @@ func (w *gbWalk) recordExpr(x ast.Expr, st lockState, e env) {
 // queueLit schedules a function literal's body: an escaping literal
 // starts with no locks held (it may run after every Unlock), a
 // non-escaping one inherits the state where it is created.
-func (w *gbWalk) queueLit(lit *ast.FuncLit, st lockState, e env) {
+func (w *gbWalk) queueLit(lit *ast.FuncLit, st lockState) {
 	escapes := w.inEsc || (w.esc[lit.Pos()] && !w.syncLits[lit])
 	entry := lockState{}
 	if !escapes {
 		entry = cloneLocks(st)
 	}
-	w.lits = append(w.lits, gbLitWork{lit: lit, captured: e.clone(), locks: entry, inEsc: escapes})
+	w.lits = append(w.lits, gbLitWork{lit: lit, locks: entry, inEsc: escapes})
 }
 
 // noteCall marks atomic-call arguments exempt and records the lock
 // state at calls to in-module functions, one observation per guarded
 // binding (receiver and parameters), feeding the interprocedural
 // entry-lock fixpoint.
-func (w *gbWalk) noteCall(call *ast.CallExpr, st lockState, e env) {
+func (w *gbWalk) noteCall(call *ast.CallExpr, st lockState) {
 	var fn *types.Func
 	var recvArg ast.Expr
 	switch f := ast.Unparen(call.Fun).(type) {
@@ -1110,15 +1101,9 @@ func (w *gbWalk) observe(calleeID, binding string, bindType types.Type, argExpr 
 	}
 	held := heldOn(st, typeID, types.ExprString(argExpr))
 	callerBinding := ""
-	if !w.inEsc {
-		if id, ok := ast.Unparen(argExpr).(*ast.Ident); ok {
-			obj := w.pkg.Info.Uses[id]
-			if obj == nil {
-				obj = w.pkg.Info.Defs[id]
-			}
-			if obj != nil && namedTypeID(obj.Type()) == typeID {
-				callerBinding = w.bindings[obj]
-			}
+	if id, ok := ast.Unparen(argExpr).(*ast.Ident); ok && !w.inEsc {
+		if obj := w.pkg.Info.ObjectOf(id); obj != nil && namedTypeID(obj.Type()) == typeID {
+			callerBinding = w.bindings[obj]
 		}
 	}
 	w.st.obs[calleeID] = append(w.st.obs[calleeID], gbObs{
@@ -1160,7 +1145,7 @@ func gbSyncCallee(p *Package, call *ast.CallExpr) bool {
 
 // recordAccess records one field access if it is on a guarded struct
 // and not exempt.
-func (w *gbWalk) recordAccess(sel *ast.SelectorExpr, write bool, st lockState, e env) {
+func (w *gbWalk) recordAccess(sel *ast.SelectorExpr, write bool, st lockState) {
 	v, ok := w.pkg.Info.Uses[sel.Sel].(*types.Var)
 	if !ok || !v.IsField() {
 		return
@@ -1178,34 +1163,16 @@ func (w *gbWalk) recordAccess(sel *ast.SelectorExpr, write bool, st lockState, e
 	if gf == nil || gf.nolock || gf.exempt {
 		return
 	}
-	// Constructor exemption: the base is storage this function itself
-	// allocated (and did not receive from a caller), so the struct is
-	// not yet shared.
-	tags := w.pv.eval(sel.X, e)
-	if tags.has(TagAlloc) && !tags.has(TagParam) {
+	// Constructor exemption: the access is rooted at a local that only
+	// ever holds storage this function allocated, so the struct is not
+	// yet shared.
+	if w.fresh[rootObj(w.pkg, sel.X)] {
 		return
-	}
-	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-		obj := w.pkg.Info.Uses[id]
-		if obj == nil {
-			obj = w.pkg.Info.Defs[id]
-		}
-		if obj != nil && w.zeros[obj] {
-			return
-		}
 	}
 	held := heldOn(st, typeID, types.ExprString(sel.X))
 	binding := ""
-	if !w.inEsc {
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			obj := w.pkg.Info.Uses[id]
-			if obj == nil {
-				obj = w.pkg.Info.Defs[id]
-			}
-			if obj != nil {
-				binding = w.bindings[obj]
-			}
-		}
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && !w.inEsc {
+		binding = w.bindings[w.pkg.Info.ObjectOf(id)]
 	}
 	w.st.accesses = append(w.st.accesses, &gbAccess{
 		pos:     sel.Sel.Pos(),

@@ -146,8 +146,6 @@ type Tracer struct {
 }
 
 // wallNanos is the default span clock.
-//
-//tipsy:clocksource
 func wallNanos() int64 { return time.Now().UnixNano() }
 
 // NewTracer builds a tracer recording every span into rec (which may

@@ -24,16 +24,16 @@ type Rung uint8
 
 const (
 	// Ensemble is the trained Hist_AP / Hist_AL+G / Hist_A ensemble.
+	// It ends in the coarse source-AS model Hist_A, so no Historical
+	// rung behind it could answer a flow it did not.
 	Ensemble Rung = iota
-	// Historical is the coarse source-AS model Hist_A.
-	Historical
 	// Geo is the training-free geographic guess.
 	Geo
 	// None means no rung produced a prediction.
 	None
 )
 
-var rungNames = [...]string{"ensemble", "historical", "geo", "none"}
+var rungNames = [...]string{"ensemble", "geo", "none"}
 
 // String is the rung's name on the wire, in metric names and in
 // monitor slices.
@@ -68,14 +68,13 @@ func Train(recs []features.Record, at wan.Hour, dir wan.Directory, metros *geo.D
 }
 
 // assemble builds the ladder around three trained models: most
-// specific model first inside the ensemble, then ever coarser rungs.
+// specific model first inside the ensemble, then the geographic guess.
 func assemble(hAP, hAL, hA *core.Historical, at wan.Hour, dir wan.Directory, metros *geo.DB) *Models {
 	return &Models{
 		hAP: hAP, hAL: hAL, hA: hA,
 		rungs: [None]core.Predictor{
-			Ensemble:   core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, dir, metros), hA),
-			Historical: hA,
-			Geo:        core.NewGeoNearest(dir, metros),
+			Ensemble: core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, dir, metros), hA),
+			Geo:      core.NewGeoNearest(dir, metros),
 		},
 		trainedAt: at,
 	}

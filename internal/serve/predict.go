@@ -43,7 +43,7 @@ type LinkShare struct {
 type Result struct {
 	Flow int `json:"flow"`
 	// Model names the ladder rung that answered this flow:
-	// "ensemble", "historical", "geo", or "none".
+	// "ensemble", "geo", or "none".
 	Model string      `json:"model"`
 	Links []LinkShare `json:"links"`
 }

@@ -4,7 +4,7 @@
 # Runs, in order: formatting, go vet, build, tipsylint (the project's
 # own static-analysis suite: determinism, one lock analysis covering
 # leaks, lock order and guarded fields, wire-encoder errors, goroutine
-# hygiene, metrics, slog, walltime; one invocation), the test suite
+# hygiene, metrics, slog; one invocation), the test suite
 # under the race detector with a total-coverage floor, the exact
 # allocation pins once without the race detector (the pooled ones skip
 # under it), the nested bench module's vet and smoke test, a 15s fuzz
