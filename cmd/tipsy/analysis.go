@@ -15,11 +15,12 @@ import (
 // part of a bundle, then flag arrivals in the rest that the model
 // considers (nearly) impossible — the paper's §8 spoofed-traffic use.
 func cmdSuspicious(args []string) error {
+	opts := analysis.DefaultSuspiciousOptions()
 	fs := newFlagSet("suspicious")
 	in := fs.String("i", "telemetry.tipsy", "telemetry bundle path")
 	trainDays := fs.Int("train-days", 8, "training window length in days")
-	maxLikelihood := fs.Float64("max-likelihood", 0.001, "flag arrivals at or below this predicted probability")
-	minKm := fs.Float64("min-km", 3000, "minimum source-to-link distance to flag (0 disables)")
+	fs.Float64Var(&opts.MaxLikelihood, "max-likelihood", opts.MaxLikelihood, "flag arrivals at or below this predicted probability")
+	fs.Float64Var(&opts.MinDistanceKm, "min-km", opts.MinDistanceKm, "minimum source-to-link distance to flag (0 disables)")
 	limit := fs.Int("n", 15, "show top N findings")
 	fs.Parse(args)
 
@@ -35,11 +36,6 @@ func cmdSuspicious(args []string) error {
 	}
 	model := core.TrainHistorical(features.SetAP, train, core.DefaultHistOpts())
 	table := wan.NewTable(b.Links)
-	opts := analysis.SuspiciousOptions{
-		MaxLikelihood: *maxLikelihood,
-		MinBytes:      1e6,
-		MinDistanceKm: *minKm,
-	}
 	found := analysis.FindSuspicious(model, rest, table, geo.World(), opts)
 	fmt.Printf("scanned %d records against %d trained tuples\n", len(rest), model.NumTuples())
 	fmt.Print(analysis.FormatSuspicious(found, table, *limit))

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Message type codes, RFC 4271 §4.1.
@@ -395,22 +394,4 @@ func WireLen(buf []byte) int {
 		return 0
 	}
 	return int(binary.BigEndian.Uint16(buf[16:18]))
-}
-
-// ReadMessage reads exactly one framed BGP message from r.
-func ReadMessage(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, HeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	length := int(binary.BigEndian.Uint16(hdr[16:18]))
-	if length < HeaderLen || length > MaxMessageLen {
-		return nil, ErrBadLength
-	}
-	msg := make([]byte, length)
-	copy(msg, hdr)
-	if _, err := io.ReadFull(r, msg[HeaderLen:]); err != nil {
-		return nil, err
-	}
-	return msg, nil
 }

@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -165,41 +164,6 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestReadMessage(t *testing.T) {
-	var stream bytes.Buffer
-	u := sampleUpdate()
-	stream.Write(u.Marshal())
-	stream.Write(Keepalive{}.Marshal())
-
-	first, err := ReadMessage(&stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, u) {
-		t.Error("first framed message mismatch")
-	}
-	second, err := ReadMessage(&stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mustUnmarshal(t, second).(Keepalive); !ok {
-		t.Error("second framed message should be KEEPALIVE")
-	}
-}
-
-func mustUnmarshal(t *testing.T, buf []byte) any {
-	t.Helper()
-	m, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 func TestWireLen(t *testing.T) {

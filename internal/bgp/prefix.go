@@ -1,9 +1,9 @@
 // Package bgp implements the subset of the Border Gateway Protocol
 // (RFC 4271) that TIPSY's substrate needs: the message wire format
 // (OPEN, UPDATE, KEEPALIVE, NOTIFICATION), path attributes, prefix
-// encoding (NLRI), per-peer Adj-RIB-In bookkeeping, and the BGP
-// decision process with Gao-Rexford business-relationship preferences
-// and a hot-potato tie-break hook.
+// encoding (NLRI), and the Gao-Rexford relationship classes the AS
+// graph labels its edges with. The codec carries the UPDATEs of the
+// BMP feed; route selection is netsim's resolver, not this package.
 //
 // The package is self-contained and uses four-octet AS numbers
 // throughout (RFC 6793 behaviour, without the AS_TRANS transition

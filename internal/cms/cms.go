@@ -3,11 +3,12 @@
 // above threshold it selects the fewest destination prefixes (top by
 // traffic volume) whose withdrawal brings utilization back down,
 // asks TIPSY where each prefix's traffic would shift, checks the
-// predicted shifts against the other links' spare capacity, injects
-// BGP withdrawals for the safe choices, and re-announces once traffic
-// calms down. A "blind" mode reproduces the pre-TIPSY behaviour the
-// paper describes — withdraw and hope — which is the baseline that
-// produces cascading congestion like the §2 incident.
+// predicted shifts against the other links' spare capacity, withdraws
+// the safe choices, and re-announces once traffic calms down. Both go
+// in process through Network, which the simulator implements. A
+// "blind" mode reproduces the pre-TIPSY behaviour the paper describes
+// — withdraw and hope — which is the baseline that produces
+// cascading congestion like the §2 incident.
 package cms
 
 import (

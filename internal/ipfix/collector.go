@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"sync"
 
 	"tipsy/internal/obsv"
@@ -487,73 +485,5 @@ func (c *Collector) Stats() CollectorStats {
 		Buffered:    c.m.buffered.Value(),
 		Replayed:    c.m.replayed.Value(),
 		Evicted:     c.m.evicted.Value(),
-	}
-}
-
-// Sampler models the edge routers' random packet sampling: each
-// packet is independently selected with probability 1/Interval. The
-// exporter scales counts back up by the interval, so sampled flows
-// report estimated totals, and flows small relative to the interval
-// are often missed entirely — exactly the bias the paper accepts
-// because TIPSY's use cases concern large traffic volumes.
-type Sampler struct {
-	//tipsy:nolock configured before use and never written afterwards
-	Interval uint32 // e.g. 4096 for 1-out-of-4096
-	//tipsy:guardedby mu
-	rng *rand.Rand
-	mu  sync.Mutex
-}
-
-// NewSampler creates a sampler with the given interval; interval <= 1
-// disables sampling. The seed makes the process reproducible.
-func NewSampler(interval uint32, seed int64) *Sampler {
-	return &Sampler{Interval: interval, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Sample draws how many of the flow's packets the router observes and
-// returns scaled-up (octets, packets) estimates, or (0, 0, false) if
-// the flow is missed entirely. Binomial sampling is approximated by a
-// Poisson draw when packet counts are large, which is accurate for
-// p = 1/4096.
-func (s *Sampler) Sample(octets, packets uint64) (uint64, uint64, bool) {
-	if s.Interval <= 1 {
-		return octets, packets, octets > 0
-	}
-	if packets == 0 {
-		return 0, 0, false
-	}
-	s.mu.Lock()
-	observed := poisson(s.rng, float64(packets)/float64(s.Interval))
-	s.mu.Unlock()
-	if observed == 0 {
-		return 0, 0, false
-	}
-	scale := float64(observed) * float64(s.Interval)
-	bytesPerPkt := float64(octets) / float64(packets)
-	return uint64(scale * bytesPerPkt), observed * uint64(s.Interval), true
-}
-
-// poisson draws from Poisson(lambda) — Knuth's method for small
-// lambda, normal approximation above.
-func poisson(rng *rand.Rand, lambda float64) uint64 {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		v := lambda + math.Sqrt(lambda)*rng.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return uint64(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	var k uint64
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
 	}
 }

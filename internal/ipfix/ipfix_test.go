@@ -2,8 +2,6 @@ package ipfix
 
 import (
 	"bytes"
-	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -487,70 +485,5 @@ func TestTemplatePeriodicResend(t *testing.T) {
 	}
 	if recovered == 0 {
 		t.Error("late-joining collector never recovered a template")
-	}
-}
-
-func TestSamplerDisabled(t *testing.T) {
-	s := NewSampler(1, 1)
-	o, p, ok := s.Sample(1000, 10)
-	if !ok || o != 1000 || p != 10 {
-		t.Errorf("interval 1 should pass through, got %d %d %v", o, p, ok)
-	}
-}
-
-func TestSamplerUnbiased(t *testing.T) {
-	s := NewSampler(4096, 99)
-	const trials = 3000
-	const octets, packets = 1 << 24, 40960 // 10 expected samples per flow
-	var sum float64
-	missed := 0
-	for i := 0; i < trials; i++ {
-		o, _, ok := s.Sample(octets, packets)
-		if !ok {
-			missed++
-			continue
-		}
-		sum += float64(o)
-	}
-	mean := sum / trials
-	if math.Abs(mean-octets)/octets > 0.05 {
-		t.Errorf("sampling biased: mean %.0f vs true %d", mean, octets)
-	}
-	if missed > trials/100 {
-		t.Errorf("flow with 10 expected samples missed too often: %d/%d", missed, trials)
-	}
-}
-
-func TestSamplerMissesSmallFlows(t *testing.T) {
-	s := NewSampler(4096, 5)
-	missed := 0
-	for i := 0; i < 1000; i++ {
-		if _, _, ok := s.Sample(1500, 1); !ok {
-			missed++
-		}
-	}
-	if missed < 900 {
-		t.Errorf("single-packet flows should nearly always be missed at 1/4096, missed %d/1000", missed)
-	}
-}
-
-func TestPoissonMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, lambda := range []float64{0.5, 5, 50, 500} {
-		var sum, sum2 float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			v := float64(poisson(rng, lambda))
-			sum += v
-			sum2 += v * v
-		}
-		mean := sum / n
-		variance := sum2/n - mean*mean
-		if math.Abs(mean-lambda)/lambda > 0.05 {
-			t.Errorf("lambda=%v: mean %.2f", lambda, mean)
-		}
-		if math.Abs(variance-lambda)/lambda > 0.15 {
-			t.Errorf("lambda=%v: variance %.2f", lambda, variance)
-		}
 	}
 }

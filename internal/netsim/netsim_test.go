@@ -401,6 +401,86 @@ func TestSamplingRoughlyUnbiased(t *testing.T) {
 	}
 }
 
+// sampleShares runs sampleFlow at the given interval over n shares of
+// (bytes, packets), each under a distinct (flow, link, hour) key, and
+// returns the sum of the observed shares' scaled octet estimates and
+// the number of shares the sampler missed.
+func sampleShares(interval uint32, n int, bytes, packets float64) (octets float64, missed int) {
+	s := &Sim{cfg: Config{SamplingInterval: interval}}
+	for i := 0; i < n; i++ {
+		f := &traffic.FlowSpec{ID: i}
+		o, _, ok := s.sampleFlow(f, wan.LinkID(1+i%7), wan.Hour(i%24), bytes, packets)
+		if !ok {
+			missed++
+			continue
+		}
+		octets += float64(o)
+	}
+	return octets, missed
+}
+
+func TestSampleFlowIntervalOnePassesThrough(t *testing.T) {
+	s := &Sim{cfg: Config{SamplingInterval: 1}}
+	f := &traffic.FlowSpec{ID: 3}
+	for _, c := range []struct {
+		bytes, packets float64
+		octets, pkts   uint64
+		ok             bool
+	}{
+		{1000, 10, 1000, 10, true},
+		{1000, 0.25, 1000, 1, true}, // a share of a packet still reports one
+		{0, 10, 0, 0, false},
+	} {
+		o, p, ok := s.sampleFlow(f, 2, 5, c.bytes, c.packets)
+		if o != c.octets || p != c.pkts || ok != c.ok {
+			t.Errorf("sampleFlow(%v B, %v pkt) at 1/1 = %d, %d, %v; want %d, %d, %v",
+				c.bytes, c.packets, o, p, ok, c.octets, c.pkts, c.ok)
+		}
+	}
+}
+
+func TestSampleFlowUnbiased(t *testing.T) {
+	const trials = 3000
+	const octets, packets = 1 << 24, 40960 // 10 expected samples per share
+	sum, missed := sampleShares(4096, trials, octets, packets)
+	mean := sum / trials
+	if math.Abs(mean-octets)/octets > 0.05 {
+		t.Errorf("sampling biased: mean %.0f vs true %d", mean, octets)
+	}
+	if missed >= trials/100 {
+		t.Errorf("share with 10 expected samples missed too often: %d/%d", missed, trials)
+	}
+}
+
+func TestSampleFlowMissesSinglePackets(t *testing.T) {
+	_, missed := sampleShares(4096, 1000, 1500, 1)
+	if missed < 900 {
+		t.Errorf("single-packet shares should nearly always be missed at 1/4096, missed %d/1000", missed)
+	}
+}
+
+func TestPoissonHashMoments(t *testing.T) {
+	// 29.9 and 30.1 straddle the switch from the product-of-uniforms
+	// draw to the normal approximation.
+	for _, lambda := range []float64{0.5, 5, 29.9, 30.1, 50, 500} {
+		const n = 20000
+		var sum, sum2 float64
+		for i := uint64(0); i < n; i++ {
+			v := float64(poissonHash(traffic.Hash(i), lambda))
+			sum += v
+			sum2 += v * v
+		}
+		mean := sum / n
+		variance := sum2/n - mean*mean
+		if math.Abs(mean-lambda)/lambda > 0.05 {
+			t.Errorf("lambda=%v: mean %.3f", lambda, mean)
+		}
+		if math.Abs(variance-lambda)/lambda > 0.15 {
+			t.Errorf("lambda=%v: variance %.3f", lambda, variance)
+		}
+	}
+}
+
 func TestSourceSpreadAcrossLinks(t *testing.T) {
 	// Figure 3's premise: a 1-hop source AS's traffic, across all its
 	// flows, spreads over multiple peering links — often including

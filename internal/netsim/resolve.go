@@ -569,12 +569,3 @@ func containsMetro(set []geo.MetroID, id geo.MetroID) bool {
 	}
 	return false
 }
-
-func containsAS(set []bgp.ASN, asn bgp.ASN) bool {
-	for _, a := range set {
-		if a == asn {
-			return true
-		}
-	}
-	return false
-}
