@@ -327,7 +327,9 @@ func retrainEnv(b *testing.B) *eval.Env {
 
 // BenchmarkTrainHistorical fits the three serving models, once on the
 // records as the aggregator drains them and once on the same records
-// shuffled — what a caller that does not keep the drain order pays.
+// shuffled. Every record costs one features.Index lookup either way, so
+// the shuffled fit no longer pays what the map-of-maps fit did; what is
+// left between the two is cache locality.
 func BenchmarkTrainHistorical(b *testing.B) {
 	train := retrainEnv(b).Train
 	shuffled := slices.Clone(train)
@@ -348,6 +350,27 @@ func BenchmarkTrainHistorical(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(tuples), "tuples")
+		})
+	}
+}
+
+// BenchmarkHistoricalPredict answers one query per test record (k=3,
+// no exclusions) from each served Historical fit: the flat columns'
+// features.Index lookup, then the copy of the tuple's links. ns/op is
+// ns per query.
+func BenchmarkHistoricalPredict(b *testing.B) {
+	e := retrainEnv(b)
+	for _, set := range []features.Set{features.SetA, features.SetAP, features.SetAL} {
+		h := e.Hist(set)
+		b.Run(set.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if len(h.Predict(core.Query{Flow: e.Test[i%len(e.Test)].Flow, K: 3})) > 0 {
+					hits++
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hit-share")
 		})
 	}
 }

@@ -29,21 +29,30 @@ func DefaultHistOpts() HistOpts { return HistOpts{MaxLinksPerTuple: 16} }
 // is never predicted for it.
 type Historical struct {
 	set features.Set
-	// table holds each tuple's links by Frac descending, then Link. A
-	// trained model's lists are cut from one backing array with their
-	// capacity clipped, so none can grow into its neighbour.
-	table map[features.Tuple][]Prediction
+	// tuples are the trained tuples in ascending order (Tuple.Compare).
+	// Tuple i's links are preds[ends[i-1]:ends[i]] (from 0 for the
+	// first), by Frac descending, then Link: checkpoint v2's columns.
+	tuples []features.Tuple
+	ends   []int32
+	preds  []Prediction
+	// index maps a tuple's key (FlowFeatures.Key with link 0) to its
+	// position in tuples.
+	index features.Index
 }
 
-// slotKey names one accumulator of the fit.
-type slotKey struct {
-	tuple features.Tuple
-	link  wan.LinkID
+// newHistorical wraps the columns in a model and indexes its tuples.
+func newHistorical(set features.Set, tuples []features.Tuple, ends []int32, preds []Prediction) *Historical {
+	h := &Historical{set: set, tuples: tuples, ends: ends, preds: preds, index: features.NewIndex(len(tuples))}
+	for i, t := range tuples {
+		h.index.Intern(features.FlowFeatures(t).Key(0), int32(i))
+	}
+	return h
 }
 
-// histSlot accumulates the bytes of one (tuple, link) pair.
+// histSlot is one (tuple, link) pair of the fit, keyed by Set.Key,
+// and its bytes.
 type histSlot struct {
-	slotKey
+	key   features.Key
 	bytes float64
 }
 
@@ -54,64 +63,63 @@ type histSlot struct {
 // aggregate, suppresses stray packets, and yields per-link byte
 // fractions directly.
 //
-// Records in drain order (features.Record.Compare) train fastest: a
-// record whose flow and link also occur in the preceding hour adds to
-// that record's slot without hashing anything. The model does not
-// depend on the order beyond float summation: each slot sums its
+// Each record costs one features.Index lookup of its (tuple, link)
+// key, which holds the pair's slot; the key is the flow's with the
+// fields outside the set masked (Set.Key). The model does not depend
+// on the record order beyond float summation: each slot sums its
 // records in slice order, each tuple's total its slots in rank order.
 func TrainHistorical(set features.Set, recs []features.Record, opts HistOpts) *Historical {
 	if opts.MaxLinksPerTuple <= 0 {
 		opts.MaxLinksPerTuple = DefaultHistOpts().MaxLinksPerTuple
 	}
-	index := make(map[slotKey]int32)
+	index := features.NewIndex(1 << 10)
 	var slots []histSlot
-	// prev and cur hold the slot of every record of the preceding and
-	// the current run, -1 for a record that carries no bytes.
-	var prev, cur []int32
-	runs := features.NewRunCursor(recs)
+	var sums []float64 // by slot, apart from the keys: the loop touches only these
 	for i := range recs {
 		r := &recs[i]
-		j := runs.Match(i)
-		if runs.Start == i {
-			prev, cur = cur, prev[:0]
+		if !(r.Bytes > 0) {
+			continue
 		}
-		at := int32(-1)
-		if r.Bytes > 0 {
-			if j >= 0 {
-				at = prev[j-runs.Prev]
-			}
-			if at < 0 {
-				k := slotKey{set.Project(r.Flow), r.Link}
-				var ok bool
-				if at, ok = index[k]; !ok {
-					at = int32(len(slots))
-					index[k] = at
-					slots = append(slots, histSlot{slotKey: k})
-				}
-			}
-			slots[at].bytes += r.Bytes
+		k := set.Key(r.Flow, r.Link)
+		s, ok := index.Find(k)
+		if !ok {
+			s, _ = index.Intern(k, int32(len(slots)))
+			slots = append(slots, histSlot{key: k})
+			sums = append(sums, 0)
 		}
-		cur = append(cur, at)
+		sums[s] += r.Bytes
 	}
-	// Any order of the tuples brings a tuple's slots together; the flow
-	// order is the one at hand.
+	for i := range slots {
+		slots[i].bytes = sums[i]
+	}
+	// The packed keys order like the tuples (Tuple.Compare), so one
+	// sort brings each tuple's slots together, ranked.
 	slices.SortFunc(slots, func(a, b histSlot) int {
-		return cmp.Or(a.tuple.Compare(b.tuple), cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.link, b.link))
+		switch {
+		case a.key.A != b.key.A:
+			return cmp.Compare(a.key.A, b.key.A)
+		case a.key.B != b.key.B:
+			return cmp.Compare(a.key.B, b.key.B)
+		case a.bytes != b.bytes:
+			return cmp.Compare(b.bytes, a.bytes)
+		}
+		return cmp.Compare(a.key.C, b.key.C)
 	})
-	h := &Historical{set: set, table: make(map[features.Tuple][]Prediction)}
-	flat := make([]Prediction, 0, len(slots))
+	var tuples []features.Tuple
+	var ends []int32
+	preds := make([]Prediction, 0, len(slots))
 	for lo, hi := 0, 0; lo < len(slots); lo = hi {
 		var total float64
-		for hi = lo; hi < len(slots) && slots[hi].tuple == slots[lo].tuple; hi++ {
+		for hi = lo; hi < len(slots) && slots[hi].key.A == slots[lo].key.A && slots[hi].key.B == slots[lo].key.B; hi++ {
 			total += slots[hi].bytes
 		}
-		first := len(flat)
 		for _, s := range slots[lo:min(hi, lo+opts.MaxLinksPerTuple)] {
-			flat = append(flat, Prediction{Link: s.link, Frac: s.bytes / total})
+			preds = append(preds, Prediction{Link: wan.LinkID(s.key.C), Frac: s.bytes / total})
 		}
-		h.table[slots[lo].tuple] = flat[first:len(flat):len(flat)]
+		tuples = append(tuples, features.Tuple(features.KeyFlow(slots[lo].key)))
+		ends = append(ends, int32(len(preds)))
 	}
-	return h
+	return newHistorical(set, tuples, ends, preds)
 }
 
 // Name implements Predictor.
@@ -120,11 +128,25 @@ func (h *Historical) Name() string { return "Hist_" + h.set.String() }
 // Set returns the feature set the model was trained over.
 func (h *Historical) Set() features.Set { return h.set }
 
+// links returns the stored links of the flow's tuple, capacity
+// clipped, and whether the tuple was trained.
+func (h *Historical) links(f features.FlowFeatures) ([]Prediction, bool) {
+	i, ok := h.index.Find(h.set.Key(f, 0))
+	if !ok {
+		return nil, false
+	}
+	var start int32
+	if i > 0 {
+		start = h.ends[i-1]
+	}
+	return h.preds[start:h.ends[i]:h.ends[i]], true
+}
+
 // Predict implements Predictor: a table lookup followed by exclusion
 // filtering and top-k truncation. Lookup is O(1) in the number of
 // training points (Table 3).
 func (h *Historical) Predict(q Query) []Prediction {
-	stored, ok := h.table[h.set.Project(q.Flow)]
+	stored, ok := h.links(q.Flow)
 	if !ok {
 		return nil
 	}
@@ -145,7 +167,7 @@ func (h *Historical) Predict(q Query) []Prediction {
 // confidence signal the geographic completion uses to decide how much
 // probability mass to spend on alternates.
 func (h *Historical) PredictRaw(q Query) []Prediction {
-	stored, ok := h.table[h.set.Project(q.Flow)]
+	stored, ok := h.links(q.Flow)
 	if !ok {
 		return nil
 	}
@@ -161,16 +183,10 @@ func (h *Historical) PredictRaw(q Query) []Prediction {
 
 // NumTuples reports how many distinct flow tuples the model holds;
 // model size is linear in this count (Table 3).
-func (h *Historical) NumTuples() int { return len(h.table) }
+func (h *Historical) NumTuples() int { return len(h.tuples) }
 
 // NumEntries reports the total number of (tuple, link) entries.
-func (h *Historical) NumEntries() int {
-	n := 0
-	for _, preds := range h.table {
-		n += len(preds)
-	}
-	return n
-}
+func (h *Historical) NumEntries() int { return len(h.preds) }
 
 // String summarizes the model.
 func (h *Historical) String() string {

@@ -129,11 +129,11 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// histSnapshot is the serialized form of a Historical model: the
-// tuples in ascending order, the end offset of each tuple's links, and
-// all the links in one flat array. Columns, not the table map, because
-// gob writes a map in iteration order and the bytes must be a function
-// of the model.
+// histSnapshot is the serialized form of a Historical model, and the
+// form it keeps in memory: the tuples in ascending order, the end
+// offset of each tuple's links, and all the links in one flat array.
+// Columns, not a map, because gob writes a map in iteration order and
+// the bytes must be a function of the model.
 type histSnapshot struct {
 	Version int
 	Set     features.Set
@@ -156,25 +156,21 @@ func (e versionError) Error() string {
 }
 
 func (h *Historical) snapshot() histSnapshot {
-	tuples := make([]features.Tuple, 0, len(h.table))
-	for t := range h.table {
-		tuples = append(tuples, t)
-	}
-	slices.SortFunc(tuples, features.Tuple.Compare)
-	snap := histSnapshot{Version: snapshotVersion, Set: h.set, Tuples: tuples,
-		Ends: make([]int32, len(tuples)), Preds: make([]Prediction, 0, h.NumEntries())}
-	for i, t := range tuples {
-		snap.Preds = append(snap.Preds, h.table[t]...)
-		snap.Ends[i] = int32(len(snap.Preds))
-	}
-	return snap
+	return histSnapshot{Version: snapshotVersion, Set: h.set, Tuples: h.tuples, Ends: h.ends, Preds: h.preds}
 }
 
-// restoreHistorical cuts each tuple's links from the flat array with
-// their capacity clipped, the layout TrainHistorical builds.
+// restoreHistorical checks the columns and adopts them as the model.
+// Every link belongs to a tuple, every tuple is its own projection
+// under a known feature set, and the tuples ascend, so the model is one
+// TrainHistorical could have built.
 func restoreHistorical(snap histSnapshot) (*Historical, error) {
 	if snap.Version != snapshotVersion {
 		return nil, versionError{"model", snap.Version}
+	}
+	switch snap.Set {
+	case features.SetA, features.SetAP, features.SetAL:
+	default:
+		return nil, fmt.Errorf("core: %w: unknown feature set %d", ErrCorruptSnapshot, snap.Set)
 	}
 	if len(snap.Ends) != len(snap.Tuples) {
 		return nil, fmt.Errorf("core: %w: %d tuples but %d ends", ErrCorruptSnapshot, len(snap.Tuples), len(snap.Ends))
@@ -184,21 +180,25 @@ func restoreHistorical(snap histSnapshot) (*Historical, error) {
 			return nil, fmt.Errorf("core: %w: link %d has fraction %v", ErrCorruptSnapshot, i, p.Frac)
 		}
 	}
-	h := &Historical{set: snap.Set, table: make(map[features.Tuple][]Prediction, len(snap.Tuples))}
 	var start int32
 	for i, t := range snap.Tuples {
 		if i > 0 && snap.Tuples[i-1].Compare(t) >= 0 {
 			return nil, fmt.Errorf("core: %w: tuple %d is out of order or repeated", ErrCorruptSnapshot, i)
+		}
+		if snap.Set.Project(features.FlowFeatures(t)) != t {
+			return nil, fmt.Errorf("core: %w: tuple %d is not a %v tuple", ErrCorruptSnapshot, i, snap.Set)
 		}
 		end := snap.Ends[i]
 		if end < start || int(end) > len(snap.Preds) {
 			return nil, fmt.Errorf("core: %w: tuple %d ends at %d, after %d, of %d links",
 				ErrCorruptSnapshot, i, end, start, len(snap.Preds))
 		}
-		h.table[t] = snap.Preds[start:end:end]
 		start = end
 	}
-	return h, nil
+	if int(start) != len(snap.Preds) {
+		return nil, fmt.Errorf("core: %w: the tuples end at link %d of %d", ErrCorruptSnapshot, start, len(snap.Preds))
+	}
+	return newHistorical(snap.Set, snap.Tuples, snap.Ends, snap.Preds), nil
 }
 
 // Save writes the model to w in a self-describing binary form, so a

@@ -202,7 +202,7 @@ func TestCheckpointBytesAreAFunctionOfTheModel(t *testing.T) {
 }
 
 // frameCheckpoint frames a hand-built snapshot the way Save does.
-func frameCheckpoint(t *testing.T, snap checkpointSnapshot) []byte {
+func frameCheckpoint(t testing.TB, snap checkpointSnapshot) []byte {
 	t.Helper()
 	var payload, out bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
@@ -214,34 +214,53 @@ func frameCheckpoint(t *testing.T, snap checkpointSnapshot) []byte {
 	return out.Bytes()
 }
 
-func TestLoadCheckpointRejectsBadColumns(t *testing.T) {
+// badColumns are model columns the loader must reject. Each passes the
+// frame's checksum; the columns themselves are not a model.
+func badColumns() []struct {
+	name string
+	snap histSnapshot
+} {
 	a, b := features.Tuple{AS: 1}, features.Tuple{AS: 2}
 	preds := []Prediction{{Link: 1, Frac: 1}, {Link: 2, Frac: 0.5}, {Link: 3, Frac: 0.5}}
-	for _, c := range []struct {
-		name   string
-		tuples []features.Tuple
-		ends   []int32
-		preds  []Prediction
+	cols := func(tuples []features.Tuple, ends []int32, preds []Prediction) histSnapshot {
+		return histSnapshot{Version: snapshotVersion, Set: features.SetA, Tuples: tuples, Ends: ends, Preds: preds}
+	}
+	withSet := func(set features.Set, snap histSnapshot) histSnapshot {
+		snap.Set = set
+		return snap
+	}
+	return []struct {
+		name string
+		snap histSnapshot
 	}{
-		{"unsorted tuples", []features.Tuple{b, a}, []int32{1, 3}, preds},
-		{"repeated tuple", []features.Tuple{a, a}, []int32{1, 3}, preds},
-		{"fewer ends than tuples", []features.Tuple{a, b}, []int32{1}, preds},
-		{"more ends than tuples", []features.Tuple{a}, []int32{1, 3}, preds},
-		{"decreasing ends", []features.Tuple{a, b}, []int32{3, 1}, preds},
-		{"end past the links", []features.Tuple{a, b}, []int32{1, 4}, preds},
-		{"negative end", []features.Tuple{a, b}, []int32{-1, 3}, preds},
-		{"fraction above one", []features.Tuple{a}, []int32{1}, []Prediction{{Link: 1, Frac: 1.5}}},
-		{"NaN fraction", []features.Tuple{a}, []int32{1}, []Prediction{{Link: 1, Frac: math.NaN()}}},
-	} {
+		{"unsorted tuples", cols([]features.Tuple{b, a}, []int32{1, 3}, preds)},
+		{"repeated tuple", cols([]features.Tuple{a, a}, []int32{1, 3}, preds)},
+		{"fewer ends than tuples", cols([]features.Tuple{a, b}, []int32{1}, preds)},
+		{"more ends than tuples", cols([]features.Tuple{a}, []int32{1, 3}, preds)},
+		{"decreasing ends", cols([]features.Tuple{a, b}, []int32{3, 1}, preds)},
+		{"end past the links", cols([]features.Tuple{a, b}, []int32{1, 4}, preds)},
+		{"negative end", cols([]features.Tuple{a, b}, []int32{-1, 3}, preds)},
+		{"fraction above one", cols([]features.Tuple{a}, []int32{1}, []Prediction{{Link: 1, Frac: 1.5}})},
+		{"NaN fraction", cols([]features.Tuple{a}, []int32{1}, []Prediction{{Link: 1, Frac: math.NaN()}})},
+		{"links past the last end", cols([]features.Tuple{a, b}, []int32{1, 2}, preds)},
+		{"links without tuples", cols(nil, nil, preds[:1])},
+		{"unknown feature set", withSet(7, cols([]features.Tuple{a, b}, []int32{1, 3}, preds))},
+		{"tuple outside its set", cols([]features.Tuple{a, {AS: 2, Prefix: 0x0b000100}}, []int32{1, 3}, preds)},
+		{"tuple outside AL", withSet(features.SetAL, cols([]features.Tuple{{AS: 1, Loc: 4}, {AS: 2, Loc: 4, Prefix: 0x0b000100}}, []int32{1, 3}, preds))},
+	}
+}
+
+func TestLoadCheckpointRejectsBadColumns(t *testing.T) {
+	for _, c := range badColumns() {
 		t.Run(c.name, func(t *testing.T) {
-			raw := frameCheckpoint(t, checkpointSnapshot{Version: snapshotVersion, Models: []histSnapshot{{
-				Version: snapshotVersion, Set: features.SetA, Tuples: c.tuples, Ends: c.ends, Preds: c.preds,
-			}}})
+			raw := frameCheckpoint(t, checkpointSnapshot{Version: snapshotVersion, Models: []histSnapshot{c.snap}})
 			if _, err := LoadCheckpoint(bytes.NewReader(raw)); !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
 			}
 		})
 	}
+	a, b := features.Tuple{AS: 1}, features.Tuple{AS: 2}
+	preds := []Prediction{{Link: 1, Frac: 1}, {Link: 2, Frac: 0.5}, {Link: 3, Frac: 0.5}}
 	// The same columns in order load.
 	raw := frameCheckpoint(t, checkpointSnapshot{Version: snapshotVersion, Models: []histSnapshot{{
 		Version: snapshotVersion, Set: features.SetA, Tuples: []features.Tuple{a, b}, Ends: []int32{1, 3}, Preds: preds,
@@ -267,6 +286,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(full)
 	for _, cut := range []int{0, 1, len(payload) / 3, len(payload) / 2, len(payload) - 1, len(payload)} {
 		f.Add(payload[:cut])
+	}
+	for _, c := range badColumns() {
+		f.Add(frameCheckpoint(f, checkpointSnapshot{Version: snapshotVersion, Models: []histSnapshot{c.snap}}))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input is tried as a whole file and as the payload of an

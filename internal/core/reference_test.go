@@ -10,11 +10,12 @@ import (
 )
 
 // trainHistoricalReference is the map-of-maps fit TrainHistorical
-// replaced, kept as its oracle. It differs from that code in one
-// place: a tuple's total is summed over the ranked links, not in Go
-// map iteration order, which left the last bit of every fraction to
-// chance whenever byte counts were not integers.
-func trainHistoricalReference(set features.Set, recs []features.Record, opts HistOpts) *Historical {
+// replaced, kept as its oracle; it returns each tuple's ranked links.
+// It differs from that code in one place: a tuple's total is summed
+// over the ranked links, not in Go map iteration order, which left the
+// last bit of every fraction to chance whenever byte counts were not
+// integers.
+func trainHistoricalReference(set features.Set, recs []features.Record, opts HistOpts) map[features.Tuple][]Prediction {
 	if opts.MaxLinksPerTuple <= 0 {
 		opts.MaxLinksPerTuple = DefaultHistOpts().MaxLinksPerTuple
 	}
@@ -32,7 +33,7 @@ func trainHistoricalReference(set features.Set, recs []features.Record, opts His
 		}
 		m[r.Link] += r.Bytes
 	}
-	h := &Historical{set: set, table: make(map[features.Tuple][]Prediction, len(counts))}
+	table := make(map[features.Tuple][]Prediction, len(counts))
 	for t, m := range counts {
 		preds := make([]Prediction, 0, len(m))
 		for l, b := range m {
@@ -54,24 +55,34 @@ func trainHistoricalReference(set features.Set, recs []features.Record, opts His
 		for i := range preds {
 			preds[i].Frac /= total
 		}
-		h.table[t] = preds
+		table[t] = preds
 	}
-	return h
+	return table
 }
 
 var allSets = []features.Set{features.SetA, features.SetAP, features.SetAL}
 
-// sameTable requires two models to hold the same tuples with ==
-// prediction lists.
-func sameTable(t *testing.T, name string, got, want *Historical) {
-	t.Helper()
-	if len(got.table) != len(want.table) {
-		t.Fatalf("%s: %d tuples, want %d", name, len(got.table), len(want.table))
+// tableOf is the model's tuples with their ranked links, as
+// Predict finds them.
+func tableOf(h *Historical) map[features.Tuple][]Prediction {
+	table := make(map[features.Tuple][]Prediction, len(h.tuples))
+	for _, t := range h.tuples {
+		table[t], _ = h.links(features.FlowFeatures(t))
 	}
-	for tuple, w := range want.table {
-		g := got.table[tuple]
-		if len(g) != len(w) {
-			t.Fatalf("%s: %v keeps %d links, want %d", name, tuple, len(g), len(w))
+	return table
+}
+
+// sameTable requires a model to hold the tuples of want with ==
+// prediction lists.
+func sameTable(t *testing.T, name string, got *Historical, want map[features.Tuple][]Prediction) {
+	t.Helper()
+	if got.NumTuples() != len(want) {
+		t.Fatalf("%s: %d tuples, want %d", name, got.NumTuples(), len(want))
+	}
+	for tuple, w := range want {
+		g, ok := got.links(features.FlowFeatures(tuple))
+		if !ok || len(g) != len(w) {
+			t.Fatalf("%s: %v keeps %d links (found %v), want %d", name, tuple, len(g), ok, len(w))
 		}
 		for i := range w {
 			if g[i] != w[i] {
@@ -91,7 +102,7 @@ func TestDifferentialTrainHistorical(t *testing.T) {
 				sameTable(t, c.Name+"/"+got.Name(), got, want)
 				// A caller that appends to a stored list must not reach
 				// the next tuple's in the shared backing array.
-				for tuple, preds := range got.table {
+				for tuple, preds := range tableOf(got) {
 					if cap(preds) != len(preds) {
 						t.Fatalf("%s/%s: %v has capacity %d beyond its %d links", c.Name, got.Name(), tuple, cap(preds), len(preds))
 					}
@@ -109,7 +120,7 @@ func TestTrainHistoricalRepeatsBitForBit(t *testing.T) {
 		for _, set := range allSets {
 			first := TrainHistorical(set, c.Recs, DefaultHistOpts())
 			for run := 1; run < 20; run++ {
-				sameTable(t, c.Name+"/"+first.Name(), TrainHistorical(set, c.Recs, DefaultHistOpts()), first)
+				sameTable(t, c.Name+"/"+first.Name(), TrainHistorical(set, c.Recs, DefaultHistOpts()), tableOf(first))
 			}
 		}
 	}

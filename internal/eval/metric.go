@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -45,12 +46,32 @@ type Options struct {
 
 // BuildGroups buckets records into evaluation units under the given
 // options, ordered by flow (features.FlowFeatures.Compare).
+//
+// Each record costs one features.Index lookup of its (unit, link)
+// pair; only a pair not seen before looks its unit up. The scan
+// touches small per-pair and per-unit slices and appends a unit's hour
+// when it changes; the groups, their Links maps and hour lists are
+// built once at the end.
 func BuildGroups(recs []features.Record, opts Options) []Group {
-	index := make(map[features.FlowFeatures]int32)
-	out := []Group{}
-	// at is the previous record's group: a flow's links within one
-	// hour are adjacent in drain order.
-	at := int32(-1)
+	type unit struct {
+		total float64
+		last  wan.Hour // the hour of the unit's latest record
+		links int32    // the unit's pairs
+	}
+	type unitPair struct {
+		unit  int32
+		link  wan.LinkID
+		bytes float64
+	}
+	type unitHour struct {
+		unit int32
+		hour wan.Hour
+	}
+	unitIndex, pairIndex := features.NewIndex(1<<8), features.NewIndex(1<<10)
+	var keys []features.Key // by unit, link zero
+	var units []unit
+	var pairs []unitPair
+	var hours []unitHour
 	for i := range recs {
 		r := &recs[i]
 		if opts.Select != nil && !opts.Select(r.Flow, r.Hour) {
@@ -60,31 +81,71 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 		if opts.GroupBy != nil {
 			key = opts.GroupBy(r.Flow)
 		}
-		if at < 0 || out[at].Flow != key {
-			var ok bool
-			if at, ok = index[key]; !ok {
-				at = int32(len(out))
-				index[key] = at
-				out = append(out, Group{Flow: key, Hour: r.Hour, Links: make(map[wan.LinkID]float64, 2)})
+		k := key.Key(r.Link)
+		p, ok := pairIndex.Find(k)
+		if !ok {
+			p, _ = pairIndex.Intern(k, int32(len(pairs)))
+			k.C = 0
+			u, had := unitIndex.Intern(k, int32(len(units)))
+			if !had {
+				keys = append(keys, k)
+				units = append(units, unit{last: r.Hour})
+				hours = append(hours, unitHour{u, r.Hour})
 			}
+			units[u].links++
+			pairs = append(pairs, unitPair{unit: u, link: r.Link})
 		}
-		g := &out[at]
-		g.Links[r.Link] += r.Bytes
-		g.Total += r.Bytes
-		if r.Hour < g.Hour {
-			g.Hour = r.Hour
-		}
-		// hours stays sorted and distinct; in drain order the hour
-		// only ever grows, so the insert is for other callers.
-		if n := len(g.hours); n == 0 || r.Hour > g.hours[n-1] {
-			g.hours = append(g.hours, r.Hour)
-		} else if r.Hour < g.hours[n-1] {
-			if pos, seen := slices.BinarySearch(g.hours, r.Hour); !seen {
-				g.hours = slices.Insert(g.hours, pos, r.Hour)
-			}
+		pp := &pairs[p]
+		pp.bytes += r.Bytes
+		u := &units[pp.unit]
+		u.total += r.Bytes
+		if r.Hour != u.last {
+			u.last = r.Hour
+			hours = append(hours, unitHour{pp.unit, r.Hour})
 		}
 	}
-	slices.SortFunc(out, func(a, b Group) int { return a.Flow.Compare(b.Flow) })
+
+	// Each unit's hours, cut from one array: in drain order they arrive
+	// increasing, and the sort is for other callers.
+	at := make([]int32, len(units)+1)
+	for _, h := range hours {
+		at[h.unit+1]++
+	}
+	for u := range units {
+		at[u+1] += at[u]
+	}
+	all := make([]wan.Hour, len(hours))
+	next := slices.Clone(at[:len(units)])
+	for _, h := range hours {
+		all[next[h.unit]] = h.hour
+		next[h.unit]++
+	}
+	// The packed keys order like the flows.
+	order := make([]int32, len(units))
+	for u := range order {
+		order[u] = int32(u)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if keys[a].A != keys[b].A {
+			return cmp.Compare(keys[a].A, keys[b].A)
+		}
+		return cmp.Compare(keys[a].B, keys[b].B)
+	})
+	out := make([]Group, len(units))
+	rank := next // reused: unit → position in out
+	for i, u := range order {
+		hs := all[at[u]:at[u+1]:at[u+1]]
+		if !slices.IsSorted(hs) {
+			slices.Sort(hs)
+		}
+		hs = slices.Compact(hs)
+		out[i] = Group{Flow: features.KeyFlow(keys[u]), Hour: hs[0], Links: make(map[wan.LinkID]float64, units[u].links),
+			Total: units[u].total, hours: hs[:len(hs):len(hs)]}
+		rank[u] = int32(i)
+	}
+	for _, p := range pairs {
+		out[rank[p.unit]].Links[p.link] = p.bytes
+	}
 	return out
 }
 

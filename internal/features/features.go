@@ -56,50 +56,6 @@ func (r Record) Compare(s Record) int {
 	return cmp.Or(cmp.Compare(r.Hour, s.Hour), r.Flow.Compare(s.Flow), cmp.Compare(r.Link, s.Link))
 }
 
-// RunCursor walks records in slice order as maximal runs of equal Hour
-// and finds, for each record, the record of the preceding run with the
-// same flow and link. Consecutive hours of drained records carry
-// mostly the same (flow, link) keys, so a scan that keeps per-key
-// state can take it from the matched record instead of hashing the
-// key. The search is a merge step and presumes nothing: on input that
-// is not in drain order it finds fewer matches, never a wrong one.
-type RunCursor struct {
-	recs        []Record
-	Prev, Start int // the preceding run is recs[Prev:Start], the current one begins at Start
-	at          int // merge position in the preceding run
-}
-
-// NewRunCursor returns a cursor positioned before the first record.
-func NewRunCursor(recs []Record) *RunCursor { return &RunCursor{recs: recs} }
-
-// Match returns the index of the preceding run's record with the flow
-// and link of record i, or -1. It must be called for i = 0, 1, 2, …
-// in turn; Start == i after the call says that record i opened a run.
-// A record is matched once: of several records with one key in a run
-// (a drain has none) only the first finds the twin.
-func (c *RunCursor) Match(i int) int {
-	r := &c.recs[i]
-	if i == 0 || r.Hour != c.recs[i-1].Hour {
-		c.Prev, c.Start, c.at = c.Start, i, c.Start
-	}
-	r1, r2 := r.Flow.sortKeys()
-	at, found := c.at, -1
-	for ; at < c.Start; at++ {
-		p := &c.recs[at]
-		p1, p2 := p.Flow.sortKeys()
-		if p1 == r1 && p2 == r2 && p.Link == r.Link {
-			found = at
-			at++
-			break
-		}
-		if p1 > r1 || p1 == r1 && (p2 > r2 || p2 == r2 && p.Link > r.Link) {
-			break
-		}
-	}
-	c.at = at
-	return found
-}
-
 // Set selects which features a model uses. The paper always includes
 // source AS and both destination features, and explores adding source
 // prefix (AP) or source location (AL); APL is equivalent to AP

@@ -1,6 +1,7 @@
 // Package recordtest generates the record sequences shared by the
-// differential tests of the record scans (features.RunCursor,
-// core.TrainHistorical, pipeline.Encode, eval.BuildGroups).
+// differential tests of the record scans that intern through
+// features.Index (core.TrainHistorical, pipeline.Encode,
+// eval.BuildGroups) against their map-based reference oracles.
 package recordtest
 
 import (

@@ -136,8 +136,8 @@ func fuzzFeatureRecord(b []byte) features.Record {
 // FuzzEncode is the encoder's differential fuzz target. The input is a
 // header byte, then up to 1,024 four-byte records in any order, with
 // duplicate keys and zero or negative bytes; an odd header sorts them
-// stably into drain order first (duplicates kept), so the run cursor
-// finds twins. Encode must equal encodeReference, dictionaries and
+// stably into drain order first (duplicates kept), the order a drain
+// feeds the index. Encode must equal encodeReference, dictionaries and
 // pair table included, and Decode must give the records back.
 func FuzzEncode(f *testing.F) {
 	f.Add([]byte{})

@@ -9,7 +9,7 @@ package pipeline
 
 import (
 	"cmp"
-	"hash/maphash"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -37,16 +37,13 @@ type TruthSink interface {
 	ObserveTruth(rec features.Record)
 }
 
-// slotKey is everything a record's counter slot depends on, in two
-// words: the source /24 and destination address, then the source AS
-// and ingress link. Flow records repeat these combinations constantly,
-// so one lookup on it stands for the metadata and Geo-IP joins and the
-// interning of their result.
-type slotKey struct{ addrs, asLink uint64 }
-
-// keyOf packs a record's join inputs and link into its slot key.
-func keyOf(prefix, dst, as uint32, link wan.LinkID) slotKey {
-	return slotKey{addrs: uint64(prefix)<<32 | uint64(dst), asLink: uint64(as)<<32 | uint64(link)}
+// keyOf packs everything a record's counter slot depends on into an
+// index key's two words: the source /24 and destination address, then
+// the source AS and ingress link. Flow records repeat these
+// combinations constantly, so one lookup on it stands for the metadata
+// and Geo-IP joins and the interning of their result.
+func keyOf(prefix, dst, as uint32, link wan.LinkID) features.Key {
+	return features.Key{A: uint64(prefix)<<32 | uint64(dst), B: uint64(as)<<32 | uint64(link)}
 }
 
 // pair is what a slot counts: a flow aggregate on a link.
@@ -73,76 +70,11 @@ func (r *hourRow) grow(n int) {
 	r.present = append(r.present, make([]uint64, n/64-len(r.present))...)
 }
 
-// slotIndex maps slot keys to slots. It is an open-addressing table
-// with linear probing, kept at most half full (an insert that takes it
-// past half doubles it), so a probe run is short and a miss ends at
-// the first empty cell. A key's home cell comes from one seeded
-// multiply-fold: both key words mixed with the seed, multiplied to 128
-// bits, the halves xored; a golden-ratio multiply then carries the
-// bits a key set varies in up to the top ones the index reads.
-//
-// The seed is drawn once per index and is not a knob. Keys come off the
-// wire, so under a fixed hash one crafted set of sources would build
-// the same long probe runs at every start, and a key word equal to the
-// seed zeroes the product outright; under a seed the sender cannot
-// know, either is a guess. Nothing observable depends on it: slots are
-// numbered in first-seen order, not by cell, so the drain is the same
-// under every seed, and a configurable seed would only let a caller
-// choose the one value such a set was built against.
-type slotIndex struct {
-	seed  uint64
-	shift uint // 64 - log2(len(cells))
-	n     int  // keys held
-	cells []indexCell
-}
+// dropSlot is the slot of a key whose destination has no metadata.
+const dropSlot = math.MaxInt32
 
-// indexCell is one cell: a key and its slot (-1: the destination has
-// no metadata, drop).
-type indexCell struct {
-	key  slotKey
-	slot int32
-	used bool
-}
-
-// indexMinBits sizes a fresh index: 1,024 cells, 24 KiB.
-const indexMinBits = 10
-
-func newSlotIndex(seed uint64) slotIndex {
-	return slotIndex{seed: seed, shift: 64 - indexMinBits, cells: make([]indexCell, 1<<indexMinBits)}
-}
-
-// home is the cell k's probe run starts at.
-func (x *slotIndex) home(k slotKey) int {
-	hi, lo := bits.Mul64(k.addrs^x.seed, k.asLink^x.seed^0x9e3779b97f4a7c15)
-	return int((hi ^ lo) * 0x9e3779b97f4a7c15 >> x.shift)
-}
-
-// lookup returns the cell holding k or, when k is absent, the empty
-// cell an insert of k fills.
-func (x *slotIndex) lookup(k slotKey) *indexCell {
-	mask := len(x.cells) - 1
-	for i := x.home(k); ; i = (i + 1) & mask {
-		if c := &x.cells[i]; !c.used || c.key == k {
-			return c
-		}
-	}
-}
-
-// insert fills c, the empty cell lookup returned for k, and doubles
-// the table once more than half of it is used.
-func (x *slotIndex) insert(c *indexCell, k slotKey, slot int32) {
-	*c = indexCell{key: k, slot: slot, used: true}
-	if x.n++; 2*x.n <= len(x.cells) {
-		return
-	}
-	old := x.cells
-	x.cells, x.shift = make([]indexCell, 2*len(old)), x.shift-1
-	for i := range old {
-		if old[i].used {
-			*x.lookup(old[i].key) = old[i]
-		}
-	}
-}
+// indexMinKeys sizes a fresh index here: 1,024 cells, 24 KiB.
+const indexMinKeys = 512
 
 // aggregatorMetrics are the aggregator's registry-backed counters:
 // raw ingested records, records dropped for missing metadata, and a
@@ -173,22 +105,24 @@ type Aggregator struct {
 	meta  Metadata
 	m     aggregatorMetrics
 
-	// Pairs are interned to dense slots, and an hour's counters are a
-	// row indexed by slot. Interning deduplicates by value, so two joins
-	// that land on the same feature tuple (different destination
-	// addresses with the same region and service) share one slot and
-	// therefore one accumulator, exactly as a struct-keyed map would.
-	// Slots live as long as the aggregator; rows leave with the drain.
+	// Pairs are interned to dense slots through features.Index, and an
+	// hour's counters are a row indexed by slot. Interning deduplicates
+	// by value, so two joins that land on the same feature tuple
+	// (different destination addresses with the same region and
+	// service) share one slot and therefore one accumulator, exactly as
+	// a struct-keyed map would. Slots live as long as the aggregator;
+	// rows leave with the drain.
 	mu sync.Mutex
 	//tipsy:guardedby mu
-	index slotIndex
+	index features.Index
 	// pairs maps a slot back to what it counts; pairIndex dedupes on
-	// index misses. Entries of pairs are immutable once appended, so a
-	// slice header captured under the lock stays valid after release.
+	// index misses by flow and link. Entries of pairs are immutable once
+	// appended, so a slice header captured under the lock stays valid
+	// after release.
 	//tipsy:guardedby mu
 	pairs []pair
 	//tipsy:guardedby mu
-	pairIndex map[pair]int32
+	pairIndex features.Index
 	//tipsy:guardedby mu
 	hours map[wan.Hour]*hourRow
 	// cur caches the last hour's row: records arrive in long same-hour
@@ -226,8 +160,8 @@ func NewAggregatorOn(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata) *Aggre
 	return &Aggregator{
 		geoip: geoip, meta: meta,
 		m:         newAggregatorMetrics(reg),
-		index:     newSlotIndex(maphash.Bytes(maphash.MakeSeed(), nil)),
-		pairIndex: make(map[pair]int32),
+		index:     features.NewIndex(indexMinKeys),
+		pairIndex: features.NewIndex(indexMinKeys),
 		hours:     make(map[wan.Hour]*hourRow),
 	}
 }
@@ -285,13 +219,12 @@ func (a *Aggregator) RecordBatch(recs []ipfix.FlowRecord) {
 func (a *Aggregator) applyLocked(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) int {
 	prefix := bgp.Slash24(rec.SrcAddr)
 	k := keyOf(prefix, rec.DstAddr, rec.SrcAS, link)
-	c := a.index.lookup(k)
-	slot := c.slot
-	if !c.used {
+	slot, ok := a.index.Find(k)
+	if !ok {
 		slot = a.slotMiss(prefix, link, rec)
-		a.index.insert(c, k, slot)
+		a.index.Intern(k, slot)
 	}
-	if slot < 0 {
+	if slot == dropSlot {
 		a.m.dropped.Inc()
 		return 0
 	}
@@ -315,11 +248,11 @@ func (a *Aggregator) applyLocked(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRec
 
 // slotMiss performs the metadata and Geo-IP joins for a key the index
 // does not hold and interns the resulting pair. Returns the slot, or
-// -1 when the destination has no metadata.
+// dropSlot when the destination has no metadata.
 func (a *Aggregator) slotMiss(prefix uint32, link wan.LinkID, rec *ipfix.FlowRecord) int32 {
 	region, svc, ok := a.meta(rec.DstAddr)
 	if !ok {
-		return -1
+		return dropSlot
 	}
 	p := pair{link: link, flow: features.FlowFeatures{
 		AS:     bgp.ASN(rec.SrcAS),
@@ -328,11 +261,9 @@ func (a *Aggregator) slotMiss(prefix uint32, link wan.LinkID, rec *ipfix.FlowRec
 		Region: region,
 		Type:   svc,
 	}}
-	slot, have := a.pairIndex[p]
+	slot, have := a.pairIndex.Intern(p.flow.Key(link), int32(len(a.pairs)))
 	if !have {
-		slot = int32(len(a.pairs))
 		a.pairs = append(a.pairs, p)
-		a.pairIndex[p] = slot
 	}
 	return slot
 }
@@ -473,28 +404,19 @@ type EncodedRow struct {
 	Bytes float64
 }
 
-// Encode dictionary-encodes the records. A record whose flow and link
-// also occur in the preceding hour (most records of a drained window)
-// takes its pair from that row; the rest look their pair up by value,
-// and only a pair not seen before goes through the dictionaries, which
-// therefore see every value in the same first order as if all records
-// did.
+// Encode dictionary-encodes the records. Each record finds its pair
+// by one features.Index lookup on its flow and link, and only a pair
+// not seen before goes through the dictionaries, which therefore see
+// every value in the same first order as if all records did.
 func Encode(recs []features.Record) *Encoded {
 	e := &Encoded{Rows: make([]EncodedRow, len(recs))}
-	index := make(map[pair]uint32)
-	runs := features.NewRunCursor(recs)
+	index := features.NewIndex(indexMinKeys)
 	for i := range recs {
 		r := &recs[i]
-		e.Rows[i] = EncodedRow{Hour: r.Hour, Bytes: r.Bytes}
-		if j := runs.Match(i); j >= 0 {
-			e.Rows[i].Pair = e.Rows[j].Pair
-			continue
-		}
-		k := pair{r.Flow, r.Link}
-		p, ok := index[k]
+		k := r.Flow.Key(r.Link)
+		p, ok := index.Find(k)
 		if !ok {
-			p = uint32(len(e.Pairs))
-			index[k] = p
+			p, _ = index.Intern(k, int32(len(e.Pairs)))
 			e.Pairs = append(e.Pairs, EncodedPair{
 				AS:     e.AS.Code(uint64(r.Flow.AS)),
 				Prefix: e.Prefix.Code(uint64(r.Flow.Prefix)),
@@ -504,7 +426,7 @@ func Encode(recs []features.Record) *Encoded {
 				Link:   r.Link,
 			})
 		}
-		e.Rows[i].Pair = p
+		e.Rows[i] = EncodedRow{Hour: r.Hour, Pair: uint32(p), Bytes: r.Bytes}
 	}
 	return e
 }

@@ -13,9 +13,9 @@ import (
 	"tipsy/internal/wan"
 )
 
-// encodeReference is Encode the slow way, kept as its oracle: no run
-// cursor, every record goes through all five dictionaries, and its
-// codes and link find the pair in one map.
+// encodeReference is Encode the slow way, kept as its oracle: no
+// features.Index, every record goes through all five dictionaries, and
+// its codes and link find the pair in one map.
 func encodeReference(recs []features.Record) *Encoded {
 	e := &Encoded{Rows: make([]EncodedRow, len(recs))}
 	index := make(map[EncodedPair]uint32)

@@ -11,10 +11,12 @@
 # pass per protocol decoder, for the IPFIX stream reader against its
 # two-ReadFull oracle, for the /v1/predict request decoder against its
 # encoding/json oracle, for the aggregator against its single-map
-# oracle, for the §4.2 encoder against its cursorless oracle, for the
-# geo fallback rung against its full-sort oracle, for
-# the model/checkpoint frame reader, for the checkpoint loader and for
-# the diagnostic-bundle manifest reader, and the chaos soak. The
+# oracle, for the shared interning index (features.Index) against a
+# Go map, for the §4.2 encoder against its every-record-through-the-
+# dictionaries oracle, for the geo fallback rung against its full-sort
+# oracle, for the model/checkpoint frame reader, for the checkpoint
+# loader and for the diagnostic-bundle manifest reader, and the chaos
+# soak. The
 # differential oracles and the bundle round trip are tests, so
 # `go test ./...` runs them; it also replays every fuzz seed corpus.
 # Everything is stdlib Go; no network access is needed.
@@ -90,6 +92,7 @@ if [[ $short -eq 0 ]]; then
     go test -fuzz=FuzzReadFramed -fuzztime=15s -run '^$' ./internal/core
     go test -fuzz=FuzzLoadCheckpoint -fuzztime=15s -run '^$' ./internal/core
     go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
+    go test -fuzz=FuzzIndex -fuzztime=15s -run '^$' ./internal/features
     go test -fuzz=FuzzEncode -fuzztime=15s -run '^$' ./internal/pipeline
     go test -fuzz=FuzzReadManifest -fuzztime=15s -run '^$' ./internal/bundle
 fi
