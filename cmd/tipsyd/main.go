@@ -189,8 +189,11 @@ type server struct {
 	mu sync.RWMutex
 	//tipsy:guardedby mu
 	records []features.Record
-	//tipsy:guardedby mu
-	simulated wan.Hour
+	// simulated is the wan.Hour the simulation has reached. Only the
+	// goroutine that runs cycles writes it (and checkpoint recovery,
+	// before serving starts), so a request reads it without waiting
+	// on mu while a cycle appends to and trims the window.
+	simulated atomic.Int32
 }
 
 // defaultTraceSpans sizes the flight-recorder ring; logRingBytes
@@ -538,19 +541,15 @@ func (s *server) advanceDays(n int, parent *obsv.Span) {
 	csp.End()
 	s.mu.Lock()
 	s.records = append(s.records, recs...)
-	s.simulated = to
 	// Trim the store to what retraining needs.
 	cutoff := to - wan.Hour(s.trainDays*24)
 	s.records = dataset.Window(s.records, cutoff, to)
 	s.mu.Unlock()
+	s.simulated.Store(int32(to))
 }
 
 // simHour is the hour the simulation has reached.
-func (s *server) simHour() wan.Hour {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.simulated
-}
+func (s *server) simHour() wan.Hour { return wan.Hour(s.simulated.Load()) }
 
 // retrain rebuilds the serving generation from the sliding window —
 // the paper's daily retraining cadence — swaps it in, and checkpoints
@@ -561,8 +560,8 @@ func (s *server) simHour() wan.Hour {
 func (s *server) retrain(parent *obsv.Span) {
 	s.mu.RLock()
 	recs := s.records
-	now := s.simulated
 	s.mu.RUnlock()
+	now := s.simHour()
 	if len(recs) == 0 {
 		return
 	}
@@ -605,7 +604,7 @@ const shadowSampleCap = 256
 func (s *server) shadowPredict(gen *serve.Models, now wan.Hour, recs []features.Record, parent *obsv.Span) {
 	for _, rec := range firstSightings(recs, shadowSampleCap) {
 		psp := s.tracer.StartChild(parent, "predict")
-		a := gen.Walk(core.Query{Flow: rec.Flow, K: serve.DefaultK}, s.clock)
+		_, a := gen.Walk(nil, core.Query{Flow: rec.Flow, K: serve.DefaultK}, s.clock)
 		markDemotions(psp, a)
 		psp.SetStr("rung", a.Rung.String())
 		psp.End()
@@ -663,15 +662,13 @@ func (s *server) recoverCheckpoint() error {
 	}
 	gen, err := serve.FromCheckpoint(ck, s.sim, s.metros)
 	if err != nil {
-		sp.Error("checkpoint incomplete")
+		sp.Error("checkpoint rejected")
 		return err
 	}
 	s.gen.Store(gen)
-	s.mu.Lock()
-	if s.simulated < ck.TrainedAt {
-		s.simulated = ck.TrainedAt
+	if s.simHour() < ck.TrainedAt {
+		s.simulated.Store(int32(ck.TrainedAt))
 	}
-	s.mu.Unlock()
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tipsy/internal/alloctest"
 	"tipsy/internal/bgp"
@@ -46,7 +47,7 @@ func buildServer(seed int64, trainDays int) *server {
 // predict answers q the way a client's flow is answered: one ladder
 // walk, booked in the serving metrics.
 func (s *server) predict(q core.Query) ([]core.Prediction, string) {
-	a := s.gen.Load().Walk(q, s.clock)
+	_, a := s.gen.Load().Walk(nil, q, s.clock)
 	s.met.observe(a)
 	return a.Preds, a.Rung.String()
 }
@@ -176,7 +177,7 @@ func TestPredictEndToEnd(t *testing.T) {
 // Request.Encode and Models.Respond (serve.TestWhatIfAllocs and
 // TestCodecAllocs split those). The pin is exact, so it also moves
 // with the Go release; a lower number is committed by editing it.
-const predictHandlerAllocs = 326
+const predictHandlerAllocs = 47
 
 // whatIfBody is that what-if, encoded: the first 256 distinct flows of
 // the training window, withdrawing the first two links that are some
@@ -193,7 +194,7 @@ func whatIfBody(t testing.TB, s *server) []byte {
 			SrcAddr: bgp.FormatIP(rec.Flow.Prefix | 7), SrcAS: uint32(rec.Flow.AS),
 			Region: uint16(rec.Flow.Region), Service: uint8(rec.Flow.Type), Bytes: 1e9,
 		})
-		top := gen.Walk(core.Query{Flow: rec.Flow, K: 1}, s.clock).Preds
+		top := gen.Predict(core.Query{Flow: rec.Flow, K: 1})
 		if len(req.ExcludeLinks) < 2 && len(top) == 1 && !slices.Contains(req.ExcludeLinks, top[0].Link) {
 			req.ExcludeLinks = append(req.ExcludeLinks, top[0].Link)
 		}
@@ -227,6 +228,42 @@ func TestPredictHandlerAllocs(t *testing.T) {
 	what() // fill the span and buffer pools
 	if allocs := testing.AllocsPerRun(10, what); allocs != predictHandlerAllocs {
 		t.Fatalf("/v1/predict allocates %v times per 256-flow what-if, want %d", allocs, predictHandlerAllocs)
+	}
+}
+
+// TestPredictDoesNotWaitOnTheWindow: a request takes no lock a cycle
+// holds. A cycle holds s.mu while it appends the day to the record
+// window and trims it; a what-if and a graded query (no exclusions,
+// so its answers go to the quality monitor) must both complete
+// meanwhile.
+func TestPredictDoesNotWaitOnTheWindow(t *testing.T) {
+	s := testServer(t)
+	whatIf := whatIfBody(t, s)
+	var req serve.Request
+	if err := json.Unmarshal(whatIf, &req); err != nil {
+		t.Fatal(err)
+	}
+	req.ExcludeLinks = nil
+	graded, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.handler()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := make(chan *httptest.ResponseRecorder, 2)
+	for _, body := range [][]byte{whatIf, graded} {
+		go func() { done <- post(h, body) }()
+	}
+	for range 2 {
+		select {
+		case rr := <-done:
+			if rr.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rr.Code, rr.Body)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a request is still waiting after 10 s while the record window's lock is held")
+		}
 	}
 }
 
@@ -391,7 +428,7 @@ func TestRetrainAdvancesModel(t *testing.T) {
 	if len(s.records) == 0 {
 		t.Fatal("record store empty after retrain")
 	}
-	cutoff := s.simulated - 24*4
+	cutoff := s.simHour() - 24*4
 	for _, r := range s.records {
 		if r.Hour < cutoff {
 			t.Fatalf("record at hour %d survived the %d cutoff", r.Hour, cutoff)

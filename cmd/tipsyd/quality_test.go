@@ -30,7 +30,7 @@ func withdrawTopPredicted(s *server) {
 			Loc:    s.sim.GeoIP().Lookup(f.SrcPrefix),
 			Region: f.DstRegion, Type: f.DstType,
 		}
-		for j, p := range s.gen.Load().Walk(core.Query{Flow: ff, K: 3}, s.clock).Preds {
+		for j, p := range s.gen.Load().Predict(core.Query{Flow: ff, K: 3}) {
 			if j >= 2 {
 				break // leave each flow an ingress path
 			}

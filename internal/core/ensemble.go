@@ -8,13 +8,29 @@ import "strings"
 // and less specific models contribute transfer learning for tuples
 // the specific ones never saw.
 type Ensemble struct {
-	models []Predictor
+	models []AppendPredictor
 }
 
 // NewEnsemble composes models in fallback order, most specific first
 // — e.g. Hist_AP, Hist_AL, Hist_A for the paper's Hist_AP/AL/A.
 func NewEnsemble(models ...Predictor) *Ensemble {
-	return &Ensemble{models: models}
+	e := &Ensemble{models: make([]AppendPredictor, len(models))}
+	for i, m := range models {
+		a, ok := m.(AppendPredictor)
+		if !ok {
+			a = appending{m}
+		}
+		e.models[i] = a
+	}
+	return e
+}
+
+// appending lets a Predictor without AppendPredict, such as a Naïve
+// Bayes model, be an Ensemble component.
+type appending struct{ Predictor }
+
+func (a appending) AppendPredict(dst []Prediction, q Query) []Prediction {
+	return append(dst, a.Predict(q)...)
 }
 
 // Name implements Predictor, deriving the paper's slash notation from
@@ -40,11 +56,14 @@ func (e *Ensemble) Name() string {
 
 // Predict implements Predictor: the first component with a non-empty
 // answer wins.
-func (e *Ensemble) Predict(q Query) []Prediction {
+func (e *Ensemble) Predict(q Query) []Prediction { return e.AppendPredict(nil, q) }
+
+// AppendPredict implements AppendPredictor.
+func (e *Ensemble) AppendPredict(dst []Prediction, q Query) []Prediction {
 	for _, m := range e.models {
-		if preds := m.Predict(q); len(preds) > 0 {
-			return preds
+		if out := m.AppendPredict(dst, q); len(out) > len(dst) {
+			return out
 		}
 	}
-	return nil
+	return dst
 }

@@ -40,57 +40,39 @@ func (g *GeoCompletion) Name() string { return g.inner.Name() + "+G" }
 // if the dominant links are gone, the nearest other interconnects of
 // the same peer AS inherit the missing mass, geometrically weighted
 // by distance rank.
-func (g *GeoCompletion) Predict(q Query) []Prediction {
-	raw := g.inner.PredictRaw(q)
+func (g *GeoCompletion) Predict(q Query) []Prediction { return g.AppendPredict(nil, q) }
+
+// AppendPredict implements AppendPredictor. It looks the tuple up
+// once: the surviving links and the anchor both come from that
+// lookup, and the completion's candidates are ranked in dst's tail.
+func (g *GeoCompletion) AppendPredict(dst []Prediction, q Query) []Prediction {
+	stored, ok := g.inner.links(q.Flow)
+	if !ok {
+		return dst
+	}
+	n := len(dst)
+	dst = appendSurviving(dst, stored, &q)
+	raw := dst[n:]
 	surviving := 0.0
 	for _, p := range raw {
 		surviving += p.Frac
 	}
 	missing := 1 - surviving
 	if missing <= 1e-9 || (q.K > 0 && len(raw) >= q.K) {
-		return topK(raw, q.K)
+		return topKFrom(dst, n, q.K)
 	}
 
-	// Anchor on the best match with exclusions lifted: the link the
-	// flow would have used, whose peer AS and location seed the
-	// geographic ranking.
-	anchorQ := q
-	anchorQ.Exclude = nil
-	anchorQ.K = 1
-	anchor := g.inner.Predict(anchorQ)
-	if len(anchor) == 0 {
-		return topK(raw, q.K)
+	// Anchor on the best match with exclusions lifted, the tuple's
+	// first stored link: the link the flow would have used, whose peer
+	// AS and location seed the geographic ranking. A tuple with no
+	// links, which only a damaged checkpoint holds, has no anchor.
+	if len(stored) == 0 {
+		return topKFrom(dst, n, q.K)
 	}
-	anchorLink, ok := g.links.Link(anchor[0].Link)
+	anchor, ok := g.links.Link(stored[0].Link)
 	if !ok {
-		return topK(raw, q.K)
+		return topKFrom(dst, n, q.K)
 	}
-
-	type cand struct {
-		id wan.LinkID
-		d  float64
-	}
-	var cands []cand
-	for _, id := range g.links.LinksOfAS(anchorLink.PeerAS) {
-		// raw holds at most MaxLinksPerTuple links: scan it.
-		if id == anchorLink.ID || q.excluded(id) ||
-			slices.ContainsFunc(raw, func(p Prediction) bool { return p.Link == id }) {
-			continue
-		}
-		l, ok := g.links.Link(id)
-		if !ok {
-			continue
-		}
-		cands = append(cands, cand{id, g.metros.Distance(anchorLink.Metro, l.Metro)})
-	}
-	// Every candidate is kept, not just a head: topK normalises over
-	// the whole decaying tail, so truncating it would move fractions.
-	slices.SortFunc(cands, func(a, b cand) int {
-		if c := cmp.Compare(a.d, b.d); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
 
 	// Surviving trained links keep their relative ranking — the
 	// completion is strictly a tail, "used to complete the list of
@@ -116,11 +98,36 @@ func (g *GeoCompletion) Predict(q Query) []Prediction {
 	} else {
 		w = minF(minF(0.25*missing, 0.5*raw[len(raw)-1].Frac), 0.10)
 	}
-	for _, c := range cands {
-		raw = append(raw, Prediction{Link: c.id, Frac: w})
+
+	// The candidates are appended with their distance from the anchor
+	// in Frac, sorted, and then given their weights.
+	tail := n + len(raw)
+	for _, id := range g.links.LinksOfAS(anchor.PeerAS) {
+		// raw holds at most MaxLinksPerTuple links: scan it.
+		if id == anchor.ID || q.excluded(id) ||
+			slices.ContainsFunc(dst[n:tail], func(p Prediction) bool { return p.Link == id }) {
+			continue
+		}
+		l, ok := g.links.Link(id)
+		if !ok {
+			continue
+		}
+		dst = append(dst, Prediction{Link: id, Frac: g.metros.Distance(anchor.Metro, l.Metro)})
+	}
+	// Every candidate is kept, not just a head: topK normalises over
+	// the whole decaying tail, so truncating it would move fractions.
+	cands := dst[tail:]
+	slices.SortFunc(cands, func(a, b Prediction) int {
+		if c := cmp.Compare(a.Frac, b.Frac); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Link, b.Link)
+	})
+	for i := range cands {
+		cands[i].Frac = w
 		w *= 0.45
 	}
-	return topK(raw, q.K)
+	return topKFrom(dst, n, q.K)
 }
 
 func minF(a, b float64) float64 {

@@ -61,7 +61,10 @@ func (c geoCand) before(o geoCand) bool {
 // geoNearestMax) in a fixed array by insertion instead of sorting
 // every link, so its only allocation is the answer. The key is a
 // strict total order, so the head is the one a full sort would give.
-func (g *GeoNearest) Predict(q Query) []Prediction {
+func (g *GeoNearest) Predict(q Query) []Prediction { return g.AppendPredict(nil, q) }
+
+// AppendPredict implements AppendPredictor.
+func (g *GeoNearest) AppendPredict(dst []Prediction, q Query) []Prediction {
 	max := q.K
 	if max <= 0 || max > geoNearestMax {
 		max = geoNearestMax
@@ -95,13 +98,14 @@ func (g *GeoNearest) Predict(q Query) []Prediction {
 		n++
 	}
 	if n == 0 {
-		return nil
+		return dst
 	}
-	preds := make([]Prediction, n)
+	start := len(dst)
+	dst = grow(dst, n)
 	w := 1.0
-	for i, c := range top[:n] {
-		preds[i] = Prediction{Link: c.id, Frac: w}
+	for _, c := range top[:n] {
+		dst = append(dst, Prediction{Link: c.id, Frac: w})
 		w *= 0.5
 	}
-	return topK(preds, q.K)
+	return topKFrom(dst, start, q.K)
 }

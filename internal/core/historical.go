@@ -145,40 +145,39 @@ func (h *Historical) links(f features.FlowFeatures) ([]Prediction, bool) {
 // Predict implements Predictor: a table lookup followed by exclusion
 // filtering and top-k truncation. Lookup is O(1) in the number of
 // training points (Table 3).
-func (h *Historical) Predict(q Query) []Prediction {
+func (h *Historical) Predict(q Query) []Prediction { return h.AppendPredict(nil, q) }
+
+// AppendPredict implements AppendPredictor.
+func (h *Historical) AppendPredict(dst []Prediction, q Query) []Prediction {
 	stored, ok := h.links(q.Flow)
 	if !ok {
-		return nil
+		return dst
 	}
-	preds := make([]Prediction, 0, len(stored))
-	for _, p := range stored {
-		if q.excluded(p.Link) {
-			continue
-		}
-		preds = append(preds, p)
-	}
-	return topK(preds, q.K)
+	n := len(dst)
+	return topKFrom(appendSurviving(dst, stored, &q), n, q.K)
 }
 
-// PredictRaw is Predict without top-k truncation or renormalization:
-// the surviving (non-excluded) links keep their trained byte
-// fractions p(l|f) = B(f,l)/B(f). The sum of the returned fractions
-// is the share of the tuple's training bytes still routable — a
-// confidence signal the geographic completion uses to decide how much
-// probability mass to spend on alternates.
-func (h *Historical) PredictRaw(q Query) []Prediction {
-	stored, ok := h.links(q.Flow)
-	if !ok {
-		return nil
-	}
-	preds := make([]Prediction, 0, len(stored))
+// appendSurviving appends the links of stored that q does not
+// exclude, keeping their trained fractions p(l|f) = B(f,l)/B(f). It
+// grows dst at most once.
+func appendSurviving(dst, stored []Prediction, q *Query) []Prediction {
+	dst = grow(dst, len(stored))
 	for _, p := range stored {
-		if q.excluded(p.Link) {
-			continue
+		if !q.excluded(p.Link) {
+			dst = append(dst, p)
 		}
-		preds = append(preds, p)
 	}
-	return preds
+	return dst
+}
+
+// LinkBound is one past the largest link the model can predict, and
+// 0 for a model that holds no links.
+func (h *Historical) LinkBound() int {
+	bound := 0
+	for _, p := range h.preds {
+		bound = max(bound, int(p.Link)+1)
+	}
+	return bound
 }
 
 // NumTuples reports how many distinct flow tuples the model holds;

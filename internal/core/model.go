@@ -9,6 +9,8 @@
 package core
 
 import (
+	"slices"
+
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
 )
@@ -48,6 +50,18 @@ type Predictor interface {
 	Predict(q Query) []Prediction
 }
 
+// AppendPredictor is a Predictor that can append its answer to a
+// caller's slice, so a caller answering many queries holds every
+// answer in one array. The serving ladder's rungs are
+// AppendPredictors.
+type AppendPredictor interface {
+	Predictor
+	// AppendPredict appends Predict(q) to dst and returns the extended
+	// slice. It leaves dst[:len(dst)] as it was, and may write to
+	// dst's spare capacity past what it returns.
+	AppendPredict(dst []Prediction, q Query) []Prediction
+}
+
 // topK normalizes the fractions over the whole surviving prediction
 // list (the flow's bytes must land somewhere among the links the
 // model still considers possible) and then truncates to k WITHOUT
@@ -68,4 +82,19 @@ func topK(preds []Prediction, k int) []Prediction {
 		preds = preds[:k]
 	}
 	return preds
+}
+
+// grow returns dst with room for n more predictions. A nil dst, which
+// Predict passes, becomes a slice of exactly that room: make costs
+// less than growing nil.
+func grow(dst []Prediction, n int) []Prediction {
+	if dst == nil {
+		return make([]Prediction, 0, n)
+	}
+	return slices.Grow(dst, n)
+}
+
+// topKFrom applies topK to the predictions dst holds past its first n.
+func topKFrom(dst []Prediction, n, k int) []Prediction {
+	return dst[:n+len(topK(dst[n:], k))]
 }

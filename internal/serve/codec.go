@@ -33,12 +33,9 @@ const (
 	flowBytesGuess = 64
 )
 
-var (
-	requestKeys = []string{"flows", "exclude_links", "k"}
-	flowKeys    = []string{"src_addr", "src_as", "region", "service", "bytes"}
-)
-
-// decoder is a cursor over one request body.
+// decoder is a cursor over one request body. Request and Flow each
+// have their own loop over their members; numbers are scanned once,
+// an integer's value accumulated in the same scan.
 type decoder struct {
 	// s is the body and a final NUL. No JSON token holds a NUL, so no
 	// match runs past it and the cursor needs no bounds checks. A
@@ -56,20 +53,137 @@ type decoder struct {
 func DecodeRequest(body []byte, req *Request) error {
 	*req = Request{}
 	d := decoder{s: string(body) + "\x00"}
-	d.object(requestKeys, maxSkipDepth, func(i int) {
-		switch i {
-		case 0:
-			req.Flows = array(&d, (len(d.s)-d.pos)/flowBytesGuess, d.flow)
-		case 1:
-			req.ExcludeLinks = array(&d, 0, func(l *wan.LinkID) { *l = wan.LinkID(d.unsigned(32)) })
-		case 2:
-			req.K = int(d.signed())
-		}
-	})
+	d.request(req)
 	if d.peek(); d.pos != len(d.s)-1 {
 		d.fail("data after the request object")
 	}
 	return d.err
+}
+
+// request reads a Request object, or null.
+func (d *decoder) request(req *Request) {
+	if d.null() {
+		return
+	}
+	var seen uint
+	for more := d.open('{', '}'); more; more = d.more('}') {
+		key := d.key()
+		i := requestField(key)
+		d.once(key, i, &seen)
+		switch i {
+		case 0:
+			req.Flows = d.flows()
+		case 1:
+			req.ExcludeLinks = d.links()
+		case 2:
+			req.K = int(d.signed())
+		default:
+			d.skip(maxSkipDepth)
+		}
+	}
+}
+
+// requestField is the index of the Request field key names, or -1.
+// encoding/json matches a key to a field by Unicode's case folding; on
+// the ASCII keys key accepts that is ASCII's.
+func requestField(key string) int {
+	switch len(key) {
+	case 5:
+		if key == "flows" || foldsTo(key, "flows") {
+			return 0
+		}
+	case 13:
+		if key == "exclude_links" || foldsTo(key, "exclude_links") {
+			return 1
+		}
+	case 1:
+		if key == "k" || key == "K" {
+			return 2
+		}
+	}
+	return -1
+}
+
+// flows reads the flows array. As in encoding/json null stays nil, []
+// is empty but not nil, and a null element is the zero Flow.
+func (d *decoder) flows() []Flow {
+	guess := (len(d.s) - d.pos) / flowBytesGuess
+	if d.null() {
+		return nil
+	}
+	out := make([]Flow, 0, guess)
+	for more := d.open('[', ']'); more; more = d.more(']') {
+		out = append(out, Flow{})
+		d.flow(&out[len(out)-1])
+	}
+	return out
+}
+
+// flow reads a Flow object, or null.
+func (d *decoder) flow(f *Flow) {
+	if d.null() {
+		return
+	}
+	var seen uint
+	for more := d.open('{', '}'); more; more = d.more('}') {
+		key := d.key()
+		i := flowField(key)
+		d.once(key, i, &seen)
+		switch i {
+		case 0:
+			f.SrcAddr = d.str()
+		case 1:
+			f.SrcAS = uint32(d.unsigned(32))
+		case 2:
+			f.Region = uint16(d.unsigned(16))
+		case 3:
+			f.Service = uint8(d.unsigned(8))
+		case 4:
+			f.Bytes = d.float()
+		default:
+			d.skip(maxSkipDepth)
+		}
+	}
+}
+
+// flowField is the index of the Flow field key names, or -1, matched
+// as requestField matches.
+func flowField(key string) int {
+	switch len(key) {
+	case 8:
+		if key == "src_addr" || foldsTo(key, "src_addr") {
+			return 0
+		}
+	case 6:
+		if key == "src_as" || foldsTo(key, "src_as") {
+			return 1
+		}
+		if key == "region" || foldsTo(key, "region") {
+			return 2
+		}
+	case 7:
+		if key == "service" || foldsTo(key, "service") {
+			return 3
+		}
+	case 5:
+		if key == "bytes" || foldsTo(key, "bytes") {
+			return 4
+		}
+	}
+	return -1
+}
+
+// links reads the exclude_links array, null and its elements as flows
+// reads flows.
+func (d *decoder) links() []wan.LinkID {
+	if d.null() {
+		return nil
+	}
+	out := make([]wan.LinkID, 0)
+	for more := d.open('[', ']'); more; more = d.more(']') {
+		out = append(out, wan.LinkID(d.unsigned(32)))
+	}
+	return out
 }
 
 func (d *decoder) fail(what string) {
@@ -79,19 +193,21 @@ func (d *decoder) fail(what string) {
 	d.pos = len(d.s) - 1
 }
 
-func (d *decoder) check(err error) {
-	if err != nil {
-		d.fail(err.Error())
-	}
-}
-
 // peek skips white space and returns the byte after it, unconsumed.
 func (d *decoder) peek() byte {
-	for {
-		switch c := d.s[d.pos]; c {
+	if c := d.s[d.pos]; c > ' ' {
+		return c
+	}
+	return d.space()
+}
+
+func (d *decoder) space() byte {
+	s, i := d.s, d.pos
+	for ; ; i++ {
+		switch c := s[i]; c {
 		case ' ', '\t', '\r', '\n':
-			d.pos++
 		default:
+			d.pos = i
 			return c
 		}
 	}
@@ -116,105 +232,95 @@ func (d *decoder) null() bool {
 	return true
 }
 
-// accept consumes the byte under the cursor if it is one of set.
-func (d *decoder) accept(set string) bool {
-	if strings.IndexByte(set, d.s[d.pos]) < 0 {
+// open consumes the '{' or '[' that must come next and reports
+// whether a member follows; an empty object or array it consumes
+// whole. With more it drives the loop over an object's or array's
+// members.
+func (d *decoder) open(open, end byte) bool {
+	if d.peek() != open {
+		d.fail("want " + string(open))
 		return false
 	}
 	d.pos++
+	if d.peek() == end {
+		d.pos++
+		return false
+	}
 	return true
 }
 
-// list reads the object or array that open begins and end ends,
-// calling member with the cursor on each of its members.
-func (d *decoder) list(open string, end byte, member func()) {
-	d.expect(open)
-	if d.peek() == end {
+// more consumes what follows a member: the end, and it reports false,
+// or a comma before the next member.
+func (d *decoder) more(end byte) bool {
+	switch d.peek() {
+	case end:
 		d.pos++
+		return false
+	case ',':
+		d.pos++
+		return true
+	}
+	d.fail("want ,")
+	return false
+}
+
+// key reads an object's key and the colon after it. encoding/json
+// matches keys after unescaping them and folding case by Unicode's
+// rules; a key of unescaped ASCII needs neither, and every other key
+// is refused.
+func (d *decoder) key() string {
+	if d.peek() != '"' {
+		d.fail(`want "`)
+		return ""
+	}
+	d.pos++
+	s, end := d.s, d.pos
+	for ; end < len(s); end++ {
+		c := s[end]
+		if c == '"' {
+			break
+		}
+		if c < ' ' || c == '\\' || c >= utf8.RuneSelf {
+			d.fail("object keys must be unescaped ASCII")
+			return ""
+		}
+	}
+	key := s[d.pos:end]
+	d.pos = end + 1
+	if d.peek() != ':' {
+		d.fail("want :")
+		return ""
+	}
+	d.pos++
+	return key
+}
+
+// once refuses the second appearance of the i-th field of an object
+// (i < 0 names none), which encoding/json would merge into the first.
+func (d *decoder) once(key string, i int, seen *uint) {
+	if i < 0 {
 		return
 	}
-	for d.err == nil {
-		member()
-		if d.peek() == end {
-			d.pos++
-			return
-		}
-		d.expect(",")
+	if *seen&(1<<i) != 0 {
+		d.fail("duplicate key " + key)
 	}
+	*seen |= 1 << i
 }
 
-func (d *decoder) flow(f *Flow) {
-	d.object(flowKeys, maxSkipDepth, func(i int) {
-		switch i {
-		case 0:
-			f.SrcAddr = d.str()
-		case 1:
-			f.SrcAS = uint32(d.unsigned(32))
-		case 2:
-			f.Region = uint16(d.unsigned(16))
-		case 3:
-			f.Service = uint8(d.unsigned(8))
-		case 4:
-			f.Bytes = d.float()
+// foldsTo reports whether key is name, a lower-case ASCII name of the
+// same length, but for the case of its letters.
+func foldsTo(key, name string) bool {
+	for i := 0; i < len(name); i++ {
+		if c, n := key[i], name[i]; c != n && !('a' <= n && n <= 'z' && c == n-'a'+'A') {
+			return false
 		}
-	})
-}
-
-// object reads an object: the value of a key that is, but for case,
-// names[i] by member(i), any other value by skip(depth).
-// encoding/json matches keys after unescaping them and folding case
-// by Unicode's rules; a key of unescaped ASCII needs neither, and
-// every other key is refused, as is the second appearance of a name.
-func (d *decoder) object(names []string, depth int, member func(i int)) {
-	if d.null() {
-		return
 	}
-	var seen uint
-	d.list("{", '}', func() {
-		d.expect(`"`)
-		end := d.pos
-		for ; d.s[end] != '"'; end++ {
-			if c := d.s[end]; c < ' ' || c == '\\' || c >= utf8.RuneSelf {
-				d.fail("object keys must be unescaped ASCII")
-				return
-			}
-		}
-		key := d.s[d.pos:end]
-		d.pos = end + 1
-		d.expect(":")
-		for i, name := range names {
-			if key == name || len(key) == len(name) && strings.EqualFold(key, name) {
-				if seen&(1<<i) != 0 {
-					d.fail("duplicate key " + key)
-				}
-				seen |= 1 << i
-				member(i)
-				return
-			}
-		}
-		d.skip(depth)
-	})
-}
-
-// array reads an array, each element by elem. As in encoding/json
-// null stays nil, [] is empty but not nil, and a null element is the
-// zero T.
-func array[T any](d *decoder, guess int, elem func(into *T)) []T {
-	if d.null() {
-		return nil
-	}
-	out := make([]T, 0, guess)
-	d.list("[", ']', func() {
-		var zero T
-		out = append(out, zero)
-		elem(&out[len(out)-1])
-	})
-	return out
+	return true
 }
 
 // skip steps over one value of any type — the value of a key that
 // names no field — holding it to the JSON grammar as encoding/json's
-// scanner does.
+// scanner does, and an object's keys to what key accepts.
 func (d *decoder) skip(depth int) {
 	switch c := d.peek(); {
 	case depth == 0:
@@ -226,11 +332,16 @@ func (d *decoder) skip(depth int) {
 	case c == 'f':
 		d.expect("false")
 	case c == '{':
-		d.object(nil, depth-1, nil)
+		for more := d.open('{', '}'); more; more = d.more('}') {
+			d.key()
+			d.skip(depth - 1)
+		}
 	case c == '[':
-		array(d, 0, func(*struct{}) { d.skip(depth - 1) })
+		for more := d.open('[', ']'); more; more = d.more(']') {
+			d.skip(depth - 1)
+		}
 	default: // a number, or null
-		d.number(false)
+		d.number()
 	}
 }
 
@@ -245,53 +356,121 @@ func (d *decoder) digits() bool {
 	}
 }
 
-// number scans one JSON number and returns its text, "0" for null
-// and after an error. With integer set a fraction or an exponent is
-// an error: encoding/json fits neither 1.0 nor 1e2 into an integer.
-func (d *decoder) number(integer bool) string {
+// number scans one JSON number, null reading as 0. It returns the
+// number's text ("0" for null and after an error), its integer
+// part's magnitude, which saturates above 1<<63 into wide, and
+// whether a fraction or an exponent follows the integer part.
+func (d *decoder) number() (text string, mag uint64, wide, frac bool) {
 	if d.null() {
-		return "0"
+		return "0", 0, false, false
 	}
-	start := d.pos
-	d.accept("-")
-	if !d.accept("0") && !d.digits() {
-		d.fail("want a number")
+	s, start := d.s, d.pos
+	i := start
+	if s[i] == '-' {
+		i++
 	}
-	whole := d.pos
-	if d.accept(".") && !d.digits() {
-		d.fail("want a digit after the decimal point")
-	}
-	if d.accept("eE") {
-		if d.accept("+-"); !d.digits() {
-			d.fail("want a digit in the exponent")
+	switch c := s[i]; {
+	case c == '0':
+		i++
+	case '1' <= c && c <= '9':
+		for ; i < len(s); i++ {
+			digit := s[i] - '0'
+			if digit > 9 {
+				break
+			}
+			if mag > (1<<63)/10 {
+				wide = true
+			} else {
+				mag = mag*10 + uint64(digit)
+			}
 		}
+	default:
+		d.pos = i
+		d.fail("want a number")
+		return "0", 0, false, false
 	}
-	if integer && d.pos != whole {
-		d.fail("want an integer")
+	d.pos = i
+	if c := s[i]; c != '.' && c != 'e' && c != 'E' {
+		return s[start:i], mag, wide, false
 	}
-	if d.err != nil {
-		return "0"
+	if d.s[d.pos] == '.' {
+		d.pos++
+		if !d.digits() {
+			d.fail("want a digit after the decimal point")
+			return "0", 0, false, false
+		}
+		frac = true
 	}
-	return d.s[start:d.pos]
+	if c := d.s[d.pos]; c == 'e' || c == 'E' {
+		d.pos++
+		if c := d.s[d.pos]; c == '+' || c == '-' {
+			d.pos++
+		}
+		if !d.digits() {
+			d.fail("want a digit in the exponent")
+			return "0", 0, false, false
+		}
+		frac = true
+	}
+	return d.s[start:d.pos], mag, wide, frac
 }
 
-// unsigned reads an integer that must fit bits bits.
+// unsigned reads an integer that must fit bits bits. Its errors are
+// strconv.ParseUint's: encoding/json fits neither 1.0 nor 1e2 into an
+// integer.
 func (d *decoder) unsigned(bits int) uint64 {
-	n, err := strconv.ParseUint(d.number(true), 10, bits)
-	d.check(err)
-	return n
+	text, mag, wide, frac := d.number()
+	switch {
+	case frac:
+		d.fail("want an integer")
+	case text[0] == '-':
+		d.numError("ParseUint", text, strconv.ErrSyntax)
+	case wide || mag > 1<<bits-1:
+		d.numError("ParseUint", text, strconv.ErrRange)
+	}
+	return mag
 }
 
+// signed reads an int, with strconv.ParseInt's errors.
 func (d *decoder) signed() int64 {
-	n, err := strconv.ParseInt(d.number(true), 10, strconv.IntSize)
-	d.check(err)
-	return n
+	text, mag, wide, frac := d.number()
+	limit := uint64(1)<<(strconv.IntSize-1) - 1
+	neg := text[0] == '-'
+	if neg {
+		limit++
+	}
+	switch {
+	case frac:
+		d.fail("want an integer")
+	case wide || mag > limit:
+		d.numError("ParseInt", text, strconv.ErrRange)
+	}
+	if neg {
+		return -int64(mag)
+	}
+	return int64(mag)
 }
 
+// float reads a float64. An integer that a float64 holds exactly
+// needs no ParseFloat: that is the value ParseFloat would return.
 func (d *decoder) float() float64 {
-	f, err := strconv.ParseFloat(d.number(false), 64)
-	d.check(err)
+	text, mag, wide, frac := d.number()
+	if !frac && !wide && mag <= 1<<53 {
+		if text[0] == '-' {
+			return -float64(mag)
+		}
+		return float64(mag)
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		d.fail(err.Error())
+	}
 	return f
+}
+
+// numError fails as strconv's fn fails on text.
+func (d *decoder) numError(fn, text string, err error) {
+	d.fail((&strconv.NumError{Func: fn, Num: text, Err: err}).Error())
 }
 
 // str reads a string. One without escapes is returned as a substring
@@ -302,18 +481,19 @@ func (d *decoder) str() string {
 		return ""
 	}
 	d.expect(`"`)
+	s := d.s
 	var buf []byte // the unescaped string so far, once there is an escape
 	for i := d.pos; ; {
-		switch c := d.s[i]; {
+		switch c := s[i]; {
 		case c == '"':
-			run := d.s[d.pos:i]
+			run := s[d.pos:i]
 			d.pos = i + 1
 			if buf == nil {
 				return run
 			}
 			return string(append(buf, run...))
 		case c == '\\':
-			buf = append(buf, d.s[d.pos:i]...)
+			buf = append(buf, s[d.pos:i]...)
 			d.pos = i
 			buf = utf8.AppendRune(buf, d.escape())
 			i = d.pos
@@ -324,7 +504,7 @@ func (d *decoder) str() string {
 		case c < utf8.RuneSelf:
 			i++
 		default:
-			r, n := utf8.DecodeRuneInString(d.s[i:])
+			r, n := utf8.DecodeRuneInString(s[i:])
 			if r == utf8.RuneError && n == 1 {
 				d.pos = i
 				d.fail("invalid UTF-8 in a string")

@@ -45,7 +45,10 @@ type Models struct {
 	// first training.
 	hAP, hAL, hA *core.Historical
 	// rungs holds the ladder in walk order; a nil rung is skipped.
-	rungs     [None]core.Predictor
+	rungs [None]core.AppendPredictor
+	// linkBound is one past the largest link any rung can answer
+	// with: Respond's per-link state covers the links below it.
+	linkBound int
 	trainedAt wan.Hour
 	recovered bool
 }
@@ -53,7 +56,19 @@ type Models struct {
 // Untrained is the generation a daemon serves before its first
 // training: only the geographic rung answers.
 func Untrained(dir wan.Directory, metros *geo.DB) *Models {
-	return &Models{rungs: [None]core.Predictor{Geo: core.NewGeoNearest(dir, metros)}}
+	return &Models{
+		rungs:     [None]core.AppendPredictor{Geo: core.NewGeoNearest(dir, metros)},
+		linkBound: dirBound(dir),
+	}
+}
+
+// dirBound is one past the directory's largest link.
+func dirBound(dir wan.Directory) int {
+	links := dir.Links() // ascending
+	if len(links) == 0 {
+		return 0
+	}
+	return int(links[len(links)-1]) + 1
 }
 
 // Train fits the serving models on recs, the sliding window that ends
@@ -72,16 +87,19 @@ func Train(recs []features.Record, at wan.Hour, dir wan.Directory, metros *geo.D
 func assemble(hAP, hAL, hA *core.Historical, at wan.Hour, dir wan.Directory, metros *geo.DB) *Models {
 	return &Models{
 		hAP: hAP, hAL: hAL, hA: hA,
-		rungs: [None]core.Predictor{
+		rungs: [None]core.AppendPredictor{
 			Ensemble: core.NewEnsemble(hAP, core.NewGeoCompletion(hAL, dir, metros), hA),
 			Geo:      core.NewGeoNearest(dir, metros),
 		},
+		linkBound: max(dirBound(dir), hAP.LinkBound(), hAL.LinkBound(), hA.LinkBound()),
 		trainedAt: at,
 	}
 }
 
 // FromCheckpoint rebuilds the generation a checkpoint was taken from.
-// It fails if the checkpoint lacks any of the three models.
+// It fails if the checkpoint lacks any of the three models, or if a
+// model names a link past the directory's last one: such a checkpoint
+// was taken on another WAN.
 func FromCheckpoint(ck *core.Checkpoint, dir wan.Directory, metros *geo.DB) (*Models, error) {
 	var hAP, hAL, hA *core.Historical
 	for _, h := range ck.Models {
@@ -96,6 +114,12 @@ func FromCheckpoint(ck *core.Checkpoint, dir wan.Directory, metros *geo.DB) (*Mo
 	}
 	if hAP == nil || hAL == nil || hA == nil {
 		return nil, fmt.Errorf("checkpoint incomplete: %d models", len(ck.Models))
+	}
+	bound := dirBound(dir)
+	for _, h := range []*core.Historical{hAP, hAL, hA} {
+		if b := h.LinkBound(); b > bound {
+			return nil, fmt.Errorf("checkpoint's %s names link %d, past the WAN's last link", h.Name(), b-1)
+		}
 	}
 	m := assemble(hAP, hAL, hA, ck.TrainedAt, dir, metros)
 	m.recovered = true
@@ -155,7 +179,8 @@ func (m *Models) Name() string { return "served" }
 // Predict is the whole ladder as one core.Predictor: the answer a
 // client of the daemon gets, fallback rungs included.
 func (m *Models) Predict(q core.Query) []core.Prediction {
-	return m.Walk(q, noClock).Preds
+	_, a := m.Walk(nil, q, noClock)
+	return a.Preds
 }
 
 // noClock is the clock of a walk whose timings nobody reads.
@@ -163,6 +188,7 @@ func noClock() int64 { return 0 }
 
 // Answer is the outcome of one ladder walk.
 type Answer struct {
+	// Preds is the answering rung's predictions, nil if none answered.
 	Preds []core.Prediction
 	// Rung is the rung that answered, or None.
 	Rung Rung
@@ -172,23 +198,26 @@ type Answer struct {
 	Ns    [None]int64
 }
 
-// Walk asks each rung in order until one returns predictions, timing
-// every attempt on clock. It records nothing: a caller that counts
-// rungs or latencies does so from the Answer.
-func (m *Models) Walk(q core.Query, clock func() int64) Answer {
+// Walk asks each rung in order until one appends predictions to dst,
+// timing every attempt on clock, and returns the extended dst. The
+// Answer's Preds are what the walk appended, capacity clipped, so a
+// later walk into the same array leaves them as they are. Walk records
+// nothing: a caller that counts rungs or latencies does so from the
+// Answer.
+func (m *Models) Walk(dst []core.Prediction, q core.Query, clock func() int64) ([]core.Prediction, Answer) {
 	a := Answer{Rung: None}
 	for r, model := range m.rungs {
 		if model == nil {
 			continue
 		}
 		start := clock()
-		preds := model.Predict(q)
+		out := model.AppendPredict(dst, q)
 		a.Ns[r] = clock() - start
 		a.Tried[r] = true
-		if len(preds) > 0 {
-			a.Preds, a.Rung = preds, Rung(r)
-			break
+		if len(out) > len(dst) {
+			a.Preds, a.Rung = out[len(dst):len(out):len(out)], Rung(r)
+			return out, a
 		}
 	}
-	return a
+	return dst, a
 }

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"tipsy/internal/alloctest"
 	"tipsy/internal/bgp"
 	"tipsy/internal/core"
 	"tipsy/internal/features"
@@ -80,11 +83,11 @@ func (f *fixture) whatIf(t testing.TB, n int) (*Request, []features.FlowFeatures
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := f.genA.Walk(core.Query{Flow: flows[0], K: 1}, noClock)
-	if len(top.Preds) == 0 {
+	top := f.genA.Predict(core.Query{Flow: flows[0], K: 1})
+	if len(top) == 0 {
 		t.Fatal("fixture's first flow has no prediction")
 	}
-	req.ExcludeLinks = []wan.LinkID{top.Preds[0].Link}
+	req.ExcludeLinks = []wan.LinkID{top[0].Link}
 	return req, flows
 }
 
@@ -155,7 +158,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for i := 0; i < len(f.recs) && asked < queries; i += step {
 		q := core.Query{Flow: f.recs[i].Flow, K: 3}
 		if asked%10 == 0 { // every tenth as a what-if
-			if top := f.genA.Walk(q, noClock).Preds; len(top) > 0 {
+			if top := f.genA.Predict(q); len(top) > 0 {
 				ex := top[0].Link
 				q.Exclude = func(l wan.LinkID) bool { return l == ex }
 			}
@@ -163,7 +166,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if asked%7 == 0 { // and some from an AS the models never saw
 			q.Flow.AS += 4200000000
 		}
-		want, got := f.genA.Walk(q, noClock), back.Walk(q, noClock)
+		_, want := f.genA.Walk(nil, q, noClock)
+		_, got := back.Walk(nil, q, noClock)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("query %d: original answered %+v, rebuilt %+v", asked, want, got)
 		}
@@ -175,6 +179,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	if _, err := FromCheckpoint(&core.Checkpoint{Models: loaded.Models[:2]}, f.sim, f.metros); err == nil {
 		t.Error("a checkpoint missing a model rebuilt without error")
+	}
+	// A checkpoint taken on a WAN with more links is refused: Respond
+	// sizes its per-link state by this WAN's links.
+	links := f.sim.Links()
+	foreign := []features.Record{{Flow: f.recs[0].Flow, Link: links[len(links)-1] + 1, Bytes: 1}}
+	var other core.Checkpoint
+	for _, set := range []features.Set{features.SetAP, features.SetAL, features.SetA} {
+		other.Models = append(other.Models, core.TrainHistorical(set, foreign, core.DefaultHistOpts()))
+	}
+	if _, err := FromCheckpoint(&other, f.sim, f.metros); err == nil || !strings.Contains(err.Error(), "past the WAN's last link") {
+		t.Errorf("a checkpoint naming a link past the WAN's last rebuilt with error %v", err)
 	}
 	if ck := Untrained(f.sim, f.metros).Checkpoint(); len(ck.Models) != 0 {
 		t.Errorf("untrained generation checkpoints %d models", len(ck.Models))
@@ -190,6 +205,9 @@ type stubRung struct {
 
 func (s *stubRung) Name() string                         { return "stub" }
 func (s *stubRung) Predict(core.Query) []core.Prediction { s.calls++; return s.preds }
+func (s *stubRung) AppendPredict(dst []core.Prediction, q core.Query) []core.Prediction {
+	return append(dst, s.Predict(q)...)
+}
 
 // TestWalkOrder is the ladder's property, checked over every
 // combination of absent, empty and answering rungs: the walk goes
@@ -213,7 +231,7 @@ func TestWalkOrder(t *testing.T) {
 			m.rungs[r] = stubs[r]
 		}
 		tick := int64(0)
-		a := m.Walk(core.Query{K: 3}, func() int64 { tick += 5; return tick })
+		_, a := m.Walk(nil, core.Query{K: 3}, func() int64 { tick += 5; return tick })
 
 		want := None
 		for r := Ensemble; r < None; r++ {
@@ -304,6 +322,100 @@ func TestRespondIgnoresObserver(t *testing.T) {
 	}
 }
 
+// respondReference is Models.Respond as it was before the walk
+// appended every flow's answer to one array, kept as its oracle: one
+// Walk per flow, the exclusions a binary search over a sorted copy,
+// and shifted accumulated in a map as each flow is answered.
+func respondReference(m *Models, req *Request, flows []features.FlowFeatures) *Response {
+	q := core.Query{K: req.K}
+	if q.K <= 0 {
+		q.K = DefaultK
+	}
+	if len(req.ExcludeLinks) > 0 {
+		excluded := slices.Clone(req.ExcludeLinks)
+		slices.Sort(excluded)
+		q.Exclude = func(l wan.LinkID) bool {
+			_, found := slices.BinarySearch(excluded, l)
+			return found
+		}
+	}
+	resp := &Response{Shifted: make(map[wan.LinkID]float64)}
+	if len(flows) > 0 {
+		resp.Results = make([]Result, len(flows))
+	}
+	for i := range flows {
+		q.Flow = flows[i]
+		_, a := m.Walk(nil, q, noClock)
+		res := &resp.Results[i]
+		res.Flow, res.Model = i, a.Rung.String()
+		bytes := req.Flows[i].Bytes
+		for _, p := range a.Preds {
+			res.Links = append(res.Links, LinkShare{p.Link, p.Frac, p.Frac * bytes})
+			resp.Shifted[p.Link] += p.Frac * bytes
+		}
+	}
+	return resp
+}
+
+// sameFloat is == on a float's bits, so that 0 and -0 differ.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestRespondMatchesReference holds Respond to its oracle with == on
+// every link share and every shifted value, for trained and untrained
+// generations, k of 1, 3 and 16, and no, one, two and every link
+// excluded (plus, each time, a link past the WAN's last and a repeat).
+func TestRespondMatchesReference(t *testing.T) {
+	f := testFixture(t)
+	req, flows := f.whatIf(t, 255)
+	for i := range req.Flows { // bytes of every sign and size
+		req.Flows[i].Bytes = []float64{1e9, 0, math.Copysign(0, -1), 3.7e4 * float64(i), -12.5, 1.5e300}[i%6]
+	}
+	var tops []wan.LinkID // the distinct best links, in flow order
+	for _, fl := range flows {
+		if top := f.genA.Predict(core.Query{Flow: fl, K: 1}); len(top) > 0 && !slices.Contains(tops, top[0].Link) {
+			tops = append(tops, top[0].Link)
+		}
+	}
+	if len(tops) < 2 {
+		t.Fatalf("the what-if's flows have %d distinct best links, want 2 or more", len(tops))
+	}
+	for name, ex := range map[string][]wan.LinkID{
+		"none": nil, "one": tops[:1], "two": tops[:2], "all": slices.Clone(f.sim.Links()),
+	} {
+		if ex != nil {
+			ex = append(ex, math.MaxUint32, ex[0])
+		}
+		for gname, gen := range map[string]*Models{"A": f.genA, "B": f.genB, "untrained": Untrained(f.sim, f.metros)} {
+			for _, k := range []int{1, 3, 16} {
+				r := *req
+				r.ExcludeLinks, r.K = ex, k
+				want, got := respondReference(gen, &r, flows), gen.Respond(&r, flows, noClock, nil)
+				where := fmt.Sprintf("generation %s, %s excluded, k=%d", gname, name, k)
+				if len(got.Results) != len(want.Results) {
+					t.Fatalf("%s: %d results, want %d", where, len(got.Results), len(want.Results))
+				}
+				for i, w := range want.Results {
+					g := got.Results[i]
+					if g.Flow != w.Flow || g.Model != w.Model || (g.Links == nil) != (w.Links == nil) ||
+						!slices.EqualFunc(g.Links, w.Links, func(a, b LinkShare) bool {
+							return a.Link == b.Link && sameFloat(a.Frac, b.Frac) && sameFloat(a.Bytes, b.Bytes)
+						}) {
+						t.Fatalf("%s: flow %d answered %+v, want %+v", where, i, g, w)
+					}
+				}
+				if len(got.Shifted) != len(want.Shifted) {
+					t.Fatalf("%s: %d shifted links, want %d", where, len(got.Shifted), len(want.Shifted))
+				}
+				for l, w := range want.Shifted {
+					if g, ok := got.Shifted[l]; !ok || !sameFloat(g, w) {
+						t.Fatalf("%s: link %d shifted %v, want %v", where, l, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestResponseWireShape pins the JSON of the edge cases clients may
 // have come to rely on: no flows and an unanswerable flow both encode
 // null, and k defaults to 3.
@@ -371,9 +483,12 @@ func TestEncodeNamesTheBadFlow(t *testing.T) {
 // core.Predictor implementations included; a lower number is
 // committed by editing it.
 const (
-	encodeAllocs  = 1   // Request.Encode: the []FlowFeatures
-	respondAllocs = 302 // Models.Respond, of which
-	walkAllocs    = 286 // are made inside its Models.Walk calls
+	encodeAllocs = 1 // Request.Encode: the []FlowFeatures
+	// Models.Respond: the Response, its Results, the prediction and
+	// link arrays, and the shifted map (a header, a directory, a table
+	// and its groups once it holds more than eight links).
+	respondAllocs = 8
+	walkAllocs    = 0 // inside its Models.Walk calls, which append into its array
 )
 
 func TestWhatIfAllocs(t *testing.T) {
@@ -387,19 +502,49 @@ func TestWhatIfAllocs(t *testing.T) {
 	}); got != encodeAllocs {
 		t.Errorf("Request.Encode allocates %v times per %d-flow request, want %d", got, len(flows), encodeAllocs)
 	}
-	if got := testing.AllocsPerRun(20, func() {
-		f.genA.Respond(req, flows, noClock, nil)
-	}); got != respondAllocs {
-		t.Errorf("Models.Respond allocates %v times per %d-flow what-if, want %d", got, len(flows), respondAllocs)
-	}
 	excluded := req.ExcludeLinks[0]
 	q := core.Query{K: req.K, Exclude: func(l wan.LinkID) bool { return l == excluded }}
+	preds := make([]core.Prediction, 0, len(flows)*req.K+scratchPreds) // as Respond sizes it
 	if got := testing.AllocsPerRun(20, func() {
+		dst := preds
 		for i := range flows {
 			q.Flow = flows[i]
-			f.genA.Walk(q, noClock)
+			dst, _ = f.genA.Walk(dst, q, noClock)
 		}
 	}); got != walkAllocs {
 		t.Errorf("Models.Walk allocates %v times over the %d flows, want %d", got, len(flows), walkAllocs)
 	}
+	t.Run("Respond", func(t *testing.T) {
+		alloctest.SkipPooledUnderRace(t) // its per-link scratch
+		if got := testing.AllocsPerRun(20, func() {
+			f.genA.Respond(req, flows, noClock, nil)
+		}); got != respondAllocs {
+			t.Errorf("Models.Respond allocates %v times per %d-flow what-if, want %d", got, len(flows), respondAllocs)
+		}
+	})
+}
+
+// BenchmarkRespond is the predict stage of the 256-flow what-if: the
+// ladder walk for every flow, the link shares and shifted. Beside
+// BenchmarkDecodeRequest and BenchmarkAppendJSON it covers the third
+// stage of /v1/predict's handler. The clocked case reads a real clock
+// twice per rung attempt, as tipsyd times the walk; it reads it
+// through b.Elapsed, since the determinism rule keeps time.Now out of
+// tests.
+func BenchmarkRespond(b *testing.B) {
+	f := testFixture(b)
+	req, flows := f.whatIf(b, 255)
+	b.Run("noClock", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.genA.Respond(req, flows, noClock, nil)
+		}
+	})
+	b.Run("clocked", func(b *testing.B) {
+		clock := func() int64 { return int64(b.Elapsed()) }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.genA.Respond(req, flows, clock, nil)
+		}
+	})
 }

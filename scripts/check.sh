@@ -66,7 +66,7 @@ else
     # drops items there by design); run every pin once without it.
     echo "==> allocation pins (without the race detector)"
     go test -count=1 -run 'Allocs$|ZeroAlloc$' \
-        ./internal/ipfix ./internal/pipeline ./internal/dataset ./internal/serve ./cmd/tipsyd
+        ./internal/ipfix ./internal/pipeline ./internal/dataset ./internal/core ./internal/serve ./cmd/tipsyd
 fi
 
 echo "==> coverage floor (>= ${coverage_floor}%)"
