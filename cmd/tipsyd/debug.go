@@ -9,6 +9,7 @@ import (
 	"runtime"
 	rpprof "runtime/pprof"
 	"strconv"
+	"time"
 
 	"tipsy/internal/bundle"
 	"tipsy/internal/monitor"
@@ -79,8 +80,11 @@ func (s *server) onAlarm(st monitor.AlarmStatus) {
 // writeBundle snapshots the daemon's diagnostic state into a new
 // bundle directory under s.bundleDir and returns its path. Writes are
 // serialized: concurrent alarms and manual requests queue rather than
-// interleave, and bundleSeq keeps names unique even under a frozen
-// fake clock.
+// interleave, and bundleSeq keeps names unique even when two bundles
+// share a timestamp. The name and the manifest's CreatedNs read the
+// wall clock, not the span clock: they are wall-time stamps, and must
+// agree with log_tail.txt's after a clock step or a suspend, which the
+// process-start-anchored span clock does not see.
 func (s *server) writeBundle(reason string) (string, error) {
 	if s.bundleDir == "" {
 		return "", errors.New("bundle directory disabled")
@@ -88,7 +92,7 @@ func (s *server) writeBundle(reason string) (string, error) {
 	s.bundleMu.Lock()
 	defer s.bundleMu.Unlock()
 	s.bundleSeq++
-	now := s.clock()
+	now := time.Now().UnixNano()
 	// Snapshot the flight recorder and quality report once, up front,
 	// so every section of the bundle describes the same instant.
 	spans := s.flight.Snapshot()

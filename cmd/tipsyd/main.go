@@ -153,10 +153,10 @@ type server struct {
 	// hours behind the telemetry. 0 disables the staleness check.
 	staleAfter wan.Hour
 
-	// clock is the nanosecond wall clock behind every span timestamp
-	// (and so the request stage timings) and the per-rung ladder
-	// timings; tests swap it for a counter so span dumps golden. It
-	// must be safe for concurrent use.
+	// clock is the nanosecond clock behind every span timestamp (and
+	// so the request stage timings) and the per-rung ladder timings,
+	// obsv.Now unless a test swaps in a counter so span dumps golden.
+	// It must be safe for concurrent use.
 	clock func() int64
 	// tracer + flight are the span-tracing subsystem: every span lands
 	// in the flight-recorder ring, which /debug/trace and diagnostic
@@ -376,7 +376,7 @@ func newServer(seed int64, trainDays int, mcfg monitor.Config) *server {
 		logHTTP:      logger.With("component", "http"),
 		logCkpt:      logger.With("component", "checkpoint"),
 		logBundle:    logger.With("component", "bundle"),
-		clock:        realClock,
+		clock:        obsv.Now,
 		rtb:          obsv.NewRuntimeBridge(reg),
 		logRing:      obsv.NewLogRing(logRingBytes),
 		seed:         seed,
@@ -390,10 +390,6 @@ func newServer(seed int64, trainDays int, mcfg monitor.Config) *server {
 	s.reg.SetInfo("tipsy_build_info", buildInfoLabels(seed))
 	return s
 }
-
-// realClock is the production span clock; tests swap server.clock for
-// a counter so span dumps golden.
-func realClock() int64 { return time.Now().UnixNano() }
 
 // buildVersion reports the module version stamped into the binary, or
 // "unknown" for plain `go test` / development builds.

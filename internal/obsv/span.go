@@ -145,17 +145,27 @@ type Tracer struct {
 	pool  sync.Pool     // *Span, so spans recycle instead of allocating
 }
 
-// wallNanos is the default span clock.
-func wallNanos() int64 { return time.Now().UnixNano() }
+// epoch anchors Now: the wall clock read once at process start, with
+// the monotonic reading that comes with it.
+var (
+	epoch      = time.Now()
+	epochNanos = epoch.UnixNano()
+)
+
+// Now is the span clock: Unix nanoseconds at process start plus the
+// monotonic time since. A span it times never ends before it starts,
+// even when the wall clock steps back, and a read costs one monotonic
+// clock read. It is safe for concurrent use.
+func Now() int64 { return epochNanos + int64(time.Since(epoch)) }
 
 // NewTracer builds a tracer recording every span into rec (which may
 // be nil: spans then run their lifecycle but records go nowhere —
 // mainly useful in benchmarks). clock supplies nanosecond timestamps
-// for every span start, end, and event; nil means the wall clock, and
+// for every span start, end, and event; nil means Now, and
 // tests and tipsyd inject their own so dumps are deterministic.
 func NewTracer(rec *Recorder, clock func() int64) *Tracer {
 	if clock == nil {
-		clock = wallNanos
+		clock = Now
 	}
 	t := &Tracer{clock: clock, rec: rec}
 	t.pool.New = func() any { return new(Span) }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // counterClock is a monotonically ticking fake clock: every read
@@ -171,8 +172,56 @@ func TestSampledSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDefaultClockIsMonotonic: the default tracer times spans on Now,
+// and Now follows its process-start anchor plus monotonic time, not the
+// wall clock. The test re-anchors Now a day ahead of the wall clock, as
+// if the wall clock had been stepped back a day since the process
+// started; a clock that read the wall would then fall a day behind the
+// anchor, and a span it timed across such a step would end before it
+// started. Two goroutines then check, over many spans, that every span
+// starts between the Now reads around it and never ends before it
+// starts.
+func TestDefaultClockIsMonotonic(t *testing.T) {
+	defer func(anchor int64) { epochNanos = anchor }(epochNanos)
+	epochNanos += int64(24 * time.Hour)
+	if now := Now(); now < epochNanos {
+		t.Fatalf("Now reads %v before its anchor, which is a day ahead of the wall clock: it reads the wall clock",
+			time.Duration(epochNanos-now))
+	}
+
+	const perWorker = 100_000
+	rec := NewRecorder(256)
+	tr := NewTracer(rec, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				before := Now()
+				sp := tr.StartRoot("tick")
+				after := Now()
+				if start := sp.rec.Start; start < before || start > after {
+					t.Errorf("span %d starts at %d, outside the Now reads [%d, %d] around it", i, start, before, after)
+					return
+				}
+				if d := sp.End(); d < 0 {
+					t.Errorf("span %d ends %d ns before it starts", i, -d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, r := range rec.Snapshot() {
+		if r.End < r.Start {
+			t.Fatalf("recorded span %v ends at %d, before its start %d", r.ID, r.End, r.Start)
+		}
+	}
+}
+
 // BenchmarkSpanLifecycle times one span — start, one int attribute,
-// end — against a recording tracer on the wall clock and against a nil
+// end — against a recording tracer on the default clock and a nil
 // one. The disabled number is what every instrumented hot path pays
 // when tracing is off: a few nil checks.
 func BenchmarkSpanLifecycle(b *testing.B) {

@@ -626,16 +626,21 @@ func comma(b []byte, i int) []byte {
 
 // appendFloat is encoding/json's float64 format: the shortest decimal
 // that round-trips, with an exponent only below 1e-6 and from 1e21.
+// appendFixed writes the fixed-notation range; strconv writes zero,
+// the exponent range, NaN and the infinities.
 func appendFloat(b []byte, f float64, finite *bool) []byte {
+	abs := math.Abs(f)
+	if fixedMin <= abs && abs < fixedMax {
+		return appendFixed(b, f)
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		*finite = false
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs == 0 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1] // e-09 is written e-9
 		b = b[:n-1]
 	}

@@ -202,6 +202,7 @@ func randomResponse(rng *rand.Rand) *Response {
 	floats := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 1e-7, 1e-6, 9.999999e-7, 1e-9, 1.5e-10, 1e20, 1e21, 9.99e20, -1e21, 1e22,
 		5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64, 123456789.125, 1e9, 0.3333333333333333,
+		math.Nextafter(1e-6, 0), math.Nextafter(1e21, 0), 1<<53 - 1, 1 << 53, math.Nextafter(1<<53, math.Inf(1)), sumPointOneTwo,
 	}
 	float := func() float64 {
 		if rng.Intn(3) == 0 {

@@ -6,11 +6,12 @@
 # leaks, lock order and guarded fields, wire-encoder errors, goroutine
 # hygiene, metrics, slog; one invocation), the test suite
 # under the race detector with a total-coverage floor, the exact
-# allocation pins once without the race detector (the pooled ones skip
-# under it), the nested bench module's vet and smoke test, a 15s fuzz
-# pass per protocol decoder, for the IPFIX stream reader against its
-# two-ReadFull oracle, for the /v1/predict request decoder against its
-# encoding/json oracle, for the aggregator against its single-map
+# allocation pins and the shortest-float kernel's random sweep once
+# without the race detector (both skip under it), the nested bench
+# module's vet and smoke test, a 15s fuzz pass per protocol decoder,
+# for the IPFIX stream reader against its two-ReadFull oracle, for the /v1/predict request decoder against its
+# encoding/json oracle, for the answer's shortest-float kernel against
+# strconv, for the aggregator against its single-map
 # oracle, for the shared interning index (features.Index) against a
 # Go map, for the §4.2 encoder against its every-record-through-the-
 # dictionaries oracle, for the geo fallback rung against its full-sort
@@ -63,9 +64,11 @@ else
     echo "==> go test -race -count=1 ./..."
     go test -race -count=1 -coverprofile="$covprofile" ./...
     # Pins that pass through a sync.Pool skip under -race (the pool
-    # drops items there by design); run every pin once without it.
-    echo "==> allocation pins (without the race detector)"
-    go test -count=1 -run 'Allocs$|ZeroAlloc$' \
+    # drops items there by design), and so does the shortest-float
+    # kernel's 10 M-value sweep (minutes there, single-goroutine);
+    # run every pin and the sweep once without it.
+    echo "==> allocation pins and the float sweep (without the race detector)"
+    go test -count=1 -run 'Allocs$|ZeroAlloc$|^TestAppendFloatMatchesStrconv$' \
         ./internal/ipfix ./internal/pipeline ./internal/dataset ./internal/core ./internal/serve ./cmd/tipsyd
 fi
 
@@ -88,6 +91,7 @@ if [[ $short -eq 0 ]]; then
     go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
     go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
     go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
+    go test -fuzz=FuzzAppendFloat -fuzztime=15s -run '^$' ./internal/serve
     go test -fuzz=FuzzGeoNearest -fuzztime=15s -run '^$' ./internal/core
     go test -fuzz=FuzzReadFramed -fuzztime=15s -run '^$' ./internal/core
     go test -fuzz=FuzzLoadCheckpoint -fuzztime=15s -run '^$' ./internal/core
