@@ -53,6 +53,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -187,13 +188,29 @@ type server struct {
 	gen atomic.Pointer[serve.Models]
 
 	mu sync.RWMutex
+	// records is the sliding training window as daily rows
+	// (dataset.DailyRows): one per (day, flow, link), days counted from
+	// each cycle's start hour, so the trainDays cutoff always falls on
+	// a row day's edge. It trains the same models as the hourly
+	// records it sums.
 	//tipsy:guardedby mu
 	records []features.Record
+	// days counts, per day in the window and in order, the hourly
+	// records its rows sum.
+	//tipsy:guardedby mu
+	days []windowDay
 	// simulated is the wan.Hour the simulation has reached. Only the
 	// goroutine that runs cycles writes it (and checkpoint recovery,
 	// before serving starts), so a request reads it without waiting
 	// on mu while a cycle appends to and trims the window.
 	simulated atomic.Int32
+}
+
+// windowDay is one simulated day of the training window: its first
+// hour and the number of hourly records its rows sum.
+type windowDay struct {
+	from    wan.Hour
+	records int
 }
 
 // defaultTraceSpans sizes the flight-recorder ring; logRingBytes
@@ -220,6 +237,11 @@ func main() {
 			"directory for diagnostic bundles (empty disables)")
 	)
 	flag.Parse()
+	if err := checkFlags(*trainDays, *dayEvery); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Tee the process logger into a ring so diagnostic bundles carry
 	// the log lines leading up to an incident.
@@ -268,6 +290,20 @@ func main() {
 		os.Exit(1)
 	}
 	s.logMain.Info("tipsyd shut down cleanly")
+}
+
+// checkFlags refuses the flag values that can never work, as the flag
+// package refuses a malformed one: a -train-days below 1 would leave
+// every retrain an empty window, so no model would ever serve, and no
+// ticker runs on a -day-every that is not positive.
+func checkFlags(trainDays int, dayEvery time.Duration) error {
+	switch {
+	case trainDays < 1:
+		return fmt.Errorf("invalid value %d for flag -train-days: the training window needs at least one day", trainDays)
+	case dayEvery <= 0:
+		return fmt.Errorf("invalid value %v for flag -day-every: a simulated day needs a positive interval", dayEvery)
+	}
+	return nil
 }
 
 // newLogger builds the process-wide slog handler from the -log-level
@@ -512,15 +548,17 @@ func (s *server) cycle(n int, due bool) bool {
 	return true
 }
 
-// advanceDays simulates n more days of traffic into the record store.
-// The drained records double as ground truth: the aggregator streams
-// them to the monitor, which joins them against outstanding
-// predictions before the simulated clock advances past their hours.
-// Under parent, "ingest" covers the simulated run (the aggregator's
-// own aggregate_batch / drain / truth_join spans parent under the same
+// advanceDays simulates n more days of traffic into the training
+// window and returns the drained hourly records. They double as
+// ground truth: the aggregator streams them to the monitor, which
+// joins them against outstanding predictions before the simulated
+// clock advances past their hours. The window keeps them only as
+// daily rows counted from the cycle's start hour. Under parent,
+// "ingest" covers the simulated run (the aggregator's own
+// aggregate_batch / drain / truth_join spans parent under the same
 // trace) and "truth_close" the monitor sealing the drained hours; a
 // nil parent records nothing.
-func (s *server) advanceDays(n int, parent *obsv.Span) {
+func (s *server) advanceDays(n int, parent *obsv.Span) []features.Record {
 	from := s.simHour()
 	to := from + wan.Hour(n*24)
 	agg := pipeline.NewAggregatorOn(s.reg, s.sim.GeoIP(), s.sim.DstMetadata)
@@ -535,13 +573,24 @@ func (s *server) advanceDays(n int, parent *obsv.Span) {
 	csp := s.tracer.StartChild(parent, "truth_close")
 	s.mon.AdvanceTo(to)
 	csp.End()
-	s.mu.Lock()
-	s.records = append(s.records, recs...)
-	// Trim the store to what retraining needs.
+	rows := dataset.DailyRows(recs, from)
+	days := make([]windowDay, n)
+	for d := range days {
+		days[d].from = from + wan.Hour(d*24)
+	}
+	for i := range recs {
+		if r := &recs[i]; r.Bytes > 0 && r.Hour >= from && r.Hour < to {
+			days[(r.Hour-from)/24].records++
+		}
+	}
+	// Trim the window to what retraining needs.
 	cutoff := to - wan.Hour(s.trainDays*24)
-	s.records = dataset.Window(s.records, cutoff, to)
+	s.mu.Lock()
+	s.records = dataset.Window(append(s.records, rows...), cutoff, to)
+	s.days = slices.DeleteFunc(append(s.days, days...), func(d windowDay) bool { return d.from < cutoff })
 	s.mu.Unlock()
 	s.simulated.Store(int32(to))
+	return recs
 }
 
 // simHour is the hour the simulation has reached.
@@ -555,17 +604,21 @@ func (s *server) simHour() wan.Hour { return wan.Hour(s.simulated.Load()) }
 // (failure).
 func (s *server) retrain(parent *obsv.Span) {
 	s.mu.RLock()
-	recs := s.records
+	rows, records := s.records, 0
+	for _, d := range s.days {
+		records += d.records
+	}
 	s.mu.RUnlock()
 	now := s.simHour()
-	if len(recs) == 0 {
+	if len(rows) == 0 {
 		return
 	}
 	rsp := s.tracer.StartChild(parent, "retrain")
 	tsp := s.tracer.StartChild(rsp, "train")
-	gen := serve.Train(recs, now, s.sim, s.metros)
+	gen := serve.Train(rows, now, s.sim, s.metros)
 	s.gen.Store(gen)
-	tsp.SetInt("records", int64(len(recs)))
+	tsp.SetInt("rows", int64(len(rows)))
+	tsp.SetInt("records", int64(records))
 	tuples := gen.Tuples()
 	tsp.SetInt("tuples", int64(tuples))
 	tsp.End()
@@ -574,10 +627,10 @@ func (s *server) retrain(parent *obsv.Span) {
 	// are what next day's telemetry will be joined against.
 	s.mon.FreezeBaseline(now)
 	ssp := s.tracer.StartChild(rsp, "shadow_predict")
-	s.shadowPredict(gen, now, recs, ssp)
+	s.shadowPredict(gen, now, rows, ssp)
 	ssp.End()
 	s.logTrain.Info("retrained",
-		"hour", now, "records", len(recs), "tuples", tuples)
+		"hour", now, "rows", len(rows), "records", records, "tuples", tuples)
 	switch err := s.saveCheckpoint(); {
 	case err != nil:
 		rsp.Error("checkpoint write failed")
@@ -760,7 +813,8 @@ func (s *server) handleLinks(w http.ResponseWriter, r *http.Request) {
 
 // handleSample returns a few flow tuples present in the training
 // window, ready to paste into /v1/predict bodies — handy for demos
-// and smoke tests.
+// and smoke tests. A flow's bytes are its sampled pair's bytes over
+// the first day the window holds it.
 func (s *server) handleSample(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	recs := s.records

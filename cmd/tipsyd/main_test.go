@@ -19,6 +19,7 @@ import (
 	"tipsy/internal/core"
 	"tipsy/internal/monitor"
 	"tipsy/internal/serve"
+	"tipsy/internal/wan"
 )
 
 var (
@@ -424,14 +425,22 @@ func TestRetrainAdvancesModel(t *testing.T) {
 	if after := s.gen.Load().TrainedAt(); after != before+24 {
 		t.Errorf("trainedAt %d -> %d, want +24", before, after)
 	}
-	// The sliding window keeps only trainDays of records.
+	// The sliding window keeps trainDays of rows: none older than the
+	// cutoff, and none of those days dropped early.
 	if len(s.records) == 0 {
 		t.Fatal("record store empty after retrain")
 	}
 	cutoff := s.simHour() - 24*4
+	var perDay [4]int
 	for _, r := range s.records {
 		if r.Hour < cutoff {
 			t.Fatalf("record at hour %d survived the %d cutoff", r.Hour, cutoff)
+		}
+		perDay[(r.Hour-cutoff)/24]++
+	}
+	for d, n := range perDay {
+		if n == 0 || len(s.days) != 4 || s.days[d].from != cutoff+wan.Hour(24*d) || s.days[d].records < n {
+			t.Errorf("window day %d from hour %d: %d rows, %d days counted (%+v)", d, cutoff+wan.Hour(24*d), n, len(s.days), s.days)
 		}
 	}
 }

@@ -8,6 +8,7 @@
 package dataset
 
 import (
+	"slices"
 	"sort"
 
 	"tipsy/internal/features"
@@ -31,6 +32,62 @@ func Window(recs []features.Record, from, to wan.Hour) []features.Record {
 		}
 	}
 	return out
+}
+
+// DailyRows sums hourly records into one row per (day, flow, link),
+// days counted in 24-hour steps from start (hours before start fall in
+// negative days). A row's Bytes is the day's total, added in input
+// order, and its Hour is the pair's first hour that day. Records with
+// !(Bytes > 0) are dropped, as core.TrainHistorical drops them. The
+// rows come out strictly increasing under features.Record.Compare.
+//
+// A Historical fit over the rows equals the fit over the records bit
+// for bit when every byte count is an integer and every slot's total
+// stays below 2^53: float64 adds such integers exactly, in any
+// grouping. Sorting the rows keeps each flow's first sighting at the
+// hour, and in the order, the records had it. A window cut at start
+// plus a multiple of 24 hours never splits a row's day.
+func DailyRows(recs []features.Record, start wan.Hour) []features.Record {
+	dayOf := func(h wan.Hour) int64 {
+		d := int64(h) - int64(start)
+		if d < 0 {
+			d -= 23
+		}
+		return d / 24
+	}
+	// Pairs intern to dense ids; each pair chains its rows newest
+	// first, so drain-ordered input finds its row at the chain's head.
+	pairs := features.NewIndex(1 << 10)
+	var head []int32 // by pair: its newest row
+	var prev []int32 // by row: the pair's row before it
+	var rows []features.Record
+	for i := range recs {
+		r := &recs[i]
+		if !(r.Bytes > 0) {
+			continue
+		}
+		k := r.Flow.Key(r.Link)
+		p, ok := pairs.Find(k)
+		if !ok {
+			p, _ = pairs.Intern(k, int32(len(head)))
+			head = append(head, -1)
+		}
+		day := dayOf(r.Hour)
+		j := head[p]
+		for j >= 0 && dayOf(rows[j].Hour) != day {
+			j = prev[j]
+		}
+		if j < 0 {
+			prev = append(prev, head[p])
+			head[p] = int32(len(rows))
+			rows = append(rows, *r)
+			continue
+		}
+		rows[j].Bytes += r.Bytes
+		rows[j].Hour = min(rows[j].Hour, r.Hour)
+	}
+	slices.SortFunc(rows, features.Record.Compare)
+	return rows
 }
 
 // InferredOutage is one outage event reconstructed from telemetry.

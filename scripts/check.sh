@@ -14,7 +14,9 @@
 # strconv, for the aggregator against its single-map
 # oracle, for the shared interning index (features.Index) against a
 # Go map, for the §4.2 encoder against its every-record-through-the-
-# dictionaries oracle, for the geo fallback rung against its full-sort
+# dictionaries oracle, for tipsyd's daily window rows
+# (dataset.DailyRows) against a Go-map oracle, for the geo fallback
+# rung against its full-sort
 # oracle, for the model/checkpoint frame reader, for the checkpoint
 # loader and for the diagnostic-bundle manifest reader, and the chaos
 # soak. The
@@ -98,6 +100,7 @@ if [[ $short -eq 0 ]]; then
     go test -fuzz=FuzzAggregator -fuzztime=15s -run '^$' ./internal/pipeline
     go test -fuzz=FuzzIndex -fuzztime=15s -run '^$' ./internal/features
     go test -fuzz=FuzzEncode -fuzztime=15s -run '^$' ./internal/pipeline
+    go test -fuzz=FuzzDailyRows -fuzztime=15s -run '^$' ./internal/dataset
     go test -fuzz=FuzzReadManifest -fuzztime=15s -run '^$' ./internal/bundle
 fi
 
