@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"tipsy/internal/bgp"
-	"tipsy/internal/bmp"
 	"tipsy/internal/core"
 	"tipsy/internal/eval"
 	"tipsy/internal/features"
@@ -417,27 +416,6 @@ func BenchmarkResolveFlow(b *testing.B) {
 	}
 }
 
-func BenchmarkBGPUpdateRoundTrip(b *testing.B) {
-	u := &bgp.Update{
-		Attrs: bgp.PathAttrs{
-			Origin:  bgp.OriginIGP,
-			ASPath:  []bgp.ASN{64500, 174, 3356},
-			NextHop: bgp.V4(192, 0, 2, 1),
-		},
-		NLRI: []bgp.Prefix{
-			bgp.MakePrefix(bgp.V4(40, 0, 0, 0), 16),
-			bgp.MakePrefix(bgp.V4(40, 1, 0, 0), 16),
-		},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg := u.Marshal()
-		if _, err := bgp.Unmarshal(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkIPFIXRecordRoundTrip(b *testing.B) {
 	rec := &ipfix.FlowRecord{
 		SrcAddr: bgp.V4(11, 0, 3, 7), DstAddr: bgp.V4(40, 1, 2, 3),
@@ -450,22 +428,6 @@ func BenchmarkIPFIXRecordRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !ct.DecodeFlow(rec.Marshal(), &out) {
 			b.Fatal("flow record did not decode")
-		}
-	}
-}
-
-func BenchmarkBMPRouteMonitoringRoundTrip(b *testing.B) {
-	rm := &bmp.RouteMonitoring{
-		Peer: bmp.PeerHeader{Address: bgp.V4(198, 51, 100, 1), AS: 174, BGPID: 7},
-		Update: &bgp.Update{
-			Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{64500}, NextHop: 1},
-			NLRI:  []bgp.Prefix{bgp.MakePrefix(bgp.V4(40, 0, 0, 0), 10)},
-		},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bmp.Decode(rm.Marshal()); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

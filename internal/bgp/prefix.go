@@ -1,20 +1,11 @@
-// Package bgp implements the subset of the Border Gateway Protocol
-// (RFC 4271) that TIPSY's substrate needs: the message wire format
-// (OPEN, UPDATE, KEEPALIVE, NOTIFICATION), path attributes, prefix
-// encoding (NLRI), and the Gao-Rexford relationship classes the AS
-// graph labels its edges with. The codec carries the UPDATEs of the
-// BMP feed; route selection is netsim's resolver, not this package.
-//
-// The package is self-contained and uses four-octet AS numbers
-// throughout (RFC 6793 behaviour, without the AS_TRANS transition
-// machinery, since both ends of every simulated session are 4-octet
-// capable).
+// Package bgp holds the Border Gateway Protocol vocabulary the rest of
+// TIPSY shares: four-octet AS numbers (RFC 6793), the IPv4 prefix
+// type with its /24 feature helper, and the Gao-Rexford relationship
+// classes the AS graph labels its edges with. It has no wire format;
+// route selection is netsim's resolver, not this package.
 package bgp
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // ASN is a four-octet autonomous system number.
 type ASN uint32
@@ -28,11 +19,6 @@ type Prefix struct {
 	Addr uint32
 	Len  uint8
 }
-
-var (
-	errPrefixLen   = errors.New("bgp: prefix length exceeds 32")
-	errPrefixShort = errors.New("bgp: truncated prefix encoding")
-)
 
 // Mask returns the network mask implied by the prefix length.
 func Mask(length uint8) uint32 {
@@ -78,39 +64,3 @@ func (p Prefix) String() string {
 func FormatIP(ip uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
-
-// appendPrefix appends the RFC 4271 §4.3 NLRI encoding of p:
-// a one-octet length in bits followed by the minimum number of octets
-// needed to hold that many bits.
-func appendPrefix(dst []byte, p Prefix) []byte {
-	dst = append(dst, p.Len)
-	n := (int(p.Len) + 7) / 8
-	for i := 0; i < n; i++ {
-		dst = append(dst, byte(p.Addr>>(24-8*i)))
-	}
-	return dst
-}
-
-// decodePrefix decodes one NLRI-encoded prefix from buf, returning the
-// prefix and the number of bytes consumed.
-func decodePrefix(buf []byte) (Prefix, int, error) {
-	if len(buf) < 1 {
-		return Prefix{}, 0, errPrefixShort
-	}
-	length := buf[0]
-	if length > 32 {
-		return Prefix{}, 0, errPrefixLen
-	}
-	n := (int(length) + 7) / 8
-	if len(buf) < 1+n {
-		return Prefix{}, 0, errPrefixShort
-	}
-	var addr uint32
-	for i := 0; i < n; i++ {
-		addr |= uint32(buf[1+i]) << (24 - 8*i)
-	}
-	return MakePrefix(addr, length), 1 + n, nil
-}
-
-// prefixWireLen returns the encoded size of p in bytes.
-func prefixWireLen(p Prefix) int { return 1 + (int(p.Len)+7)/8 }

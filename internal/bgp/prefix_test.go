@@ -3,7 +3,6 @@ package bgp
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMask(t *testing.T) {
@@ -74,54 +73,6 @@ func TestPrefixString(t *testing.T) {
 	p := MakePrefix(V4(198, 51, 100, 0), 24)
 	if got := p.String(); got != "198.51.100.0/24" {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestPrefixWireRoundTrip(t *testing.T) {
-	cases := []Prefix{
-		MakePrefix(0, 0),
-		MakePrefix(V4(10, 0, 0, 0), 8),
-		MakePrefix(V4(172, 16, 0, 0), 12),
-		MakePrefix(V4(192, 0, 2, 0), 24),
-		MakePrefix(V4(192, 0, 2, 128), 25),
-		MakePrefix(V4(192, 0, 2, 255), 32),
-	}
-	for _, p := range cases {
-		buf := appendPrefix(nil, p)
-		if len(buf) != prefixWireLen(p) {
-			t.Errorf("%s: wire len %d, want %d", p, len(buf), prefixWireLen(p))
-		}
-		got, n, err := decodePrefix(buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", p, err)
-		}
-		if n != len(buf) || got != p {
-			t.Errorf("%s: round trip gave %s (consumed %d of %d)", p, got, n, len(buf))
-		}
-	}
-}
-
-func TestPrefixWireRoundTripProperty(t *testing.T) {
-	f := func(addr uint32, rawLen uint8) bool {
-		p := MakePrefix(addr, rawLen%33)
-		buf := appendPrefix(nil, p)
-		got, n, err := decodePrefix(buf)
-		return err == nil && n == len(buf) && got == p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodePrefixErrors(t *testing.T) {
-	if _, _, err := decodePrefix(nil); err == nil {
-		t.Error("empty buffer should fail")
-	}
-	if _, _, err := decodePrefix([]byte{33}); err == nil {
-		t.Error("length 33 should fail")
-	}
-	if _, _, err := decodePrefix([]byte{24, 10, 0}); err == nil {
-		t.Error("truncated body should fail")
 	}
 }
 

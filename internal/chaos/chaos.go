@@ -1,8 +1,8 @@
 // Package chaos implements a deterministic fault-injecting message
 // transport. It sits on the message hop between the simulated edge
-// routers and the telemetry receivers (the IPFIX collector and the
-// BMP station) and subjects every framed message to the failure modes
-// a real WAN telemetry path exhibits: loss, duplication, reordering,
+// routers and the telemetry receiver (the IPFIX collector) and
+// subjects every framed message to the failure modes a real WAN
+// telemetry path exhibits: loss, duplication, reordering,
 // byte corruption, truncation, and delivery delay.
 //
 // Every fault draw comes from a generator seeded by the scenario
@@ -47,8 +47,8 @@ type Config struct {
 	DelayMax int
 }
 
-// ForKey derives the config for one channel (one exporter, one BMP
-// router session) from the run's base config: probabilities are
+// ForKey derives the config for one channel (one exporter) from the
+// run's base config: probabilities are
 // shared, the seed is split so per-channel schedules are independent
 // but still a pure function of the scenario seed.
 func (c Config) ForKey(key uint64) Config {

@@ -95,7 +95,7 @@ func Rules() []Rule {
 		"internal/netsim", "internal/topology", "internal/traffic",
 		"internal/core", "internal/wan",
 	}
-	wireDirs := []string{"internal/ipfix", "internal/bmp", "internal/bgp"}
+	wireDirs := []string{"internal/ipfix", "internal/bgp"}
 	return []Rule{
 		{
 			Name:            "determinism",
@@ -125,7 +125,7 @@ func Rules() []Rule {
 		{
 			Name:      "metrics",
 			Doc:       "flag bare integer counter fields in instrumented packages; counters belong on the obsv registry",
-			Dirs:      []string{"internal/ipfix", "internal/bmp", "internal/pipeline", "internal/serve", "cmd/tipsyd"},
+			Dirs:      []string{"internal/ipfix", "internal/pipeline", "internal/serve", "cmd/tipsyd"},
 			SkipTests: true,
 			Check:     checkMetrics,
 		},

@@ -7,8 +7,8 @@ import (
 
 // checkWire guards the protocol encoders. A dropped error from
 // binary.Write/binary.Read or an io.Writer means a short or failed
-// write silently corrupts the byte stream — for IPFIX/BMP/BGP that is
-// a malformed PDU the peer may not even detect.
+// write silently corrupts the byte stream — for IPFIX that is a
+// malformed message the collector may not even detect.
 func checkWire(p *Package, report ReportFunc) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"tipsy/internal/bmp"
 	"tipsy/internal/chaos"
 	"tipsy/internal/core"
 	"tipsy/internal/features"
@@ -64,15 +63,13 @@ func TestSameSeedReplaysByteForByte(t *testing.T) {
 type chaosRunResult struct {
 	link  chaos.Stats
 	col   ipfix.CollectorStats
-	st    bmp.StationStats
 	preds uint64
 }
 
 // chaosRun drives a full telemetry cycle through fault-injecting
-// links: sim -> IPFIX exporter -> chaos -> collector -> aggregator,
-// with the BMP feed riding its own per-router chaos links, then trains
-// a Hist_AP on the surviving aggregates and fingerprints its
-// predictions.
+// link: sim -> IPFIX exporter -> chaos -> collector -> aggregator,
+// then trains a Hist_AP on the surviving aggregates and fingerprints
+// its predictions.
 func chaosRun(t *testing.T, seed int64, to wan.Hour) chaosRunResult {
 	t.Helper()
 	metros := geo.World()
@@ -97,22 +94,6 @@ func chaosRun(t *testing.T, seed int64, to wan.Hour) chaosRunResult {
 	})
 	exp := ipfix.NewExporter(ipfixLink.Writer(), 1)
 
-	st := bmp.NewStation()
-	bmpLinks := map[uint32]*chaos.Link{}
-	var routerOrder []uint32
-	send := func(routerID uint32, msg []byte) {
-		l := bmpLinks[routerID]
-		if l == nil {
-			id := routerID
-			l = chaos.NewLink(fault.ForKey(1<<32|uint64(id)), func(m []byte) {
-				_ = st.Handle(id, m)
-			})
-			bmpLinks[routerID] = l
-			routerOrder = append(routerOrder, routerID)
-		}
-		l.Send(msg)
-	}
-	s.EmitBMPBootstrap(0, send)
 	s.Run(RunOptions{
 		From: 0, To: to,
 		Sink: RecordSinkFunc(func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
@@ -120,15 +101,11 @@ func chaosRun(t *testing.T, seed int64, to wan.Hour) chaosRunResult {
 				t.Error(err)
 			}
 		}),
-		OnHourEnd: func(h wan.Hour) { s.EmitBMPHour(h, send) },
 	})
 	if err := exp.Flush(uint32(to) * 3600); err != nil {
 		t.Fatal(err)
 	}
 	ipfixLink.Flush()
-	for _, id := range routerOrder { // slice, not map: deterministic flush order
-		bmpLinks[id].Flush()
-	}
 
 	recs := agg.Records()
 	if len(recs) == 0 {
@@ -141,13 +118,13 @@ func chaosRun(t *testing.T, seed int64, to wan.Hour) chaosRunResult {
 			fmt.Fprintf(h, "%d|%d|%g\n", i, p.Link, p.Frac)
 		}
 	}
-	return chaosRunResult{link: ipfixLink.Stats(), col: col.Stats(), st: st.Stats(), preds: h.Sum64()}
+	return chaosRunResult{link: ipfixLink.Stats(), col: col.Stats(), preds: h.Sum64()}
 }
 
 // TestChaosReplayIsByteIdentical extends the determinism guarantee
 // across the fault injector: the same seed and the same chaos config
 // must replay the exact same fault schedule, so two runs produce
-// byte-identical transport, collector, and station stats — and a model
+// byte-identical transport and collector stats — and a model
 // trained downstream of the faults makes identical predictions.
 func TestChaosReplayIsByteIdentical(t *testing.T) {
 	const seed, hours = 11, 8

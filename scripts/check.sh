@@ -8,7 +8,7 @@
 # under the race detector with a total-coverage floor, the exact
 # allocation pins and the shortest-float kernel's random sweep once
 # without the race detector (both skip under it), the nested bench
-# module's vet and smoke test, a 15s fuzz pass per protocol decoder,
+# module's vet and smoke test, a 15s fuzz pass for the IPFIX decoder,
 # for the IPFIX stream reader against its two-ReadFull oracle, for the /v1/predict request decoder against its
 # encoding/json oracle, for the answer's shortest-float kernel against
 # strconv, for the aggregator against its single-map
@@ -91,7 +91,6 @@ if [[ $short -eq 0 ]]; then
     echo "==> fuzz quick pass (15s per target)"
     go test -fuzz=FuzzIPFIXDecode -fuzztime=15s -run '^$' ./internal/ipfix
     go test -fuzz=FuzzReadStreamBatch -fuzztime=15s -run '^$' ./internal/ipfix
-    go test -fuzz=FuzzBMPDecode -fuzztime=15s -run '^$' ./internal/bmp
     go test -fuzz=FuzzDecodeRequest -fuzztime=15s -run '^$' ./internal/serve
     go test -fuzz=FuzzAppendFloat -fuzztime=15s -run '^$' ./internal/serve
     go test -fuzz=FuzzGeoNearest -fuzztime=15s -run '^$' ./internal/core
