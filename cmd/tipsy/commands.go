@@ -146,7 +146,7 @@ func cmdTrain(args []string) error {
 	setName := fs.String("set", "AP", "feature set: A | AP | AL")
 	fromHour := fs.Int("from-hour", 0, "training window start (hours)")
 	toHour := fs.Int("to-hour", 1<<30, "training window end (hours, exclusive)")
-	out := fs.String("o", "model.tipsy", "output model path")
+	out := fs.String("o", "model.tipsy", "output checkpoint path")
 	fs.Parse(args)
 
 	b, err := loadBundle(*in)
@@ -161,8 +161,15 @@ func cmdTrain(args []string) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("no records in window [%d, %d)", *fromHour, *toHour)
 	}
+	// The checkpoint is stamped with the window's end: -to-hour, or
+	// the hour after the last record when the data stops earlier.
+	last := recs[0].Hour
+	for _, r := range recs {
+		last = max(last, r.Hour)
+	}
 	h := core.TrainHistorical(set, recs, core.DefaultHistOpts())
-	if err := h.SaveFile(*out); err != nil {
+	ck := &core.Checkpoint{TrainedAt: min(wan.Hour(*toHour), last+1), Models: []*core.Historical{h}}
+	if err := ck.SaveFile(*out); err != nil {
 		return err
 	}
 	fmt.Printf("trained %s on %d records: %d tuples, %d entries -> %s\n",
@@ -173,7 +180,7 @@ func cmdTrain(args []string) error {
 func cmdPredict(args []string) error {
 	fs := newFlagSet("predict")
 	in := fs.String("i", "telemetry.tipsy", "telemetry bundle path (for link metadata and Geo-IP)")
-	modelPath := fs.String("model", "model.tipsy", "trained model path")
+	modelPath := fs.String("model", "model.tipsy", "checkpoint written by tipsy train")
 	src := fs.String("src", "", "source IPv4 address (dotted quad)")
 	asn := fs.Uint("as", 0, "source AS number")
 	region := fs.Uint("region", 0, "destination region id")
@@ -193,10 +200,14 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	hist, err := core.LoadHistoricalFile(*modelPath)
+	ck, err := core.LoadCheckpointFile(*modelPath)
 	if err != nil {
 		return err
 	}
+	if len(ck.Models) != 1 {
+		return fmt.Errorf("%s holds %d models; predict needs a checkpoint of one, as tipsy train writes", *modelPath, len(ck.Models))
+	}
+	hist := ck.Models[0]
 	metros := geo.World()
 	geoip := geo.NewGeoIPFromEntries(metros, b.GeoEntries)
 	prefix := bgp.Slash24(srcAddr)

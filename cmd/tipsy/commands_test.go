@@ -86,11 +86,27 @@ func TestCLIWorkflow(t *testing.T) {
 	if want := []string{"m.tipsy", "t.tipsy"}; !reflect.DeepEqual(names, want) {
 		t.Errorf("after two trainings the directory holds %q, want %q", names, want)
 	}
-	if _, err := core.LoadHistoricalFile(model); err != nil {
-		t.Errorf("trained model does not load: %v", err)
+	// The file is a one-model checkpoint stamped with the window's end.
+	ck, err := core.LoadCheckpointFile(model)
+	if err != nil {
+		t.Fatalf("trained model does not load: %v", err)
+	}
+	if len(ck.Models) != 1 || ck.TrainedAt != 96 || ck.Models[0].Name() != "Hist_AP" {
+		t.Errorf("checkpoint holds %d models trained at hour %d, want one Hist_AP at 96", len(ck.Models), ck.TrainedAt)
 	}
 	if err := cmdPredict([]string{"-i", bundle, "-model", model, "-src", "11.0.3.7"}); err != nil {
 		t.Fatalf("predict: %v", err)
+	}
+	// predict refuses a checkpoint of any other size and says how many
+	// models it found.
+	two := filepath.Join(t.TempDir(), "two.tipsy")
+	ck.Models = append(ck.Models, ck.Models[0])
+	if err := ck.SaveFile(two); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdPredict([]string{"-i", bundle, "-model", two, "-src", "11.0.3.7"}); err == nil ||
+		!strings.Contains(err.Error(), "holds 2 models") {
+		t.Errorf("a two-model checkpoint should be refused by count, got %v", err)
 	}
 	if err := cmdEval([]string{"-i", bundle, "-train-days", "4"}); err != nil {
 		t.Fatalf("eval: %v", err)

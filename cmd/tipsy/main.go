@@ -5,11 +5,16 @@
 //	tipsy train    -i telemetry.tipsy -set AP -to-hour 504 -o model.tipsy
 //	tipsy predict  -i telemetry.tipsy -model model.tipsy -src 11.0.3.7 -as 10007 -region 30 -svc 2
 //	tipsy eval     -i telemetry.tipsy -train-days 21
+//	tipsy suspicious -i telemetry.tipsy -train-days 21
+//	tipsy depeer   -i telemetry.tipsy -train-days 21
 //
 // simulate runs the Internet+WAN substrate and exports aggregated
-// telemetry; train builds a Historical model on a window of it;
-// predict answers single what-if queries; eval reproduces the
-// headline accuracy table on a train/test split.
+// telemetry; train fits a Historical model on a window of it and
+// writes a one-model checkpoint; predict answers single what-if
+// queries from that checkpoint; eval reproduces the headline accuracy
+// table on a train/test split; suspicious flags implausible ingress
+// arrivals (spoofing candidates); depeer ranks peers whose links add
+// little unique value.
 package main
 
 import (
@@ -58,7 +63,7 @@ func usage() {
 commands:
   simulate   run the simulated Internet+WAN and export telemetry
   info       summarize a telemetry bundle
-  train      train a Historical model on a telemetry window
+  train      train a Historical model on a telemetry window (writes a checkpoint)
   predict    predict ingress links for one flow
   eval       train/test split accuracy report
   suspicious flag implausible ingress arrivals (spoofing candidates)

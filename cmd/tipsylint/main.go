@@ -2,29 +2,24 @@
 // walks the given packages and enforces the project conventions that
 // go vet cannot: seeded-simulation determinism, mutex hygiene,
 // wire-encoder error handling, goroutine lifecycle discipline, and
-// registry-backed metrics hygiene.
+// registry-backed metrics and structured-logging hygiene.
 //
 // Usage:
 //
-//	tipsylint [-suppressions] [-stats] [-rules determinism,locks,...] ./...
+//	tipsylint packages...
 //
-// Exit status is 0 when clean, 1 when findings were reported, and 2
-// on usage, load, or typecheck errors. Individual findings are
-// silenced in the source with a justified directive on or above the
-// offending line:
-//
-//	//lint:ignore <rule> <reason>
-//
-// -suppressions inventories those directives instead of linting and
-// exits non-zero if any directive lacks a reason.
+// It takes no flags and runs every rule. Exit status is 0 when clean,
+// 1 when findings were reported, and 2 on usage, load, or typecheck
+// errors. A finding is fixed in the source; the one escape hatch is a
+// reasoned //tipsy:nolock on a deliberately lock-free field.
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"tipsy/internal/lint"
@@ -34,72 +29,23 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options is one parsed command line.
-type options struct {
-	suppressions bool
-	stats        bool
-	rules        []lint.Rule
-	patterns     []string
-}
-
-// run is the command: parse the arguments, load the packages, report.
+// run is the command: check the arguments, load the packages, report.
 func run(args []string, stdout, stderr io.Writer) int {
-	opts, ok := parseArgs(args, stderr)
-	if !ok {
-		return 2
-	}
-	pkgs, err := load(opts.patterns)
-	if err != nil {
-		fmt.Fprintln(stderr, "tipsylint:", err)
-		return 2
-	}
-	return report(opts, pkgs, stdout, stderr)
-}
-
-// parseArgs reads the flags and package patterns; on a usage error it
-// has already written the message and reports false.
-func parseArgs(args []string, stderr io.Writer) (options, bool) {
-	var opts options
-	fs := flag.NewFlagSet("tipsylint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.BoolVar(&opts.suppressions, "suppressions", false,
-		"list //lint:ignore directives instead of linting; exit 1 on any reasonless directive")
-	ruleList := fs.String("rules", "", "comma-separated rule subset (default: all)")
-	fs.BoolVar(&opts.stats, "stats", false,
-		"print per-rule wall time to stderr after the run")
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: tipsylint [-suppressions] [-stats] [-rules list] packages...")
-		fs.PrintDefaults()
+	isFlag := func(arg string) bool { return strings.HasPrefix(arg, "-") }
+	if len(args) == 0 || slices.ContainsFunc(args, isFlag) {
+		fmt.Fprintln(stderr, "usage: tipsylint packages...")
 		fmt.Fprintln(stderr, "\nrules:")
 		for _, r := range lint.Rules() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", r.Name, r.Doc)
 		}
+		return 2
 	}
-	if err := fs.Parse(args); err != nil {
-		return opts, false
+	pkgs, err := load(args)
+	if err != nil {
+		fmt.Fprintln(stderr, "tipsylint:", err)
+		return 2
 	}
-	opts.patterns = fs.Args()
-	if len(opts.patterns) == 0 {
-		fs.Usage()
-		return opts, false
-	}
-	opts.rules = lint.Rules()
-	if *ruleList != "" {
-		byName := map[string]lint.Rule{}
-		for _, r := range opts.rules {
-			byName[r.Name] = r
-		}
-		opts.rules = opts.rules[:0]
-		for _, name := range strings.Split(*ruleList, ",") {
-			r, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "tipsylint: unknown rule %q\n", name)
-				return opts, false
-			}
-			opts.rules = append(opts.rules, r)
-		}
-	}
-	return opts, true
+	return report(pkgs, stdout, stderr)
 }
 
 // load parses and type-checks the packages the patterns name, inside
@@ -117,7 +63,7 @@ func load(patterns []string) ([]*lint.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := loader.LoadDirs(dirs, 0)
+	pkgs, err := loader.LoadDirs(dirs)
 	if err != nil {
 		return nil, err
 	}
@@ -127,10 +73,10 @@ func load(patterns []string) ([]*lint.Package, error) {
 	return pkgs, nil
 }
 
-// report lints pkgs, or inventories their suppressions, writes the
-// result and returns the exit status. It does not write to pkgs, so
-// one loaded set can be reported on any number of times.
-func report(opts options, pkgs []*lint.Package, stdout, stderr io.Writer) int {
+// report lints pkgs with every rule, writes the findings and returns
+// the exit status. It does not write to pkgs, so one loaded set can
+// be reported on any number of times.
+func report(pkgs []*lint.Package, stdout, stderr io.Writer) int {
 	// Typecheck failures are load errors, not findings: the analyzers
 	// run on what did check, but the exit status must say the tree
 	// could not be fully analyzed.
@@ -141,26 +87,7 @@ func report(opts options, pkgs []*lint.Package, stdout, stderr io.Writer) int {
 			badLoad = true
 		}
 	}
-
-	if opts.suppressions {
-		if bad := lint.WriteSuppressions(stdout, lint.CollectSuppressions(pkgs)); bad {
-			return 1
-		}
-		if badLoad {
-			return 2
-		}
-		return 0
-	}
-
-	diags, ruleStats := lint.RunStats(pkgs, opts.rules)
-	if opts.stats {
-		// Stats go to stderr so stdout holds findings only.
-		fmt.Fprintln(stderr, "rule timings:")
-		for _, s := range ruleStats {
-			fmt.Fprintf(stderr, "  %-14s %10.2fms\n", s.Name,
-				float64(s.Elapsed.Microseconds())/1000)
-		}
-	}
+	diags := lint.Run(pkgs, lint.Rules())
 	lint.WriteText(stdout, diags)
 	if badLoad {
 		return 2

@@ -17,22 +17,18 @@ var module = sync.OnceValues(func() ([]*lint.Package, error) {
 	return load([]string{"./..."})
 })
 
-// runModule is run(flags..., "./...") on the shared load.
-func runModule(t *testing.T, stdout, stderr io.Writer, flags ...string) int {
+// runModule is run("./...") on the shared load.
+func runModule(t *testing.T, stdout, stderr io.Writer) int {
 	t.Helper()
-	opts, ok := parseArgs(append(flags, "./..."), stderr)
-	if !ok {
-		return 2
-	}
 	pkgs, err := module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return report(opts, pkgs, stdout, stderr)
+	return report(pkgs, stdout, stderr)
 }
 
 // TestRepoIsLintClean lints the entire repository with the CLI's own
-// argument parsing and report step — the invocation scripts/check.sh
+// load and report steps — the invocation scripts/check.sh
 // gates on — and requires a clean exit. If this fails, a change
 // somewhere in the tree violated a project convention; run `go run
 // ./cmd/tipsylint ./...` for the findings.
@@ -43,26 +39,12 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestRepoHasZeroSuppressions pins the suppression budget at zero:
-// every convention violation the analyzers find must be fixed in the
-// source, never silenced. If a directive ever becomes unavoidable,
-// this count is the place where adding it is a reviewed decision.
-func TestRepoHasZeroSuppressions(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := runModule(t, &out, &errOut, "-suppressions"); code != 0 {
-		t.Fatalf("tipsylint -suppressions exited %d:\n%s%s", code, out.String(), errOut.String())
-	}
-	if got := strings.TrimSpace(out.String()); got != "" {
-		t.Errorf("repository carries //lint:ignore directives (want zero):\n%s", got)
-	}
-}
-
 // TestFindingsExitOne pins the findings path: a fixture full of
 // violations must report them and exit 1 — not 0 (missed) and not 2
 // (which is reserved for infrastructure failures).
 func TestFindingsExitOne(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-rules", "locks", "internal/lint/testdata/locks/bad/..."}, &out, &errOut)
+	code := run([]string{"internal/lint/testdata/locks/bad/..."}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\n%s%s", code, out.String(), errOut.String())
 	}
@@ -111,16 +93,16 @@ func TestLoadErrorsExitTwo(t *testing.T) {
 	})
 }
 
-// TestUsageErrors pins the exit-2 paths.
+// TestUsageErrors pins the exit-2 paths: no packages, and any flag,
+// since tipsylint takes none.
 func TestUsageErrors(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run(nil, &out, &errOut); code != 2 {
-		t.Errorf("no packages: exit %d, want 2", code)
-	}
-	if code := run([]string{"-rules", "nosuch", "./..."}, &out, &errOut); code != 2 {
-		t.Errorf("unknown rule: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "nosuch") {
-		t.Errorf("stderr does not name the unknown rule: %s", errOut.String())
+	for _, args := range [][]string{nil, {"-stats", "./..."}, {"./...", "-rules"}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%q: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "usage: tipsylint packages...") {
+			t.Errorf("%q: stderr carries no usage line: %s", args, errOut.String())
+		}
 	}
 }

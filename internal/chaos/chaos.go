@@ -90,7 +90,9 @@ type held struct {
 // use, but delivery order is only deterministic when Send is called
 // from a single goroutine.
 type Link struct {
-	cfg     Config
+	//tipsy:nolock set in NewLink and never written afterwards
+	cfg Config
+	//tipsy:nolock set in NewLink and never written afterwards
 	deliver func([]byte)
 
 	mu sync.Mutex

@@ -114,10 +114,14 @@ type CMS struct {
 
 	mu sync.Mutex
 	// traffic[link][prefixIdx][flow] = bytes in the current hour
+	//tipsy:guardedby mu
 	traffic map[wan.LinkID]map[int]map[features.FlowFeatures]float64
-	active  []*Withdrawal
-	events  []Event
-	hot     map[wan.LinkID]int // consecutive hot hours
+	//tipsy:guardedby mu
+	active []*Withdrawal
+	//tipsy:guardedby mu
+	events []Event
+	//tipsy:guardedby mu
+	hot map[wan.LinkID]int // consecutive hot hours
 }
 
 // New creates a CMS over the network using the given trained

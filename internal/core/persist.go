@@ -26,11 +26,10 @@ var (
 
 // Snapshots are framed so a loader can tell a truncated or damaged
 // file from a valid one before handing bytes to gob: an 8-byte magic
-// (distinct per snapshot kind — gob alone cannot tell a model from a
-// checkpoint, since it matches struct fields by name), the payload
-// length, and a CRC-32 of the payload.
+// (distinct per snapshot kind — gob alone cannot tell one struct from
+// another, since it matches fields by name), the payload length, and a
+// CRC-32 of the payload.
 const (
-	modelMagic       = "TIPSYML1"
 	checkpointMagic  = "TIPSYCK1"
 	frameHeaderLen   = 8 + 8 + 4
 	maxSnapshotBytes = 1 << 32 // sanity cap against garbage length fields
@@ -201,54 +200,12 @@ func restoreHistorical(snap histSnapshot) (*Historical, error) {
 	return newHistorical(snap.Set, snap.Tuples, snap.Ends, snap.Preds), nil
 }
 
-// Save writes the model to w in a self-describing binary form, so a
-// daily-retrained model can be produced by one process (or machine)
-// and served by another. The frame carries a checksum, so a loader
-// can reject torn or damaged snapshots instead of serving from them.
-func (h *Historical) Save(w io.Writer) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h.snapshot()); err != nil {
-		return err
-	}
-	return writeFrame(w, modelMagic, buf.Bytes())
-}
-
-// SaveFile atomically writes the model to path: the bytes land in a
-// temp file first and are renamed into place, so a crash mid-write
-// never leaves a torn file where a serving process would look.
-func (h *Historical) SaveFile(path string) error {
-	return writeFileAtomic(path, h.Save)
-}
-
-// LoadHistorical reads a model previously written with Save. It
-// rejects truncated or damaged input with a descriptive error rather
-// than returning a silently incomplete model.
-func LoadHistorical(r io.Reader) (*Historical, error) {
-	payload, err := readFrame(r, modelMagic)
-	if err != nil {
-		return nil, fmt.Errorf("core: load historical: %w", err)
-	}
-	var snap histSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: load historical: %w: %v", ErrCorruptSnapshot, err)
-	}
-	return restoreHistorical(snap)
-}
-
-// LoadHistoricalFile reads a model from a file written by SaveFile.
-func LoadHistoricalFile(path string) (*Historical, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadHistorical(f)
-}
-
-// Checkpoint is a restartable serving state: the set of Historical
-// models a daemon had trained, stamped with the simulated hour the
-// training window ended at, so a restarted process knows how stale
-// the recovered models are.
+// Checkpoint is the one file format for trained models: the set of
+// Historical models a daemon had trained (or the one model `tipsy
+// train` fits), stamped with the simulated hour the training window
+// ended at, so a restarted process knows how stale the recovered
+// models are. The frame carries a checksum, so a loader rejects torn
+// or damaged files instead of serving from them.
 type Checkpoint struct {
 	TrainedAt wan.Hour
 	Models    []*Historical
@@ -260,8 +217,7 @@ type checkpointSnapshot struct {
 	Models    []histSnapshot
 }
 
-// Save writes the checkpoint in the same framed, checksummed form as
-// a single model snapshot.
+// Save writes the checkpoint to w, framed and checksummed.
 func (c *Checkpoint) Save(w io.Writer) error {
 	snap := checkpointSnapshot{Version: snapshotVersion, TrainedAt: int32(c.TrainedAt)}
 	for _, m := range c.Models {
@@ -274,7 +230,10 @@ func (c *Checkpoint) Save(w io.Writer) error {
 	return writeFrame(w, checkpointMagic, buf.Bytes())
 }
 
-// SaveFile atomically writes the checkpoint to path.
+// SaveFile atomically writes the checkpoint to path: the bytes land
+// in a temp file first and are renamed into place, so a crash
+// mid-write never leaves a torn file where a serving process would
+// look.
 func (c *Checkpoint) SaveFile(path string) error {
 	return writeFileAtomic(path, c.Save)
 }

@@ -15,6 +15,9 @@ import (
 	"tipsy/internal/wan"
 )
 
+// TestHistoricalSaveLoad round-trips one model through a one-model
+// checkpoint, the file `tipsy train` writes, and requires the same
+// predictions back, with and without exclusions.
 func TestHistoricalSaveLoad(t *testing.T) {
 	f1 := flow(64496, 0x0b000100, 3, 9, 1)
 	f2 := flow(174, 0x0b000200, 5, 9, 2)
@@ -23,14 +26,11 @@ func TestHistoricalSaveLoad(t *testing.T) {
 	}
 	orig := TrainHistorical(features.SetAP, recs, DefaultHistOpts())
 
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadHistorical(&buf)
+	ck, err := LoadCheckpoint(bytes.NewReader(saveCheckpoint(t, &Checkpoint{Models: []*Historical{orig}})))
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := ck.Models[0]
 	if back.Name() != orig.Name() || back.NumTuples() != orig.NumTuples() {
 		t.Fatalf("metadata mismatch: %s/%d vs %s/%d",
 			back.Name(), back.NumTuples(), orig.Name(), orig.NumTuples())
@@ -51,66 +51,62 @@ func TestHistoricalSaveLoad(t *testing.T) {
 	}
 }
 
-func TestLoadHistoricalRejectsGarbage(t *testing.T) {
-	if _, err := LoadHistorical(bytes.NewReader([]byte("not a model"))); err == nil {
+func TestLoadCheckpointRejectsGarbage(t *testing.T) {
+	if _, err := LoadCheckpoint(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Error("garbage should not load")
 	}
 	// Longer garbage that could swallow a whole frame header.
 	junk := bytes.Repeat([]byte{0xA5}, 4096)
-	if _, err := LoadHistorical(bytes.NewReader(junk)); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := LoadCheckpoint(bytes.NewReader(junk)); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("err = %v, want ErrBadSnapshot", err)
 	}
 }
 
-func savedModel(t *testing.T) (*Historical, []byte) {
-	t.Helper()
+// oneModelCheckpoint is the checkpoint `tipsy train` writes for a
+// two-link flow.
+func oneModelCheckpoint() *Checkpoint {
 	f1 := flow(64496, 0x0b000100, 3, 9, 1)
 	recs := []features.Record{rec(f1, 1, 700), rec(f1, 2, 300)}
-	h := TrainHistorical(features.SetAP, recs, DefaultHistOpts())
-	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return h, buf.Bytes()
+	return &Checkpoint{TrainedAt: 24, Models: []*Historical{TrainHistorical(features.SetAP, recs, DefaultHistOpts())}}
 }
 
-func TestLoadHistoricalRejectsTruncation(t *testing.T) {
-	// Every proper prefix of a valid snapshot must fail descriptively —
+func TestLoadCheckpointRejectsTruncation(t *testing.T) {
+	// Every proper prefix of a valid checkpoint must fail descriptively —
 	// the shape a crash mid-write (without atomic rename) would leave.
-	_, full := savedModel(t)
+	full := saveCheckpoint(t, oneModelCheckpoint())
 	for cut := 0; cut < len(full); cut += 7 {
-		if _, err := LoadHistorical(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := LoadCheckpoint(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d loaded successfully", cut, len(full))
 		}
 	}
 }
 
-func TestLoadHistoricalRejectsBitrot(t *testing.T) {
-	_, full := savedModel(t)
+func TestLoadCheckpointRejectsBitrot(t *testing.T) {
+	full := saveCheckpoint(t, oneModelCheckpoint())
 	// Flip one payload byte: the checksum must catch it.
 	rotten := append([]byte(nil), full...)
 	rotten[len(rotten)-3] ^= 0x40
-	if _, err := LoadHistorical(bytes.NewReader(rotten)); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := LoadCheckpoint(bytes.NewReader(rotten)); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Errorf("err = %v, want ErrCorruptSnapshot", err)
 	}
 }
 
 func TestSaveFileAtomicRoundTrip(t *testing.T) {
-	h, _ := savedModel(t)
+	ck := oneModelCheckpoint()
 	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := h.SaveFile(path); err != nil {
+	if err := ck.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with a second save: rename must replace in place.
-	if err := h.SaveFile(path); err != nil {
+	if err := ck.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadHistoricalFile(path)
+	back, err := LoadCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumTuples() != h.NumTuples() {
-		t.Errorf("tuples = %d, want %d", back.NumTuples(), h.NumTuples())
+	if !reflect.DeepEqual(back, ck) {
+		t.Error("rewritten checkpoint loads as a different one")
 	}
 	// No temp litter left behind.
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -118,7 +114,7 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 {
-		t.Errorf("directory holds %d entries, want just the model", len(entries))
+		t.Errorf("directory holds %d entries, want just the checkpoint", len(entries))
 	}
 }
 
@@ -324,13 +320,4 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestLoadCheckpointRejectsModelSnapshot(t *testing.T) {
-	// A plain model file is framed identically; the gob payload must
-	// still refuse to masquerade as a checkpoint.
-	_, raw := savedModel(t)
-	if _, err := LoadCheckpoint(bytes.NewReader(raw)); err == nil {
-		t.Error("model snapshot loaded as a checkpoint")
-	}
 }

@@ -62,11 +62,13 @@ func checkDailyRows(t *testing.T, name string, recs []features.Record, start wan
 	return got
 }
 
-// savedModel is the bytes a Historical fit over recs saves.
+// savedModel is the bytes of the one-model checkpoint a Historical
+// fit over recs saves to.
 func savedModel(t *testing.T, set features.Set, recs []features.Record) []byte {
 	t.Helper()
+	ck := &core.Checkpoint{Models: []*core.Historical{core.TrainHistorical(set, recs, core.DefaultHistOpts())}}
 	var buf bytes.Buffer
-	if err := core.TrainHistorical(set, recs, core.DefaultHistOpts()).Save(&buf); err != nil {
+	if err := ck.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

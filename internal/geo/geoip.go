@@ -12,11 +12,16 @@ import (
 // model database imprecision (cf. Poese et al., "IP geolocation
 // databases: unreliable?").
 type GeoIP struct {
-	db      *DB
+	//tipsy:nolock set in the constructor and never written afterwards
+	db *DB
+	//tipsy:nolock set in the constructor and never written afterwards
 	errRate float64
-	rng     *rand.Rand
 
 	mu sync.RWMutex
+	// rng is only assigned in the constructor, but every draw
+	// advances its state.
+	//tipsy:guardedby mu
+	rng *rand.Rand
 	//tipsy:guardedby mu
 	entries map[uint32]MetroID // /24 base address -> reported metro
 }

@@ -104,7 +104,8 @@ type Collector struct {
 	mu sync.Mutex
 	//tipsy:guardedby mu
 	domains map[uint32]*domainState
-	m       collectorMetrics
+	//tipsy:nolock set in NewCollector; the registry's counters synchronize themselves
+	m collectorMetrics
 	// batch accumulates the flow records of the message being handled
 	// (direct and replayed), reused across messages under mu. Handing
 	// the whole slice to a batch consumer amortizes downstream lock

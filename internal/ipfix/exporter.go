@@ -22,11 +22,16 @@ const templateResendEvery = 32
 //
 // An Exporter is safe for concurrent use.
 type Exporter struct {
-	w        io.Writer
-	domain   uint32
+	//tipsy:nolock set in NewExporter and never written afterwards
+	domain uint32
+	//tipsy:nolock set in NewExporter and never written afterwards
 	template Template
 
 	mu sync.Mutex
+	// w is only assigned in NewExporter, but mu keeps one message's
+	// bytes from interleaving with another's.
+	//tipsy:guardedby mu
+	w io.Writer
 	//tipsy:guardedby mu
 	seq uint32
 	//tipsy:guardedby mu

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// This file builds the intra-module call graph the deep-tier rules
+// This file builds the intra-module call graph the rules
 // walk. Nodes are the module's declared functions and methods; edges
 // are static calls plus interface calls resolved to every in-module
 // implementer of the interface. Because each analysis package is

@@ -10,16 +10,18 @@ import (
 // flags a body with no cancellation or completion path at all — no
 // context, no channel, no WaitGroup — which a long-running daemon can
 // neither stop nor await.
-func checkGoroutine(p *Package, report ReportFunc) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && !hasCancellationPath(p, lit) {
-					report(g.Pos(), "goroutine has no cancellation or completion path; thread a context.Context, stop channel, or WaitGroup through it")
+func checkGoroutine(_ *Program, scope []*Package, report ReportFunc) {
+	for _, p := range scope {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && !hasCancellationPath(p, lit) {
+						report(g.Pos(), "goroutine has no cancellation or completion path; thread a context.Context, stop channel, or WaitGroup through it")
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }
 

@@ -293,56 +293,6 @@ func Pick(old *T, reuse bool) *T {
 `), "unguarded write to tipsy.T.n")
 }
 
-// TestGuardedBySkipDirective pins the function-level escape hatch: a
-// reasoned //tipsy:guardedby-skip silences the function, a bare one
-// is void and reported.
-func TestGuardedBySkipDirective(t *testing.T) {
-	wantNone(t, runGuardedBy(t, "gb_skip_ok.go", `package p
-import "sync"
-type T struct {
-	mu sync.Mutex
-	//tipsy:guardedby mu
-	n int
-}
-func (t *T) Inc() { t.mu.Lock(); defer t.mu.Unlock(); t.n++ }
-
-//tipsy:guardedby-skip all instances are locked in a loop first
-func Sum(ts []*T) int {
-	for _, t := range ts {
-		t.mu.Lock()
-	}
-	total := 0
-	for _, t := range ts {
-		total += t.n
-	}
-	for _, t := range ts {
-		t.mu.Unlock()
-	}
-	return total
-}
-`))
-
-	diags := runGuardedBy(t, "gb_skip_bare.go", `package p
-import "sync"
-type T struct {
-	mu sync.Mutex
-	//tipsy:guardedby mu
-	n int
-}
-func (t *T) Inc() { t.mu.Lock(); defer t.mu.Unlock(); t.n++ }
-
-//tipsy:guardedby-skip
-func Sum(ts []*T) int {
-	total := 0
-	for _, t := range ts {
-		total += t.n
-	}
-	return total
-}
-`)
-	wantOne(t, diags, "needs a reason")
-}
-
 // TestLockLeaksFollowControlFlow pins the leak check's must-hold
 // reading on the shapes a source-order scan gets wrong in one
 // direction or the other: releases inside an endless loop or a

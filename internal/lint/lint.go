@@ -1,7 +1,7 @@
 // Package lint is tipsylint's analysis engine: a stdlib-only static
 // checker enforcing the repository's determinism, lock-hygiene,
-// wire-encoder, goroutine, and metrics conventions. See README.md in
-// this directory for the rule catalogue and the suppression syntax.
+// wire-encoder, goroutine, metrics, and logging conventions. See
+// README.md in this directory for the rule catalogue.
 package lint
 
 import (
@@ -10,7 +10,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding.
@@ -24,10 +23,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
-// Rule is one analyzer family. A rule is either syntactic (Check:
-// a per-package AST walk) or deep (DeepCheck: runs once over the
-// whole loaded module with the call graph available); exactly one of
-// the two is set.
+// Rule is one analyzer family. Check runs once over the loaded
+// packages: scope holds the packages the rule's Dirs admit (all of
+// them when Dirs is nil or TestsEverywhere is set), and prog gives the
+// whole-module view with the call graph. Run filters findings by the
+// package owning them and by test-file policy, so a Check may
+// over-report.
 type Rule struct {
 	Name string
 	Doc  string
@@ -40,16 +41,10 @@ type Rule struct {
 	// files of every package: test runs must obey the same discipline
 	// as the code they pin down.
 	TestsEverywhere bool
-	Check           func(p *Package, report ReportFunc)
-	// DeepCheck is the deep-tier entry point. scope holds the
-	// packages the rule's Dirs admit (all packages when Dirs is nil);
-	// prog gives the whole-module view for cross-package resolution.
-	// Findings are filtered against scope, test-file policy, and
-	// suppressions by the driver, so a DeepCheck may over-report.
-	DeepCheck func(prog *Program, scope []*Package, report ReportFunc)
+	Check           func(prog *Program, scope []*Package, report ReportFunc)
 }
 
-// Program is the whole-module view handed to deep rules: every loaded
+// Program is the whole-module view handed to every rule: each loaded
 // package and the intra-module call graph. All packages must come
 // from one Loader (they share its FileSet). A Program is built per Run
 // call and is not written to after construction.
@@ -60,7 +55,7 @@ type Program struct {
 	byFile map[string]*Package
 }
 
-// NewProgram indexes pkgs for deep analysis.
+// NewProgram indexes pkgs and builds their call graph.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Pkgs:   pkgs,
@@ -95,7 +90,7 @@ func Rules() []Rule {
 		"internal/netsim", "internal/topology", "internal/traffic",
 		"internal/core", "internal/wan",
 	}
-	wireDirs := []string{"internal/ipfix", "internal/bgp"}
+	wireDirs := []string{"internal/ipfix"}
 	return []Rule{
 		{
 			Name:            "determinism",
@@ -108,7 +103,7 @@ func Rules() []Rule {
 			Name:      "locks",
 			Doc:       "run a must-hold lock dataflow over each function's CFG and flag locks held at a return, lock-order cycles, self-deadlocks, and accesses to a field without its guarding mutex (a //tipsy:guardedby pin or a 3/4 majority of locked accesses), writes under RLock, and escaping-closure accesses",
 			SkipTests: true,
-			DeepCheck: checkLocks,
+			Check:     checkLocks,
 		},
 		{
 			Name:  "wire",
@@ -155,130 +150,23 @@ func (r Rule) appliesTo(p *Package) bool {
 	return false
 }
 
-// RuleStat records how long one analysis stage spent. SubstrateStat
-// names the deep tier's shared Program construction (call graph +
-// package index), which no single rule owns.
-type RuleStat struct {
-	Name    string
-	Elapsed time.Duration
-}
-
-// SubstrateStat is the RuleStat name for building the deep-tier
-// Program.
-const SubstrateStat = "(substrate)"
-
-// Run applies the rules to the packages, honouring per-rule scoping
-// and //lint:ignore suppressions, and returns findings sorted by
-// position. Syntactic rules walk each package independently; deep
-// rules run once over a Program built from the full package set.
+// Run builds the Program once, applies every rule to it, and returns
+// the findings that fall in the rule's scope and test-file policy,
+// sorted by position.
 func Run(pkgs []*Package, rules []Rule) []Diagnostic {
-	diags, _ := RunStats(pkgs, rules)
-	return diags
-}
-
-// RunStats is Run, additionally reporting wall time per rule (summed
-// over packages for syntactic rules) plus a SubstrateStat entry for
-// the deep tier's shared Program build. Stats follow registry order.
-func RunStats(pkgs []*Package, rules []Rule) ([]Diagnostic, []RuleStat) {
-	elapsed := map[string]time.Duration{}
-	var diags []Diagnostic
-	for _, p := range pkgs {
-		ignores := collectIgnores(p)
-		for _, r := range rules {
-			if r.Check == nil {
-				continue
-			}
-			inScope := r.appliesTo(p)
-			if !inScope && !r.TestsEverywhere {
-				continue
-			}
-			start := time.Now()
-			r.Check(p, func(pos token.Pos, format string, args ...any) {
-				position := p.Fset.Position(pos)
-				isTest := strings.HasSuffix(position.Filename, "_test.go")
-				if r.SkipTests && isTest {
-					return
-				}
-				if !inScope && !(r.TestsEverywhere && isTest) {
-					return
-				}
-				if ignores.suppressed(r.Name, position) {
-					return
-				}
-				diags = append(diags, Diagnostic{
-					Pos:     position,
-					Rule:    r.Name,
-					Message: fmt.Sprintf(format, args...),
-				})
-			})
-			elapsed[r.Name] += time.Since(start)
-		}
-	}
-	diags = append(diags, runDeep(pkgs, rules, elapsed)...)
-	sortDiagnostics(diags)
-	var stats []RuleStat
-	for _, r := range rules {
-		if d, ok := elapsed[r.Name]; ok {
-			stats = append(stats, RuleStat{Name: r.Name, Elapsed: d})
-		}
-	}
-	if d, ok := elapsed[SubstrateStat]; ok {
-		stats = append(stats, RuleStat{Name: SubstrateStat, Elapsed: d})
-	}
-	return diags, stats
-}
-
-// sortDiagnostics orders findings by position then rule — the order
-// Run returns and the CLI prints.
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
-	})
-}
-
-// runDeep builds the Program (once) and runs every deep rule over
-// it, applying the same scope, test-file, and suppression policy as
-// the syntactic pass. Wall time is accumulated into elapsed per rule,
-// with the Program build itself under SubstrateStat.
-func runDeep(pkgs []*Package, rules []Rule, elapsed map[string]time.Duration) []Diagnostic {
-	var deep []Rule
-	for _, r := range rules {
-		if r.DeepCheck != nil {
-			deep = append(deep, r)
-		}
-	}
-	if len(deep) == 0 || len(pkgs) == 0 {
+	if len(pkgs) == 0 {
 		return nil
 	}
-	start := time.Now()
 	prog := NewProgram(pkgs)
-	elapsed[SubstrateStat] += time.Since(start)
-	allIgnores := ignoreSet{}
-	for _, p := range pkgs {
-		for file, lines := range collectIgnores(p) {
-			allIgnores[file] = lines
-		}
-	}
 	var diags []Diagnostic
-	for _, r := range deep {
+	for _, r := range rules {
 		var scope []*Package
 		for _, p := range pkgs {
-			if r.appliesTo(p) || r.TestsEverywhere {
+			if r.TestsEverywhere || r.appliesTo(p) {
 				scope = append(scope, p)
 			}
 		}
-		start := time.Now()
-		r.DeepCheck(prog, scope, func(pos token.Pos, format string, args ...any) {
+		r.Check(prog, scope, func(pos token.Pos, format string, args ...any) {
 			position := prog.Fset.Position(pos)
 			owner := prog.pkgOf(position)
 			if owner == nil {
@@ -291,62 +179,30 @@ func runDeep(pkgs []*Package, rules []Rule, elapsed map[string]time.Duration) []
 			if !r.appliesTo(owner) && !(r.TestsEverywhere && isTest) {
 				return
 			}
-			if allIgnores.suppressed(r.Name, position) {
-				return
-			}
 			diags = append(diags, Diagnostic{
 				Pos:     position,
 				Rule:    r.Name,
 				Message: fmt.Sprintf(format, args...),
 			})
 		})
-		elapsed[r.Name] += time.Since(start)
 	}
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Message < b.Message
+	})
 	return diags
-}
-
-// ignoreSet maps file -> line -> rule names suppressed on that line.
-type ignoreSet map[string]map[int][]string
-
-// collectIgnores gathers //lint:ignore <rule> <reason> directives. A
-// directive suppresses matching findings on its own line and on the
-// line directly below (the usual "comment above the statement"
-// placement). The reason is mandatory; a bare rule name is ignored so
-// that silencing a finding always costs an explanation.
-func collectIgnores(p *Package) ignoreSet {
-	set := ignoreSet{}
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//lint:ignore ")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(text)
-				if len(fields) < 2 {
-					continue // no reason given: directive is void
-				}
-				pos := p.Fset.Position(c.Pos())
-				lines := set[pos.Filename]
-				if lines == nil {
-					lines = map[int][]string{}
-					set[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], fields[0])
-				lines[pos.Line+1] = append(lines[pos.Line+1], fields[0])
-			}
-		}
-	}
-	return set
-}
-
-func (s ignoreSet) suppressed(rule string, pos token.Position) bool {
-	for _, r := range s[pos.Filename][pos.Line] {
-		if r == rule || r == "all" {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteText prints one finding per line in file:line:col form.

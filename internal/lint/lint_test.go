@@ -55,7 +55,7 @@ func runOnDir(t *testing.T, dir string, rules ...Rule) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.LoadDirs(dirs, 1)
+	pkgs, err := l.LoadDirs(dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +264,38 @@ func (t *T) Go() {
 	go func() { t.n++ }()
 }
 `, "escaping closure"},
+		// Comments that once silenced a finding are plain comments:
+		// a suppression above a determinism violation, and a
+		// function-wide lock opt-out above an unguarded read.
+		{"determinism", `package p
+import "time"
+//lint:ignore determinism the wall clock is wanted here
+func f() int64 { return time.Now().Unix() }
+`, "time.Now in seeded code"},
+		{"locks", `package p
+import "sync"
+type T struct {
+	mu sync.Mutex
+	//tipsy:guardedby mu
+	n int
+}
+func (t *T) Inc() { t.mu.Lock(); defer t.mu.Unlock(); t.n++ }
+
+//tipsy:guardedby-skip every instance is locked in the first loop
+func Sum(ts []*T) int {
+	for _, t := range ts {
+		t.mu.Lock()
+	}
+	total := 0
+	for _, t := range ts {
+		total += t.n
+	}
+	for _, t := range ts {
+		t.mu.Unlock()
+	}
+	return total
+}
+`, "unguarded read of tipsy.T.n"},
 	}
 	for i, tc := range cases {
 		p, err := loader(t).LoadSource(fmt.Sprintf("deliberate%d.go", i), tc.src)
@@ -280,61 +312,6 @@ func (t *T) Go() {
 		if !found {
 			t.Errorf("case %d (%s): no diagnostic containing %q; got %v", i, tc.rule, tc.want, diags)
 		}
-	}
-}
-
-// TestSuppression covers the //lint:ignore grammar: a justified
-// directive silences the finding on its line and the line below; a
-// wrong rule name or a missing reason does not.
-func TestSuppression(t *testing.T) {
-	cases := []struct {
-		name      string
-		src       string
-		wantDiags int
-	}{
-		{"same line", `package p
-import "time"
-func f() int64 { return time.Now().Unix() } //lint:ignore determinism test fixture needs wall clock
-`, 0},
-		{"line above", `package p
-import "time"
-//lint:ignore determinism test fixture needs wall clock
-func f() int64 { return time.Now().Unix() }
-`, 0},
-		{"all alias", `package p
-import "time"
-//lint:ignore all test fixture needs wall clock
-func f() int64 { return time.Now().Unix() }
-`, 0},
-		{"wrong rule", `package p
-import "time"
-//lint:ignore locks wrong family
-func f() int64 { return time.Now().Unix() }
-`, 1},
-		{"missing reason", `package p
-import "time"
-//lint:ignore determinism
-func f() int64 { return time.Now().Unix() }
-`, 1},
-		{"not adjacent", `package p
-import "time"
-//lint:ignore determinism too far away
-
-func f() int64 { return time.Now().Unix() }
-`, 1},
-	}
-	rule := descope(ruleByName(t, "determinism"))
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := loader(t).LoadSource(strings.ReplaceAll(tc.name, " ", "_")+".go", tc.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diags := Run([]*Package{p}, []Rule{rule})
-			if len(diags) != tc.wantDiags {
-				t.Errorf("got %d diagnostics, want %d: %v", len(diags), tc.wantDiags, diags)
-			}
-		})
 	}
 }
 

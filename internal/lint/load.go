@@ -10,10 +10,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
@@ -40,31 +38,25 @@ func (p *Package) IsTestFile(pos token.Pos) bool {
 // Loader parses and type-checks packages inside one module without
 // shelling out to the go tool: module-internal import paths are
 // mapped straight onto directories, and the standard library is
-// type-checked from GOROOT source.
+// type-checked from GOROOT source. A Loader is not safe for
+// concurrent use.
 type Loader struct {
 	Fset       *token.FileSet
 	ModuleRoot string // absolute path of the directory holding go.mod
 	ModulePath string // module path from go.mod, e.g. "tipsy"
 
-	std types.Importer
-	//tipsy:nolock type-checking is sequential; only the parse stage is parallel
+	std   types.Importer
 	cache map[string]*types.Package
-	//tipsy:nolock type-checking is sequential; only the parse stage is parallel
-	busy map[string]bool
+	busy  map[string]bool
 	// stdCache memoizes GOROOT type-checks in front of the source
 	// importer, so a standard-library package costs one check per
 	// loader no matter how many module packages import it.
-	//tipsy:nolock type-checking is sequential; only the parse stage is parallel
 	stdCache map[string]*types.Package
 
 	// parsed caches each file's AST by path so a file read both as a
 	// dependency (test-free Import) and for analysis (LoadDir with
-	// tests) is parsed exactly once. mu guards it during the parallel
-	// parse stage of LoadDirs; type-checking itself stays sequential.
-	mu sync.Mutex
-	//tipsy:guardedby mu
-	parsed map[string]*ast.File
-	//tipsy:guardedby mu
+	// tests) is parsed exactly once.
+	parsed    map[string]*ast.File
 	parseErrs map[string]error
 }
 
@@ -202,23 +194,12 @@ func goFilePaths(dir string, withTests bool) ([]string, error) {
 }
 
 // parseFile parses path once per loader, returning the cached AST on
-// every later request. Safe for concurrent use.
+// every later request.
 func (l *Loader) parseFile(path string) (*ast.File, error) {
-	l.mu.Lock()
 	if f, ok := l.parsed[path]; ok {
-		err := l.parseErrs[path]
-		l.mu.Unlock()
-		return f, err
+		return f, l.parseErrs[path]
 	}
-	l.mu.Unlock()
 	f, err := parser.ParseFile(l.Fset, path, nil, parser.ParseComments)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if prev, ok := l.parsed[path]; ok {
-		// Lost a parse race; keep the first result so every consumer
-		// sees one AST.
-		return prev, l.parseErrs[path]
-	}
 	l.parsed[path], l.parseErrs[path] = f, err
 	return f, err
 }
@@ -271,61 +252,11 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDirs loads every directory, parallelizing the parse stage with
-// a bounded worker pool and then type-checking sequentially in the
-// given directory order — so the returned packages (and therefore all
-// diagnostics) are deterministic regardless of worker scheduling.
-// workers <= 0 means GOMAXPROCS. Parsing is where the fan-out pays:
-// each file is read and parsed exactly once into the shared cache,
-// and the dependency-closure walk during type-checking then hits that
-// cache instead of re-parsing.
-func (l *Loader) LoadDirs(dirs []string, workers int) ([]*Package, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Stage 1: collect every file path, then parse with the pool.
-	var paths []string
-	for _, dir := range dirs {
-		abs, err := filepath.Abs(dir)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := goFilePaths(abs, true)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", dir, err)
-		}
-		paths = append(paths, ps...)
-	}
-	jobs := make(chan string)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for path := range jobs {
-				if _, err := l.parseFile(path); err != nil && errs[w] == nil {
-					errs[w] = err
-				}
-			}
-		}(w)
-	}
-	for _, path := range paths {
-		jobs <- path
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Stage 2: type-check in input order. Sequential on purpose —
-	// go/types and the source importer are not concurrency-safe, and
-	// the shared import cache means each dependency is checked once
-	// anyway.
+// LoadDirs loads every directory in the given order, so the returned
+// packages (and therefore all diagnostics) are deterministic. Each
+// file is parsed once into the loader's cache, which the dependency
+// walk during type-checking then hits instead of re-parsing.
+func (l *Loader) LoadDirs(dirs []string) ([]*Package, error) {
 	var out []*Package
 	for _, dir := range dirs {
 		ps, err := l.LoadDir(dir)
@@ -366,7 +297,7 @@ func (l *Loader) check(files []*ast.File, dir, rel string) *Package {
 	}
 	// Check under the full import path so objects here and objects
 	// reached through the import cache agree on Pkg().Path() — the
-	// deep tier keys its call graph on that identity.
+	// call graph is keyed on that identity.
 	path := l.ModulePath
 	if rel != "." {
 		path = l.ModulePath + "/" + rel

@@ -11,7 +11,7 @@ import (
 	"strings"
 )
 
-// The locks rule is the deep tier's one lock analysis. It walks each
+// The locks rule is the module's one lock analysis. It walks each
 // function's CFG computing which locks are provably held at each
 // point (Lock→Unlock spans, defer mu.Unlock() spanning early returns,
 // RLock read-only spans, merged by intersection at joins) and reads
@@ -41,7 +41,7 @@ import (
 //     `//tipsy:nolock <reason>` opts a deliberately lock-free field
 //     out (atomics that predate sync/atomic types, set-before-start
 //     configuration). The reason is mandatory — a bare nolock is void
-//     and reported, the same contract as //lint:ignore;
+//     and reported;
 //   - flags writes performed under only an RLock;
 //   - treats accesses inside an escaping closure as outside the
 //     creating function's critical section (the closure may run after
@@ -68,15 +68,6 @@ import (
 const (
 	GuardedByDirective = "//tipsy:guardedby"
 	NolockDirective    = "//tipsy:nolock"
-
-	// GuardedBySkipDirective opts one function out of the lock
-	// analysis entirely (the analogue of Clang's
-	// NO_THREAD_SAFETY_ANALYSIS). It is for lock disciplines the
-	// dataflow cannot see — the canonical case is an atomic
-	// multi-shard snapshot that acquires every shard lock in a loop
-	// before touching any shard. The reason is mandatory; a bare
-	// directive is void and reported.
-	GuardedBySkipDirective = "//tipsy:guardedby-skip"
 )
 
 // Lock modes, ordered so a write lock subsumes a read lock.
@@ -676,13 +667,6 @@ func (st *gbState) scanFunc(n *FuncNode) {
 	if n.Pkg.IsTestFile(n.Decl.Pos()) {
 		return
 	}
-	if skip, pos, reason := gbSkipDirective(n.Decl); skip {
-		if reason == "" {
-			st.emit(pos, "%s on %s needs a reason; a bare directive is void — say what lock discipline the analysis cannot see",
-				GuardedBySkipDirective, trimModule(n.ID))
-		}
-		return
-	}
 	if !st.mentionsGuarded(n) {
 		return
 	}
@@ -706,20 +690,6 @@ func (st *gbState) scanFunc(n *FuncNode) {
 		w.lits = w.lits[1:]
 		w.scanScope(work.lit.Body, work.locks, work.inEsc)
 	}
-}
-
-// gbSkipDirective reports whether fd's doc comment carries
-// //tipsy:guardedby-skip, with the directive position and reason.
-func gbSkipDirective(fd *ast.FuncDecl) (bool, token.Pos, string) {
-	if fd.Doc == nil {
-		return false, token.NoPos, ""
-	}
-	for _, c := range fd.Doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, GuardedBySkipDirective); ok && (rest == "" || rest[0] == ' ') {
-			return true, c.Pos(), strings.TrimSpace(rest)
-		}
-	}
-	return false, token.NoPos, ""
 }
 
 // guardedBindings maps n's receiver and parameter objects whose type

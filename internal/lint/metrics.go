@@ -15,14 +15,14 @@ import (
 //
 // Snapshot types are the sanctioned exception: structs whose names
 // end in Stats, Snapshot, or Counters are the read-side copies
-// returned to callers (CollectorStats, StationStats, ...) and may
+// returned to callers (CollectorStats, fallbackCounters, ...) and may
 // keep plain integers.
-func checkMetrics(p *Package, report ReportFunc) {
+func checkMetrics(_ *Program, scope []*Package, report ReportFunc) {
 	counterWords := map[string]bool{
 		"dropped": true, "lost": true, "quarantined": true,
 		"reordered": true, "resyncs": true, "monitored": true,
 		"replayed": true, "evicted": true, "buffered": true,
-		"peerups": true, "peerdowns": true, "hits": true, "misses": true,
+		"hits": true, "misses": true,
 	}
 	isCounterName := func(name string) bool {
 		lower := strings.ToLower(name)
@@ -44,34 +44,36 @@ func checkMetrics(p *Package, report ReportFunc) {
 		return false
 	}
 
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok || exemptStruct(ts.Name.Name) {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				tv := p.Info.TypeOf(field.Type)
-				if tv == nil {
-					continue
+	for _, p := range scope {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
 				}
-				basic, ok := tv.Underlying().(*types.Basic)
-				if !ok || basic.Info()&types.IsInteger == 0 {
-					continue
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || exemptStruct(ts.Name.Name) {
+					return true
 				}
-				for _, name := range field.Names {
-					if isCounterName(name.Name) {
-						report(name.Pos(),
-							"bare counter field %s.%s; back it with an obsv.Counter on the package registry (snapshot structs named *Stats/*Snapshot/*Counters may keep plain integers)",
-							ts.Name.Name, name.Name)
+				for _, field := range st.Fields.List {
+					tv := p.Info.TypeOf(field.Type)
+					if tv == nil {
+						continue
+					}
+					basic, ok := tv.Underlying().(*types.Basic)
+					if !ok || basic.Info()&types.IsInteger == 0 {
+						continue
+					}
+					for _, name := range field.Names {
+						if isCounterName(name.Name) {
+							report(name.Pos(),
+								"bare counter field %s.%s; back it with an obsv.Counter on the package registry (snapshot structs named *Stats/*Snapshot/*Counters may keep plain integers)",
+								ts.Name.Name, name.Name)
+						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }

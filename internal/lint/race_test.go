@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestConcurrentFullTierIsDeterministic loads the whole module (the
-// parallel parse stage runs under the race detector here) and then
-// executes the complete rule set — syntactic and deep tiers — twice
-// concurrently over the shared package slice. The two outputs must be
+// TestConcurrentFullTierIsDeterministic loads the whole module and
+// then executes the complete rule set twice concurrently over the
+// shared package slice (under the race detector in scripts/check.sh). The two outputs must be
 // byte-identical: every ordering decision in the analyzers (call
 // graph traversal, lock-set iteration, finding emission) is required
 // to be deterministic, and no rule may mutate shared package state.
@@ -21,7 +20,7 @@ func TestConcurrentFullTierIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.LoadDirs(dirs, 4)
+	pkgs, err := l.LoadDirs(dirs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,30 +7,28 @@ import (
 )
 
 // TestReadmeRuleTableInSync holds README.md's rule table to the
-// registry exactly: same rules, same order, same tier, and a contract
-// column that is the rule's Doc string verbatim. A rule added,
-// renamed, re-tiered, or re-documented without touching the README
-// fails here.
+// registry exactly: same rules, same order, and a contract column
+// that is the rule's Doc string verbatim. A rule added, renamed, or
+// re-documented without touching the README fails here.
 func TestReadmeRuleTableInSync(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	type row struct{ name, tier, doc string }
+	type row struct{ name, doc string }
 	var rows []row
 	for _, line := range strings.Split(string(data), "\n") {
 		if !strings.HasPrefix(line, "| `") {
 			continue
 		}
 		cells := strings.Split(line, "|")
-		// "| `name` | tier | doc |" splits into 5 cells with empty ends.
-		if len(cells) != 5 {
-			t.Fatalf("malformed rule-table row (want 3 columns): %q", line)
+		// "| `name` | doc |" splits into 4 cells with empty ends.
+		if len(cells) != 4 {
+			t.Fatalf("malformed rule-table row (want 2 columns): %q", line)
 		}
 		rows = append(rows, row{
 			name: strings.Trim(strings.TrimSpace(cells[1]), "`"),
-			tier: strings.TrimSpace(cells[2]),
-			doc:  strings.TrimSpace(cells[3]),
+			doc:  strings.TrimSpace(cells[2]),
 		})
 	}
 	rules := Rules()
@@ -46,17 +44,10 @@ func TestReadmeRuleTableInSync(t *testing.T) {
 			len(rows), strings.Join(got, ", "), len(rules), strings.Join(want, ", "))
 	}
 	for i, r := range rules {
-		tier := "syntactic"
-		if r.DeepCheck != nil {
-			tier = "deep"
-		}
 		if rows[i].name != r.Name {
 			t.Errorf("row %d: README names %q, registry names %q (order must match)",
 				i, rows[i].name, r.Name)
 			continue
-		}
-		if rows[i].tier != tier {
-			t.Errorf("rule %s: README says tier %q, registry says %q", r.Name, rows[i].tier, tier)
 		}
 		if rows[i].doc != r.Doc {
 			t.Errorf("rule %s: README contract drifted from Rule.Doc:\nREADME:   %s\nregistry: %s",

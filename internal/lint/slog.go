@@ -15,39 +15,41 @@ import (
 // selectors resolving to the imported packages are findings. fmt's
 // Sprintf/Errorf/Fprintf families stay legal — only the stdout
 // printers side-step the logger.
-func checkSlog(p *Package, report ReportFunc) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkg, ok := p.Info.Uses[id].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			switch pkg.Imported().Path() {
-			case "log":
-				report(sel.Pos(),
-					"legacy log.%s call; instrumented packages log through log/slog with a per-component logger",
-					sel.Sel.Name)
-			case "fmt":
-				switch sel.Sel.Name {
-				case "Print", "Printf", "Println":
-					report(sel.Pos(),
-						"bare fmt.%s to stdout; instrumented packages log through log/slog with a per-component logger",
-						sel.Sel.Name)
+func checkSlog(_ *Program, scope []*Package, report ReportFunc) {
+	for _, p := range scope {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-			}
-			return true
-		})
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				pkg, ok := p.Info.Uses[id].(*types.PkgName)
+				if !ok {
+					return true
+				}
+				switch pkg.Imported().Path() {
+				case "log":
+					report(sel.Pos(),
+						"legacy log.%s call; instrumented packages log through log/slog with a per-component logger",
+						sel.Sel.Name)
+				case "fmt":
+					switch sel.Sel.Name {
+					case "Print", "Printf", "Println":
+						report(sel.Pos(),
+							"bare fmt.%s to stdout; instrumented packages log through log/slog with a per-component logger",
+							sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
 	}
 }

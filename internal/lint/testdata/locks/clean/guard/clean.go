@@ -2,9 +2,8 @@
 // rule must stay silent on: deferred unlocks spanning early returns,
 // read locks for reads and write locks for writes, sync/atomic and
 // reasoned //tipsy:nolock exemptions, constructor and zero-value
-// initialization, locked helpers called only under the lock,
-// synchronous sort comparators inside the critical section, and the
-// //tipsy:guardedby-skip escape for an all-shards snapshot.
+// initialization, locked helpers called only under the lock, and
+// synchronous sort comparators inside the critical section.
 package fixture
 
 import (
@@ -90,22 +89,4 @@ func Rebuild(scores []int) *Board {
 	var b Board
 	b.scores = append(b.scores, scores...)
 	return &b
-}
-
-// TotalScores takes every board's lock before touching any board — a
-// quantified critical section the must-hold dataflow cannot see.
-//
-//tipsy:guardedby-skip all boards are locked in the first loop before any scores access below
-func TotalScores(boards []*Board) int {
-	for _, b := range boards {
-		b.mu.RLock()
-	}
-	total := 0
-	for _, b := range boards {
-		total += len(b.scores)
-	}
-	for _, b := range boards {
-		b.mu.RUnlock()
-	}
-	return total
 }

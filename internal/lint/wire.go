@@ -9,23 +9,25 @@ import (
 // binary.Write/binary.Read or an io.Writer means a short or failed
 // write silently corrupts the byte stream — for IPFIX that is a
 // malformed message the collector may not even detect.
-func checkWire(p *Package, report ReportFunc) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok {
-					checkDroppedWrite(p, call, report)
-				}
-			case *ast.AssignStmt:
-				if allBlank(n.Lhs) && len(n.Rhs) == 1 {
-					if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
+func checkWire(_ *Program, scope []*Package, report ReportFunc) {
+	for _, p := range scope {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ExprStmt:
+					if call, ok := n.X.(*ast.CallExpr); ok {
 						checkDroppedWrite(p, call, report)
 					}
+				case *ast.AssignStmt:
+					if allBlank(n.Lhs) && len(n.Rhs) == 1 {
+						if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
+							checkDroppedWrite(p, call, report)
+						}
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }
 

@@ -152,7 +152,8 @@ type Monitor struct {
 	// the monitor back
 	cfg Config
 
-	mu  sync.Mutex
+	mu sync.Mutex
+	//tipsy:nolock set in New; the registry's metrics synchronize themselves
 	met metrics
 	//tipsy:guardedby mu
 	head wan.Hour // next hour to close; all hours below are final

@@ -28,7 +28,9 @@ type RuntimeBridge struct {
 	gcPause    *Histogram
 	schedLat   *Histogram
 
+	//tipsy:guardedby mu
 	prevPause []uint64
+	//tipsy:guardedby mu
 	prevSched []uint64
 }
 

@@ -4,7 +4,7 @@
 # Runs, in order: formatting, go vet, build, tipsylint (the project's
 # own static-analysis suite: determinism, one lock analysis covering
 # leaks, lock order and guarded fields, wire-encoder errors, goroutine
-# hygiene, metrics, slog; one invocation), the test suite
+# hygiene, metrics, slog; one invocation, no flags), the test suite
 # under the race detector with a total-coverage floor, the exact
 # allocation pins and the shortest-float kernel's random sweep once
 # without the race detector (both skip under it), the nested bench
@@ -49,8 +49,8 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> tipsylint -stats ./..."
-go run ./cmd/tipsylint -stats ./...
+echo "==> tipsylint ./..."
+go run ./cmd/tipsylint ./...
 
 # Total statement coverage must not sink below this floor (the suite
 # sits around 85.8% under -race; the floor leaves headroom for
