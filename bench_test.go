@@ -406,6 +406,9 @@ func BenchmarkBuildGroups(b *testing.B) {
 // Substrate throughput
 // ---------------------------------------------------------------------------
 
+// BenchmarkResolveFlow times the public ResolveFlow, where each call
+// is a memo-free walk: only Run keeps a per-flow memo of the day's
+// resolutions.
 func BenchmarkResolveFlow(b *testing.B) {
 	e := env(b)
 	flows := e.Workload.Flows

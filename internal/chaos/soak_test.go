@@ -33,7 +33,6 @@ func soakRun(t *testing.T, seed int64, fault Config, trainTo, evalTo wan.Hour) s
 	g := topology.Generate(topology.TestGenConfig(seed), metros)
 	w := traffic.Generate(traffic.TestConfig(seed), g, metros)
 	cfg := netsim.DefaultConfig(seed)
-	cfg.Workers = 4
 	cfg.SamplingInterval = 256 // denser telemetry: more messages for faults to hit
 	sim := netsim.New(cfg, g, metros, w)
 

@@ -33,7 +33,6 @@ func buildScenario(t *testing.T, seed int64) *scenario {
 	w := traffic.Generate(traffic.TestConfig(seed), g, metros)
 	cfg := netsim.DefaultConfig(seed)
 	cfg.OutagesPerLinkYear = 0 // isolate the engineered incident
-	cfg.Workers = 4
 	sim := netsim.New(cfg, g, metros, w)
 
 	// Train TIPSY on 3 days of normal traffic.

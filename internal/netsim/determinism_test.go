@@ -76,7 +76,6 @@ func chaosRun(t *testing.T, seed int64, to wan.Hour) chaosRunResult {
 	g := topology.Generate(topology.TestGenConfig(seed), metros)
 	w := traffic.Generate(traffic.TestConfig(seed), g, metros)
 	cfg := DefaultConfig(seed)
-	cfg.Workers = 4
 	cfg.SamplingInterval = 256 // denser records: more messages for faults to hit
 	s := New(cfg, g, metros, w)
 

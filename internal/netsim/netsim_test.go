@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"tipsy/internal/bgp"
@@ -18,7 +20,6 @@ func testSim(t testing.TB, seed int64) *Sim {
 	g := topology.Generate(topology.TestGenConfig(seed), metros)
 	w := traffic.Generate(traffic.TestConfig(seed), g, metros)
 	cfg := DefaultConfig(seed)
-	cfg.Workers = 4
 	return New(cfg, g, metros, w)
 }
 
@@ -355,26 +356,67 @@ func TestRunEmitsRecordsAndGroundTruth(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicAcrossWorkerCounts holds Run's output to the
+// same records and the same LinkBytes bits at GOMAXPROCS 1, 2 and 8,
+// for flow counts around the chunk size, over a horizon with outages
+// and a withdrawal made mid-run.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	collect := func(workers int) []ipfix.FlowRecord {
-		metros := geo.World()
-		g := topology.Generate(topology.TestGenConfig(11), metros)
-		w := traffic.Generate(traffic.TestConfig(11), g, metros)
+	metros := geo.World()
+	g := topology.Generate(topology.TestGenConfig(11), metros)
+	full := traffic.Generate(traffic.TestConfig(11), g, metros)
+	const hours = 30
+	type output struct {
+		recs []ipfix.FlowRecord
+		lb   []uint64
+	}
+	collect := func(nFlows, procs int) output {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		w := *full
+		w.Flows = full.Flows[:nFlows]
 		cfg := DefaultConfig(11)
-		cfg.Workers = workers
-		s := New(cfg, g, metros, w)
-		var out []ipfix.FlowRecord
-		s.Run(RunOptions{From: 0, To: 2, Sink: RecordSinkFunc(
-			func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) { out = append(out, *rec) })})
+		cfg.OutagesPerLinkYear = 200
+		s := New(cfg, g, metros, &w)
+		var out output
+		withdrawn := false
+		s.Run(RunOptions{From: 0, To: hours,
+			Sink: RecordSinkFunc(func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
+				out.recs = append(out.recs, *rec)
+			}),
+			OnHourEnd: func(h wan.Hour) {
+				if h < 9 || withdrawn || len(out.recs) == 0 {
+					return
+				}
+				// Withdraw the last recorded flow's prefix from its link.
+				last := out.recs[len(out.recs)-1]
+				for i := len(w.Flows) - 1; i >= 0; i-- {
+					if f := &w.Flows[i]; f.SrcAddr == last.SrcAddr && f.DstAddr == last.DstAddr {
+						s.Withdraw(wan.LinkID(last.Ingress), s.FlowPrefix(f))
+						withdrawn = true
+						return
+					}
+				}
+			}})
+		if !withdrawn {
+			t.Fatalf("%d flows: no record to withdraw from", nFlows)
+		}
+		for h := wan.Hour(0); h < hours; h++ {
+			for _, id := range s.Links() {
+				out.lb = append(out.lb, math.Float64bits(s.LinkBytes(h, id)))
+			}
+		}
 		return out
 	}
-	a, b := collect(1), collect(7)
-	if len(a) != len(b) {
-		t.Fatalf("record counts differ across worker counts: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("record %d differs across worker counts", i)
+	for _, n := range []int{1, runChunk - 1, runChunk + 1, len(full.Flows)} {
+		want := collect(n, 1)
+		for _, procs := range []int{2, 8} {
+			got := collect(n, procs)
+			if !slices.Equal(got.recs, want.recs) {
+				t.Errorf("%d flows: records at GOMAXPROCS %d differ from GOMAXPROCS 1 (%d vs %d records)",
+					n, procs, len(got.recs), len(want.recs))
+			}
+			if !slices.Equal(got.lb, want.lb) {
+				t.Errorf("%d flows: LinkBytes at GOMAXPROCS %d differ from GOMAXPROCS 1", n, procs)
+			}
 		}
 	}
 }

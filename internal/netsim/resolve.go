@@ -17,10 +17,9 @@ const maxWalkDepth = 10
 // per-depth frame of candidate/share buffers plus the walk's visited
 // set as a fixed array. Resolution runs millions of times per
 // simulated run, and with the scratch reused a steady-state resolve
-// performs no heap allocation at all (the only allocation left on the
-// path is the one copy resolveCached makes to persist a cache miss).
-// A resolver is not safe for concurrent use; Run gives each worker
-// its own, and the public ResolveFlow draws one from a pool.
+// performs no heap allocation at all. A resolver is not safe for
+// concurrent use; ResolveFlow and each of Run's workers draw one from
+// a pool.
 type resolver struct {
 	s        *Sim
 	frames   [maxWalkDepth + 2]walkFrame
@@ -28,6 +27,26 @@ type resolver struct {
 	excluded []wan.LinkID
 	bad      []wan.LinkID
 	conc     []LinkShare
+	// memo, when set, is the flow's one-day memo that resolve reads
+	// and fills; nil walks every resolution afresh.
+	memo *flowMemo
+}
+
+// flowMemo holds one flow's resolutions for one day: its steady split
+// and any failover split it needed, keyed by the exclusion set's hash
+// (0 for the steady split). Resolutions depend only on (flow, day,
+// exclusion set), so a memo never needs invalidating within its day;
+// a new day resets it. The first n entries are live; the rest keep
+// their buffers for reuse.
+type flowMemo struct {
+	day     int32 // the memo's day + 1; 0 when empty
+	n       int
+	entries []memoEntry
+}
+
+type memoEntry struct {
+	excl  uint64
+	split []LinkShare
 }
 
 // walkFrame is the scratch of one recursion depth. Buffers at
@@ -61,27 +80,16 @@ func (s *Sim) ResolveFlow(f *traffic.FlowSpec, h wan.Hour) []LinkShare {
 	return shares
 }
 
-// resolveFlow is ResolveFlow against the resolver's scratch: the
-// returned slice is only valid until the resolver's next call.
+// resolveFlow is ResolveFlow against the resolver's scratch and memo:
+// it runs the availability-exclusion loop from the flow's steady split
+// for h's day and concentrates the surviving split. The returned slice
+// is only valid until the resolver's next call.
 func (r *resolver) resolveFlow(f *traffic.FlowSpec, h wan.Hour) []LinkShare {
-	r.excluded = r.excluded[:0]
-	return r.resolveFlowFrom(f, h, r.resolveCached(f, h, r.excluded))
-}
-
-// steady returns the flow's steady-state (no exclusions) resolution
-// for h's day — the shared read-only cache entry, usable as the
-// starting point of resolveFlowFrom for any hour of the same day.
-func (r *resolver) steady(f *traffic.FlowSpec, h wan.Hour) []LinkShare {
-	return r.resolveCached(f, h, nil)
-}
-
-// resolveFlowFrom runs the availability-exclusion loop starting from
-// an already-resolved steady split for h's day (as returned by
-// steady), concentrating the surviving split.
-func (r *resolver) resolveFlowFrom(f *traffic.FlowSpec, h wan.Hour, shares []LinkShare) []LinkShare {
 	s := r.s
 	prefix := s.dstPrefix[f.ID]
+	day := int32(h.Day())
 	r.excluded = r.excluded[:0]
+	shares := r.resolve(f, day)
 	for iter := 0; iter < 16; iter++ {
 		r.bad = r.bad[:0]
 		for _, sh := range shares {
@@ -94,7 +102,7 @@ func (r *resolver) resolveFlowFrom(f *traffic.FlowSpec, h wan.Hour, shares []Lin
 		}
 		r.excluded = append(r.excluded, r.bad...)
 		slices.Sort(r.excluded)
-		shares = r.resolveCached(f, h, r.excluded)
+		shares = r.resolve(f, day)
 		if len(shares) == 0 {
 			return nil
 		}
@@ -159,27 +167,35 @@ func (r *resolver) concentrate(f *traffic.FlowSpec, h wan.Hour, steady []LinkSha
 	return out
 }
 
-// resolveCached memoizes full resolutions by (flow, day, exclusion
-// set). Entries depend only on those inputs — availability is applied
-// by the caller's exclusion loop — so the cache never needs
-// invalidation when withdrawals change. Cached slices are shared and
-// read-only.
-func (r *resolver) resolveCached(f *traffic.FlowSpec, h wan.Hour, excluded []wan.LinkID) []LinkShare {
-	s := r.s
-	key := resKey{flow: int32(f.ID), day: int32(h.Day()), excl: hashLinks(excluded)}
-	s.cacheMu.RLock()
-	shares, ok := s.cache[key]
-	s.cacheMu.RUnlock()
-	if ok {
-		return shares
+// resolve returns the flow's normalized split for day with the links
+// in r.excluded treated as not carrying the prefix, from the
+// resolver's memo when it has the entry. A memoized split stays valid
+// for the rest of the day; a walked one only until the next walk.
+func (r *resolver) resolve(f *traffic.FlowSpec, day int32) []LinkShare {
+	excl := hashLinks(r.excluded)
+	m := r.memo
+	if m != nil {
+		if m.day != day+1 {
+			m.day, m.n = day+1, 0
+		}
+		for i := range m.entries[:m.n] {
+			if e := &m.entries[i]; e.excl == excl {
+				return e.split
+			}
+		}
 	}
-	res := r.walk(f.SrcAS, f.SrcMetro, f, int32(h.Day()), excluded, key.excl, 0, 0)
+	res := r.walk(f.SrcAS, f.SrcMetro, f, day, r.excluded, excl, 0, 0)
 	normalize(res)
-	shares = slices.Clone(res) // persist off the walk scratch
-	s.cacheMu.Lock()
-	s.cache[key] = shares
-	s.cacheMu.Unlock()
-	return shares
+	if m == nil {
+		return res
+	}
+	if m.n == len(m.entries) {
+		m.entries = append(m.entries, memoEntry{})
+	}
+	e := &m.entries[m.n]
+	m.n++
+	e.excl, e.split = excl, append(e.split[:0], res...)
+	return e.split
 }
 
 // hashLinks summarizes an exclusion set; the empty set hashes to 0,

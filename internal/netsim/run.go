@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"tipsy/internal/ipfix"
 	"tipsy/internal/traffic"
@@ -12,7 +14,7 @@ import (
 // RecordSink receives sampled flow observations as the simulation
 // runs — the role of the paper's distributed IPFIX collectors feeding
 // the data lake. Calls arrive from a single goroutine in
-// deterministic order.
+// deterministic order. The record is only valid during the call.
 type RecordSink interface {
 	Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord)
 }
@@ -47,58 +49,17 @@ type RunOptions struct {
 	OnHourEnd func(h wan.Hour)
 }
 
-// flowObs is one sampled observation, keyed for deterministic
-// delivery ordering.
-type flowObs struct {
-	flowID int32
-	link   wan.LinkID
-	rec    ipfix.FlowRecord
-}
+// runChunk is how many consecutive flows a Run worker claims at a
+// time.
+const runChunk = 128
 
-// flowEpoch caches one flow's resolved link shares for as long as the
-// resolution inputs cannot change: shares are a pure function of
-// (flow, day, availability state, concentration bucket), so they are
-// reusable across hours whose bucket and availability generation
-// match. Buckets never straddle a day boundary (24 is a multiple of
-// concentrateBucketHours), so the bucket also pins the day.
-type flowEpoch struct {
-	bucket int64
-	gen    uint64
-	valid  bool
-	shares []LinkShare
-	// steady holds the flow's steady-state day resolution — a shared
-	// read-only slice from the Sim-wide cache — so an epoch miss
-	// within the same day skips the global cache map entirely.
-	steady      []LinkShare
-	steadyDay   int32
-	steadyValid bool
-}
-
-// runWorker is the persistent per-worker state of Run: a private
-// resolver, reused observation and link-load buffers, and the
-// per-flow share cache. Workers partition flows by ID stride, so each
-// flow's epoch entry is only ever touched by one worker.
-type runWorker struct {
-	res     *resolver
-	obs     []flowObs
-	localLB []float64
-	epochs  []flowEpoch
-}
-
-// availGen fingerprints the availability state relevant to hour h:
-// the set of links in outage plus the withdrawal-state version. Flows
-// resolved under one generation resolve identically for any other
-// hour with the same generation (and the same day/bucket), which is
-// what lets Run reuse shares across the hours of a concentration
-// bucket instead of re-resolving every flow every hour.
-func (s *Sim) availGen(h wan.Hour) uint64 {
-	fp := uint64(0x9e3779b97f4a7c15)
-	for li := range s.links {
-		if s.outages.Down(wan.LinkID(li+1), h) {
-			fp = traffic.Hash(fp ^ uint64(li+1))
-		}
-	}
-	return traffic.Hash(fp ^ s.wdVer.Load())
+// chunkOut is one chunk's output for the hour being simulated, in flow
+// order: its sampled records, each flow's sorted by link, and its
+// ground-truth (link, bytes) contributions. Run reuses the buffers
+// across hours.
+type chunkOut struct {
+	recs []ipfix.FlowRecord
+	lb   []LinkShare // Frac holds bytes
 }
 
 // Run simulates hours [From, To): it computes each active flow's
@@ -106,89 +67,70 @@ func (s *Sim) availGen(h wan.Hour) uint64 {
 // and outage state, accumulates ground-truth link loads, applies
 // 1-in-N packet sampling, and emits IPFIX flow records to the sink.
 //
-// Delivery order is deterministic and independent of the worker
-// count: workers keep their observations sorted by (flowID, link) and
-// Run merges the per-worker streams, which yields the same total
-// order a global sort of all observations would (the keys are unique
-// — a flow resolves at most one share per link per hour).
+// GOMAXPROCS workers claim chunks of runChunk consecutive flows. Run
+// then delivers the chunks in order, so records arrive sorted by
+// (flow ID, link), and sums ground truth in flow order, so LinkBytes
+// is bit for bit a single-threaded sum whatever the core count.
 func (s *Sim) Run(opts RunOptions) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	workers := s.cfg.Workers
 	flows := s.w.Flows
-	if len(s.runWorkers) != workers {
-		s.runWorkers = make([]*runWorker, workers)
-		for w := range s.runWorkers {
-			s.runWorkers[w] = &runWorker{
-				res:     &resolver{s: s},
-				localLB: make([]float64, len(s.links)),
-				epochs:  make([]flowEpoch, len(flows)),
-			}
-		}
+	nChunks := (len(flows) + runChunk - 1) / runChunk
+	if len(s.memo) != len(flows) {
+		s.memo = make([]flowMemo, len(flows))
+		s.chunks = make([]chunkOut, nChunks)
 	}
+	memo, chunks := s.memo, s.chunks
+	workers := min(runtime.GOMAXPROCS(0), nChunks)
 	bs, _ := opts.Sink.(BatchSink)
-	heads := make([]int, workers)
 	var batch []ipfix.FlowRecord
 
 	for h := opts.From; h < opts.To; h++ {
-		lb := make([]float64, len(s.links)) // retained in s.linkBytes
-		bucket := int64(uint64(h) / concentrateBucketHours)
-		gen := s.availGen(h)
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for range workers {
 			wg.Add(1)
-			go func(ws *runWorker, w int, h wan.Hour) {
+			go func() {
 				defer wg.Done()
-				ws.runHour(s, flows, w, workers, h, bucket, gen)
-			}(s.runWorkers[w], w, h)
+				r := s.getResolver()
+				for c := int(next.Add(1) - 1); c < nChunks; c = int(next.Add(1) - 1) {
+					lo, hi := c*runChunk, min((c+1)*runChunk, len(flows))
+					s.runFlows(r, flows[lo:hi], memo[lo:hi], &chunks[c], h)
+				}
+				r.memo = nil
+				s.putResolver(r)
+			}()
 		}
 		wg.Wait()
 
-		// Ground truth merges in worker order, matching the historical
-		// per-worker accumulation order bit for bit.
-		for w := 0; w < workers; w++ {
-			for i, b := range s.runWorkers[w].localLB {
-				lb[i] += b
+		s.lbMu.Lock()
+		sl := &s.linkBytes[ledgerIndex(h)]
+		if sl.row == nil {
+			sl.row = make([]float64, len(s.links))
+		}
+		sl.h = h
+		clear(sl.row)
+		for c := range chunks {
+			for _, ld := range chunks[c].lb {
+				sl.row[ld.Link-1] += ld.Frac
 			}
 		}
-		s.lbMu.Lock()
-		s.linkBytes[h] = lb
 		s.lbMu.Unlock()
 
-		if opts.Sink != nil {
-			clear(heads)
-			if bs != nil {
-				batch = batch[:0]
+		if bs != nil {
+			batch = batch[:0]
+			for c := range chunks {
+				batch = append(batch, chunks[c].recs...)
 			}
-			for {
-				best := -1
-				for w := 0; w < workers; w++ {
-					if heads[w] >= len(s.runWorkers[w].obs) {
-						continue
-					}
-					if best < 0 {
-						best = w
-						continue
-					}
-					a := &s.runWorkers[w].obs[heads[w]]
-					b := &s.runWorkers[best].obs[heads[best]]
-					if a.flowID < b.flowID || (a.flowID == b.flowID && a.link < b.link) {
-						best = w
-					}
-				}
-				if best < 0 {
-					break
-				}
-				o := &s.runWorkers[best].obs[heads[best]]
-				heads[best]++
-				if bs != nil {
-					batch = append(batch, o.rec)
-				} else {
-					opts.Sink.Record(h, o.link, &o.rec)
-				}
-			}
-			if bs != nil && len(batch) > 0 {
+			if len(batch) > 0 {
 				bs.RecordBatch(batch)
+			}
+		} else if opts.Sink != nil {
+			for c := range chunks {
+				for i := range chunks[c].recs {
+					rec := &chunks[c].recs[i]
+					opts.Sink.Record(h, wan.LinkID(rec.Ingress), rec)
+				}
 			}
 		}
 		if opts.OnHourEnd != nil {
@@ -197,58 +139,42 @@ func (s *Sim) Run(opts RunOptions) {
 	}
 }
 
-// runHour processes this worker's flow stride for one hour into the
-// worker's reused buffers.
-func (ws *runWorker) runHour(s *Sim, flows []traffic.FlowSpec, w, workers int, h wan.Hour, bucket int64, gen uint64) {
-	clear(ws.localLB)
-	ws.obs = ws.obs[:0]
-	for i := w; i < len(flows); i += workers {
+// runFlows simulates one chunk of flows for hour h into out, keeping
+// each flow's resolutions in its memo entry.
+func (s *Sim) runFlows(r *resolver, flows []traffic.FlowSpec, memo []flowMemo, out *chunkOut, h wan.Hour) {
+	out.recs, out.lb = out.recs[:0], out.lb[:0]
+	for i := range flows {
 		f := &flows[i]
 		bytes, packets := traffic.VolumeAt(f, s.metros, h)
 		if bytes <= 0 {
 			continue
 		}
-		fe := &ws.epochs[f.ID]
-		if !fe.valid || fe.bucket != bucket || fe.gen != gen {
-			day := int32(h.Day())
-			if !fe.steadyValid || fe.steadyDay != day {
-				fe.steady = ws.res.steady(f, h)
-				fe.steadyDay, fe.steadyValid = day, true
-			}
-			shares := ws.res.resolveFlowFrom(f, h, fe.steady)
-			fe.shares = append(fe.shares[:0], shares...)
-			fe.bucket, fe.gen, fe.valid = bucket, gen, true
-		}
-		start := len(ws.obs)
-		for _, sh := range fe.shares {
+		r.memo = &memo[i]
+		start := len(out.recs)
+		for _, sh := range r.resolveFlow(f, h) {
 			b := bytes * sh.Frac
 			p := packets * sh.Frac
-			ws.localLB[sh.Link-1] += b
+			out.lb = append(out.lb, LinkShare{Link: sh.Link, Frac: b})
 			oct, pkt, ok := s.sampleFlow(f, sh.Link, h, b, p)
 			if !ok {
 				continue
 			}
-			ws.obs = append(ws.obs, flowObs{
-				flowID: int32(f.ID),
-				link:   sh.Link,
-				rec: ipfix.FlowRecord{
-					SrcAddr:   f.SrcAddr,
-					DstAddr:   f.DstAddr,
-					Octets:    oct,
-					Packets:   pkt,
-					Ingress:   uint32(sh.Link),
-					SrcAS:     uint32(f.SrcAS),
-					StartSecs: uint32(h) * 3600,
-					EndSecs:   uint32(h)*3600 + 3599,
-				},
+			out.recs = append(out.recs, ipfix.FlowRecord{
+				SrcAddr:   f.SrcAddr,
+				DstAddr:   f.DstAddr,
+				Octets:    oct,
+				Packets:   pkt,
+				Ingress:   uint32(sh.Link),
+				SrcAS:     uint32(f.SrcAS),
+				StartSecs: uint32(h) * 3600,
+				EndSecs:   uint32(h)*3600 + 3599,
 			})
 		}
-		// Keep each flow's observations link-sorted so the worker's
-		// whole buffer is (flowID, link)-ordered (the flow stride is
-		// ascending); at most a handful of shares, insertion sort.
-		seg := ws.obs[start:]
+		// Sort the flow's records by link; at most a handful of
+		// shares, insertion sort.
+		seg := out.recs[start:]
 		for a := 1; a < len(seg); a++ {
-			for j := a; j > 0 && seg[j].link < seg[j-1].link; j-- {
+			for j := a; j > 0 && seg[j].Ingress < seg[j-1].Ingress; j-- {
 				seg[j], seg[j-1] = seg[j-1], seg[j]
 			}
 		}

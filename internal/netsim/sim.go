@@ -54,9 +54,6 @@ type Config struct {
 	DriftMinDays, DriftMaxDays int
 	// GeoErrRate is the Geo-IP database error rate.
 	GeoErrRate float64
-	// Workers shards the per-hour flow loop. Results are
-	// deterministic for any worker count.
-	Workers int
 }
 
 // DefaultConfig returns the simulator configuration used by the
@@ -74,7 +71,6 @@ func DefaultConfig(seed int64) Config {
 		DriftMinDays:         5,
 		DriftMaxDays:         21,
 		GeoErrRate:           0.02,
-		Workers:              8,
 	}
 }
 
@@ -114,28 +110,35 @@ type Sim struct {
 	//tipsy:guardedby mu
 	withdrawn map[wdKey]bool
 	// anyWithdrawn lets Available skip the read lock entirely in the
-	// common no-withdrawals state; wdVer bumps on every announcement
-	// change so Run knows when cached resolutions must be redone.
+	// common no-withdrawals state.
 	anyWithdrawn atomic.Bool
-	wdVer        atomic.Uint64
 
-	cacheMu sync.RWMutex
-	//tipsy:guardedby cacheMu
-	cache map[resKey][]LinkShare
-
-	// resolvers pools resolution scratch for the public ResolveFlow;
-	// Run's workers hold their own. runMu serializes Run calls, which
-	// own runWorkers.
+	// resolvers pools resolution scratch for ResolveFlow and Run's
+	// workers. runMu serializes Run calls, which own each flow's
+	// one-day memo (indexed by flow ID) and each chunk's output.
 	resolvers sync.Pool
 	runMu     sync.Mutex
 	//tipsy:guardedby runMu
-	runWorkers []*runWorker
+	memo []flowMemo
+	//tipsy:guardedby runMu
+	chunks []chunkOut
 
-	// linkBytes is ground-truth per-link ingress volume per hour,
-	// filled in by Run.
+	// linkBytes is ground-truth per-link ingress volume for the last
+	// ledgerHours simulated hours, filled in by Run; slot h%ledgerHours
+	// holds hour h.
 	lbMu sync.Mutex
 	//tipsy:guardedby lbMu
-	linkBytes map[wan.Hour][]float64
+	linkBytes [ledgerHours]ledgerSlot
+}
+
+// ledgerHours is how much ground truth Sim keeps: one week, more than
+// any reader looks back.
+const ledgerHours = 168
+
+// ledgerSlot is one hour's ground truth; row is nil until written.
+type ledgerSlot struct {
+	h   wan.Hour
+	row []float64
 }
 
 type dstMeta struct {
@@ -143,17 +146,8 @@ type dstMeta struct {
 	svc    wan.ServiceType
 }
 
-type resKey struct {
-	flow int32
-	day  int32
-	excl uint64
-}
-
 // New builds a simulator over the given topology and workload.
 func New(cfg Config, g *topology.Graph, metros *geo.DB, w *traffic.Workload) *Sim {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &Sim{
 		cfg:       cfg,
@@ -167,9 +161,7 @@ func New(cfg Config, g *topology.Graph, metros *geo.DB, w *traffic.Workload) *Si
 		driftPer:  make(map[bgp.ASN]int32),
 		driftOff:  make(map[bgp.ASN]int32),
 		withdrawn: make(map[wdKey]bool),
-		cache:     make(map[resKey][]LinkShare),
 		meta:      make(map[uint32]dstMeta),
-		linkBytes: make(map[wan.Hour][]float64),
 	}
 	s.buildLinks(rng)
 	s.outages = GenOutages(len(s.links), cfg.HorizonHours, cfg.OutagesPerLinkYear, cfg.Seed+2)
@@ -316,7 +308,6 @@ func (s *Sim) Withdraw(link wan.LinkID, prefix bgp.Prefix) {
 	s.mu.Lock()
 	s.withdrawn[wdKey{link, prefix}] = true
 	s.anyWithdrawn.Store(true)
-	s.wdVer.Add(1)
 	s.mu.Unlock()
 }
 
@@ -325,7 +316,6 @@ func (s *Sim) Announce(link wan.LinkID, prefix bgp.Prefix) {
 	s.mu.Lock()
 	delete(s.withdrawn, wdKey{link, prefix})
 	s.anyWithdrawn.Store(len(s.withdrawn) > 0)
-	s.wdVer.Add(1)
 	s.mu.Unlock()
 }
 
@@ -388,15 +378,22 @@ func (s *Sim) getResolver() *resolver {
 func (s *Sim) putResolver(r *resolver) { s.resolvers.Put(r) }
 
 // LinkBytes returns the ground-truth ingress bytes link carried during
-// hour h (0 if the hour was not simulated).
+// hour h, or 0 if Sim does not hold that hour: it was never simulated,
+// or a later hour has taken its slot in the one-week (ledgerHours)
+// ring.
 func (s *Sim) LinkBytes(h wan.Hour, link wan.LinkID) float64 {
 	s.lbMu.Lock()
 	defer s.lbMu.Unlock()
-	row := s.linkBytes[h]
-	if row == nil || int(link) > len(row) || link == 0 {
+	sl := &s.linkBytes[ledgerIndex(h)]
+	if sl.row == nil || sl.h != h || int(link) > len(sl.row) || link == 0 {
 		return 0
 	}
-	return row[link-1]
+	return sl.row[link-1]
+}
+
+// ledgerIndex is hour h's slot in the ground-truth ring.
+func ledgerIndex(h wan.Hour) int {
+	return int(uint32(h) % ledgerHours)
 }
 
 // FlowPrefix returns the anycast destination prefix of a flow.
