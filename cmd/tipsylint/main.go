@@ -8,6 +8,11 @@
 //
 //	tipsylint packages...
 //
+// Patterns mean what they mean to go vet run in the same directory:
+// the go command lists the packages and compiles their dependencies,
+// which tipsylint reads as export data, and tipsylint type-checks the
+// matched packages from source with their tests.
+//
 // It takes no flags and runs every rule. Exit status is 0 when clean,
 // 1 when findings were reported, and 2 on usage, load, or typecheck
 // errors. A finding is fixed in the source; the one escape hatch is a
@@ -15,7 +20,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -40,37 +44,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	pkgs, err := load(args)
+	pkgs, err := lint.Load(".", args...)
 	if err != nil {
 		fmt.Fprintln(stderr, "tipsylint:", err)
 		return 2
 	}
 	return report(pkgs, stdout, stderr)
-}
-
-// load parses and type-checks the packages the patterns name, inside
-// the module that holds the working directory.
-func load(patterns []string) ([]*lint.Package, error) {
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	loader, err := lint.NewLoader(wd)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := lint.ExpandPatterns(loader.ModuleRoot, patterns)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := loader.LoadDirs(dirs)
-	if err != nil {
-		return nil, err
-	}
-	if len(pkgs) == 0 {
-		return nil, errors.New("no packages matched")
-	}
-	return pkgs, nil
 }
 
 // report lints pkgs with every rule, writes the findings and returns

@@ -12,9 +12,9 @@ import (
 )
 
 // module is the whole repository, loaded and type-checked once for
-// every test that lints it.
+// every test that lints it: ./... from the module root.
 var module = sync.OnceValues(func() ([]*lint.Package, error) {
-	return load([]string{"./..."})
+	return lint.Load("../..", "./...")
 })
 
 // runModule is run("./...") on the shared load.
@@ -44,7 +44,7 @@ func TestRepoIsLintClean(t *testing.T) {
 // (which is reserved for infrastructure failures).
 func TestFindingsExitOne(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"internal/lint/testdata/locks/bad/..."}, &out, &errOut)
+	code := run([]string{"../../internal/lint/testdata/locks/bad/..."}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\n%s%s", code, out.String(), errOut.String())
 	}
@@ -53,32 +53,51 @@ func TestFindingsExitOne(t *testing.T) {
 	}
 }
 
+// inModule makes a fresh module holding files the working directory
+// for the rest of the test, since patterns are read from there.
+func inModule(t *testing.T, files map[string]string) {
+	t.Helper()
+	dir := t.TempDir()
+	files["go.mod"] = "module broken\n\ngo 1.22\n"
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestLoadErrorsExitTwo pins the load-failure paths at exit 2: a
 // package that cannot be parsed and one that cannot be type-checked
-// are infrastructure failures, distinct from findings (exit 1).
+// are infrastructure failures, distinct from findings (exit 1), and so
+// are patterns the go command matches to nothing or refuses.
 func TestLoadErrorsExitTwo(t *testing.T) {
-	writePkg := func(t *testing.T, src string) string {
-		dir := filepath.Join(t.TempDir(), "brokenpkg")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
 	t.Run("parse error", func(t *testing.T) {
-		dir := writePkg(t, "package broken\nfunc f( {}\n")
+		inModule(t, map[string]string{"brokenpkg/b.go": "package broken\nfunc f( {}\n"})
 		var out, errOut strings.Builder
-		if code := run([]string{dir}, &out, &errOut); code != 2 {
+		if code := run([]string{"./..."}, &out, &errOut); code != 2 {
 			t.Errorf("exit %d, want 2\n%s", code, errOut.String())
 		}
 	})
 	t.Run("type error", func(t *testing.T) {
-		dir := writePkg(t, "package broken\nfunc f() int { return \"nope\" }\n")
+		inModule(t, map[string]string{"brokenpkg/b.go": "package broken\nfunc f() int { return \"nope\" }\n"})
 		var out, errOut strings.Builder
-		if code := run([]string{dir}, &out, &errOut); code != 2 {
+		if code := run([]string{"./..."}, &out, &errOut); code != 2 {
 			t.Errorf("exit %d, want 2\n%s", code, errOut.String())
 		}
 		if !strings.Contains(errOut.String(), "typecheck") {
@@ -86,9 +105,23 @@ func TestLoadErrorsExitTwo(t *testing.T) {
 		}
 	})
 	t.Run("no packages", func(t *testing.T) {
+		inModule(t, map[string]string{})
 		var out, errOut strings.Builder
-		if code := run([]string{filepath.Join(t.TempDir(), "absent")}, &out, &errOut); code != 2 {
+		if code := run([]string{"./..."}, &out, &errOut); code != 2 {
 			t.Errorf("exit %d, want 2\n%s", code, errOut.String())
+		}
+	})
+	t.Run("outside module", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package a\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut strings.Builder
+		if code := run([]string{dir}, &out, &errOut); code != 2 {
+			t.Errorf("exit %d, want 2\n%s", code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "outside main module") {
+			t.Errorf("stderr does not carry the go command's message: %s", errOut.String())
 		}
 	})
 }

@@ -12,7 +12,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"slices"
 
 	"tipsy/internal/cms"
 	"tipsy/internal/geo"
@@ -39,25 +43,41 @@ type incidentStats struct {
 }
 
 func main() {
-	fmt.Println("=== blind mitigation (pre-TIPSY baseline) ===")
-	blind := runIncident(true)
-	fmt.Println()
-	fmt.Println("=== TIPSY-guided mitigation ===")
-	tipsy := runIncident(false)
-	fmt.Println()
-	fmt.Printf("%-28s %10s %10s\n", "", "blind", "TIPSY")
-	fmt.Printf("%-28s %10d %10d\n", "cascaded congested hours", blind.cascadeHours, tipsy.cascadeHours)
-	fmt.Printf("%-28s %10d %10d\n", "cascaded links", blind.cascadeLinks, tipsy.cascadeLinks)
-	fmt.Printf("%-28s %9.0f%% %9.0f%%\n", "worst link utilization", blind.peakUtil*100, tipsy.peakUtil*100)
-	fmt.Printf("%-28s %10d %10d\n", "withdrawals issued", blind.withdrawals, tipsy.withdrawals)
-	if tipsy.cascadeHours <= blind.cascadeHours && tipsy.peakUtil <= blind.peakUtil {
-		fmt.Println("\nTIPSY's what-if checks kept the congestion from cascading.")
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "congestion:", err)
+		os.Exit(1)
 	}
 }
 
-// runIncident builds the identical environment and incident and runs
-// the CMS in the given mode.
-func runIncident(blind bool) incidentStats {
+// run replays the incident blind and with TIPSY and writes both runs
+// and their comparison to w. It is the entry point the tests drive.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "=== blind mitigation (pre-TIPSY baseline) ===")
+	blind, err := runIncident(w, true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "=== TIPSY-guided mitigation ===")
+	tipsy, err := runIncident(w, false)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-28s %10s %10s\n", "", "blind", "TIPSY")
+	fmt.Fprintf(w, "%-28s %10d %10d\n", "cascaded congested hours", blind.cascadeHours, tipsy.cascadeHours)
+	fmt.Fprintf(w, "%-28s %10d %10d\n", "cascaded links", blind.cascadeLinks, tipsy.cascadeLinks)
+	fmt.Fprintf(w, "%-28s %9.0f%% %9.0f%%\n", "worst link utilization", blind.peakUtil*100, tipsy.peakUtil*100)
+	fmt.Fprintf(w, "%-28s %10d %10d\n", "withdrawals issued", blind.withdrawals, tipsy.withdrawals)
+	if tipsy.cascadeHours <= blind.cascadeHours && tipsy.peakUtil <= blind.peakUtil {
+		fmt.Fprintln(w, "\nTIPSY's what-if checks kept the congestion from cascading.")
+	}
+	return nil
+}
+
+// runIncident builds the identical environment and incident, runs the
+// CMS in the given mode, and narrates the run to w.
+func runIncident(w io.Writer, blind bool) (incidentStats, error) {
 	metros := geo.World()
 	graph := topology.Generate(topology.TestGenConfig(seed), metros)
 	workload := traffic.Generate(traffic.TestConfig(seed), graph, metros)
@@ -75,7 +95,10 @@ func runIncident(blind bool) incidentStats {
 	// natural failover targets — are already running warm, so a blind
 	// withdrawal shifts the surge onto links without headroom and the
 	// congestion cascades through the peer (I1 -> I2 -> I3/I4).
-	hot := busiestTransitLink(sim)
+	hot, ok := busiestTransitLink(sim)
+	if !ok {
+		return incidentStats{}, errors.New("no peer has the four links a transit incident needs")
+	}
 	l, _ := sim.Link(hot)
 	for _, sib := range sim.LinksOfAS(l.PeerAS) {
 		sl, _ := sim.Link(sib)
@@ -88,7 +111,7 @@ func runIncident(blind bool) incidentStats {
 	// ~10%% under the target; aim correspondingly high.
 	scale := sim.InflateToUtilization(hot, 1.02, trainHours, trainHours+runHours)
 	m := sim.Metros().MustMetro(l.Metro)
-	fmt.Printf("incident: ingress surge (x%.0f) on link %d (%s, %s, peer %v, %.0fG; %d sibling links warm)\n",
+	fmt.Fprintf(w, "incident: ingress surge (x%.0f) on link %d (%s, %s, peer %v, %.0fG; %d sibling links warm)\n",
 		scale, hot, l.Router, m.Name, l.PeerAS, l.Capacity/1e9, len(sim.LinksOfAS(l.PeerAS))-1)
 
 	cmsCfg := cms.DefaultConfig(workload.Anycast)
@@ -108,7 +131,7 @@ func runIncident(blind bool) incidentStats {
 					stats.peakUtil = u
 				}
 				if u >= cmsCfg.UtilThreshold {
-					fmt.Printf("  hour %d: link %-4d %-14s at %3.0f%%\n", h, id, ll.Router, u*100)
+					fmt.Fprintf(w, "  hour %d: link %-4d %-14s at %3.0f%%\n", h, id, ll.Router, u*100)
 					if id != hot {
 						stats.cascadeHours++
 						cascaded[id] = true
@@ -122,23 +145,30 @@ func runIncident(blind bool) incidentStats {
 
 	for _, ev := range ctrl.Events() {
 		ll, _ := sim.Link(ev.Link)
-		fmt.Printf("  event @h%d on %s (%.0f%%): withdrew %d prefixes, %d deferred as unsafe\n",
+		fmt.Fprintf(w, "  event @h%d on %s (%.0f%%): withdrew %d prefixes, %d deferred as unsafe\n",
 			ev.Hour, ll.Router, ev.Util*100, len(ev.Withdrawn), ev.Deferred)
-		for target, bytes := range ev.Predicted {
+		// In link order, so a seed prints one transcript.
+		var targets []wan.LinkID
+		for target := range ev.Predicted {
+			targets = append(targets, target)
+		}
+		slices.Sort(targets)
+		for _, target := range targets {
 			tl, _ := sim.Link(target)
-			fmt.Printf("      predicted shift -> link %-4d %-14s %6.1f Gbps\n",
-				target, tl.Router, bytes*8/3600/1e9)
+			fmt.Fprintf(w, "      predicted shift -> link %-4d %-14s %6.1f Gbps\n",
+				target, tl.Router, ev.Predicted[target]*8/3600/1e9)
 		}
 	}
 	stats.withdrawals = len(ctrl.Active())
-	fmt.Printf("  %s\n", ctrl.Summary())
-	return stats
+	fmt.Fprintf(w, "  %s\n", ctrl.Summary())
+	return stats, nil
 }
 
 // busiestTransitLink picks the busiest link whose peer AS has several
 // other links — a transit-style peer, so the incident has the §2
-// shape: alternates exist, but within the same neighbor.
-func busiestTransitLink(sim *netsim.Sim) wan.LinkID {
+// shape: alternates exist, but within the same neighbor. It reports
+// false when no such link carried traffic before the incident.
+func busiestTransitLink(sim *netsim.Sim) (wan.LinkID, bool) {
 	var hot wan.LinkID
 	var best float64
 	for _, id := range sim.Links() {
@@ -154,5 +184,5 @@ func busiestTransitLink(sim *netsim.Sim) wan.LinkID {
 			best, hot = sum, id
 		}
 	}
-	return hot
+	return hot, best > 0
 }

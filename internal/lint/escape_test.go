@@ -10,7 +10,7 @@ import (
 // copy, ranged out of a slice) and non-escaping (immediately invoked,
 // called locally).
 func TestEscapeAnalysis(t *testing.T) {
-	p, err := loader(t).LoadSource("escape.go", `package p
+	p, err := LoadSource("escape.go", `package p
 
 var hooks []func()
 

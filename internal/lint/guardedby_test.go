@@ -8,7 +8,7 @@ import (
 // runGuardedBy runs the locks rule alone over one in-memory file.
 func runGuardedBy(t *testing.T, name, src string) []Diagnostic {
 	t.Helper()
-	p, err := loader(t).LoadSource(name, src)
+	p, err := LoadSource(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func (t *T) Leak() int {
 	t.mu.Unlock()
 	return t.n
 }
-`), "unguarded read of tipsy.T.n")
+`), "unguarded read of p.T.n")
 }
 
 // TestGuardedByClosures pins the closure policy: a goroutine or
@@ -211,7 +211,7 @@ func (t *T) Inc() { t.mu.Lock(); defer t.mu.Unlock(); t.incLocked() }
 func (t *T) Race() { t.incLocked() }
 func (t *T) incLocked() { t.n++ }
 `)
-	wantOne(t, diags, "unguarded write to tipsy.T.n")
+	wantOne(t, diags, "unguarded write to p.T.n")
 
 	// Exported helpers never inherit entry locks: external callers
 	// are invisible to the call-graph closure.
@@ -224,7 +224,7 @@ type T struct {
 }
 func (t *T) Inc() { t.mu.Lock(); defer t.mu.Unlock(); t.IncLocked() }
 func (t *T) IncLocked() { t.n++ }
-`), "unguarded write to tipsy.T.n")
+`), "unguarded write to p.T.n")
 }
 
 // TestGuardedByExemptions covers the accesses the rule must not
@@ -290,7 +290,7 @@ func Pick(old *T, reuse bool) *T {
 	t.n = 4
 	return t
 }
-`), "unguarded write to tipsy.T.n")
+`), "unguarded write to p.T.n")
 }
 
 // TestLockLeaksFollowControlFlow pins the leak check's must-hold

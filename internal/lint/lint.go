@@ -46,8 +46,8 @@ type Rule struct {
 
 // Program is the whole-module view handed to every rule: each loaded
 // package and the intra-module call graph. All packages must come
-// from one Loader (they share its FileSet). A Program is built per Run
-// call and is not written to after construction.
+// from one Load call (they share its FileSet). A Program is built per
+// Run call and is not written to after construction.
 type Program struct {
 	Pkgs   []*Package
 	Fset   *token.FileSet

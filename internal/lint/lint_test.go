@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,20 +13,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden want.txt files")
 
-// sharedLoader hands every test the same loader so the standard
-// library is type-checked from source once, not per subtest.
-var sharedLoader = sync.OnceValues(func() (*Loader, error) {
-	return NewLoader(".")
+// module is the whole repository, loaded once for every test that
+// lints it: ./... from the module root, as scripts/check.sh runs it.
+var module = sync.OnceValues(func() ([]*Package, error) {
+	return Load(moduleRoot, "./...")
 })
 
-func loader(t *testing.T) *Loader {
-	t.Helper()
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
+const moduleRoot = "../.."
 
 // descope widens a rule to every package so fixtures outside the
 // production directories still trigger it.
@@ -50,12 +44,7 @@ func ruleByName(t *testing.T, name string) Rule {
 // path.
 func runOnDir(t *testing.T, dir string, rules ...Rule) []Diagnostic {
 	t.Helper()
-	l := loader(t)
-	dirs, err := ExpandPatterns(l.ModuleRoot, []string{dir + "/..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadDirs(dirs)
+	pkgs, err := Load(dir, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +222,7 @@ type A struct{ mu sync.Mutex }
 type B struct{ mu sync.Mutex }
 func f(a *A, b *B) { a.mu.Lock(); b.mu.Lock(); b.mu.Unlock(); a.mu.Unlock() }
 func g(a *A, b *B) { b.mu.Lock(); a.mu.Lock(); a.mu.Unlock(); b.mu.Unlock() }
-`, "lock order cycle: tipsy.f holds tipsy.A.mu while acquiring tipsy.B.mu"},
+`, "lock order cycle: p.f holds p.A.mu while acquiring p.B.mu"},
 		{"locks", `package p
 import "sync"
 type T struct{ mu sync.Mutex; n int }
@@ -241,7 +230,7 @@ func (t *T) Inc() { t.mu.Lock(); t.n++; t.mu.Unlock() }
 func (t *T) Dec() { t.mu.Lock(); t.n--; t.mu.Unlock() }
 func (t *T) Get() int { t.mu.Lock(); defer t.mu.Unlock(); return t.n }
 func (t *T) Peek() int { return t.n }
-`, "unguarded read of tipsy.T.n"},
+`, "unguarded read of p.T.n"},
 		{"locks", `package p
 import "sync"
 type T struct {
@@ -295,10 +284,10 @@ func Sum(ts []*T) int {
 	}
 	return total
 }
-`, "unguarded read of tipsy.T.n"},
+`, "unguarded read of p.T.n"},
 	}
 	for i, tc := range cases {
-		p, err := loader(t).LoadSource(fmt.Sprintf("deliberate%d.go", i), tc.src)
+		p, err := LoadSource(fmt.Sprintf("deliberate%d.go", i), tc.src)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -325,7 +314,7 @@ func f() int64 { return time.Now().Unix() }
 `
 	rule := ruleByName(t, "determinism")
 
-	p, err := loader(t).LoadSource("scope_prod.go", detSrc)
+	p, err := LoadSource("scope_prod.go", detSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +323,7 @@ func f() int64 { return time.Now().Unix() }
 		t.Errorf("determinism fired outside its packages: %v", diags)
 	}
 
-	p2, err := loader(t).LoadSource("scope_sim.go", detSrc)
+	p2, err := LoadSource("scope_sim.go", detSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +332,7 @@ func f() int64 { return time.Now().Unix() }
 		t.Errorf("determinism silent inside its packages: %v", diags)
 	}
 
-	p3, err := loader(t).LoadSource("scope_test_file_test.go", detSrc)
+	p3, err := LoadSource("scope_test_file_test.go", detSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +344,7 @@ func f() int64 { return time.Now().Unix() }
 	goSrc := `package p
 func f() { go func() { for {} }() }
 `
-	p4, err := loader(t).LoadSource("scope_go_test.go", goSrc)
+	p4, err := LoadSource("scope_go_test.go", goSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,24 +353,29 @@ func f() { go func() { for {} }() }
 	}
 }
 
-// TestExpandPatterns ensures the walker honours ./... and skips
-// testdata (the fixtures must never gate the real tree).
-func TestExpandPatterns(t *testing.T) {
-	l := loader(t)
-	dirs, err := ExpandPatterns(l.ModuleRoot, []string{"./..."})
+// TestLoadPatterns holds Load to the go command's reading of ./...
+// from the module root: it finds internal/lint, never descends into
+// testdata (the fixtures must never gate the real tree), and of
+// internal/alloctest's //go:build race / !race pair loads the !race
+// file, as the default build does.
+func TestLoadPatterns(t *testing.T) {
+	pkgs, err := module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	foundSelf := false
-	for _, d := range dirs {
-		if strings.Contains(d, "testdata") {
-			t.Errorf("pattern expansion descended into %s", d)
+	files := map[string][]string{}
+	for _, p := range pkgs {
+		if strings.Contains(p.Rel, "testdata") {
+			t.Errorf("./... descended into %s", p.Rel)
 		}
-		if filepath.Base(d) == "lint" {
-			foundSelf = true
+		for _, f := range p.Files {
+			files[p.Rel] = append(files[p.Rel], filepath.Base(p.Fset.Position(f.Pos()).Filename))
 		}
 	}
-	if !foundSelf {
+	if files["internal/lint"] == nil {
 		t.Error("./... did not find internal/lint")
+	}
+	if got := files["internal/alloctest"]; !slices.Contains(got, "norace.go") || slices.Contains(got, "race.go") {
+		t.Errorf("internal/alloctest loads %v, want norace.go and not race.go", got)
 	}
 }

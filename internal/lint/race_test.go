@@ -12,15 +12,7 @@ import (
 // graph traversal, lock-set iteration, finding emission) is required
 // to be deterministic, and no rule may mutate shared package state.
 func TestConcurrentFullTierIsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module load is slow; skipped in -short")
-	}
-	l := loader(t)
-	dirs, err := ExpandPatterns(l.ModuleRoot, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadDirs(dirs)
+	pkgs, err := module()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +23,7 @@ func TestConcurrentFullTierIsDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = format(l.ModuleRoot, Run(pkgs, Rules()))
+			out[i] = format(moduleRoot, Run(pkgs, Rules()))
 		}(i)
 	}
 	wg.Wait()

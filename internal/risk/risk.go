@@ -22,9 +22,6 @@ type Options struct {
 	// "exceedingly high" — the paper uses 70%, because bursty traffic
 	// at 70% hourly average already queues and drops.
 	UtilThreshold float64
-	// MaxAffecting bounds how many hypothetical single-link outages
-	// are simulated per hour (all links carrying traffic if <= 0).
-	MaxAffecting int
 }
 
 // DefaultOptions matches the paper's Algorithm 1 parameters.
@@ -115,9 +112,6 @@ func AtRisk(dir wan.Directory, model core.Predictor, recs []features.Record, opt
 			as = append(as, a)
 		}
 		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		if opts.MaxAffecting > 0 && len(as) > opts.MaxAffecting {
-			as = as[:opts.MaxAffecting]
-		}
 		for _, a := range as {
 			shifted := make(map[wan.LinkID]float64)
 			for _, g := range perLink[a] {

@@ -4,11 +4,13 @@
 # Runs, in order: formatting, go vet, build, tipsylint (the project's
 # own static-analysis suite: determinism, one lock analysis covering
 # leaks, lock order and guarded fields, wire-encoder errors, goroutine
-# hygiene, metrics, slog; one invocation, no flags), the test suite
-# under the race detector with a total-coverage floor, the exact
+# hygiene, metrics, slog; no flags; it runs right after go build, so
+# the export data it loads dependencies from is already in the build
+# cache), the test suite under the race detector with a
+# total-coverage floor, the exact
 # allocation pins and the shortest-float kernel's random sweep once
 # without the race detector (both skip under it), the nested bench
-# module's vet and smoke test, a 15s fuzz pass for the IPFIX decoder,
+# module's vet, tipsylint and smoke test, a 15s fuzz pass for the IPFIX decoder,
 # for the IPFIX stream reader against its two-ReadFull oracle, for the /v1/predict request decoder against its
 # encoding/json oracle, for the answer's shortest-float kernel against
 # strconv, for the aggregator against its single-map
@@ -84,8 +86,8 @@ awk -v t="$total" -v f="$coverage_floor" 'BEGIN { exit !(t >= f) }' || {
 
 # bench/ is its own module (root ./... skips it) but imports this
 # one's packages, so a refactor here can break it silently.
-echo "==> bench module: go vet + go test"
-(cd bench && go vet ./... && go test -count=1 ./...)
+echo "==> bench module: go vet + tipsylint + go test"
+(cd bench && go vet ./... && go run tipsy/cmd/tipsylint ./... && go test -count=1 ./...)
 
 if [[ $short -eq 0 ]]; then
     echo "==> fuzz quick pass (15s per target)"
