@@ -44,6 +44,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *scale != "small" && *scale != "full" {
+		fmt.Fprintf(stderr, "unknown -scale %q (want small or full)\n", *scale)
+		return 2
+	}
 
 	// csvErr reports a CSV write failure without aborting the run.
 	csvErr := func(err error) {

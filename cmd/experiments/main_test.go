@@ -32,6 +32,24 @@ func TestUnknownExperimentRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownScaleRejected: only small and full build an environment,
+// so another scale's name or a typo exits 2 naming it instead of
+// silently running the small env.
+func TestUnknownScaleRejected(t *testing.T) {
+	for _, bad := range []string{"medium", "ful"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-scale", bad, "-run", "table1"}, &out, &errOut); code != 2 {
+			t.Errorf("-scale %s exited %d, want 2", bad, code)
+		}
+		if !strings.Contains(errOut.String(), `"`+bad+`"`) {
+			t.Errorf("stderr does not name -scale %s: %s", bad, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-scale %s wrote to stdout: %s", bad, out.String())
+		}
+	}
+}
+
 // TestFig6RunsWithoutEnvironment runs the one experiment that needs
 // no simulated environment, end to end.
 func TestFig6RunsWithoutEnvironment(t *testing.T) {

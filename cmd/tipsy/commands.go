@@ -31,13 +31,16 @@ func cmdSimulate(args []string) error {
 	metros := geo.World()
 	var topoCfg topology.GenConfig
 	var trafCfg traffic.Config
-	if *scale == "full" {
+	switch *scale {
+	case "full":
 		topoCfg = topology.DefaultGenConfig(*seed)
 		trafCfg = traffic.DefaultConfig(*seed + 10)
-	} else {
+	case "small":
 		topoCfg = topology.TestGenConfig(*seed)
 		trafCfg = traffic.TestConfig(*seed + 10)
 		trafCfg.NFlows = 3000
+	default:
+		return fmt.Errorf("unknown -scale %q (want small or full)", *scale)
 	}
 	simCfg := netsim.DefaultConfig(*seed + 20)
 	simCfg.HorizonHours = wan.Hour(*days * 24)
@@ -221,7 +224,7 @@ func cmdPredict(args []string) error {
 	excluded := map[wan.LinkID]bool{}
 	if *exclude != "" {
 		for _, part := range strings.Split(*exclude, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(part))
+			id, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
 			if err != nil {
 				return fmt.Errorf("bad -exclude entry %q", part)
 			}

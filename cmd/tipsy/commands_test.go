@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -48,9 +49,8 @@ func TestParseSet(t *testing.T) {
 }
 
 // TestCLIWorkflow exercises the whole command surface end to end on a
-// tiny simulation: simulate -> info -> train -> predict -> eval ->
-// suspicious -> depeer. Output goes to files in a temp dir; the
-// commands run in process.
+// tiny simulation: simulate -> info -> train -> predict -> eval.
+// Output goes to files in a temp dir; the commands run in process.
 func TestCLIWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -59,6 +59,17 @@ func TestCLIWorkflow(t *testing.T) {
 	bundle := filepath.Join(dir, "t.tipsy")
 	model := filepath.Join(dir, "m.tipsy")
 
+	// Only the two named scales build an environment; a near miss or
+	// another scale's name is refused before anything is simulated.
+	for _, bad := range []string{"medium", "ful"} {
+		if err := cmdSimulate([]string{"-scale", bad, "-o", bundle}); err == nil ||
+			!strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("-scale %s: got %v, want an error naming it", bad, err)
+		}
+	}
+	if _, err := os.Stat(bundle); !os.IsNotExist(err) {
+		t.Fatalf("a refused -scale left a bundle behind: %v", err)
+	}
 	if err := cmdSimulate([]string{"-seed", "9", "-days", "5", "-o", bundle}); err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
@@ -94,8 +105,16 @@ func TestCLIWorkflow(t *testing.T) {
 	if len(ck.Models) != 1 || ck.TrainedAt != 96 || ck.Models[0].Name() != "Hist_AP" {
 		t.Errorf("checkpoint holds %d models trained at hour %d, want one Hist_AP at 96", len(ck.Models), ck.TrainedAt)
 	}
-	if err := cmdPredict([]string{"-i", bundle, "-model", model, "-src", "11.0.3.7"}); err != nil {
+	if err := cmdPredict([]string{"-i", bundle, "-model", model, "-src", "11.0.3.7", "-exclude", "0, 3"}); err != nil {
 		t.Fatalf("predict: %v", err)
+	}
+	// A link ID outside uint32 is refused, not wrapped onto another
+	// link: -1 would exclude nothing, 4294967301 would exclude link 5.
+	for _, bad := range []string{"-1", "4294967301"} {
+		err := cmdPredict([]string{"-i", bundle, "-model", model, "-src", "11.0.3.7", "-exclude", "2," + bad})
+		if err == nil || !strings.Contains(err.Error(), "bad -exclude entry "+strconv.Quote(bad)) {
+			t.Errorf("-exclude 2,%s: got %v, want an error naming the entry", bad, err)
+		}
 	}
 	// predict refuses a checkpoint of any other size and says how many
 	// models it found.
@@ -110,12 +129,6 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 	if err := cmdEval([]string{"-i", bundle, "-train-days", "4"}); err != nil {
 		t.Fatalf("eval: %v", err)
-	}
-	if err := cmdSuspicious([]string{"-i", bundle, "-train-days", "4"}); err != nil {
-		t.Fatalf("suspicious: %v", err)
-	}
-	if err := cmdDepeer([]string{"-i", bundle, "-train-days", "4"}); err != nil {
-		t.Fatalf("depeer: %v", err)
 	}
 	// Errors surface cleanly for missing files.
 	if err := cmdInfo([]string{"-i", filepath.Join(dir, "missing")}); err == nil {

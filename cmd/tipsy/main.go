@@ -5,16 +5,12 @@
 //	tipsy train    -i telemetry.tipsy -set AP -to-hour 504 -o model.tipsy
 //	tipsy predict  -i telemetry.tipsy -model model.tipsy -src 11.0.3.7 -as 10007 -region 30 -svc 2
 //	tipsy eval     -i telemetry.tipsy -train-days 21
-//	tipsy suspicious -i telemetry.tipsy -train-days 21
-//	tipsy depeer   -i telemetry.tipsy -train-days 21
 //
 // simulate runs the Internet+WAN substrate and exports aggregated
 // telemetry; train fits a Historical model on a window of it and
 // writes a one-model checkpoint; predict answers single what-if
 // queries from that checkpoint; eval reproduces the headline accuracy
-// table on a train/test split; suspicious flags implausible ingress
-// arrivals (spoofing candidates); depeer ranks peers whose links add
-// little unique value.
+// table on a train/test split.
 package main
 
 import (
@@ -40,10 +36,6 @@ func main() {
 		err = cmdPredict(os.Args[2:])
 	case "eval":
 		err = cmdEval(os.Args[2:])
-	case "suspicious":
-		err = cmdSuspicious(os.Args[2:])
-	case "depeer":
-		err = cmdDepeer(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -66,8 +58,6 @@ commands:
   train      train a Historical model on a telemetry window (writes a checkpoint)
   predict    predict ingress links for one flow
   eval       train/test split accuracy report
-  suspicious flag implausible ingress arrivals (spoofing candidates)
-  depeer     rank peers whose links add little unique value
 
 run 'tipsy <command> -h' for flags
 `)

@@ -40,13 +40,38 @@ func ruleByName(t *testing.T, name string) Rule {
 	return Rule{}
 }
 
-// runOnDir runs rules over the packages in and below dir, an absolute
-// path.
+// fixtures is every package under testdata, loaded once (./... run
+// from inside testdata, since a wildcard from here skips it) for all
+// the golden subtests.
+var fixtures = sync.OnceValues(func() ([]*Package, error) {
+	return Load("testdata", "./...")
+})
+
+// runOnDir runs rules over the fixture packages in and below dir, an
+// absolute path under testdata.
 func runOnDir(t *testing.T, dir string, rules ...Rule) []Diagnostic {
 	t.Helper()
-	pkgs, err := Load(dir, "./...")
+	all, err := fixtures()
 	if err != nil {
 		t.Fatal(err)
+	}
+	root, err := filepath.Abs(moduleRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(root, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel = filepath.ToSlash(rel)
+	var pkgs []*Package
+	for _, p := range all {
+		if p.Rel == rel || strings.HasPrefix(p.Rel, rel+"/") {
+			pkgs = append(pkgs, p)
+		}
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("no fixture package in or below %s", rel)
 	}
 	for _, p := range pkgs {
 		for _, e := range p.TypeErrs {
