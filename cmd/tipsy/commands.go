@@ -64,11 +64,15 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	defer f.Close()
+	var geoEntries []dataset.GeoEntry
+	for prefix, metro := range sim.GeoIP().Entries() {
+		geoEntries = append(geoEntries, dataset.GeoEntry{Prefix: prefix, Metro: metro})
+	}
 	if err := dataset.Save(f, &dataset.File{
-		Records:    recs,
-		Links:      links,
-		Anycast:    w.Anycast,
-		GeoEntries: sim.GeoIP().Entries(),
+		Records: recs,
+		Links:   links,
+		Anycast: w.Anycast,
+		Geo:     geoEntries,
 	}); err != nil {
 		return err
 	}
@@ -212,7 +216,11 @@ func cmdPredict(args []string) error {
 	}
 	hist := ck.Models[0]
 	metros := geo.World()
-	geoip := geo.NewGeoIPFromEntries(metros, b.GeoEntries)
+	geoEntries := make(map[uint32]geo.MetroID, len(b.Geo))
+	for _, e := range b.Geo {
+		geoEntries[e.Prefix] = e.Metro
+	}
+	geoip := geo.NewGeoIPFromEntries(metros, geoEntries)
 	prefix := bgp.Slash24(srcAddr)
 	flow := features.FlowFeatures{
 		AS:     bgp.ASN(*asn),

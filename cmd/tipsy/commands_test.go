@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,6 +46,31 @@ func TestParseSet(t *testing.T) {
 	}
 	if _, err := parseSet("APL"); err == nil {
 		t.Error("APL should be rejected (equivalent to AP, not a separate set)")
+	}
+}
+
+// TestSimulateIsAFunctionOfItsSeed runs two same-seed simulations and
+// requires byte-identical bundles, so a bundle can be hashed or diffed.
+func TestSimulateIsAFunctionOfItsSeed(t *testing.T) {
+	dir := t.TempDir()
+	var bundles [2][]byte
+	for i := range bundles {
+		path := filepath.Join(dir, strconv.Itoa(i)+".tipsy")
+		if err := cmdSimulate([]string{"-seed", "1", "-days", "2", "-o", path}); err != nil {
+			t.Fatalf("simulate: %v", err)
+		}
+		var err error
+		if bundles[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bundles[0], bundles[1]) {
+		i := 0
+		for i < min(len(bundles[0]), len(bundles[1])) && bundles[0][i] == bundles[1][i] {
+			i++
+		}
+		t.Errorf("two seed-1 simulations wrote bundles of %d and %d bytes that differ from byte %d",
+			len(bundles[0]), len(bundles[1]), i)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Command tipsy is the command-line interface to the TIPSY library:
 //
-//	tipsy simulate -seed 1 -days 28 -scale small -o telemetry.tipsy
+//	tipsy simulate -seed 1 -days 11 -scale small -o telemetry.tipsy
 //	tipsy info     -i telemetry.tipsy
-//	tipsy train    -i telemetry.tipsy -set AP -to-hour 504 -o model.tipsy
-//	tipsy predict  -i telemetry.tipsy -model model.tipsy -src 11.0.3.7 -as 10007 -region 30 -svc 2
-//	tipsy eval     -i telemetry.tipsy -train-days 21
+//	tipsy train    -i telemetry.tipsy -set AP -to-hour 192 -o model.tipsy
+//	tipsy predict  -i telemetry.tipsy -model model.tipsy -src 11.1.214.7 -as 100 -region 64 -svc 1 -exclude 35
+//	tipsy eval     -i telemetry.tipsy -train-days 8
 //
 // simulate runs the Internet+WAN substrate and exports aggregated
 // telemetry; train fits a Historical model on a window of it and

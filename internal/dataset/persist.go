@@ -1,10 +1,12 @@
 package dataset
 
 import (
+	"cmp"
 	"compress/gzip"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"tipsy/internal/bgp"
 	"tipsy/internal/features"
@@ -23,16 +25,28 @@ type File struct {
 	Links []wan.Link
 	// Anycast lists the announced prefixes.
 	Anycast []bgp.Prefix
-	// GeoEntries maps /24 source prefixes to metros (the Geo-IP view).
-	GeoEntries map[uint32]geo.MetroID
+	// Geo is the Geo-IP view: /24 source prefixes and their metros.
+	// Save sorts it by prefix.
+	Geo []GeoEntry
 }
 
-const fileVersion = 1
+// GeoEntry is one Geo-IP entry: the metro of a /24 source prefix.
+type GeoEntry struct {
+	Prefix uint32
+	Metro  geo.MetroID
+}
+
+// fileVersion 2 stores the Geo-IP view as a slice sorted by prefix.
+// Version 1 stored it as a map, which gob writes in iteration order,
+// so two saves of the same bundle differed in bytes.
+const fileVersion = 2
 
 // Save writes the bundle gzip-compressed — the spirit of §4.2's
-// aggregation-then-compression stage.
+// aggregation-then-compression stage. It sorts f.Geo by prefix, so the
+// bytes written are a function of the bundle's contents.
 func Save(w io.Writer, f *File) error {
 	f.Version = fileVersion
+	slices.SortFunc(f.Geo, func(a, b GeoEntry) int { return cmp.Compare(a.Prefix, b.Prefix) })
 	zw := gzip.NewWriter(w)
 	if err := gob.NewEncoder(zw).Encode(f); err != nil {
 		return fmt.Errorf("dataset: save: %w", err)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"tipsy/internal/bgp"
 	"tipsy/internal/geo"
@@ -359,17 +360,21 @@ func TestRunEmitsRecordsAndGroundTruth(t *testing.T) {
 // TestRunDeterministicAcrossWorkerCounts holds Run's output to the
 // same records and the same LinkBytes bits at GOMAXPROCS 1, 2 and 8,
 // for flow counts around the chunk size, over a horizon with outages
-// and a withdrawal made mid-run.
+// and a withdrawal made mid-run. Each count runs in both of Run's
+// orders: with OnHourEnd, which holds the next hour back until the
+// hook returns and makes the withdrawal there, and without it, which
+// delivers each hour while the next is simulated and withdraws between
+// two Run calls. Both orders must give the same stream.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	metros := geo.World()
 	g := topology.Generate(topology.TestGenConfig(11), metros)
 	full := traffic.Generate(traffic.TestConfig(11), g, metros)
-	const hours = 30
+	const hours, wdHour = 30, 9
 	type output struct {
 		recs []ipfix.FlowRecord
 		lb   []uint64
 	}
-	collect := func(nFlows, procs int) output {
+	collect := func(nFlows, procs int, hooked bool) output {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		w := *full
 		w.Flows = full.Flows[:nFlows]
@@ -377,27 +382,33 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		cfg.OutagesPerLinkYear = 200
 		s := New(cfg, g, metros, &w)
 		var out output
-		withdrawn := false
-		s.Run(RunOptions{From: 0, To: hours,
-			Sink: RecordSinkFunc(func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
-				out.recs = append(out.recs, *rec)
-			}),
-			OnHourEnd: func(h wan.Hour) {
-				if h < 9 || withdrawn || len(out.recs) == 0 {
+		sink := RecordSinkFunc(func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
+			out.recs = append(out.recs, *rec)
+		})
+		// withdraw takes the last recorded flow's prefix off its link.
+		withdraw := func() {
+			if len(out.recs) == 0 {
+				t.Fatalf("%d flows: no record to withdraw from by hour %d", nFlows, wdHour)
+			}
+			last := out.recs[len(out.recs)-1]
+			for i := len(w.Flows) - 1; i >= 0; i-- {
+				if f := &w.Flows[i]; f.SrcAddr == last.SrcAddr && f.DstAddr == last.DstAddr {
+					s.Withdraw(wan.LinkID(last.Ingress), s.FlowPrefix(f))
 					return
 				}
-				// Withdraw the last recorded flow's prefix from its link.
-				last := out.recs[len(out.recs)-1]
-				for i := len(w.Flows) - 1; i >= 0; i-- {
-					if f := &w.Flows[i]; f.SrcAddr == last.SrcAddr && f.DstAddr == last.DstAddr {
-						s.Withdraw(wan.LinkID(last.Ingress), s.FlowPrefix(f))
-						withdrawn = true
-						return
-					}
+			}
+			t.Fatalf("%d flows: the last record matches no flow", nFlows)
+		}
+		if hooked {
+			s.Run(RunOptions{From: 0, To: hours, Sink: sink, OnHourEnd: func(h wan.Hour) {
+				if h == wdHour {
+					withdraw()
 				}
 			}})
-		if !withdrawn {
-			t.Fatalf("%d flows: no record to withdraw from", nFlows)
+		} else {
+			s.Run(RunOptions{From: 0, To: wdHour + 1, Sink: sink})
+			withdraw()
+			s.Run(RunOptions{From: wdHour + 1, To: hours, Sink: sink})
 		}
 		for h := wan.Hour(0); h < hours; h++ {
 			for _, id := range s.Links() {
@@ -407,17 +418,94 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		return out
 	}
 	for _, n := range []int{1, runChunk - 1, runChunk + 1, len(full.Flows)} {
-		want := collect(n, 1)
-		for _, procs := range []int{2, 8} {
-			got := collect(n, procs)
-			if !slices.Equal(got.recs, want.recs) {
-				t.Errorf("%d flows: records at GOMAXPROCS %d differ from GOMAXPROCS 1 (%d vs %d records)",
-					n, procs, len(got.recs), len(want.recs))
-			}
-			if !slices.Equal(got.lb, want.lb) {
-				t.Errorf("%d flows: LinkBytes at GOMAXPROCS %d differ from GOMAXPROCS 1", n, procs)
+		want := collect(n, 1, true)
+		for _, hooked := range []bool{true, false} {
+			for _, procs := range []int{1, 2, 8} {
+				if hooked && procs == 1 {
+					continue
+				}
+				got := collect(n, procs, hooked)
+				if !slices.Equal(got.recs, want.recs) {
+					t.Errorf("%d flows, hooked %v: records at GOMAXPROCS %d differ from the hooked run at GOMAXPROCS 1 (%d vs %d records)",
+						n, hooked, procs, len(got.recs), len(want.recs))
+				}
+				if !slices.Equal(got.lb, want.lb) {
+					t.Errorf("%d flows, hooked %v: LinkBytes at GOMAXPROCS %d differ from the hooked run at GOMAXPROCS 1", n, hooked, procs)
+				}
 			}
 		}
+	}
+}
+
+// TestRunOnHourEndIsABarrier holds Run to OnHourEnd's promise. Inside
+// OnHourEnd(h) the sink has every record of hour h and none of hour
+// h+1, and a withdrawal made there shapes all of hour h+1: the hooked
+// run equals one stopped after hour h, withdrawn, and resumed, and
+// hour h+1 differs from a run without the withdrawal. The withdrawn
+// flow is the first with a record in hour h+1, so it sits in the
+// first chunk a worker claims; the hook waits before withdrawing, so
+// a worker started before the hook returned would have simulated it
+// under the old state.
+func TestRunOnHourEndIsABarrier(t *testing.T) {
+	const hours, wdHour = 16, 7
+	type tagged struct {
+		h   wan.Hour
+		rec ipfix.FlowRecord
+	}
+	run := func(s *Sim, out *[]tagged, from, to wan.Hour, hook func(wan.Hour)) {
+		s.Run(RunOptions{From: from, To: to, OnHourEnd: hook,
+			Sink: RecordSinkFunc(func(h wan.Hour, _ wan.LinkID, rec *ipfix.FlowRecord) {
+				*out = append(*out, tagged{h, *rec})
+			})})
+	}
+	var plain []tagged
+	run(testSim(t, 3), &plain, 0, hours, nil)
+	i := slices.IndexFunc(plain, func(r tagged) bool { return r.h == wdHour+1 })
+	if i < 0 {
+		t.Fatalf("no record in hour %d", wdHour+1)
+	}
+	target := plain[i].rec
+	// withdraw takes target's flow prefix off target's link in s.
+	withdraw := func(s *Sim) {
+		for j := range s.w.Flows {
+			if f := &s.w.Flows[j]; f.SrcAddr == target.SrcAddr && f.DstAddr == target.DstAddr {
+				s.Withdraw(wan.LinkID(target.Ingress), s.FlowPrefix(f))
+				return
+			}
+		}
+		t.Fatal("the target record matches no flow")
+	}
+
+	var split []tagged
+	s := testSim(t, 3)
+	run(s, &split, 0, wdHour+1, nil)
+	withdraw(s)
+	run(s, &split, wdHour+1, hours, nil)
+	hourOf := func(recs []tagged, h wan.Hour) []tagged {
+		return slices.DeleteFunc(slices.Clone(recs), func(r tagged) bool { return r.h != h })
+	}
+	if slices.Equal(hourOf(split, wdHour+1), hourOf(plain, wdHour+1)) {
+		t.Fatalf("withdrawing link %d after hour %d leaves hour %d's records as they were", target.Ingress, wdHour, wdHour+1)
+	}
+
+	var hooked []tagged
+	s = testSim(t, 3)
+	run(s, &hooked, 0, hours, func(h wan.Hour) {
+		upTo := slices.IndexFunc(split, func(r tagged) bool { return r.h > h })
+		if upTo < 0 {
+			upTo = len(split)
+		}
+		if !slices.Equal(hooked, split[:upTo]) {
+			t.Errorf("OnHourEnd(%d): the sink holds %d records, want exactly the %d of hours up to %d", h, len(hooked), upTo, h)
+		}
+		if h == wdHour {
+			time.Sleep(20 * time.Millisecond)
+			withdraw(s)
+		}
+	})
+	if !slices.Equal(hooked, split) {
+		t.Errorf("a withdrawal in OnHourEnd(%d) did not shape hour %d as one made between two runs (%d vs %d records)",
+			wdHour, wdHour+1, len(hooked), len(split))
 	}
 }
 

@@ -15,6 +15,11 @@ import (
 // runs — the role of the paper's distributed IPFIX collectors feeding
 // the data lake. Calls arrive from a single goroutine in
 // deterministic order. The record is only valid during the call.
+//
+// Run delivers hour h while it simulates hour h+1, so a sink must not
+// change announcement or outage state: a Withdraw or Announce made
+// from the sink would land in the middle of the next hour. Changes of
+// that kind belong in RunOptions.OnHourEnd, which Run waits for.
 type RecordSink interface {
 	Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord)
 }
@@ -33,7 +38,9 @@ func (f RecordSinkFunc) Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecor
 // locking across the hour. Records arrive in exactly the order the
 // per-record path would deliver them; the hour is StartSecs/3600 and
 // the link is Ingress of each record. The slice is reused by Run and
-// must not be retained past the call.
+// must not be retained past the call. Like Record, RecordBatch runs
+// while the next hour is simulated and must not change announcement
+// or outage state.
 type BatchSink interface {
 	RecordBatch(recs []ipfix.FlowRecord)
 }
@@ -43,9 +50,10 @@ type RunOptions struct {
 	From, To wan.Hour
 	Sink     RecordSink
 	// OnHourEnd, if set, runs after each simulated hour with ground
-	// truth fully accumulated — the hook the congestion mitigation
-	// system uses to observe utilization and inject withdrawals that
-	// take effect the next hour.
+	// truth fully accumulated and the hour delivered to the sink — the
+	// hook the congestion mitigation system uses to observe
+	// utilization and inject withdrawals that take effect the next
+	// hour. Run starts the next hour only after it returns.
 	OnHourEnd func(h wan.Hour)
 }
 
@@ -55,8 +63,9 @@ const runChunk = 128
 
 // chunkOut is one chunk's output for the hour being simulated, in flow
 // order: its sampled records, each flow's sorted by link, and its
-// ground-truth (link, bytes) contributions. Run reuses the buffers
-// across hours.
+// ground-truth (link, bytes) contributions. Run keeps two sets of
+// chunk buffers, one for the hour being delivered and one for the hour
+// being simulated, and reuses them across hours.
 type chunkOut struct {
 	recs []ipfix.FlowRecord
 	lb   []LinkShare // Frac holds bytes
@@ -71,6 +80,14 @@ type chunkOut struct {
 // then delivers the chunks in order, so records arrive sorted by
 // (flow ID, link), and sums ground truth in flow order, so LinkBytes
 // is bit for bit a single-threaded sum whatever the core count.
+//
+// Delivery overlaps simulation: the chunks come in two sets, and once
+// hour h's LinkBytes row is summed, hour h+1's workers start into the
+// other set while the calling goroutine hands hour h to the sink. The
+// sink therefore runs while the next hour is simulated. OnHourEnd is
+// a barrier: when it is set, hour h is delivered and OnHourEnd(h)
+// returns before hour h+1 starts, so what the hook changes (a
+// withdrawal, say) takes effect the next hour.
 func (s *Sim) Run(opts RunOptions) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -78,16 +95,21 @@ func (s *Sim) Run(opts RunOptions) {
 	nChunks := (len(flows) + runChunk - 1) / runChunk
 	if len(s.memo) != len(flows) {
 		s.memo = make([]flowMemo, len(flows))
-		s.chunks = make([]chunkOut, nChunks)
+		s.chunks = make([]chunkOut, 2*nChunks)
 	}
-	memo, chunks := s.memo, s.chunks
+	memo, sets := s.memo, [2][]chunkOut{s.chunks[:nChunks], s.chunks[nChunks:]}
 	workers := min(runtime.GOMAXPROCS(0), nChunks)
 	bs, _ := opts.Sink.(BatchSink)
 	var batch []ipfix.FlowRecord
 
-	for h := opts.From; h < opts.To; h++ {
+	// start launches hour h's workers into chunks and returns the group
+	// that finishes when they have; past the last hour it does nothing.
+	start := func(h wan.Hour, chunks []chunkOut) *sync.WaitGroup {
+		if h >= opts.To {
+			return nil
+		}
 		var next atomic.Int64
-		var wg sync.WaitGroup
+		wg := new(sync.WaitGroup)
 		for range workers {
 			wg.Add(1)
 			go func() {
@@ -101,7 +123,13 @@ func (s *Sim) Run(opts RunOptions) {
 				s.putResolver(r)
 			}()
 		}
-		wg.Wait()
+		return wg
+	}
+
+	running := start(opts.From, sets[0])
+	for h := opts.From; h < opts.To; h++ {
+		chunks, other := sets[(h-opts.From)&1], sets[(h-opts.From+1)&1]
+		running.Wait()
 
 		s.lbMu.Lock()
 		sl := &s.linkBytes[ledgerIndex(h)]
@@ -117,6 +145,9 @@ func (s *Sim) Run(opts RunOptions) {
 		}
 		s.lbMu.Unlock()
 
+		if opts.OnHourEnd == nil {
+			running = start(h+1, other)
+		}
 		if bs != nil {
 			batch = batch[:0]
 			for c := range chunks {
@@ -135,6 +166,7 @@ func (s *Sim) Run(opts RunOptions) {
 		}
 		if opts.OnHourEnd != nil {
 			opts.OnHourEnd(h)
+			running = start(h+1, other)
 		}
 	}
 }

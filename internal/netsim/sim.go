@@ -115,7 +115,8 @@ type Sim struct {
 
 	// resolvers pools resolution scratch for ResolveFlow and Run's
 	// workers. runMu serializes Run calls, which own each flow's
-	// one-day memo (indexed by flow ID) and each chunk's output.
+	// one-day memo (indexed by flow ID) and each chunk's output (two
+	// sets of chunks, so one hour is delivered while the next runs).
 	resolvers sync.Pool
 	runMu     sync.Mutex
 	//tipsy:guardedby runMu

@@ -11,7 +11,9 @@ import (
 	"cmp"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sort"
 	"sync"
 
 	"tipsy/internal/bgp"
@@ -290,6 +292,13 @@ type rankedPair struct {
 	slot int32
 }
 
+// drainRow is an hour row and where its records start in the drain's
+// output.
+type drainRow struct {
+	*hourRow
+	off int
+}
+
 // Records drains the aggregator, returning the hourly feature records
 // in deterministic order (hour, then feature tuple, then link). The
 // hour rows are swapped out under the lock, so the drain is an atomic
@@ -300,13 +309,19 @@ type rankedPair struct {
 // then link (pairs are interned by value, so there are no ties), each
 // gets its rank, and an hour is emitted by scattering its present
 // slots into a rank-indexed bitset and value array and sweeping the
-// bitset. The output is byte-identical to a single-map aggregator's
-// sorted by features.Record.Compare. When a truth sink is registered,
-// the drained records are also streamed to it in the same order.
+// bitset. An hour's record count is the popcount of its presence bits,
+// so every hour's offset in the output is known before any is emitted:
+// the sorted hours are split into GOMAXPROCS runs of about equal
+// record counts, and each run is emitted into its own range of the
+// output by its own worker with its own bitset and value array, the
+// caller's goroutine taking the first. The output is byte-identical to
+// a single-map aggregator's sorted by features.Record.Compare. When a
+// truth sink is registered, the drained records are also streamed to
+// it in the same order.
 func (a *Aggregator) Records() []features.Record {
 	sp := a.tracer.StartFrom(a.traceCtx, "drain")
 	a.mu.Lock()
-	hours, pairs, total := a.hours, a.pairs, a.keys
+	hours, pairs := a.hours, a.pairs
 	a.hours, a.cur, a.keys = make(map[wan.Hour]*hourRow), nil, 0
 	a.m.pending.Set(0)
 	a.mu.Unlock()
@@ -322,32 +337,39 @@ func (a *Aggregator) Records() []features.Record {
 	for r := range order {
 		rank[order[r].slot] = int32(r)
 	}
-	rows := make([]*hourRow, 0, len(hours))
+	rows := make([]drainRow, 0, len(hours))
 	for _, row := range hours {
-		rows = append(rows, row)
+		rows = append(rows, drainRow{hourRow: row})
 	}
-	slices.SortFunc(rows, func(p, q *hourRow) int { return cmp.Compare(p.hour, q.hour) })
+	slices.SortFunc(rows, func(p, q drainRow) int { return cmp.Compare(p.hour, q.hour) })
+	total := 0
+	for i := range rows {
+		rows[i].off = total
+		for _, word := range rows[i].present {
+			total += bits.OnesCount64(word)
+		}
+	}
 
-	mark := make([]uint64, (len(pairs)+63)/64) // the ranks present in the hour being emitted
-	vals := make([]float64, len(pairs))        // their sums, by rank
-	out := make([]features.Record, 0, total)
-	for _, row := range rows {
-		for w, word := range row.present {
-			for ; word != 0; word &= word - 1 {
-				slot := w<<6 + bits.TrailingZeros64(word)
-				r := rank[slot]
-				mark[r>>6] |= 1 << (r & 63)
-				vals[r] = row.sum[slot]
-			}
-		}
-		for w, word := range mark {
-			for ; word != 0; word &= word - 1 {
-				r := w<<6 + bits.TrailingZeros64(word)
-				out = append(out, features.Record{Hour: row.hour, Flow: order[r].flow, Link: order[r].link, Bytes: vals[r]})
-			}
-			mark[w] = 0
-		}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(rows)))
+	d := drainer{
+		rows: rows, order: order, rank: rank, workers: workers,
+		mark: make([]uint64, workers*((len(pairs)+63)/64)),
+		vals: make([]float64, workers*len(pairs)),
+		out:  make([]features.Record, total),
 	}
+	if workers > 1 {
+		// Declared here, so a one-worker drain allocates no WaitGroup.
+		var wg sync.WaitGroup
+		wg.Add(workers - 1)
+		for part := 1; part < workers; part++ {
+			go d.emitDone(&wg, part)
+		}
+		d.emit(0)
+		wg.Wait()
+	} else {
+		d.emit(0)
+	}
+	out := d.out
 
 	a.truthMu.Lock()
 	truth := a.truth
@@ -363,6 +385,60 @@ func (a *Aggregator) Records() []features.Record {
 	sp.SetInt("records", int64(len(out)))
 	sp.End()
 	return out
+}
+
+// drainer is what a drain's workers share: the sorted hour rows with
+// their output offsets, the pair order and every slot's rank, the
+// output, and the bitsets and value arrays each worker takes its
+// equal part of.
+type drainer struct {
+	rows    []drainRow
+	order   []rankedPair
+	rank    []int32
+	mark    []uint64
+	vals    []float64
+	out     []features.Record
+	workers int
+}
+
+// emitDone runs emit and marks it done on wg.
+func (d drainer) emitDone(wg *sync.WaitGroup, part int) {
+	defer wg.Done()
+	d.emit(part)
+}
+
+// emit writes one worker's part of the hours — those whose records
+// start in the part-th of d.workers equal shares of the output — into
+// their range of the output, using the part-th bitset and value array.
+func (d drainer) emit(part int) {
+	start := func(part int) int {
+		if part == d.workers {
+			return len(d.rows)
+		}
+		cut := part * len(d.out) / d.workers
+		return sort.Search(len(d.rows), func(i int) bool { return d.rows[i].off >= cut })
+	}
+	words, n := len(d.mark)/d.workers, len(d.order)
+	mark, vals := d.mark[part*words:(part+1)*words], d.vals[part*n:(part+1)*n]
+	for _, row := range d.rows[start(part):start(part+1)] {
+		for w, word := range row.present {
+			for ; word != 0; word &= word - 1 {
+				slot := w<<6 + bits.TrailingZeros64(word)
+				r := d.rank[slot]
+				mark[r>>6] |= 1 << (r & 63)
+				vals[r] = row.sum[slot]
+			}
+		}
+		i := row.off
+		for w, word := range mark {
+			for ; word != 0; word &= word - 1 {
+				r := w<<6 + bits.TrailingZeros64(word)
+				d.out[i] = features.Record{Hour: row.hour, Flow: d.order[r].flow, Link: d.order[r].link, Bytes: vals[r]}
+				i++
+			}
+			mark[w] = 0
+		}
+	}
 }
 
 // Stats reports how many raw records were ingested, how many were

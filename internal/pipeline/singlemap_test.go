@@ -175,7 +175,11 @@ func head(recs []features.Record) []features.Record { return recs[:min(len(recs)
 // to the same bytes at GOMAXPROCS 1, 2 and 8. Each feeder sends its
 // share in 64-record chunks, alternately through RecordBatch and
 // record by record through Record. Octet counts are small integers,
-// so sums are exact in any accumulation order.
+// so sums are exact in any accumulation order. The drain splits its
+// hours over GOMAXPROCS workers, so each GOMAXPROCS also drains
+// windows of 0 and 1 hours (fewer hours than workers) and one whose
+// hours differ in size by three orders of magnitude, against the
+// single-map reference and together with the truth sink's stream.
 func TestDrainIndependentOfFeedersAndProcs(t *testing.T) {
 	const n = 8000
 	ref := newSingleMap(raceGeoIP(), staticMeta(2, 1))
@@ -184,9 +188,51 @@ func TestDrainIndependentOfFeedersAndProcs(t *testing.T) {
 		ref.Record(h, l, &rec)
 	}
 	want := ref.Records()
+	// Each shape maps record i of the workload to its hour, or to -1 to
+	// leave it out.
+	shapes := []struct {
+		name string
+		hour func(i int) wan.Hour
+	}{
+		{"no hours", func(int) wan.Hour { return -1 }},
+		{"one hour", func(int) wan.Hour { return 7 }},
+		{"unequal hours", func(i int) wan.Hour {
+			switch {
+			case i < n/2:
+				return 3 // 4,000 records, 1,872 aggregates
+			case i < n/2+9:
+				return wan.Hour(10 + i - n/2) // nine hours of one record each
+			case i < n/2+n/4:
+				return -1
+			default:
+				return 40
+			}
+		}},
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
+		for _, shape := range shapes {
+			agg, ref := raceAggregator(), newSingleMap(raceGeoIP(), staticMeta(2, 1))
+			var truth truthCapture
+			agg.SetTruthSink(&truth)
+			for i := 0; i < n; i++ {
+				if h := shape.hour(i); h >= 0 {
+					_, l, rec := raceRecord(i)
+					agg.Record(h, l, &rec)
+					ref.Record(h, l, &rec)
+				}
+			}
+			want, got := ref.Records(), agg.Records()
+			if !slices.Equal(want, got) {
+				t.Errorf("GOMAXPROCS %d, %s: drain differs from the single-map reference (%d vs %d aggregates)",
+					procs, shape.name, len(got), len(want))
+			}
+			if !slices.Equal(truth.recs, got) {
+				t.Errorf("GOMAXPROCS %d, %s: truth sink saw %d records, drain returned %d — order or content diverged",
+					procs, shape.name, len(truth.recs), len(got))
+			}
+		}
 		for _, feeders := range []int{1, 2, 4, 8} {
 			agg := raceAggregator()
 			var wg sync.WaitGroup

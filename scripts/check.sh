@@ -20,15 +20,17 @@
 # (dataset.DailyRows) against a Go-map oracle, for the geo fallback
 # rung against its full-sort
 # oracle, for the model/checkpoint frame reader, for the checkpoint
-# loader and for the diagnostic-bundle manifest reader, and the chaos
-# soak. The
+# loader and for the diagnostic-bundle manifest reader, the results
+# gate (the full-scale experiments run, its timing text stripped,
+# diffed against results/full_seed1.txt; about 5 min on 2 CPUs), and
+# the chaos soak. The
 # differential oracles and the bundle round trip are tests, so
 # `go test ./...` runs them; it also replays every fuzz seed corpus.
 # Everything is stdlib Go; no network access is needed.
 #
 # Usage: scripts/check.sh [-short]
-#   -short  skip the race detector (plain `go test`) and the fuzz
-#           passes, for quick loops
+#   -short  skip the race detector (plain `go test`), the fuzz passes
+#           and the results gate, for quick loops
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,6 +105,20 @@ if [[ $short -eq 0 ]]; then
     go test -fuzz=FuzzEncode -fuzztime=15s -run '^$' ./internal/pipeline
     go test -fuzz=FuzzDailyRows -fuzztime=15s -run '^$' ./internal/dataset
     go test -fuzz=FuzzReadManifest -fuzztime=15s -run '^$' ./internal/bundle
+fi
+
+if [[ $short -eq 0 ]]; then
+    # Every table and figure in EXPERIMENTS.md comes from this run; a
+    # change that moves a number must commit the new results/ with it.
+    echo "==> results gate: experiments -scale full -run all vs results/full_seed1.txt"
+    results=$(mktemp)
+    trap 'rm -f "$covprofile" "$results"' EXIT
+    go run ./cmd/experiments -scale full -run all > "$results"
+    strip_timing() { sed -e 's/, built in [^,]*$//' -e '/^\[.* done in .*\]$/d' "$1"; }
+    if ! diff <(strip_timing results/full_seed1.txt) <(strip_timing "$results"); then
+        echo "experiments output differs from results/full_seed1.txt (timing text aside)" >&2
+        exit 1
+    fi
 fi
 
 echo "==> chaos soak smoke"
