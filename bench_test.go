@@ -273,9 +273,9 @@ func BenchmarkTable3PredictHistorical(b *testing.B) {
 func BenchmarkTable11TrainNB(b *testing.B) {
 	e := env(b)
 	b.ResetTimer()
-	var nb *core.NaiveBayes
+	var nb *eval.NaiveBayes
 	for i := 0; i < b.N; i++ {
-		nb = core.TrainNaiveBayes(features.SetAL, e.Train, core.DefaultNBOpts())
+		nb = eval.TrainNaiveBayes(features.SetAL, e.Train, eval.DefaultNBOpts())
 	}
 	b.ReportMetric(float64(nb.NumParameters()), "parameters")
 	b.ReportMetric(float64(nb.NumClasses()), "classes")
@@ -285,7 +285,7 @@ func BenchmarkTable11PredictNB(b *testing.B) {
 	// Table 11: one NB prediction scores every class — O(l log l),
 	// orders of magnitude costlier than the historical lookup.
 	e := env(b)
-	nb := core.TrainNaiveBayes(features.SetAL, e.Train, core.DefaultNBOpts())
+	nb := eval.TrainNaiveBayes(features.SetAL, e.Train, eval.DefaultNBOpts())
 	flows := make([]features.FlowFeatures, 0, 256)
 	for _, r := range e.Test {
 		flows = append(flows, r.Flow)
@@ -516,12 +516,12 @@ func BenchmarkAblationMaxLinks(b *testing.B) {
 // beat it. The custom metrics let the two be compared directly.
 func BenchmarkBaselineMLP(b *testing.B) {
 	e := env(b)
-	opts := core.DefaultMLPOpts()
+	opts := eval.DefaultMLPOpts()
 	opts.Epochs = 2
 	var mlpAcc, histAcc map[int]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mlp := core.TrainMLP(features.SetAL, e.Train, opts)
+		mlp := eval.TrainMLP(features.SetAL, e.Train, opts)
 		hist := core.TrainHistorical(features.SetAL, e.Train, core.DefaultHistOpts())
 		mlpAcc = eval.Accuracy(mlp, e.Test, eval.Options{Ks: []int{3}})
 		histAcc = eval.Accuracy(hist, e.Test, eval.Options{Ks: []int{3}})

@@ -50,10 +50,10 @@ func samePreds(a, b []Prediction) bool {
 	})
 }
 
-// TestAppendPredictProperty: for every rung of the serving ladder, and
-// an ensemble holding a model without AppendPredict, AppendPredict(dst,
-// q) leaves dst as it was and appends exactly Predict(q) — into a dst
-// that is nil, full, or has room whose old contents are junk.
+// TestAppendPredictProperty: for every rung of the serving ladder,
+// AppendPredict(dst, q) leaves dst as it was and appends exactly
+// Predict(q) — into a dst that is nil, full, or has room whose old
+// contents are junk.
 func TestAppendPredictProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	metros := geo.World()
@@ -63,12 +63,10 @@ func TestAppendPredictProperty(t *testing.T) {
 		hAP := TrainHistorical(features.SetAP, recs, DefaultHistOpts())
 		hAL := TrainHistorical(features.SetAL, recs, DefaultHistOpts())
 		hA := TrainHistorical(features.SetA, recs[:len(recs)/2], DefaultHistOpts())
-		nb := TrainNaiveBayes(features.SetAL, recs, DefaultNBOpts())
 		rungs := []AppendPredictor{
 			hAP,
 			NewGeoCompletion(hAL, dir, metros),
 			NewEnsemble(hAP, NewGeoCompletion(hAL, dir, metros), hA),
-			NewEnsemble(hA, nb),
 			NewGeoNearest(dir, metros),
 		}
 		for i := 0; i < 50; i++ {
@@ -117,18 +115,18 @@ func geoCompletionReference(g *GeoCompletion, q Query) []Prediction {
 	}
 	missing := 1 - surviving
 	if missing <= 1e-9 || (q.K > 0 && len(raw) >= q.K) {
-		return topK(raw, q.K)
+		return TopK(raw, q.K)
 	}
 	anchorQ := q
 	anchorQ.Exclude = nil
 	anchorQ.K = 1
 	anchor := g.inner.Predict(anchorQ)
 	if len(anchor) == 0 {
-		return topK(raw, q.K)
+		return TopK(raw, q.K)
 	}
 	anchorLink, ok := g.links.Link(anchor[0].Link)
 	if !ok {
-		return topK(raw, q.K)
+		return TopK(raw, q.K)
 	}
 	type cand struct {
 		id wan.LinkID
@@ -167,7 +165,7 @@ func geoCompletionReference(g *GeoCompletion, q Query) []Prediction {
 		raw = append(raw, Prediction{Link: c.id, Frac: w})
 		w *= 0.45
 	}
-	return topK(raw, q.K)
+	return TopK(raw, q.K)
 }
 
 // TestGeoCompletionMatchesReference holds the one-lookup completion to

@@ -298,85 +298,3 @@ func TestGeoCompletionNoAnchor(t *testing.T) {
 		t.Errorf("no anchor should mean no prediction: %+v", preds)
 	}
 }
-
-func TestNaiveBayesTransferLearning(t *testing.T) {
-	// NB can predict for a tuple it never saw, from feature values it
-	// did see; the Historical model cannot.
-	f1 := flow(1, 0, 10, 1, 1)
-	f2 := flow(2, 0, 20, 2, 2)
-	unseen := flow(1, 0, 10, 2, 2) // AS/loc from f1, dest from f2
-	recs := []features.Record{rec(f1, 1, 1000), rec(f2, 2, 1000)}
-	nb := TrainNaiveBayes(features.SetAL, recs, DefaultNBOpts())
-	if nb.Name() != "NB_AL" {
-		t.Errorf("Name = %q", nb.Name())
-	}
-	hist := TrainHistorical(features.SetAL, recs, DefaultHistOpts())
-	if hist.Predict(Query{Flow: unseen, K: 1}) != nil {
-		t.Fatal("historical model should not predict the unseen tuple")
-	}
-	preds := nb.Predict(Query{Flow: unseen, K: 2})
-	if len(preds) == 0 {
-		t.Fatal("NB should predict the unseen tuple")
-	}
-	checkNormalized(t, preds)
-}
-
-func TestNaiveBayesPrefersMatchingLink(t *testing.T) {
-	f1 := flow(1, 0, 10, 1, 1)
-	f2 := flow(2, 0, 20, 2, 2)
-	recs := []features.Record{rec(f1, 1, 1000), rec(f2, 2, 1000)}
-	nb := TrainNaiveBayes(features.SetAL, recs, DefaultNBOpts())
-	if preds := nb.Predict(Query{Flow: f1, K: 1}); preds[0].Link != 1 {
-		t.Errorf("f1 should map to link 1: %+v", preds)
-	}
-	if preds := nb.Predict(Query{Flow: f2, K: 1}); preds[0].Link != 2 {
-		t.Errorf("f2 should map to link 2: %+v", preds)
-	}
-}
-
-func TestNaiveBayesExclusion(t *testing.T) {
-	f1 := flow(1, 0, 10, 1, 1)
-	recs := []features.Record{rec(f1, 1, 900), rec(f1, 2, 100)}
-	nb := TrainNaiveBayes(features.SetAL, recs, DefaultNBOpts())
-	preds := nb.Predict(Query{Flow: f1, K: 2, Exclude: func(l wan.LinkID) bool { return l == 1 }})
-	if len(preds) == 0 || preds[0].Link != 2 {
-		t.Errorf("exclusion should promote link 2: %+v", preds)
-	}
-}
-
-func TestNaiveBayesPriorWeighting(t *testing.T) {
-	// With an uninformative flow, the class prior (byte mass) decides.
-	busy := flow(1, 0, 1, 1, 1)
-	recs := []features.Record{rec(busy, 1, 9000), rec(busy, 2, 1000)}
-	nb := TrainNaiveBayes(features.SetA, recs, DefaultNBOpts())
-	preds := nb.Predict(Query{Flow: busy, K: 2})
-	if preds[0].Link != 1 || preds[0].Frac <= preds[1].Frac {
-		t.Errorf("prior weighting broken: %+v", preds)
-	}
-}
-
-func TestNaiveBayesSizeAccounting(t *testing.T) {
-	f1 := flow(1, 0, 10, 1, 1)
-	f2 := flow(2, 0, 20, 2, 2)
-	nb := TrainNaiveBayes(features.SetAL, []features.Record{rec(f1, 1, 1), rec(f2, 2, 1)}, DefaultNBOpts())
-	if nb.NumClasses() != 2 {
-		t.Errorf("NumClasses = %d", nb.NumClasses())
-	}
-	// 4 dims × 2 values × 1 link each.
-	if nb.NumParameters() != 8 {
-		t.Errorf("NumParameters = %d", nb.NumParameters())
-	}
-}
-
-func TestOraclePerfectUnrestricted(t *testing.T) {
-	f := flow(1, 100, 1, 1, 1)
-	recs := []features.Record{rec(f, 1, 600), rec(f, 2, 400)}
-	o := NewOracle(features.SetAP, recs)
-	if o.Name() != "Oracle_AP" {
-		t.Errorf("Name = %q", o.Name())
-	}
-	preds := o.Predict(Query{Flow: f})
-	if len(preds) != 2 || math.Abs(preds[0].Frac-0.6) > 1e-9 {
-		t.Errorf("oracle should reproduce the test distribution exactly: %+v", preds)
-	}
-}

@@ -13,24 +13,8 @@ type Ensemble struct {
 
 // NewEnsemble composes models in fallback order, most specific first
 // — e.g. Hist_AP, Hist_AL, Hist_A for the paper's Hist_AP/AL/A.
-func NewEnsemble(models ...Predictor) *Ensemble {
-	e := &Ensemble{models: make([]AppendPredictor, len(models))}
-	for i, m := range models {
-		a, ok := m.(AppendPredictor)
-		if !ok {
-			a = appending{m}
-		}
-		e.models[i] = a
-	}
-	return e
-}
-
-// appending lets a Predictor without AppendPredict, such as a Naïve
-// Bayes model, be an Ensemble component.
-type appending struct{ Predictor }
-
-func (a appending) AppendPredict(dst []Prediction, q Query) []Prediction {
-	return append(dst, a.Predict(q)...)
+func NewEnsemble(models ...AppendPredictor) *Ensemble {
+	return &Ensemble{models: models}
 }
 
 // Name implements Predictor, deriving the paper's slash notation from

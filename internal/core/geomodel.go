@@ -114,7 +114,7 @@ func (g *GeoCompletion) AppendPredict(dst []Prediction, q Query) []Prediction {
 		}
 		dst = append(dst, Prediction{Link: id, Frac: g.metros.Distance(anchor.Metro, l.Metro)})
 	}
-	// Every candidate is kept, not just a head: topK normalises over
+	// Every candidate is kept, not just a head: TopK normalises over
 	// the whole decaying tail, so truncating it would move fractions.
 	cands := dst[tail:]
 	slices.SortFunc(cands, func(a, b Prediction) int {

@@ -130,7 +130,7 @@ func sortGeoNearest(g *GeoNearest, q Query) []Prediction {
 		preds[i] = Prediction{Link: c.id, Frac: w}
 		w *= 0.5
 	}
-	return topK(preds, q.K)
+	return TopK(preds, q.K)
 }
 
 // geoSim builds the simulated WAN of one topology size; the fixtures

@@ -1,11 +1,12 @@
-// Package core implements TIPSY's statistical-classification models
-// (§3.3 of the paper): the Historical models Hist_A, Hist_AP and
-// Hist_AL, their sequential ensembles, the geographic-distance
-// completion Hist_AL+G, the Naïve Bayes models of Appendix A, and the
-// restricted oracle used as the accuracy ceiling. All models support
-// byte-weighted training, top-k prediction, and exclusion of
+// Package core implements the models TIPSY ships (§3.3 of the
+// paper): the Historical models Hist_A, Hist_AP and Hist_AL, their
+// sequential ensembles, and the geographic-distance completion
+// Hist_AL+G and nearest-link rung of the serving ladder. All models
+// support byte-weighted training, top-k prediction, and exclusion of
 // unavailable links (the prior the evaluation passes for links in
-// outage or prefixes under withdrawal).
+// outage or prefixes under withdrawal). Appendix A's Naïve Bayes, the
+// rejected MLP baseline and the restricted oracle live in package
+// eval, beside the experiments that use them.
 package core
 
 import (
@@ -62,13 +63,14 @@ type AppendPredictor interface {
 	AppendPredict(dst []Prediction, q Query) []Prediction
 }
 
-// topK normalizes the fractions over the whole surviving prediction
+// TopK normalizes the fractions over the whole surviving prediction
 // list (the flow's bytes must land somewhere among the links the
 // model still considers possible) and then truncates to k WITHOUT
 // renormalizing: each retained entry keeps its meaning of "this
 // fraction of the flow's bytes arrives here", so accuracy is
-// monotone in k. k <= 0 keeps everything.
-func topK(preds []Prediction, k int) []Prediction {
+// monotone in k. k <= 0 keeps everything. Every model ends its
+// prediction here, so k means the same for all of them.
+func TopK(preds []Prediction, k int) []Prediction {
 	var sum float64
 	for _, p := range preds {
 		sum += p.Frac
@@ -94,7 +96,7 @@ func grow(dst []Prediction, n int) []Prediction {
 	return slices.Grow(dst, n)
 }
 
-// topKFrom applies topK to the predictions dst holds past its first n.
+// topKFrom applies TopK to the predictions dst holds past its first n.
 func topKFrom(dst []Prediction, n, k int) []Prediction {
-	return dst[:n+len(topK(dst[n:], k))]
+	return dst[:n+len(TopK(dst[n:], k))]
 }

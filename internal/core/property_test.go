@@ -223,36 +223,3 @@ func TestHistoricalTopKProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestNaiveBayesInvariantsProperty: NB predictions are sorted, sum to
-// at most 1, and never include excluded links.
-func TestNaiveBayesInvariantsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	check := func() bool {
-		recs := randomRecords(rng, 80)
-		nb := TrainNaiveBayes(features.SetAL, recs, DefaultNBOpts())
-		for i := 0; i < 20; i++ {
-			r := recs[rng.Intn(len(recs))]
-			excl := wan.LinkID(1 + rng.Intn(12))
-			preds := nb.Predict(Query{Flow: r.Flow, K: 3,
-				Exclude: func(l wan.LinkID) bool { return l == excl }})
-			var sum float64
-			for j, p := range preds {
-				sum += p.Frac
-				if p.Link == excl || p.Frac <= 0 {
-					return false
-				}
-				if j > 0 && p.Frac > preds[j-1].Frac+1e-12 {
-					return false
-				}
-			}
-			if sum > 1+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(func() bool { return check() }, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

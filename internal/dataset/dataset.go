@@ -16,21 +16,15 @@ import (
 )
 
 // Window returns the records with From <= Hour < To, preserving
-// order. It counts them first, so the result is one allocation of
-// exactly their length.
+// order. recs must be in hour order, as a drain, DailyRows and a
+// loaded bundle are: the window is then one run of recs, found by two
+// binary searches and copied into one allocation of exactly its
+// length.
 func Window(recs []features.Record, from, to wan.Hour) []features.Record {
-	n := 0
-	for i := range recs {
-		if h := recs[i].Hour; h >= from && h < to {
-			n++
-		}
-	}
-	out := make([]features.Record, 0, n)
-	for i := range recs {
-		if h := recs[i].Hour; h >= from && h < to {
-			out = append(out, recs[i])
-		}
-	}
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].Hour >= from })
+	n := sort.Search(len(recs)-lo, func(i int) bool { return recs[lo+i].Hour >= to })
+	out := make([]features.Record, n)
+	copy(out, recs[lo:])
 	return out
 }
 

@@ -28,8 +28,9 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-// windowReference is the loop Window replaced, kept as its oracle: a
-// quarter-length guess grown by append.
+// windowReference is the filter Window replaced, kept as its oracle:
+// a scan of every record, appending to a quarter-length guess. It
+// needs no hour order.
 func windowReference(recs []features.Record, from, to wan.Hour) []features.Record {
 	out := make([]features.Record, 0, len(recs)/4)
 	for _, r := range recs {
@@ -76,6 +77,26 @@ func TestWindowAllocs(t *testing.T) {
 	for _, w := range []struct{ from, to wan.Hour }{{72, 96}, {10, 5}} {
 		if got := Window(recs, w.from, w.to); len(got) != 0 {
 			t.Errorf("[%d, %d): want no records, got %d", w.from, w.to, len(got))
+		}
+	}
+}
+
+// TestWindowMatchesTheFilter holds Window's binary searches to the
+// filter on empty input, on windows before, after, inside and around
+// the data, on empty and inverted ones, and with bounds that fall
+// inside a run of records of one hour.
+func TestWindowMatchesTheFilter(t *testing.T) {
+	var repeated []features.Record
+	for _, h := range []wan.Hour{1, 1, 2, 2, 2, 3, 5, 5, 5, 8} {
+		repeated = append(repeated, mkrec(h, 1, 1, 1))
+	}
+	for _, recs := range [][]features.Record{nil, {}, repeated, drainedDays()} {
+		for from := wan.Hour(-3); from <= 75; from++ {
+			for _, to := range []wan.Hour{from - 1, from, from + 1, from + 2, from + 24, 200} {
+				if got, want := Window(recs, from, to), windowReference(recs, from, to); !slices.Equal(got, want) {
+					t.Fatalf("%d records, [%d, %d): Window keeps %d, the filter %d", len(recs), from, to, len(got), len(want))
+				}
+			}
 		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 // and evaluate models offline.
 type File struct {
 	Version int
-	// Records are the hourly aggregates from the pipeline.
+	// Records are the hourly aggregates from the pipeline, in hour
+	// order; Load refuses a bundle whose records are not.
 	Records []features.Record
 	// Links is the WAN's link directory at export time.
 	Links []wan.Link
@@ -67,6 +68,11 @@ func Load(r io.Reader) (*File, error) {
 	}
 	if f.Version != fileVersion {
 		return nil, fmt.Errorf("dataset: unsupported file version %d", f.Version)
+	}
+	for i := 1; i < len(f.Records); i++ {
+		if f.Records[i].Hour < f.Records[i-1].Hour {
+			return nil, fmt.Errorf("dataset: load: record %d (hour %d) follows hour %d; records must be in hour order", i, f.Records[i].Hour, f.Records[i-1].Hour)
+		}
 	}
 	return &f, nil
 }

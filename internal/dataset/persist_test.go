@@ -87,6 +87,29 @@ func TestLoadRejectsVersion1(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRecordsOutOfHourOrder: Window finds a window by
+// binary search, so a bundle must hold its records in hour order;
+// records repeating an hour are in order.
+func TestLoadRejectsRecordsOutOfHourOrder(t *testing.T) {
+	for _, c := range []struct {
+		hours []wan.Hour
+		ok    bool
+	}{{[]wan.Hour{0, 0, 5, 5, 9}, true}, {[]wan.Hour{0, 5, 4, 9}, false}} {
+		f := &File{}
+		for _, h := range c.hours {
+			f.Records = append(f.Records, mkrec(h, 1, 1, 100))
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if want := "dataset: load: record 2 (hour 4) follows hour 5; records must be in hour order"; c.ok && err != nil || !c.ok && (err == nil || err.Error() != want) {
+			t.Errorf("hours %v: Load says %v", c.hours, err)
+		}
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Error("garbage should not load")

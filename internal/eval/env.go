@@ -161,11 +161,27 @@ func ensembleALAPA(g *serve.Models) core.Predictor {
 	return core.NewEnsemble(g.Hist(features.SetAL), g.Hist(features.SetAP), g.Hist(features.SetA))
 }
 
-// Oracle builds the restricted oracle for a feature set from the
-// testing records.
-func (e *Env) Oracle(set features.Set) *core.Oracle {
-	return core.NewOracle(set, e.Test)
+// Oracle is the paper's restricted oracle (§5.1.2): it has perfect
+// knowledge of the testing data — exactly which link received how
+// many bytes for every flow tuple — but is limited to k predictions
+// per flow. It is the accuracy ceiling for a model at a given feature
+// granularity: Oracle_A cannot tell apart flows that collide in the A
+// projection even with perfect knowledge.
+//
+// Structurally it is a Historical model trained on the test records
+// themselves.
+type Oracle struct {
+	*core.Historical
 }
+
+// NewOracle builds the oracle for a feature set from the testing
+// records, e.g. an Env's Test.
+func NewOracle(set features.Set, testRecs []features.Record) *Oracle {
+	return &Oracle{Historical: core.TrainHistorical(set, testRecs, core.HistOpts{MaxLinksPerTuple: 1 << 20})}
+}
+
+// Name implements core.Predictor.
+func (o *Oracle) Name() string { return "Oracle_" + o.Set().String() }
 
 // TestExclude is the availability prior for the test window: a link
 // is excluded while telemetry says it was down.

@@ -88,7 +88,7 @@ func tableRows(e *Env, entries []tableEntry, opts Options) []AccuracyRow {
 		m := entry.m
 		if entry.oracle {
 			o.GroupBy = GroupBySet(entry.set)
-			m = core.NewOracle(entry.set, selected)
+			m = NewOracle(entry.set, selected)
 		}
 		rows = append(rows, row(m, e.Test, o, entry.oracle))
 	}
@@ -176,8 +176,8 @@ func Fig5(e *Env, ks []int) []Fig5Point {
 	if len(ks) == 0 {
 		ks = []int{1, 2, 3, 4, 5, 7, 10, 15, 20, 50, 0}
 	}
-	oracles := []*core.Oracle{
-		e.Oracle(features.SetA), e.Oracle(features.SetAP), e.Oracle(features.SetAL),
+	oracles := []*Oracle{
+		NewOracle(features.SetA, e.Test), NewOracle(features.SetAP, e.Test), NewOracle(features.SetAL, e.Test),
 	}
 	accs := make(map[string]map[int]float64)
 	for _, o := range oracles {
@@ -316,8 +316,8 @@ func Table1(e *Env) features.Cardinality {
 // and 10.
 func (e *Env) NBModels() []core.Predictor {
 	hAL := e.Hist(features.SetAL)
-	nbA := core.TrainNaiveBayes(features.SetA, e.Train, core.DefaultNBOpts())
-	nbAL := core.TrainNaiveBayes(features.SetAL, e.Train, core.DefaultNBOpts())
+	nbA := TrainNaiveBayes(features.SetA, e.Train, DefaultNBOpts())
+	nbAL := TrainNaiveBayes(features.SetAL, e.Train, DefaultNBOpts())
 	return []core.Predictor{nbA, nbAL, core.NewEnsemble(hAL, nbAL)}
 }
 

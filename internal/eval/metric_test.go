@@ -26,7 +26,14 @@ func mkRecs() []features.Record {
 
 func TestOracleIsPerfectUnrestricted(t *testing.T) {
 	recs := mkRecs()
-	o := core.NewOracle(features.SetAP, recs)
+	o := NewOracle(features.SetAP, recs)
+	if o.Name() != "Oracle_AP" {
+		t.Errorf("Name = %q", o.Name())
+	}
+	preds := o.Predict(core.Query{Flow: recs[0].Flow})
+	if len(preds) != 2 || math.Abs(preds[0].Frac-0.6) > 1e-9 {
+		t.Errorf("oracle should reproduce the test distribution exactly: %+v", preds)
+	}
 	acc := Accuracy(o, recs, Options{Ks: []int{0}})
 	if math.Abs(acc[0]-1) > 1e-9 {
 		t.Errorf("unrestricted oracle accuracy = %f, want 1", acc[0])
@@ -35,7 +42,7 @@ func TestOracleIsPerfectUnrestricted(t *testing.T) {
 
 func TestOracleTopKIsTopLinkMass(t *testing.T) {
 	recs := mkRecs()
-	o := core.NewOracle(features.SetAP, recs)
+	o := NewOracle(features.SetAP, recs)
 	acc := Accuracy(o, recs, Options{Ks: []int{1}})
 	// f1: top link carries 600 of 1000; f2: 1000 of 1000.
 	want := (600.0 + 1000.0) / 2000.0
@@ -47,7 +54,7 @@ func TestOracleTopKIsTopLinkMass(t *testing.T) {
 func TestAccuracyMonotoneInK(t *testing.T) {
 	recs := mkRecs()
 	models := []core.Predictor{
-		core.NewOracle(features.SetAP, recs),
+		NewOracle(features.SetAP, recs),
 		core.TrainHistorical(features.SetA, recs, core.DefaultHistOpts()),
 	}
 	for _, m := range models {
@@ -86,7 +93,7 @@ func TestAccuracySelect(t *testing.T) {
 			hour0 = append(hour0, r)
 		}
 	}
-	o := core.NewOracle(features.SetAP, hour0)
+	o := NewOracle(features.SetAP, hour0)
 	acc := Accuracy(o, recs, Options{
 		Ks:     []int{0},
 		Select: func(f features.FlowFeatures, h wan.Hour) bool { return h == 0 },
@@ -95,7 +102,7 @@ func TestAccuracySelect(t *testing.T) {
 		t.Errorf("selected oracle accuracy = %f", acc[0])
 	}
 	// A whole-window oracle scored on a selection is no longer exact.
-	whole := core.NewOracle(features.SetAP, recs)
+	whole := NewOracle(features.SetAP, recs)
 	acc = Accuracy(whole, recs, Options{
 		Ks:     []int{0},
 		Select: func(f features.FlowFeatures, h wan.Hour) bool { return h == 0 },
@@ -154,7 +161,7 @@ func TestGroupByCoarsensUnits(t *testing.T) {
 		t.Errorf("coarse group wrong: %+v", coarse[0])
 	}
 	// Oracle_A at its own granularity is perfect unrestricted.
-	o := core.NewOracle(features.SetA, recs)
+	o := NewOracle(features.SetA, recs)
 	acc := Accuracy(o, recs, Options{Ks: []int{0}, GroupBy: GroupBySet(features.SetA)})
 	if math.Abs(acc[0]-1) > 1e-9 {
 		t.Errorf("coarse oracle accuracy = %f", acc[0])

@@ -1,10 +1,11 @@
-package core
+package eval
 
 import (
 	"math"
 	"math/rand"
 	"sort"
 
+	"tipsy/internal/core"
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
 )
@@ -210,11 +211,11 @@ func (m *MLP) forward(buckets []int, hidden, probs []float64) {
 	}
 }
 
-// Name implements Predictor.
+// Name implements core.Predictor.
 func (m *MLP) Name() string { return "MLP_" + m.set.String() }
 
-// Predict implements Predictor.
-func (m *MLP) Predict(q Query) []Prediction {
+// Predict implements core.Predictor.
+func (m *MLP) Predict(q core.Query) []core.Prediction {
 	classes := len(m.links)
 	if classes == 0 {
 		return nil
@@ -224,13 +225,13 @@ func (m *MLP) Predict(q Query) []Prediction {
 	probs := make([]float64, classes)
 	m.buckets(q.Flow, buckets)
 	m.forward(buckets, hidden, probs)
-	preds := make([]Prediction, 0, classes)
+	preds := make([]core.Prediction, 0, classes)
 	for c, p := range probs {
 		l := m.links[c]
-		if q.excluded(l) {
+		if q.Exclude != nil && q.Exclude(l) {
 			continue
 		}
-		preds = append(preds, Prediction{Link: l, Frac: p})
+		preds = append(preds, core.Prediction{Link: l, Frac: p})
 	}
 	sort.Slice(preds, func(i, j int) bool {
 		if preds[i].Frac != preds[j].Frac {
@@ -238,7 +239,7 @@ func (m *MLP) Predict(q Query) []Prediction {
 		}
 		return preds[i].Link < preds[j].Link
 	})
-	return topK(preds, q.K)
+	return core.TopK(preds, q.K)
 }
 
 // NumParameters reports the network size.

@@ -1,8 +1,9 @@
-package core
+package eval
 
 import (
 	"testing"
 
+	"tipsy/internal/core"
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
 )
@@ -29,7 +30,7 @@ func TestMLPLearnsSeparableMapping(t *testing.T) {
 	correct := 0
 	for i := 0; i < 6; i++ {
 		f := flow(uint32(100+i), uint32(0x0b000000+i*256), uint16(1+i%8), uint16(1+i%4), uint8(1+i%3))
-		preds := m.Predict(Query{Flow: f, K: 1})
+		preds := m.Predict(core.Query{Flow: f, K: 1})
 		if len(preds) == 1 && preds[0].Link == wan.LinkID(i+1) {
 			correct++
 		}
@@ -42,7 +43,7 @@ func TestMLPLearnsSeparableMapping(t *testing.T) {
 func TestMLPPredictionsNormalized(t *testing.T) {
 	m := TrainMLP(features.SetAP, mlpTrainSet(4), DefaultMLPOpts())
 	f := flow(100, 0x0b000000, 1, 1, 1)
-	preds := m.Predict(Query{Flow: f, K: 3})
+	preds := m.Predict(core.Query{Flow: f, K: 3})
 	checkNormalized(t, preds)
 	if len(preds) != 3 {
 		t.Fatalf("want 3 predictions, got %d", len(preds))
@@ -52,7 +53,7 @@ func TestMLPPredictionsNormalized(t *testing.T) {
 func TestMLPExclusion(t *testing.T) {
 	m := TrainMLP(features.SetAP, mlpTrainSet(4), DefaultMLPOpts())
 	f := flow(100, 0x0b000000, 1, 1, 1)
-	preds := m.Predict(Query{Flow: f, K: 4, Exclude: func(l wan.LinkID) bool { return l == 1 }})
+	preds := m.Predict(core.Query{Flow: f, K: 4, Exclude: func(l wan.LinkID) bool { return l == 1 }})
 	for _, p := range preds {
 		if p.Link == 1 {
 			t.Fatal("excluded link predicted")
@@ -65,8 +66,8 @@ func TestMLPDeterministic(t *testing.T) {
 	a := TrainMLP(features.SetAP, recs, DefaultMLPOpts())
 	b := TrainMLP(features.SetAP, recs, DefaultMLPOpts())
 	f := flow(101, 0x0b000100, 2, 2, 2)
-	pa := a.Predict(Query{Flow: f, K: 4})
-	pb := b.Predict(Query{Flow: f, K: 4})
+	pa := a.Predict(core.Query{Flow: f, K: 4})
+	pb := b.Predict(core.Query{Flow: f, K: 4})
 	if len(pa) != len(pb) {
 		t.Fatal("prediction counts differ")
 	}
@@ -79,7 +80,7 @@ func TestMLPDeterministic(t *testing.T) {
 
 func TestMLPEmptyTraining(t *testing.T) {
 	m := TrainMLP(features.SetA, nil, DefaultMLPOpts())
-	if preds := m.Predict(Query{Flow: flow(1, 0, 1, 1, 1), K: 3}); preds != nil {
+	if preds := m.Predict(core.Query{Flow: flow(1, 0, 1, 1, 1), K: 3}); preds != nil {
 		t.Errorf("untrained MLP should predict nothing, got %+v", preds)
 	}
 }

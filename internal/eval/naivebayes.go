@@ -1,9 +1,11 @@
-package core
+package eval
 
 import (
 	"math"
+	"slices"
 	"sort"
 
+	"tipsy/internal/core"
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
 )
@@ -127,22 +129,23 @@ func TrainNaiveBayes(set features.Set, recs []features.Record, opts NBOpts) *Nai
 	return nb
 }
 
-// Name implements Predictor.
+// Name implements core.Predictor.
 func (nb *NaiveBayes) Name() string { return "NB_" + nb.set.String() }
 
-// Set returns the feature set the model was trained over.
-func (nb *NaiveBayes) Set() features.Set { return nb.set }
+// Predict implements core.Predictor: score every class (link), rank,
+// and exp-normalize the top scores into byte fractions.
+func (nb *NaiveBayes) Predict(q core.Query) []core.Prediction { return nb.AppendPredict(nil, q) }
 
-// Predict implements Predictor: score every class (link), rank, and
-// exp-normalize the top scores into byte fractions.
-func (nb *NaiveBayes) Predict(q Query) []Prediction {
+// AppendPredict implements core.AppendPredictor, so an NB model can be
+// an ensemble component (Hist_AL/NB_AL).
+func (nb *NaiveBayes) AppendPredict(dst []core.Prediction, q core.Query) []core.Prediction {
 	type scored struct {
 		link  wan.LinkID
 		score float64
 	}
 	cands := make([]scored, 0, len(nb.links))
 	for _, l := range nb.links {
-		if q.excluded(l) {
+		if q.Exclude != nil && q.Exclude(l) {
 			continue
 		}
 		s := nb.logPrior[l]
@@ -166,7 +169,7 @@ func (nb *NaiveBayes) Predict(q Query) []Prediction {
 		}
 	}
 	if len(cands) == 0 {
-		return nil
+		return dst
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].score != cands[j].score {
@@ -178,18 +181,20 @@ func (nb *NaiveBayes) Predict(q Query) []Prediction {
 		cands = cands[:nb.opts.CandidateCap]
 	}
 	// Softmax over the retained scores gives the predicted fractions.
+	n := len(dst)
+	dst = slices.Grow(dst, len(cands))
 	maxS := cands[0].score
 	var sum float64
-	preds := make([]Prediction, len(cands))
-	for i, c := range cands {
+	for _, c := range cands {
 		w := math.Exp(c.score - maxS)
-		preds[i] = Prediction{Link: c.link, Frac: w}
+		dst = append(dst, core.Prediction{Link: c.link, Frac: w})
 		sum += w
 	}
+	preds := dst[n:]
 	for i := range preds {
 		preds[i].Frac /= sum
 	}
-	return topK(preds, q.K)
+	return dst[:n+len(core.TopK(preds, q.K))]
 }
 
 // NumClasses reports how many links (classes) the model scores.

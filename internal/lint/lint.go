@@ -88,7 +88,7 @@ type ReportFunc func(pos token.Pos, format string, args ...any)
 func Rules() []Rule {
 	simDirs := []string{
 		"internal/netsim", "internal/topology", "internal/traffic",
-		"internal/core", "internal/wan",
+		"internal/core", "internal/eval", "internal/wan",
 	}
 	wireDirs := []string{"internal/ipfix"}
 	return []Rule{

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"tipsy/internal/chaos"
@@ -139,5 +140,28 @@ func TestChaosReplayIsByteIdentical(t *testing.T) {
 	// A different seed reshuffles both traffic and faults.
 	if c := chaosRun(t, seed+1, hours); c == a {
 		t.Fatal("different seed replayed identically; chaos schedule is not seed-driven")
+	}
+}
+
+// TestInflateToUtilizationIsAFunctionOfTheSeed: an engineered
+// incident's scale is a sum over the flows via the link, so it is a
+// function of the seed only if the flows are summed in one order.
+// Fresh same-seed simulators must inflate every link by the same bits.
+func TestInflateToUtilizationIsAFunctionOfTheSeed(t *testing.T) {
+	scales := func() map[wan.LinkID]uint64 {
+		s := testSim(t, 31)
+		out := make(map[wan.LinkID]uint64)
+		for _, id := range s.Links() {
+			out[id] = math.Float64bits(s.InflateToUtilization(id, 4, 0, 24))
+		}
+		return out
+	}
+	want := scales()
+	for run := 0; run < 4; run++ {
+		for id, got := range scales() {
+			if got != want[id] {
+				t.Fatalf("rebuild %d inflated link %d by %x, the first build by %x", run+1, id, got, want[id])
+			}
+		}
 	}
 }

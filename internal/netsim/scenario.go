@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
 )
@@ -34,13 +36,19 @@ func (s *Sim) InflateToUtilization(link wan.LinkID, target float64, from, to wan
 		return 1
 	}
 	via := s.FlowsVia(link, from)
+	// Summed in flow-ID order: the scale is then a function of the
+	// seed, not of the map's iteration order.
+	ids := make([]int, 0, len(via))
+	for id := range via {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	var peak float64
 	for h := from; h < to; h++ {
 		var hourBytes float64
-		for id, frac := range via {
-			f := &s.w.Flows[id]
-			bytes, _ := traffic.VolumeAt(f, s.metros, h)
-			hourBytes += bytes * frac
+		for _, id := range ids {
+			bytes, _ := traffic.VolumeAt(&s.w.Flows[id], s.metros, h)
+			hourBytes += bytes * via[id]
 		}
 		if hourBytes > peak {
 			peak = hourBytes

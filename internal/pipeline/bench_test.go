@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"tipsy/internal/alloctest"
@@ -159,6 +160,30 @@ func BenchmarkAggregatorDrain(b *testing.B) {
 // is committed by editing it.
 var drainAllocs = []struct{ procs, allocs int }{{1, 7}, {2, 10}}
 
+// warmScheduler refills the runtime's caches of goroutine descriptors
+// and of wait-queue entries (sudogs) on every P. A drain at GOMAXPROCS
+// 2 takes one of each: starting its worker takes a descriptor, and the
+// caller waiting for the worker takes an entry. Each comes from the
+// current P's cache or the global one, and the runtime allocates one
+// only when both are empty. Whether they are depends on which P
+// earlier goroutines exited or woke on, and a GC empties the global
+// entry cache, so without this the count reads one more on some runs.
+// Many goroutines parking at once and waking together refill both
+// caches on every P that runs them.
+func warmScheduler() {
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	for range 256 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+	close(release)
+	wg.Wait()
+}
+
 // TestDrainAllocs pins the drain's allocation count and shows it does
 // not grow with the hours drained: ordering happens once per drain,
 // and an hour is a sweep over arrays the drain already holds.
@@ -166,9 +191,6 @@ func TestDrainAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, pin := range drainAllocs {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", pin.procs), func(t *testing.T) {
-			if pin.procs > 1 {
-				alloctest.SkipGoroutinesUnderRace(t)
-			}
 			runtime.GOMAXPROCS(pin.procs)
 			batches := drainWindow(48)
 			a := NewAggregator(geo.NewGeoIP(geo.World(), 0, 1), staticMeta(3, 2))
@@ -181,6 +203,7 @@ func TestDrainAllocs(t *testing.T) {
 				allocs := ^uint64(0)
 				for trial := 0; trial < 5; trial++ {
 					feedWindow(a, batches[:hours])
+					warmScheduler()
 					var before, after runtime.MemStats
 					runtime.ReadMemStats(&before)
 					recs := a.Records()
