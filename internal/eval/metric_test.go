@@ -24,16 +24,22 @@ func mkRecs() []features.Record {
 	}
 }
 
-func TestOracleIsPerfectUnrestricted(t *testing.T) {
-	recs := mkRecs()
+func TestOraclePerfectUnrestricted(t *testing.T) {
+	f := flow(1, 100, 1, 1, 1)
+	recs := []features.Record{rec(f, 1, 600), rec(f, 2, 400)}
 	o := NewOracle(features.SetAP, recs)
 	if o.Name() != "Oracle_AP" {
 		t.Errorf("Name = %q", o.Name())
 	}
-	preds := o.Predict(core.Query{Flow: recs[0].Flow})
+	preds := o.Predict(core.Query{Flow: f})
 	if len(preds) != 2 || math.Abs(preds[0].Frac-0.6) > 1e-9 {
 		t.Errorf("oracle should reproduce the test distribution exactly: %+v", preds)
 	}
+}
+
+func TestOracleIsPerfectUnrestricted(t *testing.T) {
+	recs := mkRecs()
+	o := NewOracle(features.SetAP, recs)
 	acc := Accuracy(o, recs, Options{Ks: []int{0}})
 	if math.Abs(acc[0]-1) > 1e-9 {
 		t.Errorf("unrestricted oracle accuracy = %f, want 1", acc[0])
