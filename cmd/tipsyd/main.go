@@ -841,19 +841,34 @@ const (
 	// that grew its buffers past it leaves them to the collector, so
 	// one huge request does not pin its memory for good.
 	maxPooledBuf = 256 << 10
+	// maxPooledFlows and maxPooledLinks bound the decoded request and
+	// the answer that go back to the pool alike: a body of empty flows
+	// or an answer at a large k grows them faster than the bytes.
+	maxPooledFlows = 4096
+	maxPooledLinks = 4 * maxPooledFlows
 )
 
-// predictBuf is the memory one /v1/predict request borrows: the body
-// as read and the answer as encoded.
+// predictBuf is the memory one /v1/predict request borrows, from the
+// body as read to the answer as encoded. The handler that took it from
+// predictBufs owns all of it until its last Write returns, and nothing
+// in it outlives the request: the monitor copies what it keeps.
 type predictBuf struct {
-	in  bytes.Buffer
-	out []byte
+	in    bytes.Buffer
+	req   serve.Request
+	flows []features.FlowFeatures
+	resp  serve.Response
+	out   []byte
 }
 
 var predictBufs = sync.Pool{New: func() any { return new(predictBuf) }}
 
 func (b *predictBuf) release() {
-	if b.in.Cap() <= maxPooledBuf && cap(b.out) <= maxPooledBuf {
+	links := 0
+	for _, res := range b.resp.Results {
+		links += len(res.Links)
+	}
+	if b.in.Cap() <= maxPooledBuf && cap(b.out) <= maxPooledBuf &&
+		cap(b.req.Flows) <= maxPooledFlows && links <= maxPooledLinks {
 		predictBufs.Put(b)
 	}
 }
@@ -876,9 +891,9 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	buf.in.Reset()
 	_, err := buf.in.ReadFrom(http.MaxBytesReader(w, r.Body, maxPredictBody))
 	dsp.SetInt("bytes", int64(buf.in.Len()))
-	var req serve.Request
+	req := &buf.req
 	if err == nil {
-		err = serve.DecodeRequest(buf.in.Bytes(), &req)
+		err = serve.DecodeRequest(buf.in.Bytes(), req)
 	}
 	if err != nil {
 		dsp.Error("bad request")
@@ -895,7 +910,8 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Inc()
 	gen, now := s.gen.Load(), s.simHour()
 	fsp := s.tracer.StartChild(rsp, "feature_encode")
-	flows, err := req.Encode(s.sim.GeoIP())
+	flows, err := req.Encode(buf.flows, s.sim.GeoIP())
+	buf.flows = flows
 	if err != nil {
 		fsp.Error("bad address")
 		fsp.End()
@@ -909,7 +925,8 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// that excludes links is answered against a counterfactual
 	// topology and would skew the joined accuracy.
 	graded := len(req.ExcludeLinks) == 0
-	resp := gen.Respond(&req, flows, s.clock, func(i int, a serve.Answer) {
+	resp := &buf.resp
+	gen.Respond(resp, req, flows, s.clock, func(i int, a serve.Answer) {
 		s.met.observe(a)
 		markDemotions(psp, a)
 		if graded {

@@ -80,6 +80,8 @@ type Env struct {
 	// Served is serve.Train's generation over Train; every Historical
 	// model the tables score is one of its fits.
 	Served *serve.Models
+	// nb is NBModels' fits over Train, once made; SplitAt clears it.
+	nb []core.Predictor
 }
 
 // Build generates the topology and workload, simulates the full
@@ -124,6 +126,7 @@ func (e *Env) SplitAt(all []features.Record, split wan.Hour) {
 	e.TestOut = dataset.NewOutageIndex(dataset.InferOutages(e.Test, e.TestFrom, e.TestTo, opts))
 	e.TopTrain = dataset.TopLinks(e.Train)
 	e.Served = serve.Train(e.Train, e.TrainTo, e.Dir, e.Metros)
+	e.nb = nil
 }
 
 // Records re-aggregates by running the simulator over [from, to);

@@ -63,8 +63,8 @@ func dimValue(d nbDim, f features.FlowFeatures) uint64 {
 // with byte-weighted counts and Laplace smoothing. Unlike the
 // Historical model it can predict for tuples never seen in training,
 // as long as the individual feature values were seen — its transfer
-// learning advantage, paid for with O(l log l) prediction cost and a
-// much larger model (Table 11).
+// learning advantage, paid for with a score for every link per
+// prediction and a much larger model (Table 11).
 type NaiveBayes struct {
 	set   features.Set
 	opts  NBOpts
@@ -137,55 +137,47 @@ func (nb *NaiveBayes) Name() string { return "NB_" + nb.set.String() }
 func (nb *NaiveBayes) Predict(q core.Query) []core.Prediction { return nb.AppendPredict(nil, q) }
 
 // AppendPredict implements core.AppendPredictor, so an NB model can be
-// an ensemble component (Hist_AL/NB_AL).
+// an ensemble component (Hist_AL/NB_AL). It looks each dimension's
+// counts for the query's value up once, scores every class against
+// them, and keeps the CandidateCap best by insertion, higher score
+// first and lower link on a tie.
 func (nb *NaiveBayes) AppendPredict(dst []core.Prediction, q core.Query) []core.Prediction {
-	type scored struct {
-		link  wan.LinkID
-		score float64
+	var (
+		conds  [dimType + 1]map[wan.LinkID]float64 // per nb.dims
+		vocabs [dimType + 1]float64
+	)
+	for i, d := range nb.dims {
+		if nb.vocab[d] == 0 { // no class has a usable score
+			return dst
+		}
+		conds[i], vocabs[i] = nb.cond[d][dimValue(d, q.Flow)], float64(nb.vocab[d])
 	}
-	cands := make([]scored, 0, len(nb.links))
+	var room [16]nbScored
+	top := room[:0]
 	for _, l := range nb.links {
 		if q.Exclude != nil && q.Exclude(l) {
 			continue
 		}
-		s := nb.logPrior[l]
+		c := nbScored{link: l, score: nb.logPrior[l]}
 		denomBase := nb.byLink[l]
-		usable := true
-		for _, d := range nb.dims {
-			v := dimValue(d, q.Flow)
-			vocab := float64(nb.vocab[d])
-			if vocab == 0 {
-				usable = false
-				break
-			}
+		for i := range nb.dims {
 			num := nb.opts.Alpha
-			if m, ok := nb.cond[d][v]; ok {
-				num += m[l]
+			if conds[i] != nil {
+				num += conds[i][l]
 			}
-			s += math.Log(num / (denomBase + nb.opts.Alpha*vocab))
+			c.score += math.Log(num / (denomBase + nb.opts.Alpha*vocabs[i]))
 		}
-		if usable {
-			cands = append(cands, scored{l, s})
-		}
+		top = c.insert(top, nb.opts.CandidateCap)
 	}
-	if len(cands) == 0 {
+	if len(top) == 0 {
 		return dst
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].link < cands[j].link
-	})
-	if len(cands) > nb.opts.CandidateCap {
-		cands = cands[:nb.opts.CandidateCap]
 	}
 	// Softmax over the retained scores gives the predicted fractions.
 	n := len(dst)
-	dst = slices.Grow(dst, len(cands))
-	maxS := cands[0].score
+	dst = slices.Grow(dst, len(top))
+	maxS := top[0].score
 	var sum float64
-	for _, c := range cands {
+	for _, c := range top {
 		w := math.Exp(c.score - maxS)
 		dst = append(dst, core.Prediction{Link: c.link, Frac: w})
 		sum += w
@@ -195,6 +187,37 @@ func (nb *NaiveBayes) AppendPredict(dst []core.Prediction, q core.Query) []core.
 		preds[i].Frac /= sum
 	}
 	return dst[:n+len(core.TopK(preds, q.K))]
+}
+
+// nbScored is one class's log-score.
+type nbScored struct {
+	link  wan.LinkID
+	score float64
+}
+
+// before reports whether c ranks ahead of o: a higher score, or the
+// same score and a lower link.
+func (c nbScored) before(o nbScored) bool {
+	if c.score != o.score {
+		return c.score > o.score
+	}
+	return c.link < o.link
+}
+
+// insert places c in top, which holds at most keep classes in rank
+// order, and drops the last if that makes keep+1.
+func (c nbScored) insert(top []nbScored, keep int) []nbScored {
+	if len(top) == keep {
+		if !c.before(top[keep-1]) {
+			return top
+		}
+		top = top[:keep-1]
+	}
+	top = append(top, c)
+	for i := len(top) - 1; i > 0 && top[i].before(top[i-1]); i-- {
+		top[i], top[i-1] = top[i-1], top[i]
+	}
+	return top
 }
 
 // NumClasses reports how many links (classes) the model scores.

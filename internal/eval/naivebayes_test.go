@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +198,111 @@ func TestNaiveBayesAppendPredictProperty(t *testing.T) {
 				if !slices.Equal(got[n:], want) {
 					t.Fatalf("%s, %+v: appended %v, Predict says %v", m.Name(), q, got[n:], want)
 				}
+			}
+		}
+	}
+}
+
+// appendPredictReference is NaiveBayes.AppendPredict as it was before
+// it looked each dimension up once and kept its best classes by
+// insertion, kept as its oracle: every class scored with the lookups
+// inside, all of them sorted, the first CandidateCap kept.
+func appendPredictReference(nb *NaiveBayes, dst []core.Prediction, q core.Query) []core.Prediction {
+	type scored struct {
+		link  wan.LinkID
+		score float64
+	}
+	cands := make([]scored, 0, len(nb.links))
+	for _, l := range nb.links {
+		if q.Exclude != nil && q.Exclude(l) {
+			continue
+		}
+		s := nb.logPrior[l]
+		denomBase := nb.byLink[l]
+		usable := true
+		for _, d := range nb.dims {
+			v := dimValue(d, q.Flow)
+			vocab := float64(nb.vocab[d])
+			if vocab == 0 {
+				usable = false
+				break
+			}
+			num := nb.opts.Alpha
+			if m, ok := nb.cond[d][v]; ok {
+				num += m[l]
+			}
+			s += math.Log(num / (denomBase + nb.opts.Alpha*vocab))
+		}
+		if usable {
+			cands = append(cands, scored{l, s})
+		}
+	}
+	if len(cands) == 0 {
+		return dst
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
+		}
+		return cands[i].link < cands[j].link
+	})
+	if len(cands) > nb.opts.CandidateCap {
+		cands = cands[:nb.opts.CandidateCap]
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(cands))
+	maxS := cands[0].score
+	var sum float64
+	for _, c := range cands {
+		w := math.Exp(c.score - maxS)
+		dst = append(dst, core.Prediction{Link: c.link, Frac: w})
+		sum += w
+	}
+	preds := dst[n:]
+	for i := range preds {
+		preds[i].Frac /= sum
+	}
+	return dst[:n+len(core.TopK(preds, q.K))]
+}
+
+// TestNaiveBayesMatchesReference holds AppendPredict to its oracle
+// with == on every link and fraction: every feature set, candidate
+// caps below, at and above the class count, any k, exclusions, flows
+// seen and unseen, an untrained model, and training sets where many
+// classes tie (one byte on every link, so the prior and most counts
+// are equal and the link breaks the tie).
+func TestNaiveBayesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	tied := func(n int) []features.Record {
+		recs := randomRecords(rng, n)
+		for i := range recs {
+			recs[i].Bytes = 1
+		}
+		return recs
+	}
+	for round := 0; round < 60; round++ {
+		var recs []features.Record
+		switch round % 3 {
+		case 0:
+			recs = randomRecords(rng, 20+rng.Intn(300))
+		case 1:
+			recs = tied(5 + rng.Intn(60))
+		}
+		set := []features.Set{features.SetA, features.SetAP, features.SetAL}[rng.Intn(3)]
+		opts := NBOpts{Alpha: []float64{1, 0.5, 3}[rng.Intn(3)], CandidateCap: []int{1, 2, 5, 12, 16, 40}[rng.Intn(6)]}
+		nb := TrainNaiveBayes(set, recs, opts)
+		for i := 0; i < 100; i++ {
+			q := core.Query{Flow: randomRecords(rng, 1)[0].Flow, K: []int{-1, 0, 1, 3, 16}[rng.Intn(5)]}
+			if len(recs) > 0 && rng.Intn(2) == 0 {
+				q.Flow = recs[rng.Intn(len(recs))].Flow
+			}
+			if rng.Intn(2) == 0 {
+				excl := map[wan.LinkID]bool{wan.LinkID(1 + rng.Intn(12)): true, wan.LinkID(1 + rng.Intn(12)): true}
+				q.Exclude = func(l wan.LinkID) bool { return excl[l] }
+			}
+			want, got := appendPredictReference(nb, nil, q), nb.AppendPredict(nil, q)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d, %s, %+v, %+v: predicts %v, the reference %v", round, nb.Name(), opts, q, got, want)
 			}
 		}
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // RuntimeBridge samples the Go runtime's own metrics into a Registry:
-// heap and goroutine gauges, the GC cycle count, and the GC pause and
-// scheduler latency distributions as registry histograms. The runtime
+// heap and goroutine gauges, the GC cycle count, the bytes and objects
+// allocated since the process started, and the GC pause and scheduler
+// latency distributions as registry histograms. The runtime
 // exposes the distributions as cumulative float64 histograms, so each
 // Sample observes the per-bucket count delta since the previous
 // Sample at the bucket's upper bound (in nanoseconds) — cheap, and
@@ -25,6 +26,8 @@ type RuntimeBridge struct {
 	heapBytes  *Gauge
 	goroutines *Gauge
 	gcCycles   *Gauge
+	allocBytes *Gauge
+	allocs     *Gauge
 	gcPause    *Histogram
 	schedLat   *Histogram
 
@@ -38,6 +41,8 @@ const (
 	sampleHeapBytes  = "/memory/classes/heap/objects:bytes"
 	sampleGoroutines = "/sched/goroutines:goroutines"
 	sampleGCCycles   = "/gc/cycles/total:gc-cycles"
+	sampleAllocBytes = "/gc/heap/allocs:bytes"
+	sampleAllocs     = "/gc/heap/allocs:objects"
 	sampleGCPause    = "/gc/pauses:seconds"
 	sampleSchedLat   = "/sched/latencies:seconds"
 )
@@ -50,12 +55,16 @@ func NewRuntimeBridge(reg *Registry) *RuntimeBridge {
 			{Name: sampleHeapBytes},
 			{Name: sampleGoroutines},
 			{Name: sampleGCCycles},
+			{Name: sampleAllocBytes},
+			{Name: sampleAllocs},
 			{Name: sampleGCPause},
 			{Name: sampleSchedLat},
 		},
 		heapBytes:  reg.Gauge("runtime_heap_bytes"),
 		goroutines: reg.Gauge("runtime_goroutines"),
 		gcCycles:   reg.Gauge("runtime_gc_cycles"),
+		allocBytes: reg.Gauge("runtime_alloc_bytes"),
+		allocs:     reg.Gauge("runtime_allocs"),
 		gcPause:    reg.Histogram("runtime_gc_pause_ns"),
 		schedLat:   reg.Histogram("runtime_sched_latency_ns"),
 	}
@@ -70,22 +79,28 @@ func (b *RuntimeBridge) Sample() {
 		s := &b.samples[i]
 		switch s.Name {
 		case sampleHeapBytes:
-			if s.Value.Kind() == metrics.KindUint64 {
-				b.heapBytes.Set(int64(s.Value.Uint64()))
-			}
+			setUint64(b.heapBytes, s)
 		case sampleGoroutines:
-			if s.Value.Kind() == metrics.KindUint64 {
-				b.goroutines.Set(int64(s.Value.Uint64()))
-			}
+			setUint64(b.goroutines, s)
 		case sampleGCCycles:
-			if s.Value.Kind() == metrics.KindUint64 {
-				b.gcCycles.Set(int64(s.Value.Uint64()))
-			}
+			setUint64(b.gcCycles, s)
+		case sampleAllocBytes:
+			setUint64(b.allocBytes, s)
+		case sampleAllocs:
+			setUint64(b.allocs, s)
 		case sampleGCPause:
 			b.prevPause = observeHistDelta(b.gcPause, s, b.prevPause)
 		case sampleSchedLat:
 			b.prevSched = observeHistDelta(b.schedLat, s, b.prevSched)
 		}
+	}
+}
+
+// setUint64 sets g to s's value, if the runtime reports s as a
+// uint64.
+func setUint64(g *Gauge, s *metrics.Sample) {
+	if s.Value.Kind() == metrics.KindUint64 {
+		g.Set(int64(s.Value.Uint64()))
 	}
 }
 

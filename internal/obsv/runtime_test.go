@@ -17,6 +17,26 @@ func TestRuntimeBridgeSample(t *testing.T) {
 		t.Errorf("heap gauge %d, want > 0", v)
 	}
 
+	// The allocation totals grow by at least what the test allocates
+	// between two samples. The runtime books a small object when its
+	// span is swept or refilled, a large one when it is made, so the
+	// test makes large ones.
+	bytes0, objects0 := reg.Gauge("runtime_alloc_bytes").Value(), reg.Gauge("runtime_allocs").Value()
+	if bytes0 <= 0 || objects0 <= 0 {
+		t.Errorf("allocation totals %d bytes, %d objects, want > 0", bytes0, objects0)
+	}
+	const n, size = 16, 64 << 10
+	for i := 0; i < n; i++ {
+		sink = make([]byte, size)
+	}
+	b.Sample()
+	if grew := reg.Gauge("runtime_alloc_bytes").Value() - bytes0; grew < n*size {
+		t.Errorf("runtime_alloc_bytes grew %d over %d allocations of %d bytes", grew, n, size)
+	}
+	if grew := reg.Gauge("runtime_allocs").Value() - objects0; grew < n {
+		t.Errorf("runtime_allocs grew %d over %d allocations", grew, n)
+	}
+
 	// Force GC cycles between samples: the pause histogram observes
 	// the cumulative bucket-count delta, so new pauses must appear.
 	before := reg.Histogram("runtime_gc_pause_ns").Count()
@@ -41,13 +61,16 @@ func TestRuntimeBridgeSample(t *testing.T) {
 	}
 }
 
+// sink keeps TestRuntimeBridgeSample's allocations on the heap.
+var sink []byte
+
 func TestRuntimeBridgeInExposition(t *testing.T) {
 	reg := NewRegistry()
 	b := NewRuntimeBridge(reg)
 	b.Sample()
 	var sb strings.Builder
 	reg.WriteText(&sb)
-	for _, want := range []string{"runtime_heap_bytes", "runtime_goroutines", "runtime_gc_pause_ns", "runtime_sched_latency_ns"} {
+	for _, want := range []string{"runtime_heap_bytes", "runtime_goroutines", "runtime_alloc_bytes", "runtime_allocs", "runtime_gc_pause_ns", "runtime_sched_latency_ns"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %s", want)
 		}

@@ -27,7 +27,7 @@ const (
 	// maxSkipDepth bounds how deep the value of a key that names no
 	// field may nest.
 	maxSkipDepth = 32
-	// flowBytesGuess sizes the flow slice from the bytes left in the
+	// flowBytesGuess sizes a new flow slice from the bytes left in the
 	// body. A flow as clients write it takes 80 bytes or more, so for
 	// them the guess is an upper bound; append covers everyone else.
 	flowBytesGuess = 64
@@ -38,9 +38,8 @@ const (
 // an integer's value accumulated in the same scan.
 type decoder struct {
 	// s is the body and a final NUL. No JSON token holds a NUL, so no
-	// match runs past it and the cursor needs no bounds checks. A
-	// src_addr without escapes is a substring of s.
-	s   string
+	// match runs past it and the cursor needs no bounds checks.
+	s   []byte
 	pos int
 	// err is the first error. Setting it moves the cursor to the NUL,
 	// where every loop below stops.
@@ -49,19 +48,28 @@ type decoder struct {
 
 // DecodeRequest parses body — one JSON object or null, and nothing
 // after it — into *req, overwriting it; after an error *req is
-// unspecified. It allocates a copy of body and the two slices.
+// unspecified.
+//
+// It decodes into the arrays req.Flows and req.ExcludeLinks already
+// hold, so a caller that decodes request after request into one
+// Request allocates only when a request outgrows them, and for a
+// flow's src_addr only when it differs from the address that flow's
+// slot held. It reads body in place, with a NUL appended: into body's
+// spare capacity if it has one byte of it, else into a copy.
 func DecodeRequest(body []byte, req *Request) error {
+	flows, links := req.Flows[:0], req.ExcludeLinks[:0]
 	*req = Request{}
-	d := decoder{s: string(body) + "\x00"}
-	d.request(req)
+	d := decoder{s: append(body, 0)}
+	d.request(req, flows, links)
 	if d.peek(); d.pos != len(d.s)-1 {
 		d.fail("data after the request object")
 	}
 	return d.err
 }
 
-// request reads a Request object, or null.
-func (d *decoder) request(req *Request) {
+// request reads a Request object, or null, into req and the arrays
+// of flows and links.
+func (d *decoder) request(req *Request, flows []Flow, links []wan.LinkID) {
 	if d.null() {
 		return
 	}
@@ -72,9 +80,9 @@ func (d *decoder) request(req *Request) {
 		d.once(key, i, &seen)
 		switch i {
 		case 0:
-			req.Flows = d.flows()
+			req.Flows = d.flows(flows)
 		case 1:
-			req.ExcludeLinks = d.links()
+			req.ExcludeLinks = d.links(links)
 		case 2:
 			req.K = int(d.signed())
 		default:
@@ -86,41 +94,49 @@ func (d *decoder) request(req *Request) {
 // requestField is the index of the Request field key names, or -1.
 // encoding/json matches a key to a field by Unicode's case folding; on
 // the ASCII keys key accepts that is ASCII's.
-func requestField(key string) int {
+func requestField(key []byte) int {
 	switch len(key) {
 	case 5:
-		if key == "flows" || foldsTo(key, "flows") {
+		if string(key) == "flows" || foldsTo(key, "flows") {
 			return 0
 		}
 	case 13:
-		if key == "exclude_links" || foldsTo(key, "exclude_links") {
+		if string(key) == "exclude_links" || foldsTo(key, "exclude_links") {
 			return 1
 		}
 	case 1:
-		if key == "k" || key == "K" {
+		if key[0] == 'k' || key[0] == 'K' {
 			return 2
 		}
 	}
 	return -1
 }
 
-// flows reads the flows array. As in encoding/json null stays nil, []
-// is empty but not nil, and a null element is the zero Flow.
-func (d *decoder) flows() []Flow {
+// flows reads the flows array into out's array, or a new one if out
+// is nil. As in encoding/json null stays nil, [] is empty but not
+// nil, and a null element is the zero Flow.
+func (d *decoder) flows(out []Flow) []Flow {
 	guess := (len(d.s) - d.pos) / flowBytesGuess
 	if d.null() {
 		return nil
 	}
-	out := make([]Flow, 0, guess)
+	if out == nil {
+		out = make([]Flow, 0, guess)
+	}
 	for more := d.open('[', ']'); more; more = d.more(']') {
+		var prev string // the address this slot held
+		if len(out) < cap(out) {
+			prev = out[:len(out)+1][len(out)].SrcAddr
+		}
 		out = append(out, Flow{})
-		d.flow(&out[len(out)-1])
+		d.flow(&out[len(out)-1], prev)
 	}
 	return out
 }
 
-// flow reads a Flow object, or null.
-func (d *decoder) flow(f *Flow) {
+// flow reads a Flow object, or null. An address equal to prev is
+// prev, not a new string.
+func (d *decoder) flow(f *Flow, prev string) {
 	if d.null() {
 		return
 	}
@@ -131,7 +147,11 @@ func (d *decoder) flow(f *Flow) {
 		d.once(key, i, &seen)
 		switch i {
 		case 0:
-			f.SrcAddr = d.str()
+			if addr := d.str(); string(addr) == prev {
+				f.SrcAddr = prev
+			} else {
+				f.SrcAddr = string(addr)
+			}
 		case 1:
 			f.SrcAS = uint32(d.unsigned(32))
 		case 2:
@@ -148,38 +168,40 @@ func (d *decoder) flow(f *Flow) {
 
 // flowField is the index of the Flow field key names, or -1, matched
 // as requestField matches.
-func flowField(key string) int {
+func flowField(key []byte) int {
 	switch len(key) {
 	case 8:
-		if key == "src_addr" || foldsTo(key, "src_addr") {
+		if string(key) == "src_addr" || foldsTo(key, "src_addr") {
 			return 0
 		}
 	case 6:
-		if key == "src_as" || foldsTo(key, "src_as") {
+		if string(key) == "src_as" || foldsTo(key, "src_as") {
 			return 1
 		}
-		if key == "region" || foldsTo(key, "region") {
+		if string(key) == "region" || foldsTo(key, "region") {
 			return 2
 		}
 	case 7:
-		if key == "service" || foldsTo(key, "service") {
+		if string(key) == "service" || foldsTo(key, "service") {
 			return 3
 		}
 	case 5:
-		if key == "bytes" || foldsTo(key, "bytes") {
+		if string(key) == "bytes" || foldsTo(key, "bytes") {
 			return 4
 		}
 	}
 	return -1
 }
 
-// links reads the exclude_links array, null and its elements as flows
-// reads flows.
-func (d *decoder) links() []wan.LinkID {
+// links reads the exclude_links array into out's array, null and its
+// elements as flows reads flows.
+func (d *decoder) links(out []wan.LinkID) []wan.LinkID {
 	if d.null() {
 		return nil
 	}
-	out := make([]wan.LinkID, 0)
+	if out == nil {
+		out = make([]wan.LinkID, 0)
+	}
 	for more := d.open('[', ']'); more; more = d.more(']') {
 		out = append(out, wan.LinkID(d.unsigned(32)))
 	}
@@ -215,11 +237,16 @@ func (d *decoder) space() byte {
 
 // expect consumes lit, which must come next after white space.
 func (d *decoder) expect(lit string) {
-	if c := d.peek(); c != lit[0] || len(lit) > 1 && !strings.HasPrefix(d.s[d.pos:], lit) {
+	if c := d.peek(); c != lit[0] || len(lit) > 1 && !hasPrefix(d.s[d.pos:], lit) {
 		d.fail("want " + lit)
 		return
 	}
 	d.pos += len(lit)
+}
+
+// hasPrefix reports whether s starts with lit.
+func hasPrefix(s []byte, lit string) bool {
+	return len(s) >= len(lit) && string(s[:len(lit)]) == lit
 }
 
 // null consumes a null if that is the next value. As in
@@ -268,10 +295,10 @@ func (d *decoder) more(end byte) bool {
 // matches keys after unescaping them and folding case by Unicode's
 // rules; a key of unescaped ASCII needs neither, and every other key
 // is refused.
-func (d *decoder) key() string {
+func (d *decoder) key() []byte {
 	if d.peek() != '"' {
 		d.fail(`want "`)
-		return ""
+		return nil
 	}
 	d.pos++
 	s, end := d.s, d.pos
@@ -282,14 +309,14 @@ func (d *decoder) key() string {
 		}
 		if c < ' ' || c == '\\' || c >= utf8.RuneSelf {
 			d.fail("object keys must be unescaped ASCII")
-			return ""
+			return nil
 		}
 	}
 	key := s[d.pos:end]
 	d.pos = end + 1
 	if d.peek() != ':' {
 		d.fail("want :")
-		return ""
+		return nil
 	}
 	d.pos++
 	return key
@@ -297,19 +324,19 @@ func (d *decoder) key() string {
 
 // once refuses the second appearance of the i-th field of an object
 // (i < 0 names none), which encoding/json would merge into the first.
-func (d *decoder) once(key string, i int, seen *uint) {
+func (d *decoder) once(key []byte, i int, seen *uint) {
 	if i < 0 {
 		return
 	}
 	if *seen&(1<<i) != 0 {
-		d.fail("duplicate key " + key)
+		d.fail("duplicate key " + string(key))
 	}
 	*seen |= 1 << i
 }
 
 // foldsTo reports whether key is name, a lower-case ASCII name of the
 // same length, but for the case of its letters.
-func foldsTo(key, name string) bool {
+func foldsTo(key []byte, name string) bool {
 	for i := 0; i < len(name); i++ {
 		if c, n := key[i], name[i]; c != n && !('a' <= n && n <= 'z' && c == n-'a'+'A') {
 			return false
@@ -357,12 +384,13 @@ func (d *decoder) digits() bool {
 }
 
 // number scans one JSON number, null reading as 0. It returns the
-// number's text ("0" for null and after an error), its integer
-// part's magnitude, which saturates above 1<<63 into wide, and
-// whether a fraction or an exponent follows the integer part.
-func (d *decoder) number() (text string, mag uint64, wide, frac bool) {
+// number's text, a view of the body ("0" for null and after an
+// error), its integer part's magnitude, which saturates above 1<<63
+// into wide, and whether a fraction or an exponent follows the
+// integer part.
+func (d *decoder) number() (text []byte, mag uint64, wide, frac bool) {
 	if d.null() {
-		return "0", 0, false, false
+		return zero, 0, false, false
 	}
 	s, start := d.s, d.pos
 	i := start
@@ -387,7 +415,7 @@ func (d *decoder) number() (text string, mag uint64, wide, frac bool) {
 	default:
 		d.pos = i
 		d.fail("want a number")
-		return "0", 0, false, false
+		return zero, 0, false, false
 	}
 	d.pos = i
 	if c := s[i]; c != '.' && c != 'e' && c != 'E' {
@@ -397,7 +425,7 @@ func (d *decoder) number() (text string, mag uint64, wide, frac bool) {
 		d.pos++
 		if !d.digits() {
 			d.fail("want a digit after the decimal point")
-			return "0", 0, false, false
+			return zero, 0, false, false
 		}
 		frac = true
 	}
@@ -408,12 +436,15 @@ func (d *decoder) number() (text string, mag uint64, wide, frac bool) {
 		}
 		if !d.digits() {
 			d.fail("want a digit in the exponent")
-			return "0", 0, false, false
+			return zero, 0, false, false
 		}
 		frac = true
 	}
 	return d.s[start:d.pos], mag, wide, frac
 }
+
+// zero is the text number reads for null and after an error.
+var zero = []byte("0")
 
 // unsigned reads an integer that must fit bits bits. Its errors are
 // strconv.ParseUint's: encoding/json fits neither 1.0 nor 1e2 into an
@@ -461,7 +492,7 @@ func (d *decoder) float() float64 {
 		}
 		return float64(mag)
 	}
-	f, err := strconv.ParseFloat(text, 64)
+	f, err := strconv.ParseFloat(string(text), 64)
 	if err != nil {
 		d.fail(err.Error())
 	}
@@ -469,16 +500,16 @@ func (d *decoder) float() float64 {
 }
 
 // numError fails as strconv's fn fails on text.
-func (d *decoder) numError(fn, text string, err error) {
-	d.fail((&strconv.NumError{Func: fn, Num: text, Err: err}).Error())
+func (d *decoder) numError(fn string, text []byte, err error) {
+	d.fail((&strconv.NumError{Func: fn, Num: string(text), Err: err}).Error())
 }
 
-// str reads a string. One without escapes is returned as a substring
-// of the body. Invalid UTF-8, which encoding/json would quietly
-// replace with U+FFFD, is an error.
-func (d *decoder) str() string {
+// str reads a string. One without escapes is returned as a view of
+// the body. Invalid UTF-8, which encoding/json would quietly replace
+// with U+FFFD, is an error.
+func (d *decoder) str() []byte {
 	if d.null() {
-		return ""
+		return nil
 	}
 	d.expect(`"`)
 	s := d.s
@@ -491,7 +522,7 @@ func (d *decoder) str() string {
 			if buf == nil {
 				return run
 			}
-			return string(append(buf, run...))
+			return append(buf, run...)
 		case c == '\\':
 			buf = append(buf, s[d.pos:i]...)
 			d.pos = i
@@ -500,15 +531,15 @@ func (d *decoder) str() string {
 		case c < ' ':
 			d.pos = i
 			d.fail("control character or end of body in a string")
-			return ""
+			return nil
 		case c < utf8.RuneSelf:
 			i++
 		default:
-			r, n := utf8.DecodeRuneInString(s[i:])
+			r, n := utf8.DecodeRune(s[i:])
 			if r == utf8.RuneError && n == 1 {
 				d.pos = i
 				d.fail("invalid UTF-8 in a string")
-				return ""
+				return nil
 			}
 			i += n
 		}
@@ -541,11 +572,11 @@ func (d *decoder) escape() rune {
 }
 
 // hex4 reads the \u escape s starts with.
-func hex4(s string) (rune, bool) {
+func hex4(s []byte) (rune, bool) {
 	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
 		return 0, false
 	}
-	n, err := strconv.ParseUint(s[2:6], 16, 16)
+	n, err := strconv.ParseUint(string(s[2:6]), 16, 16)
 	return rune(n), err == nil
 }
 
@@ -587,7 +618,10 @@ func (resp *Response) AppendJSON(dst []byte) ([]byte, error) {
 		// encoding/json sorts map keys as strings, "10" before "9".
 		// Integers sort alike for: the link padded with zeros on the
 		// right to ten digits, then its digit count in the low bits.
-		keys := make([]uint64, 0, len(resp.Shifted))
+		// They sort on the stack unless the map is larger than a WAN's
+		// links usually are.
+		var stack [256]uint64
+		keys := stack[:0]
 		for l := range resp.Shifted {
 			padded, digits := uint64(l), uint64(1)
 			for p := uint64(10); p <= uint64(l); p *= 10 {

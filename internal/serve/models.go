@@ -205,19 +205,26 @@ type Answer struct {
 // nothing: a caller that counts rungs or latencies does so from the
 // Answer.
 func (m *Models) Walk(dst []core.Prediction, q core.Query, clock func() int64) ([]core.Prediction, Answer) {
+	out, a, _ := m.walk(dst, q, clock, clock())
+	return out, a
+}
+
+// walk is Walk from start, a reading of clock. Each attempt ends on
+// one reading, which starts the next; walk returns the last, so that
+// walks run back to back read clock once per attempt.
+func (m *Models) walk(dst []core.Prediction, q core.Query, clock func() int64, start int64) ([]core.Prediction, Answer, int64) {
 	a := Answer{Rung: None}
 	for r, model := range m.rungs {
 		if model == nil {
 			continue
 		}
-		start := clock()
 		out := model.AppendPredict(dst, q)
-		a.Ns[r] = clock() - start
-		a.Tried[r] = true
+		end := clock()
+		a.Ns[r], a.Tried[r], start = end-start, true, end
 		if len(out) > len(dst) {
 			a.Preds, a.Rung = out[len(dst):len(out):len(out)], Rung(r)
-			return out, a
+			return out, a, start
 		}
 	}
-	return dst, a
+	return dst, a, start
 }

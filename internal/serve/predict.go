@@ -49,12 +49,19 @@ type Result struct {
 	Links []LinkShare `json:"links"`
 }
 
-// Response answers a Request.
+// Response answers a Request. Models.Respond fills it, and the next
+// Respond into the same Response reuses its storage.
 type Response struct {
 	Results []Result `json:"results"`
 	// Shifted aggregates predicted bytes per target link across all
 	// queried flows — the number the CMS compares against capacity.
 	Shifted map[wan.LinkID]float64 `json:"shifted"`
+
+	// preds holds every flow's predictions, links every result's
+	// Links, and answers every flow's walk.
+	preds   []core.Prediction
+	links   []LinkShare
+	answers []Answer
 }
 
 // DefaultK is the k a request gets when it names none: the paper's
@@ -62,20 +69,21 @@ type Response struct {
 const DefaultK = 3
 
 // Encode resolves each flow of the request to the features the models
-// key on. The error names the first flow whose address is malformed.
-func (req *Request) Encode(geoip *geo.GeoIP) ([]features.FlowFeatures, error) {
-	flows := make([]features.FlowFeatures, len(req.Flows))
+// key on and appends them to dst[:0]. The error names the first flow
+// whose address is malformed.
+func (req *Request) Encode(dst []features.FlowFeatures, geoip *geo.GeoIP) ([]features.FlowFeatures, error) {
+	flows := slices.Grow(dst[:0], len(req.Flows))
 	for i := range req.Flows {
 		f := &req.Flows[i]
 		addr, err := ParseIPv4(f.SrcAddr)
 		if err != nil {
-			return nil, fmt.Errorf("flow %d: %w", i, err)
+			return flows[:0], fmt.Errorf("flow %d: %w", i, err)
 		}
 		prefix := bgp.Slash24(addr)
-		flows[i] = features.FlowFeatures{
+		flows = append(flows, features.FlowFeatures{
 			AS: bgp.ASN(f.SrcAS), Prefix: prefix, Loc: geoip.Lookup(prefix),
 			Region: wan.Region(f.Region), Type: wan.ServiceType(f.Service),
-		}
+		})
 	}
 	return flows, nil
 }
@@ -92,47 +100,56 @@ func ParseIPv4(s string) (uint32, error) {
 	return bgp.V4(b[0], b[1], b[2], b[3]), nil
 }
 
-// Respond answers the whole request from this one generation: it
-// walks the ladder for each of flows (req.Encode's output) with the
-// request's exclusions and k. observe, if non-nil, sees every flow's
-// Answer as it is made; that is where a server counts rungs and feeds
-// its quality monitor.
+// Respond answers the whole request from this one generation into
+// resp: it walks the ladder for each of flows (req.Encode's output)
+// with the request's exclusions and k. observe, if non-nil, then sees
+// every flow's Answer in flow order; that is where a server counts
+// rungs and feeds its quality monitor.
 //
-// Every flow's predictions are appended to one array, and its links,
-// capacity-clipped, are cut from a second; shifted is summed per link
-// in flow order and becomes a map once, at the end.
-func (m *Models) Respond(req *Request, flows []features.FlowFeatures, clock func() int64, observe func(i int, a Answer)) *Response {
+// The caller owns resp. Respond overwrites it and reuses the arrays
+// and the shifted map it holds, so an answer lasts until the next
+// Respond into the same Response, and a caller that keeps two answers
+// passes two Responses. Every flow's predictions are appended to one
+// array, and its links, capacity-clipped, are cut from a second;
+// shifted is summed per link in flow order and written to the map
+// once per link, at the end.
+//
+// The walks run back to back, before the first observe, so the clock
+// reading that ends one rung attempt starts the next: a request reads
+// clock once per attempt and once more.
+func (m *Models) Respond(resp *Response, req *Request, flows []features.FlowFeatures, clock func() int64, observe func(i int, a Answer)) {
 	q := core.Query{K: req.K}
 	if q.K <= 0 {
 		q.K = DefaultK
 	}
 	sc := linkScratches.Get().(*linkScratch)
 	if len(req.ExcludeLinks) > 0 {
-		// req is shared with concurrent readers and stays as the
-		// client sent it; the bitset is this request's own.
+		// req stays as the client sent it; the bitset is this
+		// request's own.
 		sc.exclude(req.ExcludeLinks, m.linkBound)
 		q.Exclude = sc.isExcluded
-	}
-	resp := &Response{}
-	if len(flows) > 0 { // an empty request keeps answering "results":null
-		resp.Results = make([]Result, len(flows))
 	}
 	// Both arrays are sized for the usual k, the predictions with room
 	// for the links a rung ranks before it truncates: a client may ask
 	// for any k, and append grows them for the flows that have that
 	// many links.
 	perFlow := len(flows) * min(q.K, DefaultK)
-	preds := make([]core.Prediction, 0, perFlow+scratchPreds)
-	links := make([]LinkShare, 0, perFlow)
+	preds := slices.Grow(resp.preds[:0], perFlow+scratchPreds)
+	answers := slices.Grow(resp.answers[:0], len(flows))
+	now := clock()
 	for i := range flows {
 		q.Flow = flows[i]
 		var a Answer
-		preds, a = m.Walk(preds, q, clock)
+		preds, a, now = m.walk(preds, q, clock, now)
+		answers = append(answers, a)
+	}
+	results := slices.Grow(resp.Results[:0], len(flows))
+	links := slices.Grow(resp.links[:0], perFlow)
+	for i, a := range answers {
 		if observe != nil {
 			observe(i, a)
 		}
-		res := &resp.Results[i]
-		res.Flow, res.Model = i, a.Rung.String()
+		res := Result{Flow: i, Model: a.Rung.String()}
 		bytes, start := req.Flows[i].Bytes, len(links)
 		for _, p := range a.Preds {
 			links = append(links, LinkShare{p.Link, p.Frac, p.Frac * bytes})
@@ -140,10 +157,14 @@ func (m *Models) Respond(req *Request, flows []features.FlowFeatures, clock func
 		if len(a.Preds) > 0 { // an unanswered flow keeps "links":null
 			res.Links = links[start:len(links):len(links)]
 		}
+		results = append(results, res)
 	}
-	resp.Shifted = sc.shifted(links)
+	if len(flows) == 0 { // an empty request keeps answering "results":null
+		results = nil
+	}
+	resp.Results, resp.Shifted = results, sc.shifted(resp.Shifted, links)
+	resp.preds, resp.links, resp.answers = preds, links, answers
 	sc.release()
-	return resp
 }
 
 // scratchPreds is the room Respond's prediction array keeps past the
@@ -196,8 +217,9 @@ func (sc *linkScratch) exclude(links []wan.LinkID, bound int) {
 
 // shifted sums links' bytes per link, in order, so each sum adds what
 // a map accumulated one link at a time would, in the same order. It
-// writes the map once per link and leaves load clear.
-func (sc *linkScratch) shifted(links []LinkShare) map[wan.LinkID]float64 {
+// clears into, or makes a map if into is nil, writes it once per link,
+// and leaves load clear.
+func (sc *linkScratch) shifted(into map[wan.LinkID]float64, links []LinkShare) map[wan.LinkID]float64 {
 	distinct := 0
 	for _, l := range links {
 		if n := int(l.Link) + 1; n > len(sc.load) {
@@ -210,7 +232,11 @@ func (sc *linkScratch) shifted(links []LinkShare) map[wan.LinkID]float64 {
 		}
 		c.bytes += l.Bytes
 	}
-	shifted := make(map[wan.LinkID]float64, distinct)
+	shifted := into
+	if shifted == nil {
+		shifted = make(map[wan.LinkID]float64, distinct)
+	}
+	clear(shifted)
 	for _, l := range links {
 		if c := &sc.load[l.Link]; c.seen {
 			shifted[l.Link] = c.bytes

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -79,7 +80,7 @@ func (f *fixture) whatIf(t testing.TB, n int) (*Request, []features.FlowFeatures
 		})
 	}
 	req.Flows = append(req.Flows, Flow{SrcAddr: "1.2.3.4", SrcAS: 4200000001, Region: 1, Service: 1, Bytes: 5e8})
-	flows, err := req.Encode(f.sim.GeoIP())
+	flows, err := req.Encode(nil, f.sim.GeoIP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +99,7 @@ func (f *fixture) whatIf(t testing.TB, n int) (*Request, []features.FlowFeatures
 func TestSwapDuringPredict(t *testing.T) {
 	f := testFixture(t)
 	req, flows := f.whatIf(t, 64)
-	wantA := f.genA.Respond(req, flows, noClock, nil)
-	wantB := f.genB.Respond(req, flows, noClock, nil)
+	wantA, wantB := respond(f.genA, req, flows), respond(f.genB, req, flows)
 	if reflect.DeepEqual(wantA, wantB) {
 		t.Fatal("the two generations answer alike; the test could not tell them apart")
 	}
@@ -112,8 +112,9 @@ func TestSwapDuringPredict(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			got := new(Response) // each reader's own, reused every round
 			for i := 0; i < rounds; i++ {
-				got := current.Load().Respond(req, flows, noClock, nil)
+				current.Load().Respond(got, req, flows, noClock, nil)
 				if isA, isB := reflect.DeepEqual(got, wantA), reflect.DeepEqual(got, wantB); isA == isB {
 					t.Errorf("round %d: answer matches generation A: %v, B: %v; want exactly one", i, isA, isB)
 					return
@@ -260,7 +261,7 @@ func TestWalkOrder(t *testing.T) {
 			}
 			wantNs := int64(0)
 			if tried {
-				wantNs = 5 // one clock read before, one after
+				wantNs = 5 // the reading that ends it less the one before
 			}
 			if a.Ns[r] != wantNs {
 				t.Errorf("rungs %v: rung %v took %d ns on a 5 ns/read clock, want %d", state, r, a.Ns[r], wantNs)
@@ -280,9 +281,9 @@ func TestRespondIgnoresObserver(t *testing.T) {
 	f := testFixture(t)
 	req, flows := f.whatIf(t, 200)
 	for name, gen := range map[string]*Models{"trained": f.genA, "untrained": Untrained(f.sim, f.metros)} {
-		silent := gen.Respond(req, flows, noClock, nil)
+		silent, watched := respond(gen, req, flows), new(Response)
 		var seen []Answer
-		watched := gen.Respond(req, flows, noClock, func(i int, a Answer) {
+		gen.Respond(watched, req, flows, noClock, func(i int, a Answer) {
 			if i != len(seen) {
 				t.Errorf("%s: observer called for flow %d after %d flows", name, i, len(seen))
 			}
@@ -317,9 +318,16 @@ func TestRespondIgnoresObserver(t *testing.T) {
 	// The novel flow falls through to the geographic rung on a trained
 	// generation, and everything does on an untrained one.
 	last := len(flows) - 1
-	if got := f.genA.Respond(req, flows, noClock, nil).Results; got[0].Model != "ensemble" || got[last].Model != "geo" {
+	if got := respond(f.genA, req, flows).Results; got[0].Model != "ensemble" || got[last].Model != "geo" {
 		t.Errorf("trained generation answered flow 0 from %q and the novel flow from %q", got[0].Model, got[last].Model)
 	}
+}
+
+// respond is Models.Respond into a Response of its own.
+func respond(m *Models, req *Request, flows []features.FlowFeatures) *Response {
+	resp := new(Response)
+	m.Respond(resp, req, flows, noClock, nil)
+	return resp
 }
 
 // respondReference is Models.Respond as it was before the walk
@@ -364,6 +372,8 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // every link share and every shifted value, for trained and untrained
 // generations, k of 1, 3 and 16, and no, one, two and every link
 // excluded (plus, each time, a link past the WAN's last and a repeat).
+// Every answer is made into the one Response, so each reuses what the
+// last, larger or smaller, left in it.
 func TestRespondMatchesReference(t *testing.T) {
 	f := testFixture(t)
 	req, flows := f.whatIf(t, 255)
@@ -379,6 +389,7 @@ func TestRespondMatchesReference(t *testing.T) {
 	if len(tops) < 2 {
 		t.Fatalf("the what-if's flows have %d distinct best links, want 2 or more", len(tops))
 	}
+	got := new(Response)
 	for name, ex := range map[string][]wan.LinkID{
 		"none": nil, "one": tops[:1], "two": tops[:2], "all": slices.Clone(f.sim.Links()),
 	} {
@@ -389,7 +400,8 @@ func TestRespondMatchesReference(t *testing.T) {
 			for _, k := range []int{1, 3, 16} {
 				r := *req
 				r.ExcludeLinks, r.K = ex, k
-				want, got := respondReference(gen, &r, flows), gen.Respond(&r, flows, noClock, nil)
+				want := respondReference(gen, &r, flows)
+				gen.Respond(got, &r, flows, noClock, nil)
 				where := fmt.Sprintf("generation %s, %s excluded, k=%d", gname, name, k)
 				if len(got.Results) != len(want.Results) {
 					t.Fatalf("%s: %d results, want %d", where, len(got.Results), len(want.Results))
@@ -421,7 +433,7 @@ func TestRespondMatchesReference(t *testing.T) {
 // null, and k defaults to 3.
 func TestResponseWireShape(t *testing.T) {
 	f := testFixture(t)
-	got, err := f.genA.Respond(&Request{}, nil, noClock, nil).AppendJSON(nil)
+	got, err := respond(f.genA, &Request{}, nil).AppendJSON(nil)
 	if err != nil || string(got) != `{"results":null,"shifted":{}}`+"\n" {
 		t.Errorf("empty request encodes as %s (%v)", got, err)
 	}
@@ -430,19 +442,19 @@ func TestResponseWireShape(t *testing.T) {
 	if err := DecodeRequest([]byte(`{"flows":[{"src_addr":"1.2.3.4"}]}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	flows, err := req.Encode(f.sim.GeoIP())
+	flows, err := req.Encode(nil, f.sim.GeoIP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = none.Respond(&req, flows, noClock, nil).AppendJSON(nil)
+	got, err = respond(&none, &req, flows).AppendJSON(nil)
 	if err != nil || string(got) != `{"results":[{"flow":0,"model":"none","links":null}],"shifted":{}}`+"\n" {
 		t.Errorf("unanswerable flow encodes as %s (%v)", got, err)
 	}
-	if res := f.genA.Respond(&Request{Flows: req.Flows}, flows, noClock, nil).Results[0]; len(res.Links) != DefaultK {
+	if res := respond(f.genA, &Request{Flows: req.Flows}, flows).Results[0]; len(res.Links) != DefaultK {
 		t.Errorf("request without k got %d links, want %d", len(res.Links), DefaultK)
 	}
 	// Any k a client can write is answered with the links there are.
-	if res := f.genA.Respond(&Request{Flows: req.Flows, K: math.MaxInt}, flows, noClock, nil).Results[0]; len(res.Links) <= DefaultK {
+	if res := respond(f.genA, &Request{Flows: req.Flows, K: math.MaxInt}, flows).Results[0]; len(res.Links) <= DefaultK {
 		t.Errorf("request for every link got %d", len(res.Links))
 	}
 }
@@ -471,80 +483,96 @@ func TestParseIPv4(t *testing.T) {
 func TestEncodeNamesTheBadFlow(t *testing.T) {
 	f := testFixture(t)
 	req := &Request{Flows: []Flow{{SrcAddr: "11.0.3.7"}, {SrcAddr: "11.0.3.7"}, {SrcAddr: "11.0.3"}}}
-	if _, err := req.Encode(f.sim.GeoIP()); err == nil || !strings.HasPrefix(err.Error(), "flow 2: ") {
+	if _, err := req.Encode(nil, f.sim.GeoIP()); err == nil || !strings.HasPrefix(err.Error(), "flow 2: ") {
 		t.Errorf("Encode error = %v, want one naming flow 2", err)
 	}
 }
 
-// What the fixture's 256-flow what-if (255 known flows and one from a
-// novel AS, one excluded link, k=3) allocates on generation A;
-// TestCodecAllocs pins its trip over the wire. The
-// pins are exact and cover everything the compiled program does,
-// core.Predictor implementations included; a lower number is
-// committed by editing it.
-const (
-	encodeAllocs = 1 // Request.Encode: the []FlowFeatures
-	// Models.Respond: the Response, its Results, the prediction and
-	// link arrays, and the shifted map (a header, a directory, a table
-	// and its groups once it holds more than eight links).
-	respondAllocs = 8
-	walkAllocs    = 0 // inside its Models.Walk calls, which append into its array
-)
-
-func TestWhatIfAllocs(t *testing.T) {
+// TestWhatIfZeroAlloc pins /v1/predict's stages on the fixture's
+// 256-flow what-if (255 known flows and one from a novel AS, one
+// excluded link, k=3), as tipsyd runs them on a pooled buffer: the
+// body read with room past its end, decoded into a warm Request,
+// encoded into a warm feature slice, answered into a warm Response and
+// written into a buffer with room. A what-if then allocates nothing,
+// core.Predictor implementations included. An address is the one
+// thing decoded into a string of its own: a flow whose src_addr
+// differs from the one its slot held costs one allocation.
+func TestWhatIfZeroAlloc(t *testing.T) {
+	alloctest.SkipPooledUnderRace(t) // Respond's per-link scratch
 	f := testFixture(t)
-	req, flows := f.whatIf(t, 255)
-	geoip := f.sim.GeoIP()
-	if got := testing.AllocsPerRun(20, func() {
-		if _, err := req.Encode(geoip); err != nil {
+	want, wantFlows := f.whatIf(t, 255)
+	moved := *want // the same what-if from other hosts of the known flows' /24s
+	moved.Flows = slices.Clone(want.Flows)
+	for i := range moved.Flows[:len(moved.Flows)-1] {
+		moved.Flows[i].SrcAddr = strings.TrimSuffix(moved.Flows[i].SrcAddr, ".9") + ".10"
+	}
+	bodies := [2][]byte{}
+	for i, r := range []*Request{want, &moved} {
+		b, err := json.Marshal(r)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); got != encodeAllocs {
-		t.Errorf("Request.Encode allocates %v times per %d-flow request, want %d", got, len(flows), encodeAllocs)
+		bodies[i] = append(make([]byte, 0, len(b)+bytes.MinRead), b...)
 	}
-	excluded := req.ExcludeLinks[0]
-	q := core.Query{K: req.K, Exclude: func(l wan.LinkID) bool { return l == excluded }}
-	preds := make([]core.Prediction, 0, len(flows)*req.K+scratchPreds) // as Respond sizes it
-	if got := testing.AllocsPerRun(20, func() {
-		dst := preds
-		for i := range flows {
-			q.Flow = flows[i]
-			dst, _ = f.genA.Walk(dst, q, noClock)
+	geoip := f.sim.GeoIP()
+	var (
+		req   Request
+		flows []features.FlowFeatures
+		resp  Response
+		out   []byte
+	)
+	whatIf := func(body []byte) {
+		var err error
+		if err = DecodeRequest(body, &req); err != nil {
+			t.Fatal(err)
 		}
-	}); got != walkAllocs {
-		t.Errorf("Models.Walk allocates %v times over the %d flows, want %d", got, len(flows), walkAllocs)
+		if flows, err = req.Encode(flows, geoip); err != nil {
+			t.Fatal(err)
+		}
+		f.genA.Respond(&resp, &req, flows, noClock, nil)
+		if out, err = resp.AppendJSON(out[:0]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Run("Respond", func(t *testing.T) {
-		alloctest.SkipPooledUnderRace(t) // its per-link scratch
-		if got := testing.AllocsPerRun(20, func() {
-			f.genA.Respond(req, flows, noClock, nil)
-		}); got != respondAllocs {
-			t.Errorf("Models.Respond allocates %v times per %d-flow what-if, want %d", got, len(flows), respondAllocs)
-		}
-	})
+	whatIf(bodies[0])
+	if got := testing.AllocsPerRun(20, func() { whatIf(bodies[0]) }); got != 0 {
+		t.Errorf("a warm %d-flow what-if allocates %v times, want 0", len(wantFlows), got)
+	}
+	if !reflect.DeepEqual(&req, want) || !slices.Equal(flows, wantFlows) {
+		t.Fatal("the what-if does not survive json.Marshal, DecodeRequest and Encode")
+	}
+	fresh, err := respond(f.genA, want, wantFlows).AppendJSON(nil)
+	if err != nil || !bytes.Equal(out, fresh) {
+		t.Fatalf("the warm answer is not the answer from fresh storage (%v)", err)
+	}
+	moves := len(moved.Flows) - 1
+	if got := testing.AllocsPerRun(20, func() { whatIf(bodies[1]); whatIf(bodies[0]) }); got != float64(2*moves) {
+		t.Errorf("%d addresses moving there and back allocate %v times, want %d", moves, got, 2*moves)
+	}
 }
 
 // BenchmarkRespond is the predict stage of the 256-flow what-if: the
-// ladder walk for every flow, the link shares and shifted. Beside
-// BenchmarkDecodeRequest and BenchmarkAppendJSON it covers the third
-// stage of /v1/predict's handler. The clocked case reads a real clock
-// twice per rung attempt, as tipsyd times the walk; it reads it
-// through b.Elapsed, since the determinism rule keeps time.Now out of
-// tests.
+// ladder walk for every flow, the link shares and shifted, into one
+// reused Response. Beside BenchmarkDecodeRequest and
+// BenchmarkAppendJSON it covers the third stage of /v1/predict's
+// handler. The clocked case reads a real clock once per rung attempt
+// and once more, as tipsyd times the walk; it reads it through
+// b.Elapsed, since the determinism rule keeps time.Now out of tests.
 func BenchmarkRespond(b *testing.B) {
 	f := testFixture(b)
 	req, flows := f.whatIf(b, 255)
+	var resp Response
 	b.Run("noClock", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.genA.Respond(req, flows, noClock, nil)
+			f.genA.Respond(&resp, req, flows, noClock, nil)
 		}
 	})
 	b.Run("clocked", func(b *testing.B) {
 		clock := func() int64 { return int64(b.Elapsed()) }
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.genA.Respond(req, flows, clock, nil)
+			f.genA.Respond(&resp, req, flows, clock, nil)
 		}
 	})
 }
