@@ -282,8 +282,9 @@ func BenchmarkTable11TrainNB(b *testing.B) {
 }
 
 func BenchmarkTable11PredictNB(b *testing.B) {
-	// Table 11: one NB prediction scores every class — O(l log l),
-	// orders of magnitude costlier than the historical lookup.
+	// Table 11: one NB prediction scores every class, a lookup per
+	// class and feature, orders of magnitude costlier than the
+	// historical lookup.
 	e := env(b)
 	nb := eval.TrainNaiveBayes(features.SetAL, e.Train, eval.DefaultNBOpts())
 	flows := make([]features.FlowFeatures, 0, 256)

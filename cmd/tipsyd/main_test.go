@@ -178,7 +178,7 @@ func TestPredictEndToEnd(t *testing.T) {
 // the written body: tracing, net/http and httptest. The codec in both
 // directions, Request.Encode and Models.Respond allocate nothing on a
 // pooled buffer that answered the same body before
-// (serve.TestWhatIfZeroAlloc). The pin is exact, so it also moves with
+// (serve.TestWhatIfAllocs). The pin is exact, so it also moves with
 // the Go release; a lower number is committed by editing it.
 const predictHandlerAllocs = 34
 

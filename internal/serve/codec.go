@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -237,16 +238,11 @@ func (d *decoder) space() byte {
 
 // expect consumes lit, which must come next after white space.
 func (d *decoder) expect(lit string) {
-	if c := d.peek(); c != lit[0] || len(lit) > 1 && !hasPrefix(d.s[d.pos:], lit) {
+	if c := d.peek(); c != lit[0] || len(lit) > 1 && !bytes.HasPrefix(d.s[d.pos:], []byte(lit)) {
 		d.fail("want " + lit)
 		return
 	}
 	d.pos += len(lit)
-}
-
-// hasPrefix reports whether s starts with lit.
-func hasPrefix(s []byte, lit string) bool {
-	return len(s) >= len(lit) && string(s[:len(lit)]) == lit
 }
 
 // null consumes a null if that is the next value. As in

@@ -232,18 +232,17 @@ func (sc *linkScratch) shifted(into map[wan.LinkID]float64, links []LinkShare) m
 		}
 		c.bytes += l.Bytes
 	}
-	shifted := into
-	if shifted == nil {
-		shifted = make(map[wan.LinkID]float64, distinct)
+	if into == nil {
+		into = make(map[wan.LinkID]float64, distinct)
 	}
-	clear(shifted)
+	clear(into)
 	for _, l := range links {
 		if c := &sc.load[l.Link]; c.seen {
-			shifted[l.Link] = c.bytes
+			into[l.Link] = c.bytes
 			*c = linkLoad{}
 		}
 	}
-	return shifted
+	return into
 }
 
 // release clears the exclusions and returns the scratch to the pool.

@@ -488,16 +488,16 @@ func TestEncodeNamesTheBadFlow(t *testing.T) {
 	}
 }
 
-// TestWhatIfZeroAlloc pins /v1/predict's stages on the fixture's
-// 256-flow what-if (255 known flows and one from a novel AS, one
-// excluded link, k=3), as tipsyd runs them on a pooled buffer: the
+// TestWhatIfAllocs pins the allocations of /v1/predict's stages on the
+// fixture's 256-flow what-if (255 known flows and one from a novel AS,
+// one excluded link, k=3), as tipsyd runs them on a pooled buffer: the
 // body read with room past its end, decoded into a warm Request,
 // encoded into a warm feature slice, answered into a warm Response and
 // written into a buffer with room. A what-if then allocates nothing,
 // core.Predictor implementations included. An address is the one
 // thing decoded into a string of its own: a flow whose src_addr
 // differs from the one its slot held costs one allocation.
-func TestWhatIfZeroAlloc(t *testing.T) {
+func TestWhatIfAllocs(t *testing.T) {
 	alloctest.SkipPooledUnderRace(t) // Respond's per-link scratch
 	f := testFixture(t)
 	want, wantFlows := f.whatIf(t, 255)
