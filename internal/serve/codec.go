@@ -56,7 +56,9 @@ type decoder struct {
 // Request allocates only when a request outgrows them, and for a
 // flow's src_addr only when it differs from the address that flow's
 // slot held. It reads body in place, with a NUL appended: into body's
-// spare capacity if it has one byte of it, else into a copy.
+// spare capacity if it has one byte of it, else into a copy. That
+// append writes past body's end, so two goroutines must not decode
+// one body with spare capacity at once.
 func DecodeRequest(body []byte, req *Request) error {
 	flows, links := req.Flows[:0], req.ExcludeLinks[:0]
 	*req = Request{}
