@@ -270,6 +270,53 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// The codec's allocations on the what-if of TestWhatIfAllocs, pinned
+// exactly like those; a lower number is committed by editing it.
+const (
+	decodeAllocs = 0 // into a warm Request, from a body with room past its end
+	appendAllocs = 0 // shifted's keys sort on the stack, into a buffer with room
+)
+
+// TestCodecAllocs pins the codec's two stages of /v1/predict apart
+// from the rest: DecodeRequest decoding the 256-flow what-if again into
+// the Request it filled, and AppendJSON writing its answer again into
+// the buffer that held it.
+func TestCodecAllocs(t *testing.T) {
+	f := testFixture(t)
+	req, flows := f.whatIf(t, 255)
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(make([]byte, 0, len(b)+1), b...)
+	var into Request
+	if err := DecodeRequest(body, &into); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if err := DecodeRequest(body, &into); err != nil {
+			t.Fatal(err)
+		}
+	}); got != decodeAllocs {
+		t.Errorf("DecodeRequest allocates %v times per %d-flow request, want %d", got, len(flows), decodeAllocs)
+	}
+	if !reflect.DeepEqual(&into, req) {
+		t.Error("the what-if does not survive json.Marshal and DecodeRequest")
+	}
+	resp := respond(f.genA, req, flows)
+	buf, err := resp.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if buf, err = resp.AppendJSON(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); got != appendAllocs {
+		t.Errorf("AppendJSON allocates %v times per %d-flow answer, want %d", got, len(flows), appendAllocs)
+	}
+}
+
 func BenchmarkDecodeRequest(b *testing.B) {
 	f := testFixture(b)
 	req, _ := f.whatIf(b, 255)

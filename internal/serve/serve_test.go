@@ -496,7 +496,9 @@ func TestEncodeNamesTheBadFlow(t *testing.T) {
 // written into a buffer with room. A what-if then allocates nothing,
 // core.Predictor implementations included. An address is the one
 // thing decoded into a string of its own: a flow whose src_addr
-// differs from the one its slot held costs one allocation.
+// differs from the one its slot held costs one allocation. Its Respond
+// subtest pins the answer stage alone, and TestCodecAllocs the codec's
+// two stages.
 func TestWhatIfAllocs(t *testing.T) {
 	alloctest.SkipPooledUnderRace(t) // Respond's per-link scratch
 	f := testFixture(t)
@@ -545,6 +547,13 @@ func TestWhatIfAllocs(t *testing.T) {
 	if err != nil || !bytes.Equal(out, fresh) {
 		t.Fatalf("the warm answer is not the answer from fresh storage (%v)", err)
 	}
+	t.Run("Respond", func(t *testing.T) {
+		if got := testing.AllocsPerRun(20, func() {
+			f.genA.Respond(&resp, want, wantFlows, noClock, nil)
+		}); got != 0 {
+			t.Errorf("Models.Respond allocates %v times per %d-flow what-if into a warm Response, want 0", got, len(wantFlows))
+		}
+	})
 	moves := len(moved.Flows) - 1
 	if got := testing.AllocsPerRun(20, func() { whatIf(bodies[1]); whatIf(bodies[0]) }); got != float64(2*moves) {
 		t.Errorf("%d addresses moving there and back allocate %v times, want %d", moves, got, 2*moves)
