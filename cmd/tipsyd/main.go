@@ -841,11 +841,13 @@ const (
 	// that grew its buffers past it leaves them to the collector, so
 	// one huge request does not pin its memory for good.
 	maxPooledBuf = 256 << 10
-	// maxPooledFlows and maxPooledLinks bound the decoded request and
-	// the answer that go back to the pool alike: a body of empty flows
-	// or an answer at a large k grows them faster than the bytes.
+	// maxPooledFlows bounds the decoded request's flows and excluded
+	// links that go back to the pool: a body of empty flows or of
+	// repeated link IDs grows them faster than the bytes. The answer
+	// needs no bound of its own, as each link in it takes 30 bytes or
+	// more of the encoded answer, and an answer that could not be
+	// encoded drops its storage.
 	maxPooledFlows = 4096
-	maxPooledLinks = 4 * maxPooledFlows
 )
 
 // predictBuf is the memory one /v1/predict request borrows, from the
@@ -863,12 +865,8 @@ type predictBuf struct {
 var predictBufs = sync.Pool{New: func() any { return new(predictBuf) }}
 
 func (b *predictBuf) release() {
-	links := 0
-	for _, res := range b.resp.Results {
-		links += len(res.Links)
-	}
 	if b.in.Cap() <= maxPooledBuf && cap(b.out) <= maxPooledBuf &&
-		cap(b.req.Flows) <= maxPooledFlows && links <= maxPooledLinks {
+		cap(b.req.Flows) <= maxPooledFlows && cap(b.req.ExcludeLinks) <= maxPooledFlows {
 		predictBufs.Put(b)
 	}
 }
@@ -942,6 +940,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer esp.End()
 	if buf.out, err = resp.AppendJSON(buf.out[:0]); err != nil {
 		esp.Error("unencodable answer")
+		buf.resp = serve.Response{} // out, left as it was, does not bound it
 		s.unencodable(w, err)
 		return
 	}

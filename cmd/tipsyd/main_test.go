@@ -175,19 +175,21 @@ func TestPredictEndToEnd(t *testing.T) {
 
 // predictHandlerAllocs is what one 256-flow, 2-excluded-link, k=3
 // what-if allocates from httptest.NewRequest through s.handler() to
-// the written body: tracing, net/http and httptest. The codec in both
-// directions, Request.Encode and Models.Respond allocate nothing on a
-// pooled buffer that answered the same body before
-// (serve.TestWhatIfAllocs). The pin is exact, so it also moves with
-// the Go release; a lower number is committed by editing it.
-const predictHandlerAllocs = 34
+// the written body: one string per flow's src_addr, tracing, net/http
+// and httptest. Otherwise the codec in both directions, Request.Encode
+// and Models.Respond allocate nothing on a pooled buffer that answered
+// the same body before (serve.TestWhatIfAllocs). The pin is exact, so
+// it also moves with the Go release; a lower number is committed by
+// editing it.
+const predictHandlerAllocs = 290
 
 // predictHandlerBytes bounds the bytes the handler chain itself
 // allocates per such what-if, on a warm request and response writer so
-// that httptest's share stays out: the span's strings, the headers and
-// net/http's request copy, some 700 bytes. It was 86 KB while each
-// request decoded into, encoded into and answered into new storage.
-const predictHandlerBytes = 1 << 10
+// that httptest's share stays out: 16 bytes for each of the 256
+// addresses, the span's strings, the headers and net/http's request
+// copy, some 4.6 KB. It was 86 KB while each request decoded into,
+// encoded into and answered into new storage.
+const predictHandlerBytes = 6 << 10
 
 // whatIfBody is that what-if, encoded: the first 256 distinct flows of
 // the training window, withdrawing the first two links that are some
@@ -472,6 +474,21 @@ func TestPredictBodyBounds(t *testing.T) {
 	for i := 0; i < 8; i++ { // whatever the pool hands out now, it is neither of them
 		if b := predictBufs.Get().(*predictBuf); b == big || b == tall {
 			t.Fatalf("a buffer of %d and %d bytes went back to the pool", b.in.Cap(), cap(b.out))
+		}
+	}
+
+	// A short body of repeated link IDs decodes into a long array of
+	// them, and fails in Encode before any answer is written.
+	wide := []byte(`{"exclude_links":[1` + strings.Repeat(",1", maxPooledFlows) + `],"flows":[{}]}`)
+	if len(wide) > maxPooledBuf {
+		t.Fatalf("a body of %d bytes is not under the byte bound", len(wide))
+	}
+	if rr := post(s.handler(), wide); rr.Code != http.StatusBadRequest {
+		t.Errorf("%d excluded links and an empty flow: status %d, want 400", maxPooledFlows+1, rr.Code)
+	}
+	for i := 0; i < 8; i++ {
+		if b := predictBufs.Get().(*predictBuf); cap(b.req.ExcludeLinks) > maxPooledFlows {
+			t.Fatalf("a buffer holding %d excluded links went back to the pool", cap(b.req.ExcludeLinks))
 		}
 	}
 }

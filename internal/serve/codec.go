@@ -53,9 +53,8 @@ type decoder struct {
 //
 // It decodes into the arrays req.Flows and req.ExcludeLinks already
 // hold, so a caller that decodes request after request into one
-// Request allocates only when a request outgrows them, and for a
-// flow's src_addr only when it differs from the address that flow's
-// slot held. It reads body in place, with a NUL appended: into body's
+// Request allocates only when a request outgrows them, and for each
+// flow's src_addr, a string of its own. It reads body in place, with a NUL appended: into body's
 // spare capacity if it has one byte of it, else into a copy. That
 // append writes past body's end, so two goroutines must not decode
 // one body with spare capacity at once.
@@ -127,19 +126,14 @@ func (d *decoder) flows(out []Flow) []Flow {
 		out = make([]Flow, 0, guess)
 	}
 	for more := d.open('[', ']'); more; more = d.more(']') {
-		var prev string // the address this slot held
-		if len(out) < cap(out) {
-			prev = out[:len(out)+1][len(out)].SrcAddr
-		}
 		out = append(out, Flow{})
-		d.flow(&out[len(out)-1], prev)
+		d.flow(&out[len(out)-1])
 	}
 	return out
 }
 
-// flow reads a Flow object, or null. An address equal to prev is
-// prev, not a new string.
-func (d *decoder) flow(f *Flow, prev string) {
+// flow reads a Flow object, or null.
+func (d *decoder) flow(f *Flow) {
 	if d.null() {
 		return
 	}
@@ -150,11 +144,7 @@ func (d *decoder) flow(f *Flow, prev string) {
 		d.once(key, i, &seen)
 		switch i {
 		case 0:
-			if addr := d.str(); string(addr) == prev {
-				f.SrcAddr = prev
-			} else {
-				f.SrcAddr = string(addr)
-			}
+			f.SrcAddr = string(d.str())
 		case 1:
 			f.SrcAS = uint32(d.unsigned(32))
 		case 2:
