@@ -550,19 +550,17 @@ func (s *server) cycle(n int, due bool) bool {
 
 // advanceDays simulates n more days of traffic into the training
 // window and returns the drained hourly records. They double as
-// ground truth: the aggregator streams them to the monitor, which
-// joins them against outstanding predictions before the simulated
-// clock advances past their hours. The window keeps them only as
-// daily rows counted from the cycle's start hour. Under parent,
-// "ingest" covers the simulated run (the aggregator's own
-// aggregate_batch / drain / truth_join spans parent under the same
-// trace) and "truth_close" the monitor sealing the drained hours; a
-// nil parent records nothing.
+// ground truth: the monitor joins them against outstanding
+// predictions and closes their hours before the simulated clock
+// advances past them. The window keeps them only as daily rows
+// counted from the cycle's start hour. Under parent, "ingest" covers
+// the simulated run (the aggregator's own aggregate_batch and drain
+// spans parent under the same trace) and "truth_join" the monitor's
+// join of the drained window; a nil parent records nothing.
 func (s *server) advanceDays(n int, parent *obsv.Span) []features.Record {
 	from := s.simHour()
 	to := from + wan.Hour(n*24)
 	agg := pipeline.NewAggregatorOn(s.reg, s.sim.GeoIP(), s.sim.DstMetadata)
-	agg.SetTruthSink(s.mon)
 	agg.SetTrace(s.tracer, parent.Context())
 	isp := s.tracer.StartChild(parent, "ingest")
 	isp.SetInt("from_hour", int64(from))
@@ -570,9 +568,10 @@ func (s *server) advanceDays(n int, parent *obsv.Span) []features.Record {
 	s.sim.Run(netsim.RunOptions{From: from, To: to, Sink: agg})
 	isp.End()
 	recs := agg.Records()
-	csp := s.tracer.StartChild(parent, "truth_close")
-	s.mon.AdvanceTo(to)
-	csp.End()
+	tsp := s.tracer.StartChild(parent, "truth_join")
+	tsp.SetInt("records", int64(len(recs)))
+	s.mon.AdvanceTo(to, recs)
+	tsp.End()
 	rows := dataset.DailyRows(recs, from)
 	days := make([]windowDay, n)
 	for d := range days {

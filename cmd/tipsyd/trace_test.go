@@ -122,8 +122,7 @@ func TestPredictTraceGolden(t *testing.T) {
 
 // TestCycleTraceEndToEnd drives one full simulated day plus retrain
 // under a single root span and checks every pipeline stage — ingest,
-// aggregation, drain, truth join, window close, training, shadow
-// predictions — lands in the flight recorder linked by one trace ID.
+// aggregation, drain, truth join, training, shadow predictions — lands in the flight recorder linked by one trace ID.
 func TestCycleTraceEndToEnd(t *testing.T) {
 	s, _ := traceTestServer(t, 8192)
 
@@ -142,13 +141,13 @@ func TestCycleTraceEndToEnd(t *testing.T) {
 	}
 	for _, name := range []string{
 		"cycle", "ingest", "aggregate_batch", "drain", "truth_join",
-		"truth_close", "retrain", "train", "shadow_predict", "predict",
+		"retrain", "train", "shadow_predict", "predict",
 	} {
 		if counts[name] == 0 {
 			t.Errorf("cycle trace missing %q spans (have %v)", name, counts)
 		}
 	}
-	if counts["cycle"] != 1 || counts["retrain"] != 1 || counts["train"] != 1 {
+	if counts["cycle"] != 1 || counts["truth_join"] != 1 || counts["retrain"] != 1 || counts["train"] != 1 {
 		t.Errorf("singleton span duplicated: %v", counts)
 	}
 	// The shadow sample is deterministic and capped.
@@ -166,8 +165,8 @@ func TestCycleTraceEndToEnd(t *testing.T) {
 	if byName["train"].Parent != byName["retrain"].ID {
 		t.Error("train not parented under retrain")
 	}
-	if byName["truth_join"].Parent != byName["drain"].ID {
-		t.Error("truth_join not parented under drain")
+	if byName["truth_join"].Parent != byName["cycle"].ID {
+		t.Error("truth_join not parented under cycle")
 	}
 }
 

@@ -13,6 +13,7 @@ package cms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -245,17 +246,24 @@ func (c *CMS) mitigate(h wan.Hour, link wan.LinkID) {
 
 	// Rank this link's prefixes by the volume they carry: the paper
 	// withdraws the fewest, largest prefixes that restore headroom.
+	// Every sum over a prefix's flows runs in FlowFeatures.Compare
+	// order, so the same traffic gives the same bits on every run.
 	type pfxVol struct {
 		idx   int
+		flows []features.FlowFeatures
 		bytes float64
 	}
 	var pfxs []pfxVol
 	for pi, flows := range byPfx {
-		var sum float64
-		for _, b := range flows {
-			sum += b
+		pv := pfxVol{idx: pi, flows: make([]features.FlowFeatures, 0, len(flows))}
+		for f := range flows {
+			pv.flows = append(pv.flows, f)
 		}
-		pfxs = append(pfxs, pfxVol{pi, sum})
+		slices.SortFunc(pv.flows, features.FlowFeatures.Compare)
+		for _, f := range pv.flows {
+			pv.bytes += flows[f]
+		}
+		pfxs = append(pfxs, pv)
 	}
 	sort.Slice(pfxs, func(i, j int) bool {
 		if pfxs[i].bytes != pfxs[j].bytes {
@@ -283,7 +291,8 @@ func (c *CMS) mitigate(h wan.Hour, link wan.LinkID) {
 		safe := true
 		shift := make(map[wan.LinkID]float64)
 		if !c.cfg.Blind {
-			for flow, bytes := range byPfx[pv.idx] {
+			for _, flow := range pv.flows {
+				bytes := byPfx[pv.idx][flow]
 				preds := c.tipsy.Predict(core.Query{
 					Flow: flow, K: 3,
 					Exclude: func(t wan.LinkID) bool {

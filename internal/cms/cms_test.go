@@ -1,13 +1,16 @@
 package cms
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"tipsy/internal/bgp"
 	"tipsy/internal/core"
 	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/geo"
+	"tipsy/internal/ipfix"
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
 	"tipsy/internal/topology"
@@ -208,5 +211,67 @@ func TestCMSHonorsEnvAccuracy(t *testing.T) {
 	acc := eval.Accuracy(sc.tipsy, recs, eval.Options{Ks: []int{3}})
 	if acc[3] < 0.5 {
 		t.Errorf("scenario predictor top-3 accuracy only %.0f%%", acc[3]*100)
+	}
+}
+
+// oneWayNet is a two-link network: link 1 runs at 90 % of 1 Gb/s and
+// link 2 is empty and big enough to absorb anything.
+type oneWayNet struct{}
+
+func (oneWayNet) Link(id wan.LinkID) (wan.Link, bool) {
+	switch id {
+	case 1:
+		return wan.Link{ID: 1, Capacity: 1e9}, true
+	case 2:
+		return wan.Link{ID: 2, Capacity: 1e18}, true
+	}
+	return wan.Link{}, false
+}
+func (oneWayNet) LinksOfAS(bgp.ASN) []wan.LinkID          { return nil }
+func (oneWayNet) Links() []wan.LinkID                     { return []wan.LinkID{1, 2} }
+func (oneWayNet) Withdraw(wan.LinkID, bgp.Prefix)         {}
+func (oneWayNet) Announce(wan.LinkID, bgp.Prefix)         {}
+func (oneWayNet) IsWithdrawn(wan.LinkID, bgp.Prefix) bool { return false }
+func (oneWayNet) LinkBytes(_ wan.Hour, l wan.LinkID) float64 {
+	if l == 1 {
+		return 0.9 * 1e9 * 3600 / 8
+	}
+	return 0
+}
+
+// toLinkTwo predicts every flow wholly onto link 2.
+type toLinkTwo struct{}
+
+func (toLinkTwo) Name() string { return "to-link-2" }
+func (toLinkTwo) Predict(core.Query) []core.Prediction {
+	return []core.Prediction{{Link: 2, Frac: 1}}
+}
+
+// TestMitigationSumsAreDeterministic: the bytes a withdrawal is
+// predicted to shift are summed over the prefix's flows, and with
+// 2⁵³, 1 and 1 bytes that float sum depends on the order: 2⁵³+1
+// rounds back to 2⁵³, 1+1 does not. Fresh CMS instances fed the same
+// hour must predict the same bits every time.
+func TestMitigationSumsAreDeterministic(t *testing.T) {
+	anycast := []bgp.Prefix{bgp.MakePrefix(40<<24, 8)}
+	g := geo.NewGeoIP(geo.World(), 0, 1)
+	meta := func(uint32) (wan.Region, wan.ServiceType, bool) { return 1, 1, true }
+	var first float64
+	for run := 0; run < 50; run++ {
+		c := New(DefaultConfig(anycast), oneWayNet{}, toLinkTwo{}, g, meta)
+		for i, octets := range []uint64{1 << 53, 1, 1} {
+			c.Record(0, 1, &ipfix.FlowRecord{SrcAddr: 0x0b000001, DstAddr: 40 << 24, SrcAS: uint32(64500 + i), Octets: octets})
+		}
+		c.Step(0)
+		events := c.Events()
+		if len(events) != 1 || len(events[0].Withdrawn) != 1 {
+			t.Fatalf("run %d: events %+v, want one withdrawal from link 1", run, events)
+		}
+		got := events[0].Predicted[2]
+		if run == 0 {
+			first = got
+		} else if math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("run %d predicted %v bytes onto link 2, run 0 predicted %v", run, got, first)
+		}
 	}
 }

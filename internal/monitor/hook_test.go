@@ -28,7 +28,7 @@ func TestOnAlarmFiresOncePerTransition(t *testing.T) {
 	// Outstanding prediction, no truth: starvation breaches once
 	// head-lastJoin exceeds StarvationHours.
 	m.RecordPrediction(0, flowN(1), "ensemble", predict(7))
-	m.AdvanceTo(4)
+	advance(m, 4)
 
 	if len(fired) != 1 {
 		t.Fatalf("hook calls after starvation = %d, want 1: %+v", len(fired), fired)
@@ -46,13 +46,12 @@ func TestOnAlarmFiresOncePerTransition(t *testing.T) {
 
 	// A join clears it; going dark again re-fires, and the hook sees
 	// the second transition as a fresh call.
-	feed(m, flowN(1), 4, 5, 7, 7, 100)
-	m.AdvanceTo(6)
+	advance(m, 6, feed(m, flowN(1), 4, 5, 7, 7, 100))
 	if m.AlarmFiring(AlarmJoinStarvation) {
 		t.Fatal("alarm still firing after a join")
 	}
 	m.RecordPrediction(6, flowN(2), "ensemble", predict(8))
-	m.AdvanceTo(10)
+	advance(m, 10)
 	if len(fired) != 2 {
 		t.Fatalf("hook calls after re-fire = %d, want 2: %+v", len(fired), fired)
 	}
@@ -68,7 +67,7 @@ func TestOnAlarmNilHookSafe(t *testing.T) {
 	cfg.FireAfter = 1
 	m, _ := newTestMonitor(cfg)
 	m.RecordPrediction(0, flowN(1), "ensemble", predict(7))
-	m.AdvanceTo(4)
+	advance(m, 4)
 	if !m.AlarmFiring(AlarmJoinStarvation) {
 		t.Fatal("starvation alarm did not fire without a hook")
 	}

@@ -1,8 +1,8 @@
 // Package monitor is TIPSY's online prediction-quality subsystem: it
 // joins the predictions the serving daemon hands out against the
-// ground truth later telemetry reveals (the aggregation pipeline
-// always knew the actual ingress link of every flow aggregate — this
-// package finally feeds it back), keeps deterministic sliding windows
+// ground truth later telemetry reveals (the aggregation pipeline's
+// drain says where every flow aggregate actually ingressed, and
+// AdvanceTo takes that drain whole), keeps deterministic sliding windows
 // of top-1/top-3 byte-weighted accuracy sliced by metro, peer kind,
 // and fallback-ladder rung, scores drift against a baseline frozen at
 // the last retrain, and raises hysteresis alarms for the failure
@@ -19,7 +19,6 @@ package monitor
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"tipsy/internal/core"
@@ -85,21 +84,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// pending is one served prediction awaiting ground truth.
+// gradedK is the deepest top-k the monitor grades: credit is read at
+// k=1 and k=3 only.
+const gradedK = 3
+
+// pending is one served prediction awaiting ground truth. A prediction
+// list is ordered by fraction, so its first gradedK entries are all
+// that grading reads.
 type pending struct {
 	madeAt wan.Hour
 	rung   string
-	preds  []core.Prediction
+	preds  [gradedK]core.Prediction
+	n      int // how many of preds hold a prediction
 	joined bool
-}
-
-// joinGroup is one (hour, flow) join in progress: the prediction
-// pinned at first truth arrival plus the actual byte distribution.
-type joinGroup struct {
-	rung  string
-	preds []core.Prediction
-	links map[wan.LinkID]float64
-	total float64
 }
 
 // metrics are the monitor's registry-backed series.
@@ -159,9 +156,11 @@ type Monitor struct {
 	head wan.Hour // next hour to close; all hours below are final
 
 	//tipsy:guardedby mu
-	pending map[features.FlowFeatures]*pending
+	pending map[features.FlowFeatures]pending
+	// links is one (hour, flow) group's bytes per link, cleared for
+	// each group a closing hour joins.
 	//tipsy:guardedby mu
-	open map[wan.Hour]map[features.FlowFeatures]*joinGroup
+	links map[wan.LinkID]float64
 	//tipsy:guardedby mu
 	ring []bucket
 
@@ -207,8 +206,8 @@ func New(cfg Config, reg *obsv.Registry) *Monitor {
 	m := &Monitor{
 		cfg:          cfg,
 		met:          newMetrics(reg),
-		pending:      make(map[features.FlowFeatures]*pending),
-		open:         make(map[wan.Hour]map[features.FlowFeatures]*joinGroup),
+		pending:      make(map[features.FlowFeatures]pending),
+		links:        make(map[wan.LinkID]float64),
 		ring:         make([]bucket, cfg.WindowHours),
 		withdrawalAt: -1,
 		alarmByN:     make(map[string]*alarm, 4),
@@ -228,8 +227,11 @@ func New(cfg Config, reg *obsv.Registry) *Monitor {
 // for the given flow by the named fallback-ladder rung. An empty
 // prediction list is recorded too: a flow the ladder could not answer
 // that then carries traffic is a quality miss, not a non-event. A
-// newer prediction for the same flow replaces the older one.
+// newer prediction for the same flow replaces the older one. Only the
+// first gradedK predictions are kept.
 func (m *Monitor) RecordPrediction(h wan.Hour, flow features.FlowFeatures, rung string, preds []core.Prediction) {
+	p := pending{madeAt: h, rung: rung}
+	p.n = copy(p.preds[:], preds)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.met.predictions.Inc()
@@ -237,60 +239,31 @@ func (m *Monitor) RecordPrediction(h wan.Hour, flow features.FlowFeatures, rung 
 		m.sawActivity = true
 		m.lastJoin = h // starvation counts from the first prediction
 	}
-	cp := make([]core.Prediction, len(preds))
-	copy(cp, preds)
-	m.pending[flow] = &pending{madeAt: h, rung: rung, preds: cp}
+	m.pending[flow] = p
 	m.met.pendingG.Set(int64(len(m.pending)))
 }
 
-// ObserveTruth ingests one ground-truth record (implements
-// pipeline.TruthSink). Truth joins a prediction when it falls inside
-// the prediction's join horizon: strictly after the hour the
-// prediction was made — a model may not be graded on the hour it
-// trained through — and at most JoinHorizonHours later.
-func (m *Monitor) ObserveTruth(rec features.Record) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.met.truthRecs.Inc()
-	if rec.Hour < m.head {
-		m.met.truthLate.Inc()
-		return
+// AdvanceTo hands the monitor the ground truth for the hours below h
+// and closes every hour from head up to h, in order. truth must be in
+// drain order (features.Record.Compare: hour, flow, link), as
+// pipeline.Aggregator.Records returns it. Each closed hour takes the
+// lock once: its records are joined flow by flow against the
+// outstanding predictions and scored, then predictions past their join
+// horizon are evicted, windows and gauges updated, and alarms
+// evaluated.
+//
+// A record joins a prediction when it falls inside the prediction's
+// join horizon: strictly after the hour the prediction was made — a
+// model may not be graded on the hour it trained through — and at most
+// JoinHorizonHours later. A record for an hour already closed is late;
+// any other record that joins nothing, one at or past h included, is
+// unmatched.
+func (m *Monitor) AdvanceTo(h wan.Hour, truth []features.Record) {
+	m.met.truthRecs.Add(uint64(len(truth)))
+	var fired []AlarmStatus
+	for done := false; !done; {
+		truth, fired, done = m.closeNext(h, truth)
 	}
-	p := m.pending[rec.Flow]
-	if p == nil || rec.Hour <= p.madeAt || rec.Hour > p.madeAt+wan.Hour(m.cfg.JoinHorizonHours) {
-		m.met.unmatched.Inc()
-		return
-	}
-	hg := m.open[rec.Hour]
-	if hg == nil {
-		hg = make(map[features.FlowFeatures]*joinGroup)
-		m.open[rec.Hour] = hg
-	}
-	g := hg[rec.Flow]
-	if g == nil {
-		// Pin the prediction as it stood when this (hour, flow)
-		// group first saw truth, so a mid-hour replacement cannot
-		// split one group across two predictions.
-		g = &joinGroup{rung: p.rung, preds: p.preds, links: make(map[wan.LinkID]float64, 2)}
-		hg[rec.Flow] = g
-		p.joined = true
-	}
-	g.links[rec.Link] += rec.Bytes
-	g.total += rec.Bytes
-}
-
-// AdvanceTo declares that all ground truth for hours below h has been
-// delivered: every open hour before h is finalized in order — joins
-// are scored, windows updated, gauges refreshed, and alarms evaluated
-// once per closed hour.
-func (m *Monitor) AdvanceTo(h wan.Hour) {
-	m.mu.Lock()
-	for ; m.head < h; m.head++ {
-		m.closeHour(m.head)
-	}
-	fired := m.fired
-	m.fired = nil
-	m.mu.Unlock()
 	// Deliver hook calls outside the lock: the hook is free to read
 	// the monitor back (Quality locks m.mu).
 	if m.cfg.OnAlarm != nil {
@@ -300,33 +273,74 @@ func (m *Monitor) AdvanceTo(h wan.Hour) {
 	}
 }
 
-// closeHour finalizes hour h. Callers hold m.mu.
-func (m *Monitor) closeHour(h wan.Hour) {
-	groups := m.open[h]
-	delete(m.open, h)
+// closeNext closes hour head with the records of truth that belong to
+// it and returns the records past it, or, once head has reached h,
+// counts the records left over and returns the alarms that fired.
+func (m *Monitor) closeNext(h wan.Hour, truth []features.Record) (rest []features.Record, fired []AlarmStatus, done bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	late := 0
+	for late < len(truth) && truth[late].Hour < m.head {
+		late++
+	}
+	m.met.truthLate.Add(uint64(late))
+	truth = truth[late:]
+	if m.head >= h {
+		m.met.unmatched.Add(uint64(len(truth)))
+		fired, m.fired = m.fired, nil
+		return nil, fired, true
+	}
+	n := 0
+	for n < len(truth) && truth[n].Hour == m.head {
+		n++
+	}
+	m.closeHour(m.head, truth[:n])
+	m.head++
+	return truth[n:], nil, false
+}
 
+// closeHour finalizes hour h, whose records recs are, in flow order.
+// Callers hold m.mu.
+func (m *Monitor) closeHour(h wan.Hour, recs []features.Record) {
 	b := &m.ring[int(h)%m.cfg.WindowHours]
 	b.reset(h)
 
-	// Score joins in deterministic flow order: float accumulation
-	// order must not depend on map iteration.
-	flows := make([]features.FlowFeatures, 0, len(groups))
-	for f := range groups {
-		flows = append(flows, f)
-	}
-	slices.SortFunc(flows, features.FlowFeatures.Compare)
-	for _, f := range flows {
-		g := groups[f]
+	// Score joins in drain order: float accumulation order must not
+	// depend on map iteration.
+	joins := 0
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].Flow == recs[0].Flow {
+			n++
+		}
+		group := recs[:n]
+		recs = recs[n:]
+		p, ok := m.pending[group[0].Flow]
+		if !ok || h <= p.madeAt || h > p.madeAt+wan.Hour(m.cfg.JoinHorizonHours) {
+			m.met.unmatched.Add(uint64(n))
+			continue
+		}
+		if !p.joined {
+			p.joined = true
+			m.pending[group[0].Flow] = p
+		}
+		joins++
+		clear(m.links)
+		var total float64
+		for _, r := range group {
+			m.links[r.Link] += r.Bytes
+			total += r.Bytes
+		}
 		c := cell{
 			groups: 1,
-			bytes:  g.total,
-			cred1:  eval.CreditBytes(g.preds, 1, g.links, g.total),
-			cred3:  eval.CreditBytes(g.preds, 3, g.links, g.total),
+			bytes:  total,
+			cred1:  eval.CreditBytes(p.preds[:p.n], 1, m.links, total),
+			cred3:  eval.CreditBytes(p.preds[:p.n], gradedK, m.links, total),
 		}
 		b.overall.add(c)
-		addSlice(&b.byRung, g.rung, c)
+		addSlice(&b.byRung, p.rung, c)
 		if m.cfg.LinkMeta != nil {
-			metro, kind := m.cfg.LinkMeta(dominantLink(g.links))
+			metro, kind := m.cfg.LinkMeta(dominantLink(m.links))
 			addSlice(&b.byMetro, metro, c)
 			addSlice(&b.byKind, kind, c)
 		}
@@ -334,8 +348,8 @@ func (m *Monitor) closeHour(h wan.Hour) {
 			m.post.add(c)
 		}
 	}
-	if len(groups) > 0 {
-		m.met.joins.Add(uint64(len(groups)))
+	if joins > 0 {
+		m.met.joins.Add(uint64(joins))
 		m.lastJoin = h
 	}
 
@@ -474,6 +488,13 @@ func addSlice[K comparable](mp *map[K]cell, k K, c cell) {
 	e := (*mp)[k]
 	e.add(c)
 	(*mp)[k] = e
+}
+
+// mergeSlices adds every slice of src into *dst.
+func mergeSlices[K comparable](dst *map[K]cell, src map[K]cell) {
+	for k, c := range src {
+		addSlice(dst, k, c)
+	}
 }
 
 // dominantLink picks the link that carried the most of a group's

@@ -3,6 +3,7 @@ package monitor
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tipsy/internal/bgp"
@@ -42,20 +43,28 @@ func predict(l wan.LinkID) []core.Prediction {
 	return []core.Prediction{{Link: l, Frac: 1}}
 }
 
-// feed records a prediction at madeAt and delivers truth for it at
+// feed records a prediction at madeAt and returns truth for it at
 // hour h on the given link — a correct join when the truth link
 // matches the predicted one.
-func feed(m *Monitor, f features.FlowFeatures, madeAt, h wan.Hour, predicted, actual wan.LinkID, bytes float64) {
+func feed(m *Monitor, f features.FlowFeatures, madeAt, h wan.Hour, predicted, actual wan.LinkID, bytes float64) features.Record {
 	m.RecordPrediction(madeAt, f, "ensemble", predict(predicted))
-	m.ObserveTruth(features.Record{Hour: h, Flow: f, Link: actual, Bytes: bytes})
+	return features.Record{Hour: h, Flow: f, Link: actual, Bytes: bytes}
+}
+
+// advance hands truth to AdvanceTo in drain order, as a drain would.
+func advance(m *Monitor, h wan.Hour, truth ...features.Record) {
+	truth = slices.Clone(truth)
+	slices.SortFunc(truth, features.Record.Compare)
+	m.AdvanceTo(h, truth)
 }
 
 func TestJoinScoresAccuracy(t *testing.T) {
 	m, _ := newTestMonitor(testConfig())
 	// A correct prediction and a wrong one in the same hour.
-	feed(m, flowN(1), 0, 1, 7, 7, 100) // credit 100
-	feed(m, flowN(2), 0, 1, 8, 9, 300) // credit 0
-	m.AdvanceTo(2)
+	advance(m, 2,
+		feed(m, flowN(1), 0, 1, 7, 7, 100), // credit 100
+		feed(m, flowN(2), 0, 1, 8, 9, 300), // credit 0
+	)
 
 	q := m.Quality()
 	if q.Hour != 1 || q.Window.Groups != 2 {
@@ -74,15 +83,15 @@ func TestJoinHonoursHorizonAndOrdering(t *testing.T) {
 	f := flowN(1)
 	m.RecordPrediction(5, f, "ensemble", predict(7))
 
-	// Truth at the prediction hour itself must not join (the model may
-	// not be graded on the hour it was trained through)...
-	m.ObserveTruth(features.Record{Hour: 5, Flow: f, Link: 7, Bytes: 10})
-	// ...nor truth beyond the join horizon...
-	m.ObserveTruth(features.Record{Hour: 5 + 25, Flow: f, Link: 7, Bytes: 10})
-	// ...nor truth for a flow never predicted.
-	m.ObserveTruth(features.Record{Hour: 6, Flow: flowN(9), Link: 7, Bytes: 10})
-
-	m.AdvanceTo(7)
+	advance(m, 5+26,
+		// Truth at the prediction hour itself must not join (the model
+		// may not be graded on the hour it was trained through)...
+		features.Record{Hour: 5, Flow: f, Link: 7, Bytes: 10},
+		// ...nor truth beyond the join horizon...
+		features.Record{Hour: 5 + 25, Flow: f, Link: 7, Bytes: 10},
+		// ...nor truth for a flow never predicted.
+		features.Record{Hour: 6, Flow: flowN(9), Link: 7, Bytes: 10},
+	)
 	if got := reg.Counter("monitor_truth_unmatched_total").Value(); got != 3 {
 		t.Errorf("unmatched = %d, want 3", got)
 	}
@@ -91,7 +100,7 @@ func TestJoinHonoursHorizonAndOrdering(t *testing.T) {
 	}
 
 	// Late truth (hour already closed) is dropped and counted.
-	m.ObserveTruth(features.Record{Hour: 6, Flow: f, Link: 7, Bytes: 10})
+	advance(m, 5+26, features.Record{Hour: 6, Flow: f, Link: 7, Bytes: 10})
 	if got := reg.Counter("monitor_truth_late_total").Value(); got != 1 {
 		t.Errorf("late = %d, want 1", got)
 	}
@@ -106,11 +115,11 @@ func TestWindowEvictionAtRingBoundary(t *testing.T) {
 	m, _ := newTestMonitor(cfg)
 
 	// Hour 1: a wrong prediction (0 credit). Hours 2-4: correct ones.
-	feed(m, flowN(1), 0, 1, 7, 9, 100)
+	truth := []features.Record{feed(m, flowN(1), 0, 1, 7, 9, 100)}
 	for h := wan.Hour(2); h <= 4; h++ {
-		feed(m, flowN(int(h)), h-1, h, 7, 7, 100)
+		truth = append(truth, feed(m, flowN(int(h)), h-1, h, 7, 7, 100))
 	}
-	m.AdvanceTo(5)
+	advance(m, 5, truth...)
 	q := m.Quality()
 	// Window covers hours 1-4: 3 of 4 groups correct.
 	if q.Window.Groups != 4 || q.Window.Top1 != 0.75 {
@@ -119,8 +128,7 @@ func TestWindowEvictionAtRingBoundary(t *testing.T) {
 
 	// Hour 5 lands in ring slot 5%4 = 1, the slot hour 1 occupied: the
 	// bad hour is evicted both by hour arithmetic and by slot reuse.
-	feed(m, flowN(5), 4, 5, 7, 7, 100)
-	m.AdvanceTo(6)
+	advance(m, 6, feed(m, flowN(5), 4, 5, 7, 7, 100))
 	q = m.Quality()
 	if q.Window.Groups != 4 || q.Window.Top1 != 1.0 {
 		t.Errorf("post-eviction window = %+v, want 4 groups at accuracy 1.0", q.Window)
@@ -128,7 +136,7 @@ func TestWindowEvictionAtRingBoundary(t *testing.T) {
 
 	// An idle stretch longer than the window empties it: stale slots
 	// must not leak old hours back in.
-	m.AdvanceTo(20)
+	advance(m, 20)
 	q = m.Quality()
 	if q.Window.Groups != 0 {
 		t.Errorf("idle window still holds %d groups", q.Window.Groups)
@@ -143,30 +151,24 @@ func TestAlarmHysteresis(t *testing.T) {
 	cfg.WindowHours = 1 // each hour stands alone: precise control
 	m, _ := newTestMonitor(cfg)
 
-	bad := func(h wan.Hour) { feed(m, flowN(int(h)), h-1, h, 7, 9, 100) }
-	good := func(h wan.Hour) { feed(m, flowN(int(h)), h-1, h, 7, 7, 100) }
+	bad := func(h wan.Hour) features.Record { return feed(m, flowN(int(h)), h-1, h, 7, 9, 100) }
+	good := func(h wan.Hour) features.Record { return feed(m, flowN(int(h)), h-1, h, 7, 7, 100) }
 
-	bad(1)
-	m.AdvanceTo(2)
+	advance(m, 2, bad(1))
 	if m.AlarmFiring(AlarmAccuracyFloor) {
 		t.Fatal("alarm fired after a single breached hour (FireAfter=2)")
 	}
-	bad(2)
-	m.AdvanceTo(3)
+	advance(m, 3, bad(2))
 	if !m.AlarmFiring(AlarmAccuracyFloor) {
 		t.Fatal("alarm did not fire after two breached hours")
 	}
-	good(3)
-	m.AdvanceTo(4)
+	advance(m, 4, good(3))
 	if !m.AlarmFiring(AlarmAccuracyFloor) {
 		t.Fatal("alarm cleared after a single clean hour (ClearAfter=2)")
 	}
-	bad(4) // breach again: the clear streak must reset
-	m.AdvanceTo(5)
-	good(5)
-	good2 := func(h wan.Hour) { feed(m, flowN(1000+int(h)), h-1, h, 7, 7, 100) }
-	good2(6)
-	m.AdvanceTo(7)
+	advance(m, 5, bad(4)) // breach again: the clear streak must reset
+	good2 := func(h wan.Hour) features.Record { return feed(m, flowN(1000+int(h)), h-1, h, 7, 7, 100) }
+	advance(m, 7, good(5), good2(6))
 	if m.AlarmFiring(AlarmAccuracyFloor) {
 		t.Fatal("alarm still firing after two consecutive clean hours")
 	}
@@ -184,11 +186,13 @@ func TestDriftAndPostWithdrawalLifecycle(t *testing.T) {
 
 	// Healthy hours 1-2 build the window; freeze the baseline (the
 	// "last retrain" snapshot).
+	var truth []features.Record
 	for h := wan.Hour(1); h <= 2; h++ {
-		feed(m, flowN(int(h)), h-1, h, 7, 7, 100)
-		feed(m, flowN(100+int(h)), h-1, h, 8, 8, 100)
+		truth = append(truth,
+			feed(m, flowN(int(h)), h-1, h, 7, 7, 100),
+			feed(m, flowN(100+int(h)), h-1, h, 8, 8, 100))
 	}
-	m.AdvanceTo(3)
+	advance(m, 3, truth...)
 	m.FreezeBaseline(3)
 	if q := m.Quality(); q.BaselineAt != 3 || q.Baseline.Top3 != 1.0 {
 		t.Fatalf("baseline: %+v at %d", q.Baseline, q.BaselineAt)
@@ -197,11 +201,13 @@ func TestDriftAndPostWithdrawalLifecycle(t *testing.T) {
 	// A withdrawal shifts traffic; the stale model keeps predicting
 	// the old links, so joins after it collapse.
 	m.NoteWithdrawal(3)
+	truth = nil
 	for h := wan.Hour(4); h <= 5; h++ {
-		feed(m, flowN(int(h)), h-1, h, 7, 9, 100)
-		feed(m, flowN(100+int(h)), h-1, h, 8, 9, 100)
+		truth = append(truth,
+			feed(m, flowN(int(h)), h-1, h, 7, 9, 100),
+			feed(m, flowN(100+int(h)), h-1, h, 8, 9, 100))
 	}
-	m.AdvanceTo(6)
+	advance(m, 6, truth...)
 	if !m.AlarmFiring(AlarmPostWithdrawal) {
 		t.Fatal("post-withdrawal alarm not firing after collapse")
 	}
@@ -221,11 +227,13 @@ func TestDriftAndPostWithdrawalLifecycle(t *testing.T) {
 	if q := m.Quality(); q.WithdrawalAt != -1 {
 		t.Errorf("withdrawal watch still armed after retrain: %d", q.WithdrawalAt)
 	}
+	truth = nil
 	for h := wan.Hour(6); h <= 9; h++ {
-		feed(m, flowN(int(h)), h-1, h, 7, 7, 100)
-		feed(m, flowN(100+int(h)), h-1, h, 8, 8, 100)
+		truth = append(truth,
+			feed(m, flowN(int(h)), h-1, h, 7, 7, 100),
+			feed(m, flowN(100+int(h)), h-1, h, 8, 8, 100))
 	}
-	m.AdvanceTo(10)
+	advance(m, 10, truth...)
 	for _, name := range []string{AlarmPostWithdrawal, AlarmDrift, AlarmAccuracyFloor} {
 		if m.AlarmFiring(name) {
 			t.Errorf("alarm %s still firing after recovery", name)
@@ -240,7 +248,7 @@ func TestJoinStarvation(t *testing.T) {
 
 	m.RecordPrediction(0, flowN(1), "ensemble", predict(7))
 	// StarvationHours=3, FireAfter=2: hours 4 and 5 breach.
-	m.AdvanceTo(6)
+	advance(m, 6)
 	if !m.AlarmFiring(AlarmJoinStarvation) {
 		t.Fatal("starvation alarm not firing with truth feed dark")
 	}
@@ -250,10 +258,11 @@ func TestJoinStarvation(t *testing.T) {
 	}
 
 	// Truth resumes: joins flow again and the alarm clears.
+	var truth []features.Record
 	for h := wan.Hour(6); h <= 8; h++ {
-		feed(m, flowN(int(h)), h-1, h, 7, 7, 50)
+		truth = append(truth, feed(m, flowN(int(h)), h-1, h, 7, 7, 50))
 	}
-	m.AdvanceTo(9)
+	advance(m, 9, truth...)
 	if m.AlarmFiring(AlarmJoinStarvation) {
 		t.Error("starvation alarm still firing after joins resumed")
 	}
@@ -271,10 +280,10 @@ func TestSlicesAndRungAttribution(t *testing.T) {
 
 	m.RecordPrediction(0, flowN(1), "ensemble", predict(7))
 	m.RecordPrediction(0, flowN(2), "geo", predict(12))
-	m.ObserveTruth(features.Record{Hour: 1, Flow: flowN(1), Link: 7, Bytes: 100})
-	m.ObserveTruth(features.Record{Hour: 1, Flow: flowN(2), Link: 12, Bytes: 50})
-	m.ObserveTruth(features.Record{Hour: 1, Flow: flowN(2), Link: 13, Bytes: 10})
-	m.AdvanceTo(2)
+	advance(m, 2,
+		features.Record{Hour: 1, Flow: flowN(1), Link: 7, Bytes: 100},
+		features.Record{Hour: 1, Flow: flowN(2), Link: 12, Bytes: 50},
+		features.Record{Hour: 1, Flow: flowN(2), Link: 13, Bytes: 10})
 
 	q := m.Quality()
 	if len(q.ByRung) != 2 || q.ByRung[0].Key != "ensemble" || q.ByRung[1].Key != "geo" {
@@ -298,8 +307,7 @@ func TestSlicesAndRungAttribution(t *testing.T) {
 func TestEmptyPredictionIsAMiss(t *testing.T) {
 	m, _ := newTestMonitor(testConfig())
 	m.RecordPrediction(0, flowN(1), "none", nil)
-	m.ObserveTruth(features.Record{Hour: 1, Flow: flowN(1), Link: 7, Bytes: 100})
-	m.AdvanceTo(2)
+	advance(m, 2, features.Record{Hour: 1, Flow: flowN(1), Link: 7, Bytes: 100})
 	q := m.Quality()
 	if q.Window.Groups != 1 || q.Window.Top3 != 0 {
 		t.Errorf("unanswered flow must score 0: %+v", q.Window)
@@ -314,7 +322,7 @@ func TestPredictionExpiry(t *testing.T) {
 	cfg.JoinHorizonHours = 2
 	m, reg := newTestMonitor(cfg)
 	m.RecordPrediction(0, flowN(1), "ensemble", predict(7))
-	m.AdvanceTo(4) // horizon 0+2 < 3: evicted while closing hour 3
+	advance(m, 4) // horizon 0+2 < 3: evicted while closing hour 3
 	if got := reg.Counter("monitor_predictions_expired_total").Value(); got != 1 {
 		t.Errorf("expired = %d, want 1", got)
 	}
@@ -332,11 +340,12 @@ func TestQualityReportDeterministic(t *testing.T) {
 		cfg.LinkMeta = func(l wan.LinkID) (geo.MetroID, string) { return geo.MetroID(l % 3), "kind" }
 		m, _ := newTestMonitor(cfg)
 		for h := wan.Hour(1); h <= 6; h++ {
+			var truth []features.Record
 			for i := 0; i < 5; i++ {
 				actual := wan.LinkID(7 + i%2)
-				feed(m, flowN(i), h-1, h, 7, actual, float64(50+10*i))
+				truth = append(truth, feed(m, flowN(i), h-1, h, 7, actual, float64(50+10*i)))
 			}
-			m.AdvanceTo(h + 1)
+			advance(m, h+1, truth...)
 			if h == 3 {
 				m.FreezeBaseline(h)
 				m.NoteWithdrawal(h)
@@ -351,5 +360,54 @@ func TestQualityReportDeterministic(t *testing.T) {
 	a, b := script(), script()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-script reports differ:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestTruthPastTheAdvanceIsUnmatched: AdvanceTo keeps nothing for
+// later. A record at or past h is counted unmatched and dropped, and
+// the same record handed over again with the hour it belongs to joins.
+func TestTruthPastTheAdvanceIsUnmatched(t *testing.T) {
+	m, reg := newTestMonitor(testConfig())
+	m.RecordPrediction(0, flowN(1), "ensemble", predict(7))
+	early := features.Record{Hour: 2, Flow: flowN(1), Link: 7, Bytes: 10}
+	advance(m, 2, features.Record{Hour: 1, Flow: flowN(1), Link: 7, Bytes: 10}, early)
+	joins, unmatched := reg.Counter("monitor_joins_total"), reg.Counter("monitor_truth_unmatched_total")
+	if joins.Value() != 1 || unmatched.Value() != 1 {
+		t.Errorf("joins = %d, unmatched = %d, want 1 and 1", joins.Value(), unmatched.Value())
+	}
+	advance(m, 3, early)
+	if joins.Value() != 2 || unmatched.Value() != 1 {
+		t.Errorf("after resending: joins = %d, unmatched = %d, want 2 and 1", joins.Value(), unmatched.Value())
+	}
+	if got := reg.Counter("monitor_truth_records_total").Value(); got != 3 {
+		t.Errorf("truth records = %d, want 3", got)
+	}
+}
+
+// TestGradesOnlyTheTopThree: a prediction list longer than three is
+// graded on its first three entries, the most credit top-3 can give.
+func TestGradesOnlyTheTopThree(t *testing.T) {
+	m, _ := newTestMonitor(testConfig())
+	preds := []core.Prediction{{Link: 1, Frac: 0.4}, {Link: 2, Frac: 0.3}, {Link: 3, Frac: 0.2}, {Link: 4, Frac: 0.1}}
+	m.RecordPrediction(0, flowN(1), "ensemble", preds)
+	advance(m, 2,
+		features.Record{Hour: 1, Flow: flowN(1), Link: 1, Bytes: 40},
+		features.Record{Hour: 1, Flow: flowN(1), Link: 4, Bytes: 60})
+	if q := m.Quality(); q.Window.Top1 != 0.4 || q.Window.Top3 != 0.4 {
+		t.Errorf("top1 = %v, top3 = %v, want 0.4 and 0.4", q.Window.Top1, q.Window.Top3)
+	}
+}
+
+// TestRecordPredictionAllocs pins a served flow's prediction replacing
+// its older one: the monitor keeps it by value in the map slot the
+// flow already has.
+func TestRecordPredictionAllocs(t *testing.T) {
+	const recordPredictionAllocs = 0
+	m, _ := newTestMonitor(testConfig())
+	preds := []core.Prediction{{Link: 7, Frac: 0.5}, {Link: 8, Frac: 0.3}, {Link: 9, Frac: 0.2}}
+	m.RecordPrediction(0, flowN(1), "ensemble", preds)
+	got := testing.AllocsPerRun(100, func() { m.RecordPrediction(1, flowN(1), "ensemble", preds) })
+	if got != recordPredictionAllocs {
+		t.Errorf("RecordPrediction on a known flow allocates %v times, want %d", got, recordPredictionAllocs)
 	}
 }

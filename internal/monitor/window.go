@@ -40,27 +40,9 @@ func (c cell) top3() float64 {
 	return c.cred3 / c.bytes
 }
 
-// bucket is one simulated hour of joined quality, sliced three ways.
-// Buckets live in a ring indexed by hour modulo the window length;
-// writing a new hour into a slot evicts the hour WindowHours earlier.
-type bucket struct {
-	hour    wan.Hour // -1 while the slot has never been written
-	overall cell
-	byMetro map[geo.MetroID]cell
-	byKind  map[string]cell
-	byRung  map[string]cell
-}
-
-func (b *bucket) reset(h wan.Hour) {
-	b.hour = h
-	b.overall = cell{}
-	b.byMetro = nil
-	b.byKind = nil
-	b.byRung = nil
-}
-
-// totals is the sum of the live buckets of a window (or a frozen
-// snapshot of one, used as the drift baseline).
+// totals is joined quality overall and sliced three ways: one hour's
+// bucket, the sum of a window's live buckets, or a frozen snapshot of
+// one used as the drift baseline.
 type totals struct {
 	overall cell
 	byMetro map[geo.MetroID]cell
@@ -68,45 +50,35 @@ type totals struct {
 	byRung  map[string]cell
 }
 
-func newTotals() totals {
-	return totals{
-		byMetro: make(map[geo.MetroID]cell),
-		byKind:  make(map[string]cell),
-		byRung:  make(map[string]cell),
-	}
+func (t *totals) add(o *totals) {
+	t.overall.add(o.overall)
+	mergeSlices(&t.byMetro, o.byMetro)
+	mergeSlices(&t.byKind, o.byKind)
+	mergeSlices(&t.byRung, o.byRung)
 }
 
-func (t *totals) addBucket(b *bucket) {
-	t.overall.add(b.overall)
-	for k, c := range b.byMetro {
-		e := t.byMetro[k]
-		e.add(c)
-		t.byMetro[k] = e
-	}
-	for k, c := range b.byKind {
-		e := t.byKind[k]
-		e.add(c)
-		t.byKind[k] = e
-	}
-	for k, c := range b.byRung {
-		e := t.byRung[k]
-		e.add(c)
-		t.byRung[k] = e
-	}
+// bucket is one simulated hour of joined quality. Buckets live in a
+// ring indexed by hour modulo the window length; writing a new hour
+// into a slot evicts the hour WindowHours earlier.
+type bucket struct {
+	hour wan.Hour // -1 while the slot has never been written
+	totals
 }
+
+func (b *bucket) reset(h wan.Hour) { *b = bucket{hour: h} }
 
 // windowTotals sums the buckets covering hours (h-WindowHours, h].
 // Slots still holding older hours (not yet overwritten) are skipped,
 // so eviction is by hour arithmetic, not by slot reuse.
 func (m *Monitor) windowTotals(h wan.Hour) totals {
-	t := newTotals()
+	var t totals
 	lo := h - wan.Hour(m.cfg.WindowHours)
 	for i := range m.ring {
 		b := &m.ring[i]
 		if b.hour < 0 || b.hour <= lo || b.hour > h {
 			continue
 		}
-		t.addBucket(b)
+		t.add(&b.totals)
 	}
 	return t
 }

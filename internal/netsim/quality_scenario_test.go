@@ -59,17 +59,17 @@ func newQualityEnv(t *testing.T, seed int64) *qualityEnv {
 	}
 }
 
-// advance simulates days [fromDay, toDay), streams the aggregated
-// records to the monitor as ground truth, closes the hours, and
-// appends to the record store.
+// advance simulates days [fromDay, toDay), hands the aggregated
+// records to the monitor as ground truth, closing the hours, and
+// appends them to the record store.
 func (e *qualityEnv) advance(fromDay, toDay int) {
 	agg := pipeline.NewAggregatorOn(e.reg, e.sim.GeoIP(), e.sim.DstMetadata)
-	agg.SetTruthSink(e.mon)
 	e.sim.Run(netsim.RunOptions{
 		From: wan.Hour(fromDay * 24), To: wan.Hour(toDay * 24), Sink: agg,
 	})
-	e.store = append(e.store, agg.Records()...)
-	e.mon.AdvanceTo(wan.Hour(toDay * 24))
+	recs := agg.Records()
+	e.store = append(e.store, recs...)
+	e.mon.AdvanceTo(wan.Hour(toDay*24), recs)
 }
 
 // retrain fits the serving ensemble on everything aggregated so far.

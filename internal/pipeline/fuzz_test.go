@@ -41,10 +41,10 @@ func fuzzRecord(b []byte) ipfix.FlowRecord {
 // input is a run of chunks: a header byte, then 1–16 four-byte records
 // that go in through one RecordBatch call or, when the header says so,
 // one Record call each. The aggregator drains halfway through the
-// chunks and at the end; each drain and the truth stream must equal
-// singleMap's records, Stats must count raw, dropped and pending
-// exactly, and bytes must be conserved: every raw record is dropped or
-// reaches a slot, and the kept octets are the drained bytes.
+// chunks and at the end; each drain must equal singleMap's records,
+// Stats must count raw, dropped and pending exactly, and bytes must be
+// conserved: every raw record is dropped or reaches a slot, and the
+// kept octets are the drained bytes.
 func FuzzAggregator(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0, 0, 10, 0, 0x20, 4, 200, 1, 0xe7, 0xff, 0, 0, 0x10, 0x18, 0x09, 7, 3})
@@ -55,8 +55,6 @@ func FuzzAggregator(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agg, ref := NewAggregator(g, fuzzMeta), newSingleMap(g, fuzzMeta)
-		var truth truthCapture
-		agg.SetTruthSink(&truth)
 
 		data = data[:min(len(data), 4096)] // ≤ 1,024 records of < 2⁴⁰ octets: every sum stays exact
 		var chunks [][]byte
@@ -94,13 +92,9 @@ func FuzzAggregator(f *testing.F) {
 			if gotRaw, gotDropped, pending := agg.Stats(); gotRaw != raw || gotDropped != dropped || pending != len(want) {
 				t.Fatalf("drain %d: Stats (%d, %d, %d), want (%d, %d, %d)", drain, gotRaw, gotDropped, pending, raw, dropped, len(want))
 			}
-			truth.recs = nil
 			got := agg.Records()
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("drain %d: %d aggregates, reference has %d:\n got %+v\nwant %+v", drain, len(got), len(want), head(got), head(want))
-			}
-			if !slices.Equal(truth.recs, got) {
-				t.Fatalf("drain %d: truth sink saw %d records, the drain returned %d", drain, len(truth.recs), len(got))
 			}
 			var drained float64
 			for _, r := range got {

@@ -4,7 +4,10 @@
 // aggregated into hour-long chunks indexed by exactly the features
 // TIPSY uses, and ordinally encoded. Aggregation merely sums bytes
 // per (hour, feature tuple, link), so it loses nothing the models
-// need while shrinking the data by orders of magnitude.
+// need while shrinking the data by orders of magnitude. The drained
+// records are also the ground truth of where each flow aggregate
+// ingressed: the caller hands the same slice to training and to the
+// quality monitor, which grades served predictions against it.
 package pipeline
 
 import (
@@ -27,17 +30,6 @@ import (
 // Metadata resolves a destination address inside the WAN to its
 // region and service type.
 type Metadata func(dstAddr uint32) (wan.Region, wan.ServiceType, bool)
-
-// TruthSink receives the ground-truth feature records the aggregator
-// drains — the (hour, flow, link, bytes) tuples that say where each
-// flow aggregate actually ingressed. The online quality monitor
-// implements this to join served predictions against reality; the
-// aggregator always knew the actual ingress link of every flow, it
-// just never fed it back until now. Records arrive in the same
-// deterministic order Records returns them.
-type TruthSink interface {
-	ObserveTruth(rec features.Record)
-}
 
 // keyOf packs everything a record's counter slot depends on into an
 // index key's two words: the source /24 and destination address, then
@@ -97,8 +89,9 @@ func newAggregatorMetrics(reg *obsv.Registry) aggregatorMetrics {
 
 // Aggregator consumes IPFIX flow records and produces hourly
 // aggregated feature records. It implements netsim.RecordSink and
-// netsim.BatchSink. Safe for concurrent use: one mutex guards the
-// table, and a batch takes it once.
+// netsim.BatchSink. Records is the one way aggregates leave it. Safe
+// for concurrent use: one mutex guards the table, and a batch takes it
+// once.
 //
 // The Geo-IP database and Metadata func are treated as immutable
 // mappings for the aggregator's lifetime — join results are cached.
@@ -136,12 +129,8 @@ type Aggregator struct {
 	//tipsy:guardedby mu
 	keys int
 
-	truthMu sync.Mutex
-	//tipsy:guardedby truthMu
-	truth TruthSink
-
 	// tracer + traceCtx attach the aggregator's spans (aggregate_batch,
-	// drain, truth_join) to the ingest cycle's trace. Set via SetTrace
+	// drain) to the ingest cycle's trace. Set via SetTrace
 	// before ingest begins; the nil tracer / zero context default
 	// disables span emission at the cost of one nil check per batch.
 	//tipsy:nolock set via SetTrace before ingest begins, constant after
@@ -270,14 +259,6 @@ func (a *Aggregator) slotMiss(prefix uint32, link wan.LinkID, rec *ipfix.FlowRec
 	return slot
 }
 
-// SetTruthSink registers a sink that receives every drained record as
-// ground truth. Set it before the drain whose records it should see.
-func (a *Aggregator) SetTruthSink(ts TruthSink) {
-	a.truthMu.Lock()
-	a.truth = ts
-	a.truthMu.Unlock()
-}
-
 // SetTrace attaches the aggregator's spans to the given trace
 // context. Call before ingest begins; a nil tracer or zero context
 // disables tracing entirely.
@@ -315,9 +296,7 @@ type drainRow struct {
 // record counts, and each run is emitted into its own range of the
 // output by its own worker with its own bitset and value array, the
 // caller's goroutine taking the first. The output is byte-identical to
-// a single-map aggregator's sorted by features.Record.Compare. When a
-// truth sink is registered, the drained records are also streamed to
-// it in the same order.
+// a single-map aggregator's sorted by features.Record.Compare.
 func (a *Aggregator) Records() []features.Record {
 	sp := a.tracer.StartFrom(a.traceCtx, "drain")
 	a.mu.Lock()
@@ -369,22 +348,9 @@ func (a *Aggregator) Records() []features.Record {
 	} else {
 		d.emit(0)
 	}
-	out := d.out
-
-	a.truthMu.Lock()
-	truth := a.truth
-	a.truthMu.Unlock()
-	if truth != nil {
-		tj := a.tracer.StartChild(sp, "truth_join")
-		for i := range out {
-			truth.ObserveTruth(out[i])
-		}
-		tj.SetInt("records", int64(len(out)))
-		tj.End()
-	}
-	sp.SetInt("records", int64(len(out)))
+	sp.SetInt("records", int64(len(d.out)))
 	sp.End()
-	return out
+	return d.out
 }
 
 // drainer is what a drain's workers share: the sorted hour rows with

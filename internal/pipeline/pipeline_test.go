@@ -125,7 +125,7 @@ func TestAggregationIsVolumePreserving(t *testing.T) {
 
 // TestSimulatedWindowsMatchSingleMap drains one reused aggregator
 // after each of two consecutive simulated windows, on three seeds, and
-// holds every drain and the truth stream to the single-map reference.
+// holds every drain to the single-map reference.
 // The second window meets warm slot tables and fresh rows.
 func TestSimulatedWindowsMatchSingleMap(t *testing.T) {
 	metros := geo.World()
@@ -134,15 +134,12 @@ func TestSimulatedWindowsMatchSingleMap(t *testing.T) {
 		w := traffic.Generate(traffic.TestConfig(seed), g, metros)
 		s := netsim.New(netsim.DefaultConfig(seed), g, metros, w)
 		agg, ref := NewAggregator(s.GeoIP(), s.DstMetadata), newSingleMap(s.GeoIP(), s.DstMetadata)
-		var truth truthCapture
-		agg.SetTruthSink(&truth)
 		for _, from := range []wan.Hour{0, 6} {
 			s.Run(netsim.RunOptions{From: from, To: from + 6, Sink: netsim.RecordSinkFunc(
 				func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
 					agg.Record(h, link, rec)
 					ref.Record(h, link, rec)
 				})})
-			truth.recs = nil
 			want, got := ref.Records(), agg.Records()
 			if len(got) == 0 {
 				t.Fatalf("seed %d, hours %d-%d: no aggregates", seed, from, from+6)
@@ -150,9 +147,6 @@ func TestSimulatedWindowsMatchSingleMap(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("seed %d, hours %d-%d: drain differs from the single-map reference (%d vs %d aggregates)",
 					seed, from, from+6, len(got), len(want))
-			}
-			if !reflect.DeepEqual(truth.recs, got) {
-				t.Errorf("seed %d, hours %d-%d: truth sink saw %d records, the drain returned %d", seed, from, from+6, len(truth.recs), len(got))
 			}
 		}
 	}
@@ -191,38 +185,5 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	back := enc.Decode()
 	if !reflect.DeepEqual(recs, back) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, recs)
-	}
-}
-
-// recordingSink captures ObserveTruth calls for the truth-sink test.
-type recordingSink struct{ recs []features.Record }
-
-func (r *recordingSink) ObserveTruth(rec features.Record) { r.recs = append(r.recs, rec) }
-
-func TestAggregatorStreamsTruthOnDrain(t *testing.T) {
-	g := geo.NewGeoIP(geo.World(), 0, 1)
-	a := NewAggregator(g, staticMeta(1, 1))
-	sink := &recordingSink{}
-	a.SetTruthSink(sink)
-
-	rec := ipfix.FlowRecord{SrcAddr: 0x0b000001, DstAddr: 40 << 24, Octets: 100}
-	a.Record(2, 1, &rec)
-	a.Record(1, 3, &rec)
-	if len(sink.recs) != 0 {
-		t.Fatal("truth streamed before drain")
-	}
-
-	out := a.Records()
-	if !reflect.DeepEqual(sink.recs, out) {
-		t.Errorf("truth sink saw %+v, drain returned %+v", sink.recs, out)
-	}
-	if len(sink.recs) != 2 || sink.recs[0].Hour != 1 {
-		t.Errorf("truth not in deterministic drain order: %+v", sink.recs)
-	}
-
-	// Draining again streams nothing new.
-	a.Records()
-	if len(sink.recs) != 2 {
-		t.Errorf("empty drain streamed truth: %d records", len(sink.recs))
 	}
 }

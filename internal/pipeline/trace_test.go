@@ -4,15 +4,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tipsy/internal/features"
 	"tipsy/internal/geo"
 	"tipsy/internal/ipfix"
 	"tipsy/internal/obsv"
 )
-
-type truthCounter struct{ n int }
-
-func (tc *truthCounter) ObserveTruth(features.Record) { tc.n++ }
 
 func spansByName(recs []obsv.SpanRecord) map[string][]obsv.SpanRecord {
 	out := make(map[string][]obsv.SpanRecord)
@@ -29,8 +24,6 @@ func TestAggregatorSpansAttachToTrace(t *testing.T) {
 
 	g := geo.NewGeoIP(geo.World(), 0, 1)
 	a := NewAggregator(g, staticMeta(1, 1))
-	tc := &truthCounter{}
-	a.SetTruthSink(tc)
 
 	root := tr.StartRoot("cycle")
 	a.SetTrace(tr, root.Context())
@@ -44,11 +37,11 @@ func TestAggregatorSpansAttachToTrace(t *testing.T) {
 	root.End()
 
 	// Both flows share a /24, link, and hour, so they aggregate to one.
-	if len(out) != 1 || tc.n != 1 {
-		t.Fatalf("drained %d records, truth saw %d", len(out), tc.n)
+	if len(out) != 1 {
+		t.Fatalf("drained %d records, want 1", len(out))
 	}
 	byName := spansByName(rec.Snapshot())
-	for _, name := range []string{"cycle", "aggregate_batch", "drain", "truth_join"} {
+	for _, name := range []string{"cycle", "aggregate_batch", "drain"} {
 		got := byName[name]
 		if len(got) != 1 {
 			t.Fatalf("span %q: %d records, want 1 (have %v)", name, len(got), byName)
@@ -65,9 +58,13 @@ func TestAggregatorSpansAttachToTrace(t *testing.T) {
 	if sp := byName["drain"][0]; sp.Attrs[0].Int != int64(len(out)) {
 		t.Errorf("drain records attr %d, want %d", sp.Attrs[0].Int, len(out))
 	}
-	// truth_join is a child of drain, not of the root.
-	if tj, dr := byName["truth_join"][0], byName["drain"][0]; tj.Parent != dr.ID {
-		t.Errorf("truth_join parented by %d, want drain span %d", tj.Parent, dr.ID)
+	// The drain hands its records back and joins nothing: truth_join
+	// is the caller's span, a sibling of drain under the cycle.
+	if len(byName["truth_join"]) != 0 {
+		t.Errorf("drain recorded a truth_join span: %+v", byName["truth_join"])
+	}
+	if dr := byName["drain"][0]; dr.Parent != root.Context().Span {
+		t.Errorf("drain parented by %d, want the cycle root", dr.Parent)
 	}
 }
 

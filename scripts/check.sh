@@ -75,7 +75,7 @@ else
     # run every pin and the sweep once without it.
     echo "==> allocation pins and the float sweep (without the race detector)"
     go test -count=1 -run 'Allocs$|ZeroAlloc$|^TestAppendFloatMatchesStrconv$' \
-        ./internal/ipfix ./internal/pipeline ./internal/dataset ./internal/core ./internal/serve ./cmd/tipsyd
+        ./internal/ipfix ./internal/pipeline ./internal/dataset ./internal/core ./internal/serve ./internal/monitor ./cmd/tipsyd
 fi
 
 echo "==> coverage floor (>= ${coverage_floor}%)"
