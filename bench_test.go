@@ -407,16 +407,16 @@ func BenchmarkBuildGroups(b *testing.B) {
 // Substrate throughput
 // ---------------------------------------------------------------------------
 
-// BenchmarkResolveFlow times the public ResolveFlow, where each call
-// is a memo-free walk: only Run keeps a per-flow memo of the day's
+// BenchmarkTruth times the public Truth, where each call is a
+// memo-free walk: only Run keeps a per-flow memo of the day's
 // resolutions.
-func BenchmarkResolveFlow(b *testing.B) {
+func BenchmarkTruth(b *testing.B) {
 	e := env(b)
 	flows := e.Workload.Flows
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := &flows[i%len(flows)]
-		e.Sim.ResolveFlow(f, wan.Hour(i%48))
+		_ = e.Sim.Truth(f, wan.Hour(i%48), nil).Shares
 	}
 }
 

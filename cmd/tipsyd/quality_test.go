@@ -10,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"tipsy/internal/bgp"
 	"tipsy/internal/core"
 	"tipsy/internal/features"
 	"tipsy/internal/monitor"
+	"tipsy/internal/wan"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -21,7 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // from the model's top two predicted links — the congestion
 // mitigation system's bulk traffic shift, the event the paper shows
 // collapsing prediction accuracy until the next retrain.
-func withdrawTopPredicted(s *server) {
+func withdrawTopPredicted(s *server) []withdrawal {
+	var out []withdrawal
 	w := s.sim.Workload()
 	for i := range w.Flows {
 		f := &w.Flows[i]
@@ -34,9 +37,19 @@ func withdrawTopPredicted(s *server) {
 			if j >= 2 {
 				break // leave each flow an ingress path
 			}
-			s.sim.Withdraw(p.Link, s.sim.FlowPrefix(f))
+			wd := withdrawal{p.Link, s.sim.FlowPrefix(f)}
+			s.sim.Withdraw(wd.link, wd.prefix)
+			out = append(out, wd)
 		}
 	}
+	return out
+}
+
+// withdrawal is one (link, prefix) pair the scenario stopped
+// announcing.
+type withdrawal struct {
+	link   wan.LinkID
+	prefix bgp.Prefix
 }
 
 // runQualityScenario drives the daemon through the withdrawal
@@ -64,7 +77,7 @@ func runQualityScenario(t *testing.T, seed int64, check func(stage string, s *se
 
 	// The withdrawal lands mid-interval: the serving model goes stale
 	// against the shifted traffic for a full day.
-	withdrawTopPredicted(s)
+	withdrawn := withdrawTopPredicted(s)
 	s.mon.NoteWithdrawal(s.simHour())
 	s.advanceDays(1, nil)
 	if check != nil {
@@ -74,8 +87,8 @@ func runQualityScenario(t *testing.T, seed int64, check func(stage string, s *se
 	// Mitigation ends: prefixes re-announced, model retrained (the
 	// daemon's alarm response), and a day of joins under the fresh
 	// model clears the alarms.
-	for _, wd := range s.sim.Withdrawals() {
-		s.sim.Announce(wd.Link, wd.Prefix)
+	for _, wd := range withdrawn {
+		s.sim.Announce(wd.link, wd.prefix)
 	}
 	s.retrain(nil)
 	s.advanceDays(1, nil)

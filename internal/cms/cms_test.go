@@ -174,7 +174,15 @@ func TestCMSReannouncesWhenCalm(t *testing.T) {
 	cfg.CalmHours = 1
 	c := New(cfg, sc.sim, sc.tipsy, sc.sim.GeoIP(), sc.sim.DstMetadata)
 
-	inflated := sc.sim.FlowsVia(sc.hot, sc.start)
+	var inflated []*traffic.FlowSpec
+	for i := range sc.w.Flows {
+		f := &sc.w.Flows[i]
+		for _, sh := range sc.sim.Truth(f, sc.start, nil).Shares {
+			if sh.Link == sc.hot {
+				inflated = append(inflated, f)
+			}
+		}
+	}
 	h := sc.start
 	sc.sim.Run(netsim.RunOptions{
 		From: h, To: h + 2, Sink: c, OnHourEnd: c.Step,
@@ -183,7 +191,9 @@ func TestCMSReannouncesWhenCalm(t *testing.T) {
 		t.Skip("no withdrawal issued in this scenario")
 	}
 	// The incident subsides: scale the inflated flows back down hard.
-	sc.sim.ScaleFlows(inflated, 0.05)
+	for _, f := range inflated {
+		f.BaseBps *= 0.05
+	}
 	sc.sim.Run(netsim.RunOptions{
 		From: h + 2, To: h + 8, Sink: c, OnHourEnd: c.Step,
 	})

@@ -89,7 +89,7 @@ func TestResolveSharesSumToOne(t *testing.T) {
 		if i%7 != 0 {
 			continue
 		}
-		shares := s.ResolveFlow(&flows[i], 5)
+		shares := s.Truth(&flows[i], 5, nil).Shares
 		if len(shares) == 0 {
 			continue
 		}
@@ -123,7 +123,7 @@ func TestResolveDeterministic(t *testing.T) {
 	b := testSim(t, 3)
 	for i := 0; i < 200; i++ {
 		fa, fb := &a.Workload().Flows[i], &b.Workload().Flows[i]
-		sa, sb := a.ResolveFlow(fa, 10), b.ResolveFlow(fb, 10)
+		sa, sb := a.Truth(fa, 10, nil).Shares, b.Truth(fb, 10, nil).Shares
 		if len(sa) != len(sb) {
 			t.Fatalf("flow %d: share counts differ", i)
 		}
@@ -140,7 +140,7 @@ func TestResolveRespectsAvailability(t *testing.T) {
 	flows := s.Workload().Flows
 	for i := range flows {
 		f := &flows[i]
-		shares := s.ResolveFlow(f, 0)
+		shares := s.Truth(f, 0, nil).Shares
 		if len(shares) == 0 {
 			continue
 		}
@@ -160,7 +160,7 @@ func TestWithdrawalShiftsTraffic(t *testing.T) {
 	var f *traffic.FlowSpec
 	var top wan.LinkID
 	for i := range flows {
-		shares := s.ResolveFlow(&flows[i], 0)
+		shares := s.Truth(&flows[i], 0, nil).Shares
 		if len(shares) > 0 {
 			f, top = &flows[i], shares[0].Link
 			break
@@ -174,7 +174,7 @@ func TestWithdrawalShiftsTraffic(t *testing.T) {
 	if !s.IsWithdrawn(top, prefix) {
 		t.Fatal("withdrawal not recorded")
 	}
-	after := s.ResolveFlow(f, 0)
+	after := s.Truth(f, 0, nil).Shares
 	for _, sh := range after {
 		if sh.Link == top {
 			t.Fatalf("withdrawn link %d still receives traffic", top)
@@ -185,7 +185,7 @@ func TestWithdrawalShiftsTraffic(t *testing.T) {
 	}
 	// Re-announce restores the original resolution.
 	s.Announce(top, prefix)
-	restored := s.ResolveFlow(f, 0)
+	restored := s.Truth(f, 0, nil).Shares
 	if len(restored) == 0 || restored[0].Link != top {
 		t.Error("re-announcement did not restore the original ingress")
 	}
@@ -201,7 +201,7 @@ func TestWithdrawalPrefersSamePeer(t *testing.T) {
 	samePeer, shifted := 0, 0
 	for i := range flows {
 		f := &flows[i]
-		shares := s.ResolveFlow(f, 0)
+		shares := s.Truth(f, 0, nil).Shares
 		if len(shares) == 0 {
 			continue
 		}
@@ -212,7 +212,7 @@ func TestWithdrawalPrefersSamePeer(t *testing.T) {
 		}
 		prefix := s.FlowPrefix(f)
 		s.Withdraw(top, prefix)
-		after := s.ResolveFlow(f, 0)
+		after := s.Truth(f, 0, nil).Shares
 		s.Announce(top, prefix)
 		if len(after) == 0 {
 			continue
@@ -249,7 +249,7 @@ func TestOutageExcludesLink(t *testing.T) {
 	}
 	flows := s.Workload().Flows
 	for i := range flows {
-		shares := s.ResolveFlow(&flows[i], out.Start)
+		shares := s.Truth(&flows[i], out.Start, nil).Shares
 		for _, sh := range shares {
 			if sh.Link == out.Link {
 				t.Fatalf("flow %d resolved onto outaged link %d", i, out.Link)
@@ -262,22 +262,52 @@ func TestDirectPeerUsuallyLandsOnOwnLinks(t *testing.T) {
 	s := testSim(t, 8)
 	flows := s.Workload().Flows
 	own, total := 0.0, 0.0
+	var decided [Policy + 1]int
 	for i := range flows {
 		f := &flows[i]
 		if !s.Graph().HasEdge(f.SrcAS, s.Graph().Cloud()) {
 			continue
 		}
-		shares := s.ResolveFlow(f, 0)
-		for _, sh := range shares {
+		truth := s.Truth(f, 0, nil)
+		ownLinks := 0
+		for _, sh := range truth.Shares {
 			l, _ := s.Link(sh.Link)
 			total += sh.Frac
 			if l.PeerAS == f.SrcAS {
 				own += sh.Frac
+				ownLinks++
 			}
 		}
+		// A flow lands on another AS's link only by policy; hot-potato
+		// and ECMP choose among the source AS's own exits.
+		n := len(truth.Shares)
+		switch truth.Decided {
+		case HotPotato:
+			if n != 1 || ownLinks != 1 {
+				t.Errorf("flow %d: hot-potato over %d shares, %d on its own links", i, n, ownLinks)
+			}
+		case ECMP:
+			if n < 2 || ownLinks != n {
+				t.Errorf("flow %d: ECMP over %d shares, %d on its own links", i, n, ownLinks)
+			}
+		case Policy:
+			if ownLinks != 0 {
+				t.Errorf("flow %d: handed to transit, yet %d of %d shares on its own links", i, ownLinks, n)
+			}
+		default:
+			if n != 0 {
+				t.Errorf("flow %d: %d shares and no deciding mechanism", i, n)
+			}
+		}
+		decided[truth.Decided]++
 	}
 	if total == 0 {
 		t.Fatal("no direct-peer flows")
+	}
+	for d := HotPotato; d <= Policy; d++ {
+		if decided[d] == 0 {
+			t.Errorf("no flow decided by mechanism %d: %v", d, decided)
+		}
 	}
 	frac := own / total
 	if frac < 0.5 {
@@ -288,6 +318,46 @@ func TestDirectPeerUsuallyLandsOnOwnLinks(t *testing.T) {
 	}
 }
 
+// TestEpochRerollsOnAFixedPeriod checks the drift schedule: over a
+// year every non-cloud AS re-rolls its policy noise, one epoch at a
+// time, with a constant period in [DriftMinDays, DriftMaxDays); the
+// cloud never does.
+func TestEpochRerollsOnAFixedPeriod(t *testing.T) {
+	s := testSim(t, 9)
+	g := s.Graph()
+	for _, asn := range g.ASNs() {
+		var rerolls []int32
+		for d := int32(1); d < 365; d++ {
+			switch e0, e1 := s.Epoch(asn, d-1), s.Epoch(asn, d); {
+			case e1 == e0:
+			case e1 == e0+1:
+				rerolls = append(rerolls, d)
+			default:
+				t.Fatalf("AS %v: epoch %d on day %d, then %d", asn, e0, d-1, e1)
+			}
+		}
+		if asn == g.Cloud() {
+			if len(rerolls) > 0 {
+				t.Errorf("the cloud re-rolls on days %v", rerolls)
+			}
+			continue
+		}
+		if len(rerolls) < 2 {
+			t.Fatalf("AS %v re-rolls on days %v in a year", asn, rerolls)
+		}
+		per := rerolls[1] - rerolls[0]
+		if per < int32(s.cfg.DriftMinDays) || per >= int32(s.cfg.DriftMaxDays) {
+			t.Errorf("AS %v re-rolls every %d days, outside [%d, %d)", asn, per, s.cfg.DriftMinDays, s.cfg.DriftMaxDays)
+		}
+		for i := 2; i < len(rerolls); i++ {
+			if rerolls[i]-rerolls[i-1] != per {
+				t.Errorf("AS %v re-rolls on days %v, not every %d", asn, rerolls, per)
+				break
+			}
+		}
+	}
+}
+
 func TestPolicyDriftChangesResolutions(t *testing.T) {
 	s := testSim(t, 9)
 	flows := s.Workload().Flows
@@ -295,8 +365,8 @@ func TestPolicyDriftChangesResolutions(t *testing.T) {
 	checked := 0
 	for i := range flows {
 		f := &flows[i]
-		early := s.ResolveFlow(f, 0)
-		late := s.ResolveFlow(f, 24*60) // 60 days later
+		early := s.Truth(f, 0, nil).Shares
+		late := s.Truth(f, 24*60, nil).Shares // 60 days later
 		if len(early) == 0 || len(late) == 0 {
 			continue
 		}
@@ -623,7 +693,7 @@ func TestSourceSpreadAcrossLinks(t *testing.T) {
 		if !s.Graph().HasEdge(f.SrcAS, s.Graph().Cloud()) {
 			continue
 		}
-		for _, sh := range s.ResolveFlow(f, 0) {
+		for _, sh := range s.Truth(f, 0, nil).Shares {
 			m := linksUsed[f.SrcAS]
 			if m == nil {
 				m = map[wan.LinkID]bool{}

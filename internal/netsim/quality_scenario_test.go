@@ -12,6 +12,7 @@ package netsim_test
 import (
 	"testing"
 
+	"tipsy/internal/bgp"
 	"tipsy/internal/core"
 	"tipsy/internal/features"
 	"tipsy/internal/monitor"
@@ -113,7 +114,7 @@ func TestWithdrawalQualityScenario(t *testing.T) {
 	byLink := map[wan.LinkID][]*traffic.FlowSpec{}
 	for i := range e.w.Flows {
 		f := &e.w.Flows[i]
-		shares := e.sim.ResolveFlow(f, 4*24)
+		shares := e.sim.Truth(f, 4*24, nil).Shares
 		if len(shares) == 0 {
 			continue
 		}
@@ -157,6 +158,11 @@ func TestWithdrawalQualityScenario(t *testing.T) {
 	// prefix from the model's top predicted links — the §5 incident
 	// shape. The stale model keeps predicting the withdrawn links.
 	e.mon.NoteWithdrawal(5 * 24)
+	type withdrawal struct {
+		link   wan.LinkID
+		prefix bgp.Prefix
+	}
+	var withdrawn []withdrawal
 	for _, f := range victims {
 		prefix := e.sim.FlowPrefix(f)
 		preds := e.model.Predict(core.Query{Flow: e.flowFeatures(f), K: 3})
@@ -165,6 +171,7 @@ func TestWithdrawalQualityScenario(t *testing.T) {
 				break // leave the flow a path so traffic still ingresses
 			}
 			e.sim.Withdraw(p.Link, prefix)
+			withdrawn = append(withdrawn, withdrawal{p.Link, prefix})
 		}
 	}
 	e.predictVictims(5*24, victims)
@@ -191,8 +198,8 @@ func TestWithdrawalQualityScenario(t *testing.T) {
 
 	// Recovery: re-announce everything, retrain on the full history
 	// (the daemon's response to the alarm), grade another day.
-	for _, wd := range e.sim.Withdrawals() {
-		e.sim.Announce(wd.Link, wd.Prefix)
+	for _, wd := range withdrawn {
+		e.sim.Announce(wd.link, wd.prefix)
 	}
 	e.retrain()
 	e.mon.FreezeBaseline(6 * 24) // disarms the withdrawal watch

@@ -18,8 +18,8 @@ const maxWalkDepth = 10
 // set as a fixed array. Resolution runs millions of times per
 // simulated run, and with the scratch reused a steady-state resolve
 // performs no heap allocation at all. A resolver is not safe for
-// concurrent use; ResolveFlow and each of Run's workers draw one from
-// a pool.
+// concurrent use; Truth and each of Run's workers draw one from a
+// pool.
 type resolver struct {
 	s        *Sim
 	frames   [maxWalkDepth + 2]walkFrame
@@ -27,6 +27,8 @@ type resolver struct {
 	excluded []wan.LinkID
 	bad      []wan.LinkID
 	conc     []LinkShare
+	// decided is how the last walk's source AS chose its exits.
+	decided Decided
 	// memo, when set, is the flow's one-day memo that resolve reads
 	// and fills; nil walks every resolution afresh.
 	memo *flowMemo
@@ -61,30 +63,63 @@ type walkFrame struct {
 	shares   []LinkShare // ecmp result
 }
 
-// ResolveFlow computes where the flow's bytes ingress the WAN at hour
-// h under the current announcement and outage state, as a set of
-// links with fractional byte shares summing to 1 (or an empty slice
-// if the flow has no route, e.g. every reachable link lost the
-// prefix). The returned slice is freshly allocated and owned by the
-// caller.
+// Decided names the mechanism that chose a flow's ingress in its
+// source AS. The zero value means the flow has no route.
+type Decided uint8
+
+const (
+	// HotPotato: the source AS used its single cheapest direct exit.
+	HotPotato Decided = iota + 1
+	// ECMP: two or more near-tie direct exits share the flow.
+	ECMP
+	// Policy: the source AS handed the flow to transit, lacking a
+	// usable direct exit or by its local-exit rule.
+	Policy
+)
+
+// Truth is where a flow's bytes ingress the WAN at one hour, and why.
+type Truth struct {
+	// Shares are the ingress links with fractional byte shares summing
+	// to 1, empty if the flow has no route (e.g. every reachable link
+	// lost the prefix).
+	Shares []LinkShare
+	// Excluded is the sorted set of links the walk routed around:
+	// those down, withdrawn or excluded when the flow reached them.
+	Excluded []wan.LinkID
+	// Decided is how the source AS chose among its exits.
+	Decided Decided
+}
+
+// Truth computes where the flow's bytes ingress the WAN at hour h
+// under the current announcement and outage state, with the links in
+// exclude withdrawn from the flow's prefix as well. The returned
+// slices are freshly allocated and owned by the caller. Truth walks
+// afresh on every call, with no memo, so it is the oracle for Run's.
 //
 // Resolution follows the paper's model of reality: each AS along the
 // way makes an independent Gao-Rexford choice — direct peer routes
 // beat transit, then hot-potato geographic cost with per-(AS, prefix)
 // policy noise that re-rolls on that AS's drift schedule, with
 // near-tie candidates sharing load (ECMP / flow spraying).
-func (s *Sim) ResolveFlow(f *traffic.FlowSpec, h wan.Hour) []LinkShare {
+func (s *Sim) Truth(f *traffic.FlowSpec, h wan.Hour, exclude []wan.LinkID) Truth {
 	r := s.getResolver()
-	shares := slices.Clone(r.resolveFlow(f, h))
+	t := Truth{Shares: slices.Clone(r.resolveFlow(f, h, exclude))}
+	t.Excluded = slices.Clone(r.excluded)
+	if len(t.Shares) > 0 {
+		t.Decided = r.decided
+	}
 	s.putResolver(r)
-	return shares
+	return t
 }
 
-// resolveFlow is ResolveFlow against the resolver's scratch and memo:
-// it runs the availability-exclusion loop from the flow's steady split
-// for h's day and concentrates the surviving split. The returned slice
-// is only valid until the resolver's next call.
-func (r *resolver) resolveFlow(f *traffic.FlowSpec, h wan.Hour) []LinkShare {
+// resolveFlow is Truth's shares against the resolver's scratch and
+// memo: it runs the availability-exclusion loop from the flow's steady
+// split for h's day and concentrates the surviving split. A link in
+// exclude fails the availability test as a withdrawn one does, so
+// excluding a link and withdrawing the flow's prefix from it resolve
+// alike. The returned slice is only valid until the resolver's next
+// call.
+func (r *resolver) resolveFlow(f *traffic.FlowSpec, h wan.Hour, exclude []wan.LinkID) []LinkShare {
 	s := r.s
 	prefix := s.dstPrefix[f.ID]
 	day := int32(h.Day())
@@ -93,7 +128,7 @@ func (r *resolver) resolveFlow(f *traffic.FlowSpec, h wan.Hour) []LinkShare {
 	for iter := 0; iter < 16; iter++ {
 		r.bad = r.bad[:0]
 		for _, sh := range shares {
-			if !s.Available(sh.Link, prefix, h) {
+			if !s.Available(sh.Link, prefix, h) || containsLink(exclude, sh.Link) {
 				r.bad = append(r.bad, sh.Link)
 			}
 		}
@@ -224,17 +259,22 @@ func normalize(shares []LinkShare) {
 	}
 }
 
-// salt returns the policy-noise epoch of an AS on a given day. When
-// the epoch rolls over, every noise value the AS contributes re-rolls
-// — the "constant change" of Internet routing (§2), and the reason
-// trained models go stale (Appendix B).
-func (s *Sim) salt(asn bgp.ASN, day int32) uint64 {
+// Epoch returns the policy-noise epoch of an AS on a given day. When
+// the epoch changes, every noise value the AS contributes re-rolls —
+// the "constant change" of Internet routing (§2), and the reason
+// trained models go stale (Appendix B). The cloud's own epoch never
+// changes.
+func (s *Sim) Epoch(asn bgp.ASN, day int32) int32 {
 	per := s.driftPer[asn]
 	if per <= 0 {
 		per = 1 << 30
 	}
-	epoch := (day + s.driftOff[asn]) / per
-	return traffic.Hash(uint64(asn)<<20 ^ uint64(uint32(epoch)))
+	return (day + s.driftOff[asn]) / per
+}
+
+// salt keys an AS's drifting policy noise by its epoch on day.
+func (s *Sim) salt(asn bgp.ASN, day int32) uint64 {
+	return traffic.Hash(uint64(asn)<<20 ^ uint64(uint32(s.Epoch(asn, day))))
 }
 
 func h2u(h uint64) float64 { return float64(h%4096) / 4096 }
@@ -311,20 +351,25 @@ func (r *resolver) walk(asn bgp.ASN, m geo.MetroID, f *traffic.FlowSpec, day int
 	fr := &r.frames[depth]
 	direct := r.directCandidates(fr, asn, m, island, f, day, excluded, exclKey)
 
-	if len(direct) > 0 {
-		// Gao-Rexford: the direct (peer) route wins on local-pref —
-		// unless this AS prefers local public connectivity and its
-		// nearest own exit is a long haul away.
-		if s.localExit[asn] && direct[0].rawCost > s.cfg.LocalExitThresholdKm {
-			if t := r.bestTransitCost(fr, asn, m, island, f, day, exclKey, vlen); t >= 0 && t < direct[0].rawCost {
-				if shares := r.transit(fr, asn, m, island, f, day, excluded, exclKey, vlen, depth); len(shares) > 0 {
-					return shares
-				}
-			}
-		}
-		return r.ecmpLinks(fr, direct)
+	// Gao-Rexford: the direct (peer) route wins on local-pref —
+	// unless this AS prefers local public connectivity and its nearest
+	// own exit is a long haul away.
+	var shares []LinkShare
+	how := Policy
+	if len(direct) == 0 || s.localExit[asn] && direct[0].rawCost > s.cfg.LocalExitThresholdKm &&
+		r.transitBeats(fr, asn, m, island, f, day, exclKey, vlen, direct[0].rawCost) {
+		shares = r.transit(fr, asn, m, island, f, day, excluded, exclKey, vlen, depth)
 	}
-	return r.transit(fr, asn, m, island, f, day, excluded, exclKey, vlen, depth)
+	if len(shares) == 0 && len(direct) > 0 {
+		shares, how = r.ecmpLinks(fr, direct), HotPotato
+		if len(shares) > 1 {
+			how = ECMP
+		}
+	}
+	if depth == 0 {
+		r.decided = how
+	}
+	return shares
 }
 
 func (r *resolver) visitedHas(vlen int, asn bgp.ASN) bool {
@@ -459,21 +504,16 @@ func (r *resolver) addCand(fr *walkFrame, out []exitCand, asn bgp.ASN, m geo.Met
 	return append(out, exitCand{via: nb, viaM: im, cost: cost, rawCost: raw})
 }
 
-// bestTransitCost returns the raw geographic cost of the nearest
-// transit hand-off, or -1 if there is none.
-func (r *resolver) bestTransitCost(fr *walkFrame, asn bgp.ASN, m geo.MetroID, island []geo.MetroID,
-	f *traffic.FlowSpec, day int32, exclKey uint64, vlen int) float64 {
-	cands := r.transitCands(fr, asn, m, island, f, day, exclKey, vlen)
-	if len(cands) == 0 {
-		return -1
-	}
-	best := cands[0].rawCost
-	for _, c := range cands[1:] {
-		if c.rawCost < best {
-			best = c.rawCost
+// transitBeats reports whether some transit hand-off is
+// geographically closer than rawCost.
+func (r *resolver) transitBeats(fr *walkFrame, asn bgp.ASN, m geo.MetroID, island []geo.MetroID,
+	f *traffic.FlowSpec, day int32, exclKey uint64, vlen int, rawCost float64) bool {
+	for _, c := range r.transitCands(fr, asn, m, island, f, day, exclKey, vlen) {
+		if c.rawCost < rawCost {
+			return true
 		}
 	}
-	return best
+	return false
 }
 
 // transit recurses into the cheapest transit hand-offs, splitting the

@@ -183,7 +183,7 @@ func (s *Sim) runFlows(r *resolver, flows []traffic.FlowSpec, memo []flowMemo, o
 		}
 		r.memo = &memo[i]
 		start := len(out.recs)
-		for _, sh := range r.resolveFlow(f, h) {
+		for _, sh := range r.resolveFlow(f, h, nil) {
 			b := bytes * sh.Frac
 			p := packets * sh.Frac
 			out.lb = append(out.lb, LinkShare{Link: sh.Link, Frac: b})

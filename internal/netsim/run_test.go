@@ -14,7 +14,7 @@ import (
 
 // TestRunMatchesMemoFreeResolution is the oracle for Run's one-day
 // memo: with every packet sampled, each delivered record must carry
-// exactly the bytes the memo-free ResolveFlow assigns its link, and
+// exactly the bytes the memo-free Truth assigns its link, and
 // each LinkBytes must be the flow-order sum of those shares. The run
 // crosses day boundaries on which source ASes re-roll their policy
 // noise, and a withdrawal that is later taken back, under a high
@@ -34,7 +34,7 @@ func TestRunMatchesMemoFreeResolution(t *testing.T) {
 	for i := range w.Flows {
 		asn := w.Flows[i].SrcAS
 		for d := int32(from / 24); d < int32((to-1)/24); d++ {
-			rerolled = rerolled || s.salt(asn, d) != s.salt(asn, d+1)
+			rerolled = rerolled || s.Epoch(asn, d) != s.Epoch(asn, d+1)
 		}
 	}
 	if !rerolled {
@@ -69,7 +69,7 @@ func TestRunMatchesMemoFreeResolution(t *testing.T) {
 				if bytes <= 0 {
 					continue
 				}
-				shares := s.ResolveFlow(f, h)
+				shares := s.Truth(f, h, nil).Shares
 				for _, sh := range shares {
 					lb[sh.Link-1] += bytes * sh.Frac
 				}
@@ -102,9 +102,9 @@ func TestRunMatchesMemoFreeResolution(t *testing.T) {
 			switch h {
 			case withdrawAt:
 				wdFlow = &w.Flows[0]
-				wdLink = s.ResolveFlow(wdFlow, h)[0].Link
+				wdLink = s.Truth(wdFlow, h, nil).Shares[0].Link
 				s.Withdraw(wdLink, s.FlowPrefix(wdFlow))
-				if slices.ContainsFunc(s.ResolveFlow(wdFlow, h+1), func(sh LinkShare) bool { return sh.Link == wdLink }) {
+				if slices.ContainsFunc(s.Truth(wdFlow, h+1, nil).Shares, func(sh LinkShare) bool { return sh.Link == wdLink }) {
 					t.Fatalf("flow 0 still ingresses on link %d after its prefix was withdrawn there", wdLink)
 				}
 			case announceAt:
@@ -113,6 +113,58 @@ func TestRunMatchesMemoFreeResolution(t *testing.T) {
 		}})
 	if checked == 0 {
 		t.Fatal("no records checked")
+	}
+}
+
+// TestTruthExcludeIsAWithdrawal pins what Truth's exclusion set means:
+// excluding a link resolves exactly as withdrawing the flow's prefix
+// there does, failover scramble included. Seeding the walk's excluded
+// set with it instead keys the scramble by a different set and
+// disagrees on some flow-hours at this outage rate. Every link the
+// walk routed around must be unavailable.
+func TestTruthExcludeIsAWithdrawal(t *testing.T) {
+	metros := geo.World()
+	compared := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		g := topology.Generate(topology.TestGenConfig(seed), metros)
+		w := traffic.Generate(traffic.TestConfig(seed), g, metros)
+		cfg := DefaultConfig(seed)
+		cfg.SamplingInterval = 1
+		cfg.OutagesPerLinkYear = 300
+		s := New(cfg, g, metros, w)
+		for _, h := range []wan.Hour{0, 100, 300} {
+			for i := range w.Flows {
+				f := &w.Flows[i]
+				prefix := s.FlowPrefix(f)
+				steady := s.Truth(f, h, nil)
+				if !slices.IsSorted(steady.Excluded) {
+					t.Fatalf("seed %d hour %d flow %d: excluded links %v not sorted", seed, h, i, steady.Excluded)
+				}
+				for _, l := range steady.Excluded {
+					if s.Available(l, prefix, h) {
+						t.Fatalf("seed %d hour %d flow %d: routed around available link %d", seed, h, i, l)
+					}
+				}
+				if len(steady.Shares) == 0 {
+					continue
+				}
+				top := steady.Shares[0].Link
+				got := s.Truth(f, h, []wan.LinkID{top})
+				if !slices.Contains(got.Excluded, top) {
+					t.Fatalf("seed %d hour %d flow %d: excluding link %d, the walk routed around %v", seed, h, i, top, got.Excluded)
+				}
+				s.Withdraw(top, prefix)
+				want := s.Truth(f, h, nil)
+				s.Announce(top, prefix)
+				if !slices.Equal(got.Shares, want.Shares) || !slices.Equal(got.Excluded, want.Excluded) || got.Decided != want.Decided {
+					t.Fatalf("seed %d hour %d flow %d: excluding link %d gives %+v, withdrawing it %+v", seed, h, i, top, got, want)
+				}
+				compared++
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no flow resolved")
 	}
 }
 

@@ -13,7 +13,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -50,7 +49,9 @@ type Config struct {
 	// handing it to transit.
 	LocalExitThresholdKm float64
 	// DriftMinDays/DriftMaxDays bound each AS's policy re-roll
-	// period; shorter periods mean faster model staleness.
+	// period, drawn from [DriftMinDays, DriftMaxDays): the maximum is
+	// exclusive, so 5–20 days by default. Shorter periods mean faster
+	// model staleness.
 	DriftMinDays, DriftMaxDays int
 	// GeoErrRate is the Geo-IP database error rate.
 	GeoErrRate float64
@@ -113,7 +114,7 @@ type Sim struct {
 	// common no-withdrawals state.
 	anyWithdrawn atomic.Bool
 
-	// resolvers pools resolution scratch for ResolveFlow and Run's
+	// resolvers pools resolution scratch for Truth and Run's
 	// workers. runMu serializes Run calls, which own each flow's
 	// one-day memo (indexed by flow ID) and each chunk's output (two
 	// sets of chunks, so one hour is delivered while the next runs).
@@ -325,33 +326,6 @@ func (s *Sim) IsWithdrawn(link wan.LinkID, prefix bgp.Prefix) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.withdrawn[wdKey{link, prefix}]
-}
-
-// Withdrawals returns the current withdrawal set as (link, prefix)
-// pairs in deterministic order.
-func (s *Sim) Withdrawals() []struct {
-	Link   wan.LinkID
-	Prefix bgp.Prefix
-} {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]struct {
-		Link   wan.LinkID
-		Prefix bgp.Prefix
-	}, 0, len(s.withdrawn))
-	for k := range s.withdrawn {
-		out = append(out, struct {
-			Link   wan.LinkID
-			Prefix bgp.Prefix
-		}{k.link, k.prefix})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Link != out[j].Link {
-			return out[i].Link < out[j].Link
-		}
-		return out[i].Prefix.Addr < out[j].Prefix.Addr
-	})
-	return out
 }
 
 // Available reports whether prefix is reachable over link at hour h:
