@@ -179,7 +179,7 @@ type server struct {
 	// bundleMu serializes bundle writes; bundleSeq makes names unique
 	// even under a frozen fake clock.
 	bundleMu sync.Mutex
-	//tipsy:guardedby bundleMu
+	// guarded by bundleMu
 	bundleSeq uint64
 
 	// gen is the serving model generation. Retraining and checkpoint
@@ -193,11 +193,11 @@ type server struct {
 	// each cycle's start hour, so the trainDays cutoff always falls on
 	// a row day's edge. It trains the same models as the hourly
 	// records it sums.
-	//tipsy:guardedby mu
+	// guarded by mu
 	records []features.Record
 	// days counts, per day in the window and in order, the hourly
 	// records its rows sum.
-	//tipsy:guardedby mu
+	// guarded by mu
 	days []windowDay
 	// simulated is the wan.Hour the simulation has reached. Only the
 	// goroutine that runs cycles writes it (and checkpoint recovery,

@@ -1,8 +1,8 @@
 // Command tipsylint is the repository's static-analysis gate. It
 // walks the given packages and enforces the project conventions that
-// go vet cannot: seeded-simulation determinism, mutex hygiene,
-// wire-encoder error handling, goroutine lifecycle discipline, and
-// registry-backed metrics and structured-logging hygiene.
+// go vet cannot: seeded-simulation determinism, wire-encoder error
+// handling, goroutine lifecycle discipline, and registry-backed
+// metrics and structured-logging hygiene.
 //
 // Usage:
 //
@@ -15,8 +15,8 @@
 //
 // It takes no flags and runs every rule. Exit status is 0 when clean,
 // 1 when findings were reported, and 2 on usage, load, or typecheck
-// errors. A finding is fixed in the source; the one escape hatch is a
-// reasoned //tipsy:nolock on a deliberately lock-free field.
+// errors. A finding is fixed in the source: there is no suppression
+// comment.
 package main
 
 import (

@@ -44,11 +44,11 @@ func TestRepoIsLintClean(t *testing.T) {
 // (which is reserved for infrastructure failures).
 func TestFindingsExitOne(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"../../internal/lint/testdata/locks/bad/..."}, &out, &errOut)
+	code := run([]string{"../../internal/lint/testdata/goroutine/bad"}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\n%s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "[locks]") {
+	if !strings.Contains(out.String(), "[goroutine]") {
 		t.Errorf("findings missing from stdout:\n%s", out.String())
 	}
 }

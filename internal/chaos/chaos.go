@@ -90,21 +90,21 @@ type held struct {
 // use, but delivery order is only deterministic when Send is called
 // from a single goroutine.
 type Link struct {
-	//tipsy:nolock set in NewLink and never written afterwards
+	// lock-free: set in NewLink and never written afterwards
 	cfg Config
-	//tipsy:nolock set in NewLink and never written afterwards
+	// lock-free: set in NewLink and never written afterwards
 	deliver func([]byte)
 
 	mu sync.Mutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	rng *rand.Rand
-	//tipsy:guardedby mu
+	// guarded by mu
 	slot uint64 // messages offered so far
-	//tipsy:guardedby mu
+	// guarded by mu
 	seq uint64 // admission counter for stable hold ordering
-	//tipsy:guardedby mu
+	// guarded by mu
 	held []held
-	//tipsy:guardedby mu
+	// guarded by mu
 	stats Stats
 }
 

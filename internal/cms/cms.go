@@ -102,26 +102,26 @@ type Event struct {
 // CMS is the mitigation engine. Feed it flow records during each hour
 // (it is a netsim.RecordSink) and call Step at hour end.
 type CMS struct {
-	//tipsy:nolock set in New and read-only afterwards
+	// lock-free: set in New and read-only afterwards
 	cfg Config
-	//tipsy:nolock set in New and read-only afterwards
+	// lock-free: set in New and read-only afterwards
 	net Network
-	//tipsy:nolock set in New and read-only afterwards
+	// lock-free: set in New and read-only afterwards
 	tipsy core.Predictor
-	//tipsy:nolock set in New and read-only afterwards
+	// lock-free: set in New and read-only afterwards
 	geoip *geo.GeoIP
-	//tipsy:nolock set in New and read-only afterwards
+	// lock-free: set in New and read-only afterwards
 	meta func(uint32) (wan.Region, wan.ServiceType, bool)
 
 	mu sync.Mutex
 	// traffic[link][prefixIdx][flow] = bytes in the current hour
-	//tipsy:guardedby mu
+	// guarded by mu
 	traffic map[wan.LinkID]map[int]map[features.FlowFeatures]float64
-	//tipsy:guardedby mu
+	// guarded by mu
 	active []*Withdrawal
-	//tipsy:guardedby mu
+	// guarded by mu
 	events []Event
-	//tipsy:guardedby mu
+	// guarded by mu
 	hot map[wan.LinkID]int // consecutive hot hours
 }
 

@@ -186,10 +186,8 @@ func TestGeoIPOneLocationPerPrefix(t *testing.T) {
 }
 
 // TestGeoIPConcurrentRegisterLookup exercises the entries map from
-// concurrent writers and readers, including a rebuild via
-// NewGeoIPFromEntries (whose copy loop once wrote the map without the
-// lock): the locks lint pins the discipline statically, this pins
-// it under the race detector.
+// concurrent writers and readers under the race detector, then
+// rebuilds it via NewGeoIPFromEntries.
 func TestGeoIPConcurrentRegisterLookup(t *testing.T) {
 	db := World()
 	g := NewGeoIP(db, 0, 1)

@@ -12,17 +12,17 @@ import (
 // model database imprecision (cf. Poese et al., "IP geolocation
 // databases: unreliable?").
 type GeoIP struct {
-	//tipsy:nolock set in the constructor and never written afterwards
+	// lock-free: set in the constructor and never written afterwards
 	db *DB
-	//tipsy:nolock set in the constructor and never written afterwards
+	// lock-free: set in the constructor and never written afterwards
 	errRate float64
 
 	mu sync.RWMutex
 	// rng is only assigned in the constructor, but every draw
 	// advances its state.
-	//tipsy:guardedby mu
+	// guarded by mu
 	rng *rand.Rand
-	//tipsy:guardedby mu
+	// guarded by mu
 	entries map[uint32]MetroID // /24 base address -> reported metro
 }
 

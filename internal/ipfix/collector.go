@@ -102,22 +102,22 @@ func newCollectorMetrics(reg *obsv.Registry) collectorMetrics {
 // reordered messages are distinguished from genuine loss.
 type Collector struct {
 	mu sync.Mutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	domains map[uint32]*domainState
-	//tipsy:nolock set in NewCollector; the registry's counters synchronize themselves
+	// lock-free: set in NewCollector; the registry's counters synchronize themselves
 	m collectorMetrics
 	// batch accumulates the flow records of the message being handled
 	// (direct and replayed), reused across messages under mu. Handing
 	// the whole slice to a batch consumer amortizes downstream lock
 	// traffic over the ~64 records a message carries.
-	//tipsy:guardedby mu
+	// guarded by mu
 	batch []FlowRecord
 	// tracer + traceCtx attach incident marks (quarantine, template
 	// buffering) to the ingest trace. Nil tracer / zero context — the
 	// default — emits nothing.
-	//tipsy:nolock set via SetTrace before ingest begins, constant after
+	// lock-free: set via SetTrace before ingest begins, constant after
 	tracer *obsv.Tracer
-	//tipsy:nolock set via SetTrace before ingest begins, constant after
+	// lock-free: set via SetTrace before ingest begins, constant after
 	traceCtx obsv.SpanContext
 }
 

@@ -22,25 +22,25 @@ const templateResendEvery = 32
 //
 // An Exporter is safe for concurrent use.
 type Exporter struct {
-	//tipsy:nolock set in NewExporter and never written afterwards
+	// lock-free: set in NewExporter and never written afterwards
 	domain uint32
-	//tipsy:nolock set in NewExporter and never written afterwards
+	// lock-free: set in NewExporter and never written afterwards
 	template Template
 
 	mu sync.Mutex
 	// w is only assigned in NewExporter, but mu keeps one message's
 	// bytes from interleaving with another's.
-	//tipsy:guardedby mu
+	// guarded by mu
 	w io.Writer
-	//tipsy:guardedby mu
+	// guarded by mu
 	seq uint32
-	//tipsy:guardedby mu
+	// guarded by mu
 	msgsSinceStart int
-	//tipsy:guardedby mu
+	// guarded by mu
 	pending [][]byte
-	//tipsy:guardedby mu
+	// guarded by mu
 	pendLen int
-	//tipsy:guardedby mu
+	// guarded by mu
 	tmplLen int // wire size of the template set, for budgeting
 }
 

@@ -10,7 +10,7 @@ import (
 // crypto/rand, or the process identity. Same-seed replay tests run in
 // one process, so a pid-derived seed passes every one of them; only
 // this rule catches it.
-func checkDeterminism(_ *Program, scope []*Package, report ReportFunc) {
+func checkDeterminism(scope []*Package, report ReportFunc) {
 	// rand.New/NewSource/NewZipf take or build explicit sources and
 	// are the sanctioned construction path; everything else exported
 	// from math/rand is the shared global generator.

@@ -10,7 +10,7 @@ import (
 // flags a body with no cancellation or completion path at all — no
 // context, no channel, no WaitGroup — which a long-running daemon can
 // neither stop nor await.
-func checkGoroutine(_ *Program, scope []*Package, report ReportFunc) {
+func checkGoroutine(scope []*Package, report ReportFunc) {
 	for _, p := range scope {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {

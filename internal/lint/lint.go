@@ -1,7 +1,7 @@
 // Package lint is tipsylint's analysis engine: a stdlib-only static
-// checker enforcing the repository's determinism, lock-hygiene,
-// wire-encoder, goroutine, metrics, and logging conventions. See
-// README.md in this directory for the rule catalogue.
+// checker enforcing the repository's determinism, wire-encoder,
+// goroutine, metrics, and logging conventions. See README.md in this
+// directory for the rule catalogue.
 package lint
 
 import (
@@ -25,10 +25,9 @@ func (d Diagnostic) String() string {
 
 // Rule is one analyzer family. Check runs once over the loaded
 // packages: scope holds the packages the rule's Dirs admit (all of
-// them when Dirs is nil or TestsEverywhere is set), and prog gives the
-// whole-module view with the call graph. Run filters findings by the
-// package owning them and by test-file policy, so a Check may
-// over-report.
+// them when Dirs is nil or TestsEverywhere is set). Run filters
+// findings by the package owning them and by test-file policy, so a
+// Check may over-report.
 type Rule struct {
 	Name string
 	Doc  string
@@ -41,41 +40,7 @@ type Rule struct {
 	// files of every package: test runs must obey the same discipline
 	// as the code they pin down.
 	TestsEverywhere bool
-	Check           func(prog *Program, scope []*Package, report ReportFunc)
-}
-
-// Program is the whole-module view handed to every rule: each loaded
-// package and the intra-module call graph. All packages must come
-// from one Load call (they share its FileSet). A Program is built per
-// Run call and is not written to after construction.
-type Program struct {
-	Pkgs   []*Package
-	Fset   *token.FileSet
-	Graph  *CallGraph
-	byFile map[string]*Package
-}
-
-// NewProgram indexes pkgs and builds their call graph.
-func NewProgram(pkgs []*Package) *Program {
-	prog := &Program{
-		Pkgs:   pkgs,
-		Graph:  buildCallGraph(pkgs),
-		byFile: map[string]*Package{},
-	}
-	if len(pkgs) > 0 {
-		prog.Fset = pkgs[0].Fset
-	}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			prog.byFile[p.Fset.Position(f.Pos()).Filename] = p
-		}
-	}
-	return prog
-}
-
-// pkgOf returns the package owning the file at pos.
-func (prog *Program) pkgOf(pos token.Position) *Package {
-	return prog.byFile[pos.Filename]
+	Check           func(scope []*Package, report ReportFunc)
 }
 
 // ReportFunc records a finding at pos.
@@ -98,12 +63,6 @@ func Rules() []Rule {
 			Dirs:            simDirs,
 			TestsEverywhere: true,
 			Check:           checkDeterminism,
-		},
-		{
-			Name:      "locks",
-			Doc:       "run a must-hold lock dataflow over each function's CFG and flag locks held at a return, lock-order cycles, self-deadlocks, and accesses to a field without its guarding mutex (a //tipsy:guardedby pin or a 3/4 majority of locked accesses), writes under RLock, and escaping-closure accesses",
-			SkipTests: true,
-			Check:     checkLocks,
 		},
 		{
 			Name:  "wire",
@@ -150,14 +109,20 @@ func (r Rule) appliesTo(p *Package) bool {
 	return false
 }
 
-// Run builds the Program once, applies every rule to it, and returns
-// the findings that fall in the rule's scope and test-file policy,
-// sorted by position.
+// Run applies every rule to pkgs, which must come from one Load call
+// (they share its FileSet), and returns the findings that fall in the
+// rule's scope and test-file policy, sorted by position.
 func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 	if len(pkgs) == 0 {
 		return nil
 	}
-	prog := NewProgram(pkgs)
+	fset := pkgs[0].Fset
+	owners := map[string]*Package{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			owners[fset.Position(f.Pos()).Filename] = p
+		}
+	}
 	var diags []Diagnostic
 	for _, r := range rules {
 		var scope []*Package
@@ -166,9 +131,9 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 				scope = append(scope, p)
 			}
 		}
-		r.Check(prog, scope, func(pos token.Pos, format string, args ...any) {
-			position := prog.Fset.Position(pos)
-			owner := prog.pkgOf(position)
+		r.Check(scope, func(pos token.Pos, format string, args ...any) {
+			position := fset.Position(pos)
+			owner := owners[position.Filename]
 			if owner == nil {
 				return
 			}

@@ -47,9 +47,9 @@ var fixtures = sync.OnceValues(func() ([]*Package, error) {
 	return Load("testdata", "./...")
 })
 
-// runOnDir runs rules over the fixture packages in and below dir, an
-// absolute path under testdata.
-func runOnDir(t *testing.T, dir string, rules ...Rule) []Diagnostic {
+// runOnDir runs r over the fixture package in dir, an absolute path
+// under testdata.
+func runOnDir(t *testing.T, dir string, r Rule) []Diagnostic {
 	t.Helper()
 	all, err := fixtures()
 	if err != nil {
@@ -66,19 +66,19 @@ func runOnDir(t *testing.T, dir string, rules ...Rule) []Diagnostic {
 	rel = filepath.ToSlash(rel)
 	var pkgs []*Package
 	for _, p := range all {
-		if p.Rel == rel || strings.HasPrefix(p.Rel, rel+"/") {
+		if p.Rel == rel {
 			pkgs = append(pkgs, p)
 		}
 	}
 	if len(pkgs) == 0 {
-		t.Fatalf("no fixture package in or below %s", rel)
+		t.Fatalf("no fixture package in %s", rel)
 	}
 	for _, p := range pkgs {
 		for _, e := range p.TypeErrs {
 			t.Errorf("fixture %s does not type-check: %v", dir, e)
 		}
 	}
-	return Run(pkgs, rules)
+	return Run(pkgs, []Rule{r})
 }
 
 // format prints diags one a line, with file names relative to dir.
@@ -98,8 +98,7 @@ func format(dir string, diags []Diagnostic) string {
 // TestGoldenFixtures proves every rule family fires on its violating
 // fixture packages with exactly the expected diagnostics, and stays
 // silent on the clean ones. A fixture is the package in
-// testdata/<rule>/{bad,clean} or, where one package cannot hold every
-// case, the packages below it.
+// testdata/<rule>/{bad,clean}.
 func TestGoldenFixtures(t *testing.T) {
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {
@@ -135,43 +134,6 @@ func TestGoldenFixtures(t *testing.T) {
 			}
 		})
 	}
-
-	// The guard and order packages under testdata/locks were once the
-	// fixtures of their own guardedby and deadlock rules. Run locks on
-	// each alone, so its share of locks/bad/want.txt must come from
-	// that package and not from the others merged beside it.
-	locks := descope(ruleByName(t, "locks"))
-	badRoot := filepath.Join(testdata, "locks", "bad")
-	golden, err := os.ReadFile(filepath.Join(badRoot, "want.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []struct{ name, pkg string }{
-		{"guardedby", "guard"},
-		{"deadlock", "order"},
-	} {
-		t.Run(f.name+"/bad", func(t *testing.T) {
-			var want strings.Builder
-			for _, line := range strings.SplitAfter(string(golden), "\n") {
-				if strings.HasPrefix(line, f.pkg+"/") {
-					want.WriteString(line)
-				}
-			}
-			if want.Len() == 0 {
-				t.Fatalf("locks/bad/want.txt has no lines for %s/", f.pkg)
-			}
-			got := format(badRoot, runOnDir(t, filepath.Join(badRoot, f.pkg), locks))
-			if got != want.String() {
-				t.Errorf("diagnostics mismatch (-want +got):\n--- want\n%s--- got\n%s", want.String(), got)
-			}
-		})
-		t.Run(f.name+"/clean", func(t *testing.T) {
-			dir := filepath.Join(testdata, "locks", "clean", f.pkg)
-			if got := format(dir, runOnDir(t, dir, locks)); got != "" {
-				t.Errorf("locks fired on the clean fixture:\n%s", got)
-			}
-		})
-	}
 }
 
 // TestDeliberateViolations introduces one fresh violation per rule
@@ -199,23 +161,6 @@ func f() *rand.Rand { return rand.New(rand.NewSource(int64(os.Getpid()))) }
 import "crypto/rand"
 func f() []byte { b := make([]byte, 8); rand.Read(b); return b }
 `, "crypto/rand.Read differs on every run"},
-		{"locks", `package p
-import "sync"
-var mu sync.Mutex
-func f(ok bool) int {
-	mu.Lock()
-	if ok {
-		return 1
-	}
-	mu.Unlock()
-	return 0
-}
-`, "mu.Lock() can reach the return at line 7 still held"},
-		{"locks", `package p
-import "sync"
-type T struct{ mu sync.Mutex; n int }
-func (t *T) Seal() { t.mu.Lock(); t.n = -1 }
-`, "t.mu.Lock() can reach the end of the function still held"},
 		{"wire", `package p
 import ("encoding/binary"; "io")
 func f(w io.Writer) { binary.Write(w, binary.BigEndian, uint64(1)) }
@@ -231,85 +176,12 @@ func (c *collector) inc() { c.recordCount++ }
 import "log"
 func f() { log.Printf("hello") }
 `, "legacy log.Printf"},
-		{"locks", `package p
-import "sync"
-type T struct{ mu sync.Mutex; n int }
-func (t *T) Get() int { t.mu.Lock(); defer t.mu.Unlock(); return t.n }
-func (t *T) Bump() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.n = t.Get() + 1
-}
-`, "not reentrant"},
-		{"locks", `package p
-import "sync"
-type A struct{ mu sync.Mutex }
-type B struct{ mu sync.Mutex }
-func f(a *A, b *B) { a.mu.Lock(); b.mu.Lock(); b.mu.Unlock(); a.mu.Unlock() }
-func g(a *A, b *B) { b.mu.Lock(); a.mu.Lock(); a.mu.Unlock(); b.mu.Unlock() }
-`, "lock order cycle: p.f holds p.A.mu while acquiring p.B.mu"},
-		{"locks", `package p
-import "sync"
-type T struct{ mu sync.Mutex; n int }
-func (t *T) Inc() { t.mu.Lock(); t.n++; t.mu.Unlock() }
-func (t *T) Dec() { t.mu.Lock(); t.n--; t.mu.Unlock() }
-func (t *T) Get() int { t.mu.Lock(); defer t.mu.Unlock(); return t.n }
-func (t *T) Peek() int { return t.n }
-`, "unguarded read of p.T.n"},
-		{"locks", `package p
-import "sync"
-type T struct {
-	mu sync.RWMutex
-	//tipsy:guardedby mu
-	m map[string]int
-}
-func (t *T) Put(k string, v int) { t.mu.RLock(); t.m[k] = v; t.mu.RUnlock() }
-`, "under mu.RLock()"},
-		{"locks", `package p
-import "sync"
-type T struct {
-	mu sync.Mutex
-	//tipsy:guardedby mu
-	n int
-}
-func (t *T) Go() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	go func() { t.n++ }()
-}
-`, "escaping closure"},
-		// Comments that once silenced a finding are plain comments:
-		// a suppression above a determinism violation, and a
-		// function-wide lock opt-out above an unguarded read.
+		// A comment that once silenced a finding is a plain comment.
 		{"determinism", `package p
 import "time"
 //lint:ignore determinism the wall clock is wanted here
 func f() int64 { return time.Now().Unix() }
 `, "time.Now in seeded code"},
-		{"locks", `package p
-import "sync"
-type T struct {
-	mu sync.Mutex
-	//tipsy:guardedby mu
-	n int
-}
-func (t *T) Inc() { t.mu.Lock(); defer t.mu.Unlock(); t.n++ }
-
-//tipsy:guardedby-skip every instance is locked in the first loop
-func Sum(ts []*T) int {
-	for _, t := range ts {
-		t.mu.Lock()
-	}
-	total := 0
-	for _, t := range ts {
-		total += t.n
-	}
-	for _, t := range ts {
-		t.mu.Unlock()
-	}
-	return total
-}
-`, "unguarded read of p.T.n"},
 	}
 	for i, tc := range cases {
 		p, err := LoadSource(fmt.Sprintf("deliberate%d.go", i), tc.src)

@@ -27,15 +27,8 @@ type Package struct {
 	Rel      string // module-relative slash path, e.g. "internal/netsim"
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Types    *types.Package
 	Info     *types.Info
 	TypeErrs []error // non-fatal type-checker complaints
-}
-
-// IsTestFile reports whether the file containing pos is a _test.go
-// file.
-func (p *Package) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // listed is the part of a package's `go list -json` record that Load
@@ -155,20 +148,18 @@ func LoadSource(filename, src string) (*Package, error) {
 }
 
 // check type-checks files as the package at import path path and
-// module-relative path rel. The call graph is keyed on Pkg().Path(),
-// so a package and its in-package tests share the import path; an
-// external test package imports the package under test and cannot, so
-// it gets path + "_test".
+// module-relative path rel. A package and its in-package tests share
+// the import path; an external test package imports the package under
+// test, so it gets path + "_test", as the go command names it.
 func check(fset *token.FileSet, imp types.Importer, files []*ast.File, path, rel string) *Package {
 	p := &Package{
 		Name: files[0].Name.Name,
 		Rel:  rel,
 		Fset: fset,
 		Info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		},
 	}
 	if strings.HasSuffix(p.Name, "_test") {
@@ -178,9 +169,9 @@ func check(fset *token.FileSet, imp types.Importer, files []*ast.File, path, rel
 		Importer: imp,
 		Error:    func(err error) { p.TypeErrs = append(p.TypeErrs, err) },
 	}
-	// The returned package is usable even when checking reported
+	// Checking records what it can in p.Info even when it reports
 	// errors; rules degrade gracefully on missing type info.
-	p.Types, _ = conf.Check(path, fset, files, p.Info)
+	conf.Check(path, fset, files, p.Info)
 	p.Files = files
 	return p
 }

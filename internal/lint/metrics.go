@@ -17,7 +17,7 @@ import (
 // end in Stats, Snapshot, or Counters are the read-side copies
 // returned to callers (CollectorStats, fallbackCounters, ...) and may
 // keep plain integers.
-func checkMetrics(_ *Program, scope []*Package, report ReportFunc) {
+func checkMetrics(scope []*Package, report ReportFunc) {
 	counterWords := map[string]bool{
 		"dropped": true, "lost": true, "quarantined": true,
 		"reordered": true, "resyncs": true, "monitored": true,

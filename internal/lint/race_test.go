@@ -7,10 +7,9 @@ import (
 
 // TestConcurrentFullTierIsDeterministic loads the whole module and
 // then executes the complete rule set twice concurrently over the
-// shared package slice (under the race detector in scripts/check.sh). The two outputs must be
-// byte-identical: every ordering decision in the analyzers (call
-// graph traversal, lock-set iteration, finding emission) is required
-// to be deterministic, and no rule may mutate shared package state.
+// shared package slice (under the race detector in scripts/check.sh).
+// The two outputs must be byte-identical: findings are emitted in a
+// deterministic order, and no rule may mutate shared package state.
 func TestConcurrentFullTierIsDeterministic(t *testing.T) {
 	pkgs, err := module()
 	if err != nil {

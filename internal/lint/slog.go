@@ -15,7 +15,7 @@ import (
 // selectors resolving to the imported packages are findings. fmt's
 // Sprintf/Errorf/Fprintf families stay legal — only the stdout
 // printers side-step the logger.
-func checkSlog(_ *Program, scope []*Package, report ReportFunc) {
+func checkSlog(scope []*Package, report ReportFunc) {
 	for _, p := range scope {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {

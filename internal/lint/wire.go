@@ -9,7 +9,7 @@ import (
 // binary.Write/binary.Read or an io.Writer means a short or failed
 // write silently corrupts the byte stream — for IPFIX that is a
 // malformed message the collector may not even detect.
-func checkWire(_ *Program, scope []*Package, report ReportFunc) {
+func checkWire(scope []*Package, report ReportFunc) {
 	for _, p := range scope {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {

@@ -144,48 +144,48 @@ var alarmNames = []string{
 // Monitor is the online quality evaluator. Safe for concurrent use;
 // all state advances deterministically with the simulated clock.
 type Monitor struct {
-	//tipsy:nolock set in New and read-only afterwards; AdvanceTo
+	// lock-free: set in New and read-only afterwards; AdvanceTo
 	// reads cfg.OnAlarm outside mu by design so the hook can lock
 	// the monitor back
 	cfg Config
 
 	mu sync.Mutex
-	//tipsy:nolock set in New; the registry's metrics synchronize themselves
+	// lock-free: set in New; the registry's metrics synchronize themselves
 	met metrics
-	//tipsy:guardedby mu
+	// guarded by mu
 	head wan.Hour // next hour to close; all hours below are final
 
-	//tipsy:guardedby mu
+	// guarded by mu
 	pending map[features.FlowFeatures]pending
 	// links is one (hour, flow) group's bytes per link, cleared for
 	// each group a closing hour joins.
-	//tipsy:guardedby mu
+	// guarded by mu
 	links map[wan.LinkID]float64
-	//tipsy:guardedby mu
+	// guarded by mu
 	ring []bucket
 
-	//tipsy:guardedby mu
+	// guarded by mu
 	baseline totals
-	//tipsy:guardedby mu
+	// guarded by mu
 	baselineAt wan.Hour
-	//tipsy:guardedby mu
+	// guarded by mu
 	hasBaseline bool
-	//tipsy:guardedby mu
+	// guarded by mu
 	lastJoin wan.Hour // last hour that joined any group
-	//tipsy:guardedby mu
+	// guarded by mu
 	sawActivity bool // a prediction was ever recorded
-	//tipsy:guardedby mu
+	// guarded by mu
 	withdrawalAt wan.Hour // -1 when the post-withdrawal watch is disarmed
-	//tipsy:guardedby mu
+	// guarded by mu
 	post cell // joined quality since withdrawalAt
 
-	//tipsy:guardedby mu
+	// guarded by mu
 	alarmList []*alarm
-	//tipsy:guardedby mu
+	// guarded by mu
 	alarmByN map[string]*alarm
 	// fired queues newly-firing alarm statuses under mu; AdvanceTo
 	// drains it to cfg.OnAlarm after unlocking.
-	//tipsy:guardedby mu
+	// guarded by mu
 	fired []AlarmStatus
 }
 

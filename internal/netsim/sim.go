@@ -108,7 +108,7 @@ type Sim struct {
 	meta      map[uint32]dstMeta
 
 	mu sync.RWMutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	withdrawn map[wdKey]bool
 	// anyWithdrawn lets Available skip the read lock entirely in the
 	// common no-withdrawals state.
@@ -120,16 +120,16 @@ type Sim struct {
 	// sets of chunks, so one hour is delivered while the next runs).
 	resolvers sync.Pool
 	runMu     sync.Mutex
-	//tipsy:guardedby runMu
+	// guarded by runMu
 	memo []flowMemo
-	//tipsy:guardedby runMu
+	// guarded by runMu
 	chunks []chunkOut
 
 	// linkBytes is ground-truth per-link ingress volume for the last
 	// ledgerHours simulated hours, filled in by Run; slot h%ledgerHours
 	// holds hour h.
 	lbMu sync.Mutex
-	//tipsy:guardedby lbMu
+	// guarded by lbMu
 	linkBytes [ledgerHours]ledgerSlot
 }
 

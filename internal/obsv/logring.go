@@ -12,11 +12,11 @@ import (
 // allocate; old bytes are silently overwritten.
 type LogRing struct {
 	mu sync.Mutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	buf []byte
-	//tipsy:guardedby mu
+	// guarded by mu
 	w int // next write offset
-	//tipsy:guardedby mu
+	// guarded by mu
 	full bool
 }
 

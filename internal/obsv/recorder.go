@@ -21,9 +21,9 @@ const recShardCount = 8
 
 type recShard struct {
 	mu sync.Mutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	buf []SpanRecord
-	//tipsy:guardedby mu
+	// guarded by mu
 	n uint64 // spans ever added to this shard; n % len(buf) is the write slot
 }
 

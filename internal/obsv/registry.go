@@ -139,13 +139,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // returned pointer.
 type Registry struct {
 	mu sync.RWMutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	counters map[string]*Counter
-	//tipsy:guardedby mu
+	// guarded by mu
 	gauges map[string]*Gauge
-	//tipsy:guardedby mu
+	// guarded by mu
 	histograms map[string]*Histogram
-	//tipsy:guardedby mu
+	// guarded by mu
 	infos map[string]string
 }
 

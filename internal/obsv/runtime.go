@@ -20,7 +20,7 @@ import (
 // before writing a diagnostic bundle, so idle processes pay nothing.
 type RuntimeBridge struct {
 	mu sync.Mutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	samples []metrics.Sample
 
 	heapBytes  *Gauge
@@ -31,9 +31,9 @@ type RuntimeBridge struct {
 	gcPause    *Histogram
 	schedLat   *Histogram
 
-	//tipsy:guardedby mu
+	// guarded by mu
 	prevPause []uint64
-	//tipsy:guardedby mu
+	// guarded by mu
 	prevSched []uint64
 }
 

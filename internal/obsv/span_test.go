@@ -460,9 +460,8 @@ func TestSpanDumpGolden(t *testing.T) {
 }
 
 // TestRecorderConcurrentCapAndAdds hammers add from several
-// goroutines while polling the read-side accessors: Cap once read
-// shard 0's buffer length without its lock, and this pins the locked
-// read under the race detector.
+// goroutines while polling the read-side accessors under the race
+// detector.
 func TestRecorderConcurrentCapAndAdds(t *testing.T) {
 	r := NewRecorder(32)
 	var wg sync.WaitGroup

@@ -108,34 +108,34 @@ type Aggregator struct {
 	// a struct-keyed map would. Slots live as long as the aggregator;
 	// rows leave with the drain.
 	mu sync.Mutex
-	//tipsy:guardedby mu
+	// guarded by mu
 	index features.Index
 	// pairs maps a slot back to what it counts; pairIndex dedupes on
 	// index misses by flow and link. Entries of pairs are immutable once
 	// appended, so a slice header captured under the lock stays valid
 	// after release.
-	//tipsy:guardedby mu
+	// guarded by mu
 	pairs []pair
-	//tipsy:guardedby mu
+	// guarded by mu
 	pairIndex features.Index
-	//tipsy:guardedby mu
+	// guarded by mu
 	hours map[wan.Hour]*hourRow
 	// cur caches the last hour's row: records arrive in long same-hour
 	// runs, so the hours lookup almost always skips.
-	//tipsy:guardedby mu
+	// guarded by mu
 	cur *hourRow
 	// keys counts the aggregates pending drain — the drain's capacity
 	// hint and the pending gauge's source of truth.
-	//tipsy:guardedby mu
+	// guarded by mu
 	keys int
 
 	// tracer + traceCtx attach the aggregator's spans (aggregate_batch,
 	// drain) to the ingest cycle's trace. Set via SetTrace
 	// before ingest begins; the nil tracer / zero context default
 	// disables span emission at the cost of one nil check per batch.
-	//tipsy:nolock set via SetTrace before ingest begins, constant after
+	// lock-free: set via SetTrace before ingest begins, constant after
 	tracer *obsv.Tracer
-	//tipsy:nolock set via SetTrace before ingest begins, constant after
+	// lock-free: set via SetTrace before ingest begins, constant after
 	traceCtx obsv.SpanContext
 }
 

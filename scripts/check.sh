@@ -2,11 +2,11 @@
 # check.sh — the repository's full verify gate.
 #
 # Runs, in order: formatting, go vet, build, tipsylint (the project's
-# own static-analysis suite: determinism, one lock analysis covering
-# leaks, lock order and guarded fields, wire-encoder errors, goroutine
-# hygiene, metrics, slog; no flags; it runs right after go build, so
-# the export data it loads dependencies from is already in the build
-# cache), the test suite under the race detector with a
+# own static-analysis suite: determinism, wire-encoder errors,
+# goroutine hygiene, metrics, slog; no flags; it runs right after go
+# build, so the export data it loads dependencies from is already in
+# the build cache), the test suite under the race detector (with go
+# vet's copylocks, it holds the lock discipline) with a
 # total-coverage floor, the exact
 # allocation pins and the shortest-float kernel's random sweep once
 # without the race detector (both skip under it), the nested bench
