@@ -1,11 +1,13 @@
-// Package tipsy's top-level benchmarks regenerate every table and
-// figure of the paper on the small environment (one bench per
-// experiment, reporting its headline numbers as custom metrics),
-// measure the model cost claims of Table 3 and Table 11, benchmark
-// the protocol substrates, and run the ablation studies DESIGN.md
-// calls out. Run with:
+// Package tipsy's top-level benchmarks measure what no gated run of
+// cmd/experiments can: the model costs of Table 3 and Table 11, the
+// training cost of the rejected MLP baseline (§3.3), the daily
+// retrain's scans that bench/'s retrain_day workload times, and two
+// substrates (the ground-truth walk and the IPFIX record codec). Every
+// table, figure and ablation is an experiment of cmd/experiments,
+// whose full run scripts/check.sh diffs against results/full_seed1.txt.
+// Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 package tipsy
 
 import (
@@ -21,16 +23,12 @@ import (
 	"tipsy/internal/features"
 	"tipsy/internal/ipfix"
 	"tipsy/internal/pipeline"
-	"tipsy/internal/risk"
 	"tipsy/internal/wan"
 )
 
 var (
 	envOnce  sync.Once
 	benchEnv *eval.Env
-
-	env2Once  sync.Once
-	benchEnv2 *eval.Env
 )
 
 func env(b *testing.B) *eval.Env {
@@ -41,201 +39,8 @@ func env(b *testing.B) *eval.Env {
 	return benchEnv
 }
 
-// env2 is the Appendix D second-period environment (fresh seed),
-// shared across calibration reruns like env so the expensive Build
-// happens once per process, not once per b.N adjustment.
-func env2(b *testing.B) *eval.Env {
-	env2Once.Do(func() { benchEnv2 = eval.Build(eval.SmallEnvConfig(1001)) })
-	if benchEnv2 == nil {
-		b.Fatal("environment build failed")
-	}
-	return benchEnv2
-}
-
-// reportRows publishes a table's best non-oracle top-1/3 accuracy.
-func reportRows(b *testing.B, rows []eval.AccuracyRow) {
-	best1, best3 := 0.0, 0.0
-	for _, r := range rows {
-		if r.Oracle {
-			continue
-		}
-		if r.Top1 > best1 {
-			best1 = r.Top1
-		}
-		if r.Top3 > best3 {
-			best3 = r.Top3
-		}
-	}
-	b.ReportMetric(best1, "top1_%")
-	b.ReportMetric(best3, "top3_%")
-}
-
 // ---------------------------------------------------------------------------
-// Tables and figures (§5, appendices)
-// ---------------------------------------------------------------------------
-
-func BenchmarkTable4Overall(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var rows []eval.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table4(e)
-	}
-	reportRows(b, rows)
-}
-
-func BenchmarkTable5AllOutages(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var rows []eval.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.TableOutages(e, eval.AllOutages)
-	}
-	reportRows(b, rows)
-}
-
-func BenchmarkTable6SeenOutages(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var rows []eval.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.TableOutages(e, eval.SeenOutages)
-	}
-	reportRows(b, rows)
-}
-
-func BenchmarkTable7UnseenOutages(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var rows []eval.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.TableOutages(e, eval.UnseenOutages)
-	}
-	reportRows(b, rows)
-}
-
-func BenchmarkTable9NaiveBayesOverall(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var rows []eval.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table9(e)
-	}
-	reportRows(b, rows)
-}
-
-func BenchmarkTable10NaiveBayesOutages(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var rows []eval.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table10(e)
-	}
-	reportRows(b, rows)
-}
-
-func BenchmarkTable12AtRisk(b *testing.B) {
-	e := env(b)
-	model := e.Hist(features.SetAL)
-	b.ResetTimer()
-	var rows []risk.Row
-	for i := 0; i < b.N; i++ {
-		rows = risk.AtRisk(e.Sim, model, e.Test, risk.DefaultOptions())
-	}
-	b.ReportMetric(float64(len(rows)), "at_risk_pairs")
-}
-
-func BenchmarkTable13SecondPeriod(b *testing.B) {
-	// Appendix D: a different time period (fresh seed).
-	e2 := env2(b)
-	b.ResetTimer()
-	var rows []eval.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table4(e2)
-	}
-	reportRows(b, rows)
-}
-
-func BenchmarkFig2ByteDistanceCDF(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var pts []eval.Fig2Point
-	for i := 0; i < b.N; i++ {
-		pts = eval.Fig2(e, e.Train)
-	}
-	b.ReportMetric(pts[0].CumFrac*100, "direct_peer_%")
-}
-
-func BenchmarkFig3LinkSpread(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var rows []eval.Fig3Row
-	for i := 0; i < b.N; i++ {
-		rows = eval.Fig3(e, e.Train)
-	}
-	b.ReportMetric(float64(rows[0].P90), "hop1_p90_links")
-}
-
-func BenchmarkFig5OracleVsK(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var pts []eval.Fig5Point
-	for i := 0; i < b.N; i++ {
-		pts = eval.Fig5(e, []int{1, 3, 0})
-	}
-	b.ReportMetric(pts[1].Acc["Oracle_AP"], "oracleAP_top3_%")
-}
-
-func BenchmarkFig6FirstOutage(b *testing.B) {
-	var pts []eval.Fig6Point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts = eval.Fig6(1000, 1.6, 42, 30)
-	}
-	b.ReportMetric(pts[len(pts)-1].CumFrac*100, "links_with_outage_%")
-}
-
-func BenchmarkFig7LastOutage(b *testing.B) {
-	var pts []eval.Fig7Point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts = eval.Fig7(1000, 1.6, 42, 30)
-	}
-	b.ReportMetric(pts[1].CumFrac*100, "recent_outage_%")
-}
-
-func BenchmarkFig9TrainingWindow(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var pts []eval.Fig9Point
-	for i := 0; i < b.N; i++ {
-		pts = eval.Fig9(e, []int{2, 4}, 1, 2)
-	}
-	b.ReportMetric(pts[len(pts)-1].MeanTop3, "longest_window_top3_%")
-}
-
-func BenchmarkFig10Staleness(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var pts []eval.Fig10Point
-	for i := 0; i < b.N; i++ {
-		pts = eval.Fig10(e, 2)
-	}
-	b.ReportMetric(pts[0].Top3, "day1_top3_%")
-}
-
-func BenchmarkFig11SlidingWindows(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	var stats []eval.Fig11Stats
-	for i := 0; i < b.N; i++ {
-		stats = eval.Fig11(e, 2)
-	}
-	b.ReportMetric(stats[0].Median, "overall_median_top3_%")
-}
-
-// ---------------------------------------------------------------------------
-// Model costs (Table 3, Table 11)
+// Model costs (Table 3, Table 11, §3.3)
 // ---------------------------------------------------------------------------
 
 func benchTrainHistorical(b *testing.B, set features.Set) {
@@ -298,6 +103,26 @@ func BenchmarkTable11PredictNB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nb.Predict(core.Query{Flow: flows[i%len(flows)], K: 3})
 	}
+}
+
+// BenchmarkBaselineMLP reproduces the paper's model-selection claim
+// (§3.3): a DNN over hashed categorical features is far more
+// expensive to train than the one-pass Historical model and does not
+// beat it. The custom metrics let the two be compared directly.
+func BenchmarkBaselineMLP(b *testing.B) {
+	e := env(b)
+	opts := eval.DefaultMLPOpts()
+	opts.Epochs = 2
+	var mlpAcc, histAcc map[int]float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mlp := eval.TrainMLP(features.SetAL, e.Train, opts)
+		hist := core.TrainHistorical(features.SetAL, e.Train, core.DefaultHistOpts())
+		mlpAcc = eval.Accuracy(mlp, e.Test, eval.Options{Ks: []int{3}})
+		histAcc = eval.Accuracy(hist, e.Test, eval.Options{Ks: []int{3}})
+	}
+	b.ReportMetric(mlpAcc[3]*100, "mlp_top3_%")
+	b.ReportMetric(histAcc[3]*100, "hist_top3_%")
 }
 
 // ---------------------------------------------------------------------------
@@ -434,119 +259,4 @@ func BenchmarkIPFIXRecordRoundTrip(b *testing.B) {
 			b.Fatal("flow record did not decode")
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4)
-// ---------------------------------------------------------------------------
-
-// BenchmarkAblationWeighting compares byte-weighted training (§3.3)
-// against unweighted sample counting.
-func BenchmarkAblationWeighting(b *testing.B) {
-	e := env(b)
-	unweighted := make([]features.Record, len(e.Train))
-	copy(unweighted, e.Train)
-	for i := range unweighted {
-		unweighted[i].Bytes = 1
-	}
-	var weighted, flat map[int]float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mW := core.TrainHistorical(features.SetAP, e.Train, core.DefaultHistOpts())
-		mU := core.TrainHistorical(features.SetAP, unweighted, core.DefaultHistOpts())
-		weighted = eval.Accuracy(mW, e.Test, eval.Options{Ks: []int{3}})
-		flat = eval.Accuracy(mU, e.Test, eval.Options{Ks: []int{3}})
-	}
-	b.ReportMetric(weighted[3]*100, "weighted_top3_%")
-	b.ReportMetric(flat[3]*100, "unweighted_top3_%")
-}
-
-// BenchmarkAblationPrefixLen explores the §3.2 resolution/feature-
-// space trade-off by coarsening the source prefix feature.
-func BenchmarkAblationPrefixLen(b *testing.B) {
-	e := env(b)
-	coarsen := func(recs []features.Record, bits uint8) []features.Record {
-		out := make([]features.Record, len(recs))
-		copy(out, recs)
-		mask := bgp.Mask(bits)
-		for i := range out {
-			out[i].Flow.Prefix &= mask
-		}
-		return out
-	}
-	results := map[uint8]float64{}
-	var tuples []int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tuples = tuples[:0]
-		for _, bits := range []uint8{16, 20, 24} {
-			train := coarsen(e.Train, bits)
-			test := coarsen(e.Test, bits)
-			m := core.TrainHistorical(features.SetAP, train, core.DefaultHistOpts())
-			results[bits] = eval.Accuracy(m, test, eval.Options{Ks: []int{3}})[3] * 100
-			tuples = append(tuples, m.NumTuples())
-		}
-	}
-	b.ReportMetric(results[16], "slash16_top3_%")
-	b.ReportMetric(results[24], "slash24_top3_%")
-	b.ReportMetric(float64(tuples[2]-tuples[0]), "extra_tuples_at_24")
-}
-
-// BenchmarkAblationMaxLinks varies how many ranked links the model
-// keeps per tuple (§5.1.2: training beyond the useful rank is waste).
-func BenchmarkAblationMaxLinks(b *testing.B) {
-	e := env(b)
-	acc := map[int]float64{}
-	size := map[int]int{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, max := range []int{1, 3, 16} {
-			m := core.TrainHistorical(features.SetAP, e.Train, core.HistOpts{MaxLinksPerTuple: max})
-			acc[max] = eval.Accuracy(m, e.Test, eval.Options{Ks: []int{3}})[3] * 100
-			size[max] = m.NumEntries()
-		}
-	}
-	b.ReportMetric(acc[1], "keep1_top3_%")
-	b.ReportMetric(acc[16], "keep16_top3_%")
-	b.ReportMetric(float64(size[16])/float64(size[1]), "size_ratio")
-}
-
-// BenchmarkBaselineMLP reproduces the paper's model-selection claim
-// (§3.3): a DNN over hashed categorical features is far more
-// expensive to train than the one-pass Historical model and does not
-// beat it. The custom metrics let the two be compared directly.
-func BenchmarkBaselineMLP(b *testing.B) {
-	e := env(b)
-	opts := eval.DefaultMLPOpts()
-	opts.Epochs = 2
-	var mlpAcc, histAcc map[int]float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mlp := eval.TrainMLP(features.SetAL, e.Train, opts)
-		hist := core.TrainHistorical(features.SetAL, e.Train, core.DefaultHistOpts())
-		mlpAcc = eval.Accuracy(mlp, e.Test, eval.Options{Ks: []int{3}})
-		histAcc = eval.Accuracy(hist, e.Test, eval.Options{Ks: []int{3}})
-	}
-	b.ReportMetric(mlpAcc[3]*100, "mlp_top3_%")
-	b.ReportMetric(histAcc[3]*100, "hist_top3_%")
-}
-
-// BenchmarkAblationEnsembleOrder compares the two sequential ensemble
-// orders of Table 2 on outage-affected traffic, where ordering
-// matters most (Tables 5-7).
-func BenchmarkAblationEnsembleOrder(b *testing.B) {
-	e := env(b)
-	hA := e.Hist(features.SetA)
-	hAP := e.Hist(features.SetAP)
-	hAL := e.Hist(features.SetAL)
-	apFirst := core.NewEnsemble(hAP, hAL, hA)
-	alFirst := core.NewEnsemble(hAL, hAP, hA)
-	var a1, a2 map[int]float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a1 = eval.Accuracy(apFirst, e.Test, eval.Options{Ks: []int{3}})
-		a2 = eval.Accuracy(alFirst, e.Test, eval.Options{Ks: []int{3}})
-	}
-	b.ReportMetric(a1[3]*100, "AP_first_top3_%")
-	b.ReportMetric(a2[3]*100, "AL_first_top3_%")
 }

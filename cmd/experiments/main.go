@@ -142,6 +142,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 10: outage accuracy with Naive Bayes", rows))
 			accCSV("table10", rows)
 		}},
+		{"ablations", "Hist_AP by weighting, prefix length, stored links (DESIGN §4)", func(e *eval.Env) {
+			var all []eval.AccuracyRow
+			for i, a := range eval.Ablations(e) {
+				if i > 0 {
+					fmt.Fprintln(stdout)
+				}
+				fmt.Fprint(stdout, eval.FormatAccuracyTable(a.Title, a.Rows))
+				all = append(all, a.Rows...)
+			}
+			accCSV("ablations", all)
+		}},
 		{"fig9", "accuracy vs training window length (App. B)", func(e *eval.Env) {
 			lengths, periods, testDays := []int{3, 7, 14, 21}, 2, 3
 			if *scale == "full" {

@@ -13,7 +13,7 @@ func TestListNamesEveryExperiment(t *testing.T) {
 		t.Fatalf("-list exited %d: %s", code, errOut.String())
 	}
 	for _, want := range []string{
-		"table1", "table4", "table5", "fig6", "fig9", "table15",
+		"table1", "table4", "table5", "fig6", "fig9", "table15", "ablations",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output missing %s:\n%s", want, out.String())

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"tipsy/internal/bgp"
@@ -336,6 +338,56 @@ func Table9(e *Env) []AccuracyRow {
 func Table10(e *Env) []AccuracyRow {
 	models := append(e.StandardModels(), e.NBModels()...)
 	return tableRows(e, e.modelsWithOracles(models), e.outageOptions(AllOutages))
+}
+
+// Ablation is one of DESIGN §4's ablations: Hist_AP trained on a
+// variant of the training window and scored on the test week.
+type Ablation struct {
+	Title string
+	Rows  []AccuracyRow
+}
+
+// Ablations scores Hist_AP three ways: trained on the real bytes
+// against Bytes = 1 (§3.3); with the source prefix masked to /16, /20
+// and /24 in train and test alike (§3.2); and keeping 1, 3 and 16
+// links per tuple (§5.1.2). Each row's name ends in its model's size:
+// tuples, or stored (tuple, link) entries for the stored-links rows.
+func Ablations(e *Env) []Ablation {
+	variant := func(name string, n int, m core.Predictor, test []features.Record) AccuracyRow {
+		r := row(m, test, Options{}, false)
+		r.Model = fmt.Sprintf("%s n=%d", name, n)
+		return r
+	}
+	unweighted := slices.Clone(e.Train)
+	for i := range unweighted {
+		unweighted[i].Bytes = 1
+	}
+	hist := e.Hist(features.SetAP)
+	flat := core.TrainHistorical(features.SetAP, unweighted, core.DefaultHistOpts())
+	weighting := []AccuracyRow{
+		variant("weighted", hist.NumTuples(), hist, e.Test),
+		variant("unweighted", flat.NumTuples(), flat, e.Test),
+	}
+	var prefix, links []AccuracyRow
+	for _, bits := range []uint8{16, 20, 24} {
+		train, test := slices.Clone(e.Train), slices.Clone(e.Test)
+		for _, recs := range [][]features.Record{train, test} {
+			for i := range recs {
+				recs[i].Flow.Prefix &= bgp.Mask(bits)
+			}
+		}
+		m := core.TrainHistorical(features.SetAP, train, core.DefaultHistOpts())
+		prefix = append(prefix, variant(fmt.Sprintf("/%d", bits), m.NumTuples(), m, test))
+	}
+	for _, keep := range []int{1, 3, 16} {
+		m := core.TrainHistorical(features.SetAP, e.Train, core.HistOpts{MaxLinksPerTuple: keep})
+		links = append(links, variant(fmt.Sprintf("keep %d", keep), m.NumEntries(), m, e.Test))
+	}
+	return []Ablation{
+		{"Ablation: byte-weighted training (§3.3), Hist_AP; n = tuples", weighting},
+		{"Ablation: source prefix length (§3.2), Hist_AP; n = tuples", prefix},
+		{"Ablation: stored links per tuple (§5.1.2), Hist_AP; n = stored entries", links},
+	}
 }
 
 // Fig9Point is one point of Figure 9: model accuracy given a training

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -250,6 +252,50 @@ func TestOutageTablesShape(t *testing.T) {
 		if get(seenRows, "Hist_AP").Top3 <= get(unseenRows, "Hist_AP").Top3 {
 			t.Errorf("seen (%.1f) should beat unseen (%.1f) for Hist_AP",
 				get(seenRows, "Hist_AP").Top3, get(unseenRows, "Hist_AP").Top3)
+		}
+	}
+}
+
+// TestAblationsShape checks DESIGN §4's ablation claims: training on
+// bytes beats counting records (§3.3), the /24 source prefix beats /16
+// and /20 for more tuples (§3.2), and one stored link per tuple loses
+// to three or sixteen for fewer stored entries (§5.1.2). Keep-3 and
+// keep-16 are left unordered: top-3 fractions renormalise over the
+// links a tuple stores, so keep-3 can read higher (91.31 against
+// 91.19 at full scale).
+func TestAblationsShape(t *testing.T) {
+	type scored struct {
+		top3 float64
+		n    int
+	}
+	var got []scored
+	for _, a := range Ablations(sharedEnv(t)) {
+		for _, r := range a.Rows {
+			_, count, ok := strings.Cut(r.Model, " n=")
+			n, err := strconv.Atoi(count)
+			if !ok || err != nil {
+				t.Fatalf("%s: row %q does not end in its size", a.Title, r.Model)
+			}
+			got = append(got, scored{r.Top3, n})
+		}
+	}
+	if len(got) != 8 {
+		t.Fatalf("%d ablation rows, want 2 weighting + 3 prefix + 3 stored-links: %+v", len(got), got)
+	}
+	weighted, unweighted := got[0], got[1]
+	p16, p20, p24 := got[2], got[3], got[4]
+	keep1, keep3, keep16 := got[5], got[6], got[7]
+	if weighted.top3 <= unweighted.top3 {
+		t.Errorf("weighted %.2f does not beat unweighted %.2f top-3", weighted.top3, unweighted.top3)
+	}
+	for _, coarse := range []scored{p16, p20} {
+		if p24.top3 <= coarse.top3 || p24.n <= coarse.n {
+			t.Errorf("/24 (%.2f, %d tuples) is not above a coarser prefix (%.2f, %d tuples)", p24.top3, p24.n, coarse.top3, coarse.n)
+		}
+	}
+	for _, more := range []scored{keep3, keep16} {
+		if keep1.top3 >= more.top3 || keep1.n >= more.n {
+			t.Errorf("keep 1 (%.2f, %d entries) is not below keeping more (%.2f, %d entries)", keep1.top3, keep1.n, more.top3, more.n)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package eval
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"tipsy/internal/core"
 	"tipsy/internal/features"
@@ -145,40 +144,6 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 	}
 	for _, p := range pairs {
 		out[rank[p.unit]].Links[p.link] = p.bytes
-	}
-	return out
-}
-
-// GroupByFlowHour buckets records into per-(flow, hour) groups; the
-// risk analysis uses this finer unit.
-func GroupByFlowHour(recs []features.Record) []Group {
-	type key struct {
-		flow features.FlowFeatures
-		hour wan.Hour
-	}
-	byKey := make(map[key]*Group)
-	var order []key
-	for _, r := range recs {
-		k := key{r.Flow, r.Hour}
-		g := byKey[k]
-		if g == nil {
-			g = &Group{Flow: r.Flow, Hour: r.Hour, Links: make(map[wan.LinkID]float64, 2)}
-			byKey[k] = g
-			order = append(order, k)
-		}
-		g.Links[r.Link] += r.Bytes
-		g.Total += r.Bytes
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.hour != b.hour {
-			return a.hour < b.hour
-		}
-		return a.flow.Compare(b.flow) < 0
-	})
-	out := make([]Group, len(order))
-	for i, k := range order {
-		out[i] = *byKey[k]
 	}
 	return out
 }

@@ -188,13 +188,6 @@ func TestGroupsDeterministic(t *testing.T) {
 	}
 }
 
-func TestGroupByFlowHourSeparatesHours(t *testing.T) {
-	groups := GroupByFlowHour(mkRecs())
-	if len(groups) != 3 {
-		t.Fatalf("want 3 per-hour groups, got %d", len(groups))
-	}
-}
-
 // TestCreditBytesShared pins the exported credit computation the
 // online monitor reuses: Σ min(predicted bytes, actual bytes) over
 // the first k predictions.

@@ -6,12 +6,12 @@
 package risk
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"tipsy/internal/core"
-	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
 )
@@ -43,96 +43,53 @@ type Row struct {
 // if A were down, add the shifted bytes to the other links' actual
 // loads, and report (link, affecting-link) pairs whose predicted
 // utilization crosses the threshold in hours where it otherwise would
-// not.
+// not. recs must be in drain order (features.Record.Compare: hour,
+// flow, link), as a drain and a dataset.Window of one are: each hour
+// is then one run, and a link's flows in it come in flow order.
 func AtRisk(dir wan.Directory, model core.Predictor, recs []features.Record, opts Options) []Row {
 	if opts.UtilThreshold <= 0 {
 		opts.UtilThreshold = DefaultOptions().UtilThreshold
 	}
-	groups := eval.GroupByFlowHour(recs)
-
-	// Actual per-link per-hour loads.
-	type hourLoad map[wan.LinkID]float64
-	actual := make(map[wan.Hour]hourLoad)
-	hoursSet := make(map[wan.Hour]bool)
-	for gi := range groups {
-		g := &groups[gi]
-		hl := actual[g.Hour]
-		if hl == nil {
-			hl = make(hourLoad)
-			actual[g.Hour] = hl
-		}
-		for l, b := range g.Links {
-			hl[l] += b
-		}
-		hoursSet[g.Hour] = true
-	}
-	var hours []wan.Hour
-	for h := range hoursSet {
-		hours = append(hours, h)
-	}
-	sort.Slice(hours, func(i, j int) bool { return hours[i] < hours[j] })
-
-	util := func(l wan.LinkID, bytes float64) float64 {
+	hot := func(l wan.LinkID, bytes float64) bool {
 		link, ok := dir.Link(l)
-		if !ok {
-			return 0
-		}
-		return link.Utilization(bytes, 3600)
+		return ok && link.Utilization(bytes, 3600) >= opts.UtilThreshold
 	}
-
 	typical := make(map[wan.LinkID]int)
-	for _, h := range hours {
-		for l, b := range actual[h] {
-			if util(l, b) >= opts.UtilThreshold {
+	extra := make(map[[2]wan.LinkID]int) // [affected, affecting] -> hours
+	load := make(map[wan.LinkID]float64)
+	shifted := make(map[wan.LinkID]float64)
+	var byLink []features.Record
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].Hour == recs[0].Hour {
+			n++
+		}
+		clear(load)
+		for _, r := range recs[:n] {
+			load[r.Link] += r.Bytes
+		}
+		for l, b := range load {
+			if hot(l, b) {
 				typical[l]++
 			}
 		}
-	}
-
-	// Group flows per hour by the link they ingressed on so each
-	// hypothetical outage of A shifts exactly A's flows.
-	byHourLink := make(map[wan.Hour]map[wan.LinkID][]*eval.Group)
-	for gi := range groups {
-		g := &groups[gi]
-		m := byHourLink[g.Hour]
-		if m == nil {
-			m = make(map[wan.LinkID][]*eval.Group)
-			byHourLink[g.Hour] = m
-		}
-		for l := range g.Links {
-			m[l] = append(m[l], g)
-		}
-	}
-
-	extra := make(map[[2]wan.LinkID]int) // [affected, affecting] -> hours
-	for _, h := range hours {
-		perLink := byHourLink[h]
-		var as []wan.LinkID
-		for a := range perLink {
-			as = append(as, a)
-		}
-		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		for _, a := range as {
-			shifted := make(map[wan.LinkID]float64)
-			for _, g := range perLink[a] {
-				moved := g.Links[a]
-				if moved <= 0 {
-					continue
-				}
-				preds := model.Predict(core.Query{
-					Flow: g.Flow, K: 3,
-					Exclude: func(l wan.LinkID) bool { return l == a },
-				})
-				for _, p := range preds {
-					shifted[p.Link] += moved * p.Frac
+		// Each hypothetical outage of A shifts exactly A's flows.
+		byLink = append(byLink[:0], recs[:n]...)
+		recs = recs[n:]
+		slices.SortStableFunc(byLink, func(x, y features.Record) int { return cmp.Compare(x.Link, y.Link) })
+		for i := 0; i < len(byLink); {
+			a := byLink[i].Link
+			exclude := func(l wan.LinkID) bool { return l == a }
+			clear(shifted)
+			for ; i < len(byLink) && byLink[i].Link == a; i++ {
+				if moved := byLink[i].Bytes; moved > 0 {
+					for _, p := range model.Predict(core.Query{Flow: byLink[i].Flow, K: 3, Exclude: exclude}) {
+						shifted[p.Link] += moved * p.Frac
+					}
 				}
 			}
 			for b, add := range shifted {
-				if b == a {
-					continue
-				}
-				base := actual[h][b]
-				if util(b, base) < opts.UtilThreshold && util(b, base+add) >= opts.UtilThreshold {
+				if b != a && !hot(b, load[b]) && hot(b, load[b]+add) {
 					extra[[2]wan.LinkID{b, a}]++
 				}
 			}
@@ -145,17 +102,9 @@ func AtRisk(dir wan.Directory, model core.Predictor, recs []features.Record, opt
 	}
 	// Sort by impact: most additional hot hours first, then fewest
 	// typical hours (the operationally surprising cases).
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].PredictedHours != rows[j].PredictedHours {
-			return rows[i].PredictedHours > rows[j].PredictedHours
-		}
-		if rows[i].TypicalHours != rows[j].TypicalHours {
-			return rows[i].TypicalHours < rows[j].TypicalHours
-		}
-		if rows[i].Link != rows[j].Link {
-			return rows[i].Link < rows[j].Link
-		}
-		return rows[i].Affecting < rows[j].Affecting
+	slices.SortFunc(rows, func(x, y Row) int {
+		return cmp.Or(cmp.Compare(y.PredictedHours, x.PredictedHours), cmp.Compare(x.TypicalHours, y.TypicalHours),
+			cmp.Compare(x.Link, y.Link), cmp.Compare(x.Affecting, y.Affecting))
 	})
 	return rows
 }

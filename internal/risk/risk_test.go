@@ -1,11 +1,14 @@
 package risk
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"tipsy/internal/bgp"
 	"tipsy/internal/core"
+	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
 )
@@ -141,5 +144,136 @@ func TestFormat(t *testing.T) {
 	}
 	if empty := Format(nil, dir, 5); !strings.Contains(empty, "no links at risk") {
 		t.Errorf("empty table: %s", empty)
+	}
+}
+
+// atRiskReference is Algorithm 1 as AtRisk ran it before it walked
+// the drain: records grouped per (flow, hour) in any order, the
+// groups sorted by hour then flow, and per-hour, per-link maps of
+// loads and of the groups on each link.
+func atRiskReference(dir wan.Directory, model core.Predictor, recs []features.Record, opts Options) []Row {
+	if opts.UtilThreshold <= 0 {
+		opts.UtilThreshold = DefaultOptions().UtilThreshold
+	}
+	type group struct {
+		flow  features.FlowFeatures
+		hour  wan.Hour
+		links map[wan.LinkID]float64
+	}
+	type key struct {
+		flow features.FlowFeatures
+		hour wan.Hour
+	}
+	byKey := make(map[key]*group)
+	var groups []*group
+	for _, r := range recs {
+		k := key{r.Flow, r.Hour}
+		g := byKey[k]
+		if g == nil {
+			g = &group{flow: r.Flow, hour: r.Hour, links: make(map[wan.LinkID]float64, 2)}
+			byKey[k] = g
+			groups = append(groups, g)
+		}
+		g.links[r.Link] += r.Bytes
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		if groups[i].hour != groups[j].hour {
+			return groups[i].hour < groups[j].hour
+		}
+		return groups[i].flow.Compare(groups[j].flow) < 0
+	})
+
+	actual := make(map[wan.Hour]map[wan.LinkID]float64)
+	byHourLink := make(map[wan.Hour]map[wan.LinkID][]*group)
+	var hours []wan.Hour
+	for _, g := range groups {
+		if actual[g.hour] == nil {
+			actual[g.hour] = make(map[wan.LinkID]float64)
+			byHourLink[g.hour] = make(map[wan.LinkID][]*group)
+			hours = append(hours, g.hour)
+		}
+		for l, b := range g.links {
+			actual[g.hour][l] += b
+			byHourLink[g.hour][l] = append(byHourLink[g.hour][l], g)
+		}
+	}
+	util := func(l wan.LinkID, bytes float64) float64 {
+		link, ok := dir.Link(l)
+		if !ok {
+			return 0
+		}
+		return link.Utilization(bytes, 3600)
+	}
+	typical := make(map[wan.LinkID]int)
+	extra := make(map[[2]wan.LinkID]int)
+	for _, h := range hours {
+		for l, b := range actual[h] {
+			if util(l, b) >= opts.UtilThreshold {
+				typical[l]++
+			}
+		}
+		var as []wan.LinkID
+		for a := range byHourLink[h] {
+			as = append(as, a)
+		}
+		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+		for _, a := range as {
+			shifted := make(map[wan.LinkID]float64)
+			for _, g := range byHourLink[h][a] {
+				moved := g.links[a]
+				if moved <= 0 {
+					continue
+				}
+				preds := model.Predict(core.Query{
+					Flow: g.flow, K: 3,
+					Exclude: func(l wan.LinkID) bool { return l == a },
+				})
+				for _, p := range preds {
+					shifted[p.Link] += moved * p.Frac
+				}
+			}
+			for b, add := range shifted {
+				base := actual[h][b]
+				if b != a && util(b, base) < opts.UtilThreshold && util(b, base+add) >= opts.UtilThreshold {
+					extra[[2]wan.LinkID{b, a}]++
+				}
+			}
+		}
+	}
+	rows := make([]Row, 0, len(extra))
+	for k, n := range extra {
+		rows = append(rows, Row{Link: k[0], Affecting: k[1], TypicalHours: typical[k[0]], PredictedHours: n})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].PredictedHours != rows[j].PredictedHours {
+			return rows[i].PredictedHours > rows[j].PredictedHours
+		}
+		if rows[i].TypicalHours != rows[j].TypicalHours {
+			return rows[i].TypicalHours < rows[j].TypicalHours
+		}
+		if rows[i].Link != rows[j].Link {
+			return rows[i].Link < rows[j].Link
+		}
+		return rows[i].Affecting < rows[j].Affecting
+	})
+	return rows
+}
+
+// TestAtRiskMatchesReference holds AtRisk's walk of the drain to the
+// grouping reference on a small simulated test window, at thresholds
+// low enough that both find many pairs.
+func TestAtRiskMatchesReference(t *testing.T) {
+	cfg := eval.SmallEnvConfig(1)
+	cfg.TrainDays, cfg.TestDays = 3, 2
+	cfg.SimCfg.HorizonHours = wan.Hour((cfg.TrainDays + cfg.TestDays) * 24)
+	e := eval.Build(cfg)
+	model := e.Hist(features.SetAL)
+	for _, thr := range []float64{0.05, 0.1, 0.2, 0.3} {
+		opts := Options{UtilThreshold: thr}
+		got, want := AtRisk(e.Sim, model, e.Test, opts), atRiskReference(e.Sim, model, e.Test, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("threshold %.2f: AtRisk differs from the reference:\n got %v\nwant %v", thr, got, want)
+		}
+		t.Logf("threshold %.2f: %d at-risk pairs", thr, len(got))
 	}
 }

@@ -22,15 +22,17 @@
 # oracle, for the model/checkpoint frame reader, for the checkpoint
 # loader and for the diagnostic-bundle manifest reader, the results
 # gate (the full-scale experiments run, its timing text stripped,
-# diffed against results/full_seed1.txt; about 5 min on 2 CPUs), and
-# the chaos soak. The
+# diffed against results/full_seed1.txt; about 3 min on 2 CPUs), one
+# pass of the root package's cost, retrain and substrate benchmarks
+# (about 35 s; they must run, their timings are not gated), and the
+# chaos soak. The
 # differential oracles and the bundle round trip are tests, so
 # `go test ./...` runs them; it also replays every fuzz seed corpus.
 # Everything is stdlib Go; no network access is needed.
 #
 # Usage: scripts/check.sh [-short]
-#   -short  skip the race detector (plain `go test`), the fuzz passes
-#           and the results gate, for quick loops
+#   -short  skip the race detector (plain `go test`), the fuzz passes,
+#           the results gate and the root benchmarks, for quick loops
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,6 +121,11 @@ if [[ $short -eq 0 ]]; then
         echo "experiments output differs from results/full_seed1.txt (timing text aside)" >&2
         exit 1
     fi
+
+    # The cost benchmarks measure what no experiment prints; one
+    # iteration each keeps them compiling and running.
+    echo "==> root benchmarks, one iteration each"
+    go test -count=1 -run '^$' -bench . -benchtime 1x .
 fi
 
 echo "==> chaos soak smoke"
