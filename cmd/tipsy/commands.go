@@ -28,30 +28,25 @@ func cmdSimulate(args []string) error {
 	out := fs.String("o", "telemetry.tipsy", "output bundle path")
 	fs.Parse(args)
 
-	metros := geo.World()
-	var topoCfg topology.GenConfig
-	var trafCfg traffic.Config
+	// The world is the experiment harness's, run for -days.
+	var cfg eval.EnvConfig
 	switch *scale {
 	case "full":
-		topoCfg = topology.DefaultGenConfig(*seed)
-		trafCfg = traffic.DefaultConfig(*seed + 10)
+		cfg = eval.DefaultEnvConfig(*seed)
 	case "small":
-		topoCfg = topology.TestGenConfig(*seed)
-		trafCfg = traffic.TestConfig(*seed + 10)
-		trafCfg.NFlows = 3000
+		cfg = eval.SmallEnvConfig(*seed)
 	default:
 		return fmt.Errorf("unknown -scale %q (want small or full)", *scale)
 	}
-	simCfg := netsim.DefaultConfig(*seed + 20)
-	simCfg.HorizonHours = wan.Hour(*days * 24)
-	simCfg.OutagesPerLinkYear = 10
+	cfg.SimCfg.HorizonHours = wan.Hour(*days * 24)
 
-	g := topology.Generate(topoCfg, metros)
-	w := traffic.Generate(trafCfg, g, metros)
-	sim := netsim.New(simCfg, g, metros, w)
+	metros := geo.World()
+	g := topology.Generate(cfg.TopoCfg, metros)
+	w := traffic.Generate(cfg.TrafficCfg, g, metros)
+	sim := netsim.New(cfg.SimCfg, g, metros, w)
 
 	agg := pipeline.NewAggregator(sim.GeoIP(), sim.DstMetadata)
-	sim.Run(netsim.RunOptions{From: 0, To: wan.Hour(*days * 24), Sink: agg})
+	sim.Run(netsim.RunOptions{From: 0, To: cfg.SimCfg.HorizonHours, Sink: agg})
 	recs := agg.Records()
 
 	var links []wan.Link
@@ -135,32 +130,15 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-func parseSet(s string) (features.Set, error) {
-	switch strings.ToUpper(s) {
-	case "A":
-		return features.SetA, nil
-	case "AP":
-		return features.SetAP, nil
-	case "AL":
-		return features.SetAL, nil
-	}
-	return 0, fmt.Errorf("unknown feature set %q (want A, AP, or AL)", s)
-}
-
 func cmdTrain(args []string) error {
 	fs := newFlagSet("train")
 	in := fs.String("i", "telemetry.tipsy", "telemetry bundle path")
-	setName := fs.String("set", "AP", "feature set: A | AP | AL")
 	fromHour := fs.Int("from-hour", 0, "training window start (hours)")
 	toHour := fs.Int("to-hour", 1<<30, "training window end (hours, exclusive)")
 	out := fs.String("o", "model.tipsy", "output checkpoint path")
 	fs.Parse(args)
 
 	b, err := loadBundle(*in)
-	if err != nil {
-		return err
-	}
-	set, err := parseSet(*setName)
 	if err != nil {
 		return err
 	}
@@ -174,34 +152,45 @@ func cmdTrain(args []string) error {
 	for _, r := range recs {
 		last = max(last, r.Hour)
 	}
-	h := core.TrainHistorical(set, recs, core.DefaultHistOpts())
-	ck := &core.Checkpoint{TrainedAt: min(wan.Hour(*toHour), last+1), Models: []*core.Historical{h}}
+	gen := serve.Train(recs, min(wan.Hour(*toHour), last+1), wan.NewTable(b.Links), geo.World())
+	ck := gen.Checkpoint()
 	if err := ck.SaveFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("trained %s on %d records: %d tuples, %d entries -> %s\n",
-		h.Name(), len(recs), h.NumTuples(), h.NumEntries(), *out)
+	fmt.Printf("trained Hist_AP, Hist_AL and Hist_A on %d records: %d tuples -> %s\n",
+		len(recs), gen.Tuples(), *out)
 	return nil
 }
 
 func cmdPredict(args []string) error {
 	fs := newFlagSet("predict")
 	in := fs.String("i", "telemetry.tipsy", "telemetry bundle path (for link metadata and Geo-IP)")
-	modelPath := fs.String("model", "model.tipsy", "checkpoint written by tipsy train")
+	modelPath := fs.String("model", "model.tipsy", "checkpoint written by tipsy train or tipsyd")
 	src := fs.String("src", "", "source IPv4 address (dotted quad)")
 	asn := fs.Uint("as", 0, "source AS number")
 	region := fs.Uint("region", 0, "destination region id")
 	svc := fs.Uint("svc", 1, "destination service type id")
-	k := fs.Int("k", 3, "how many links to predict")
+	k := fs.Int("k", serve.DefaultK, "how many links to predict (0: the server's default)")
 	exclude := fs.String("exclude", "", "comma-separated link IDs to treat as unavailable")
 	bytes := fs.Float64("bytes", 1e9, "flow volume to split across links")
-	geoComplete := fs.Bool("geo", false, "apply geographic-distance completion (+G)")
 	fs.Parse(args)
 
 	// A malformed -src fails before any file is read.
-	srcAddr, err := serve.ParseIPv4(*src)
-	if err != nil {
+	if _, err := serve.ParseIPv4(*src); err != nil {
 		return err
+	}
+	req := &serve.Request{
+		Flows: []serve.Flow{{SrcAddr: *src, SrcAS: uint32(*asn), Region: uint16(*region), Service: uint8(*svc), Bytes: *bytes}},
+		K:     *k,
+	}
+	if *exclude != "" {
+		for _, part := range strings.Split(*exclude, ",") {
+			id, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
+			if err != nil {
+				return fmt.Errorf("bad -exclude entry %q", part)
+			}
+			req.ExcludeLinks = append(req.ExcludeLinks, wan.LinkID(id))
+		}
 	}
 	b, err := loadBundle(*in)
 	if err != nil {
@@ -211,58 +200,38 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	if len(ck.Models) != 1 {
-		return fmt.Errorf("%s holds %d models; predict needs a checkpoint of one, as tipsy train writes", *modelPath, len(ck.Models))
+	// The generation tipsyd would serve from this checkpoint answers.
+	metros, table := geo.World(), wan.NewTable(b.Links)
+	gen, err := serve.FromCheckpoint(ck, table, metros)
+	if err != nil {
+		return err
 	}
-	hist := ck.Models[0]
-	metros := geo.World()
 	geoEntries := make(map[uint32]geo.MetroID, len(b.Geo))
 	for _, e := range b.Geo {
 		geoEntries[e.Prefix] = e.Metro
 	}
-	geoip := geo.NewGeoIPFromEntries(metros, geoEntries)
-	prefix := bgp.Slash24(srcAddr)
-	flow := features.FlowFeatures{
-		AS:     bgp.ASN(*asn),
-		Prefix: prefix,
-		Loc:    geoip.Lookup(prefix),
-		Region: wan.Region(*region),
-		Type:   wan.ServiceType(*svc),
+	flows, err := req.Encode(nil, geo.NewGeoIPFromEntries(metros, geoEntries))
+	if err != nil {
+		return err
 	}
-	excluded := map[wan.LinkID]bool{}
-	if *exclude != "" {
-		for _, part := range strings.Split(*exclude, ",") {
-			id, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
-			if err != nil {
-				return fmt.Errorf("bad -exclude entry %q", part)
-			}
-			excluded[wan.LinkID(id)] = true
-		}
-	}
-	var model core.Predictor = hist
-	table := wan.NewTable(b.Links)
-	if *geoComplete {
-		model = core.NewGeoCompletion(hist, table, metros)
-	}
-	preds := model.Predict(core.Query{
-		Flow: flow, K: *k,
-		Exclude: func(l wan.LinkID) bool { return excluded[l] },
-	})
-	if len(preds) == 0 {
-		fmt.Println("no prediction: flow tuple unseen in training (try a coarser feature set or -geo)")
+	var resp serve.Response
+	gen.Respond(&resp, req, flows, func() int64 { return 0 }, nil)
+	res, flow := resp.Results[0], flows[0]
+	if len(res.Links) == 0 {
+		fmt.Println("no prediction: no rung of the ladder answered this flow")
 		return nil
 	}
-	fmt.Printf("flow %v %s/24 loc%d -> region %d %v: predicted ingress links:\n",
-		flow.AS, bgp.FormatIP(flow.Prefix), flow.Loc, flow.Region, flow.Type)
-	for i, p := range preds {
-		l, ok := table.Link(p.Link)
+	fmt.Printf("flow %v %s/24 loc%d -> region %d %v: %s predicts ingress links:\n",
+		flow.AS, bgp.FormatIP(flow.Prefix), flow.Loc, flow.Region, flow.Type, res.Model)
+	for i, ls := range res.Links {
+		l, ok := table.Link(ls.Link)
 		router, peer := "?", "?"
 		if ok {
 			router = l.Router
 			peer = l.PeerAS.String()
 		}
 		fmt.Printf("  %d. link %-5d %-14s peer %-9s %5.1f%%  (%.3e bytes)\n",
-			i+1, p.Link, router, peer, p.Frac*100, p.Frac**bytes)
+			i+1, ls.Link, router, peer, ls.Frac*100, ls.Bytes)
 	}
 	return nil
 }
@@ -277,6 +246,19 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
+	e, err := evalEnv(b, *trainDays)
+	if err != nil {
+		return err
+	}
+	fmt.Print(eval.FormatAccuracyTable(
+		fmt.Sprintf("Overall prediction accuracy (%d train days, %d test records)", *trainDays, len(e.Test)),
+		eval.Table4(e)))
+	return nil
+}
+
+// evalEnv splits a bundle's records after trainDays into the
+// harness's train and test windows.
+func evalEnv(b *dataset.File, trainDays int) (*eval.Env, error) {
 	// The test window ends at the bundle's last hour: outage inference
 	// allocates per hour of it.
 	var end wan.Hour
@@ -285,15 +267,12 @@ func cmdEval(args []string) error {
 			end = r.Hour + 1
 		}
 	}
-	split := wan.Hour(*trainDays * 24)
+	split := wan.Hour(trainDays * 24)
 	e := &eval.Env{Dir: wan.NewTable(b.Links), Metros: geo.World(), TestTo: end}
 	e.SplitAt(b.Records, split)
 	if len(e.Train) == 0 || len(e.Test) == 0 {
-		return fmt.Errorf("split at hour %d leaves an empty window (train=%d test=%d records)",
+		return nil, fmt.Errorf("split at hour %d leaves an empty window (train=%d test=%d records)",
 			split, len(e.Train), len(e.Test))
 	}
-	fmt.Print(eval.FormatAccuracyTable(
-		fmt.Sprintf("Overall prediction accuracy (%d train days, %d test records)", *trainDays, len(e.Test)),
-		eval.Table4(e)))
-	return nil
+	return e, nil
 }

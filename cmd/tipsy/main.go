@@ -2,15 +2,17 @@
 //
 //	tipsy simulate -seed 1 -days 11 -scale small -o telemetry.tipsy
 //	tipsy info     -i telemetry.tipsy
-//	tipsy train    -i telemetry.tipsy -set AP -to-hour 192 -o model.tipsy
+//	tipsy train    -i telemetry.tipsy -to-hour 192 -o model.tipsy
 //	tipsy predict  -i telemetry.tipsy -model model.tipsy -src 11.1.214.7 -as 100 -region 64 -svc 1 -exclude 35
 //	tipsy eval     -i telemetry.tipsy -train-days 8
 //
-// simulate runs the Internet+WAN substrate and exports aggregated
-// telemetry; train fits a Historical model on a window of it and
-// writes a one-model checkpoint; predict answers single what-if
-// queries from that checkpoint; eval reproduces the headline accuracy
-// table on a train/test split.
+// simulate runs the experiment harness's Internet+WAN substrate and
+// exports aggregated telemetry; train fits the generation tipsyd
+// serves (serve.Train) on a window of it and writes its checkpoint,
+// the file tipsyd -checkpoint recovers; predict answers one what-if
+// query from that checkpoint through tipsyd's ladder
+// (serve.Models.Respond, so -k 0 means its default of 3); eval
+// reproduces the headline accuracy table on a train/test split.
 package main
 
 import (
@@ -55,8 +57,8 @@ func usage() {
 commands:
   simulate   run the simulated Internet+WAN and export telemetry
   info       summarize a telemetry bundle
-  train      train a Historical model on a telemetry window (writes a checkpoint)
-  predict    predict ingress links for one flow
+  train      train the served models on a telemetry window (writes tipsyd's checkpoint)
+  predict    predict ingress links for one flow through tipsyd's ladder
   eval       train/test split accuracy report
 
 run 'tipsy <command> -h' for flags

@@ -200,11 +200,11 @@ func restoreHistorical(snap histSnapshot) (*Historical, error) {
 	return newHistorical(snap.Set, snap.Tuples, snap.Ends, snap.Preds), nil
 }
 
-// Checkpoint is the one file format for trained models: the set of
-// Historical models a daemon had trained (or the one model `tipsy
-// train` fits), stamped with the simulated hour the training window
-// ended at, so a restarted process knows how stale the recovered
-// models are. The frame carries a checksum, so a loader rejects torn
+// Checkpoint is the one file format for trained models: a served
+// generation's Historical fits (serve.Models.Checkpoint; tipsyd and
+// `tipsy train` write it, serve.FromCheckpoint reads it), stamped
+// with the simulated hour the training window ended at, so a
+// restarted process knows how stale the recovered models are. The frame carries a checksum, so a loader rejects torn
 // or damaged files instead of serving from them.
 type Checkpoint struct {
 	TrainedAt wan.Hour

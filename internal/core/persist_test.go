@@ -16,8 +16,8 @@ import (
 )
 
 // TestHistoricalSaveLoad round-trips one model through a one-model
-// checkpoint, the file `tipsy train` writes, and requires the same
-// predictions back, with and without exclusions.
+// checkpoint and requires the same predictions back, with and without
+// exclusions.
 func TestHistoricalSaveLoad(t *testing.T) {
 	f1 := flow(64496, 0x0b000100, 3, 9, 1)
 	f2 := flow(174, 0x0b000200, 5, 9, 2)
@@ -62,8 +62,8 @@ func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
-// oneModelCheckpoint is the checkpoint `tipsy train` writes for a
-// two-link flow.
+// oneModelCheckpoint is a checkpoint of one model fitted on a two-link
+// flow.
 func oneModelCheckpoint() *Checkpoint {
 	f1 := flow(64496, 0x0b000100, 3, 9, 1)
 	recs := []features.Record{rec(f1, 1, 700), rec(f1, 2, 300)}

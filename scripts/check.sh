@@ -24,15 +24,18 @@
 # gate (the full-scale experiments run, its timing text stripped,
 # diffed against results/full_seed1.txt; about 3 min on 2 CPUs), one
 # pass of the root package's cost, retrain and substrate benchmarks
-# (about 35 s; they must run, their timings are not gated), and the
-# chaos soak. The
+# (about 35 s; they must run, their timings are not gated), the
+# README's command-line workflow with built binaries followed by
+# tipsyd recovering the checkpoint `tipsy train` wrote (about 5 s),
+# and the chaos soak. The
 # differential oracles and the bundle round trip are tests, so
 # `go test ./...` runs them; it also replays every fuzz seed corpus.
 # Everything is stdlib Go; no network access is needed.
 #
 # Usage: scripts/check.sh [-short]
 #   -short  skip the race detector (plain `go test`), the fuzz passes,
-#           the results gate and the root benchmarks, for quick loops
+#           the results gate, the root benchmarks and the command-line
+#           workflow, for quick loops
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,6 +129,46 @@ if [[ $short -eq 0 ]]; then
     # iteration each keeps them compiling and running.
     echo "==> root benchmarks, one iteration each"
     go test -count=1 -run '^$' -bench . -benchtime 1x .
+fi
+
+if [[ $short -eq 0 ]]; then
+    # The README's command-line workflow with built binaries, then
+    # tipsyd serving the checkpoint `tipsy train` wrote: it must
+    # recover it, skip its bootstrap and leave the file as it was.
+    echo "==> command-line workflow and tipsyd recovering its checkpoint"
+    cli=$(mktemp -d)
+    daemon=""
+    trap '[[ -n "$daemon" ]] && kill "$daemon" 2>/dev/null; rm -rf "$covprofile" "$results" "$cli"' EXIT
+    go build -o "$cli/tipsy" ./cmd/tipsy
+    go build -o "$cli/tipsyd" ./cmd/tipsyd
+    (
+        cd "$cli"
+        ./tipsy simulate -seed 1 -days 11 -o telemetry.tipsy
+        ./tipsy info     -i telemetry.tipsy -sample 3
+        ./tipsy train    -i telemetry.tipsy -to-hour 192 -o model.tipsy
+        ./tipsy predict  -i telemetry.tipsy -model model.tipsy \
+                         -src 11.1.214.7 -as 100 -region 64 -svc 1 -exclude 35
+        ./tipsy eval     -i telemetry.tipsy -train-days 8
+    )
+    sum=$(sha256sum "$cli/model.tipsy")
+    "$cli/tipsyd" -listen 127.0.0.1:0 -day-every 1h -checkpoint "$cli/model.tipsy" \
+        -bundle-dir "" > "$cli/tipsyd.log" 2>&1 &
+    daemon=$!
+    for _ in $(seq 300); do
+        grep -q "tipsyd listening" "$cli/tipsyd.log" && break
+        kill -0 "$daemon" 2>/dev/null || break
+        sleep 0.1
+    done
+    if ! grep -q "tipsyd listening" "$cli/tipsyd.log" ||
+        ! grep -q "recovered checkpoint" "$cli/tipsyd.log" ||
+        [[ "$(sha256sum "$cli/model.tipsy")" != "$sum" ]]; then
+        echo "tipsyd did not serve the checkpoint tipsy train wrote unchanged:" >&2
+        cat "$cli/tipsyd.log" >&2
+        exit 1
+    fi
+    kill "$daemon"
+    wait "$daemon" || true
+    daemon=""
 fi
 
 echo "==> chaos soak smoke"
