@@ -20,9 +20,9 @@ import (
 // behind /debug/trace and the diagnostic bundles written on demand
 // (/debug/bundle) and whenever a quality alarm fires.
 
-// handleTrace dumps the flight recorder. ?trace=<32 hex digits>
-// filters to one trace; ?format=chrome emits Chrome trace_event JSON
-// loadable in about:tracing / Perfetto.
+// handleTrace dumps the flight recorder as Chrome trace_event JSON,
+// loadable in about:tracing / Perfetto, each span's record in its
+// args. ?trace=<32 hex digits> filters to one trace.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var recs []obsv.SpanRecord
 	if q := r.URL.Query().Get("trace"); q != "" {
@@ -36,13 +36,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		recs = s.flight.Snapshot()
 	}
 	w.Header().Set("Content-Type", "application/json")
-	var err error
-	if r.URL.Query().Get("format") == "chrome" {
-		err = obsv.WriteSpanTraceEvents(w, recs)
-	} else {
-		err = obsv.WriteSpansJSON(w, recs)
-	}
-	if err != nil {
+	if err := obsv.WriteSpanTraceEvents(w, recs); err != nil {
 		s.logHTTP.Error("write trace dump", "err", err)
 	}
 }
@@ -97,23 +91,16 @@ func (s *server) writeBundle(reason string) (string, error) {
 	// so every section of the bundle describes the same instant.
 	spans := s.flight.Snapshot()
 	quality := s.mon.Quality()
-	build := s.buildManifest()
-	writeIndented := func(v any) func(io.Writer) error {
-		return func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(v)
-		}
-	}
 	sections := []bundle.Section{
 		{Name: "metrics.prom", Write: func(w io.Writer) error {
 			s.rtb.Sample()
 			s.reg.WriteText(w)
 			return nil
 		}},
-		{Name: "quality.json", Write: writeIndented(quality)},
-		{Name: "spans.json", Write: func(w io.Writer) error {
-			return obsv.WriteSpansJSON(w, spans)
+		{Name: "quality.json", Write: func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(quality)
 		}},
 		{Name: "trace_events.json", Write: func(w io.Writer) error {
 			return obsv.WriteSpanTraceEvents(w, spans)
@@ -128,10 +115,9 @@ func (s *server) writeBundle(reason string) (string, error) {
 		{Name: "goroutine.pprof", Write: func(w io.Writer) error {
 			return rpprof.Lookup("goroutine").WriteTo(w, 0)
 		}},
-		{Name: "build.json", Write: writeIndented(build)},
 	}
 	name := fmt.Sprintf("bundle-%d-%04d-%s", now, s.bundleSeq, sanitizeReason(reason))
-	dir, err := bundle.Write(s.bundleDir, name, reason, now, build, sections)
+	dir, err := bundle.Write(s.bundleDir, name, reason, now, s.buildManifest(), sections)
 	if err != nil {
 		return "", err
 	}
@@ -140,9 +126,9 @@ func (s *server) writeBundle(reason string) (string, error) {
 	return dir, nil
 }
 
-// buildManifest collects the build/config identity embedded in every
-// bundle (build.json and the manifest's build map) — enough to answer
-// "what exactly was running" from the bundle alone.
+// buildManifest collects the build/config identity every bundle's
+// manifest carries — enough to answer "what exactly was running" from
+// the bundle alone.
 func (s *server) buildManifest() map[string]string {
 	return map[string]string{
 		"go_version":      runtime.Version(),

@@ -14,7 +14,7 @@
 //	GET  /v1/links           link directory
 //	POST /v1/predict         predict ingress links for flows
 //	GET  /debug/quality      online quality report and alarms
-//	GET  /debug/trace        flight-recorder span dump (JSON or Chrome trace)
+//	GET  /debug/trace        flight-recorder span dump (Chrome trace_event JSON)
 //	GET  /debug/bundle       write + verify a diagnostic bundle on demand
 //
 // Every handler participates in span tracing: an inbound traceparent
@@ -75,14 +75,6 @@ import (
 	"tipsy/internal/wan"
 )
 
-// fallbackCounters is the JSON snapshot of the degraded-mode ladder
-// counters /healthz reports; the live counts are registry metrics.
-type fallbackCounters struct {
-	Ensemble uint64 `json:"ensemble"`
-	Geo      uint64 `json:"geo"`
-	None     uint64 `json:"none"`
-}
-
 // serverMetrics are tipsyd's registry-backed metrics: per ladder rung,
 // a counter of the flows it answered and a latency histogram of its
 // attempts; per /v1/predict request, the durations of its
@@ -139,8 +131,8 @@ type server struct {
 	// mon joins served predictions against later telemetry and keeps
 	// the sliding quality windows behind /debug/quality.
 	mon *monitor.Monitor
-	// retrainEvery retrains every N simulated days; a firing drift or
-	// post-withdrawal alarm forces a retrain sooner.
+	// retrainEvery retrains every N simulated days; a firing drift
+	// alarm forces a retrain sooner (see cycle).
 	retrainEvery int
 
 	// Per-component structured loggers, all derived from the process
@@ -535,9 +527,11 @@ func (s *server) cycle(n int, due bool) bool {
 	defer root.End()
 	s.advanceDays(n, root)
 	if !due {
-		// Sustained drift or a post-withdrawal collapse pulls the
-		// retrain forward: a stale model is the one thing a retrain is
-		// guaranteed to fix.
+		// Sustained drift pulls the retrain forward: a stale model is
+		// the one thing a retrain is guaranteed to fix. The
+		// post-withdrawal alarm would too, but tipsyd never arms its
+		// watch: Monitor.NoteWithdrawal is the CMS's call and no CMS
+		// runs inside the daemon, so here only drift forces a retrain.
 		if !s.mon.AlarmFiring(monitor.AlarmDrift) && !s.mon.AlarmFiring(monitor.AlarmPostWithdrawal) {
 			return false
 		}
@@ -720,15 +714,6 @@ func (s *server) recoverCheckpoint() error {
 	return nil
 }
 
-// fallbackSnapshot reads the ladder counters for /healthz.
-func (s *server) fallbackSnapshot() fallbackCounters {
-	return fallbackCounters{
-		Ensemble: s.met.answered[serve.Ensemble].Value(),
-		Geo:      s.met.answered[serve.Geo].Value(),
-		None:     s.met.answered[serve.None].Value(),
-	}
-}
-
 // degraded reports whether serving from gen at simulated hour now is
 // degraded (no trained ensemble, or a model staler than the
 // configured bound) and why.
@@ -752,7 +737,6 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"model_age_hours":  now - gen.TrainedAt(),
 		"model_ready":      gen.Trained(),
 		"recovered":        gen.Recovered(),
-		"fallbacks":        s.fallbackSnapshot(),
 	}
 	// The monitor's verdict annotates health: a model that is fresh
 	// but predicting badly is degraded too.

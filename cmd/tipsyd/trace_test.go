@@ -118,6 +118,12 @@ func TestPredictTraceGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("predict trace dump diverged from golden:\n got: %s\nwant: %s", got, want)
 	}
+	// There is one dump format: a client still asking for the Chrome
+	// one by name gets the same answer.
+	chrome := get(t, s, fmt.Sprintf("/debug/trace?trace=%016x%016x&format=chrome", id.Hi, id.Lo))
+	if chrome.Code != http.StatusOK || !bytes.Equal(chrome.Body.Bytes(), got) {
+		t.Errorf("?format=chrome answered %d:\n%s", chrome.Code, chrome.Body)
+	}
 }
 
 // TestCycleTraceEndToEnd drives one full simulated day plus retrain
@@ -276,12 +282,16 @@ func TestBundleAlarmRoundTrip(t *testing.T) {
 			have[ent.Name] = true
 		}
 		for _, want := range []string{
-			"metrics.prom", "quality.json", "spans.json", "trace_events.json",
-			"log_tail.txt", "heap.pprof", "goroutine.pprof", "build.json",
+			"metrics.prom", "quality.json", "trace_events.json",
+			"log_tail.txt", "heap.pprof", "goroutine.pprof",
 		} {
 			if !have[want] {
 				t.Errorf("bundle %s missing section %s", e.Name(), want)
 			}
+			delete(have, want)
+		}
+		if len(have) != 0 {
+			t.Errorf("bundle %s has sections beyond the six: %v", e.Name(), have)
 		}
 		if man.Build["seed"] != "17" || man.Build["go_version"] == "" {
 			t.Errorf("bundle %s build manifest %v", e.Name(), man.Build)
@@ -292,12 +302,12 @@ func TestBundleAlarmRoundTrip(t *testing.T) {
 	}
 	// The spans section of the first bundle holds real flight-recorder
 	// content from the traced collapse day.
-	buf, err := os.ReadFile(filepath.Join(s.bundleDir, entries[0].Name(), "spans.json"))
+	buf, err := os.ReadFile(filepath.Join(s.bundleDir, entries[0].Name(), "trace_events.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf, []byte("aggregate_batch")) {
-		t.Error("bundle spans.json has no ingest spans")
+	if !bytes.Contains(buf, []byte(`"name": "aggregate_batch"`)) {
+		t.Error("bundle trace_events.json has no ingest spans")
 	}
 }
 

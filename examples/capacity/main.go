@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 
-	"tipsy/internal/core"
 	"tipsy/internal/dataset"
 	"tipsy/internal/eval"
 	"tipsy/internal/features"
@@ -18,6 +17,7 @@ import (
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
 	"tipsy/internal/risk"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -63,8 +63,9 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "trained on %d records, analyzing %d test records (%d links)\n\n",
 		len(train), len(test), sim.NumLinks())
 
-	// Appendix C uses the Hist_AL model for the what-if predictions.
-	model := core.TrainHistorical(features.SetAL, train, core.DefaultHistOpts())
+	// Appendix C uses the Hist_AL model for the what-if predictions:
+	// the served generation's fit, as tipsyd's daily retrain makes it.
+	model := serve.Train(train, trainTo, sim, metros).Hist(features.SetAL)
 	rows := risk.AtRisk(sim, model, test, risk.DefaultOptions())
 	fmt.Fprint(w, risk.Format(rows, sim, 10))
 	if len(rows) == 0 {

@@ -1,8 +1,8 @@
 // Ingestion: the wire-level data collection path of §4.1. The
 // simulated edge routers export IPFIX (RFC 7011) over TCP to a
 // collector; the pipeline joins and aggregates the decoded records,
-// and a model trains on the result — end to end over a real socket
-// and the real encoding, nothing handed across in memory.
+// and the served models train on the result — end to end over a real
+// socket and the real encoding, nothing handed across in memory.
 package main
 
 import (
@@ -13,12 +13,11 @@ import (
 	"os"
 	"sync"
 
-	"tipsy/internal/core"
-	"tipsy/internal/features"
 	"tipsy/internal/geo"
 	"tipsy/internal/ipfix"
 	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
+	"tipsy/internal/serve"
 	"tipsy/internal/topology"
 	"tipsy/internal/traffic"
 	"tipsy/internal/wan"
@@ -32,10 +31,10 @@ func main() {
 }
 
 // run simulates hours of traffic, streams its flow records over
-// loopback TCP into a collector and the aggregator, trains Hist_AP on
-// the aggregates and writes what each stage counted to w. It fails if
-// the wire lost or invented a record. It is the entry point the smoke
-// test drives.
+// loopback TCP into a collector and the aggregator, trains the served
+// generation on the aggregates and writes what each stage counted to
+// w. It fails if the wire lost or invented a record. It is the entry
+// point the smoke test drives.
 func run(w io.Writer, hours int) error {
 	metros := geo.World()
 	graph := topology.Generate(topology.TestGenConfig(9), metros)
@@ -85,9 +84,9 @@ func run(w io.Writer, hours int) error {
 
 	// --- Train on what came off the wire -------------------------------
 	records := agg.Records()
-	model := core.TrainHistorical(features.SetAP, records, core.DefaultHistOpts())
+	gen := serve.Train(records, wan.Hour(hours), sim, metros)
 	fmt.Fprintf(w, "pipeline: %d hourly aggregates -> %s with %d tuples\n",
-		len(records), model.Name(), model.NumTuples())
+		len(records), gen.Name(), gen.Tuples())
 	fmt.Fprintln(w, "wire-level ingestion path verified: router -> TCP -> collector -> pipeline -> model")
 	return nil
 }

@@ -41,6 +41,36 @@ func checkNormalized(t *testing.T, preds []Prediction) {
 	}
 }
 
+// TestTopLink: a flow's top link is the one its tuple's training
+// bytes summed highest on, across hours.
+func TestTopLink(t *testing.T) {
+	f1, f2 := flow(1, 100, 0, 1, 1), flow(2, 200, 0, 1, 1)
+	h := TrainHistorical(features.SetAP, []features.Record{
+		rec(f1, 1, 100),
+		{Hour: 1, Flow: f1, Link: 2, Bytes: 300},
+		{Hour: 2, Flow: f1, Link: 1, Bytes: 150}, // link 1 total 250 < 300
+		rec(f2, 5, 10),
+	}, DefaultHistOpts())
+	for f, want := range map[features.FlowFeatures]wan.LinkID{f1: 2, f2: 5} {
+		if got, ok := h.TopLink(f); !ok || got != want {
+			t.Errorf("TopLink(%v) = %d, %v; want %d", f, got, ok, want)
+		}
+	}
+	if _, ok := h.TopLink(flow(3, 300, 0, 1, 1)); ok {
+		t.Error("untrained flow has a top link")
+	}
+}
+
+// TestTopLinkDeterministicTie: equal byte totals rank the lower link
+// ID first.
+func TestTopLinkDeterministicTie(t *testing.T) {
+	f := flow(1, 0, 0, 1, 1)
+	h := TrainHistorical(features.SetAP, []features.Record{rec(f, 9, 100), rec(f, 3, 100)}, DefaultHistOpts())
+	if got, _ := h.TopLink(f); got != 3 {
+		t.Fatalf("tie broke to link %d, want the lowest ID 3", got)
+	}
+}
+
 func TestHistoricalBasics(t *testing.T) {
 	f := flow(64496, 0x0b000100, 3, 9, 1)
 	recs := []features.Record{

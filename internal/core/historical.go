@@ -144,6 +144,17 @@ func (h *Historical) links(f features.FlowFeatures) ([]Prediction, bool) {
 	return h.preds[start:h.ends[i]:h.ends[i]], true
 }
 
+// TopLink returns the link that carried the most of the flow's
+// tuple's training bytes — its first stored link — and whether the
+// tuple was trained.
+func (h *Historical) TopLink(f features.FlowFeatures) (wan.LinkID, bool) {
+	stored, ok := h.links(f)
+	if !ok || len(stored) == 0 {
+		return 0, false
+	}
+	return stored[0].Link, true
+}
+
 // Predict implements Predictor: a table lookup followed by exclusion
 // filtering and top-k truncation. Lookup is O(1) in the number of
 // training points (Table 3).

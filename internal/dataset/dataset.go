@@ -217,31 +217,3 @@ func (idx *OutageIndex) Links() []wan.LinkID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// TopLinks computes, for every flow aggregate (full feature
-// granularity), the link that received the most of its bytes — "the
-// top 1 link that received traffic during training" that Tables 5-7
-// condition on.
-func TopLinks(recs []features.Record) map[features.FlowFeatures]wan.LinkID {
-	bytes := make(map[features.FlowFeatures]map[wan.LinkID]float64)
-	for _, r := range recs {
-		m := bytes[r.Flow]
-		if m == nil {
-			m = make(map[wan.LinkID]float64, 2)
-			bytes[r.Flow] = m
-		}
-		m[r.Link] += r.Bytes
-	}
-	out := make(map[features.FlowFeatures]wan.LinkID, len(bytes))
-	for f, m := range bytes {
-		var best wan.LinkID
-		bestB := -1.0
-		for l, b := range m {
-			if b > bestB || (b == bestB && l < best) {
-				best, bestB = l, b
-			}
-		}
-		out[f] = best
-	}
-	return out
-}

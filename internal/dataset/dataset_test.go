@@ -184,34 +184,3 @@ func TestInferOutagesMultipleLinks(t *testing.T) {
 		t.Errorf("Events(2) = %+v", evs)
 	}
 }
-
-func TestTopLinks(t *testing.T) {
-	f1 := features.FlowFeatures{AS: 1, Prefix: 100, Region: 1, Type: 1}
-	f2 := features.FlowFeatures{AS: 2, Prefix: 200, Region: 1, Type: 1}
-	recs := []features.Record{
-		{Hour: 0, Flow: f1, Link: 1, Bytes: 100},
-		{Hour: 1, Flow: f1, Link: 2, Bytes: 300},
-		{Hour: 2, Flow: f1, Link: 1, Bytes: 150}, // link 1 total 250 < 300
-		{Hour: 0, Flow: f2, Link: 5, Bytes: 10},
-	}
-	top := TopLinks(recs)
-	if top[f1] != 2 {
-		t.Errorf("top link of f1 = %d, want 2", top[f1])
-	}
-	if top[f2] != 5 {
-		t.Errorf("top link of f2 = %d, want 5", top[f2])
-	}
-}
-
-func TestTopLinksDeterministicTie(t *testing.T) {
-	f := features.FlowFeatures{AS: 1, Region: 1, Type: 1}
-	recs := []features.Record{
-		{Hour: 0, Flow: f, Link: 9, Bytes: 100},
-		{Hour: 0, Flow: f, Link: 3, Bytes: 100},
-	}
-	for i := 0; i < 10; i++ {
-		if TopLinks(recs)[f] != 3 {
-			t.Fatal("tie must break to the lowest link ID")
-		}
-	}
-}

@@ -58,9 +58,8 @@ func SmallEnvConfig(seed int64) EnvConfig {
 }
 
 // Env is a fully built experiment environment: the simulated WAN,
-// aggregated telemetry, train/test windows, inferred outages, the
-// per-flow top training links, and the model generation a daemon
-// would serve after training on the window.
+// aggregated telemetry, train/test windows, inferred outages, and the
+// model generation a daemon would serve after training on the window.
 type Env struct {
 	Cfg EnvConfig
 	Sim *netsim.Sim
@@ -76,7 +75,6 @@ type Env struct {
 	Train, Test        []features.Record
 
 	TrainOut, TestOut *dataset.OutageIndex
-	TopTrain          map[features.FlowFeatures]wan.LinkID
 	// Served is serve.Train's generation over Train; every Historical
 	// model the tables score is one of its fits.
 	Served *serve.Models
@@ -124,7 +122,6 @@ func (e *Env) SplitAt(all []features.Record, split wan.Hour) {
 	opts := dataset.DefaultInferOptions()
 	e.TrainOut = dataset.NewOutageIndex(dataset.InferOutages(e.Train, e.TrainFrom, e.TrainTo, opts))
 	e.TestOut = dataset.NewOutageIndex(dataset.InferOutages(e.Test, e.TestFrom, e.TestTo, opts))
-	e.TopTrain = dataset.TopLinks(e.Train)
 	e.Served = serve.Train(e.Train, e.TrainTo, e.Dir, e.Metros)
 	e.nb = nil
 }

@@ -122,12 +122,15 @@ const (
 
 // outageOptions builds the §5.3 evaluation options: select flow-hours
 // whose top-1 training link is unavailable, give models the
-// availability prior, and restrict by outage class.
+// availability prior, and restrict by outage class. A flow's top
+// training link is Hist_AP's first stored link for it: the AP tuple
+// fixes the flow, because the location is the prefix's Geo-IP metro.
 func (e *Env) outageOptions(class OutageClass) Options {
+	hAP := e.Hist(features.SetAP)
 	return Options{
 		Exclude: e.TestExclude,
 		Select: func(f features.FlowFeatures, h wan.Hour) bool {
-			top, ok := e.TopTrain[f]
+			top, ok := hAP.TopLink(f)
 			if !ok || !e.TestOut.Down(top, h) {
 				return false
 			}
@@ -152,8 +155,9 @@ func TableOutages(e *Env, class OutageClass) []AccuracyRow {
 // OutageBytesSplit reports the fraction of outage-affected test bytes
 // whose outage was unseen in training (the paper reports ~57%).
 func OutageBytesSplit(e *Env) (seen, unseen float64) {
+	hAP := e.Hist(features.SetAP)
 	for _, r := range e.Test {
-		top, ok := e.TopTrain[r.Flow]
+		top, ok := hAP.TopLink(r.Flow)
 		if !ok || !e.TestOut.Down(top, r.Hour) {
 			continue
 		}

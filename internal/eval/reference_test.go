@@ -52,6 +52,57 @@ func buildGroupsReference(recs []features.Record, opts Options) []Group {
 	return out
 }
 
+// topLinksReference is the map-of-maps oracle for the top training
+// link the §5.3 outage experiments condition on: for every flow, the
+// link that received the most of its bytes, ties to the lowest link
+// ID.
+func topLinksReference(recs []features.Record) map[features.FlowFeatures]wan.LinkID {
+	bytes := make(map[features.FlowFeatures]map[wan.LinkID]float64)
+	for _, r := range recs {
+		m := bytes[r.Flow]
+		if m == nil {
+			m = make(map[wan.LinkID]float64, 2)
+			bytes[r.Flow] = m
+		}
+		m[r.Link] += r.Bytes
+	}
+	out := make(map[features.FlowFeatures]wan.LinkID, len(bytes))
+	for f, m := range bytes {
+		var best wan.LinkID
+		bestB := -1.0
+		for l, b := range m {
+			if b > bestB || (b == bestB && l < best) {
+				best, bestB = l, b
+			}
+		}
+		out[f] = best
+	}
+	return out
+}
+
+// TestTopLinkIsTopLinksReference holds the served Hist_AP fit's top
+// link equal to the reference scan on every training flow of small
+// seeds 1–3: the AP tuple fixes the flow, because the location is the
+// prefix's Geo-IP metro.
+func TestTopLinkIsTopLinksReference(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		e := sharedEnv(t)
+		if seed > 1 {
+			e = Build(SmallEnvConfig(seed))
+		}
+		want := topLinksReference(e.Train)
+		hAP := e.Hist(features.SetAP)
+		if len(want) == 0 || hAP.NumTuples() != len(want) {
+			t.Fatalf("seed %d: %d flows, Hist_AP holds %d tuples", seed, len(want), hAP.NumTuples())
+		}
+		for f, link := range want {
+			if got, ok := hAP.TopLink(f); !ok || got != link {
+				t.Errorf("seed %d: TopLink(%v) = %d, %v; reference %d", seed, f, got, ok, link)
+			}
+		}
+	}
+}
+
 func lessFlowReference(a, b features.FlowFeatures) bool {
 	if a.AS != b.AS {
 		return a.AS < b.AS

@@ -112,13 +112,6 @@ type Collector struct {
 	// traffic over the ~64 records a message carries.
 	// guarded by mu
 	batch []FlowRecord
-	// tracer + traceCtx attach incident marks (quarantine, template
-	// buffering) to the ingest trace. Nil tracer / zero context — the
-	// default — emits nothing.
-	// lock-free: set via SetTrace before ingest begins, constant after
-	tracer *obsv.Tracer
-	// lock-free: set via SetTrace before ingest begins, constant after
-	traceCtx obsv.SpanContext
 }
 
 // NewCollector creates an empty collector with a private metrics
@@ -135,23 +128,6 @@ func NewCollectorOn(reg *obsv.Registry) *Collector {
 		domains: make(map[uint32]*domainState),
 		m:       newCollectorMetrics(reg),
 	}
-}
-
-// SetTrace attaches the collector's incident marks to the given
-// trace context. Call before ingest; nil tracer disables them.
-func (c *Collector) SetTrace(t *obsv.Tracer, sc obsv.SpanContext) {
-	c.mu.Lock()
-	c.tracer = t
-	c.traceCtx = sc
-	c.mu.Unlock()
-}
-
-// mark files a zero-duration incident span — how quarantines and
-// template-resync events show up on the ingest trace timeline.
-// Untraced collectors pay two nil checks.
-func (c *Collector) mark(name string) {
-	sp := c.tracer.StartFrom(c.traceCtx, name)
-	sp.End()
 }
 
 // domain returns (creating if needed) the state for one observation
@@ -177,7 +153,6 @@ func (c *Collector) HandleMessageBatch(buf []byte, fn func(domain uint32, recs [
 	c.batch = c.batch[:0]
 	if len(buf) < msgHeaderLen {
 		c.m.quarantined.Inc()
-		c.mark("ipfix_quarantine")
 		return ErrShortMessage
 	}
 	// Peek the domain to select the template table.
@@ -187,7 +162,6 @@ func (c *Collector) HandleMessageBatch(buf []byte, fn func(domain uint32, recs [
 	if err := DecodeInto(msg, buf, d.table); err != nil {
 		PutMessage(msg)
 		c.m.quarantined.Inc()
-		c.mark("ipfix_quarantine")
 		return err
 	}
 	c.accountSequence(d, msg)
@@ -326,7 +300,6 @@ func (c *Collector) processOne(d *domainState, tid uint16, data []byte, ct *Comp
 	}
 	if ct == nil || ct.recLen != flowRecordLen {
 		c.m.quarantined.Inc()
-		c.mark("ipfix_quarantine")
 		return
 	}
 	n := len(c.batch)
@@ -334,7 +307,6 @@ func (c *Collector) processOne(d *domainState, tid uint16, data []byte, ct *Comp
 	if !ct.DecodeFlow(data, &c.batch[n]) {
 		c.batch = c.batch[:n]
 		c.m.quarantined.Inc()
-		c.mark("ipfix_quarantine")
 	}
 }
 
@@ -344,7 +316,6 @@ func (c *Collector) bufferPending(d *domainState, raw RawSet) {
 	body := append([]byte(nil), raw.Body...) // Body aliases the message buffer
 	d.pending = append(d.pending, RawSet{SetID: raw.SetID, Body: body})
 	c.m.buffered.Inc()
-	c.mark("ipfix_template_buffered")
 	if len(d.pending) > maxPendingSets {
 		// Copy down (keeping the backing array) rather than reslice
 		// forward, and drop the evicted body reference.
@@ -353,7 +324,6 @@ func (c *Collector) bufferPending(d *domainState, raw RawSet) {
 		d.pending[kept].Body = nil
 		d.pending = d.pending[:kept]
 		c.m.evicted.Inc()
-		c.mark("ipfix_pending_evicted")
 	}
 }
 
@@ -373,11 +343,9 @@ func (c *Collector) replayPending(d *domainState) {
 			continue
 		}
 		c.m.replayed.Inc()
-		c.mark("ipfix_template_replayed")
 		rl := ct.recLen
 		if rl == 0 {
 			c.m.quarantined.Inc()
-			c.mark("ipfix_quarantine")
 			continue
 		}
 		body := raw.Body

@@ -15,7 +15,7 @@ import (
 //
 // Snapshot types are the sanctioned exception: structs whose names
 // end in Stats, Snapshot, or Counters are the read-side copies
-// returned to callers (CollectorStats, fallbackCounters, ...) and may
+// returned to callers (CollectorStats, obsv.Snapshot, ...) and may
 // keep plain integers.
 func checkMetrics(scope []*Package, report ReportFunc) {
 	counterWords := map[string]bool{

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,55 +408,138 @@ func TestInjectExtractHeader(t *testing.T) {
 	}
 }
 
-// TestSpanDumpGolden pins the JSON span-dump format for a seeded
-// two-span trace: deterministic clock, deterministic IDs, byte-stable
-// output.
+// TestSpanDumpGolden pins the span dump for a seeded two-span trace
+// entered from a remote parent: deterministic clock, deterministic
+// IDs, byte-stable output. The records set every field the dump
+// carries, and each must reach its "X" event's args.
 func TestSpanDumpGolden(t *testing.T) {
 	tr, rec, _ := newTestTracer(16)
-	root := tr.StartRoot("predict")
+	root := tr.StartRemote(SpanContext{Trace: TraceID{Hi: 7, Lo: 9}, Span: 0x42}, "predict")
 	root.SetInt("flows", 2)
+	root.SetStr("rung", "geo")
 	child := tr.StartChild(root, "feature_encode")
 	child.Event("demote_ensemble")
+	for _, k := range []string{"a", "b", "c", "d", "e"} { // one past maxSpanAttrs
+		child.SetInt(k, 1)
+	}
 	child.Error("bad address")
 	child.End()
 	root.End()
 
 	var buf bytes.Buffer
-	if err := WriteSpansJSON(&buf, rec.Snapshot()); err != nil {
+	if err := WriteSpanTraceEvents(&buf, rec.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	want := `[
   {
-    "trace": "00000000000000010000000000000001",
-    "span": "0000000000000001",
     "name": "predict",
-    "start_ns": 1,
-    "dur_ns": 4,
-    "status": "ok",
-    "attrs": {
-      "flows": 2
+    "cat": "tipsy",
+    "ph": "X",
+    "pid": 1,
+    "tid": 1,
+    "ts": 0,
+    "dur": 0.004,
+    "args": {
+      "trace": "00000000000000070000000000000009",
+      "span": "0000000000000001",
+      "parent": "0000000000000042",
+      "remote": true,
+      "start_ns": 1,
+      "dur_ns": 4,
+      "status": "ok",
+      "attrs": {
+        "flows": 2,
+        "rung": "geo"
+      }
     }
   },
   {
-    "trace": "00000000000000010000000000000001",
-    "span": "0000000000000002",
-    "parent": "0000000000000001",
     "name": "feature_encode",
-    "start_ns": 2,
-    "dur_ns": 2,
-    "status": "error",
-    "note": "bad address",
-    "events": [
-      {
-        "name": "demote_ensemble",
-        "at_ns": 3
+    "cat": "tipsy",
+    "ph": "X",
+    "pid": 1,
+    "tid": 1,
+    "ts": 0.001,
+    "dur": 0.002,
+    "args": {
+      "trace": "00000000000000070000000000000009",
+      "span": "0000000000000002",
+      "parent": "0000000000000001",
+      "start_ns": 2,
+      "dur_ns": 2,
+      "status": "error",
+      "note": "bad address",
+      "dropped": 1,
+      "attrs": {
+        "a": 1,
+        "b": 1,
+        "c": 1,
+        "d": 1
       }
-    ]
+    }
+  },
+  {
+    "name": "demote_ensemble",
+    "cat": "tipsy",
+    "ph": "i",
+    "pid": 1,
+    "tid": 1,
+    "ts": 0.002,
+    "dur": 0,
+    "args": {
+      "at_ns": 3
+    }
   }
 ]
 `
 	if got := buf.String(); got != want {
 		t.Errorf("span dump mismatch:\n--- got\n%s--- want\n%s", got, want)
+	}
+
+	var events []struct {
+		Name string         `json:"name"`
+		Ph   string         `json:"ph"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	args := map[string]map[string]any{}
+	for _, e := range events {
+		args[e.Ph+" "+e.Name] = e.Args
+	}
+	get := func(span, key string) any {
+		if k, ok := strings.CutPrefix(key, "attrs."); ok {
+			attrs, _ := args[span]["attrs"].(map[string]any)
+			return attrs[k]
+		}
+		return args[span][key]
+	}
+	const trace = "00000000000000070000000000000009"
+	for _, c := range []struct {
+		span, key string
+		want      any
+	}{
+		{"X predict", "trace", trace},
+		{"X predict", "span", "0000000000000001"},
+		{"X predict", "parent", "0000000000000042"},
+		{"X predict", "remote", true},
+		{"X predict", "start_ns", 1.0},
+		{"X predict", "dur_ns", 4.0},
+		{"X predict", "status", "ok"},
+		{"X predict", "attrs.flows", 2.0},
+		{"X predict", "attrs.rung", "geo"},
+		{"X feature_encode", "parent", "0000000000000001"},
+		{"X feature_encode", "remote", nil},
+		{"X feature_encode", "status", "error"},
+		{"X feature_encode", "note", "bad address"},
+		{"X feature_encode", "dropped", 1.0},
+		{"X feature_encode", "attrs.d", 1.0},
+		{"i demote_ensemble", "at_ns", 3.0},
+	} {
+		if got := get(c.span, c.key); got != c.want {
+			t.Errorf("%s args %s = %v, want %v", c.span, c.key, got, c.want)
+		}
 	}
 }
 

@@ -30,6 +30,9 @@
 # and the chaos soak. The
 # differential oracles and the bundle round trip are tests, so
 # `go test ./...` runs them; it also replays every fuzz seed corpus.
+# A diagnostic bundle holds metrics.prom, quality.json,
+# trace_events.json (the one span dump), log_tail.txt, heap.pprof and
+# goroutine.pprof; its manifest carries the build identity.
 # Everything is stdlib Go; no network access is needed.
 #
 # Usage: scripts/check.sh [-short]
