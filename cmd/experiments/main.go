@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"table5", "accuracy on all link outages", func(e *eval.Env) {
 			seen, unseen := eval.OutageBytesSplit(e)
 			fmt.Fprintf(stdout, "outage-affected bytes: %.1f%% unseen in training\n",
-				100*unseen/(seen+unseen+1e-12))
+				100*float64(unseen)/(float64(seen+unseen)+1e-12))
 			rows := eval.TableOutages(e, eval.AllOutages)
 			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 5: prediction accuracy, all link outages", rows))
 			accCSV("table5", rows)

@@ -110,7 +110,7 @@ func cmdInfo(args []string) error {
 		return nil
 	}
 	var from, to wan.Hour
-	var bytes float64
+	var bytes uint64
 	for i, r := range b.Records {
 		if i == 0 || r.Hour < from {
 			from = r.Hour
@@ -118,11 +118,11 @@ func cmdInfo(args []string) error {
 		if r.Hour >= to {
 			to = r.Hour + 1
 		}
-		bytes += r.Bytes
+		bytes += uint64(r.Bytes)
 	}
 	c := features.Cardinalities(b.Records)
 	fmt.Printf("records:  %d over hours [%d, %d) (%.1f days)\n", len(b.Records), from, to, float64(to-from)/24)
-	fmt.Printf("bytes:    %.3e\n", bytes)
+	fmt.Printf("bytes:    %.3e\n", float64(bytes))
 	fmt.Printf("links:    %d across %d anycast prefixes\n", len(b.Links), len(b.Anycast))
 	fmt.Printf("features: %d ASes, %d /24s, %d locations, %d regions, %d types\n",
 		c.AS, c.Prefix, c.Loc, c.Region, c.Type)

@@ -116,7 +116,7 @@ type CMS struct {
 	mu sync.Mutex
 	// traffic[link][prefixIdx][flow] = bytes in the current hour
 	// guarded by mu
-	traffic map[wan.LinkID]map[int]map[features.FlowFeatures]float64
+	traffic map[wan.LinkID]map[int]map[features.FlowFeatures]uint64
 	// guarded by mu
 	active []*Withdrawal
 	// guarded by mu
@@ -134,7 +134,7 @@ func New(cfg Config, net Network, tipsy core.Predictor, geoip *geo.GeoIP,
 	}
 	return &CMS{
 		cfg: cfg, net: net, tipsy: tipsy, geoip: geoip, meta: meta,
-		traffic: make(map[wan.LinkID]map[int]map[features.FlowFeatures]float64),
+		traffic: make(map[wan.LinkID]map[int]map[features.FlowFeatures]uint64),
 		hot:     make(map[wan.LinkID]int),
 	}
 }
@@ -160,15 +160,15 @@ func (c *CMS) Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
 	defer c.mu.Unlock()
 	byPfx := c.traffic[link]
 	if byPfx == nil {
-		byPfx = make(map[int]map[features.FlowFeatures]float64)
+		byPfx = make(map[int]map[features.FlowFeatures]uint64)
 		c.traffic[link] = byPfx
 	}
 	flows := byPfx[pi]
 	if flows == nil {
-		flows = make(map[features.FlowFeatures]float64)
+		flows = make(map[features.FlowFeatures]uint64)
 		byPfx[pi] = flows
 	}
-	flows[flow] += float64(rec.Octets)
+	flows[flow] += rec.Octets
 }
 
 func (c *CMS) prefixIndex(dst uint32) int {
@@ -231,7 +231,7 @@ func (c *CMS) Step(h wan.Hour) {
 	}
 
 	// The per-hour traffic view is consumed.
-	c.traffic = make(map[wan.LinkID]map[int]map[features.FlowFeatures]float64)
+	c.traffic = make(map[wan.LinkID]map[int]map[features.FlowFeatures]uint64)
 }
 
 // mitigate withdraws enough safe prefixes from the congested link to
@@ -251,7 +251,7 @@ func (c *CMS) mitigate(h wan.Hour, link wan.LinkID) {
 	type pfxVol struct {
 		idx   int
 		flows []features.FlowFeatures
-		bytes float64
+		bytes uint64
 	}
 	var pfxs []pfxVol
 	for pi, flows := range byPfx {
@@ -300,7 +300,7 @@ func (c *CMS) mitigate(h wan.Hour, link wan.LinkID) {
 					},
 				})
 				for _, p := range preds {
-					shift[p.Link] += p.Frac * bytes
+					shift[p.Link] += p.Frac * float64(bytes)
 				}
 			}
 			for target, extra := range shift {
@@ -322,7 +322,7 @@ func (c *CMS) mitigate(h wan.Hour, link wan.LinkID) {
 		c.net.Withdraw(link, prefix)
 		c.active = append(c.active, &Withdrawal{Link: link, Prefix: prefix, IssuedAt: h})
 		ev.Withdrawn = append(ev.Withdrawn, prefix)
-		shiftedSoFar += pv.bytes
+		shiftedSoFar += float64(pv.bytes)
 		for target, extra := range shift {
 			projected[target] += extra
 			ev.Predicted[target] += extra

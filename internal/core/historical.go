@@ -55,7 +55,7 @@ func newHistorical(set features.Set, tuples []features.Tuple, ends []int32, pred
 // and its bytes.
 type histSlot struct {
 	key   features.Key
-	bytes float64
+	bytes uint64
 }
 
 // TrainHistorical builds a Historical model over the given feature
@@ -67,16 +67,15 @@ type histSlot struct {
 //
 // Each record costs one features.Index lookup of its (tuple, link)
 // key, which holds the pair's slot; the key is the flow's with the
-// fields outside the set masked (Set.Key). The model does not depend
-// on the record order beyond float summation: each slot sums its
-// records in slice order, each tuple's total its slots in rank order.
+// fields outside the set masked (Set.Key). Bytes add as integers, so
+// the model does not depend on the record order.
 func TrainHistorical(set features.Set, recs []features.Record, opts HistOpts) *Historical {
 	if opts.MaxLinksPerTuple <= 0 {
 		opts.MaxLinksPerTuple = DefaultHistOpts().MaxLinksPerTuple
 	}
 	index := features.NewIndex(1 << 10)
 	var slots []histSlot
-	var sums []float64 // by slot, apart from the keys: the loop touches only these
+	var sums []uint64 // by slot, apart from the keys: the loop touches only these
 	for i := range recs {
 		r := &recs[i]
 		if !(r.Bytes > 0) {
@@ -89,7 +88,7 @@ func TrainHistorical(set features.Set, recs []features.Record, opts HistOpts) *H
 			slots = append(slots, histSlot{key: k})
 			sums = append(sums, 0)
 		}
-		sums[s] += r.Bytes
+		sums[s] += uint64(r.Bytes)
 	}
 	for i := range slots {
 		slots[i].bytes = sums[i]
@@ -111,12 +110,12 @@ func TrainHistorical(set features.Set, recs []features.Record, opts HistOpts) *H
 	var ends []int32
 	preds := make([]Prediction, 0, len(slots))
 	for lo, hi := 0, 0; lo < len(slots); lo = hi {
-		var total float64
+		var total uint64
 		for hi = lo; hi < len(slots) && slots[hi].key.A == slots[lo].key.A && slots[hi].key.B == slots[lo].key.B; hi++ {
 			total += slots[hi].bytes
 		}
 		for _, s := range slots[lo:min(hi, lo+opts.MaxLinksPerTuple)] {
-			preds = append(preds, Prediction{Link: wan.LinkID(s.key.C), Frac: s.bytes / total})
+			preds = append(preds, Prediction{Link: wan.LinkID(s.key.C), Frac: float64(s.bytes) / float64(total)})
 		}
 		tuples = append(tuples, features.Tuple(features.KeyFlow(slots[lo].key)))
 		ends = append(ends, int32(len(preds)))

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tipsy/internal/features"
@@ -194,6 +195,28 @@ func TestCheckpointBytesAreAFunctionOfTheModel(t *testing.T) {
 	}
 	if resaved := saveCheckpoint(t, back); !bytes.Equal(first, resaved) {
 		t.Fatal("save -> load -> save changed the bytes")
+	}
+}
+
+// TestCheckpointPast2To53IsOrderFree fits one AS whose bytes on link 1
+// sum past 2⁵³ from records each below it, fed in two orders: the big
+// record first, where float64 addition would round each 1 away, and
+// last, where the 1s add up first. Bytes add as integers, so both
+// fits save the same checkpoint bytes.
+func TestCheckpointPast2To53IsOrderFree(t *testing.T) {
+	f := flow(64496, 0x0b000100, 3, 9, 1)
+	ones := make([]features.Record, 4)
+	for i := range ones {
+		ones[i] = rec(flow(64496, 0x0b000200+uint32(i)<<8, 3, 9, 1), 1, 1)
+	}
+	big, other := rec(f, 1, 1<<53-1), rec(f, 2, 3)
+	bigFirst := append([]features.Record{big}, append(ones, other)...)
+	bigLast := append(append(slices.Clone(ones), big), other)
+	save := func(recs []features.Record) []byte {
+		return saveCheckpoint(t, &Checkpoint{Models: []*Historical{TrainHistorical(features.SetA, recs, DefaultHistOpts())}})
+	}
+	if a, b := save(bigFirst), save(bigLast); !bytes.Equal(a, b) {
+		t.Fatal("the same records in two orders saved different checkpoints")
 	}
 }
 

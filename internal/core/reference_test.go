@@ -112,9 +112,10 @@ func TestDifferentialTrainHistorical(t *testing.T) {
 	}
 }
 
-// TestTrainHistoricalRepeatsBitForBit fits the same fractional-byte
-// records twenty times. Summing a tuple's total in map iteration order
-// used to let the stored fractions differ in the last bit between fits.
+// TestTrainHistoricalRepeatsBitForBit fits the same records twenty
+// times. Summing a tuple's total in map iteration order used to let
+// the stored fractions of fractional-byte records differ in the last
+// bit between fits.
 func TestTrainHistoricalRepeatsBitForBit(t *testing.T) {
 	for _, c := range recordtest.Cases(3) {
 		for _, set := range allSets {

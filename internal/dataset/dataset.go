@@ -36,9 +36,9 @@ func Window(recs []features.Record, from, to wan.Hour) []features.Record {
 // rows come out strictly increasing under features.Record.Compare.
 //
 // A Historical fit over the rows equals the fit over the records bit
-// for bit when every byte count is an integer and every slot's total
-// stays below 2^53: float64 adds such integers exactly, in any
-// grouping. Sorting the rows keeps each flow's first sighting at the
+// for bit while every row's day total stays below 2^53: float64 adds
+// the day's integer byte counts exactly, and the fit adds the rows as
+// uint64. Sorting the rows keeps each flow's first sighting at the
 // hour, and in the order, the records had it. A window cut at start
 // plus a multiple of 24 hours never splits a row's day.
 func DailyRows(recs []features.Record, start wan.Hour) []features.Record {

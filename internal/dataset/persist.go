@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"slices"
 
 	"tipsy/internal/bgp"
@@ -20,7 +22,8 @@ import (
 type File struct {
 	Version int
 	// Records are the hourly aggregates from the pipeline, in hour
-	// order; Load refuses a bundle whose records are not.
+	// order, each Bytes an integer in [0, 2^53) and all of them
+	// summing below 2^64; Load refuses a bundle whose records are not.
 	Records []features.Record
 	// Links is the WAN's link directory at export time.
 	Links []wan.Link
@@ -55,7 +58,9 @@ func Save(w io.Writer, f *File) error {
 	return zw.Close()
 }
 
-// Load reads a bundle written by Save.
+// Load reads a bundle written by Save. It refuses records out of hour
+// order, a Bytes that is not an integer in [0, 2^53), and Bytes that
+// sum to 2^64 or more, so a sum of a bundle's bytes in uint64 is exact.
 func Load(r io.Reader) (*File, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -69,9 +74,16 @@ func Load(r io.Reader) (*File, error) {
 	if f.Version != fileVersion {
 		return nil, fmt.Errorf("dataset: unsupported file version %d", f.Version)
 	}
-	for i := 1; i < len(f.Records); i++ {
-		if f.Records[i].Hour < f.Records[i-1].Hour {
-			return nil, fmt.Errorf("dataset: load: record %d (hour %d) follows hour %d; records must be in hour order", i, f.Records[i].Hour, f.Records[i-1].Hour)
+	var sum, carry uint64
+	for i, r := range f.Records {
+		if i > 0 && r.Hour < f.Records[i-1].Hour {
+			return nil, fmt.Errorf("dataset: load: record %d (hour %d) follows hour %d; records must be in hour order", i, r.Hour, f.Records[i-1].Hour)
+		}
+		if !(r.Bytes >= 0 && r.Bytes < 1<<53 && r.Bytes == math.Trunc(r.Bytes)) {
+			return nil, fmt.Errorf("dataset: load: record %d carries %v bytes; bytes must be an integer in [0, 2^53)", i, r.Bytes)
+		}
+		if sum, carry = bits.Add64(sum, uint64(r.Bytes), 0); carry != 0 {
+			return nil, fmt.Errorf("dataset: load: the bytes of records 0 to %d sum to 2^64 or more", i)
 		}
 	}
 	return &f, nil

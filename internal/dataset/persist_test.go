@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"tipsy/internal/bgp"
@@ -106,6 +108,43 @@ func TestLoadRejectsRecordsOutOfHourOrder(t *testing.T) {
 		_, err := Load(&buf)
 		if want := "dataset: load: record 2 (hour 4) follows hour 5; records must be in hour order"; c.ok && err != nil || !c.ok && (err == nil || err.Error() != want) {
 			t.Errorf("hours %v: Load says %v", c.hours, err)
+		}
+	}
+}
+
+// TestLoadRejectsImpossibleBytes: a record's Bytes is an integer in
+// [0, 2⁵³) and a bundle's Bytes sum below 2⁶⁴, so the uint64 sums
+// over it are exact; Load names the first record that breaks either.
+func TestLoadRejectsImpossibleBytes(t *testing.T) {
+	many := make([]float64, 2049) // 2,049 × (2⁵³−1) ≥ 2⁶⁴
+	for i := range many {
+		many[i] = 1<<53 - 1
+	}
+	for _, c := range []struct {
+		name  string
+		bytes []float64
+		want  string // "" when Load accepts
+	}{
+		{"integers", []float64{0, 7, 1<<53 - 1}, ""},
+		{"NaN", []float64{7, math.NaN()}, "record 1 carries NaN bytes"},
+		{"+Inf", []float64{math.Inf(1)}, "record 0 carries +Inf bytes"},
+		{"-Inf", []float64{7, 7, math.Inf(-1)}, "record 2 carries -Inf bytes"},
+		{"negative", []float64{7, -1}, "record 1 carries -1 bytes"},
+		{"fractional", []float64{0.5}, "record 0 carries 0.5 bytes"},
+		{"2⁵³", []float64{7, 1 << 53}, "record 1 carries 9.007199254740992e+15 bytes"},
+		{"sum past 2⁶⁴", many, "records 0 to 2048 sum to 2^64 or more"},
+	} {
+		f := &File{}
+		for _, b := range c.bytes {
+			f.Records = append(f.Records, mkrec(0, 1, 1, b))
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: Load says %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func WriteAccuracyCSV(dir, name string, rows []AccuracyRow) error {
 func WriteFig2CSV(dir string, pts []Fig2Point) error {
 	rows := make([][]string, len(pts))
 	for i, p := range pts {
-		rows[i] = []string{strconv.Itoa(p.Dist), f2s(p.Bytes), f2s(p.CumFrac)}
+		rows[i] = []string{strconv.Itoa(p.Dist), f2s(float64(p.Bytes)), f2s(p.CumFrac)}
 	}
 	return writeCSV(dir, "fig2.csv", []string{"as_hops", "bytes", "cum_frac"}, rows)
 }
@@ -62,7 +62,7 @@ func WriteFig2CSV(dir string, pts []Fig2Point) error {
 func WriteFig3CSV(dir string, rows3 []Fig3Row) error {
 	rows := make([][]string, len(rows3))
 	for i, r := range rows3 {
-		rows[i] = []string{strconv.Itoa(r.Dist), strconv.Itoa(r.ASes), f2s(r.Bytes),
+		rows[i] = []string{strconv.Itoa(r.Dist), strconv.Itoa(r.ASes), f2s(float64(r.Bytes)),
 			strconv.Itoa(r.P50), strconv.Itoa(r.P90), strconv.Itoa(r.P99), strconv.Itoa(r.MaxLinks)}
 	}
 	return writeCSV(dir, "fig3.csv",

@@ -72,8 +72,8 @@ func (e *Env) modelsWithOracles(models []core.Predictor) []tableEntry {
 	return out
 }
 
-// tableRows scores each entry. Oracles are trained on the selected
-// records and evaluated at their own tuple granularity.
+// tableRows scores each entry on the selected records. Oracles are
+// trained on them and evaluated at their own tuple granularity.
 func tableRows(e *Env, entries []tableEntry, opts Options) []AccuracyRow {
 	selected := e.Test
 	if opts.Select != nil {
@@ -83,6 +83,7 @@ func tableRows(e *Env, entries []tableEntry, opts Options) []AccuracyRow {
 				selected = append(selected, r)
 			}
 		}
+		opts.Select = nil
 	}
 	var rows []AccuracyRow
 	for _, entry := range entries {
@@ -92,7 +93,7 @@ func tableRows(e *Env, entries []tableEntry, opts Options) []AccuracyRow {
 			o.GroupBy = GroupBySet(entry.set)
 			m = NewOracle(entry.set, selected)
 		}
-		rows = append(rows, row(m, e.Test, o, entry.oracle))
+		rows = append(rows, row(m, selected, o, entry.oracle))
 	}
 	return rows
 }
@@ -154,7 +155,7 @@ func TableOutages(e *Env, class OutageClass) []AccuracyRow {
 
 // OutageBytesSplit reports the fraction of outage-affected test bytes
 // whose outage was unseen in training (the paper reports ~57%).
-func OutageBytesSplit(e *Env) (seen, unseen float64) {
+func OutageBytesSplit(e *Env) (seen, unseen uint64) {
 	hAP := e.Hist(features.SetAP)
 	for _, r := range e.Test {
 		top, ok := hAP.TopLink(r.Flow)
@@ -162,9 +163,9 @@ func OutageBytesSplit(e *Env) (seen, unseen float64) {
 			continue
 		}
 		if e.TrainOut.HasOutage(top) {
-			seen += r.Bytes
+			seen += uint64(r.Bytes)
 		} else {
-			unseen += r.Bytes
+			unseen += uint64(r.Bytes)
 		}
 	}
 	return seen, unseen
@@ -204,7 +205,7 @@ func Fig5(e *Env, ks []int) []Fig5Point {
 // ingress bytes from source ASes at most Dist AS-hops away.
 type Fig2Point struct {
 	Dist    int
-	Bytes   float64
+	Bytes   uint64
 	CumFrac float64
 }
 
@@ -213,15 +214,15 @@ type Fig2Point struct {
 // AS graph.
 func Fig2(e *Env, recs []features.Record) []Fig2Point {
 	dist := e.Graph.DistancesToCloud()
-	byDist := make(map[int]float64)
-	var total float64
+	byDist := make(map[int]uint64)
+	var total uint64
 	for _, r := range recs {
 		d, ok := dist[r.Flow.AS]
 		if !ok {
 			continue
 		}
-		byDist[d] += r.Bytes
-		total += r.Bytes
+		byDist[d] += uint64(r.Bytes)
+		total += uint64(r.Bytes)
 	}
 	var ds []int
 	for d := range byDist {
@@ -229,10 +230,10 @@ func Fig2(e *Env, recs []features.Record) []Fig2Point {
 	}
 	sort.Ints(ds)
 	out := make([]Fig2Point, 0, len(ds))
-	cum := 0.0
+	var cum uint64
 	for _, d := range ds {
 		cum += byDist[d]
-		out = append(out, Fig2Point{Dist: d, Bytes: byDist[d], CumFrac: cum / total})
+		out = append(out, Fig2Point{Dist: d, Bytes: byDist[d], CumFrac: float64(cum) / float64(total)})
 	}
 	return out
 }
@@ -244,7 +245,7 @@ func Fig2(e *Env, recs []features.Record) []Fig2Point {
 type Fig3Row struct {
 	Dist          int
 	ASes          int
-	Bytes         float64
+	Bytes         uint64
 	P50, P90, P99 int // links receiving traffic, byte-weighted quantiles
 	MaxLinks      int
 }
@@ -255,7 +256,7 @@ func Fig3(e *Env, recs []features.Record) []Fig3Row {
 	dist := e.Graph.DistancesToCloud()
 	type asAgg struct {
 		links map[wan.LinkID]bool
-		bytes float64
+		bytes uint64
 	}
 	perAS := make(map[bgp.ASN]*asAgg)
 	for _, r := range recs {
@@ -265,11 +266,11 @@ func Fig3(e *Env, recs []features.Record) []Fig3Row {
 			perAS[r.Flow.AS] = a
 		}
 		a.links[r.Link] = true
-		a.bytes += r.Bytes
+		a.bytes += uint64(r.Bytes)
 	}
 	type pt struct {
 		nLinks int
-		bytes  float64
+		bytes  uint64
 	}
 	byDist := make(map[int][]pt)
 	for asn, a := range perAS {
@@ -288,15 +289,15 @@ func Fig3(e *Env, recs []features.Record) []Fig3Row {
 	for _, d := range ds {
 		pts := byDist[d]
 		sort.Slice(pts, func(i, j int) bool { return pts[i].nLinks < pts[j].nLinks })
-		var total float64
+		var total uint64
 		for _, p := range pts {
 			total += p.bytes
 		}
 		quantile := func(q float64) int {
-			cum := 0.0
+			var cum uint64
 			for _, p := range pts {
 				cum += p.bytes
-				if cum >= q*total {
+				if float64(cum) >= q*float64(total) {
 					return p.nLinks
 				}
 			}

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,6 +97,24 @@ func TestFig3Shape(t *testing.T) {
 	}
 	if rows[0].MaxLinks < 3 {
 		t.Errorf("1-hop ASes spread over only %d links", rows[0].MaxLinks)
+	}
+}
+
+// TestFig3IsDeterministic runs Fig3 ten times on small-env records
+// whose bytes are distinct odd integers near 2⁵⁰, so per-AS and
+// per-distance sums pass 2⁵³ and a float64 sum would depend on the Go
+// map order the ASes are visited in. The rows must be equal.
+func TestFig3IsDeterministic(t *testing.T) {
+	e := sharedEnv(t)
+	recs := slices.Clone(e.Train[:min(len(e.Train), 8192)]) // 8,192 × 2⁵⁰ stays below 2⁶⁴
+	for i := range recs {
+		recs[i].Bytes = float64(1<<50 + 2*i + 1)
+	}
+	first := Fig3(e, recs)
+	for run := 1; run < 10; run++ {
+		if got := Fig3(e, recs); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d: %+v, run 0: %+v", run, got, first)
+		}
 	}
 }
 

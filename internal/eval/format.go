@@ -53,7 +53,7 @@ func FormatFig2(points []Fig2Point) string {
 	b.WriteString("Figure 2: CDF of bytes by source-AS distance\n")
 	fmt.Fprintf(&b, "%-10s %14s %10s\n", "AS hops", "bytes", "cum %")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-10d %14.3e %9.2f%%\n", p.Dist, p.Bytes, p.CumFrac*100)
+		fmt.Fprintf(&b, "%-10d %14.3e %9.2f%%\n", p.Dist, float64(p.Bytes), p.CumFrac*100)
 	}
 	return b.String()
 }
@@ -65,7 +65,7 @@ func FormatFig3(rows []Fig3Row) string {
 	fmt.Fprintf(&b, "%-10s %6s %12s %6s %6s %6s %6s\n", "AS hops", "ASes", "bytes", "p50", "p90", "p99", "max")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-10d %6d %12.3e %6d %6d %6d %6d\n",
-			r.Dist, r.ASes, r.Bytes, r.P50, r.P90, r.P99, r.MaxLinks)
+			r.Dist, r.ASes, float64(r.Bytes), r.P50, r.P90, r.P99, r.MaxLinks)
 	}
 	return b.String()
 }

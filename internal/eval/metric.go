@@ -18,8 +18,8 @@ import (
 type Group struct {
 	Flow  features.FlowFeatures
 	Hour  wan.Hour // earliest selected hour (informational)
-	Links map[wan.LinkID]float64
-	Total float64
+	Links map[wan.LinkID]uint64
+	Total uint64
 	hours []wan.Hour
 }
 
@@ -53,14 +53,14 @@ type Options struct {
 // built once at the end.
 func BuildGroups(recs []features.Record, opts Options) []Group {
 	type unit struct {
-		total float64
+		total uint64
 		last  wan.Hour // the hour of the unit's latest record
 		links int32    // the unit's pairs
 	}
 	type unitPair struct {
 		unit  int32
 		link  wan.LinkID
-		bytes float64
+		bytes uint64
 	}
 	type unitHour struct {
 		unit int32
@@ -95,9 +95,9 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 			pairs = append(pairs, unitPair{unit: u, link: r.Link})
 		}
 		pp := &pairs[p]
-		pp.bytes += r.Bytes
+		pp.bytes += uint64(r.Bytes)
 		u := &units[pp.unit]
-		u.total += r.Bytes
+		u.total += uint64(r.Bytes)
 		if r.Hour != u.last {
 			u.last = r.Hour
 			hours = append(hours, unitHour{pp.unit, r.Hour})
@@ -138,7 +138,7 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 			slices.Sort(hs)
 		}
 		hs = slices.Compact(hs)
-		out[i] = Group{Flow: features.KeyFlow(keys[u]), Hour: hs[0], Links: make(map[wan.LinkID]float64, units[u].links),
+		out[i] = Group{Flow: features.KeyFlow(keys[u]), Hour: hs[0], Links: make(map[wan.LinkID]uint64, units[u].links),
 			Total: units[u].total, hours: hs[:len(hs):len(hs)]}
 		rank[u] = int32(i)
 	}
@@ -168,7 +168,7 @@ func Accuracy(model core.Predictor, recs []features.Record, opts Options) map[in
 		}
 	}
 	credited := make(map[int]float64, len(opts.Ks))
-	var total float64
+	var total uint64
 	for gi := range groups {
 		g := &groups[gi]
 		total += g.Total
@@ -190,7 +190,7 @@ func Accuracy(model core.Predictor, recs []features.Record, opts Options) map[in
 	out := make(map[int]float64, len(opts.Ks))
 	for _, k := range opts.Ks {
 		if total > 0 {
-			out[k] = credited[k] / total
+			out[k] = credited[k] / float64(total)
 		}
 	}
 	return out
@@ -234,21 +234,14 @@ func credit(preds []core.Prediction, k int, g *Group) float64 {
 // Accuracy is credited bytes over total actual bytes; keeping this as
 // the single implementation guarantees offline and online accuracy
 // agree by construction.
-func CreditBytes(preds []core.Prediction, k int, links map[wan.LinkID]float64, total float64) float64 {
+func CreditBytes(preds []core.Prediction, k int, links map[wan.LinkID]uint64, total uint64) float64 {
 	n := len(preds)
 	if k > 0 && n > k {
 		n = k
 	}
 	var c float64
 	for _, p := range preds[:n] {
-		c += minF(p.Frac*total, links[p.Link])
+		c += min(p.Frac*float64(total), float64(links[p.Link]))
 	}
 	return c
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

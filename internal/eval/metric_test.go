@@ -192,7 +192,7 @@ func TestGroupsDeterministic(t *testing.T) {
 // online monitor reuses: Σ min(predicted bytes, actual bytes) over
 // the first k predictions.
 func TestCreditBytesShared(t *testing.T) {
-	links := map[wan.LinkID]float64{1: 600, 2: 300, 3: 100}
+	links := map[wan.LinkID]uint64{1: 600, 2: 300, 3: 100}
 	preds := []core.Prediction{
 		{Link: 1, Frac: 0.5}, // min(500, 600) = 500
 		{Link: 3, Frac: 0.3}, // min(300, 100) = 100

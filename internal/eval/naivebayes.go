@@ -73,9 +73,9 @@ type NaiveBayes struct {
 
 	logPrior map[wan.LinkID]float64
 	// cond[d][value][link] = bytes of feature value seen on link.
-	cond map[nbDim]map[uint64]map[wan.LinkID]float64
+	cond map[nbDim]map[uint64]map[wan.LinkID]uint64
 	// byLink[d][link] = total bytes on link (denominator per dim).
-	byLink map[wan.LinkID]float64
+	byLink map[wan.LinkID]uint64
 	// vocab[d] = number of distinct values of dimension d.
 	vocab map[nbDim]int
 }
@@ -93,34 +93,34 @@ func TrainNaiveBayes(set features.Set, recs []features.Record, opts NBOpts) *Nai
 		opts:     opts,
 		dims:     dimsFor(set),
 		logPrior: make(map[wan.LinkID]float64),
-		cond:     make(map[nbDim]map[uint64]map[wan.LinkID]float64),
-		byLink:   make(map[wan.LinkID]float64),
+		cond:     make(map[nbDim]map[uint64]map[wan.LinkID]uint64),
+		byLink:   make(map[wan.LinkID]uint64),
 		vocab:    make(map[nbDim]int),
 	}
 	for _, d := range nb.dims {
-		nb.cond[d] = make(map[uint64]map[wan.LinkID]float64)
+		nb.cond[d] = make(map[uint64]map[wan.LinkID]uint64)
 	}
-	var total float64
+	var total uint64
 	for i := range recs {
 		r := &recs[i]
 		if r.Bytes <= 0 {
 			continue
 		}
-		total += r.Bytes
-		nb.byLink[r.Link] += r.Bytes
+		total += uint64(r.Bytes)
+		nb.byLink[r.Link] += uint64(r.Bytes)
 		for _, d := range nb.dims {
 			v := dimValue(d, r.Flow)
 			m := nb.cond[d][v]
 			if m == nil {
-				m = make(map[wan.LinkID]float64, 2)
+				m = make(map[wan.LinkID]uint64, 2)
 				nb.cond[d][v] = m
 			}
-			m[r.Link] += r.Bytes
+			m[r.Link] += uint64(r.Bytes)
 		}
 	}
 	for l, b := range nb.byLink {
 		nb.links = append(nb.links, l)
-		nb.logPrior[l] = math.Log(b / total)
+		nb.logPrior[l] = math.Log(float64(b) / float64(total))
 	}
 	sort.Slice(nb.links, func(i, j int) bool { return nb.links[i] < nb.links[j] })
 	for _, d := range nb.dims {
@@ -143,7 +143,7 @@ func (nb *NaiveBayes) Predict(q core.Query) []core.Prediction { return nb.Append
 // first and lower link on a tie.
 func (nb *NaiveBayes) AppendPredict(dst []core.Prediction, q core.Query) []core.Prediction {
 	var (
-		conds  [dimType + 1]map[wan.LinkID]float64 // per nb.dims
+		conds  [dimType + 1]map[wan.LinkID]uint64 // per nb.dims
 		vocabs [dimType + 1]float64
 	)
 	for i, d := range nb.dims {
@@ -159,11 +159,11 @@ func (nb *NaiveBayes) AppendPredict(dst []core.Prediction, q core.Query) []core.
 			continue
 		}
 		c := nbScored{link: l, score: nb.logPrior[l]}
-		denomBase := nb.byLink[l]
+		denomBase := float64(nb.byLink[l])
 		for i := range nb.dims {
 			num := nb.opts.Alpha
 			if conds[i] != nil {
-				num += conds[i][l]
+				num += float64(conds[i][l])
 			}
 			c.score += math.Log(num / (denomBase + nb.opts.Alpha*vocabs[i]))
 		}

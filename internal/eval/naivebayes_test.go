@@ -218,7 +218,7 @@ func appendPredictReference(nb *NaiveBayes, dst []core.Prediction, q core.Query)
 			continue
 		}
 		s := nb.logPrior[l]
-		denomBase := nb.byLink[l]
+		denomBase := float64(nb.byLink[l])
 		usable := true
 		for _, d := range nb.dims {
 			v := dimValue(d, q.Flow)
@@ -229,7 +229,7 @@ func appendPredictReference(nb *NaiveBayes, dst []core.Prediction, q core.Query)
 			}
 			num := nb.opts.Alpha
 			if m, ok := nb.cond[d][v]; ok {
-				num += m[l]
+				num += float64(m[l])
 			}
 			s += math.Log(num / (denomBase + nb.opts.Alpha*vocab))
 		}

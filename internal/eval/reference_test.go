@@ -27,13 +27,13 @@ func buildGroupsReference(recs []features.Record, opts Options) []Group {
 		}
 		g := byFlow[key]
 		if g == nil {
-			g = &Group{Flow: key, Hour: r.Hour, Links: make(map[wan.LinkID]float64, 2)}
+			g = &Group{Flow: key, Hour: r.Hour, Links: make(map[wan.LinkID]uint64, 2)}
 			byFlow[key] = g
 			hourSeen[key] = make(map[wan.Hour]bool, 8)
 			order = append(order, key)
 		}
-		g.Links[r.Link] += r.Bytes
-		g.Total += r.Bytes
+		g.Links[r.Link] += uint64(r.Bytes)
+		g.Total += uint64(r.Bytes)
 		if r.Hour < g.Hour {
 			g.Hour = r.Hour
 		}

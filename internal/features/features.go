@@ -26,7 +26,10 @@ type FlowFeatures struct {
 
 // Record is one aggregated observation: during Hour, Bytes of the
 // flow aggregate Flow ingressed on Link. Records are what the
-// aggregation pipeline produces and what models train on.
+// aggregation pipeline produces and what models train on. Bytes is an
+// integer in [0, 2^53), so uint64(Bytes) is exact: the aggregator caps
+// each hourly sum below 2^53 and dataset.Load refuses anything else.
+// Sums of Bytes are taken in uint64, dataset.DailyRows' rows aside.
 type Record struct {
 	Hour  wan.Hour
 	Flow  FlowFeatures

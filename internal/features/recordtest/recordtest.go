@@ -24,7 +24,7 @@ type Case struct {
 // Cases returns sequences in and out of drain order, deterministic in
 // seed. Flows share ASes, regions and links, so feature-set
 // projections collide and tuples collect more links than a model
-// keeps; byte counts are fractional, so float summation order shows.
+// keeps; byte counts are integers in [0, 2^53), as Records carry.
 func Cases(seed int64) []Case {
 	rng := rand.New(rand.NewSource(seed))
 	flows := make([]features.FlowFeatures, 60)
@@ -40,7 +40,7 @@ func Cases(seed int64) []Case {
 			for i, f := range flows {
 				for l := 0; l < 1+i%4; l++ {
 					if rng.Intn(5) > 0 {
-						out = append(out, features.Record{Hour: h, Flow: f, Link: wan.LinkID(1 + (i*7+l*3)%40), Bytes: rng.Float64() * 1e6})
+						out = append(out, features.Record{Hour: h, Flow: f, Link: wan.LinkID(1 + (i*7+l*3)%40), Bytes: float64(rng.Int63n(1e6))})
 					}
 				}
 			}
@@ -58,16 +58,16 @@ func Cases(seed int64) []Case {
 	base := drain(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	shuffled := slices.Clone(base)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	dups := append(slices.Clone(base), edit(base[:len(base)/2], func(_ int, r *features.Record) { r.Bytes /= 3 })...)
+	dups := append(slices.Clone(base), edit(base[:len(base)/2], func(_ int, r *features.Record) { r.Bytes = float64(int64(r.Bytes) / 3) })...)
 	slices.SortStableFunc(dups, features.Record.Compare)
 	return []Case{
 		{"empty", nil, true},
 		{"drain-order", base, true},
 		{"shuffled", shuffled, false},
 		{"duplicate-keys", dups, false},
-		{"zero-and-negative-bytes", edit(base, func(i int, r *features.Record) {
-			if i%5 < 2 { // every fifth record negative, the one after it zero
-				r.Bytes *= float64(i%5 - 1)
+		{"zero-bytes", edit(base, func(i int, r *features.Record) {
+			if i%5 == 0 {
+				r.Bytes = 0
 			}
 		}), true},
 		{"equal-bytes", edit(base, func(_ int, r *features.Record) { r.Bytes = 1 }), true},

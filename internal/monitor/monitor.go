@@ -160,7 +160,7 @@ type Monitor struct {
 	// links is one (hour, flow) group's bytes per link, cleared for
 	// each group a closing hour joins.
 	// guarded by mu
-	links map[wan.LinkID]float64
+	links map[wan.LinkID]uint64
 	// guarded by mu
 	ring []bucket
 
@@ -207,7 +207,7 @@ func New(cfg Config, reg *obsv.Registry) *Monitor {
 		cfg:          cfg,
 		met:          newMetrics(reg),
 		pending:      make(map[features.FlowFeatures]pending),
-		links:        make(map[wan.LinkID]float64),
+		links:        make(map[wan.LinkID]uint64),
 		ring:         make([]bucket, cfg.WindowHours),
 		withdrawalAt: -1,
 		alarmByN:     make(map[string]*alarm, 4),
@@ -305,8 +305,6 @@ func (m *Monitor) closeHour(h wan.Hour, recs []features.Record) {
 	b := &m.ring[int(h)%m.cfg.WindowHours]
 	b.reset(h)
 
-	// Score joins in drain order: float accumulation order must not
-	// depend on map iteration.
 	joins := 0
 	for len(recs) > 0 {
 		n := 1
@@ -326,10 +324,10 @@ func (m *Monitor) closeHour(h wan.Hour, recs []features.Record) {
 		}
 		joins++
 		clear(m.links)
-		var total float64
+		var total uint64
 		for _, r := range group {
-			m.links[r.Link] += r.Bytes
-			total += r.Bytes
+			m.links[r.Link] += uint64(r.Bytes)
+			total += uint64(r.Bytes)
 		}
 		c := cell{
 			groups: 1,
@@ -500,9 +498,9 @@ func mergeSlices[K comparable](dst *map[K]cell, src map[K]cell) {
 // dominantLink picks the link that carried the most of a group's
 // bytes (lowest ID on ties) — the link whose metro and peer kind the
 // group is sliced under.
-func dominantLink(links map[wan.LinkID]float64) wan.LinkID {
+func dominantLink(links map[wan.LinkID]uint64) wan.LinkID {
 	var best wan.LinkID
-	var bestBytes float64
+	var bestBytes uint64
 	for l, b := range links {
 		if b > bestBytes || (b == bestBytes && (best == 0 || l < best)) {
 			best, bestBytes = l, b

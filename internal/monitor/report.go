@@ -11,7 +11,7 @@ import (
 // post-withdrawal) for the quality report.
 type WindowQuality struct {
 	Groups int64   `json:"groups"`
-	Bytes  float64 `json:"bytes"`
+	Bytes  uint64  `json:"bytes"`
 	Top1   float64 `json:"top1"`
 	Top3   float64 `json:"top3"`
 }

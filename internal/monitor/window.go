@@ -12,7 +12,7 @@ import (
 // the bytes credited to the served predictions at top-1 and top-3.
 type cell struct {
 	groups int64
-	bytes  float64
+	bytes  uint64
 	cred1  float64
 	cred3  float64
 }
@@ -27,17 +27,17 @@ func (c *cell) add(o cell) {
 // top1 and top3 are byte-weighted accuracy — the same ratio
 // eval.Accuracy reports offline.
 func (c cell) top1() float64 {
-	if c.bytes <= 0 {
+	if c.bytes == 0 {
 		return 0
 	}
-	return c.cred1 / c.bytes
+	return c.cred1 / float64(c.bytes)
 }
 
 func (c cell) top3() float64 {
-	if c.bytes <= 0 {
+	if c.bytes == 0 {
 		return 0
 	}
-	return c.cred3 / c.bytes
+	return c.cred3 / float64(c.bytes)
 }
 
 // totals is joined quality overall and sliced three ways: one hour's
@@ -87,7 +87,7 @@ func (m *Monitor) windowTotals(h wan.Hour) totals {
 type SliceQuality struct {
 	Key    string  `json:"key"`
 	Groups int64   `json:"groups"`
-	Bytes  float64 `json:"bytes"`
+	Bytes  uint64  `json:"bytes"`
 	Top1   float64 `json:"top1"`
 	Top3   float64 `json:"top3"`
 }

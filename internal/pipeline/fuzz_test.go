@@ -25,7 +25,8 @@ func fuzzMeta(dst uint32) (wan.Region, wan.ServiceType, bool) {
 // fuzzRecord decodes four bytes into a flow record drawn from small
 // alphabets, so keys recur and some destinations have no metadata:
 // 8 source /24s (any host byte), 4 destinations (one unknown), 4 ASes,
-// 8 links, 8 hours (anywhere in the hour), and octets up to 2³⁹.
+// 8 links, 8 hours (anywhere in the hour), and octets anywhere in
+// uint64's range, so sums reach the aggregator's 2⁵³ cap.
 func fuzzRecord(b []byte) ipfix.FlowRecord {
 	return ipfix.FlowRecord{
 		SrcAddr:   0x0b000000 | uint32(b[0]&7)<<8 | uint32(b[3]),
@@ -33,7 +34,7 @@ func fuzzRecord(b []byte) ipfix.FlowRecord {
 		SrcAS:     64500 + uint32(b[1]&3),
 		Ingress:   uint32(b[1] >> 2 & 7),
 		StartSecs: uint32(b[0]>>5)*3600 + uint32(b[1]>>5)*511,
-		Octets:    uint64(b[2]) << (b[3] & 31),
+		Octets:    uint64(b[2]) << (b[3] & 63),
 	}
 }
 
@@ -43,12 +44,13 @@ func fuzzRecord(b []byte) ipfix.FlowRecord {
 // one Record call each. The aggregator drains halfway through the
 // chunks and at the end; each drain must equal singleMap's records,
 // Stats must count raw, dropped and pending exactly, and bytes must be
-// conserved: every raw record is dropped or reaches a slot, and the
-// kept octets are the drained bytes.
+// conserved: every raw record is dropped (no metadata, or capped) or
+// reaches a slot, and the kept octets are the drained bytes.
 func FuzzAggregator(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0, 0, 10, 0, 0x20, 4, 200, 1, 0xe7, 0xff, 0, 0, 0x10, 0x18, 0x09, 7, 3})
 	f.Add([]byte{0x11, 0x41, 0x22, 0, 0, 0x41, 0x22, 0, 0, 0x02, 0x18, 1, 1, 1, 0xe0, 0xe0, 255, 31, 0x41, 0x22, 5, 5})
+	f.Add([]byte{0x01, 0, 4, 1, 53, 0, 4, 1, 0}) // 2⁵³ octets, capped, then 1 octet on the same slot
 	g := geo.NewGeoIP(geo.World(), 0, 1)
 	for p := uint32(0); p < 4; p++ { // half the /24s have a location
 		g.Register(0x0b000000|p<<8, geo.MetroID(1+p))
@@ -56,7 +58,7 @@ func FuzzAggregator(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agg, ref := NewAggregator(g, fuzzMeta), newSingleMap(g, fuzzMeta)
 
-		data = data[:min(len(data), 4096)] // ≤ 1,024 records of < 2⁴⁰ octets: every sum stays exact
+		data = data[:min(len(data), 4096)] // ≤ 1,024 records, each kept one < 2⁵³ octets: keptOctets cannot wrap
 		var chunks [][]byte
 		for len(data) > 0 {
 			n := 1 + 4*(1+int(data[0]&15))
@@ -72,8 +74,7 @@ func FuzzAggregator(f *testing.F) {
 				for b := chunk[1:]; len(b) >= 4; b = b[4:] {
 					rec := fuzzRecord(b)
 					recs = append(recs, rec)
-					ref.Record(wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress), &rec)
-					if _, _, ok := fuzzMeta(rec.DstAddr); ok {
+					if ref.Record(wan.Hour(rec.StartSecs/3600), wan.LinkID(rec.Ingress), &rec) {
 						keptOctets += rec.Octets
 					} else {
 						dropped++
@@ -96,12 +97,12 @@ func FuzzAggregator(f *testing.F) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("drain %d: %d aggregates, reference has %d:\n got %+v\nwant %+v", drain, len(got), len(want), head(got), head(want))
 			}
-			var drained float64
+			var drained uint64
 			for _, r := range got {
-				drained += r.Bytes
+				drained += uint64(r.Bytes)
 			}
-			if drained != float64(keptOctets) {
-				t.Fatalf("drain %d: drained %.0f bytes, the records that reached a slot carried %d", drain, drained, keptOctets)
+			if drained != keptOctets {
+				t.Fatalf("drain %d: drained %d bytes, the records that reached a slot carried %d", drain, drained, keptOctets)
 			}
 		}
 	})

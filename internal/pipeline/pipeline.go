@@ -46,12 +46,12 @@ type pair struct {
 	link wan.LinkID
 }
 
-// hourRow is the counters for one hour: a sum per slot and a presence
-// bit per slot. Presence is the bit, not a non-zero sum, so a
+// hourRow is the counters for one hour: an octet sum per slot and a
+// presence bit per slot. Presence is the bit, not a non-zero sum, so a
 // zero-octet record still yields an aggregate.
 type hourRow struct {
 	hour    wan.Hour
-	sum     []float64
+	sum     []uint64
 	present []uint64
 }
 
@@ -60,7 +60,7 @@ type hourRow struct {
 // new slots, so an hour of a warmed-up aggregator allocates once.
 func (r *hourRow) grow(n int) {
 	n = (n + 63) &^ 63
-	r.sum = append(r.sum, make([]float64, n-len(r.sum))...)
+	r.sum = append(r.sum, make([]uint64, n-len(r.sum))...)
 	r.present = append(r.present, make([]uint64, n/64-len(r.present))...)
 }
 
@@ -71,8 +71,10 @@ const dropSlot = math.MaxInt32
 const indexMinKeys = 512
 
 // aggregatorMetrics are the aggregator's registry-backed counters:
-// raw ingested records, records dropped for missing metadata, and a
-// gauge tracking how many hourly aggregates are pending drain.
+// raw ingested records, records dropped (pipeline_records_dropped_total:
+// the destination has no metadata, or the octets would take their
+// slot's hourly sum to 2^53 or more), and a gauge tracking how many
+// hourly aggregates are pending drain.
 type aggregatorMetrics struct {
 	raw     *obsv.Counter
 	dropped *obsv.Counter
@@ -160,7 +162,8 @@ func NewAggregatorOn(reg *obsv.Registry, geoip *geo.GeoIP, meta Metadata) *Aggre
 // Record ingests one sampled flow record observed during hour h.
 // Records whose destination has no metadata are dropped and counted —
 // the paper's pipeline likewise only processes flows destined to
-// known cloud services.
+// known cloud services — and so are records whose octets would take
+// their slot's hourly sum to 2^53 or more.
 func (a *Aggregator) Record(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
 	a.m.raw.Inc()
 	a.mu.Lock()
@@ -183,9 +186,6 @@ func (a *Aggregator) publishLocked(fresh int) {
 // interface (the collector fills both from the wire). The lock is
 // taken, and the pending count published, once per batch — with
 // ~64-record IPFIX messages that amortizes both over the message.
-// Records apply in batch order, so per-key float accumulation order —
-// and therefore the drained output — is bit-identical to feeding the
-// same stream through Record.
 func (a *Aggregator) RecordBatch(recs []ipfix.FlowRecord) {
 	if len(recs) == 0 {
 		return
@@ -230,7 +230,13 @@ func (a *Aggregator) applyLocked(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRec
 	if int(slot) >= len(row.sum) {
 		row.grow(len(a.pairs))
 	}
-	row.sum[slot] += float64(rec.Octets)
+	// A drained Bytes is a float64, which holds integers exactly only
+	// below 2^53; a record that would take the sum there is refused.
+	if rec.Octets >= 1<<53-row.sum[slot] {
+		a.m.dropped.Inc()
+		return 0
+	}
+	row.sum[slot] += rec.Octets
 	w := &row.present[slot>>6]
 	fresh := int(^*w >> (slot & 63) & 1)
 	*w |= 1 << (slot & 63)
@@ -333,7 +339,7 @@ func (a *Aggregator) Records() []features.Record {
 	d := drainer{
 		rows: rows, order: order, rank: rank, workers: workers,
 		mark: make([]uint64, workers*((len(pairs)+63)/64)),
-		vals: make([]float64, workers*len(pairs)),
+		vals: make([]uint64, workers*len(pairs)),
 		out:  make([]features.Record, total),
 	}
 	if workers > 1 {
@@ -362,7 +368,7 @@ type drainer struct {
 	order   []rankedPair
 	rank    []int32
 	mark    []uint64
-	vals    []float64
+	vals    []uint64
 	out     []features.Record
 	workers int
 }
@@ -399,7 +405,7 @@ func (d drainer) emit(part int) {
 		for w, word := range mark {
 			for ; word != 0; word &= word - 1 {
 				r := w<<6 + bits.TrailingZeros64(word)
-				d.out[i] = features.Record{Hour: row.hour, Flow: d.order[r].flow, Link: d.order[r].link, Bytes: vals[r]}
+				d.out[i] = features.Record{Hour: row.hour, Flow: d.order[r].flow, Link: d.order[r].link, Bytes: float64(vals[r])}
 				i++
 			}
 			mark[w] = 0
@@ -408,7 +414,8 @@ func (d drainer) emit(part int) {
 }
 
 // Stats reports how many raw records were ingested, how many were
-// dropped for missing metadata, and how many aggregates are pending.
+// dropped (missing metadata or the 2^53 cap), and how many aggregates
+// are pending.
 func (a *Aggregator) Stats() (raw, dropped, pending int) {
 	a.mu.Lock()
 	pending = a.keys

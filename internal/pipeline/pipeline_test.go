@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -61,6 +62,29 @@ func TestAggregatorDropsUnknownDestinations(t *testing.T) {
 	}
 }
 
+// TestAggregatorCapsHourlySums: a record whose octets would take its
+// slot's hourly sum to 2⁵³ or more is dropped and counted, before it
+// can mark the slot present, so every drained Bytes is an exact
+// float64 and no sum wraps.
+func TestAggregatorCapsHourlySums(t *testing.T) {
+	a := NewAggregator(geo.NewGeoIP(geo.World(), 0, 1), staticMeta(1, 1))
+	rec := func(src uint32, octets uint64) *ipfix.FlowRecord {
+		return &ipfix.FlowRecord{SrcAddr: src, DstAddr: 40 << 24, Octets: octets}
+	}
+	a.Record(0, 1, rec(0x0b000001, 1<<53-1))
+	a.Record(0, 1, rec(0x0b000001, 1))              // the sum would reach 2⁵³
+	a.Record(0, 1, rec(0x0b000201, math.MaxUint64)) // a fresh slot: no aggregate
+	a.Record(0, 1, rec(0x0b000001, 0))              // still fits
+	a.Record(1, 1, rec(0x0b000001, 1<<53-1))        // the cap is per hour
+	if raw, dropped, pending := a.Stats(); raw != 5 || dropped != 2 || pending != 2 {
+		t.Errorf("Stats (%d, %d, %d), want (5, 2, 2)", raw, dropped, pending)
+	}
+	out := a.Records()
+	if len(out) != 2 || out[0].Bytes != 1<<53-1 || out[1].Bytes != 1<<53-1 {
+		t.Errorf("drained %+v, want two aggregates of 2⁵³-1 bytes", out)
+	}
+}
+
 func TestAggregatorDrainResets(t *testing.T) {
 	g := geo.NewGeoIP(geo.World(), 0, 1)
 	a := NewAggregator(g, staticMeta(1, 1))
@@ -76,10 +100,9 @@ func TestAggregatorDrainResets(t *testing.T) {
 
 // TestAggregationIsVolumePreserving: §4.2, aggregation merely sums
 // bytes — nothing the models need is lost, only record count shrinks.
-// Octets are integers and every sum here stays below 2⁵³, where float64
-// addition is exact, so conservation is asserted with ==: every raw
-// record is dropped or reaches a slot, and the octets of the records
-// that reached one are exactly the drained bytes.
+// Octets add as integers, so conservation is asserted with ==: every
+// raw record is dropped or reaches a slot, and the octets of the
+// records that reached one are exactly the drained bytes.
 func TestAggregationIsVolumePreserving(t *testing.T) {
 	metros := geo.World()
 	g := topology.Generate(topology.TestGenConfig(20), metros)
@@ -111,15 +134,12 @@ func TestAggregationIsVolumePreserving(t *testing.T) {
 	if raw != sent || raw != dropped+kept {
 		t.Errorf("raw %d, dropped %d: want raw = %d sent = dropped + %d that reached a slot", raw, dropped, sent, kept)
 	}
-	if keptOctets >= 1<<53 {
-		t.Fatalf("%d octets: the window is too large for exact float64 sums", keptOctets)
-	}
-	var aggBytes float64
+	var aggBytes uint64
 	for _, r := range recs {
-		aggBytes += r.Bytes
+		aggBytes += uint64(r.Bytes)
 	}
-	if aggBytes != float64(keptOctets) {
-		t.Errorf("aggregation changed total volume: drained %.0f bytes, the kept records carried %d", aggBytes, keptOctets)
+	if aggBytes != keptOctets {
+		t.Errorf("aggregation changed total volume: drained %d bytes, the kept records carried %d", aggBytes, keptOctets)
 	}
 }
 

@@ -27,11 +27,12 @@ func raceBatchRecord(i int) ipfix.FlowRecord {
 // singleMap is the reference aggregation the slot-counting aggregator
 // is held to: one Go map keyed by the whole (hour, flow, link)
 // aggregate, no slot index, no interning, one comparison sort per
-// drain.
+// drain. It applies the aggregator's cap: a record whose octets would
+// take its aggregate's sum to 2^53 or more is dropped.
 type singleMap struct {
 	g    *geo.GeoIP
 	meta Metadata
-	sums map[singleMapKey]float64
+	sums map[singleMapKey]uint64
 }
 
 type singleMapKey struct {
@@ -41,13 +42,14 @@ type singleMapKey struct {
 }
 
 func newSingleMap(g *geo.GeoIP, meta Metadata) *singleMap {
-	return &singleMap{g: g, meta: meta, sums: make(map[singleMapKey]float64)}
+	return &singleMap{g: g, meta: meta, sums: make(map[singleMapKey]uint64)}
 }
 
-func (m *singleMap) Record(h wan.Hour, l wan.LinkID, rec *ipfix.FlowRecord) {
+// Record adds the record and reports whether it kept it.
+func (m *singleMap) Record(h wan.Hour, l wan.LinkID, rec *ipfix.FlowRecord) bool {
 	region, svc, ok := m.meta(rec.DstAddr)
 	if !ok {
-		return
+		return false
 	}
 	prefix := bgp.Slash24(rec.SrcAddr)
 	f := features.FlowFeatures{
@@ -57,15 +59,18 @@ func (m *singleMap) Record(h wan.Hour, l wan.LinkID, rec *ipfix.FlowRecord) {
 		Region: region,
 		Type:   svc,
 	}
-	// Per-key accumulation order equals stream order on both sides, so
-	// the float sums are bit-identical, not merely close.
-	m.sums[singleMapKey{h, f, l}] += float64(rec.Octets)
+	k := singleMapKey{h, f, l}
+	if rec.Octets >= 1<<53-m.sums[k] {
+		return false
+	}
+	m.sums[k] += rec.Octets
+	return true
 }
 
 func (m *singleMap) Records() []features.Record {
 	out := make([]features.Record, 0, len(m.sums))
 	for k, b := range m.sums {
-		out = append(out, features.Record{Hour: k.h, Flow: k.f, Link: k.l, Bytes: b})
+		out = append(out, features.Record{Hour: k.h, Flow: k.f, Link: k.l, Bytes: float64(b)})
 	}
 	slices.SortFunc(out, features.Record.Compare)
 	clear(m.sums)
@@ -168,8 +173,7 @@ func head(recs []features.Record) []features.Record { return recs[:min(len(recs)
 // same stream, split across 1, 2, 4 and 8 concurrent feeders, drains
 // to the same bytes at GOMAXPROCS 1, 2 and 8. Each feeder sends its
 // share in 64-record chunks, alternately through RecordBatch and
-// record by record through Record. Octet counts are small integers,
-// so sums are exact in any accumulation order. The drain splits its
+// record by record through Record. The drain splits its
 // hours over GOMAXPROCS workers, so each GOMAXPROCS also drains
 // windows of 0 and 1 hours (fewer hours than workers) and one whose
 // hours differ in size by three orders of magnitude, against the
@@ -295,14 +299,12 @@ func TestAggregatorBatchMatchesRecord(t *testing.T) {
 // Records (the drain) concurrently. Under -race this proves the
 // locking sound; in any mode it checks conservation — every ingested
 // byte comes back out exactly once across the interleaved drains.
-// Octet counts are small integers, so the per-key float sums are exact
-// and the check is equality, not tolerance.
 func TestAggregatorConcurrentMixedStress(t *testing.T) {
 	const n, workers = 12000, 4
 	agg := raceAggregator()
 
 	var mu sync.Mutex
-	drained := make(map[string]float64) // serialized key -> bytes
+	drained := make(map[string]uint64) // serialized key -> bytes
 	keyOf := func(r features.Record) string {
 		return string(rune(r.Hour)) + string(rune(r.Flow.AS)) + string(rune(r.Flow.Prefix)) +
 			string(rune(r.Flow.Loc)) + string(rune(r.Flow.Region)) + string(rune(r.Flow.Type)) +
@@ -311,7 +313,7 @@ func TestAggregatorConcurrentMixedStress(t *testing.T) {
 	collect := func(recs []features.Record) {
 		mu.Lock()
 		for _, r := range recs {
-			drained[keyOf(r)] += r.Bytes
+			drained[keyOf(r)] += uint64(r.Bytes)
 		}
 		mu.Unlock()
 	}
@@ -369,9 +371,9 @@ func TestAggregatorConcurrentMixedStress(t *testing.T) {
 	if sraw != raw || sdropped != dropped {
 		t.Errorf("stats diverge: serial (%d,%d) concurrent (%d,%d)", sraw, sdropped, raw, dropped)
 	}
-	want := make(map[string]float64)
+	want := make(map[string]uint64)
 	for _, r := range serial.Records() {
-		want[keyOf(r)] += r.Bytes
+		want[keyOf(r)] += uint64(r.Bytes)
 	}
 	if !reflect.DeepEqual(want, drained) {
 		t.Fatalf("conservation violated: serial %d keys, concurrent drains %d keys", len(want), len(drained))

@@ -56,7 +56,7 @@ func AtRisk(dir wan.Directory, model core.Predictor, recs []features.Record, opt
 	}
 	typical := make(map[wan.LinkID]int)
 	extra := make(map[[2]wan.LinkID]int) // [affected, affecting] -> hours
-	load := make(map[wan.LinkID]float64)
+	load := make(map[wan.LinkID]uint64)
 	shifted := make(map[wan.LinkID]float64)
 	var byLink []features.Record
 	for len(recs) > 0 {
@@ -66,10 +66,10 @@ func AtRisk(dir wan.Directory, model core.Predictor, recs []features.Record, opt
 		}
 		clear(load)
 		for _, r := range recs[:n] {
-			load[r.Link] += r.Bytes
+			load[r.Link] += uint64(r.Bytes)
 		}
 		for l, b := range load {
-			if hot(l, b) {
+			if hot(l, float64(b)) {
 				typical[l]++
 			}
 		}
@@ -89,7 +89,7 @@ func AtRisk(dir wan.Directory, model core.Predictor, recs []features.Record, opt
 				}
 			}
 			for b, add := range shifted {
-				if b != a && !hot(b, load[b]) && hot(b, load[b]+add) {
+				if b != a && !hot(b, float64(load[b])) && hot(b, float64(load[b])+add) {
 					extra[[2]wan.LinkID{b, a}]++
 				}
 			}

@@ -22,7 +22,9 @@
 # oracle, for the model/checkpoint frame reader, for the checkpoint
 # loader and for the diagnostic-bundle manifest reader, the results
 # gate (the full-scale experiments run, its timing text stripped,
-# diffed against results/full_seed1.txt; about 3 min on 2 CPUs), one
+# diffed against results/full_seed1.txt; about 3 min on 2 CPUs), fig3,
+# table4 and fig9 rerun at GOMAXPROCS=1 and diffed section by section
+# against that run (about 1 min), one
 # pass of the root package's cost, retrain and substrate benchmarks
 # (about 35 s; they must run, their timings are not gated), the
 # README's command-line workflow with built binaries followed by
@@ -128,6 +130,29 @@ if [[ $short -eq 0 ]]; then
         exit 1
     fi
 
+    # Byte sums are integers, so no output depends on the order a sum
+    # visits its terms in: Figure 3 sums ASes in Go map order, and
+    # Table 4 and Figure 9 fit and score windows whose sums pass 2^53.
+    # On one core they must print what the run above printed.
+    echo "==> fig3, table4 and fig9 at GOMAXPROCS=1 vs the results gate's run"
+    single=$(mktemp)
+    trap 'rm -f "$covprofile" "$results" "$single"' EXIT
+    GOMAXPROCS=1 go run ./cmd/experiments -scale full -run fig3,table4,fig9 > "$single"
+    # section prints one experiment's lines, between the previous
+    # "[... done in ...]" line and its own, the environment line aside.
+    section() {
+        awk -v done="[$1 done in " '
+            index($0, done) == 1 { printf "%s", text; exit }
+            /^\[.* done in .*\]$/ { text = ""; next }
+            !/^environment: / { text = text $0 "\n" }' "$2"
+    }
+    for name in fig3 table4 fig9; do
+        if ! diff <(section "$name" "$results") <(section "$name" "$single"); then
+            echo "$name at GOMAXPROCS=1 differs from the results gate's run" >&2
+            exit 1
+        fi
+    done
+
     # The cost benchmarks measure what no experiment prints; one
     # iteration each keeps them compiling and running.
     echo "==> root benchmarks, one iteration each"
@@ -141,7 +166,7 @@ if [[ $short -eq 0 ]]; then
     echo "==> command-line workflow and tipsyd recovering its checkpoint"
     cli=$(mktemp -d)
     daemon=""
-    trap '[[ -n "$daemon" ]] && kill "$daemon" 2>/dev/null; rm -rf "$covprofile" "$results" "$cli"' EXIT
+    trap '[[ -n "$daemon" ]] && kill "$daemon" 2>/dev/null; rm -rf "$covprofile" "$results" "$single" "$cli"' EXIT
     go build -o "$cli/tipsy" ./cmd/tipsy
     go build -o "$cli/tipsyd" ./cmd/tipsyd
     (
