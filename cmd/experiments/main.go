@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}},
 		{"fig5", "oracle accuracy vs k", func(e *eval.Env) {
 			pts := eval.Fig5(e, nil)
-			fmt.Fprint(stdout, eval.FormatFig5(pts))
+			fmt.Fprint(stdout, eval.FormatFig5(pts, e.Cfg.TestDays))
 			if *csvTo != "" {
 				csvErr(eval.WriteFig5CSV(*csvTo, pts))
 			}
@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}},
 		{"table4", "overall prediction accuracy", func(e *eval.Env) {
 			rows := eval.Table4(e)
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 4: overall prediction accuracy", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 4: overall prediction accuracy", e.Cfg.TestDays, rows))
 			accCSV("table4", rows)
 		}},
 		{"table5", "accuracy on all link outages", func(e *eval.Env) {
@@ -119,27 +119,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "outage-affected bytes: %.1f%% unseen in training\n",
 				100*float64(unseen)/(float64(seen+unseen)+1e-12))
 			rows := eval.TableOutages(e, eval.AllOutages)
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 5: prediction accuracy, all link outages", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 5: prediction accuracy, all link outages", e.Cfg.TestDays, rows))
 			accCSV("table5", rows)
 		}},
 		{"table6", "accuracy on seen outages", func(e *eval.Env) {
 			rows := eval.TableOutages(e, eval.SeenOutages)
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 6: prediction accuracy, seen outages", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 6: prediction accuracy, seen outages", e.Cfg.TestDays, rows))
 			accCSV("table6", rows)
 		}},
 		{"table7", "accuracy on unseen outages", func(e *eval.Env) {
 			rows := eval.TableOutages(e, eval.UnseenOutages)
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 7: prediction accuracy, unseen outages", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 7: prediction accuracy, unseen outages", e.Cfg.TestDays, rows))
 			accCSV("table7", rows)
 		}},
 		{"table9", "overall accuracy incl. Naive Bayes (App. A)", func(e *eval.Env) {
 			rows := eval.Table9(e)
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 9: overall accuracy with Naive Bayes", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 9: overall accuracy with Naive Bayes", e.Cfg.TestDays, rows))
 			accCSV("table9", rows)
 		}},
 		{"table10", "outage accuracy incl. Naive Bayes (App. A)", func(e *eval.Env) {
 			rows := eval.Table10(e)
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 10: outage accuracy with Naive Bayes", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 10: outage accuracy with Naive Bayes", e.Cfg.TestDays, rows))
 			accCSV("table10", rows)
 		}},
 		{"ablations", "Hist_AP by weighting, prefix length, stored links (DESIGN §4)", func(e *eval.Env) {
@@ -148,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if i > 0 {
 					fmt.Fprintln(stdout)
 				}
-				fmt.Fprint(stdout, eval.FormatAccuracyTable(a.Title, a.Rows))
+				fmt.Fprint(stdout, eval.FormatAccuracyTable(a.Title, e.Cfg.TestDays, a.Rows))
 				all = append(all, a.Rows...)
 			}
 			accCSV("ablations", all)
@@ -159,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				lengths, periods, testDays = []int{3, 7, 14, 21, 28}, 4, 7
 			}
 			pts := eval.Fig9(e, lengths, periods, testDays)
-			fmt.Fprint(stdout, eval.FormatFig9(pts))
+			fmt.Fprint(stdout, eval.FormatFig9(pts, testDays))
 			if *csvTo != "" {
 				csvErr(eval.WriteFig9CSV(*csvTo, pts))
 			}
@@ -192,12 +192,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}},
 		{"table13", "overall accuracy, second period (App. D)", func(*eval.Env) {
 			rows := eval.Table4(secondEnv(*scale, *seed))
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 13: overall accuracy (second period)", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 13: overall accuracy (second period)", secondEnv(*scale, *seed).Cfg.TestDays, rows))
 			accCSV("table13", rows)
 		}},
 		{"table14", "outage accuracy, second period (App. D)", func(*eval.Env) {
 			rows := eval.TableOutages(secondEnv(*scale, *seed), eval.AllOutages)
-			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 14: outage accuracy (second period)", rows))
+			fmt.Fprint(stdout, eval.FormatAccuracyTable("Table 14: outage accuracy (second period)", secondEnv(*scale, *seed).Cfg.TestDays, rows))
 			accCSV("table14", rows)
 		}},
 		{"table15", "links at risk, second period (App. D)", func(*eval.Env) {

@@ -252,7 +252,7 @@ func cmdEval(args []string) error {
 	}
 	fmt.Print(eval.FormatAccuracyTable(
 		fmt.Sprintf("Overall prediction accuracy (%d train days, %d test records)", *trainDays, len(e.Test)),
-		eval.Table4(e)))
+		int(e.TestTo-e.TestFrom)/24, eval.Table4(e)))
 	return nil
 }
 

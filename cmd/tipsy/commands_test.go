@@ -263,6 +263,6 @@ func TestEvalSplitsLikeTheHarness(t *testing.T) {
 	}
 	if got, want := eval.Table4(e), eval.Table4(eval.Build(eval.SmallEnvConfig(1))); !reflect.DeepEqual(got, want) {
 		t.Errorf("tipsy eval's Table 4:\n%s\nthe harness's:\n%s",
-			eval.FormatAccuracyTable("cli", got), eval.FormatAccuracyTable("harness", want))
+			eval.FormatAccuracyTable("cli", 3, got), eval.FormatAccuracyTable("harness", 3, want))
 	}
 }

@@ -12,8 +12,12 @@ import (
 
 	"tipsy/internal/bgp"
 	"tipsy/internal/core"
+	"tipsy/internal/dataset"
+	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/monitor"
+	"tipsy/internal/obsv"
+	"tipsy/internal/serve"
 	"tipsy/internal/wan"
 )
 
@@ -220,5 +224,36 @@ func TestQualityScenarioDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, want) {
 		t.Errorf("/debug/quality diverged from golden (run with -update to refresh):\n--- want\n%s--- got\n%s", want, a)
+	}
+}
+
+// TestMonitorGradesLikeEval replays tipsyd's daily cycle — netsim,
+// aggregator and daily rows, retrain, a prediction per flow at the
+// hour the retrain lands, then the next day's drain — into a monitor
+// whose window is one hour, fed that day an hour at a time. After
+// every hour its window must equal what the offline harness computes
+// on the same hour's records, to the bit: the same groups, bytes and
+// top-1/top-3 accuracy.
+func TestMonitorGradesLikeEval(t *testing.T) {
+	s := buildServer(3, 4)
+	gen, from := s.gen.Load(), s.simHour()
+	m := monitor.New(monitor.Config{WindowHours: 1}, obsv.NewRegistry())
+	recs := s.advanceDays(1, nil)
+	for _, rec := range firstSightings(recs, len(recs)) {
+		_, a := gen.Walk(nil, core.Query{Flow: rec.Flow, K: serve.DefaultK}, s.clock)
+		m.RecordPrediction(from, rec.Flow, a.Rung.String(), a.Preds)
+	}
+	for h := from; h < from+24; h++ {
+		hour := dataset.Window(recs, h, h+1)
+		m.AdvanceTo(h+1, hour)
+		var bytes uint64
+		for _, r := range hour {
+			bytes += uint64(r.Bytes)
+		}
+		acc := eval.Accuracy(gen, hour, eval.Options{Ks: []int{1, 3}})
+		want := monitor.WindowQuality{Groups: int64(len(eval.BuildGroups(hour, eval.Options{}))), Bytes: bytes, Top1: acc[1], Top3: acc[3]}
+		if got := m.Quality().Window; got != want || want.Groups == 0 {
+			t.Errorf("hour %d: the monitor grades %+v, eval %+v", h, got, want)
+		}
 	}
 }

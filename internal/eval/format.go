@@ -2,16 +2,22 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tipsy/internal/features"
 )
 
 // FormatAccuracyTable renders accuracy rows in the paper's table
-// layout.
-func FormatAccuracyTable(title string, rows []AccuracyRow) string {
+// layout under title and the unit they are scored over: a flow, or an
+// oracle's tuple, over a test window of testDays days.
+func FormatAccuracyTable(title string, testDays int, rows []AccuracyRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%s; unit: flow × %d-day test window", title, testDays)
+	if slices.ContainsFunc(rows, func(r AccuracyRow) bool { return r.Oracle }) {
+		fmt.Fprintf(&b, " (Oracle_*: tuple × %d-day test window)", testDays)
+	}
+	b.WriteString("\n")
 	fmt.Fprintf(&b, "%-18s %8s %8s %8s\n", "Model", "Top 1 %", "Top 2 %", "Top 3 %")
 	best := [3]float64{}
 	for _, r := range rows {
@@ -71,9 +77,9 @@ func FormatFig3(rows []Fig3Row) string {
 }
 
 // FormatFig5 renders the oracle-accuracy-vs-k curve.
-func FormatFig5(points []Fig5Point) string {
+func FormatFig5(points []Fig5Point, testDays int) string {
 	var b strings.Builder
-	b.WriteString("Figure 5: oracle accuracy vs number of predicted links\n")
+	fmt.Fprintf(&b, "Figure 5: oracle accuracy vs number of predicted links; unit: tuple × %d-day test window\n", testDays)
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s\n", "k", "Oracle_A", "Oracle_AP", "Oracle_AL")
 	for _, p := range points {
 		k := fmt.Sprintf("%d", p.K)
@@ -87,9 +93,9 @@ func FormatFig5(points []Fig5Point) string {
 }
 
 // FormatFig9 renders accuracy vs training window length.
-func FormatFig9(points []Fig9Point) string {
+func FormatFig9(points []Fig9Point, testDays int) string {
 	var b strings.Builder
-	b.WriteString("Figure 9: Hist_AL/AP/A top-3 accuracy vs training window length\n")
+	fmt.Fprintf(&b, "Figure 9: Hist_AL/AP/A top-3 accuracy vs training window length; unit: flow × %d-day test window\n", testDays)
 	fmt.Fprintf(&b, "%-12s %8s %8s %8s\n", "train days", "mean %", "min %", "max %")
 	for _, p := range points {
 		fmt.Fprintf(&b, "%-12d %8.2f %8.2f %8.2f\n", p.TrainDays, p.MeanTop3, p.MinTop3, p.MaxTop3)
@@ -100,7 +106,7 @@ func FormatFig9(points []Fig9Point) string {
 // FormatFig10 renders accuracy decay per day after training.
 func FormatFig10(points []Fig10Point) string {
 	var b strings.Builder
-	b.WriteString("Figure 10: Hist_AL/AP/A top-3 accuracy per day after training\n")
+	b.WriteString("Figure 10: Hist_AL/AP/A top-3 accuracy per day after training; unit: flow × day\n")
 	fmt.Fprintf(&b, "%-12s %8s\n", "day after", "top-3 %")
 	for _, p := range points {
 		fmt.Fprintf(&b, "%-12d %8.2f\n", p.DayAfter, p.Top3)
@@ -111,7 +117,7 @@ func FormatFig10(points []Fig10Point) string {
 // FormatFig11 renders the sliding-window accuracy distributions.
 func FormatFig11(stats []Fig11Stats) string {
 	var b strings.Builder
-	b.WriteString("Figure 11: top-3 accuracy across sliding windows, by outage class\n")
+	b.WriteString("Figure 11: Hist_AL/AP/A top-3 accuracy across sliding windows, by outage class; unit: flow × day\n")
 	fmt.Fprintf(&b, "%-10s %4s %8s %8s %8s %8s %8s\n", "class", "n", "min", "q1", "median", "q3", "max")
 	for _, s := range stats {
 		fmt.Fprintf(&b, "%-10s %4d %8.2f %8.2f %8.2f %8.2f %8.2f\n",

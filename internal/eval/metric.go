@@ -14,13 +14,18 @@ import (
 )
 
 // Group is one evaluation unit: a flow aggregate with its actual
-// per-link byte distribution over the selected hours.
+// per-link byte distribution over the selected hours, sorted by link.
 type Group struct {
 	Flow  features.FlowFeatures
-	Hour  wan.Hour // earliest selected hour (informational)
-	Links map[wan.LinkID]uint64
+	Links []LinkBytes
 	Total uint64
 	hours []wan.Hour
+}
+
+// LinkBytes is the bytes one link carried for a group.
+type LinkBytes struct {
+	Link  wan.LinkID
+	Bytes uint64
 }
 
 // Options controls an accuracy computation.
@@ -49,8 +54,8 @@ type Options struct {
 // Each record costs one features.Index lookup of its (unit, link)
 // pair; only a pair not seen before looks its unit up. The scan
 // touches small per-pair and per-unit slices and appends a unit's hour
-// when it changes; the groups, their Links maps and hour lists are
-// built once at the end.
+// when it changes; the groups' links and hours are each cut from one
+// array at the end.
 func BuildGroups(recs []features.Record, opts Options) []Group {
 	type unit struct {
 		total uint64
@@ -132,18 +137,23 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 	})
 	out := make([]Group, len(units))
 	rank := next // reused: unit → position in out
+	links := make([]LinkBytes, len(pairs))
 	for i, u := range order {
 		hs := all[at[u]:at[u+1]:at[u+1]]
 		if !slices.IsSorted(hs) {
 			slices.Sort(hs)
 		}
 		hs = slices.Compact(hs)
-		out[i] = Group{Flow: features.KeyFlow(keys[u]), Hour: hs[0], Links: make(map[wan.LinkID]uint64, units[u].links),
-			Total: units[u].total, hours: hs[:len(hs):len(hs)]}
+		out[i] = Group{Flow: features.KeyFlow(keys[u]), Links: links[:0:units[u].links], Total: units[u].total, hours: hs[:len(hs):len(hs)]}
+		links = links[units[u].links:]
 		rank[u] = int32(i)
 	}
 	for _, p := range pairs {
-		out[rank[p.unit]].Links[p.link] = p.bytes
+		g := &out[rank[p.unit]]
+		g.Links = append(g.Links, LinkBytes{p.link, p.bytes})
+	}
+	for i := range out {
+		slices.SortFunc(out[i].Links, byLink)
 	}
 	return out
 }
@@ -184,7 +194,7 @@ func Accuracy(model core.Predictor, recs []features.Record, opts Options) map[in
 			continue
 		}
 		for _, k := range opts.Ks {
-			credited[k] += credit(preds, k, g)
+			credited[k] += CreditBytes(preds, k, g.Links, g.Total)
 		}
 	}
 	out := make(map[int]float64, len(opts.Ks))
@@ -217,31 +227,27 @@ func majorityDown(exclude func(wan.LinkID, wan.Hour) bool, hours []wan.Hour) fun
 	}
 }
 
-// credit scores one group at one k: the prediction list is truncated
-// to k and the overlap with the actual byte distribution credited.
-// Fractions are taken as the model stated them — a model that says
-// "60% of this flow arrives on L1" earns at most 60% of the flow on
-// L1 even when queried at k=1 — which keeps accuracy monotone in k.
-func credit(preds []core.Prediction, k int, g *Group) float64 {
-	return CreditBytes(preds, k, g.Links, g.Total)
-}
-
-// CreditBytes is the §5.1.2 credit computation shared by this offline
-// harness and the online quality monitor: given a prediction list, a
-// top-k cutoff, and the actual per-link byte distribution of the
-// group (with its byte total), it returns the credited bytes
-// Σ min(predicted bytes, actual bytes) over the first k predictions.
-// Accuracy is credited bytes over total actual bytes; keeping this as
-// the single implementation guarantees offline and online accuracy
-// agree by construction.
-func CreditBytes(preds []core.Prediction, k int, links map[wan.LinkID]uint64, total uint64) float64 {
+// CreditBytes is the §5.1.2 credit of one group at one k, shared by
+// this harness and the online quality monitor (tipsyd's
+// TestMonitorGradesLikeEval holds the two equal): Σ min(predicted
+// bytes, actual bytes) over the first k predictions, where links are
+// the group's actual bytes sorted by link; a link not among them
+// credits 0. Fractions are taken as the model stated them — a model
+// that says "60% of this flow arrives on L1" earns at most 60% of the
+// flow on L1 even when queried at k=1 — which keeps accuracy monotone
+// in k.
+func CreditBytes(preds []core.Prediction, k int, links []LinkBytes, total uint64) float64 {
 	n := len(preds)
 	if k > 0 && n > k {
 		n = k
 	}
 	var c float64
 	for _, p := range preds[:n] {
-		c += min(p.Frac*float64(total), float64(links[p.Link]))
+		if i, ok := slices.BinarySearchFunc(links, LinkBytes{Link: p.Link}, byLink); ok {
+			c += min(p.Frac*float64(total), float64(links[i].Bytes))
+		}
 	}
 	return c
 }
+
+func byLink(a, b LinkBytes) int { return cmp.Compare(a.Link, b.Link) }

@@ -6,6 +6,7 @@ import (
 
 	"tipsy/internal/bgp"
 	"tipsy/internal/core"
+	"tipsy/internal/dataset"
 	"tipsy/internal/features"
 	"tipsy/internal/wan"
 )
@@ -192,7 +193,7 @@ func TestGroupsDeterministic(t *testing.T) {
 // online monitor reuses: Σ min(predicted bytes, actual bytes) over
 // the first k predictions.
 func TestCreditBytesShared(t *testing.T) {
-	links := map[wan.LinkID]uint64{1: 600, 2: 300, 3: 100}
+	links := []LinkBytes{{1, 600}, {2, 300}, {3, 100}}
 	preds := []core.Prediction{
 		{Link: 1, Frac: 0.5}, // min(500, 600) = 500
 		{Link: 3, Frac: 0.3}, // min(300, 100) = 100
@@ -210,5 +211,47 @@ func TestCreditBytesShared(t *testing.T) {
 	}
 	if got := CreditBytes(nil, 3, links, 1000); got != 0 {
 		t.Errorf("empty predictions credit = %v, want 0", got)
+	}
+}
+
+// unitAccuracy is top-1 and top-3 accuracy with each flow grouped
+// over spans of span hours from the first test hour: the test window,
+// a day or an hour.
+func unitAccuracy(e *Env, m core.Predictor, span wan.Hour) (top1, top3 float64) {
+	var c1, c3 float64
+	var total uint64
+	for from := e.TestFrom; from < e.TestTo; from += span {
+		for _, g := range BuildGroups(dataset.Window(e.Test, from, from+span), Options{}) {
+			preds := m.Predict(core.Query{Flow: g.Flow, K: 3})
+			c1 += CreditBytes(preds, 1, g.Links, g.Total)
+			c3 += CreditBytes(preds, 3, g.Links, g.Total)
+			total += g.Total
+		}
+	}
+	return c1 / float64(total), c3 / float64(total)
+}
+
+// TestCoarserUnitNeverScoresLower: with the same predictions,
+// min(a+b, c+d) ≥ min(a, c) + min(b, d), so merging a flow's hours
+// into a day, or its days into the test window, can only raise its
+// credit. The window unit is Accuracy's.
+func TestCoarserUnitNeverScoresLower(t *testing.T) {
+	const slack = 1e-12 // summation order
+	e := sharedEnv(t)
+	for _, m := range []core.Predictor{e.Hist(features.SetAP), e.Served} {
+		acc := Accuracy(m, e.Test, Options{Ks: []int{1, 3}})
+		window1, window3 := unitAccuracy(e, m, e.TestTo-e.TestFrom)
+		day1, day3 := unitAccuracy(e, m, 24)
+		hour1, hour3 := unitAccuracy(e, m, 1)
+		if math.Abs(window1-acc[1]) > slack || math.Abs(window3-acc[3]) > slack {
+			t.Errorf("%s: window unit reads %v/%v, Accuracy %v/%v", m.Name(), window1, window3, acc[1], acc[3])
+		}
+		if window1+slack < day1 || day1+slack < hour1 || window3+slack < day3 || day3+slack < hour3 {
+			t.Errorf("%s: top-1 %v/%v/%v, top-3 %v/%v/%v at window/day/hour: a finer unit scores higher",
+				m.Name(), window1, day1, hour1, window3, day3, hour3)
+		}
+		if hour3 >= window3 {
+			t.Errorf("%s: hour unit top-3 %v not below the window's %v", m.Name(), hour3, window3)
+		}
 	}
 }

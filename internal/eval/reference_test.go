@@ -10,12 +10,14 @@ import (
 	"tipsy/internal/wan"
 )
 
-// buildGroupsReference is the BuildGroups that kept a map of pointers
-// and a map of hour sets, with its own copy of the flow order, kept as
-// the oracle of the one that follows the drain order.
+// buildGroupsReference is the BuildGroups that kept a map of pointers,
+// a map of links and a map of hour sets per group, with its own copy
+// of the flow order, kept as the oracle of the one that follows the
+// drain order.
 func buildGroupsReference(recs []features.Record, opts Options) []Group {
 	byFlow := make(map[features.FlowFeatures]*Group)
 	var order []features.FlowFeatures
+	linkBytes := make(map[features.FlowFeatures]map[wan.LinkID]uint64)
 	hourSeen := make(map[features.FlowFeatures]map[wan.Hour]bool)
 	for _, r := range recs {
 		if opts.Select != nil && !opts.Select(r.Flow, r.Hour) {
@@ -27,22 +29,24 @@ func buildGroupsReference(recs []features.Record, opts Options) []Group {
 		}
 		g := byFlow[key]
 		if g == nil {
-			g = &Group{Flow: key, Hour: r.Hour, Links: make(map[wan.LinkID]uint64, 2)}
+			g = &Group{Flow: key}
 			byFlow[key] = g
+			linkBytes[key] = make(map[wan.LinkID]uint64, 2)
 			hourSeen[key] = make(map[wan.Hour]bool, 8)
 			order = append(order, key)
 		}
-		g.Links[r.Link] += uint64(r.Bytes)
+		linkBytes[key][r.Link] += uint64(r.Bytes)
 		g.Total += uint64(r.Bytes)
-		if r.Hour < g.Hour {
-			g.Hour = r.Hour
-		}
 		hourSeen[key][r.Hour] = true
 	}
 	sort.Slice(order, func(i, j int) bool { return lessFlowReference(order[i], order[j]) })
 	out := make([]Group, len(order))
 	for i, key := range order {
 		g := byFlow[key]
+		for l, b := range linkBytes[key] {
+			g.Links = append(g.Links, LinkBytes{l, b})
+		}
+		sort.Slice(g.Links, func(a, b int) bool { return g.Links[a].Link < g.Links[b].Link })
 		for h := range hourSeen[key] {
 			g.hours = append(g.hours, h)
 		}

@@ -12,9 +12,11 @@
 //
 // The monitor is clocked entirely by simulated hours (wan.Hour) fed
 // through AdvanceTo — never the wall clock — so seeded runs produce
-// byte-identical quality reports, and the accuracy arithmetic is
-// eval.CreditBytes, the same single implementation the offline
-// harness uses: offline and online accuracy agree by construction.
+// byte-identical quality reports. It groups each closing hour with
+// eval.BuildGroups and credits each group with eval.CreditBytes, the
+// grouping and arithmetic the offline harness uses, so its unit is
+// the (hour, flow); tipsyd's TestMonitorGradesLikeEval holds its
+// hourly score equal to eval.Accuracy on the same hour.
 package monitor
 
 import (
@@ -157,10 +159,6 @@ type Monitor struct {
 
 	// guarded by mu
 	pending map[features.FlowFeatures]pending
-	// links is one (hour, flow) group's bytes per link, cleared for
-	// each group a closing hour joins.
-	// guarded by mu
-	links map[wan.LinkID]uint64
 	// guarded by mu
 	ring []bucket
 
@@ -207,7 +205,6 @@ func New(cfg Config, reg *obsv.Registry) *Monitor {
 		cfg:          cfg,
 		met:          newMetrics(reg),
 		pending:      make(map[features.FlowFeatures]pending),
-		links:        make(map[wan.LinkID]uint64),
 		ring:         make([]bucket, cfg.WindowHours),
 		withdrawalAt: -1,
 		alarmByN:     make(map[string]*alarm, 4),
@@ -253,11 +250,10 @@ func (m *Monitor) RecordPrediction(h wan.Hour, flow features.FlowFeatures, rung 
 // evaluated.
 //
 // A record joins a prediction when it falls inside the prediction's
-// join horizon: strictly after the hour the prediction was made — a
-// model may not be graded on the hour it trained through — and at most
-// JoinHorizonHours later. A record for an hour already closed is late;
-// any other record that joins nothing, one at or past h included, is
-// unmatched.
+// join horizon: from the hour the prediction was made — the first the
+// model has not trained on — for JoinHorizonHours hours. A record for
+// an hour already closed is late; any other record that joins nothing,
+// one at or past h included, is unmatched.
 func (m *Monitor) AdvanceTo(h wan.Hour, truth []features.Record) {
 	m.met.truthRecs.Add(uint64(len(truth)))
 	var fired []AlarmStatus
@@ -305,40 +301,30 @@ func (m *Monitor) closeHour(h wan.Hour, recs []features.Record) {
 	b := &m.ring[int(h)%m.cfg.WindowHours]
 	b.reset(h)
 
-	joins := 0
-	for len(recs) > 0 {
-		n := 1
-		for n < len(recs) && recs[n].Flow == recs[0].Flow {
-			n++
-		}
-		group := recs[:n]
-		recs = recs[n:]
-		p, ok := m.pending[group[0].Flow]
-		if !ok || h <= p.madeAt || h > p.madeAt+wan.Hour(m.cfg.JoinHorizonHours) {
-			m.met.unmatched.Add(uint64(n))
+	joins, joined, horizon := 0, 0, wan.Hour(m.cfg.JoinHorizonHours)
+	var groups []eval.Group
+	if len(m.pending) > 0 { // else no record can join
+		groups = eval.BuildGroups(recs, eval.Options{})
+	}
+	for _, g := range groups {
+		p, ok := m.pending[g.Flow]
+		if !ok || h < p.madeAt || h >= p.madeAt+horizon {
 			continue
 		}
-		if !p.joined {
-			p.joined = true
-			m.pending[group[0].Flow] = p
-		}
+		p.joined = true
+		m.pending[g.Flow] = p
 		joins++
-		clear(m.links)
-		var total uint64
-		for _, r := range group {
-			m.links[r.Link] += uint64(r.Bytes)
-			total += uint64(r.Bytes)
-		}
+		joined += len(g.Links) // an hour holds one record per (flow, link)
 		c := cell{
 			groups: 1,
-			bytes:  total,
-			cred1:  eval.CreditBytes(p.preds[:p.n], 1, m.links, total),
-			cred3:  eval.CreditBytes(p.preds[:p.n], gradedK, m.links, total),
+			bytes:  g.Total,
+			cred1:  eval.CreditBytes(p.preds[:p.n], 1, g.Links, g.Total),
+			cred3:  eval.CreditBytes(p.preds[:p.n], gradedK, g.Links, g.Total),
 		}
 		b.overall.add(c)
 		addSlice(&b.byRung, p.rung, c)
 		if m.cfg.LinkMeta != nil {
-			metro, kind := m.cfg.LinkMeta(dominantLink(m.links))
+			metro, kind := m.cfg.LinkMeta(dominantLink(g.Links))
 			addSlice(&b.byMetro, metro, c)
 			addSlice(&b.byKind, kind, c)
 		}
@@ -346,6 +332,7 @@ func (m *Monitor) closeHour(h wan.Hour, recs []features.Record) {
 			m.post.add(c)
 		}
 	}
+	m.met.unmatched.Add(uint64(len(recs) - joined))
 	if joins > 0 {
 		m.met.joins.Add(uint64(joins))
 		m.lastJoin = h
@@ -353,7 +340,7 @@ func (m *Monitor) closeHour(h wan.Hour, recs []features.Record) {
 
 	// Evict predictions whose join horizon has fully passed.
 	for f, p := range m.pending {
-		if p.madeAt+wan.Hour(m.cfg.JoinHorizonHours) < h {
+		if h >= p.madeAt+horizon {
 			delete(m.pending, f)
 			if !p.joined {
 				m.met.expired.Inc()
@@ -496,17 +483,16 @@ func mergeSlices[K comparable](dst *map[K]cell, src map[K]cell) {
 }
 
 // dominantLink picks the link that carried the most of a group's
-// bytes (lowest ID on ties) — the link whose metro and peer kind the
-// group is sliced under.
-func dominantLink(links map[wan.LinkID]uint64) wan.LinkID {
-	var best wan.LinkID
-	var bestBytes uint64
-	for l, b := range links {
-		if b > bestBytes || (b == bestBytes && (best == 0 || l < best)) {
-			best, bestBytes = l, b
+// bytes (lowest ID on ties: links are sorted) — the link whose metro
+// and peer kind the group is sliced under.
+func dominantLink(links []eval.LinkBytes) wan.LinkID {
+	best := links[0]
+	for _, lb := range links[1:] {
+		if lb.Bytes > best.Bytes {
+			best = lb
 		}
 	}
-	return best
+	return best.Link
 }
 
 func permille(v float64) int64 {

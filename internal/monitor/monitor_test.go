@@ -8,6 +8,7 @@ import (
 
 	"tipsy/internal/bgp"
 	"tipsy/internal/core"
+	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/geo"
 	"tipsy/internal/obsv"
@@ -84,19 +85,22 @@ func TestJoinHonoursHorizonAndOrdering(t *testing.T) {
 	m.RecordPrediction(5, f, "ensemble", predict(7))
 
 	advance(m, 5+26,
-		// Truth at the prediction hour itself must not join (the model
-		// may not be graded on the hour it was trained through)...
+		// Truth before the prediction hour must not join (the model
+		// trained through it), and the prediction hour itself, the
+		// first the model has not seen, must...
+		features.Record{Hour: 4, Flow: f, Link: 7, Bytes: 10},
 		features.Record{Hour: 5, Flow: f, Link: 7, Bytes: 10},
-		// ...nor truth beyond the join horizon...
-		features.Record{Hour: 5 + 25, Flow: f, Link: 7, Bytes: 10},
+		// ...as must the horizon's last hour, but not the one past it...
+		features.Record{Hour: 5 + 23, Flow: f, Link: 7, Bytes: 10},
+		features.Record{Hour: 5 + 24, Flow: f, Link: 7, Bytes: 10},
 		// ...nor truth for a flow never predicted.
 		features.Record{Hour: 6, Flow: flowN(9), Link: 7, Bytes: 10},
 	)
 	if got := reg.Counter("monitor_truth_unmatched_total").Value(); got != 3 {
 		t.Errorf("unmatched = %d, want 3", got)
 	}
-	if got := reg.Counter("monitor_joins_total").Value(); got != 0 {
-		t.Errorf("joins = %d, want 0", got)
+	if got := reg.Counter("monitor_joins_total").Value(); got != 2 {
+		t.Errorf("joins = %d, want 2", got)
 	}
 
 	// Late truth (hour already closed) is dropped and counted.
@@ -409,5 +413,27 @@ func TestRecordPredictionAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(100, func() { m.RecordPrediction(1, flowN(1), "ensemble", preds) })
 	if got != recordPredictionAllocs {
 		t.Errorf("RecordPrediction on a known flow allocates %v times, want %d", got, recordPredictionAllocs)
+	}
+}
+
+// TestBuildGroupsAllocs pins the grouping each closing hour goes
+// through: its allocations do not grow with the groups, whose links
+// and hours are cut from one array each.
+func TestBuildGroupsAllocs(t *testing.T) {
+	const groups, maxAllocsPerGroup = 4096, 0.05
+	var hour []features.Record
+	for i := range groups {
+		for _, l := range []wan.LinkID{wan.LinkID(1 + i%7), wan.LinkID(8 + i%5)} {
+			hour = append(hour, features.Record{Hour: 3, Flow: flowN(i), Link: l, Bytes: float64(100 + i)})
+		}
+	}
+	slices.SortFunc(hour, features.Record.Compare)
+	got := testing.AllocsPerRun(10, func() {
+		if n := len(eval.BuildGroups(hour, eval.Options{})); n != groups {
+			t.Fatalf("%d groups, want %d", n, groups)
+		}
+	})
+	if got/groups >= maxAllocsPerGroup {
+		t.Errorf("BuildGroups allocates %v times for %d groups, %.3f per group; want under %v", got, groups, got/groups, maxAllocsPerGroup)
 	}
 }
