@@ -1,8 +1,9 @@
 // Package tipsy's top-level benchmarks measure what no gated run of
 // cmd/experiments can: the model costs of Table 3 and Table 11, the
 // training cost of the rejected MLP baseline (§3.3), the daily
-// retrain's scans that bench/'s retrain_day workload times, and two
-// substrates (the ground-truth walk and the IPFIX record codec). Every
+// retrain's scans that bench/'s retrain_day workload times, and three
+// substrates (a simulated day of netsim.Run, the ground-truth walk and
+// the IPFIX record codec). Every
 // table, figure and ablation is an experiment of cmd/experiments,
 // whose full run scripts/check.sh diffs against results/full_seed1.txt.
 // Run with:
@@ -11,6 +12,7 @@
 package tipsy
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -22,6 +24,7 @@ import (
 	"tipsy/internal/eval"
 	"tipsy/internal/features"
 	"tipsy/internal/ipfix"
+	"tipsy/internal/netsim"
 	"tipsy/internal/pipeline"
 	"tipsy/internal/wan"
 )
@@ -232,9 +235,32 @@ func BenchmarkBuildGroups(b *testing.B) {
 // Substrate throughput
 // ---------------------------------------------------------------------------
 
+// BenchmarkSimRun simulates the retrainEnv world one day per op, nil
+// sink, at GOMAXPROCS 1 and 2. Each runs a fresh Sim whose first day
+// is simulated before the timer starts, so every timed day finds the
+// flows' memo entries as tipsyd's daily cycle does. If Run's second
+// worker stops paying, the ratio of the two ms/day shows it.
+func BenchmarkSimRun(b *testing.B) {
+	e := retrainEnv(b)
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := e.Cfg.SimCfg
+			cfg.HorizonHours = wan.Hour((b.N + 1) * 24)
+			sim := netsim.New(cfg, e.Graph, e.Metros, e.Workload)
+			sim.Run(netsim.RunOptions{From: 0, To: 24})
+			b.ResetTimer()
+			for day := 1; day <= b.N; day++ {
+				sim.Run(netsim.RunOptions{From: wan.Hour(day * 24), To: wan.Hour(day*24 + 24)})
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/day")
+		})
+	}
+}
+
 // BenchmarkTruth times the public Truth, where each call is a
-// memo-free walk: only Run keeps a per-flow memo of the day's
-// resolutions.
+// memo-free walk: only Run keeps a per-flow memo, whose entries hold
+// for a span of policy epochs.
 func BenchmarkTruth(b *testing.B) {
 	e := env(b)
 	flows := e.Workload.Flows

@@ -119,6 +119,10 @@ type server struct {
 	sim       *netsim.Sim
 	metros    *geo.DB
 	trainDays int
+	// agg aggregates every cycle's simulated telemetry. One aggregator
+	// serves all cycles, so its slot and pair indexes stay grown from
+	// one day to the next; only the goroutine that runs cycles uses it.
+	agg *pipeline.Aggregator
 
 	// reg is the daemon-wide metrics registry: the pipeline counters,
 	// the fallback ladder, and the prediction-path stage histograms
@@ -396,6 +400,7 @@ func newServer(seed int64, trainDays int, mcfg monitor.Config) *server {
 		sim:          sim,
 		metros:       metros,
 		trainDays:    trainDays,
+		agg:          pipeline.NewAggregatorOn(reg, sim.GeoIP(), sim.DstMetadata),
 		reg:          reg,
 		met:          newServerMetrics(reg),
 		retrainEvery: 1,
@@ -554,14 +559,13 @@ func (s *server) cycle(n int, due bool) bool {
 func (s *server) advanceDays(n int, parent *obsv.Span) []features.Record {
 	from := s.simHour()
 	to := from + wan.Hour(n*24)
-	agg := pipeline.NewAggregatorOn(s.reg, s.sim.GeoIP(), s.sim.DstMetadata)
-	agg.SetTrace(s.tracer, parent.Context())
+	s.agg.SetTrace(s.tracer, parent.Context())
 	isp := s.tracer.StartChild(parent, "ingest")
 	isp.SetInt("from_hour", int64(from))
 	isp.SetInt("to_hour", int64(to))
-	s.sim.Run(netsim.RunOptions{From: from, To: to, Sink: agg})
+	s.sim.Run(netsim.RunOptions{From: from, To: to, Sink: s.agg})
 	isp.End()
-	recs := agg.Records()
+	recs := s.agg.Records()
 	tsp := s.tracer.StartChild(parent, "truth_join")
 	tsp.SetInt("records", int64(len(recs)))
 	s.mon.AdvanceTo(to, recs)
@@ -576,10 +580,13 @@ func (s *server) advanceDays(n int, parent *obsv.Span) []features.Record {
 			days[(r.Hour-from)/24].records++
 		}
 	}
-	// Trim the window to what retraining needs.
+	// Trim the window to what retraining needs. The new rows all fall
+	// in [from, to), inside the window; concatenating them onto the
+	// kept rows makes one exact allocation, so the window holds no
+	// trimmed days.
 	cutoff := to - wan.Hour(s.trainDays*24)
 	s.mu.Lock()
-	s.records = dataset.Window(append(s.records, rows...), cutoff, to)
+	s.records = slices.Concat(dataset.Window(s.records, cutoff, to), rows)
 	s.days = slices.DeleteFunc(append(s.days, days...), func(d windowDay) bool { return d.from < cutoff })
 	s.mu.Unlock()
 	s.simulated.Store(int32(to))

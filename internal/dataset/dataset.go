@@ -18,14 +18,14 @@ import (
 // Window returns the records with From <= Hour < To, preserving
 // order. recs must be in hour order, as a drain, DailyRows and a
 // loaded bundle are: the window is then one run of recs, found by two
-// binary searches and copied into one allocation of exactly its
-// length.
+// binary searches. It is a view of recs, not a copy, with its capacity
+// clipped to its length, so an append to it reallocates instead of
+// writing into recs. A caller that edits a window in place edits recs
+// and must copy it first.
 func Window(recs []features.Record, from, to wan.Hour) []features.Record {
 	lo := sort.Search(len(recs), func(i int) bool { return recs[i].Hour >= from })
-	n := sort.Search(len(recs)-lo, func(i int) bool { return recs[lo+i].Hour >= to })
-	out := make([]features.Record, n)
-	copy(out, recs[lo:])
-	return out
+	hi := lo + sort.Search(len(recs)-lo, func(i int) bool { return recs[lo+i].Hour >= to })
+	return recs[lo:hi:hi]
 }
 
 // DailyRows sums hourly records into one row per (day, flow, link),

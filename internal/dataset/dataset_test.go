@@ -57,15 +57,15 @@ func drainedDays() []features.Record {
 	return recs
 }
 
-// TestWindowAllocs pins Window at one allocation of exactly the
-// window's length on a multi-day drained window, and holds its output
-// to the append loop it replaced.
+// TestWindowAllocs pins Window at no allocation on a multi-day
+// drained window: it is a view with its capacity clipped to its
+// length. Its output is held to the append loop it replaced.
 func TestWindowAllocs(t *testing.T) {
 	recs := drainedDays()
 	for _, w := range []struct{ from, to wan.Hour }{{0, 72}, {0, 48}, {48, 72}, {30, 31}, {-5, 200}} {
 		var got []features.Record
-		if allocs := testing.AllocsPerRun(10, func() { got = Window(recs, w.from, w.to) }); allocs != 1 {
-			t.Errorf("[%d, %d): Window allocates %v times, want 1", w.from, w.to, allocs)
+		if allocs := testing.AllocsPerRun(10, func() { got = Window(recs, w.from, w.to) }); allocs != 0 {
+			t.Errorf("[%d, %d): Window allocates %v times, want 0", w.from, w.to, allocs)
 		}
 		if len(got) == 0 || cap(got) != len(got) {
 			t.Errorf("[%d, %d): %d records in capacity %d, want a non-empty exact fit", w.from, w.to, len(got), cap(got))
@@ -77,6 +77,25 @@ func TestWindowAllocs(t *testing.T) {
 	for _, w := range []struct{ from, to wan.Hour }{{72, 96}, {10, 5}} {
 		if got := Window(recs, w.from, w.to); len(got) != 0 {
 			t.Errorf("[%d, %d): want no records, got %d", w.from, w.to, len(got))
+		}
+	}
+}
+
+// TestAppendToWindowLeavesItsSource appends to windows that end before
+// their source does, at the front, the middle and the end of a drained
+// window: the append must reallocate, so the records after the window
+// stay as they were.
+func TestAppendToWindowLeavesItsSource(t *testing.T) {
+	recs := drainedDays()
+	want := slices.Clone(recs)
+	extra := mkrec(99, 7, 7, 7)
+	for _, w := range []struct{ from, to wan.Hour }{{0, 24}, {24, 48}, {30, 31}, {48, 72}, {72, 96}} {
+		got := append(Window(recs, w.from, w.to), extra)
+		if got[len(got)-1] != extra {
+			t.Fatalf("[%d, %d): the appended record is %+v", w.from, w.to, got[len(got)-1])
+		}
+		if !slices.Equal(recs, want) {
+			t.Fatalf("[%d, %d): appending to the window wrote into its source", w.from, w.to)
 		}
 	}
 }

@@ -521,8 +521,7 @@ func Fig11(e *Env, windows int) []Fig11Stats {
 		}
 		sub := &Env{Cfg: e.Cfg, Sim: e.Sim, Dir: e.Dir, Metros: e.Metros, Graph: e.Graph, Workload: e.Workload,
 			TrainFrom: trainFrom, TestTo: testTo}
-		subAll := append(append([]features.Record(nil), train...), test...)
-		sub.SplitAt(subAll, testFrom)
+		sub.SplitAt(dataset.Window(all, trainFrom, testTo), testFrom)
 		m := ensembleALAPA(sub.Served)
 		samples["overall"] = append(samples["overall"],
 			Accuracy(m, sub.Test, Options{Ks: []int{3}})[3]*100)

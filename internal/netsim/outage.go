@@ -107,6 +107,17 @@ func (o *OutageSchedule) Down(link wan.LinkID, h wan.Hour) bool {
 	return h < outs[i-1].End
 }
 
+// downAt fills down, a bitset over links (bit LinkID-1), with the
+// links in outage during hour h.
+func (o *OutageSchedule) downAt(h wan.Hour, down []uint64) {
+	clear(down)
+	for i := range o.byLink {
+		if o.Down(wan.LinkID(i+1), h) {
+			down[i/64] |= 1 << (i % 64)
+		}
+	}
+}
+
 // ForLink returns the outages of one link, sorted by start. Callers
 // must not modify the returned slice.
 func (o *OutageSchedule) ForLink(link wan.LinkID) []Outage {

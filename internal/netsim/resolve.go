@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"slices"
 
 	"tipsy/internal/bgp"
@@ -29,26 +30,36 @@ type resolver struct {
 	conc     []LinkShare
 	// decided is how the last walk's source AS chose its exits.
 	decided Decided
-	// memo, when set, is the flow's one-day memo that resolve reads
-	// and fills; nil walks every resolution afresh.
+	// lo and hi bound the days [lo, hi) on which the last walk's
+	// result holds: walk narrows them at every AS it enters.
+	lo, hi int32
+	// memo, when set, is the flow's memo that resolve reads and
+	// fills; nil walks every resolution afresh.
 	memo *flowMemo
+	// down, when set, is Run's bitset of the links in outage at the
+	// hour being resolved (bit LinkID-1); nil reads the schedule.
+	down []uint64
 }
 
-// flowMemo holds one flow's resolutions for one day: its steady split
-// and any failover split it needed, keyed by the exclusion set's hash
-// (0 for the steady split). Resolutions depend only on (flow, day,
-// exclusion set), so a memo never needs invalidating within its day;
-// a new day resets it. The first n entries are live; the rest keep
-// their buffers for reuse.
+// flowMemo holds one flow's resolutions: its steady split and any
+// failover split it needed, keyed by the exclusion set's hash (0 for
+// the steady split). A walk depends on the day only through the
+// policy epochs of the ASes it enters, so each entry holds for the
+// span of days [lo, hi) on which all of them keep their epoch, and
+// answers any day of it; resolve drops an entry once the day is
+// outside its span. Every live entry thus holds the current day, and
+// a flow keeps at most one entry per exclusion set it met within one
+// epoch span of its source AS (DriftMaxDays at most). The first n
+// entries are live; the rest keep their buffers for reuse.
 type flowMemo struct {
-	day     int32 // the memo's day + 1; 0 when empty
 	n       int
 	entries []memoEntry
 }
 
 type memoEntry struct {
-	excl  uint64
-	split []LinkShare
+	excl   uint64
+	lo, hi int32 // the days the split holds for
+	split  []LinkShare
 }
 
 // walkFrame is the scratch of one recursion depth. Buffers at
@@ -128,7 +139,7 @@ func (r *resolver) resolveFlow(f *traffic.FlowSpec, h wan.Hour, exclude []wan.Li
 	for iter := 0; iter < 16; iter++ {
 		r.bad = r.bad[:0]
 		for _, sh := range shares {
-			if !s.Available(sh.Link, prefix, h) || containsLink(exclude, sh.Link) {
+			if r.linkDown(sh.Link, h) || s.IsWithdrawn(sh.Link, prefix) || containsLink(exclude, sh.Link) {
 				r.bad = append(r.bad, sh.Link)
 			}
 		}
@@ -143,6 +154,17 @@ func (r *resolver) resolveFlow(f *traffic.FlowSpec, h wan.Hour, exclude []wan.Li
 		}
 	}
 	return nil
+}
+
+// linkDown reports whether link is in outage at hour h, from Run's
+// bitset for the hour when the resolver holds one, else from the
+// schedule.
+func (r *resolver) linkDown(link wan.LinkID, h wan.Hour) bool {
+	if r.down == nil {
+		return r.s.outages.Down(link, h)
+	}
+	i := link - 1
+	return r.down[i/64]&(1<<(i%64)) != 0
 }
 
 // concentrateBucketHours is the period of the load-balancing
@@ -204,21 +226,33 @@ func (r *resolver) concentrate(f *traffic.FlowSpec, h wan.Hour, steady []LinkSha
 
 // resolve returns the flow's normalized split for day with the links
 // in r.excluded treated as not carrying the prefix, from the
-// resolver's memo when it has the entry. A memoized split stays valid
-// for the rest of the day; a walked one only until the next walk.
+// resolver's memo when it has an entry for the exclusion set whose
+// span holds day. A memoized split stays valid while its entry lives;
+// a walked one only until the next walk.
 func (r *resolver) resolve(f *traffic.FlowSpec, day int32) []LinkShare {
 	excl := hashLinks(r.excluded)
 	m := r.memo
 	if m != nil {
-		if m.day != day+1 {
-			m.day, m.n = day+1, 0
-		}
+		hit, live := -1, 0
 		for i := range m.entries[:m.n] {
-			if e := &m.entries[i]; e.excl == excl {
-				return e.split
+			e := &m.entries[i]
+			if day < e.lo || day >= e.hi {
+				continue
 			}
+			if e.excl == excl {
+				hit = live
+			}
+			if live != i {
+				m.entries[live], m.entries[i] = m.entries[i], m.entries[live]
+			}
+			live++
+		}
+		m.n = live
+		if hit >= 0 {
+			return m.entries[hit].split
 		}
 	}
+	r.lo, r.hi = math.MinInt32, math.MaxInt32
 	res := r.walk(f.SrcAS, f.SrcMetro, f, day, r.excluded, excl, 0, 0)
 	normalize(res)
 	if m == nil {
@@ -229,7 +263,7 @@ func (r *resolver) resolve(f *traffic.FlowSpec, day int32) []LinkShare {
 	}
 	e := &m.entries[m.n]
 	m.n++
-	e.excl, e.split = excl, append(e.split[:0], res...)
+	e.excl, e.lo, e.hi, e.split = excl, r.lo, r.hi, append(e.split[:0], res...)
 	return e.split
 }
 
@@ -270,6 +304,19 @@ func (s *Sim) Epoch(asn bgp.ASN, day int32) int32 {
 		per = 1 << 30
 	}
 	return (day + s.driftOff[asn]) / per
+}
+
+// narrow shrinks the walk's day span to the days on which asn keeps
+// its epoch of day. An AS without a drift period never re-rolls, so it
+// leaves the span alone.
+func (r *resolver) narrow(asn bgp.ASN, day int32) {
+	per := r.s.driftPer[asn]
+	if per <= 0 {
+		return
+	}
+	off := r.s.driftOff[asn]
+	lo := (day+off)/per*per - off
+	r.lo, r.hi = max(r.lo, lo), min(r.hi, lo+per)
 }
 
 // salt keys an AS's drifting policy noise by its epoch on day.
@@ -337,6 +384,7 @@ func (r *resolver) walk(asn bgp.ASN, m geo.MetroID, f *traffic.FlowSpec, day int
 	if !ok {
 		return nil
 	}
+	r.narrow(asn, day)
 
 	// The island the flow is in constrains which of the AS's own
 	// facilities it can reach: fragmented CDNs have no backbone

@@ -101,6 +101,10 @@ func (s *Sim) Run(opts RunOptions) {
 	workers := min(runtime.GOMAXPROCS(0), nChunks)
 	bs, _ := opts.Sink.(BatchSink)
 	var batch []ipfix.FlowRecord
+	// down is the bitset of links in outage at the hour being
+	// simulated. start refills it only once the previous hour's
+	// workers are done, so one buffer serves every hour.
+	down := make([]uint64, (len(s.links)+63)/64)
 
 	// start launches hour h's workers into chunks and returns the group
 	// that finishes when they have; past the last hour it does nothing.
@@ -108,6 +112,7 @@ func (s *Sim) Run(opts RunOptions) {
 		if h >= opts.To {
 			return nil
 		}
+		s.outages.downAt(h, down)
 		var next atomic.Int64
 		wg := new(sync.WaitGroup)
 		for range workers {
@@ -115,11 +120,12 @@ func (s *Sim) Run(opts RunOptions) {
 			go func() {
 				defer wg.Done()
 				r := s.getResolver()
+				r.down = down
 				for c := int(next.Add(1) - 1); c < nChunks; c = int(next.Add(1) - 1) {
 					lo, hi := c*runChunk, min((c+1)*runChunk, len(flows))
 					s.runFlows(r, flows[lo:hi], memo[lo:hi], &chunks[c], h)
 				}
-				r.memo = nil
+				r.memo, r.down = nil, nil
 				s.putResolver(r)
 			}()
 		}
@@ -172,9 +178,11 @@ func (s *Sim) Run(opts RunOptions) {
 }
 
 // runFlows simulates one chunk of flows for hour h into out, keeping
-// each flow's resolutions in its memo entry.
+// each flow's resolutions in its memo entry. It builds the chunk's
+// records and ground truth in local slices and stores them into out
+// once: chunk headers that different workers own share cache lines.
 func (s *Sim) runFlows(r *resolver, flows []traffic.FlowSpec, memo []flowMemo, out *chunkOut, h wan.Hour) {
-	out.recs, out.lb = out.recs[:0], out.lb[:0]
+	recs, lb := out.recs[:0], out.lb[:0]
 	for i := range flows {
 		f := &flows[i]
 		bytes, packets := traffic.VolumeAt(f, s.metros, h)
@@ -182,16 +190,16 @@ func (s *Sim) runFlows(r *resolver, flows []traffic.FlowSpec, memo []flowMemo, o
 			continue
 		}
 		r.memo = &memo[i]
-		start := len(out.recs)
+		start := len(recs)
 		for _, sh := range r.resolveFlow(f, h, nil) {
 			b := bytes * sh.Frac
 			p := packets * sh.Frac
-			out.lb = append(out.lb, LinkShare{Link: sh.Link, Frac: b})
+			lb = append(lb, LinkShare{Link: sh.Link, Frac: b})
 			oct, pkt, ok := s.sampleFlow(f, sh.Link, h, b, p)
 			if !ok {
 				continue
 			}
-			out.recs = append(out.recs, ipfix.FlowRecord{
+			recs = append(recs, ipfix.FlowRecord{
 				SrcAddr:   f.SrcAddr,
 				DstAddr:   f.DstAddr,
 				Octets:    oct,
@@ -204,13 +212,14 @@ func (s *Sim) runFlows(r *resolver, flows []traffic.FlowSpec, memo []flowMemo, o
 		}
 		// Sort the flow's records by link; at most a handful of
 		// shares, insertion sort.
-		seg := out.recs[start:]
+		seg := recs[start:]
 		for a := 1; a < len(seg); a++ {
 			for j := a; j > 0 && seg[j].Ingress < seg[j-1].Ingress; j-- {
 				seg[j], seg[j-1] = seg[j-1], seg[j]
 			}
 		}
 	}
+	out.recs, out.lb = recs, lb
 }
 
 // sampleFlow applies the router's 1-in-N random packet sampling to

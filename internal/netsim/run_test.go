@@ -12,13 +12,18 @@ import (
 	"tipsy/internal/wan"
 )
 
-// TestRunMatchesMemoFreeResolution is the oracle for Run's one-day
-// memo: with every packet sampled, each delivered record must carry
-// exactly the bytes the memo-free Truth assigns its link, and
-// each LinkBytes must be the flow-order sum of those shares. The run
-// crosses day boundaries on which source ASes re-roll their policy
-// noise, and a withdrawal that is later taken back, under a high
-// outage rate, so a memo that kept a stale split would deliver it.
+// TestRunMatchesMemoFreeResolution is the oracle for Run's memo, whose
+// entries hold for a span of days and outlive the Run call: with every
+// packet sampled, each delivered record must carry exactly the bytes
+// the memo-free Truth assigns its link, and each LinkBytes must be the
+// flow-order sum of those shares. Three days are split over two Run
+// calls that share the memo. The days cross boundaries on which source
+// ASes re-roll their policy noise, and a withdrawal that is later taken
+// back, under a high outage rate, so a memo entry that outlived its
+// epoch would deliver a stale split. The test also reads the memo: some
+// flow must carry its steady split across a day boundary unchanged, and
+// some flow's steady split must end at a day boundary and be walked
+// afresh there.
 func TestRunMatchesMemoFreeResolution(t *testing.T) {
 	metros := geo.World()
 	g := topology.Generate(topology.TestGenConfig(5), metros)
@@ -27,7 +32,7 @@ func TestRunMatchesMemoFreeResolution(t *testing.T) {
 	cfg.SamplingInterval = 1
 	cfg.OutagesPerLinkYear = 300
 	s := New(cfg, g, metros, w)
-	const from, to = 12, 62
+	const from, mid, to = 12, 48, 84
 	const withdrawAt, announceAt = 20, 40
 
 	rerolled := false
@@ -52,68 +57,98 @@ func TestRunMatchesMemoFreeResolution(t *testing.T) {
 		t.Fatal("no link is down during the run")
 	}
 
+	// steady is flow i's live memo entry for the empty exclusion set.
+	steady := func(i int) memoEntry {
+		m := &s.memo[i]
+		for _, e := range m.entries[:m.n] {
+			if e.excl == 0 {
+				return e
+			}
+		}
+		return memoEntry{}
+	}
+	prev := make([]memoEntry, len(w.Flows)) // each flow's steady entry an hour ago
+	reused, rewalked := 0, 0
+
 	var got []ipfix.FlowRecord
 	var wdLink wan.LinkID
 	var wdFlow *traffic.FlowSpec
 	checked := 0
-	s.Run(RunOptions{From: from, To: to,
-		Sink: RecordSinkFunc(func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
-			got = append(got, *rec)
-		}),
-		OnHourEnd: func(h wan.Hour) {
-			var want []ipfix.FlowRecord
-			lb := make([]float64, s.NumLinks())
-			for i := range w.Flows {
-				f := &w.Flows[i]
-				bytes, packets := traffic.VolumeAt(f, metros, h)
-				if bytes <= 0 {
+	sink := RecordSinkFunc(func(h wan.Hour, link wan.LinkID, rec *ipfix.FlowRecord) {
+		got = append(got, *rec)
+	})
+	onHourEnd := func(h wan.Hour) {
+		var want []ipfix.FlowRecord
+		lb := make([]float64, s.NumLinks())
+		for i := range w.Flows {
+			f := &w.Flows[i]
+			bytes, packets := traffic.VolumeAt(f, metros, h)
+			if bytes <= 0 {
+				continue
+			}
+			shares := s.Truth(f, h, nil).Shares
+			for _, sh := range shares {
+				lb[sh.Link-1] += bytes * sh.Frac
+			}
+			slices.SortFunc(shares, func(a, b LinkShare) int { return int(a.Link) - int(b.Link) })
+			for _, sh := range shares {
+				if bytes*sh.Frac <= 0 {
 					continue
 				}
-				shares := s.Truth(f, h, nil).Shares
-				for _, sh := range shares {
-					lb[sh.Link-1] += bytes * sh.Frac
-				}
-				slices.SortFunc(shares, func(a, b LinkShare) int { return int(a.Link) - int(b.Link) })
-				for _, sh := range shares {
-					if bytes*sh.Frac <= 0 {
-						continue
-					}
-					want = append(want, ipfix.FlowRecord{
-						SrcAddr: f.SrcAddr, DstAddr: f.DstAddr,
-						Octets:    uint64(bytes * sh.Frac),
-						Packets:   uint64(max(1, packets*sh.Frac)),
-						Ingress:   uint32(sh.Link),
-						SrcAS:     uint32(f.SrcAS),
-						StartSecs: uint32(h) * 3600, EndSecs: uint32(h)*3600 + 3599,
-					})
-				}
+				want = append(want, ipfix.FlowRecord{
+					SrcAddr: f.SrcAddr, DstAddr: f.DstAddr,
+					Octets:    uint64(bytes * sh.Frac),
+					Packets:   uint64(max(1, packets*sh.Frac)),
+					Ingress:   uint32(sh.Link),
+					SrcAS:     uint32(f.SrcAS),
+					StartSecs: uint32(h) * 3600, EndSecs: uint32(h)*3600 + 3599,
+				})
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("hour %d: %d records delivered, memo-free resolution gives %d (or they differ)", h, len(got), len(want))
-			}
-			for _, id := range s.Links() {
-				if s.LinkBytes(h, id) != lb[id-1] {
-					t.Fatalf("hour %d link %d: LinkBytes %v, flow-order sum %v", h, id, s.LinkBytes(h, id), lb[id-1])
+			if e := steady(i); h%24 == 0 && prev[i].split != nil && e.split != nil {
+				day := int32(h.Day())
+				switch p := prev[i]; {
+				case p.hi > day && e.lo == p.lo && e.hi == p.hi:
+					reused++
+				case p.hi == day && e.lo == day:
+					rewalked++
 				}
 			}
-			checked += len(got)
-			got = got[:0]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("hour %d: %d records delivered, memo-free resolution gives %d (or they differ)", h, len(got), len(want))
+		}
+		for _, id := range s.Links() {
+			if s.LinkBytes(h, id) != lb[id-1] {
+				t.Fatalf("hour %d link %d: LinkBytes %v, flow-order sum %v", h, id, s.LinkBytes(h, id), lb[id-1])
+			}
+		}
+		checked += len(got)
+		got = got[:0]
+		for i := range prev {
+			prev[i] = steady(i)
+		}
 
-			switch h {
-			case withdrawAt:
-				wdFlow = &w.Flows[0]
-				wdLink = s.Truth(wdFlow, h, nil).Shares[0].Link
-				s.Withdraw(wdLink, s.FlowPrefix(wdFlow))
-				if slices.ContainsFunc(s.Truth(wdFlow, h+1, nil).Shares, func(sh LinkShare) bool { return sh.Link == wdLink }) {
-					t.Fatalf("flow 0 still ingresses on link %d after its prefix was withdrawn there", wdLink)
-				}
-			case announceAt:
-				s.Announce(wdLink, s.FlowPrefix(wdFlow))
+		switch h {
+		case withdrawAt:
+			wdFlow = &w.Flows[0]
+			wdLink = s.Truth(wdFlow, h, nil).Shares[0].Link
+			s.Withdraw(wdLink, s.FlowPrefix(wdFlow))
+			if slices.ContainsFunc(s.Truth(wdFlow, h+1, nil).Shares, func(sh LinkShare) bool { return sh.Link == wdLink }) {
+				t.Fatalf("flow 0 still ingresses on link %d after its prefix was withdrawn there", wdLink)
 			}
-		}})
+		case announceAt:
+			s.Announce(wdLink, s.FlowPrefix(wdFlow))
+		}
+	}
+	s.Run(RunOptions{From: from, To: mid, Sink: sink, OnHourEnd: onHourEnd})
+	s.Run(RunOptions{From: mid, To: to, Sink: sink, OnHourEnd: onHourEnd})
 	if checked == 0 {
 		t.Fatal("no records checked")
 	}
+	if reused == 0 || rewalked == 0 {
+		t.Fatalf("at day boundaries %d steady splits were carried over and %d walked afresh at an epoch boundary; the run must show both", reused, rewalked)
+	}
+	t.Logf("%d records; at day boundaries %d steady splits carried over, %d walked afresh at an epoch boundary", checked, reused, rewalked)
 }
 
 // TestTruthExcludeIsAWithdrawal pins what Truth's exclusion set means:

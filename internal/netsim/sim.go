@@ -110,14 +110,15 @@ type Sim struct {
 	mu sync.RWMutex
 	// guarded by mu
 	withdrawn map[wdKey]bool
-	// anyWithdrawn lets Available skip the read lock entirely in the
+	// anyWithdrawn lets IsWithdrawn skip the read lock entirely in the
 	// common no-withdrawals state.
 	anyWithdrawn atomic.Bool
 
 	// resolvers pools resolution scratch for Truth and Run's
-	// workers. runMu serializes Run calls, which own each flow's
-	// one-day memo (indexed by flow ID) and each chunk's output (two
-	// sets of chunks, so one hour is delivered while the next runs).
+	// workers. runMu serializes Run calls, which own each flow's memo
+	// (indexed by flow ID, kept from one Run to the next) and each
+	// chunk's output (two sets of chunks, so one hour is delivered
+	// while the next runs).
 	resolvers sync.Pool
 	runMu     sync.Mutex
 	// guarded by runMu
@@ -321,8 +322,12 @@ func (s *Sim) Announce(link wan.LinkID, prefix bgp.Prefix) {
 	s.mu.Unlock()
 }
 
-// IsWithdrawn reports the announcement state of (link, prefix).
+// IsWithdrawn reports the announcement state of (link, prefix). It
+// skips the read lock while nothing is withdrawn.
 func (s *Sim) IsWithdrawn(link wan.LinkID, prefix bgp.Prefix) bool {
+	if !s.anyWithdrawn.Load() {
+		return false
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.withdrawn[wdKey{link, prefix}]
@@ -331,15 +336,7 @@ func (s *Sim) IsWithdrawn(link wan.LinkID, prefix bgp.Prefix) bool {
 // Available reports whether prefix is reachable over link at hour h:
 // the link is not in outage and the prefix is not withdrawn there.
 func (s *Sim) Available(link wan.LinkID, prefix bgp.Prefix, h wan.Hour) bool {
-	if s.outages.Down(link, h) {
-		return false
-	}
-	if !s.anyWithdrawn.Load() {
-		return true
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return !s.withdrawn[wdKey{link, prefix}]
+	return !s.outages.Down(link, h) && !s.IsWithdrawn(link, prefix)
 }
 
 // getResolver draws resolution scratch from the pool.

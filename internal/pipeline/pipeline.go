@@ -133,11 +133,11 @@ type Aggregator struct {
 
 	// tracer + traceCtx attach the aggregator's spans (aggregate_batch,
 	// drain) to the ingest cycle's trace. Set via SetTrace
-	// before ingest begins; the nil tracer / zero context default
+	// before each ingest begins; the nil tracer / zero context default
 	// disables span emission at the cost of one nil check per batch.
-	// lock-free: set via SetTrace before ingest begins, constant after
+	// lock-free: set via SetTrace between ingests, constant during one
 	tracer *obsv.Tracer
-	// lock-free: set via SetTrace before ingest begins, constant after
+	// lock-free: set via SetTrace between ingests, constant during one
 	traceCtx obsv.SpanContext
 }
 
@@ -266,8 +266,9 @@ func (a *Aggregator) slotMiss(prefix uint32, link wan.LinkID, rec *ipfix.FlowRec
 }
 
 // SetTrace attaches the aggregator's spans to the given trace
-// context. Call before ingest begins; a nil tracer or zero context
-// disables tracing entirely.
+// context. Call before an ingest begins, not during one; an
+// aggregator that serves several ingests takes each one's context in
+// turn. A nil tracer or zero context disables tracing entirely.
 func (a *Aggregator) SetTrace(t *obsv.Tracer, sc obsv.SpanContext) {
 	a.tracer = t
 	a.traceCtx = sc
