@@ -1,7 +1,9 @@
 // Package tipsy's top-level benchmarks measure what no gated run of
 // cmd/experiments can: the model costs of Table 3 and Table 11, the
-// training cost of the rejected MLP baseline (§3.3), the daily
-// retrain's scans that bench/'s retrain_day workload times, and three
+// training cost of the rejected MLP baseline (§3.3), the layers of the
+// daily retrain that bench/'s retrain_day workload times (the fits,
+// prediction, encoding, the grading's grouping with and without an
+// exclusion prior, and the checkpoint's save and load), and three
 // substrates (a simulated day of netsim.Run, the ground-truth walk and
 // the IPFIX record codec). Every
 // table, figure and ablation is an experiment of cmd/experiments,
@@ -12,6 +14,7 @@
 package tipsy
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -129,7 +132,7 @@ func BenchmarkBaselineMLP(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Daily retrain scans (the retrain_day layers of bench/)
+// Daily retrain layers (the retrain_day layers of bench/)
 // ---------------------------------------------------------------------------
 
 var (
@@ -220,15 +223,59 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*max(rows, 1)), "B/row")
 }
 
+// BenchmarkBuildGroups groups the test window as Accuracy does, once
+// plain, as retrain_day and tipsyd's monitor grade, and once under an
+// exclusion prior, the one grading that lists each group's hours.
 func BenchmarkBuildGroups(b *testing.B) {
 	test := retrainEnv(b).Test
-	b.ReportAllocs()
-	b.ResetTimer()
-	groups := 0
-	for i := 0; i < b.N; i++ {
-		groups = len(eval.BuildGroups(test, eval.Options{}))
+	for _, c := range []struct {
+		name string
+		opts eval.Options
+	}{
+		{"plain", eval.Options{}},
+		{"exclude", eval.Options{Exclude: func(wan.LinkID, wan.Hour) bool { return false }}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			groups := 0
+			for i := 0; i < b.N; i++ {
+				groups = len(eval.BuildGroups(test, c.opts))
+			}
+			b.ReportMetric(float64(groups), "groups")
+		})
 	}
-	b.ReportMetric(float64(groups), "groups")
+}
+
+// BenchmarkCheckpoint saves the served generation's three fits of the
+// retrain window and loads them back, as retrain_day's
+// core.checkpoint_save and core.checkpoint_load layers do; bytes is
+// the checkpoint's size.
+func BenchmarkCheckpoint(b *testing.B) {
+	ck := retrainEnv(b).Served.Checkpoint()
+	var saved bytes.Buffer
+	if err := ck.Save(&saved); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := ck.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(buf.Len()), "bytes")
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.LoadCheckpoint(bytes.NewReader(saved.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(saved.Len()), "bytes")
+	})
 }
 
 // ---------------------------------------------------------------------------

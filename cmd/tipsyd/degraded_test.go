@@ -169,6 +169,36 @@ type v1Model struct {
 	Table   map[features.Tuple][]core.Prediction
 }
 
+// v2Checkpoint and v2Model are the layout of snapshot version 2, which
+// gob-encoded each model's columns.
+type v2Checkpoint struct {
+	Version   int
+	TrainedAt int32
+	Models    []v2Model
+}
+
+type v2Model struct {
+	Version int
+	Set     features.Set
+	Tuples  []features.Tuple
+	Ends    []int32
+	Preds   []core.Prediction
+}
+
+// gobFramed frames the gob encoding of v the way checkpoint versions 1
+// and 2 were written.
+func gobFramed(t *testing.T, v any) []byte {
+	t.Helper()
+	var payload, out bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteFramed(&out, "TIPSYCK1", payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 func TestRecoverRejectsCorruptCheckpoint(t *testing.T) {
 	a := smallServer(t, 36)
 	a.checkpointPath = filepath.Join(t.TempDir(), "model.ck")
@@ -180,17 +210,15 @@ func TestRecoverRejectsCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Version 1: the file of a build before the columnar layout.
-	old := v1Checkpoint{Version: 1, TrainedAt: 24, Models: []v1Model{{
+	v1 := gobFramed(t, v1Checkpoint{Version: 1, TrainedAt: 24, Models: []v1Model{{
 		Version: 1, Set: features.SetA,
 		Table: map[features.Tuple][]core.Prediction{{AS: 7}: {{Link: 1, Frac: 1}}},
-	}}}
-	var payload, v1 bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.WriteFramed(&v1, "TIPSYCK1", payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	}}})
+	// Version 2: gob columns, the file of a build before fixed-width ones.
+	v2 := gobFramed(t, v2Checkpoint{Version: 2, TrainedAt: 24, Models: []v2Model{{
+		Version: 2, Set: features.SetA,
+		Tuples: []features.Tuple{{AS: 7}}, Ends: []int32{1}, Preds: []core.Prediction{{Link: 1, Frac: 1}},
+	}}})
 
 	for _, c := range []struct {
 		name string
@@ -199,7 +227,8 @@ func TestRecoverRejectsCorruptCheckpoint(t *testing.T) {
 	}{
 		// The shape a crash would leave without atomic rename.
 		{"truncated", raw[:len(raw)/2], "corrupt"},
-		{"version 1", v1.Bytes(), "unsupported checkpoint version 1"},
+		{"version 1", v1, "unsupported checkpoint version 1"},
+		{"version 2", v2, "unsupported checkpoint version 1 or 2"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "model.ck")

@@ -181,7 +181,7 @@ func TestPredictEndToEnd(t *testing.T) {
 // the same body before (serve.TestWhatIfAllocs). The pin is exact, so
 // it also moves with the Go release; a lower number is committed by
 // editing it.
-const predictHandlerAllocs = 290
+const predictHandlerAllocs = 286
 
 // predictHandlerBytes bounds the bytes the handler chain itself
 // allocates per such what-if, on a warm request and response writer so

@@ -33,7 +33,7 @@ type Historical struct {
 	set features.Set
 	// tuples are the trained tuples in ascending order (Tuple.Compare).
 	// Tuple i's links are preds[ends[i-1]:ends[i]] (from 0 for the
-	// first), by Frac descending, then Link: checkpoint v2's columns.
+	// first), by Frac descending, then Link: the checkpoint's columns.
 	tuples []features.Tuple
 	ends   []int32
 	preds  []Prediction

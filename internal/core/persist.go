@@ -1,18 +1,20 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 
+	"tipsy/internal/bgp"
 	"tipsy/internal/features"
+	"tipsy/internal/geo"
 	"tipsy/internal/wan"
 )
 
@@ -25,15 +27,18 @@ var (
 )
 
 // Snapshots are framed so a loader can tell a truncated or damaged
-// file from a valid one before handing bytes to gob: an 8-byte magic
-// (distinct per snapshot kind — gob alone cannot tell one struct from
-// another, since it matches fields by name), the payload length, and a
-// CRC-32 of the payload.
+// file from a valid one before decoding a byte of the payload: an
+// 8-byte magic (distinct per snapshot kind and payload encoding), the
+// payload length, and a CRC-32 of the payload.
 const (
-	checkpointMagic  = "TIPSYCK1"
-	frameHeaderLen   = 8 + 8 + 4
-	maxSnapshotBytes = 1 << 32 // sanity cap against garbage length fields
-	frameReadChunk   = 1 << 20 // payload bytes read per allocation step
+	// checkpointMagic frames a checkpoint of fixed-width columns, from
+	// snapshot version 3 on; gobCheckpointMagic framed versions 1 and 2,
+	// which were gob.
+	checkpointMagic    = "TIPSYCK3"
+	gobCheckpointMagic = "TIPSYCK1"
+	frameHeaderLen     = 8 + 8 + 4
+	maxSnapshotBytes   = 1 << 32 // sanity cap against garbage length fields
+	frameReadChunk     = 1 << 20 // payload bytes read per allocation step
 )
 
 // BundleManifestMagic frames diagnostic-bundle manifests (see
@@ -74,13 +79,20 @@ func writeFrame(w io.Writer, magic string, payload []byte) error {
 	return err
 }
 
+// magicError is a frame that opens with another magic than the one
+// asked for.
+type magicError string
+
+func (e magicError) Error() string { return fmt.Sprintf("%v: bad magic %q", ErrBadSnapshot, string(e)) }
+func (e magicError) Unwrap() error { return ErrBadSnapshot }
+
 func readFrame(r io.Reader, magic string) ([]byte, error) {
 	hdr := make([]byte, frameHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadSnapshot, err)
 	}
 	if string(hdr[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+		return nil, magicError(hdr[:8])
 	}
 	n := binary.BigEndian.Uint64(hdr[8:16])
 	if n > maxSnapshotBytes {
@@ -131,8 +143,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 // histSnapshot is the serialized form of a Historical model, and the
 // form it keeps in memory: the tuples in ascending order, the end
 // offset of each tuple's links, and all the links in one flat array.
-// Columns, not a map, because gob writes a map in iteration order and
-// the bytes must be a function of the model.
+// Columns in a fixed order, so the bytes are a function of the model.
 type histSnapshot struct {
 	Version int
 	Set     features.Set
@@ -141,17 +152,17 @@ type histSnapshot struct {
 	Preds   []Prediction
 }
 
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // versionError reports a snapshot written in a layout this build does
 // not read.
 type versionError struct {
 	kind string
-	got  int
+	got  string
 }
 
 func (e versionError) Error() string {
-	return fmt.Sprintf("core: unsupported %s version %d (this build reads version %d)", e.kind, e.got, snapshotVersion)
+	return fmt.Sprintf("core: unsupported %s version %s (this build reads version %d)", e.kind, e.got, snapshotVersion)
 }
 
 func (h *Historical) snapshot() histSnapshot {
@@ -164,7 +175,7 @@ func (h *Historical) snapshot() histSnapshot {
 // TrainHistorical could have built.
 func restoreHistorical(snap histSnapshot) (*Historical, error) {
 	if snap.Version != snapshotVersion {
-		return nil, versionError{"model", snap.Version}
+		return nil, versionError{"model", strconv.Itoa(snap.Version)}
 	}
 	switch snap.Set {
 	case features.SetA, features.SetAP, features.SetAL:
@@ -217,17 +228,65 @@ type checkpointSnapshot struct {
 	Models    []histSnapshot
 }
 
+// The version-3 payload is fixed-width little-endian columns:
+//
+//	version uint32, trainedAt int32, models uint32, then per model:
+//	  set uint8, tuples uint32, links uint32,
+//	  tuples × (AS uint32, prefix uint32, loc uint16, region uint16, type uint8),
+//	  tuples × end int32,
+//	  links × (link uint32, Float64bits(frac) uint64).
+const (
+	checkpointHeaderLen = 4 + 4 + 4
+	modelHeaderLen      = 1 + 4 + 4
+	tupleLen            = 4 + 4 + 2 + 2 + 1
+	endLen              = 4
+	predLen             = 4 + 8
+)
+
+// appendCheckpoint appends snap's payload to dst.
+func appendCheckpoint(dst []byte, snap checkpointSnapshot) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(snap.Version))
+	dst = le.AppendUint32(dst, uint32(snap.TrainedAt))
+	dst = le.AppendUint32(dst, uint32(len(snap.Models)))
+	for _, m := range snap.Models {
+		dst = append(dst, byte(m.Set))
+		dst = le.AppendUint32(dst, uint32(len(m.Tuples)))
+		dst = le.AppendUint32(dst, uint32(len(m.Preds)))
+		for _, t := range m.Tuples {
+			dst = le.AppendUint32(dst, uint32(t.AS))
+			dst = le.AppendUint32(dst, t.Prefix)
+			dst = le.AppendUint16(dst, uint16(t.Loc))
+			dst = le.AppendUint16(dst, uint16(t.Region))
+			dst = append(dst, byte(t.Type))
+		}
+		for _, e := range m.Ends {
+			dst = le.AppendUint32(dst, uint32(e))
+		}
+		for _, p := range m.Preds {
+			dst = le.AppendUint32(dst, uint32(p.Link))
+			dst = le.AppendUint64(dst, math.Float64bits(p.Frac))
+		}
+	}
+	return dst
+}
+
+// checkpointLen is the length of snap's payload.
+func checkpointLen(snap checkpointSnapshot) int {
+	n := checkpointHeaderLen
+	for _, m := range snap.Models {
+		n += modelHeaderLen + len(m.Tuples)*tupleLen + len(m.Ends)*endLen + len(m.Preds)*predLen
+	}
+	return n
+}
+
 // Save writes the checkpoint to w, framed and checksummed.
 func (c *Checkpoint) Save(w io.Writer) error {
 	snap := checkpointSnapshot{Version: snapshotVersion, TrainedAt: int32(c.TrainedAt)}
 	for _, m := range c.Models {
 		snap.Models = append(snap.Models, m.snapshot())
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return err
-	}
-	return writeFrame(w, checkpointMagic, buf.Bytes())
+	return writeFrame(w, checkpointMagic, appendCheckpoint(make([]byte, 0, checkpointLen(snap)), snap))
 }
 
 // SaveFile atomically writes the checkpoint to path: the bytes land
@@ -239,26 +298,93 @@ func (c *Checkpoint) SaveFile(path string) error {
 }
 
 // LoadCheckpoint reads a checkpoint previously written with Save,
-// rejecting truncated or damaged input.
+// rejecting truncated or damaged input. A gob checkpoint of versions 1
+// and 2 is refused as an unsupported version.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	payload, err := readFrame(r, checkpointMagic)
 	if err != nil {
+		if magic := magicError(""); errors.As(err, &magic) && magic == gobCheckpointMagic {
+			return nil, versionError{"checkpoint", "1 or 2 (gob)"}
+		}
 		return nil, fmt.Errorf("core: load checkpoint: %w", err)
 	}
-	var snap checkpointSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: load checkpoint: %w: %v", ErrCorruptSnapshot, err)
+	return decodeCheckpoint(payload)
+}
+
+// payloadReader reads fixed-width little-endian fields off the front
+// of a payload; its caller checks the length first.
+type payloadReader []byte
+
+func (r *payloadReader) u8() uint8 {
+	v := (*r)[0]
+	*r = (*r)[1:]
+	return v
+}
+
+func (r *payloadReader) u16() uint16 {
+	v := binary.LittleEndian.Uint16(*r)
+	*r = (*r)[2:]
+	return v
+}
+
+func (r *payloadReader) u32() uint32 {
+	v := binary.LittleEndian.Uint32(*r)
+	*r = (*r)[4:]
+	return v
+}
+
+func (r *payloadReader) u64() uint64 {
+	v := binary.LittleEndian.Uint64(*r)
+	*r = (*r)[8:]
+	return v
+}
+
+// decodeCheckpoint reads a version-3 payload. Each count is checked
+// against the bytes left before anything is sized from it, so a damaged
+// count costs no more than the payload it came in; the columns
+// themselves are checked by restoreHistorical.
+func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
+	r := payloadReader(payload)
+	if len(r) < checkpointHeaderLen {
+		return nil, fmt.Errorf("core: load checkpoint: %w: a %d-byte payload", ErrCorruptSnapshot, len(r))
 	}
-	if snap.Version != snapshotVersion {
-		return nil, versionError{"checkpoint", snap.Version}
+	if v := r.u32(); v != snapshotVersion {
+		return nil, versionError{"checkpoint", strconv.FormatUint(uint64(v), 10)}
 	}
-	c := &Checkpoint{TrainedAt: wan.Hour(snap.TrainedAt)}
-	for _, ms := range snap.Models {
-		m, err := restoreHistorical(ms)
+	trainedAt, n := int32(r.u32()), uint64(r.u32())
+	if uint64(len(r)) < n*modelHeaderLen {
+		return nil, fmt.Errorf("core: load checkpoint: %w: %d models in %d bytes", ErrCorruptSnapshot, n, len(r))
+	}
+	c := &Checkpoint{TrainedAt: wan.Hour(trainedAt), Models: make([]*Historical, 0, n)}
+	for i := range n {
+		if len(r) < modelHeaderLen {
+			return nil, fmt.Errorf("core: load checkpoint: %w: model %d is cut short", ErrCorruptSnapshot, i)
+		}
+		set, tuples, links := features.Set(r.u8()), uint64(r.u32()), uint64(r.u32())
+		if uint64(len(r)) < tuples*(tupleLen+endLen)+links*predLen {
+			return nil, fmt.Errorf("core: load checkpoint: %w: model %d claims %d tuples and %d links in %d bytes", ErrCorruptSnapshot, i, tuples, links, len(r))
+		}
+		snap := histSnapshot{Version: snapshotVersion, Set: set, Tuples: make([]features.Tuple, tuples), Ends: make([]int32, tuples), Preds: make([]Prediction, links)}
+		for j := range snap.Tuples {
+			snap.Tuples[j] = features.Tuple{
+				AS: bgp.ASN(r.u32()), Prefix: r.u32(), Loc: geo.MetroID(r.u16()),
+				Region: wan.Region(r.u16()), Type: wan.ServiceType(r.u8()),
+			}
+		}
+		for j := range snap.Ends {
+			snap.Ends[j] = int32(r.u32())
+		}
+		for j := range snap.Preds {
+			snap.Preds[j] = Prediction{Link: wan.LinkID(r.u32()), Frac: math.Float64frombits(r.u64())}
+		}
+		m, err := restoreHistorical(snap)
 		if err != nil {
 			return nil, err
 		}
 		c.Models = append(c.Models, m)
+	}
+	if len(r) > 0 {
+		return nil, fmt.Errorf("core: load checkpoint: %w: %d bytes after the last model", ErrCorruptSnapshot, len(r))
 	}
 	return c, nil
 }

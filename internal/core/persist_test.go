@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"tipsy/internal/features"
@@ -223,11 +224,8 @@ func TestCheckpointPast2To53IsOrderFree(t *testing.T) {
 // frameCheckpoint frames a hand-built snapshot the way Save does.
 func frameCheckpoint(t testing.TB, snap checkpointSnapshot) []byte {
 	t.Helper()
-	var payload, out bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(&out, checkpointMagic, payload.Bytes()); err != nil {
+	var out bytes.Buffer
+	if err := writeFrame(&out, checkpointMagic, appendCheckpoint(nil, snap)); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
@@ -289,6 +287,74 @@ func TestLoadCheckpointRejectsBadColumns(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointRejectsCutColumns cuts the payload of a valid
+// checkpoint inside each of its headers and columns, and lengthens it
+// by a byte: each frame passes the checksum and is refused as corrupt.
+func TestLoadCheckpointRejectsCutColumns(t *testing.T) {
+	payload := appendCheckpoint(nil, checkpointSnapshot{Version: snapshotVersion, TrainedAt: 96, Models: []histSnapshot{
+		oneModelCheckpoint().Models[0].snapshot(),
+	}})
+	for _, in := range [][]byte{payload[:checkpointHeaderLen-1], payload[:checkpointHeaderLen+modelHeaderLen-1],
+		payload[:len(payload)-predLen], payload[:len(payload)-1], append(slices.Clone(payload), 0)} {
+		var framed bytes.Buffer
+		if err := writeFrame(&framed, checkpointMagic, in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(&framed); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%d of %d payload bytes: err = %v, want ErrCorruptSnapshot", len(in), len(payload), err)
+		}
+	}
+}
+
+// gobCheckpoint and gobModel are the checkpoint layout of snapshot
+// version 2, which gob-encoded the columns under the magic TIPSYCK1.
+type gobCheckpoint struct {
+	Version   int
+	TrainedAt int32
+	Models    []gobModel
+}
+
+type gobModel struct {
+	Version int
+	Set     features.Set
+	Tuples  []features.Tuple
+	Ends    []int32
+	Preds   []Prediction
+}
+
+// gobV2Payload is the version-2 gob payload of oneModelCheckpoint.
+func gobV2Payload(t testing.TB) []byte {
+	t.Helper()
+	h := oneModelCheckpoint().Models[0]
+	v2 := gobCheckpoint{Version: 2, TrainedAt: 24, Models: []gobModel{{Version: 2, Set: h.set, Tuples: h.tuples, Ends: h.ends, Preds: h.preds}}}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v2); err != nil {
+		t.Fatal(err)
+	}
+	return payload.Bytes()
+}
+
+// TestLoadCheckpointRefusesGob builds the version-2 gob checkpoint of a
+// model: under its own magic it is refused as an unsupported version,
+// and as the payload of a version-3 frame it is refused without a
+// panic.
+func TestLoadCheckpointRefusesGob(t *testing.T) {
+	payload := gobV2Payload(t)
+	for _, magic := range []string{gobCheckpointMagic, checkpointMagic} {
+		var framed bytes.Buffer
+		if err := writeFrame(&framed, magic, payload); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCheckpoint(&framed)
+		if err == nil {
+			t.Fatalf("a version-2 gob checkpoint under %s loads", magic)
+		}
+		if magic == gobCheckpointMagic && (!errors.As(err, new(versionError)) || !strings.Contains(err.Error(), "unsupported checkpoint version 1 or 2")) {
+			t.Errorf("under %s: err = %v, want an unsupported version", magic, err)
+		}
+	}
+}
+
 // FuzzLoadCheckpoint holds the checkpoint loader to its contract on
 // arbitrary input: it fails only as a bad or corrupt snapshot or an
 // unsupported version, never panics, allocates in proportion to the
@@ -309,6 +375,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, c := range badColumns() {
 		f.Add(frameCheckpoint(f, checkpointSnapshot{Version: snapshotVersion, Models: []histSnapshot{c.snap}}))
 	}
+	var v2 bytes.Buffer
+	if err := writeFrame(&v2, gobCheckpointMagic, gobV2Payload(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input is tried as a whole file and as the payload of an
 		// intact frame, which is how a mutation reaches the decoder past
@@ -322,9 +393,10 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			ck, err := LoadCheckpoint(bytes.NewReader(in))
 			runtime.ReadMemStats(&after)
-			// gob caps what one claimed slice length allocates before its
-			// elements arrive at 10 MiB, and the loader sizes nothing from
-			// a count it has not decoded.
+			// The frame reader allocates what arrives, and the loader
+			// sizes a column only from a count the bytes left can hold.
+			// A tuple's 17 payload bytes become 20 bytes of columns and
+			// at most 96 of index, some 7 bytes per byte of input.
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<20+64*len(in)); got > limit {
 				t.Fatalf("loading %d bytes allocated %d, limit %d", len(in), got, limit)
 			}

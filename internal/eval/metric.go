@@ -15,11 +15,13 @@ import (
 
 // Group is one evaluation unit: a flow aggregate with its actual
 // per-link byte distribution over the selected hours, sorted by link.
+// Only an exclusion prior reads which hours those were, so hours is
+// built only when Options.Exclude is set and is nil otherwise.
 type Group struct {
 	Flow  features.FlowFeatures
 	Links []LinkBytes
 	Total uint64
-	hours []wan.Hour
+	hours []wan.Hour // ascending, distinct; nil unless Options.Exclude
 }
 
 // LinkBytes is the bytes one link carried for a group.
@@ -53,9 +55,10 @@ type Options struct {
 //
 // Each record costs one features.Index lookup of its (unit, link)
 // pair; only a pair not seen before looks its unit up. The scan
-// touches small per-pair and per-unit slices and appends a unit's hour
-// when it changes; the groups' links and hours are each cut from one
-// array at the end.
+// touches small per-pair and per-unit slices; the groups' links are
+// cut from one array at the end. Under an exclusion prior it also
+// appends a unit's hour when it changes, and the groups' hours are cut
+// from a second array.
 func BuildGroups(recs []features.Record, opts Options) []Group {
 	type unit struct {
 		total uint64
@@ -67,10 +70,7 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 		link  wan.LinkID
 		bytes uint64
 	}
-	type unitHour struct {
-		unit int32
-		hour wan.Hour
-	}
+	keepHours := opts.Exclude != nil
 	unitIndex, pairIndex := features.NewIndex(1<<8), features.NewIndex(1<<10)
 	var keys []features.Key // by unit, link zero
 	var units []unit
@@ -94,7 +94,9 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 			if !had {
 				keys = append(keys, k)
 				units = append(units, unit{last: r.Hour})
-				hours = append(hours, unitHour{u, r.Hour})
+				if keepHours {
+					hours = append(hours, unitHour{u, r.Hour})
+				}
 			}
 			units[u].links++
 			pairs = append(pairs, unitPair{unit: u, link: r.Link})
@@ -103,27 +105,12 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 		pp.bytes += uint64(r.Bytes)
 		u := &units[pp.unit]
 		u.total += uint64(r.Bytes)
-		if r.Hour != u.last {
+		if keepHours && r.Hour != u.last {
 			u.last = r.Hour
 			hours = append(hours, unitHour{pp.unit, r.Hour})
 		}
 	}
 
-	// Each unit's hours, cut from one array: in drain order they arrive
-	// increasing, and the sort is for other callers.
-	at := make([]int32, len(units)+1)
-	for _, h := range hours {
-		at[h.unit+1]++
-	}
-	for u := range units {
-		at[u+1] += at[u]
-	}
-	all := make([]wan.Hour, len(hours))
-	next := slices.Clone(at[:len(units)])
-	for _, h := range hours {
-		all[next[h.unit]] = h.hour
-		next[h.unit]++
-	}
 	// The packed keys order like the flows.
 	order := make([]int32, len(units))
 	for u := range order {
@@ -136,15 +123,10 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 		return cmp.Compare(keys[a].B, keys[b].B)
 	})
 	out := make([]Group, len(units))
-	rank := next // reused: unit → position in out
+	rank := make([]int32, len(units)) // unit → position in out
 	links := make([]LinkBytes, len(pairs))
 	for i, u := range order {
-		hs := all[at[u]:at[u+1]:at[u+1]]
-		if !slices.IsSorted(hs) {
-			slices.Sort(hs)
-		}
-		hs = slices.Compact(hs)
-		out[i] = Group{Flow: features.KeyFlow(keys[u]), Links: links[:0:units[u].links], Total: units[u].total, hours: hs[:len(hs):len(hs)]}
+		out[i] = Group{Flow: features.KeyFlow(keys[u]), Links: links[:0:units[u].links], Total: units[u].total}
 		links = links[units[u].links:]
 		rank[u] = int32(i)
 	}
@@ -155,7 +137,45 @@ func BuildGroups(recs []features.Record, opts Options) []Group {
 	for i := range out {
 		slices.SortFunc(out[i].Links, byLink)
 	}
+	if keepHours {
+		cutHours(out, rank, hours)
+	}
 	return out
+}
+
+// unitHour is one hour of one unit's records, the unit numbered in
+// first-seen order.
+type unitHour struct {
+	unit int32
+	hour wan.Hour
+}
+
+// cutHours gives each group its distinct hours, ascending, cut from one
+// array; rank maps a unit to its group. In drain order a unit's hours
+// arrive increasing, and the sort is for other callers.
+func cutHours(out []Group, rank []int32, hours []unitHour) {
+	at := make([]int32, len(out)+1)
+	for _, h := range hours {
+		at[rank[h.unit]+1]++
+	}
+	for i := range out {
+		at[i+1] += at[i]
+	}
+	all := make([]wan.Hour, len(hours))
+	next := slices.Clone(at[:len(out)])
+	for _, h := range hours {
+		g := rank[h.unit]
+		all[next[g]] = h.hour
+		next[g]++
+	}
+	for i := range out {
+		hs := all[at[i]:at[i+1]:at[i+1]]
+		if !slices.IsSorted(hs) {
+			slices.Sort(hs)
+		}
+		hs = slices.Compact(hs)
+		out[i].hours = hs[:len(hs):len(hs)]
+	}
 }
 
 // Accuracy computes the paper's §5.1.2 metric over aggregated test

@@ -13,7 +13,8 @@ import (
 // buildGroupsReference is the BuildGroups that kept a map of pointers,
 // a map of links and a map of hour sets per group, with its own copy
 // of the flow order, kept as the oracle of the one that follows the
-// drain order.
+// drain order. Like BuildGroups it lists a group's hours only under an
+// exclusion prior, the one reader of them.
 func buildGroupsReference(recs []features.Record, opts Options) []Group {
 	byFlow := make(map[features.FlowFeatures]*Group)
 	var order []features.FlowFeatures
@@ -47,10 +48,12 @@ func buildGroupsReference(recs []features.Record, opts Options) []Group {
 			g.Links = append(g.Links, LinkBytes{l, b})
 		}
 		sort.Slice(g.Links, func(a, b int) bool { return g.Links[a].Link < g.Links[b].Link })
-		for h := range hourSeen[key] {
-			g.hours = append(g.hours, h)
+		if opts.Exclude != nil {
+			for h := range hourSeen[key] {
+				g.hours = append(g.hours, h)
+			}
+			sort.Slice(g.hours, func(a, b int) bool { return g.hours[a] < g.hours[b] })
 		}
-		sort.Slice(g.hours, func(a, b int) bool { return g.hours[a] < g.hours[b] })
 		out[i] = *g
 	}
 	return out
@@ -130,6 +133,8 @@ func TestDifferentialBuildGroups(t *testing.T) {
 	byA := func(f features.FlowFeatures) features.FlowFeatures {
 		return features.FlowFeatures(features.SetA.Project(f))
 	}
+	// Only the hours are compared here: grouping never calls the prior.
+	exclude := func(l wan.LinkID, h wan.Hour) bool { return (int(l)+int(h))%4 == 0 }
 	options := []struct {
 		name string
 		opts Options
@@ -138,6 +143,8 @@ func TestDifferentialBuildGroups(t *testing.T) {
 		{"select", Options{Select: func(f features.FlowFeatures, h wan.Hour) bool { return (int(f.Prefix>>8)+int(h))%3 != 0 }}},
 		{"group-by", Options{GroupBy: byAL}},
 		{"select+group-by", Options{Select: func(f features.FlowFeatures, h wan.Hour) bool { return h%2 == 0 || f.Type == 0 }, GroupBy: byA}},
+		{"exclude", Options{Exclude: exclude}},
+		{"exclude+select+group-by", Options{Exclude: exclude, Select: func(f features.FlowFeatures, h wan.Hour) bool { return h%3 != 1 || f.Type == 0 }, GroupBy: byA}},
 	}
 	for _, c := range recordtest.Cases(5) {
 		for _, o := range options {

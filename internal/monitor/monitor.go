@@ -101,6 +101,13 @@ type pending struct {
 	joined bool
 }
 
+// expiry is one recorded prediction, named by its flow and the hour it
+// was made.
+type expiry struct {
+	flow   features.FlowFeatures
+	madeAt wan.Hour
+}
+
 // metrics are the monitor's registry-backed series.
 type metrics struct {
 	predictions *obsv.Counter
@@ -159,6 +166,11 @@ type Monitor struct {
 
 	// guarded by mu
 	pending map[features.FlowFeatures]pending
+	// expiring lists each pending prediction, once per (flow, madeAt),
+	// under the hour whose close evicts it; an entry whose flow was
+	// recorded at another hour since is stale, and skipped.
+	// guarded by mu
+	expiring map[wan.Hour][]expiry
 	// guarded by mu
 	ring []bucket
 
@@ -205,6 +217,7 @@ func New(cfg Config, reg *obsv.Registry) *Monitor {
 		cfg:          cfg,
 		met:          newMetrics(reg),
 		pending:      make(map[features.FlowFeatures]pending),
+		expiring:     make(map[wan.Hour][]expiry),
 		ring:         make([]bucket, cfg.WindowHours),
 		withdrawalAt: -1,
 		alarmByN:     make(map[string]*alarm, 4),
@@ -235,6 +248,12 @@ func (m *Monitor) RecordPrediction(h wan.Hour, flow features.FlowFeatures, rung 
 	if !m.sawActivity {
 		m.sawActivity = true
 		m.lastJoin = h // starvation counts from the first prediction
+	}
+	if old, ok := m.pending[flow]; !ok || old.madeAt != h {
+		// Evicted when the first hour at or past its horizon closes. A
+		// pending prediction made at h is listed there already.
+		at := max(h+wan.Hour(m.cfg.JoinHorizonHours), m.head)
+		m.expiring[at] = append(m.expiring[at], expiry{flow, h})
 	}
 	m.pending[flow] = p
 	m.met.pendingG.Set(int64(len(m.pending)))
@@ -339,14 +358,15 @@ func (m *Monitor) closeHour(h wan.Hour, recs []features.Record) {
 	}
 
 	// Evict predictions whose join horizon has fully passed.
-	for f, p := range m.pending {
-		if h >= p.madeAt+horizon {
-			delete(m.pending, f)
+	for _, e := range m.expiring[h] {
+		if p, ok := m.pending[e.flow]; ok && p.madeAt == e.madeAt {
+			delete(m.pending, e.flow)
 			if !p.joined {
 				m.met.expired.Inc()
 			}
 		}
 	}
+	delete(m.expiring, h)
 	m.met.pendingG.Set(int64(len(m.pending)))
 
 	cur := m.windowTotals(h)

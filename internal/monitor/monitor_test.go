@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -332,6 +333,69 @@ func TestPredictionExpiry(t *testing.T) {
 	}
 	if q := m.Quality(); q.PendingPredictions != 0 {
 		t.Errorf("pending = %d after expiry", q.PendingPredictions)
+	}
+}
+
+// TestExpiryEvictsLikeAScan drives a random script of predictions,
+// re-recorded flows, predictions made behind or ahead of the clock and
+// truth, and holds the monitor's pending set and expired counter equal
+// after every advance to a scan of every pending prediction at every
+// closed hour.
+func TestExpiryEvictsLikeAScan(t *testing.T) {
+	cfg := testConfig()
+	cfg.JoinHorizonHours = 3
+	m, reg := newTestMonitor(cfg)
+	type ref struct {
+		madeAt wan.Hour
+		joined bool
+	}
+	want, expired := map[features.FlowFeatures]ref{}, uint64(0)
+	rng := rand.New(rand.NewSource(1))
+	head := wan.Hour(0)
+	for step := range 400 {
+		if rng.Intn(3) > 0 {
+			f, h := flowN(rng.Intn(12)), max(head+wan.Hour(rng.Intn(11)-5), 0)
+			m.RecordPrediction(h, f, "ensemble", predict(1))
+			want[f] = ref{madeAt: h}
+			continue
+		}
+		to := head + wan.Hour(1+rng.Intn(3))
+		var truth []features.Record
+		for h := head; h < to; h++ {
+			for range rng.Intn(4) {
+				truth = append(truth, features.Record{Hour: h, Flow: flowN(rng.Intn(12)), Link: 1, Bytes: 1})
+			}
+		}
+		advance(m, to, truth...)
+		for ; head < to; head++ {
+			for _, r := range truth {
+				if p, ok := want[r.Flow]; ok && r.Hour == head && head >= p.madeAt && head < p.madeAt+3 {
+					p.joined = true
+					want[r.Flow] = p
+				}
+			}
+			for f, p := range want {
+				if head >= p.madeAt+3 {
+					delete(want, f)
+					if !p.joined {
+						expired++
+					}
+				}
+			}
+		}
+		got := map[features.FlowFeatures]ref{}
+		for f, p := range m.pending {
+			got[f] = ref{p.madeAt, p.joined}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d, hour %d: pending %v, a scan keeps %v", step, head, got, want)
+		}
+		if n := reg.Counter("monitor_predictions_expired_total").Value(); n != expired {
+			t.Fatalf("step %d, hour %d: %d expired, a scan counts %d", step, head, n, expired)
+		}
+		if n := m.Quality().PendingPredictions; n != len(want) {
+			t.Fatalf("step %d, hour %d: %d pending reported, want %d", step, head, n, len(want))
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package obsv
 
-import (
-	"fmt"
-	"net/http"
-)
+import "net/http"
 
 // Cross-process propagation uses the W3C Trace Context wire format:
 //
@@ -21,7 +18,14 @@ const traceparentLen = 55 // "00-" + 32 + "-" + 16 + "-" + 2
 
 // Traceparent renders the context in wire form.
 func (sc SpanContext) Traceparent() string {
-	return fmt.Sprintf("00-%s-%s-01", sc.Trace.String(), sc.Span.String())
+	var b [traceparentLen]byte
+	copy(b[:], "00-")
+	hex64(sc.Trace.Hi, b[3:19])
+	hex64(sc.Trace.Lo, b[19:35])
+	b[35] = '-'
+	hex64(uint64(sc.Span), b[36:52])
+	copy(b[52:], "-01")
+	return string(b[:])
 }
 
 // ParseTraceparent parses a traceparent value. ok is false for

@@ -3,6 +3,8 @@ package obsv
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -358,6 +360,23 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	back, ok = ParseTraceparent(want[:len(want)-2] + "00")
 	if !ok || back != sc {
 		t.Fatalf("unsampled parse: %+v ok=%v", back, ok)
+	}
+}
+
+// TestTraceparentIsTheFormattedForm holds the wire form equal to the
+// fmt.Sprintf rendering it replaced, for random IDs, and parses it back
+// to the context.
+func TestTraceparentIsTheFormattedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for range 1000 {
+		sc := SpanContext{Trace: TraceID{Hi: rng.Uint64(), Lo: rng.Uint64()}, Span: SpanID(rng.Uint64() | 1)}
+		wire := sc.Traceparent()
+		if want := fmt.Sprintf("00-%s-%s-01", sc.Trace.String(), sc.Span.String()); wire != want {
+			t.Fatalf("wire %q, want %q", wire, want)
+		}
+		if back, ok := ParseTraceparent(wire); !ok || back != sc {
+			t.Fatalf("%q parses to %+v ok=%v, want %+v", wire, back, ok, sc)
+		}
 	}
 }
 

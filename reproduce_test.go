@@ -142,7 +142,7 @@ func TestReproduction(t *testing.T) {
 }
 
 // quickCheckpointSHA256 is the checkpoint of quickConfig's fit.
-const quickCheckpointSHA256 = "9e95025ace7189cdd5b7b0fa4f803117fa62b50f5660ad181ebdf31b7800ba8f"
+const quickCheckpointSHA256 = "64dbc7e82bbac8f8337bbd5f8599ee98f3d3991b37c16af1bcf3fb0c74069852"
 
 // quickConfig is the small environment cut to 1,000 flows over four
 // training days and two test days.
